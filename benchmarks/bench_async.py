@@ -7,16 +7,13 @@ queue, the staleness discounts, and (in adaptive mode) the exponent
 probe all run parent-side on top of the same backend ``local_steps``
 call.  This benchmark measures commits/second per backend for:
 
-- ``sync-equivalence`` — the full-cohort barrier with the identity
-  discount (bit-identical histories to the plain trainer; its cost over
-  a plain round prices the event queue itself);
 - ``constant`` / ``polynomial`` — buffered commits (half the cohort per
   commit) under the fixed discounts;
 - ``adaptive`` — the same plus the learned-exponent counterfactual
   probe (one extra aggregation and up to two evaluation-pool losses per
   stale commit, no extra client communication).
 
-Each buffered mode also reports its realized staleness trace (mean/max
+Each mode also reports its realized staleness trace (mean/max
 of per-commit mean staleness) and the final virtual clock — a run whose
 staleness is identically zero is not exercising the async path at all.
 
@@ -49,7 +46,7 @@ NUM_CLIENTS = 24
 COMMIT_COUNT = NUM_CLIENTS // 2
 MEASURE_COMMITS = 60
 BACKENDS = ("serial", "vectorized")
-MODES = ("sync-equivalence", "constant", "polynomial", "adaptive")
+MODES = ("constant", "polynomial", "adaptive")
 BENCH_PATH = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_async.json"
 )
@@ -74,14 +71,10 @@ def build_trainer(backend: str, mode: str) -> AsyncFLTrainer:
     timing = HeterogeneousTimingModel(
         model.dimension, comm_time=10.0, profiles=profiles
     )
-    extra = (
-        dict(synchronous=True) if mode == "sync-equivalence"
-        else dict(discount=mode, commit_count=COMMIT_COUNT)
-    )
     return AsyncFLTrainer(
         model, federation, FABTopK(), timing=timing, learning_rate=0.05,
         batch_size=16, eval_every=1_000_000, seed=0, backend=backend,
-        profiles=profiles, **extra,
+        profiles=profiles, discount=mode, commit_count=COMMIT_COUNT,
     )
 
 
@@ -149,7 +142,7 @@ def main() -> None:
             "staleness": {m: stats[m] for m in MODES if m in stats},
         })
         print(
-            f"{backend:>10}: sync-eq {rates['sync-equivalence']:7.1f} c/s | "
+            f"{backend:>10}: "
             f"constant {rates['constant']:7.1f} c/s "
             f"(stale mean {stats['constant']['staleness_mean']:.2f}, "
             f"peak {stats['constant']['staleness_peak']:.0f}) | "

@@ -57,7 +57,7 @@ from repro.fl.async_engine import AsyncFLTrainer
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
-from repro.scenarios import ScenarioConfig
+from repro.scenarios import ScenarioConfig, build_adversary
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
@@ -571,6 +571,13 @@ def run_async_comparison(
     )
     assert config.scenario is not None
     scenario_config = ScenarioConfig.from_dict(config.scenario)
+    if build_adversary(scenario_config) is not None:
+        raise ValueError(
+            "the async comparison cannot run ScenarioConfig.adversary="
+            f"{scenario_config.adversary!r}: async commits do not install "
+            "the scenario hooks that corrupt uploads, so only the sync "
+            "baseline would be attacked"
+        )
     commit_count = resolve_commit_count(scenario_config, config.num_clients)
     # The deadline family is the synchronous answer to stragglers; both
     # sides run without it so the comparison isolates the commit

@@ -1,50 +1,58 @@
 """Asynchronous staleness-weighted aggregation: commit-point rounds.
 
 The paper's protocol is synchronous: every round waits for its slowest
-participant before the server aggregates.  This module adds the
-asynchronous variant as an *event-queue re-interpretation* of the same
-Algorithm-1 machinery: clients compute continuously, their uploads
-arrive at the server in virtual time, and "round m" becomes the server's
-m-th **commit point** — the moment it folds the next batch of arrivals
-into the synchronized weights.
+participant before the server aggregates.  The asynchronous variant is
+the *same* Algorithm-1 round (:meth:`repro.fl.engine.RoundEngine.
+run_round`, unmodified) with a different **upload source** and three
+**commit hooks**: clients compute continuously, their uploads arrive at
+the server in virtual time, and "round m" is the server's m-th commit
+point — the moment it folds the next batch of arrivals into the
+synchronized weights.
 
-Mechanics (one :meth:`AsyncRoundEngine.run_commit`):
+Upload source (:class:`AsyncRoundEngine` overrides the engine's two
+upload-source steps and nothing else of the round):
 
-1. **Dispatch** — every idle client starts a local step at the current
-   weights ``w(v)``; the upload it will produce is computed eagerly (one
+1. **Who starts a local step** — the first commit dispatches the whole
+   cohort (everyone, or one draw of the sampler); every later commit
+   re-dispatches exactly the clients the previous commit freed.
+   Stragglers stay in flight with their original arrival times.
+2. **Which uploads the round aggregates** — the wave's uploads are
+   computed eagerly at the current weights ``w(v)`` (one
    ``backend.local_steps`` call per wave, so the serial / vectorized /
    sharded backends stay interchangeable) and scheduled to *arrive* at
-   ``now + finish_time``, where the finish time is the canonical
-   compute+uplink arrival model every deadline policy already shares
-   (:func:`repro.scenarios.deadline.upload_finish_times`).  Each
-   in-flight upload carries the model version it was computed at.
-2. **Commit** — the server pops arrivals in ``(arrival_time,
-   client_id)`` order until ``commit_count`` uploads are buffered
-   (``0`` = wait for every in-flight upload, the full-cohort barrier),
-   orders the batch by dispatch sequence (so the synchronous special
-   case sums floats in exactly the plain trainer's client order),
-   applies the pluggable **staleness discount** ``d(s)`` to each
-   upload's wire values — ``s`` being the number of commits since the
-   upload's dispatch version — and runs the standard
-   preprocess → select → aggregate → update → residual-reset pipeline.
-   Residuals reset against the *undiscounted* preprocessed uploads: the
-   client's error-feedback bookkeeping reflects what it actually sent,
-   mirroring how the adversary seam restores honest payloads.
-3. **Re-dispatch** — committed clients become idle and start their next
-   local step at the new weights when the next commit begins; stragglers
-   stay in flight with their original arrival times.
+   ``now + finish_time``, the canonical compute+uplink arrival model
+   every deadline policy already shares
+   (:func:`repro.scenarios.deadline.upload_finish_times`).  The server
+   then pops arrivals in ``(arrival_time, client_id)`` order until
+   ``commit_count`` uploads are buffered (``0`` = wait for every
+   in-flight upload, the full-cohort barrier) and orders the batch by
+   dispatch sequence, so float sums accumulate in cohort order.  Each
+   upload's staleness ``s`` is the number of commits since the version
+   it was computed at.
 
-Synchronous-equivalence mode (``synchronous=True``) drives the identical
-event queue with a full-cohort barrier, an identity discount, and the
-engine's default timing charge — and reproduces the plain
-:class:`~repro.fl.trainer.FLTrainer` history *bit for bit* on every
-backend (enforced by ``tests/test_async.py``).  Asynchronous mode
-instead charges virtual time: each commit's ``round_time`` is the
-virtual-clock delta from the previous commit's completion to this one's
-(arrival close plus the downlink broadcast), so
-``history.cumulative_time`` is simulated elapsed time and
-convergence-vs-time comparisons against the synchronous baseline are
-direct.
+Commit hooks (:class:`_CommitHooks`, installed as the engine's
+persistent hooks):
+
+- **Discount the wire** — after ``preprocess_uploads`` (server side, so
+  after quantization) each upload's values are scaled by the pluggable
+  staleness discount ``d(s)``; selection and aggregation see the
+  discounted wire.  The *sent* uploads are put back before the residual
+  reset: the client's error-feedback bookkeeping reflects what it
+  actually sent, the same wire-only pattern as the adversary seam.
+- **Probe the exponent** — see ``adaptive`` below.
+- **Charge virtual time** — each commit's ``round_time`` is the
+  virtual-clock delta from the previous commit's completion to this
+  one's (arrival close plus the downlink broadcast), so
+  ``history.cumulative_time`` is simulated elapsed time and
+  convergence-vs-time comparisons against the synchronous baseline are
+  direct.
+
+Full-barrier identity: with ``commit_count=0``, the identity discount
+and full participation, every commit is a whole fresh cohort in cohort
+order, and the run equals the plain :class:`~repro.fl.trainer.FLTrainer`
+byte for byte on weights, residuals, losses and element counts on every
+backend; only the clock is a different float expression for the same
+quantity (``tests/test_engine.py`` pins both).
 
 Staleness discounts (:func:`build_staleness_discount`):
 
@@ -74,17 +82,13 @@ monitor, and the JSONL tooling consume async runs unchanged.
 from __future__ import annotations
 
 import heapq
-import time
 
-import numpy as np
-
-from repro.fl.engine import EngineFacade, RoundEngine
-from repro.fl.metrics import RoundRecord, TrainingHistory
-from repro.obs import SPARSE_ELEMENT_BYTES
+from repro.fl.engine import RoundContext, RoundEngine, RoundHooks
+from repro.fl.trainer import FLTrainer, _apply_scenario
 from repro.online.algorithm2 import SignOGD
 from repro.online.estimator import estimate_sign
 from repro.online.interval import SearchInterval
-from repro.simulation.timing import TimingModel
+from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector, Sparsifier
 
 STALENESS_DISCOUNT_KINDS = ("constant", "polynomial", "adaptive")
@@ -244,7 +248,7 @@ def build_staleness_discount(kind: str, **kwargs) -> StalenessDiscount:
 
 
 # ----------------------------------------------------------------------
-# The event-queue engine
+# The upload source: virtual-time arrival queue
 # ----------------------------------------------------------------------
 class _InFlight:
     """One dispatched upload travelling through virtual time."""
@@ -262,190 +266,65 @@ class _InFlight:
         self.dispatch_time = dispatch_time
 
 
-class AsyncRoundEngine(RoundEngine):
-    """Event-queue commit engine over the :class:`RoundEngine` skeleton.
+def _discounted(
+    uploads: list[ClientUpload], factors: list[float]
+) -> list[ClientUpload]:
+    """Uploads with wire values scaled by ``factors``.
 
-    Parameters beyond the base engine's:
-
-    commit_count:
-        Arrivals buffered per commit; ``0`` waits for every in-flight
-        upload (the full-cohort barrier the synchronous special case
-        needs).
-    discount:
-        A :class:`StalenessDiscount` (default: identity
-        :class:`ConstantDiscount`).
-    profiles:
-        ``client_id ->`` :class:`~repro.simulation.heterogeneous.
-        ClientProfile` feeding the arrival-time model; clients missing
-        from the map travel at unit speed.
-    synchronous:
-        Equivalence mode: full-cohort barrier, identity discount, and
-        the engine's *default* timing charge — bit-identical to the
-        plain trainer.  Requires ``commit_count == 0`` and an identity
-        ``ConstantDiscount``.  Asynchronous mode instead fixes the
-        cohort at the first dispatch (clients run continuously; there is
-        no per-round resample) and charges virtual commit-to-commit
-        deltas.
+    Structural no-op when every factor is 1, so a full-barrier commit
+    aggregates the very same arrays the plain trainer does.  Scaled
+    payloads keep the original index array (same support, same nnz),
+    preserving the server's stacked fast-path precondition.
     """
+    if all(f == 1.0 for f in factors):
+        return uploads
+    return [
+        ClientUpload(
+            client_id=up.client_id,
+            payload=SparseVector.from_sorted(
+                up.payload.indices,
+                up.payload.values * f,
+                up.payload.dimension,
+            ),
+            sample_count=up.sample_count,
+        )
+        for up, f in zip(uploads, factors)
+    ]
 
-    def __init__(
-        self,
-        *args,
-        commit_count: int = 0,
-        discount: StalenessDiscount | None = None,
-        profiles=None,
-        synchronous: bool = False,
-        **kwargs,
-    ) -> None:
-        if kwargs.get("scenario_hooks") is not None:
-            raise ValueError(
-                "the async engine replaces the deadline/availability hook "
-                "mechanism with commit points; scenario_hooks are not "
-                "supported"
-            )
-        super().__init__(*args, **kwargs)
-        if commit_count < 0:
-            raise ValueError("commit_count must be >= 0 (0 = full cohort)")
-        self.discount = discount if discount is not None else ConstantDiscount()
-        if synchronous:
-            if commit_count != 0:
-                raise ValueError(
-                    "synchronous equivalence mode needs commit_count=0 "
-                    "(the full-cohort barrier)"
-                )
-            if not (
-                isinstance(self.discount, ConstantDiscount)
-                and self.discount.value == 1.0
-            ):
-                raise ValueError(
-                    "synchronous equivalence mode needs the identity "
-                    "ConstantDiscount"
-                )
-        self.commit_count = commit_count
-        self.profiles = dict(profiles) if profiles else {}
-        self.synchronous = synchronous
-        #: model version = commits applied so far
-        self._version = 0
-        #: virtual (simulated) time; advances at commit points
-        self._vclock = 0.0
-        self._queue: list[tuple[float, int, _InFlight]] = []
-        self._seq = 0
-        #: clients committed last round, idle until the next dispatch
-        #: (async mode; synchronous mode resamples every commit)
-        self._redispatch: list = []
-        self._started = False
+
+class _CommitHooks(RoundHooks):
+    """What a commit does on top of the plain round: discount the wire,
+    probe the adaptive exponent, charge virtual time."""
+
+    def __init__(self) -> None:
+        #: the preprocessed uploads as sent, while ctx carries the wire
+        self._sent: list[ClientUpload] = []
         #: L(w) at the previous probed commit's result (adaptive discount)
         self._loss_prev: float | None = None
-        #: mean staleness of each commit's batch (the figure/bench trace;
-        #: identically zero in synchronous mode)
-        self.staleness_history: list[float] = []
 
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Commits applied so far (the weights' version number)."""
-        return self._version
+    def after_preprocess(self, ctx: RoundContext) -> None:
+        engine = ctx.engine
+        factors = [engine.discount.factor(s) for s in engine._stale]
+        self._sent = ctx.uploads
+        ctx.uploads = _discounted(ctx.uploads, factors)
 
-    @property
-    def virtual_clock(self) -> float:
-        """Simulated time at the last commit's completion."""
-        return self._vclock
+    def after_aggregate(self, ctx: RoundContext) -> None:
+        # Error feedback subtracts what each client actually sent — the
+        # undiscounted preprocessed uploads, not the discounted wire.
+        ctx.uploads = self._sent
 
-    @property
-    def in_flight(self) -> int:
-        """Uploads currently travelling through virtual time."""
-        return len(self._queue)
-
-    def run_round(self, *args, **kwargs):
-        raise RuntimeError(
-            "AsyncRoundEngine runs commit points, not synchronous rounds; "
-            "use run_commit(k)"
-        )
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, wave, k: int) -> None:
-        """Start a local step for every client in ``wave`` at the current
-        weights and schedule the resulting uploads' virtual arrivals."""
-        if not wave:
-            return
-        # Local import: repro.scenarios imports the engine back (the
-        # same layering note as fl.trainer's duck-typed scenario seam).
-        from repro.scenarios.deadline import upload_finish_times
-
-        uploads = self.backend.local_steps(
-            self.model, wave, k, self.sparsifier
-        )
-        finish = upload_finish_times(uploads, self.timing, self.profiles)
-        now = self._vclock
-        for client, upload, flight in zip(wave, uploads, finish):
-            entry = _InFlight(
-                arrival=now + float(flight),
-                seq=self._seq,
-                client=client,
-                upload=upload,
-                version=self._version,
-                dispatch_time=now,
-            )
-            self._seq += 1
-            # client_id breaks arrival ties deterministically; a client
-            # is never in flight twice, so the pair is a total order.
-            heapq.heappush(
-                self._queue, (entry.arrival, upload.client_id, entry)
-            )
-
-    def _wave(self) -> tuple[list, list[int] | None]:
-        """The clients to dispatch this commit (and their sampled ids)."""
-        if self.synchronous or not self._started:
-            # Synchronous mode resamples every round (the plain trainer's
-            # behaviour); asynchronous mode fixes the cohort here — the
-            # population runs continuously, so later waves are exactly
-            # the clients freed by the previous commit.
-            self._started = True
-            if self.sampler is not None:
-                ids = self.sampler.sample()
-                return [self._client_for(cid) for cid in ids], ids
-            return self._all_participants(), None
-        wave, self._redispatch = self._redispatch, []
-        return wave, None
-
-    @staticmethod
-    def _discounted(
-        uploads: list[ClientUpload], factors: list[float]
-    ) -> list[ClientUpload]:
-        """Uploads with wire values scaled by ``factors``.
-
-        Structural no-op when every factor is 1, so the equivalence mode
-        aggregates the very same arrays the plain trainer does.  Scaled
-        payloads keep the original index array (same support, same nnz),
-        preserving the server's stacked fast-path precondition.
-        """
-        if all(f == 1.0 for f in factors):
-            return uploads
-        return [
-            ClientUpload(
-                client_id=up.client_id,
-                payload=SparseVector.from_sorted(
-                    up.payload.indices,
-                    up.payload.values * f,
-                    up.payload.dimension,
-                ),
-                sample_count=up.sample_count,
-            )
-            for up, f in zip(uploads, factors)
-        ]
-
-    def _adaptive_probe(
-        self, uploads, stale, factors, selection, w_prev, w_new
-    ) -> float | None:
+    def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe.
 
-        Returns the evaluated L(w_new) when the probe ran (the caller
-        hands it to ``finish_round`` so eval-cadence commits don't rerun
-        the identical forward pass), else None.
+        The evaluated L(w(m)) goes to ``ctx.eval_loss`` when the probe
+        ran, so eval-cadence commits don't rerun the identical forward
+        pass.
         """
-        discount = self.discount
+        engine = ctx.engine
+        discount = engine.discount
         if not discount.adaptive:
-            return None
+            return
+        stale = engine._stale
         a_probe = discount.probe_exponent()
         if a_probe is None or max(stale) == 0:
             # No probe, or a batch with no stale arrival — nothing the
@@ -454,7 +333,7 @@ class AsyncRoundEngine(RoundEngine):
             # at the next probed commit.
             discount.observe(None)
             self._loss_prev = None
-            return None
+            return
         probe_factors = [
             float((1.0 + s) ** -a_probe) for s in stale
         ]
@@ -462,16 +341,16 @@ class AsyncRoundEngine(RoundEngine):
         # recomputation (commit=False keeps any robust aggregator's
         # reputation state at the real commit), then the plain SGD rule,
         # exactly like the deadline probe's w'(m) derivation.
-        payload = self.server.aggregate(
-            self._discounted(uploads, probe_factors), selection,
+        payload = engine.server.aggregate(
+            _discounted(ctx.uploads, probe_factors), ctx.selection,
             commit=False,
         ).payload
-        w_probe = w_prev.copy()
-        w_probe[payload.indices] -= self.learning_rate * payload.values
+        w_probe = ctx.w_prev.copy()
+        w_probe[payload.indices] -= engine.learning_rate * payload.values
         if self._loss_prev is None:
-            self._loss_prev = self._loss_at(w_prev, restore=w_new)
-        loss_now = float(self.model.loss_value(self._eval_x, self._eval_y))
-        loss_probe = self._loss_at(w_probe, restore=w_new)
+            self._loss_prev = engine.loss_at(ctx.w_prev)
+        loss_now = engine.global_loss()
+        loss_probe = engine.loss_at(w_probe)
         # The commit cadence (who arrived when) does not depend on the
         # exponent, so τ_m and the counterfactual θ_m are equal; any
         # positive time cancels out of eq. (11)'s sign.
@@ -485,54 +364,156 @@ class AsyncRoundEngine(RoundEngine):
             k_probe=a_probe,
         )
         discount.observe(sign)
-        self._loss_prev = loss_now
-        return loss_now
+        self._loss_prev = ctx.eval_loss = loss_now
 
-    def _loss_at(self, weights: np.ndarray, restore: np.ndarray) -> float:
-        """Evaluation-pool loss at ``weights``; model restored exactly."""
-        self.model.set_weights(weights)
-        try:
-            return float(self.model.loss_value(self._eval_x, self._eval_y))
-        finally:
-            self.model.set_weights(restore)
+    def round_timing(self, ctx: RoundContext) -> RoundTiming:
+        # Virtual time: the server commits when the batch's last
+        # arrival lands (never before it finished the previous
+        # broadcast), then broadcasts the new model, paced by the
+        # slowest committed client's link.  Base-class transfer time
+        # on purpose — a HeterogeneousTimingModel's own sparse_round
+        # folds in its worst-client factor, which would double-count.
+        engine = ctx.engine
+        worst_comm = max(
+            (
+                engine.profiles[c.client_id].comm_factor
+                for c in ctx.participants
+                if c.client_id in engine.profiles
+            ),
+            default=1.0,
+        )
+        downlink_time = (
+            TimingModel.sparse_round(
+                engine.timing, 0, ctx.selection.downlink_element_count
+            ).downlink
+            * worst_comm
+        )
+        commit_complete = (
+            max(engine._commit_close, engine._vclock) + downlink_time
+        )
+        # The whole commit-to-commit delta as one term: splitting it
+        # into wait + downlink would re-associate the float sum the
+        # history records.
+        elapsed = commit_complete - engine._vclock
+        engine._vclock = commit_complete
+        return RoundTiming(computation=0.0, uplink=elapsed, downlink=0.0)
+
+
+class AsyncRoundEngine(RoundEngine):
+    """:class:`RoundEngine` whose uploads come from an arrival queue.
+
+    ``run_round(k)`` is the base engine's; "round m" in the history is
+    the m-th commit point.  The cohort is fixed at the first dispatch
+    (clients run continuously; there is no per-round resample).
+    Parameters beyond the base engine's:
+
+    commit_count:
+        Arrivals buffered per commit; ``0`` waits for every in-flight
+        upload (the full-cohort barrier).
+    discount:
+        A :class:`StalenessDiscount` (default: identity
+        :class:`ConstantDiscount`).
+    profiles:
+        ``client_id ->`` :class:`~repro.simulation.heterogeneous.
+        ClientProfile` feeding the arrival-time model; clients missing
+        from the map travel at unit speed.
+    """
+
+    def __init__(
+        self,
+        *args,
+        commit_count: int = 0,
+        discount: StalenessDiscount | None = None,
+        profiles=None,
+        **kwargs,
+    ) -> None:
+        if kwargs.get("scenario_hooks") is not None:
+            raise ValueError(
+                "the async engine replaces the deadline/availability hook "
+                "mechanism with commit points; scenario_hooks are not "
+                "supported"
+            )
+        super().__init__(*args, **kwargs)
+        if commit_count < 0:
+            raise ValueError("commit_count must be >= 0 (0 = full cohort)")
+        self.scenario_hooks = _CommitHooks()
+        self.discount = discount if discount is not None else ConstantDiscount()
+        self.commit_count = commit_count
+        self.profiles = dict(profiles) if profiles else {}
+        #: virtual (simulated) time; advances at commit points
+        self._vclock = 0.0
+        self._queue: list[tuple[float, int, _InFlight]] = []
+        self._seq = 0
+        #: clients the last commit freed, idle until the next dispatch
+        self._idle: list = []
+        #: the current batch's per-upload staleness and last arrival time
+        #: (what the commit hooks discount by and charge for)
+        self._stale: list[int] = []
+        self._commit_close = 0.0
+        #: mean staleness of each commit's batch (the figure/bench trace)
+        self.staleness_history: list[float] = []
 
     # ------------------------------------------------------------------
-    def run_commit(self, k: int, ensure_loss: bool = False) -> RoundRecord:
-        """Dispatch idle clients, commit the next arrival batch, record.
+    @property
+    def version(self) -> int:
+        """Commits applied so far (the weights' version number)."""
+        return len(self.history)
 
-        The async counterpart of :meth:`RoundEngine.run_round`: "round
-        m" in the history is the m-th commit point.
-        """
-        if self.sparsifier is None:
-            raise RuntimeError("run_commit requires a sparsifier")
-        if not 1 <= k <= self.model.dimension:
-            raise ValueError(
-                f"k must be in [1, {self.model.dimension}], got {k}"
+    @property
+    def virtual_clock(self) -> float:
+        """Simulated time at the last commit's completion."""
+        return self._vclock
+
+    @property
+    def in_flight(self) -> int:
+        """Uploads currently travelling through virtual time."""
+        return len(self._queue)
+
+    # ------------------------------------------------------------------
+    def _start_wave(self):
+        # The cohort is fixed by the first wave — the population runs
+        # continuously, so later waves are exactly the clients freed by
+        # the previous commit.
+        if self.version == 0:
+            return super()._start_wave()
+        return self._idle, None
+
+    def _dispatch(self, wave, k: int, draw_probes: bool) -> None:
+        """Start a local step for every client in ``wave`` at the current
+        weights and schedule the resulting uploads' virtual arrivals."""
+        if not wave:
+            return
+        # Local import: repro.scenarios imports the engine back (the
+        # same layering note as fl.trainer's duck-typed scenario seam).
+        from repro.scenarios.deadline import upload_finish_times
+
+        uploads = self.backend.local_steps(
+            self.model, wave, k, self.sparsifier, draw_probes=draw_probes
+        )
+        finish = upload_finish_times(uploads, self.timing, self.profiles)
+        now, version = self._vclock, self.version
+        for client, upload, flight in zip(wave, uploads, finish):
+            entry = _InFlight(
+                arrival=now + float(flight),
+                seq=self._seq,
+                client=client,
+                upload=upload,
+                version=version,
+                dispatch_time=now,
             )
-        m = self.begin_round()
-        tel = self.telemetry
-        tracing = tel.enabled
-        if tracing:
-            phases: dict[str, float] = {}
-            wall_start = mark = time.perf_counter()
+            self._seq += 1
+            # client_id breaks arrival ties deterministically; a client
+            # is never in flight twice, so the pair is a total order.
+            heapq.heappush(
+                self._queue, (entry.arrival, upload.client_id, entry)
+            )
 
-            def lap(phase: str) -> None:
-                nonlocal mark
-                now = time.perf_counter()
-                phases[phase] = phases.get(phase, 0.0) + (now - mark)
-                mark = now
-
-        start_round = getattr(self.sparsifier, "start_round", None)
-        if start_round is not None:
-            start_round(k)
-
-        wave, wave_ids = self._wave()
-        if tracing:
-            lap("sample")
-        self._dispatch(wave, k)
-        if tracing:
-            lap("local_steps")
-
+    def _collect_uploads(
+        self, ctx: RoundContext, draw_probes: bool
+    ) -> list[ClientUpload]:
+        """Dispatch the wave, then pop the commit's batch of arrivals;
+        ``ctx.participants`` becomes the batch's clients."""
+        self._dispatch(ctx.participants, ctx.k, draw_probes)
         if not self._queue:
             raise RuntimeError("no uploads in flight — empty cohort")
         target = (
@@ -541,15 +522,17 @@ class AsyncRoundEngine(RoundEngine):
         )
         batch = [heapq.heappop(self._queue)[2] for _ in range(target)]
         # Pops are arrival-ordered, so the close is the last pop's time.
-        commit_close = batch[-1].arrival
-        # Aggregate in dispatch order: in the synchronous special case
-        # that is exactly the plain trainer's cohort order, so the
-        # weighted float sums accumulate bit-identically.
+        self._commit_close = batch[-1].arrival
+        # Aggregate in dispatch order: for a full-barrier commit that is
+        # exactly the plain trainer's cohort order, so the weighted
+        # float sums accumulate bit-identically.
         batch.sort(key=lambda entry: entry.seq)
-        participants = [entry.client for entry in batch]
-        stale = [self._version - entry.version for entry in batch]
-        self.staleness_history.append(float(sum(stale)) / len(stale))
-        if tracing:
+        version = self.version
+        self._stale = stale = [version - e.version for e in batch]
+        mean_staleness = float(sum(stale)) / len(stale)
+        self.staleness_history.append(mean_staleness)
+        tel = self.telemetry
+        if tel.enabled:
             for entry, s in zip(batch, stale):
                 # ``seconds`` is the upload's *virtual* flight time
                 # (dispatch → arrival), not wall-clock.
@@ -557,134 +540,32 @@ class AsyncRoundEngine(RoundEngine):
                     "span",
                     name="async.arrival",
                     seconds=entry.arrival - entry.dispatch_time,
-                    round=m,
+                    round=ctx.round_index,
                     client_id=int(entry.upload.client_id),
                     staleness=int(s),
                     arrival=entry.arrival,
                 )
-
-        uploads = self.sparsifier.preprocess_uploads(
-            [entry.upload for entry in batch]
-        )
-        if tracing:
-            lap("preprocess")
-        factors = [self.discount.factor(s) for s in stale]
-        wire = self._discounted(uploads, factors)
-        selection = self.sparsifier.server_select(
-            wire, k, self.model.dimension
-        )
-        if tracing:
-            lap("select")
-        downlink = self.server.aggregate(wire, selection)
-        if tracing:
-            lap("aggregate")
-
-        w_prev = self.model.get_weights()
-        payload = downlink.payload
-        weights = w_prev.copy()
-        if self.optimizer is not None:
-            weights = self.optimizer.step(weights, payload.to_dense())
-        else:
-            weights[payload.indices] -= self.learning_rate * payload.values
-        self.model.set_weights(weights)
-        if tracing:
-            lap("update")
-
-        # Error feedback subtracts what each client actually sent — the
-        # undiscounted preprocessed uploads, not the discounted wire.
-        self.backend.reset_residuals(participants, uploads, selection.indices)
-        if self.sparsifier.discards_residual:
-            for client in participants:
-                client.reset_all()
-        self._note_participation(participants)
-        self._version += 1
-        if not self.synchronous:
-            self._redispatch = participants
-        if tracing:
-            lap("residual_reset")
-
-        eval_loss = self._adaptive_probe(
-            uploads, stale, factors, selection, w_prev, weights
-        )
-        if tracing:
-            lap("probe")
-
-        uplink_elements = max(up.payload.nnz for up in wire)
-        if self.synchronous:
-            # Equivalence mode charges the engine's default path, so the
-            # recorded history matches the plain trainer bit for bit.
-            sparse_round_for = getattr(self.timing, "sparse_round_for", None)
-            if sparse_round_for is not None:
-                timing = sparse_round_for(
-                    uplink_elements, selection.downlink_element_count,
-                    wave_ids,
-                )
-            else:
-                timing = self.timing.sparse_round(
-                    uplink_elements, selection.downlink_element_count
-                )
-            round_time = timing.total
-            self._vclock += round_time
-        else:
-            # Virtual time: the server commits when the batch's last
-            # arrival lands (never before it finished the previous
-            # broadcast), then broadcasts the new model, paced by the
-            # slowest committed client's link.  Base-class transfer time
-            # on purpose — a HeterogeneousTimingModel's own sparse_round
-            # folds in its worst-client factor, which would double-count.
-            worst_comm = max(
-                (
-                    self.profiles[c.client_id].comm_factor
-                    for c in participants
-                    if c.client_id in self.profiles
-                ),
-                default=1.0,
-            )
-            downlink_time = (
-                TimingModel.sparse_round(
-                    self.timing, 0, selection.downlink_element_count
-                ).downlink
-                * worst_comm
-            )
-            commit_complete = max(commit_close, self._vclock) + downlink_time
-            round_time = commit_complete - self._vclock
-            self._vclock = commit_complete
-
-        if tracing:
-            self._pending_trace = {
-                "phases": phases,
-                "wall_start": wall_start,
-                "participants": len(batch),
-                "dropped_ids": [],
-                "uplink_bytes": SPARSE_ELEMENT_BYTES * sum(
-                    up.payload.nnz for up in wire
-                ),
-                "extra": {
-                    "staleness": float(sum(stale)) / len(stale),
-                    "staleness_max": int(max(stale)),
-                    "in_flight": len(self._queue),
-                    "version": self._version,
-                },
+            ctx.trace_extra = {
+                "staleness": mean_staleness,
+                "staleness_max": int(max(stale)),
+                "in_flight": len(self._queue),
+                "version": ctx.round_index,
             }
-        return self.finish_round(
-            k=float(k),
-            round_time=round_time,
-            uplink_elements=uplink_elements,
-            downlink_elements=selection.downlink_element_count,
-            contributions=dict(selection.contributions),
-            loss_fn=(lambda: eval_loss) if eval_loss is not None else None,
-            ensure_loss=ensure_loss,
-        )
+        self._idle = ctx.participants = [entry.client for entry in batch]
+        ctx.participant_ids = [c.client_id for c in ctx.participants]
+        return [entry.upload for entry in batch]
 
 
 # ----------------------------------------------------------------------
 # Trainer facade
 # ----------------------------------------------------------------------
-class AsyncFLTrainer(EngineFacade):
+class AsyncFLTrainer(FLTrainer):
     """Asynchronous federated training with staleness-weighted commits.
 
-    The async counterpart of :class:`~repro.fl.trainer.FLTrainer`; the
-    shared parameters mean the same thing.  Additional parameters:
+    An :class:`~repro.fl.trainer.FLTrainer` over an
+    :class:`AsyncRoundEngine`: ``step``/``run``/``run_until_loss`` are
+    inherited (one step = one commit point) and the shared parameters
+    mean the same thing.  Additional parameters:
 
     discount:
         A :class:`StalenessDiscount` instance or a kind string from
@@ -697,15 +578,14 @@ class AsyncFLTrainer(EngineFacade):
         ``client_id -> ClientProfile`` map (or a profile list) feeding
         the virtual arrival-time model; heterogeneous profiles are what
         make commits reorder relative to dispatches.
-    synchronous:
-        Equivalence mode — see :class:`AsyncRoundEngine`; histories are
-        bit-identical to the plain trainer's.
     scenario:
         Optional :class:`~repro.scenarios.DeploymentScenario`; supplies
         the sampler, straggler profiles, and robust aggregator.  The
-        scenario's *deadline hooks are not installed* — asynchronous
-        commits replace deadline-driven partial aggregation (stragglers
-        arrive late instead of being dropped).
+        scenario's *hooks are not installed* — asynchronous commits
+        replace deadline-driven partial aggregation (stragglers arrive
+        late instead of being dropped) — so a scenario carrying an
+        adversary, whose corruption runs in those hooks, is rejected
+        rather than silently run unattacked.
     """
 
     def __init__(
@@ -726,21 +606,19 @@ class AsyncFLTrainer(EngineFacade):
         discount: StalenessDiscount | str = "constant",
         commit_count: int = 0,
         profiles=None,
-        synchronous: bool = False,
         spill_after: int = 0,
         telemetry=None,
         seed: int = 0,
     ) -> None:
-        aggregator = None
-        if scenario is not None:
-            if sampler is not None:
-                raise ValueError(
-                    "pass either a scenario or a sampler, not both"
-                )
-            sampler = scenario.sampler
-            if profiles is None:
-                profiles = scenario.profiles
-            aggregator = scenario.aggregator
+        sampler, hooks, aggregator = _apply_scenario(scenario, sampler)
+        if getattr(hooks, "adversary", None) is not None:
+            raise ValueError(
+                "the scenario carries an adversary, but async commits do "
+                "not install scenario hooks (where uploads are corrupted): "
+                "the run would silently be attack-free"
+            )
+        if scenario is not None and profiles is None:
+            profiles = scenario.profiles
         if isinstance(discount, str):
             discount = build_staleness_discount(discount)
         if profiles is not None and not isinstance(profiles, dict):
@@ -767,7 +645,6 @@ class AsyncFLTrainer(EngineFacade):
             commit_count=commit_count,
             discount=discount,
             profiles=profiles,
-            synchronous=synchronous,
         )
 
     # ------------------------------------------------------------------
@@ -787,31 +664,3 @@ class AsyncFLTrainer(EngineFacade):
     def staleness_history(self) -> list[float]:
         """Mean staleness of each commit's batch so far."""
         return self.engine.staleness_history
-
-    def step(self, k: int) -> RoundRecord:
-        """Run one commit point with k-element GS and record it."""
-        return self.engine.run_commit(k)
-
-    def run(self, num_rounds: int, k) -> TrainingHistory:
-        """Run ``num_rounds`` commits with constant, listed, or scheduled k."""
-        from repro.fl.trainer import _as_schedule
-
-        schedule = _as_schedule(k, self.model.dimension)
-        for _ in range(num_rounds):
-            self.step(schedule(self.engine.round_index + 1))
-        return self.history
-
-    def run_until_loss(
-        self, target_loss: float, k, max_rounds: int = 100_000
-    ) -> TrainingHistory:
-        """Run commits until global loss <= ``target_loss``."""
-        from repro.fl.trainer import _as_schedule
-
-        schedule = _as_schedule(k, self.model.dimension)
-        while self.engine.round_index < max_rounds:
-            record = self.engine.run_commit(
-                schedule(self.engine.round_index + 1), ensure_loss=True
-            )
-            if record.loss <= target_loss:
-                break
-        return self.history

@@ -25,6 +25,10 @@ feedback, without duplicating any of the skeleton.  Trainers with a
 different *local* phase (FedAvg's local SGD on per-client weight copies,
 always-send-all's dense aggregation) reuse steps 6–7 through
 :meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`.
+Steps 1–2 are the round's *upload source*, two small overridable
+methods: the async engine (:mod:`repro.fl.async_engine`) swaps the
+barrier for a virtual-time arrival queue there and runs the rest of
+the round unchanged.
 
 ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
 ``AlwaysSendAllTrainer`` are thin façades over this class; their public
@@ -92,6 +96,8 @@ class RoundContext:
         #: eval-cadence rounds instead of re-running the identical
         #: deterministic forward pass.
         self.eval_loss: float | None = None
+        #: extra fields for the round's trace event (telemetry only)
+        self.trace_extra: dict = {}
 
 
 class RoundHooks:
@@ -101,6 +107,7 @@ class RoundHooks:
     Algorithm-1 round.  Call order within :meth:`RoundEngine.run_round`:
 
     ``after_local_steps`` (uploads drawn, model still at ``w_prev``) →
+    ``after_preprocess`` (uploads preprocessed, nothing selected yet) →
     ``after_aggregate`` (selection/downlink ready, update not applied) →
     ``after_update`` (model at ``w_new``, residuals reset) →
     ``round_timing`` (may replace the default charge) →
@@ -112,6 +119,13 @@ class RoundHooks:
     deployment scenarios drop deadline-missing uploads; every later
     phase (selection, aggregation, residual reset) then sees only the
     survivors, so dropped clients keep their residuals.
+
+    A hook that changes what the *server* sees without changing what the
+    client sent (Byzantine corruption, the async staleness discount)
+    swaps ``ctx.uploads`` for the wire version — raw uploads in
+    ``after_local_steps``, server-side preprocessed ones in
+    ``after_preprocess`` — and puts the originals back in
+    ``after_aggregate``, so the residual reset subtracts what was sent.
     """
 
     #: ask the backend to draw one-sample probes during local steps
@@ -119,6 +133,9 @@ class RoundHooks:
 
     def after_local_steps(self, ctx: RoundContext) -> None:
         """Uploads collected; model still holds ``w_prev``."""
+
+    def after_preprocess(self, ctx: RoundContext) -> None:
+        """``ctx.uploads`` preprocessed; selection not yet run."""
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         """``ctx.selection``/``ctx.downlink`` ready; update not applied."""
@@ -170,6 +187,10 @@ class ChainedHooks(RoundHooks):
     def after_local_steps(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
             hook.after_local_steps(ctx)
+
+    def after_preprocess(self, ctx: RoundContext) -> None:
+        for hook in self.hooks:
+            hook.after_preprocess(ctx)
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
@@ -264,14 +285,6 @@ class EngineFacade:
     def clock(self) -> float:
         """Cumulative normalized time elapsed."""
         return self.engine.clock
-
-    @property
-    def _eval_x(self) -> np.ndarray:
-        return self.engine._eval_x
-
-    @property
-    def _eval_y(self) -> np.ndarray:
-        return self.engine._eval_y
 
     def global_loss(self) -> float:
         """Global training loss L(w) at the current weights."""
@@ -450,6 +463,11 @@ class RoundEngine:
         """Global training loss L(w) at the current weights."""
         return self.model.loss_value(self._eval_x, self._eval_y)
 
+    def loss_at(self, weights: np.ndarray) -> float:
+        """Evaluation-pool loss at ``weights``; the model's own weights
+        are restored (counterfactual probes compare it to ``L(w(m))``)."""
+        return self.model.loss_at(weights, self._eval_x, self._eval_y)
+
     def test_accuracy(self) -> float | None:
         """Accuracy on the held-out test pool, if the federation has one."""
         if self.federation.test_x is None or self.federation.test_y is None:
@@ -511,14 +529,7 @@ class RoundEngine:
         if start_round is not None:
             start_round(k)
 
-        if self.sampler is not None:
-            ctx.participant_ids = self.sampler.sample()
-            ctx.participants = [
-                self._client_for(cid) for cid in ctx.participant_ids
-            ]
-        else:
-            ctx.participant_ids = None
-            ctx.participants = self._all_participants()
+        ctx.participants, ctx.participant_ids = self._start_wave()
         if tracing:
             lap("sample")
             restored = sum(1 for c in ctx.participants if c.hibernating)
@@ -526,10 +537,7 @@ class RoundEngine:
                 tel.count("engine.residual_restore", restored)
 
         ctx.w_prev = self.model.get_weights()
-        ctx.uploads = self.backend.local_steps(
-            self.model, ctx.participants, k, self.sparsifier,
-            draw_probes=hooks.wants_probes,
-        )
+        ctx.uploads = self._collect_uploads(ctx, hooks.wants_probes)
         if tracing:
             lap("local_steps")
         hooks.after_local_steps(ctx)
@@ -539,6 +547,9 @@ class RoundEngine:
         ctx.uploads = self.sparsifier.preprocess_uploads(ctx.uploads)
         if tracing:
             lap("preprocess")
+        hooks.after_preprocess(ctx)
+        if tracing:
+            lap("probe")
         ctx.selection = self.sparsifier.server_select(
             ctx.uploads, k, self.model.dimension
         )
@@ -605,6 +616,7 @@ class RoundEngine:
                 "uplink_bytes": SPARSE_ELEMENT_BYTES * sum(
                     up.payload.nnz for up in ctx.uploads
                 ),
+                "extra": ctx.trace_extra,
             }
 
         return self.finish_round(
@@ -618,6 +630,28 @@ class RoundEngine:
                 else None
             ),
             ensure_loss=ensure_loss,
+        )
+
+    # ------------------------------------------------------------------
+    # The round's upload source (the async engine overrides both)
+    # ------------------------------------------------------------------
+    def _start_wave(self) -> tuple[list[Client], list[int] | None]:
+        """Who starts a local step this round, and their sampled ids
+        (None = no sampler, the whole population)."""
+        if self.sampler is not None:
+            ids = self.sampler.sample()
+            return [self._client_for(cid) for cid in ids], ids
+        return self._all_participants(), None
+
+    def _collect_uploads(
+        self, ctx: RoundContext, draw_probes: bool
+    ) -> list[ClientUpload]:
+        """The uploads this round aggregates, aligned with
+        ``ctx.participants``.  Barrier protocol: the wave's own uploads,
+        all of them, computed now."""
+        return self.backend.local_steps(
+            self.model, ctx.participants, ctx.k, self.sparsifier,
+            draw_probes=draw_probes,
         )
 
     # ------------------------------------------------------------------
@@ -667,7 +701,7 @@ class RoundEngine:
             # still emit a round event, with an eval-only breakdown.
             phases = trace["phases"] if trace else {}
             phases["eval"] = time.perf_counter() - eval_start
-            extra = dict(trace["extra"]) if trace and "extra" in trace else {}
+            extra = dict(trace["extra"]) if trace else {}
             # JSON has no literal for NaN/±inf, so a non-finite loss
             # ships as None plus a machine-readable marker — the stream
             # stays strict JSON and the health monitor's divergence

@@ -102,8 +102,7 @@ class FedAvgTrainer(_BaselineTrainer):
 
     def global_loss(self) -> float:
         """Loss of the weighted-average model (the quantity FedAvg reports)."""
-        avg = self._average_weights()
-        return self.model.loss_at(avg, self._eval_x, self._eval_y)
+        return self.engine.loss_at(self._average_weights())
 
     def test_accuracy(self) -> float | None:
         if self.federation.test_x is None or self.federation.test_y is None:
@@ -125,7 +124,7 @@ class FedAvgTrainer(_BaselineTrainer):
     def _evaluate_average(self) -> float:
         """Install the averaged weights and return their global loss."""
         self.model.set_weights(self._average_weights())
-        return self.model.loss_value(self._eval_x, self._eval_y)
+        return self.engine.global_loss()
 
     def step(self) -> RoundRecord:
         """One local SGD step everywhere; aggregate if the period elapsed."""

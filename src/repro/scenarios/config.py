@@ -101,8 +101,11 @@ class ScenarioConfig:
         (:func:`repro.experiments.scenario.run_async_comparison`) on top
         of the synchronous artifacts.  Under async commits the deadline
         family of fields is inert — stragglers arrive late (and get
-        discounted by staleness) instead of being dropped; see
-        :mod:`repro.fl.async_engine`.
+        discounted by staleness) instead of being dropped — and the
+        adversary fields (``adversary``, ``adversary_fraction``,
+        ``adversary_scale``) are unsupported: corruption runs in the
+        scenario hooks async commits do not install, so the comparison
+        rejects a config that sets them; see :mod:`repro.fl.async_engine`.
     staleness_discount:
         One of :data:`repro.fl.async_engine.STALENESS_DISCOUNT_KINDS`
         (``"poly"``/``"const"`` shorthands are normalized) — the

@@ -590,40 +590,23 @@ class ScenarioHooks(RoundHooks):
             return
         engine = ctx.engine
         if self._loss_prev is None:
-            self._loss_prev = self._loss_at(engine, ctx.w_prev, ctx.w_new)
+            self._loss_prev = engine.loss_at(ctx.w_prev)
         # Model already holds w(m); evaluate in place, and hand the
         # value to the engine so eval-cadence rounds don't re-run the
         # identical deterministic forward pass.
-        loss_now = float(
-            engine.model.loss_value(engine._eval_x, engine._eval_y)
-        )
+        loss_now = engine.global_loss()
         ctx.eval_loss = loss_now
         loss_probe = None
         if self._probe is not None and self._probe.w_probe is not None:
-            loss_probe = self._loss_at(
-                engine, self._probe.w_probe, ctx.w_new
-            )
+            loss_probe = engine.loss_at(self._probe.w_probe)
         loss_probe_up = None
         if self._probe_up is not None and self._probe_up.w_probe is not None:
-            loss_probe_up = self._loss_at(
-                engine, self._probe_up.w_probe, ctx.w_new
-            )
+            loss_probe_up = engine.loss_at(self._probe_up.w_probe)
         self._pending_losses = (
             self._loss_prev, loss_now, loss_probe, loss_probe_up
         )
         # w(m) is next round's w(m-1): carry the evaluation over.
         self._loss_prev = loss_now
-
-    @staticmethod
-    def _loss_at(engine, weights: np.ndarray, restore: np.ndarray) -> float:
-        """Evaluation-pool loss at ``weights``; model restored exactly."""
-        engine.model.set_weights(weights)
-        try:
-            return float(
-                engine.model.loss_value(engine._eval_x, engine._eval_y)
-            )
-        finally:
-            engine.model.set_weights(restore)
 
     def observe(self, ctx: RoundContext) -> None:
         schedule = self.policy.schedule

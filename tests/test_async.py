@@ -6,8 +6,9 @@ Four layers:
    arithmetic, validation, and the adaptive exponent's SignOGD walk.
 2. **Event queue** — commit batching, deterministic arrival ordering,
    and the staleness each commit actually records (cross-backend and
-   synchronous-equivalence identity live in ``tests/test_engine.py``'s
-   equivalence matrix; the pinned async history in its golden suite).
+   full-barrier identity with the plain trainer live in
+   ``tests/test_engine.py``'s equivalence matrix; the pinned async
+   history in its golden suite).
 3. **Telemetry** — async runs emit schema-valid ``round`` events with
    ``staleness``/``staleness_max`` and per-arrival ``async.arrival``
    spans through the existing registry, as strict JSONL, and tracing
@@ -196,18 +197,6 @@ class TestCommitMechanics:
         assert len(history) >= 10
         assert len(set(history)) > 1  # the walk actually moved
 
-    def test_run_round_is_rejected(self):
-        trainer = _async_trainer()
-        with pytest.raises(RuntimeError):
-            trainer.engine.run_round(12)
-
-    def test_sync_mode_validates_preconditions(self):
-        with pytest.raises(ValueError):
-            _async_trainer(commit_count=3, synchronous=True)
-        with pytest.raises(ValueError):
-            _async_trainer(discount=ConstantDiscount(0.5), commit_count=0,
-                           synchronous=True)
-
     def test_scenario_and_sampler_are_exclusive(self):
         fed = _federation()
         model = make_mlp(64, 10, hidden=(12,), seed=5)
@@ -239,6 +228,22 @@ class TestCommitMechanics:
         history = trainer.run(4, k=12)
         assert all(r.round_index == i + 1 for i, r in enumerate(history))
         assert trainer.engine.profiles  # profiles came from the scenario
+
+    def test_scenario_with_adversary_is_rejected(self):
+        # Corruption runs in the scenario hooks, which async commits do
+        # not install: the run would silently be attack-free.
+        fed = _federation()
+        model = make_mlp(64, 10, hidden=(12,), seed=5)
+        config = ScenarioConfig(
+            availability="always", adversary="sign_flip",
+            adversary_fraction=0.5, aggregator="trimmed_mean", seed=5,
+        )
+        ids = [c.client_id for c in fed.clients]
+        timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+        scenario = DeploymentScenario.build(config, ids, timing)
+        with pytest.raises(ValueError, match="adversary"):
+            AsyncFLTrainer(model, fed, FABTopK(), timing=timing,
+                           scenario=scenario, seed=5)
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +354,19 @@ class TestAsyncWiring:
             assert variant in labels
             assert max(result.staleness.get(variant).y) > 0.0
         assert "async-adaptive exponent" in labels
+
+    def test_async_comparison_rejects_adversary(self):
+        from repro.experiments.config import scaled_config
+        from repro.experiments.scenario import run_async_comparison
+
+        config = scaled_config("smoke", "scenario")
+        scenario = ScenarioConfig.default_churn().with_overrides(
+            seed=config.seed, async_mode=True, adversary="sign_flip",
+            adversary_fraction=0.5,
+        )
+        config = config.with_overrides(scenario=scenario.to_dict())
+        with pytest.raises(ValueError, match="ScenarioConfig.adversary"):
+            run_async_comparison(config)
 
     def test_cli_flags(self):
         from repro.cli import _scenario_overrides, build_parser

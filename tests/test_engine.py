@@ -164,7 +164,7 @@ def _golden_async_profiles(model, fed):
 
 def _golden_async():
     # Pinned in PR 10: the asynchronous commit engine's virtual-time path
-    # has no seed implementation to diff against (the synchronous special
+    # has no seed implementation to diff against (the full-barrier special
     # case is covered by bit-identity with ``fl_trainer``), so its first
     # verified history is the reference — commits of 3 arrivals under the
     # polynomial staleness discount with a straggling third of the cohort.
@@ -374,7 +374,7 @@ class TestBackendEquivalence:
         fast.close()
 
     @staticmethod
-    def _async_trainer(backend, synchronous=False):
+    def _async_trainer(backend):
         fed = _federation()
         model = make_mlp(64, 10, hidden=(12,), seed=5)
         from repro.simulation.heterogeneous import (
@@ -392,14 +392,10 @@ class TestBackendEquivalence:
         timing = HeterogeneousTimingModel(
             model.dimension, comm_time=10.0, profiles=profiles
         )
-        extra = (
-            dict(synchronous=True) if synchronous
-            else dict(discount="polynomial", commit_count=4)
-        )
         return AsyncFLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.05,
             batch_size=8, eval_every=4, seed=5, backend=backend,
-            profiles=profiles, **extra,
+            profiles=profiles, discount="polynomial", commit_count=4,
         )
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
@@ -422,29 +418,39 @@ class TestBackendEquivalence:
     def test_async_sync_equivalence_matches_plain_trainer(
         self, backend_name
     ):
-        # Synchronous-equivalence mode: deadline = infinity, discount = 1,
-        # commit after the full cohort — the event-queue machinery must
-        # reproduce the plain trainer bit for bit on every backend.
+        # Full barrier (commit_count=0), identity discount, everyone
+        # participating: every commit is one whole fresh cohort in
+        # cohort order, so the arrival queue must reproduce the plain
+        # trainer byte for byte on every backend — no special mode.
         backend = make_backend(backend_name)
         plain = _fl_trainer(backend, SPARSIFIER_FACTORIES["fab-top-k"])
         hp = plain.run(10, k=15)
         fed = _federation()
         model = make_mlp(64, 10, hidden=(12,), seed=5)
         timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        sync = AsyncFLTrainer(
+        barrier = AsyncFLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.05,
             batch_size=8, eval_every=4, seed=5,
-            backend=make_backend(backend_name), synchronous=True,
+            backend=make_backend(backend_name), commit_count=0,
         )
-        hs = sync.run(10, k=15)
-        assert history_rows(hp) == history_rows(hs)
-        assert contribution_rows(hp) == contribution_rows(hs)
+        hb = barrier.run(10, k=15)
+        # Rows are (round, k, round_time, cumulative_time, loss, accuracy,
+        # uplink, downlink): everything but the two clock columns is
+        # byte-equal.  The clock is the same quantity through a different
+        # float expression — (vclock + finish + downlink) − vclock versus
+        # computation + uplink + downlink — so it agrees to rounding.
+        for rp, rb in zip(history_rows(hp), history_rows(hb), strict=True):
+            assert rp[:2] + rp[4:] == rb[:2] + rb[4:]
+            assert rb[2:4] == pytest.approx(rp[2:4], rel=1e-12)
+        assert contribution_rows(hp) == contribution_rows(hb)
         np.testing.assert_array_equal(
-            plain.model.get_weights(), sync.model.get_weights()
+            plain.model.get_weights(), barrier.model.get_weights()
         )
-        assert all(s == 0.0 for s in sync.staleness_history)
+        for cp, cb in zip(plain.clients, barrier.clients, strict=True):
+            np.testing.assert_array_equal(cp.residual, cb.residual)
+        assert all(s == 0.0 for s in barrier.staleness_history)
         plain.close()
-        sync.close()
+        barrier.close()
 
 
 # ----------------------------------------------------------------------
@@ -641,11 +647,17 @@ class TestEngineBehaviour:
         assert evaluated == [True, False, False, True, False, False]
 
     def test_run_until_loss_stops_at_target(self):
-        trainer = _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"])
-        start = trainer.global_loss()
-        trainer.run_until_loss(target_loss=start * 0.9, k=20, max_rounds=500)
-        assert trainer.history.records[-1].loss <= start * 0.9
-        assert len(trainer.history) < 500
+        # The async trainer inherits the same loop (one step = one commit).
+        for trainer in (
+            _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"]),
+            TestBackendEquivalence._async_trainer("serial"),
+        ):
+            start = trainer.global_loss()
+            trainer.run_until_loss(
+                target_loss=start * 0.9, k=20, max_rounds=500
+            )
+            assert trainer.history.records[-1].loss <= start * 0.9
+            assert len(trainer.history) < 500
 
     def test_run_round_requires_sparsifier(self):
         fed = _federation()

@@ -310,7 +310,7 @@ class TestAlwaysSendAll:
         timing = TimingModel(dimension=model.dimension, comm_time=10.0)
         trainer = AlwaysSendAllTrainer(model, federation, timing,
                                        learning_rate=0.1, batch_size=16)
-        initial = trainer.model.loss_value(trainer._eval_x, trainer._eval_y)
+        initial = trainer.global_loss()
         trainer.run(20)
         assert trainer.history.final_loss < initial
         assert trainer.clock == pytest.approx(20 * timing.dense_round().total)
