@@ -2,7 +2,7 @@
 
 Runs miniature versions of the paper's key experiments back to back,
 renders ASCII charts, and prints quantitative comparison tables — a
-5-minute, dependency-free version of `pytest benchmarks/ --benchmark-only`.
+5-minute version of `pytest -m slow` (the checks under `tests/slow/`).
 
 Run:  python examples/reproduce_paper.py
 """
@@ -64,4 +64,4 @@ if __name__ == "__main__":
     print(__doc__)
     part1_gs_methods()
     part2_adaptive_k()
-    print("\nFull-scale versions: pytest benchmarks/ --benchmark-only -s")
+    print("\nFull-scale versions: PYTHONPATH=src python -m pytest -m slow")

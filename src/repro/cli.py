@@ -430,23 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the summary as JSON instead of a table")
     pt.add_argument("--verbose", action="store_true",
                     help="debug-level progress logging")
-    pb = sub.add_parser(
-        "bench-diff",
-        help="compare current BENCH_*.json against the recorded "
-             "BENCH_history.jsonl baseline; exits 1 on regression",
-    )
-    pb.add_argument("--dir", default=".", metavar="DIR",
-                    help="directory holding BENCH_*.json and the history "
-                         "(default: current directory)")
-    pb.add_argument("--history", default=None, metavar="FILE",
-                    help="history file (default: DIR/BENCH_history.jsonl)")
-    pb.add_argument("--tolerance", type=float, default=None,
-                    help="relative slowdown tolerated before a metric "
-                         "regresses (default: 0.30)")
-    pb.add_argument("--json", action="store_true",
-                    help="emit the diff as JSON instead of a table")
-    pb.add_argument("--verbose", action="store_true",
-                    help="debug-level progress logging")
     return parser
 
 
@@ -461,42 +444,6 @@ def _run_trace_report(args) -> int:
     else:
         print(format_trace_report(summary))
     return 0
-
-
-def _run_bench_diff(args) -> int:
-    import json
-    import pathlib
-
-    from repro.obs.export import (
-        DEFAULT_TOLERANCE,
-        diff_bench_report,
-        format_bench_diff,
-        load_bench_history,
-    )
-
-    root = pathlib.Path(args.dir)
-    history_path = pathlib.Path(args.history) if args.history \
-        else root / "BENCH_history.jsonl"
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None \
-        else args.tolerance
-    history = load_bench_history(history_path)
-    diffs = []
-    for bench_path in sorted(root.glob("BENCH_*.json")):
-        reports = json.loads(bench_path.read_text())
-        if not reports:
-            continue
-        diffs.append(diff_bench_report(
-            bench_path.stem, reports[-1], history, tolerance,
-        ))
-    if not diffs:
-        logger.warning("no BENCH_*.json snapshots found under %s", root)
-        return 0
-    if args.json:
-        print(json.dumps(diffs, indent=2, sort_keys=True))
-    else:
-        print(format_bench_diff(diffs, tolerance))
-    # Cross-host comparisons never gate; see repro.obs.export.
-    return 1 if any(d["status"] == "regressed" for d in diffs) else 0
 
 
 def _run_sweep_command(args) -> int:
@@ -531,7 +478,8 @@ def _run_sweep_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     configure_cli_logging(verbose=getattr(args, "verbose", False))
     if args.command == "list":
         for figure in FIGURES:
@@ -539,8 +487,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "trace-report":
         return _run_trace_report(args)
-    if args.command == "bench-diff":
-        return _run_bench_diff(args)
     if args.command == "sweep":
         return _run_sweep_command(args)
 
@@ -570,19 +516,19 @@ def main(argv: list[str] | None = None) -> int:
         overrides["telemetry"] = args.telemetry
     if overrides:
         config = config.with_overrides(**overrides)
-    if args.command == "scenario":
-        config = config.with_overrides(
-            scenario=_scenario_overrides(args, config.seed)
-        )
-    elif args.command == "adversary":
+    if args.command in ("scenario", "adversary"):
         from repro.scenarios import ScenarioConfig
 
-        config = config.with_overrides(
-            scenario=_scenario_overrides(
-                args, config.seed,
-                base=ScenarioConfig(availability="always"),
-            )
+        base = (
+            ScenarioConfig(availability="always")
+            if args.command == "adversary" else None
         )
+        try:
+            scenario = _scenario_overrides(args, config.seed, base=base)
+        except ValueError as error:
+            # An invalid flag combination, caught by ScenarioConfig.
+            parser.error(str(error))
+        config = config.with_overrides(scenario=scenario)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

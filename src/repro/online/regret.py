@@ -1,6 +1,6 @@
 """Regret bounds and bookkeeping (Theorems 1 and 2).
 
-The benchmark ``bench_regret.py`` drives Algorithm 2/3 against synthetic
+``tests/slow/test_regret.py`` drives Algorithm 2/3 against synthetic
 Assumption-2 cost oracles and checks the measured regret against these
 bounds; the theory tests in ``tests/test_online_theory.py`` do the same at
 smaller scale.

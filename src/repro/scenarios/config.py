@@ -104,8 +104,9 @@ class ScenarioConfig:
         discounted by staleness) instead of being dropped — and the
         adversary fields (``adversary``, ``adversary_fraction``,
         ``adversary_scale``) are unsupported: corruption runs in the
-        scenario hooks async commits do not install, so the comparison
-        rejects a config that sets them; see :mod:`repro.fl.async_engine`.
+        scenario hooks async commits do not install, so naming an
+        ``adversary`` together with ``async_mode`` raises; see
+        :mod:`repro.fl.async_engine`.
     staleness_discount:
         One of :data:`repro.fl.async_engine.STALENESS_DISCOUNT_KINDS`
         (``"poly"``/``"const"`` shorthands are normalized) — the
@@ -225,6 +226,12 @@ class ScenarioConfig:
         if self.commit_count < 0:
             raise ValueError(
                 "commit_count must be >= 0 (0 = derived from the cohort)"
+            )
+        if self.async_mode and self.adversary != "none":
+            raise ValueError(
+                "async_mode cannot be combined with adversary="
+                f"{self.adversary!r}: async commits do not install the "
+                "scenario hooks that corrupt uploads"
             )
 
     def _normalize_deadline_policy(self) -> None:

@@ -8,7 +8,7 @@ requires ``t(k, l)`` to be (a) convex in k, (b) with bounded ∂t/∂k, and
 
 These families let us unit-test Algorithms 2 and 3 and *empirically verify
 Theorems 1 and 2* (regret bounds GB√(2M) and GHB√(2M)) without running any
-actual model training — the benchmark ``bench_regret.py`` does exactly
+actual model training — ``tests/slow/test_regret.py`` does exactly
 that.
 
 :class:`TimePerLossCost` is the physically-motivated family: one round

@@ -1,15 +1,25 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-result checks (the `slow` tree).
 
-Every benchmark regenerates one of the paper's evaluation figures at a
-reduced-but-faithful scale (see DESIGN.md §7) and prints the series the
-figure plots, so `pytest benchmarks/ --benchmark-only -s` reproduces the
-whole evaluation section.  Expensive experiment drivers run exactly once
-per benchmark via ``benchmark.pedantic(..., rounds=1, iterations=1)``.
+Every module here regenerates one of the paper's evaluation figures (or
+one of its ablations) at a reduced-but-faithful scale and asserts the
+ordering the paper reports, printing the series the figure plots.
+Everything under this directory is marked ``slow``, which tier-1
+deselects: ``pytest -m slow -s`` reproduces the whole evaluation section.
 """
+
+import pathlib
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+
+SLOW_DIR = pathlib.Path(__file__).parent
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if SLOW_DIR in item.path.parents:
+            item.add_marker(pytest.mark.slow)
 
 
 def bench_config() -> ExperimentConfig:
@@ -53,14 +63,3 @@ def cifar_bench_config() -> ExperimentConfig:
         eval_max_samples=250,
         seed=0,
     )
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an expensive experiment exactly once under the benchmark timer."""
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return _run

@@ -2,18 +2,18 @@
 
 The paper's online algorithm is derived under Assumption 2 (t(k, l)
 convex in k, common minimizer across loss levels) but only remarks that
-the algorithm works empirically without it.  This bench measures
+the algorithm works empirically without it.  This check measures
 t̂(k, band) over a k grid and reports each loss band's curve shape.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.assumption2 import run_assumption2
 from repro.experiments.runner import text_table
 
 
-def test_assumption2_measured_cost_shape(run_once, capsys):
+def test_assumption2_measured_cost_shape(capsys):
     config = bench_config().with_overrides(comm_time=30.0, num_rounds=220)
-    result = run_once(run_assumption2, config, num_bands=3)
+    result = run_assumption2(config, num_bands=3)
 
     rows = []
     for i, (hi, lo) in enumerate(result.loss_bands):

@@ -1,7 +1,7 @@
 """Ablation: measured top-k contraction of real FL gradients vs theory.
 
 The convergence analyses the paper points at ([29]) rest on the top-k
-contraction bound (1 − k/D).  This bench collects actual round gradients
+contraction bound (1 − k/D).  This check collects actual round gradients
 from a federated run and reports how much better they contract — real
 gradients are heavy-tailed, which is the empirical reason top-k GS keeps
 nearly all the signal at tiny k/D.
@@ -9,13 +9,13 @@ nearly all the signal at tiny k/D.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.analysis.contraction import empirical_contraction
 from repro.experiments.runner import build_federation, build_model, text_table
 from repro.fl.diagnostics import gradient_concentration
 
 
-def test_gradient_contraction_vs_bound(benchmark, capsys):
+def test_gradient_contraction_vs_bound(capsys):
     config = bench_config()
 
     def run():
@@ -44,9 +44,7 @@ def test_gradient_contraction_vs_bound(benchmark, capsys):
                                                fractions=(0.01, 0.1))
         return rows, stats_small, concentration
 
-    rows, stats_small, concentration = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    rows, stats_small, concentration = run()
     with capsys.disabled():
         print("\n[Contraction] ||g - top_k(g)||^2 / ||g||^2 on real FL "
               "gradients (20 rounds)")

@@ -2,14 +2,14 @@
 
 DESIGN.md calls out the fairness mechanism (per-client quota via the
 binary search over κ) as the design choice distinguishing FAB from FUB.
-This bench constructs a federation with one dominant-gradient client and
+This check constructs a federation with one dominant-gradient client and
 measures how many elements the *weakest* client contributes under each
 scheme, plus the accuracy the starved clients' data reaches.
 """
 
 import numpy as np
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.runner import build_federation, build_model, build_timing, text_table
 from repro.fl.trainer import FLTrainer
 from repro.sparsify.fab_topk import FABTopK
@@ -24,7 +24,7 @@ def _scaled_federation(config, dominant_scale=8.0):
     return federation
 
 
-def test_fairness_floor_ablation(benchmark, capsys):
+def test_fairness_floor_ablation(capsys):
     config = bench_config().with_overrides(num_rounds=120)
 
     def run():
@@ -54,7 +54,7 @@ def test_fairness_floor_ablation(benchmark, capsys):
             }
         return out
 
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    stats = run()
     rows = [
         [name,
          str(s["min"]), f"{s['median']:.0f}", str(s["max"]),

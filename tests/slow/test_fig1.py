@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 1 — Assumption-1 validation.
+"""Regenerates Fig. 1 — Assumption-1 validation.
 
 Paper result: after every run reaches the target loss ψ and switches to a
 common k, the loss trajectories are nearly identical regardless of the
@@ -6,17 +6,15 @@ pre-switch k'.  We report the post-switch curves and the maximum
 cross-run deviation.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.runner import text_table
 
 
-def test_fig1_assumption1_validation(run_once, capsys):
+def test_fig1_assumption1_validation(capsys):
     config = bench_config().with_overrides(num_rounds=80)
     dimension_probe_ks = None  # defaults: {D, D/4, D/40, D/400}
-    result = run_once(
-        run_fig1, config, pre_ks=dimension_probe_ks, post_rounds=60,
-    )
+    result = run_fig1(config, pre_ks=dimension_probe_ks, post_rounds=60)
 
     rows = []
     for series in result.figure.series:

@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 4 — GS methods at fixed k, β = 10.
+"""Regenerates Fig. 4 — GS methods at fixed k, β = 10.
 
 Paper result: FAB-top-k attains the lowest loss / highest accuracy versus
 normalized time; FUB-top-k is close behind but starves some clients
@@ -6,14 +6,14 @@ normalized time; FUB-top-k is close behind but starves some clients
 and always-send-all trail clearly.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.runner import text_table
 
 
-def test_fig4_gs_method_comparison(run_once, capsys):
+def test_fig4_gs_method_comparison(capsys):
     config = bench_config().with_overrides(num_rounds=250)
-    result = run_once(run_fig4, config)
+    result = run_fig4(config)
 
     budget = result.histories["fab-top-k"].total_time
     checkpoints = [budget * f for f in (0.25, 0.5, 1.0)]

@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 5 — adaptive-k online methods, β = 10.
+"""Regenerates Fig. 5 — adaptive-k online methods, β = 10.
 
 Paper result: the proposed method (Algorithm 3 + sign estimator) reaches
 lower loss than value-based derivative descent, EXP3, and the continuous
@@ -7,14 +7,14 @@ bandit, and its k_m trace is far more stable than the bandit methods'.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.runner import text_table
 
 
-def test_fig5_adaptive_k_methods(run_once, capsys):
+def test_fig5_adaptive_k_methods(capsys):
     config = bench_config().with_overrides(num_rounds=200)
-    result = run_once(run_fig5, config)
+    result = run_fig5(config)
 
     budget = min(h.total_time for h in result.histories.values())
     final = result.loss_at_time(budget)

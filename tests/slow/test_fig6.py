@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 6 — Algorithm 3 vs Algorithm 2 at β = 100.
+"""Regenerates Fig. 6 — Algorithm 3 vs Algorithm 2 at β = 100.
 
 Paper result: with expensive communication the optimal k is small;
 Algorithm 3's shrinking search interval tracks it with much less
@@ -7,14 +7,14 @@ fluctuation than Algorithm 2, yielding equal-or-better loss vs time.
 
 import numpy as np
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.runner import text_table
 
 
-def test_fig6_algorithm3_vs_algorithm2(run_once, capsys):
+def test_fig6_algorithm3_vs_algorithm2(capsys):
     config = bench_config().with_overrides(num_rounds=200)
-    result = run_once(run_fig6, config, comm_time=100.0)
+    result = run_fig6(config, comm_time=100.0)
 
     budget = min(h.total_time for h in result.histories.values())
     final = result.loss_at_time(budget)

@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 7 — cross-application of learned k
+"""Regenerates Fig. 7 — cross-application of learned k
 sequences across communication times (FEMNIST-like data).
 
 Paper result: Algorithm 3 learns larger k for smaller β; replaying a
@@ -7,17 +7,16 @@ sequence (adaptation matters — "a single value (or sequence) of k does
 not work well for all cases").
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.runner import text_table
 
 COMM_TIMES = (0.1, 1.0, 10.0, 100.0)
 
 
-def test_fig7_cross_application_femnist(run_once, capsys):
+def test_fig7_cross_application_femnist(capsys):
     config = bench_config().with_overrides(num_rounds=150)
-    result = run_once(run_fig7, config, comm_times=COMM_TIMES,
-                      learn_rounds=150)
+    result = run_fig7(config, comm_times=COMM_TIMES, learn_rounds=150)
 
     with capsys.disabled():
         print("\n[Fig 7] learned k vs communication time (femnist-like)")

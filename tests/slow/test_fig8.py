@@ -1,4 +1,4 @@
-"""Benchmark regenerating Fig. 8 — cross-application on CIFAR-like data.
+"""Regenerates Fig. 8 — cross-application on CIFAR-like data.
 
 Same protocol as Fig. 7 but with the extreme one-class-per-client
 partition.  Paper result (footnote 6): the strong non-i.i.d. skew forces
@@ -7,17 +7,16 @@ between the learned sequences — and between their replay outcomes — is
 smaller than on FEMNIST.
 """
 
-from benchmarks.conftest import bench_config, cifar_bench_config
+from .conftest import bench_config, cifar_bench_config
 from repro.experiments.fig7 import run_fig7, run_fig8
 from repro.experiments.runner import text_table
 
 COMM_TIMES = (0.1, 100.0)
 
 
-def test_fig8_cross_application_cifar(run_once, capsys):
+def test_fig8_cross_application_cifar(capsys):
     cifar_cfg = cifar_bench_config().with_overrides(num_rounds=150)
-    result = run_once(run_fig8, cifar_cfg, comm_times=COMM_TIMES,
-                      learn_rounds=150)
+    result = run_fig8(cifar_cfg, comm_times=COMM_TIMES, learn_rounds=150)
 
     # Reference spread on femnist-like data at the same betas/rounds.
     femnist_cfg = bench_config().with_overrides(num_rounds=150)

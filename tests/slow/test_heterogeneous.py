@@ -2,13 +2,13 @@
 
 The paper's future-work remark (Section VI): with heterogeneous client
 resources "it may be beneficial to select a subset of clients in each
-training round".  This bench creates a federation where 1/4 of the
+training round".  This check creates a federation where 1/4 of the
 clients are 8x stragglers and compares: full participation, uniform
 sampling, and fastest-biased sampling — measuring loss reached within a
 fixed normalized-time budget.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.runner import build_federation, build_model, text_table
 from repro.fl.trainer import FLTrainer
 from repro.simulation.heterogeneous import (
@@ -56,7 +56,7 @@ def _run(config, mode: str, time_budget: float):
     return trainer.history
 
 
-def test_straggler_avoidance(benchmark, capsys):
+def test_straggler_avoidance(capsys):
     config = bench_config()
     time_budget = 400.0
 
@@ -66,7 +66,7 @@ def test_straggler_avoidance(benchmark, capsys):
             for mode in ("full", "uniform", "fastest-biased")
         }
 
-    histories = benchmark.pedantic(run, rounds=1, iterations=1)
+    histories = run()
     rows = []
     for mode, history in histories.items():
         rows.append([

@@ -1,7 +1,7 @@
 """Ablation: Algorithm 3's hyper-parameters α and M_u.
 
 DESIGN.md calls out the shrinking-interval mechanism as the design choice
-distinguishing Algorithm 3 from Algorithm 2.  This bench sweeps the
+distinguishing Algorithm 3 from Algorithm 2.  This check sweeps the
 widening coefficient α and the update window M_u on an Assumption-2 cost
 oracle (β = 100 regime, small optimum) and reports regret and tail
 fluctuation — showing the paper's α = 1.5, M_u = 20 sits in the flat part
@@ -26,7 +26,7 @@ def _drive(oracle, interval, alg, M):
     return regret, tail_std
 
 
-def test_alpha_window_sweep(benchmark, capsys):
+def test_alpha_window_sweep(capsys):
     interval = SearchInterval(1.0, 1001.0)
     oracle_seed = 3
     M = 1500
@@ -48,7 +48,7 @@ def test_alpha_window_sweep(benchmark, capsys):
                              f"{tail_std:.1f}", str(len(alg.restart_rounds))])
         return rows, results
 
-    rows, results = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, results = run()
     with capsys.disabled():
         print("\n[Hyper-parameter sweep] Algorithm 3 on synthetic cost, "
               f"M={M}, k* ≈ 22")

@@ -1,13 +1,13 @@
 """Ablation: layer-wise vs global top-k selection at equal budget k.
 
 The paper cites layer-wise adaptive sparsification [26], [27] as
-orthogonal/complementary.  This bench compares global FAB-top-k against
+orthogonal/complementary.  This check compares global FAB-top-k against
 the two layer-wise budget splits (proportional and magnitude-adaptive) at
 the same total k, plus the DGC momentum-correction variant, all under the
 same normalized-time accounting.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.experiments.runner import build_federation, build_model, build_timing, text_table
 from repro.fl.trainer import FLTrainer
 from repro.sparsify.fab_topk import FABTopK
@@ -42,13 +42,13 @@ def _run(config, variant: str, num_rounds: int):
 VARIANTS = ("global", "global+dgc", "layerwise-prop", "layerwise-mag")
 
 
-def test_layerwise_and_momentum_variants(benchmark, capsys):
+def test_layerwise_and_momentum_variants(capsys):
     config = bench_config().with_overrides(num_rounds=150)
 
     def run():
         return {v: _run(config, v, config.num_rounds) for v in VARIANTS}
 
-    histories = benchmark.pedantic(run, rounds=1, iterations=1)
+    histories = run()
     rows = [
         [v, f"{h.final_loss:.4f}", f"{h.total_time:.0f}"]
         for v, h in histories.items()

@@ -1,13 +1,13 @@
 """Ablation: composing quantization with FAB-top-k GS.
 
 The paper (Section II) notes quantization is orthogonal to GS and can be
-applied together with it.  This bench runs FAB-top-k with and without
+applied together with it.  This check runs FAB-top-k with and without
 QSGD-style 4-bit value quantization at the same k; the quantized variant
 pays less per transmitted pair (pair overhead (32+5)/32 ≈ 1.16 instead of
 2.0), so it should reach comparable loss in less normalized time.
 """
 
-from benchmarks.conftest import bench_config
+from .conftest import bench_config
 from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.experiments.runner import build_federation, build_model, text_table
 from repro.fl.trainer import FLTrainer
@@ -38,7 +38,7 @@ def _run(config, quantize: bool, num_rounds: int):
     return trainer.history
 
 
-def test_quantization_composition(benchmark, capsys):
+def test_quantization_composition(capsys):
     config = bench_config().with_overrides(num_rounds=150)
 
     def run():
@@ -46,7 +46,7 @@ def test_quantization_composition(benchmark, capsys):
         quant = _run(config, quantize=True, num_rounds=config.num_rounds)
         return full, quant
 
-    full, quant = benchmark.pedantic(run, rounds=1, iterations=1)
+    full, quant = run()
     rows = [
         ["fab-top-k (32-bit values)", f"{full.final_loss:.4f}",
          f"{full.total_time:.0f}"],

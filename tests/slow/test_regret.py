@@ -1,4 +1,4 @@
-"""Benchmark verifying Theorems 1 and 2 empirically.
+"""Verifies Theorems 1 and 2 empirically.
 
 Drives Algorithm 2 (exact and noisy signs) and Algorithm 3 against
 synthetic Assumption-2 cost oracles and reports measured regret against
@@ -23,7 +23,7 @@ def _drive(oracle, interval, M, algorithm, sign_source=None):
     return oracle.regret(ks, interval.kmin, interval.kmax)
 
 
-def test_regret_vs_theoretical_bounds(benchmark, capsys):
+def test_regret_vs_theoretical_bounds(capsys):
     def run():
         interval = SearchInterval(1.0, 1001.0)
         rows = []
@@ -65,7 +65,7 @@ def test_regret_vs_theoretical_bounds(benchmark, capsys):
         p = float(np.polyfit(np.log(Ms), np.log(regs), 1)[0])
         return rows, p, (regret, bound, regret2, bound2, regret3)
 
-    rows, p, checks = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows, p, checks = run()
     with capsys.disabled():
         print("\n[Regret] measured vs theoretical bounds (M=2000)")
         print(text_table(["setting", "regret", "bound", "ratio"], rows))

@@ -361,12 +361,32 @@ class TestAsyncWiring:
 
         config = scaled_config("smoke", "scenario")
         scenario = ScenarioConfig.default_churn().with_overrides(
-            seed=config.seed, async_mode=True, adversary="sign_flip",
-            adversary_fraction=0.5,
+            seed=config.seed, adversary="sign_flip", adversary_fraction=0.5,
         )
         config = config.with_overrides(scenario=scenario.to_dict())
         with pytest.raises(ValueError, match="ScenarioConfig.adversary"):
             run_async_comparison(config)
+
+    def test_scenario_config_rejects_adversary_under_async(self):
+        with pytest.raises(ValueError, match="async_mode.*adversary"):
+            ScenarioConfig(async_mode=True, adversary="sign_flip")
+
+    def test_cli_rejects_async_adversary_before_training(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        import repro.cli as cli
+
+        def trained(*args, **kwargs):
+            raise AssertionError("trained despite the invalid flags")
+
+        monkeypatch.setattr(cli, "_run_figure", trained)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["scenario", "--scale", "smoke", "--async",
+                      "--adversary-kind", "sign_flip",
+                      "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "async_mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_flags(self):
         from repro.cli import _scenario_overrides, build_parser

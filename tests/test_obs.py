@@ -703,6 +703,7 @@ class TestHealthMonitor:
         for event in events:
             validate_event(event)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
     def test_infinite_loss_round_trips_as_strict_json(self, tmp_path):
         # End to end through the real engine and a real JsonlSink: a run
         # whose loss diverges to +inf must still write parseable strict
@@ -803,155 +804,6 @@ class TestExceptionSafety:
         events = [json.loads(l) for l in path.read_text().splitlines()]
         # The sink was flushed and closed despite the backend failure.
         assert any(e["type"] == "round" for e in events)
-
-
-class TestBenchDiff:
-    def _report(self, rps, host=None):
-        return {
-            "host": host or {
-                "timestamp_utc": "2026-08-08T00:00:00+00:00",
-                "machine": "x86_64", "cpu_count": 4, "usable_cpus": 4,
-            },
-            "results": [{
-                "model": "mlp", "num_clients": 24, "rounds": 60,
-                "rounds_per_second": {"serial": rps, "vectorized": 2 * rps},
-                "vectorized_speedup": 2.0,
-            }],
-        }
-
-    def test_flatten_and_entry(self):
-        from repro.obs.export import bench_history_entry
-
-        entry = bench_history_entry("BENCH_engine", self._report(100.0))
-        assert entry["bench"] == "BENCH_engine"
-        assert entry["host_signature"] == "x86_64/4/4"
-        assert entry["metrics"]["mlp.n24.rounds_per_second.serial"] == 100.0
-        assert entry["metrics"]["mlp.n24.vectorized_speedup"] == 2.0
-        assert len(entry["fingerprint"]) == 16
-
-    def test_colliding_entry_labels_keep_every_metric(self):
-        # Two list entries sharing all identifying fields must not fold
-        # into one dotted key (the second silently overwrote the first);
-        # only the colliding labels gain the list index — unique labels
-        # keep their historical metric names.
-        from repro.obs.export import flatten_bench_report
-
-        report = {"results": [
-            {"backend": "serial", "rounds_per_second": 100.0},
-            {"backend": "serial", "rounds_per_second": 80.0},
-            {"backend": "vectorized", "rounds_per_second": 250.0},
-        ]}
-        metrics = flatten_bench_report(report)
-        assert metrics["serial.0.rounds_per_second"] == 100.0
-        assert metrics["serial.1.rounds_per_second"] == 80.0
-        assert metrics["vectorized.rounds_per_second"] == 250.0
-        assert "serial.rounds_per_second" not in metrics
-
-    def test_history_append_is_idempotent(self, tmp_path):
-        from repro.obs.export import (
-            append_bench_history,
-            bench_history_entry,
-            load_bench_history,
-        )
-
-        path = tmp_path / "BENCH_history.jsonl"
-        entry = bench_history_entry("BENCH_engine", self._report(100.0))
-        assert append_bench_history(path, [entry]) == 1
-        assert append_bench_history(path, [entry]) == 0
-        other = bench_history_entry("BENCH_engine", self._report(90.0))
-        assert append_bench_history(path, [other]) == 1
-        assert len(load_bench_history(path)) == 2
-
-    def test_metric_directions(self):
-        from repro.obs.export import metric_direction
-
-        assert metric_direction("mlp.rounds_per_second.serial") == "higher"
-        assert metric_direction("vectorized_speedup") == "higher"
-        assert metric_direction("sweep.cold_seconds") == "lower"
-        assert metric_direction("telemetry.enabled_overhead_pct") == "lower"
-        assert metric_direction("num_clients") == "info"
-
-    def test_two_x_slowdown_detected(self):
-        from repro.obs.export import bench_history_entry, diff_bench_report
-
-        baseline = bench_history_entry("BENCH_engine", self._report(100.0))
-        slow = self._report(50.0)  # synthetic 2x slowdown
-        diff = diff_bench_report("BENCH_engine", slow, [baseline])
-        assert diff["status"] == "regressed"
-        regressed = {r["metric"] for r in diff["rows"]
-                     if r["status"] == "regressed"}
-        assert "mlp.n24.rounds_per_second.serial" in regressed
-        # Informational metrics (client counts) never gate.
-        assert "mlp.n24.num_clients" not in regressed
-
-    def test_host_mismatch_is_informational(self):
-        from repro.obs.export import bench_history_entry, diff_bench_report
-
-        other_host = {"timestamp_utc": "2026-08-01T00:00:00+00:00",
-                      "machine": "arm64", "cpu_count": 10, "usable_cpus": 10}
-        baseline = bench_history_entry(
-            "BENCH_engine", self._report(100.0, host=other_host)
-        )
-        diff = diff_bench_report(
-            "BENCH_engine", self._report(50.0), [baseline]
-        )
-        assert diff["status"] == "informational"
-        assert not diff["host_match"]
-
-    def test_no_baseline_skips(self):
-        from repro.obs.export import diff_bench_report
-
-        diff = diff_bench_report("BENCH_engine", self._report(100.0), [])
-        assert diff["status"] == "no_baseline"
-
-    def test_bench_diff_cli_exits_nonzero_on_regression(
-        self, tmp_path, capsys
-    ):
-        from repro import cli
-        from repro.obs.export import append_bench_history, bench_history_entry
-
-        (tmp_path / "BENCH_engine.json").write_text(
-            json.dumps([self._report(50.0)])
-        )
-        history = tmp_path / "BENCH_history.jsonl"
-        append_bench_history(history, [
-            bench_history_entry("BENCH_engine", self._report(100.0)),
-        ])
-        assert cli.main(["bench-diff", "--dir", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "regressed" in out and "rounds_per_second" in out
-
-        assert cli.main(
-            ["bench-diff", "--dir", str(tmp_path), "--json"]
-        ) == 1
-        diffs = json.loads(capsys.readouterr().out)
-        assert diffs[0]["status"] == "regressed"
-
-        # Within tolerance: a matching snapshot passes.
-        (tmp_path / "BENCH_engine.json").write_text(
-            json.dumps([self._report(95.0)])
-        )
-        assert cli.main(["bench-diff", "--dir", str(tmp_path)]) == 0
-
-    def test_backfill_records_committed_reports(self, tmp_path):
-        import sys
-
-        sys.path.insert(0, str(
-            pathlib.Path(__file__).parent.parent / "benchmarks"
-        ))
-        try:
-            import history as bench_history
-        finally:
-            sys.path.pop(0)
-        (tmp_path / "BENCH_engine.json").write_text(
-            json.dumps([self._report(100.0), self._report(90.0)])
-        )
-        out = tmp_path / "BENCH_history.jsonl"
-        assert bench_history.backfill(tmp_path, out) == 2
-        assert bench_history.backfill(tmp_path, out) == 0  # idempotent
-        assert bench_history.record_report(
-            tmp_path / "BENCH_engine.json", self._report(80.0), out
-        ) == 1
 
 
 class TestConfigThreading:
