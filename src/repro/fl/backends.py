@@ -80,6 +80,11 @@ class ExecutionBackend:
         Draws each participant's minibatch (recording it for probe draws)
         and returns the flat gradients; used directly by dense baselines
         (always-send-all) that skip sparsification.
+
+        The arrays are valid until this backend's next gradient phase
+        (``compute_gradients`` or ``local_steps``): a backend may return
+        views of a buffer it reuses, as the sharded one does.  Consume
+        them at once, or copy what must last longer.
         """
         raise NotImplementedError
 

@@ -1,13 +1,25 @@
 """Persistent multiprocessing worker pool for the sharded backend.
 
-A :class:`WorkerPool` owns N long-lived worker processes plus one
-shared-memory buffer holding the flat model weights.  Each round the
-parent writes the synchronized weights ``w(m-1)`` into the buffer once
-(the broadcast), then sends every worker only the ids of the clients it
-should step; workers reply with the computed gradients.  Client state —
-the local dataset with its minibatch RNG — is pickled to its worker
-*once*, on registration, and lives there for the rest of the run, so the
-steady-state per-round traffic is ids out, gradients back.
+A :class:`WorkerPool` owns N long-lived worker processes plus two
+shared-memory buffers: one holding the flat model weights, one holding a
+``(cohort, D)`` block of gradient rows.  Each round the parent writes
+the synchronized weights ``w(m-1)`` into the first once (the broadcast),
+then sends every worker only the ids of the clients it should step and
+the row each gradient belongs in; a worker writes ``rows[slot] = grad``
+in place and replies with ``(client id, batch-or-None)`` pairs.  No
+gradient is ever pickled.  Client state — the local dataset with its
+minibatch RNG — is pickled to its worker *once*, on registration, and
+lives there for the rest of the run, so the steady-state pipe traffic is
+a few bytes per client: ids and slots out, ids back.
+
+The gradient rows live in a named POSIX segment (:class:`_GradientRows`)
+that is created on the first request and regrown geometrically, because
+the cohort size is not known when the workers start; workers attach by
+the name that rides every request and re-attach when it changes.
+:meth:`WorkerPool.compute_gradients` returns *views* of those rows,
+valid until the next call on the same pool.  The segment's pages are
+reserved when it is created, so a ``/dev/shm`` that is too small is an
+``OSError`` in the parent, never a ``SIGBUS`` in a worker.
 
 Virtual clients (:class:`repro.data.virtual.LazyClientDataset`) never
 ship arrays at all: registration sends the federation's tiny
@@ -32,12 +44,16 @@ full invariant and ``tests/test_engine.py`` for its enforcement.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
 import os
 import pickle
 import time
 import traceback
 import weakref
+from multiprocessing import resource_tracker
+from multiprocessing.shared_memory import SharedMemory
+from typing import NoReturn
 
 import numpy as np
 
@@ -64,18 +80,88 @@ def in_daemon_process() -> bool:
     return mp.current_process().daemon
 
 
+class _GradientRows:
+    """Parent side of the gradient return buffer: ``(capacity, D)`` float64
+    rows in one named shared-memory segment.
+
+    The rows are mapped through an ``mmap`` of the parent's own that is
+    never closed explicitly, so a row view a caller still holds after
+    the segment was regrown or released reads stale memory, never
+    unmapped memory.  ``segment`` itself is kept, already closed, for
+    its name and its ``unlink``.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        self.dimension = dimension
+        self.segment: SharedMemory | None = None
+        self.rows: np.ndarray | None = None
+
+    def reserve(self, count: int) -> np.ndarray:
+        """The row block, regrown (at least doubled) to hold ``count`` rows.
+
+        Raises ``OSError`` naming the bytes asked for when shared memory
+        cannot back them; the current segment is then left as it was.
+        """
+        capacity = 0 if self.rows is None else len(self.rows)
+        if capacity < count:
+            capacity = max(count, 2 * capacity)
+            nbytes = capacity * self.dimension * 8
+            try:
+                segment, mapping = _create_segment(nbytes)
+            except OSError as exc:
+                raise OSError(
+                    exc.errno,
+                    f"cannot reserve {nbytes:,} bytes of shared memory for "
+                    f"{capacity} gradient rows ({exc.strerror or exc})",
+                ) from exc
+            self.release()
+            self.segment = segment
+            self.rows = np.ndarray(
+                (capacity, self.dimension), dtype=np.float64, buffer=mapping
+            )
+        return self.rows
+
+    def release(self) -> None:
+        """Unlink the segment; its memory goes with the last mapping."""
+        if self.segment is not None:
+            self.segment.unlink()
+            self.segment = None
+            self.rows = None
+
+
+def _create_segment(nbytes: int) -> tuple[SharedMemory, mmap.mmap]:
+    """A new segment with its pages reserved, and the one mapping of it."""
+    segment = SharedMemory(create=True, size=nbytes)
+    try:
+        # SharedMemory only ftruncates, which leaves a sparse file: a
+        # full /dev/shm would then surface as SIGBUS at a worker's first
+        # write.  Reserving the pages makes it an OSError here instead.
+        # The descriptor has no public accessor.
+        if hasattr(os, "posix_fallocate"):  # absent on macOS
+            os.posix_fallocate(segment._fd, 0, nbytes)
+        mapping = mmap.mmap(segment._fd, nbytes)
+    except OSError:
+        segment.close()
+        segment.unlink()
+        raise
+    segment.close()  # its own mapping and descriptor are not needed
+    return segment, mapping
+
+
 def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
     """Worker loop: serve gradient requests against per-session state.
 
     ``weights_buf`` is the shared flat-weight buffer; it is re-read at
     every ``grads`` request, so the parent's single write per round
-    broadcasts to all workers.
+    broadcasts to all workers.  Gradients go the other way through the
+    segment named in the request: each is written into its row slot, and
+    the reply carries only ``(client id, batch-or-None)`` pairs.
 
     When a ``grads`` request arrives with its trace flag set, the worker
     times the request on a lazily built buffered
     :class:`~repro.obs.telemetry.WorkerTelemetry` and ships the drained
-    events back alongside the gradients; untraced requests do no
-    telemetry work at all and ship ``None`` in the events slot.
+    events back alongside the pairs; untraced requests do no telemetry
+    work at all and ship ``None`` in the events slot.
     """
     weights = np.frombuffer(weights_buf, dtype=np.float64, count=dimension)
     wtel: WorkerTelemetry | None = None
@@ -86,16 +172,18 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
     # each trainer's clients keep their own uninterrupted minibatch RNG
     # streams, exactly like the per-session model replicas/shards.
     federations: dict[tuple, VirtualFederation] = {}
+    segment: SharedMemory | None = None
+    rows: np.ndarray | None = None
     while True:
         try:
             msg = conn.recv()
         except (EOFError, KeyboardInterrupt):
-            return
+            break
         try:
             cmd = msg[0]
             if cmd == "stop":
                 conn.close()
-                return
+                break
             if cmd == "model":
                 _, token, model, drop_tokens = msg
                 for dead in drop_tokens:
@@ -111,16 +199,29 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                 shards.setdefault(token, {}).update(clients)
                 conn.send(("ok", None))
             elif cmd == "grads":
-                _, token, client_ids, want_batches, trace = msg
+                _, token, assigned, segment_name, want_batches, trace = msg
                 if trace:
                     if wtel is None:
                         wtel = WorkerTelemetry(f"worker-{worker_id}")
                     request_start = time.perf_counter()
+                if segment is None or segment.name != segment_name:
+                    # The parent regrew the buffer and unlinked the
+                    # segment this worker still maps: follow it.
+                    rows = None
+                    if segment is not None:
+                        segment.close()
+                    segment = SharedMemory(name=segment_name)
+                    # segment.size may be rounded up to whole pages
+                    capacity = segment.size // (8 * dimension)
+                    rows = np.frombuffer(
+                        segment.buf, dtype=np.float64,
+                        count=capacity * dimension,
+                    ).reshape(capacity, dimension)
                 model = models[token]
                 model.set_weights(weights.copy())
                 out = []
                 regenerated = 0
-                for cid in client_ids:
+                for cid, slot in assigned:
                     dataset, batch_size = shards[token][cid]
                     if isinstance(dataset, VirtualSpec):
                         # First gradient request for a virtual client:
@@ -137,13 +238,14 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                         regenerated += 1
                     x, y = dataset.minibatch(batch_size)
                     grad, _ = model.gradient(x, y)
-                    out.append((cid, grad, (x, y) if want_batches else None))
+                    rows[slot] = grad
+                    out.append((cid, (x, y) if want_batches else None))
                 if trace:
                     wtel.event(
                         "span",
                         name="worker.gradients",
                         seconds=time.perf_counter() - request_start,
-                        clients=len(client_ids),
+                        clients=len(assigned),
                         regenerated=regenerated,
                     )
                     conn.send(("ok", (out, wtel.drain())))
@@ -153,10 +255,16 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                 conn.send(("error", f"unknown command {cmd!r}"))
         except Exception:
             conn.send(("error", traceback.format_exc()))
+    # A spawn-started worker runs a full interpreter shutdown, and a
+    # segment cannot close while the row array still exports its buffer.
+    rows = None
+    if segment is not None:
+        segment.close()
 
 
 class WorkerPool:
-    """N persistent workers around one shared flat-weight buffer.
+    """N persistent workers around a shared weight buffer and a shared
+    block of gradient rows.
 
     The pool is sized for one model dimension; the sharded backend
     recreates it if a model of a different dimension shows up.  All
@@ -182,6 +290,15 @@ class WorkerPool:
         self.dimension = dimension
         self._weights = ctx.RawArray("d", dimension)
         self._weights_view = np.frombuffer(self._weights, dtype=np.float64)
+        self._grads = _GradientRows(dimension)
+        # Whether any worker may have drawn a minibatch yet: until then a
+        # pool that cannot get its segment can still hand over to the
+        # in-process serial path without forking an RNG stream.
+        self._served = False
+        # Forked workers must inherit a running tracker.  One that starts
+        # its own on attaching the gradient segment would unlink the
+        # segment, and report it leaked, when that worker exits.
+        resource_tracker.ensure_running()
         self._conns = []
         self._procs = []
         for worker_id in range(num_workers):
@@ -196,7 +313,7 @@ class WorkerPool:
             self._conns.append(parent_conn)
             self._procs.append(proc)
         self._finalizer = weakref.finalize(
-            self, _shutdown, list(self._conns), list(self._procs)
+            self, _shutdown, list(self._conns), list(self._procs), self._grads
         )
 
     # ------------------------------------------------------------------
@@ -222,8 +339,8 @@ class WorkerPool:
                 len(pickle.dumps(("model", token, model, drop_tokens)))
                 * len(self._conns),
             )
-        for conn in self._conns:
-            conn.send(("model", token, model, drop_tokens))
+        for worker in range(self.num_workers):
+            self._send(worker, ("model", token, model, drop_tokens))
         for worker in range(self.num_workers):
             self._receive(worker)
         if tel.enabled:
@@ -243,8 +360,28 @@ class WorkerPool:
             if len(clients) - specs:
                 tel.count("pool.register_array", len(clients) - specs)
             tel.count(f"pool.worker{worker}.clients", len(clients))
-        self._conns[worker].send(("register", token, clients))
+        self._send(worker, ("register", token, clients))
         self._receive(worker)
+
+    def reserve_rows(self, count: int) -> np.ndarray:
+        """The gradient row block, regrown if it held fewer than ``count``.
+
+        :meth:`compute_gradients` calls this itself.  It is public for
+        the one failure a caller can still recover from: before any
+        gradient was served, shared memory that cannot back the rows is
+        an ``OSError`` and the pool is untouched.  Later the worker-side
+        minibatch streams have advanced, so the pool closes and the
+        failure is a ``RuntimeError`` naming the bytes asked for.
+        """
+        try:
+            return self._grads.reserve(count)
+        except OSError as exc:
+            if not self._served:
+                raise
+            self.close()
+            raise RuntimeError(
+                f"sharded pool lost its gradient buffer mid-run: {exc}"
+            ) from exc
 
     def compute_gradients(
         self,
@@ -257,8 +394,13 @@ class WorkerPool:
 
         Returns, in ``client_ids`` order, each client's flat gradient
         and — only with ``want_batches`` (probe rounds) — the minibatch
-        it was computed on; shipping batches every round would roughly
-        double the steady-state IPC for nothing.
+        it was computed on; shipping batches every round would put
+        arrays back on the pipe for nothing.
+
+        The gradients are *views*: row ``i`` of the shared block the
+        workers wrote into, in ``client_ids`` order.  They are valid
+        until the next call on this pool, which overwrites them; copy
+        what must outlive it.
 
         With telemetry enabled the trace flag rides the request, and
         each worker's buffered events come back in its reply; they are
@@ -268,6 +410,17 @@ class WorkerPool:
         already seq-ordered), so two identical traced runs merge to the
         same stream.
         """
+        if not client_ids:
+            return []  # and no zero-byte segment, which cannot exist
+        if len(set(client_ids)) != len(client_ids):
+            twice = sorted(
+                cid for cid in set(client_ids) if client_ids.count(cid) > 1
+            )
+            raise ValueError(
+                "a gradient request holds one row per client id; "
+                f"duplicated: {twice}"
+            )
+        rows = self.reserve_rows(len(client_ids))
         tel = self.telemetry
         trace = tel.enabled
         if trace:
@@ -276,36 +429,26 @@ class WorkerPool:
         if trace:
             tel.count("pool.weights_broadcast_seconds",
                       time.perf_counter() - start)
-        by_worker: dict[int, list[int]] = {}
-        for cid in client_ids:
-            by_worker.setdefault(self.worker_of(cid), []).append(cid)
-        for worker, cids in by_worker.items():
-            if trace:
-                tel.count(
-                    "pool.ipc_bytes_out",
-                    len(pickle.dumps(
-                        ("grads", token, cids, want_batches, trace)
-                    )),
-                )
-                tel.count(f"pool.worker{worker}.requests")
-                tel.count(f"pool.worker{worker}.clients_stepped", len(cids))
-            self._conns[worker].send(
-                ("grads", token, cids, want_batches, trace)
-            )
-        results = {}
+        by_worker: dict[int, list[tuple[int, int]]] = {}
+        for slot, cid in enumerate(client_ids):
+            by_worker.setdefault(self.worker_of(cid), []).append((cid, slot))
+        for worker, assigned in by_worker.items():
+            self._request_gradients(worker, token, assigned, want_batches,
+                                    trace)
+        batches = {}
         events_by_worker: dict[int, list[dict]] = {}
         for worker in by_worker:
             payload, events = self._receive(worker)
             if trace:
-                tel.count("pool.ipc_bytes_back", sum(
-                    grad.nbytes
-                    + (batch[0].nbytes + batch[1].nbytes if batch else 0)
-                    for _, grad, batch in payload
+                shm_bytes = len(payload) * rows[0].nbytes
+                tel.count("pool.shm_bytes_back", shm_bytes)
+                tel.count("pool.ipc_bytes_back", shm_bytes + sum(
+                    batch[0].nbytes + batch[1].nbytes
+                    for _, batch in payload if batch
                 ))
                 if events:
                     events_by_worker[worker] = events
-            for cid, grad, batch in payload:
-                results[cid] = (grad, batch)
+            batches.update(payload)
         if trace and events_by_worker:
             round_index = tel.current_round
             for worker in sorted(events_by_worker):
@@ -314,16 +457,44 @@ class WorkerPool:
                     kind = fields.pop("type")
                     fields.setdefault("round", round_index)
                     tel.event(kind, **fields)
-        return [results[cid] for cid in client_ids]
+        return [(rows[slot], batches[cid])
+                for slot, cid in enumerate(client_ids)]
+
+    def _request_gradients(
+        self,
+        worker: int,
+        token: int,
+        assigned: list[tuple[int, int]],
+        want_batches: bool,
+        trace: bool,
+    ) -> None:
+        """Ask ``worker`` for its ``(client id, row slot)`` pairs.
+
+        The one place that knows the request's wire shape.  The rows
+        must already be reserved; the reply is read with
+        :meth:`_receive`.
+        """
+        request = ("grads", token, assigned, self._grads.segment.name,
+                   want_batches, trace)
+        if trace:
+            tel = self.telemetry
+            tel.count("pool.ipc_bytes_out", len(pickle.dumps(request)))
+            tel.count(f"pool.worker{worker}.requests")
+            tel.count(f"pool.worker{worker}.clients_stepped", len(assigned))
+        self._served = True
+        self._send(worker, request)
+
+    def _send(self, worker: int, message: tuple) -> None:
+        try:
+            self._conns[worker].send(message)
+        except ConnectionError as exc:
+            self._worker_died(worker, exc)
 
     def _receive(self, worker: int):
         try:
             status, payload = self._conns[worker].recv()
-        except EOFError as exc:
-            self.close()
-            raise RuntimeError(
-                f"sharded worker {worker} died unexpectedly"
-            ) from exc
+        except (EOFError, ConnectionError) as exc:
+            self._worker_died(worker, exc)
         if status != "ok":
             # The request fanned out to several workers; their queued
             # replies would be mistaken for the *next* request's answers
@@ -333,17 +504,24 @@ class WorkerPool:
             raise RuntimeError(f"sharded worker {worker} failed:\n{payload}")
         return payload
 
+    def _worker_died(self, worker: int, exc: Exception) -> NoReturn:
+        self.close()
+        raise RuntimeError(
+            f"sharded worker {worker} died unexpectedly"
+        ) from exc
+
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
         return self._finalizer.alive
 
     def close(self) -> None:
-        """Stop the workers; idempotent (also runs on garbage collection)."""
+        """Stop the workers and unlink the gradient segment; idempotent
+        (also runs on garbage collection)."""
         self._finalizer()
 
 
-def _shutdown(conns, procs) -> None:
+def _shutdown(conns, procs, grads: _GradientRows) -> None:
     for conn in conns:
         try:
             conn.send(("stop",))
@@ -356,3 +534,4 @@ def _shutdown(conns, procs) -> None:
             proc.join(timeout=1.0)
     for conn in conns:
         conn.close()
+    grads.release()

@@ -5,11 +5,19 @@ parent process and keeps owning *all* client state — residuals, momentum,
 selection/probe RNG.  Only the embarrassingly parallel piece moves out:
 each participant's minibatch draw and gradient computation runs on the
 worker owning that client's shard (:class:`repro.parallel.pool.
-WorkerPool`), with the synchronized weights broadcast through shared
-memory and each client's dataset pickled to its worker exactly once —
-or, for virtual clients, never: registration ships only the federation's
+WorkerPool`).  Arrays cross the process boundary through shared memory
+in both directions — the synchronized weights out, the gradients back
+into one ``(cohort, D)`` block of rows — so the pipes carry only client
+ids, row slots and, on probe rounds, the drawn batches.  Each client's
+dataset is pickled to its worker exactly once — or, for virtual clients,
+never: registration ships only the federation's
 :class:`~repro.data.virtual.VirtualSpec` and the worker regenerates the
 shard from ``(spec, client_id)`` on first participation.
+
+View lifetime: the gradients :meth:`ShardedBackend.compute_gradients`
+returns are views of those rows, valid until the backend's next gradient
+phase overwrites them.  Every consumer in the tree folds them into
+client or model state at once; one that must keep a gradient copies it.
 
 Bit-identity with :class:`repro.fl.backends.SerialBackend` holds by
 construction, the same argument as the vectorized backend's:
@@ -29,8 +37,11 @@ construction, the same argument as the vectorized backend's:
 matrix (histories, weights, residuals).
 
 When real parallelism is unavailable — one usable core, a daemonic
-parent (nested pools), or a pool that failed to start — the backend
+parent (nested pools), a pool that failed to start, or shared memory
+too small for the gradient rows of the first cohort — the backend
 degrades to the in-process serial path, which is trivially identical.
+Once a worker has drawn a minibatch that hand-over would fork an RNG
+stream, so losing the buffer later is a ``RuntimeError`` instead.
 The same fallback covers models whose gradient is *not* a pure function
 of (weights, batch) — active Dropout draws per-call RNG, so worker
 replicas could not share the serial model's single stream
@@ -87,7 +98,6 @@ class ShardedBackend(ExecutionBackend):
         self._pool: WorkerPool | None = None
         self._serial = SerialBackend()
         self._closed = False
-        self._warned_fallback = False
         # model -> session token; dead models just strand a token.
         self._tokens: "weakref.WeakKeyDictionary[FlatModel, int]" = (
             weakref.WeakKeyDictionary()
@@ -166,6 +176,14 @@ class ShardedBackend(ExecutionBackend):
         # Engines attach telemetry after construction; forward the current
         # reference so pool-level IPC counters land in the same stream.
         pool.telemetry = self.telemetry
+        try:
+            pool.reserve_rows(len(participants))
+        except OSError as exc:
+            # No gradient was served yet (the pool raises RuntimeError
+            # once one was): every minibatch stream is still at its
+            # start in the parent, so serial takes over unchanged.
+            self._degrade_to_serial("get its gradient buffer", exc)
+            return self._serial.compute_gradients(model, participants)
         token = self._session_token(pool, model)
         self._register_missing(pool, token, participants)
         results = pool.compute_gradients(
@@ -186,12 +204,7 @@ class ShardedBackend(ExecutionBackend):
     def close(self) -> None:
         """Shut the worker pool down; the backend is unusable afterwards."""
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        self._tokens = weakref.WeakKeyDictionary()
-        self._issued_tokens.clear()
-        self._registered.clear()
+        self._drop_pool()
 
     # ------------------------------------------------------------------
     # Pool/session bookkeeping
@@ -212,28 +225,36 @@ class ShardedBackend(ExecutionBackend):
         if self._pool is not None and self._pool.dimension != model.dimension:
             # A new engine with a different architecture; earlier sessions
             # are complete (trainers run back to back), so restart clean.
-            self._pool.close()
-            self._pool = None
-            self._tokens = weakref.WeakKeyDictionary()
-            self._issued_tokens.clear()
-            self._registered.clear()
+            self._drop_pool()
         if self._pool is None:
             try:
                 self._pool = WorkerPool(
                     self.jobs, model.dimension, self._start_method
                 )
-            except OSError as exc:  # pragma: no cover - resource limits
-                if not self._warned_fallback:
-                    warnings.warn(
-                        "sharded backend could not start its worker pool "
-                        f"({exc}); falling back to serial execution",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    self._warned_fallback = True
-                self.jobs = 1
+            except OSError as exc:
+                self._degrade_to_serial("start its worker pool", exc)
                 return None
         return self._pool
+
+    def _drop_pool(self) -> None:
+        """Close the pool, if any, and forget every session on it."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
+        self._tokens = weakref.WeakKeyDictionary()
+        self._issued_tokens.clear()
+        self._registered.clear()
+
+    def _degrade_to_serial(self, what: str, exc: OSError) -> None:
+        """Warn and run in process from here on (``jobs = 1``)."""
+        warnings.warn(
+            f"sharded backend could not {what} ({exc}); "
+            "falling back to serial execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._drop_pool()
+        self.jobs = 1
 
     def _session_token(self, pool: WorkerPool, model: FlatModel) -> int:
         token = self._tokens.get(model)

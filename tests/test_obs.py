@@ -424,6 +424,11 @@ class TestInstrumentationCounters:
         counters = telemetry.aggregator.counters
         assert counters["pool.ipc_bytes_out"] > 0
         assert counters["pool.ipc_bytes_back"] > 0
+        # No probe rounds here, so nothing but gradients came back and
+        # all of them through shared memory: 3 rounds x 6 clients.
+        assert counters["pool.shm_bytes_back"] == \
+            counters["pool.ipc_bytes_back"] == \
+            3 * 6 * trainer.model.dimension * 8
         assert counters["pool.model_broadcast_seconds"] >= 0.0
         assert counters["pool.weights_broadcast_seconds"] >= 0.0
         assert counters["pool.register_array"] == 6

@@ -8,8 +8,15 @@ orchestrator's expand/cache/fan-out behaviour.
 """
 
 import copy
+import errno
+import gc
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.nn.flat import FlatModel
 from repro.nn.layers import Dropout, Linear, ReLU, Sequential
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import make_logistic, make_mlp
+from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, default_worker_count
 from repro.parallel.sharded import ShardedBackend
 from repro.parallel.store import ResultsStore, canonical_json, content_key
@@ -37,11 +45,26 @@ from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
 
-def _federation(num_writers=6, seed=3):
+def _federation(num_writers=6, seed=3, num_classes=8, image_size=6):
     ds = make_femnist_like(num_writers=num_writers, samples_per_writer=15,
-                           num_classes=8, image_size=6, classes_per_writer=3,
-                           seed=seed)
+                           num_classes=num_classes, image_size=image_size,
+                           classes_per_writer=3, seed=seed)
     return partition_by_writer(ds, seed=seed)
+
+
+def _registered_pool(model=None, image_size=6, num_classes=8):
+    """A 2-worker pool with session 0 open and six clients registered."""
+    fed = _federation(num_classes=num_classes, image_size=image_size)
+    if model is None:
+        model = make_logistic(image_size ** 2, num_classes, seed=1)
+    pool = WorkerPool(num_workers=2, dimension=model.dimension)
+    pool.broadcast_model(0, model)
+    for shard in fed.clients:  # federation shards ARE the datasets
+        pool.register_clients(
+            pool.worker_of(shard.client_id), 0,
+            {shard.client_id: (shard, 8)},
+        )
+    return pool, model, [c.client_id for c in fed.clients]
 
 
 def _trainer(backend, seed=3):
@@ -113,6 +136,8 @@ class TestWorkerPool:
             (grad_zero, batch), = pool.compute_gradients(
                 0, [0], zeros, want_batches=True
             )
+            # A view of the shared row, overwritten by the next call.
+            grad_zero = grad_zero.copy()
             # Same batch at different broadcast weights must change the
             # gradient: proof the worker reads the shared buffer, not a
             # stale model pickle.
@@ -164,44 +189,231 @@ class TestWorkerPool:
             WorkerPool(num_workers=1, dimension=0)
 
 
+
+# ----------------------------------------------------------------------
+# The gradient return buffer
+# ----------------------------------------------------------------------
+def _segment_names():
+    """The named shared-memory segments that exist right now."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def _assert_unlinked(name):
+    with pytest.raises(FileNotFoundError):
+        SharedMemory(name=name)
+
+
+def _no_space(fd, offset, length):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _KillsItsWorker:
+    """Dataset stand-in: drawing a minibatch SIGKILLs the serving worker."""
+
+    def minibatch(self, batch_size):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestGradientRows:
+    def test_empty_request_allocates_nothing(self):
+        # A zero-byte SharedMemory cannot exist, so [] must short-circuit.
+        pool, model, _ = _registered_pool()
+        try:
+            assert pool.compute_gradients(0, [], model.get_weights()) == []
+            assert pool._grads.segment is None
+        finally:
+            pool.close()
+
+    def test_duplicate_ids_raise(self):
+        pool, model, ids = _registered_pool()
+        try:
+            with pytest.raises(ValueError, match=rf"duplicated: \[{ids[1]}\]"):
+                pool.compute_gradients(
+                    0, [ids[0], ids[1], ids[1]], model.get_weights()
+                )
+            assert pool.alive  # nothing was sent
+        finally:
+            pool.close()
+
+    def test_reply_is_a_few_bytes_per_client(self):
+        # The suite's mlp_sharded shape: D = 92,662.  A pickled gradient
+        # would be 741 KB per client; the reply is ids and Nones.
+        model = make_mlp(400, 62, hidden=(200,), seed=1)
+        assert model.dimension == 92_662
+        pool, model, ids = _registered_pool(
+            model, image_size=20, num_classes=62
+        )
+        try:
+            assigned = [(cid, slot) for slot, cid in enumerate(ids)
+                        if pool.worker_of(cid) == 0]
+            pool.reserve_rows(len(ids))
+            for want_batches in (False, True):
+                pool._request_gradients(0, 0, assigned, want_batches,
+                                        trace=False)
+                raw = pool._conns[0].recv_bytes()
+                status, (out, events) = pickle.loads(raw)
+                assert status == "ok" and events is None
+                assert [cid for cid, _ in out] == [cid for cid, _ in assigned]
+                if want_batches:
+                    assert b"numpy" in raw
+                    assert all(batch is not None for _, batch in out)
+                else:
+                    assert len(raw) < 64 * len(assigned)
+                    assert b"numpy" not in raw
+                    assert all(batch is None for _, batch in out)
+        finally:
+            pool.close()
+
+    def test_rows_are_views_of_one_block_and_get_overwritten(self):
+        pool, model, ids = _registered_pool()
+        try:
+            weights = model.get_weights()
+            grads = [g for g, _ in pool.compute_gradients(0, ids, weights)]
+            block = grads[0].base
+            assert block.shape == (len(ids), model.dimension)
+            assert block.flags.c_contiguous
+            for slot, grad in enumerate(grads):
+                assert grad.base is block
+                assert np.shares_memory(grad, block[slot])
+            kept = block.copy()
+            # Next call, reversed order: the same rows, new contents.
+            again = pool.compute_gradients(0, ids[::-1], weights)
+            assert again[0][0].base is block
+            assert not np.array_equal(block, kept)
+            np.testing.assert_array_equal(grads[0], again[0][0])
+        finally:
+            pool.close()
+
+    def test_segment_regrows_and_unlinks_the_old_one(self):
+        pool, model, ids = _registered_pool()
+        try:
+            weights = model.get_weights()
+            pool.compute_gradients(0, ids[:2], weights)
+            first = pool._grads.segment.name
+            assert len(pool._grads.rows) == 2
+            pool.compute_gradients(0, ids[:1], weights)  # fits: no regrow
+            assert pool._grads.segment.name == first
+            (small, _), _ = pool.compute_gradients(0, ids[:2], weights)
+            results = pool.compute_gradients(0, ids, weights)
+            assert pool._grads.segment.name != first
+            assert len(pool._grads.rows) == len(ids)  # max(n, 2 * capacity)
+            _assert_unlinked(first)
+            # Both workers followed the new name: every row was written.
+            assert all(np.any(grad) for grad, _ in results)
+            # A view of the retired block is stale, never unmapped.
+            assert np.isfinite(small).all()
+        finally:
+            pool.close()
+
+    def test_segment_is_gone_after_close_and_collection(self):
+        pool, model, ids = _registered_pool()
+        pool.compute_gradients(0, ids, model.get_weights())
+        name = pool._grads.segment.name
+        pool.close()
+        _assert_unlinked(name)
+
+        pool, model, ids = _registered_pool()
+        pool.compute_gradients(0, ids, model.get_weights())
+        name = pool._grads.segment.name
+        del pool
+        gc.collect()
+        _assert_unlinked(name)
+
+    def test_exhausted_shared_memory_mid_run_names_the_bytes(
+        self, monkeypatch
+    ):
+        before = _segment_names()
+        pool, model, ids = _registered_pool()
+        try:
+            weights = model.get_weights()
+            pool.compute_gradients(0, ids[:1], weights)
+            monkeypatch.setattr(pool_module.os, "posix_fallocate", _no_space)
+            nbytes = len(ids) * model.dimension * 8
+            with pytest.raises(
+                RuntimeError, match=f"{nbytes:,} bytes of shared memory"
+            ):
+                pool.compute_gradients(0, ids, weights)
+            assert not pool.alive
+        finally:
+            pool.close()
+        assert _segment_names() == before
+
+    def test_killed_worker_raises_and_leaves_no_segment(self):
+        before = _segment_names()
+        pool, model, ids = _registered_pool()
+        try:
+            weights = model.get_weights()
+            pool.compute_gradients(0, ids, weights)
+            victim = 2 * len(ids)  # even: lives on worker 0
+            pool.register_clients(0, 0, {victim: (_KillsItsWorker(), 8)})
+            with pytest.raises(RuntimeError, match="sharded worker 0 died"):
+                pool.compute_gradients(0, ids + [victim], weights)
+            assert not pool.alive
+        finally:
+            pool.close()
+        assert _segment_names() == before
+
+    def test_worker_killed_between_requests_raises(self):
+        pool, model, ids = _registered_pool()
+        try:
+            weights = model.get_weights()
+            pool.compute_gradients(0, ids, weights)
+            os.kill(pool._procs[1].pid, signal.SIGKILL)
+            pool._procs[1].join(timeout=10)
+            assert not pool._procs[1].is_alive()
+            with pytest.raises(RuntimeError, match="sharded worker 1 died"):
+                pool.compute_gradients(0, ids, weights)
+            assert not pool.alive
+        finally:
+            pool.close()
+
+    def test_shm_counter_is_the_shared_memory_share(self):
+        from repro.obs import Telemetry
+
+        pool, model, ids = _registered_pool()
+        try:
+            pool.telemetry = Telemetry()
+            results = pool.compute_gradients(
+                0, ids, model.get_weights(), want_batches=True
+            )
+            counters = pool.telemetry.counters
+            shm = sum(grad.nbytes for grad, _ in results)
+            pipe = sum(x.nbytes + y.nbytes for _, (x, y) in results)
+            assert counters["pool.shm_bytes_back"] == shm
+            assert counters["pool.ipc_bytes_back"] == shm + pipe
+        finally:
+            pool.close()
+
+
 # ----------------------------------------------------------------------
 # Worker-side tracing over the pool protocol
 # ----------------------------------------------------------------------
 class TestWorkerTracing:
-    def _registered_pool(self):
-        fed = _federation()
-        model = make_logistic(36, 8, seed=1)
-        pool = WorkerPool(num_workers=2, dimension=model.dimension)
-        pool.broadcast_model(0, model)
-        for shard in fed.clients:
-            pool.register_clients(
-                pool.worker_of(shard.client_id), 0,
-                {shard.client_id: (shard, 8)},
-            )
-        return pool, model, [c.client_id for c in fed.clients]
-
     def test_untraced_request_ships_no_events(self):
         # The raising-Null proof extends across the pipe: with telemetry
         # disabled the trace flag is False and the worker does zero
         # telemetry work — the reply's event slot is None, not [].
-        pool, model, ids = self._registered_pool()
+        pool, model, ids = _registered_pool()
         try:
-            pool._conns[0].send(("grads", 0, [ids[0]], False, False))
-            status, (out, events) = pool._conns[0].recv()
-            assert status == "ok"
-            assert len(out) == 1
+            pool.reserve_rows(1)
+            pool._request_gradients(0, 0, [(ids[0], 0)], want_batches=False,
+                                    trace=False)
+            out, events = pool._receive(0)
+            assert out == [(ids[0], None)]
             assert events is None
         finally:
             pool.close()
 
     def test_traced_request_ships_buffered_spans(self):
-        pool, model, ids = self._registered_pool()
+        pool, model, ids = _registered_pool()
         try:
             worker_ids = [cid for cid in ids if pool.worker_of(cid) == 1]
+            pool.reserve_rows(len(worker_ids))
+            assigned = [(cid, slot) for slot, cid in enumerate(worker_ids)]
             for request in range(2):
-                pool._conns[1].send(("grads", 0, worker_ids, False, True))
-                status, (out, events) = pool._conns[1].recv()
-                assert status == "ok"
+                pool._request_gradients(1, 0, assigned, want_batches=False,
+                                        trace=True)
+                out, events = pool._receive(1)
                 (span,) = events
                 assert span["type"] == "span"
                 assert span["name"] == "worker.gradients"
@@ -363,6 +575,7 @@ class TestShardedBackend:
             trainer.run(2, k=8)
             first_pool = backend._pool
             assert first_pool is not None and first_pool.alive
+            first_segment = first_pool._grads.segment.name
 
             fed = _federation(seed=6)
             model = make_logistic(36, 8, seed=6)  # different dimension
@@ -373,6 +586,7 @@ class TestShardedBackend:
             other.run(2, k=8)
             assert backend._pool is not first_pool
             assert not first_pool.alive
+            _assert_unlinked(first_segment)
         finally:
             backend.close()
 
@@ -402,6 +616,69 @@ class TestShardedBackend:
         with pytest.raises(RuntimeError, match="fresh backend"):
             backend.reset_residuals(trainer.clients, [], np.array([0]))
         backend.close()  # close itself stays idempotent
+
+
+    def test_spawn_start_method_matches_serial(self):
+        backend = ShardedBackend(jobs=2, start_method="spawn")
+        fast = _trainer(backend)
+        slow = _trainer("serial")
+        try:
+            hf = fast.run(3, k=8)
+            hs = slow.run(3, k=8)
+            assert backend._pool is not None  # a real spawned pool ran
+        finally:
+            fast.close()
+        assert [repr(vars(r)) for r in hs.records] == \
+            [repr(vars(r)) for r in hf.records]
+        assert fast.model.get_weights().tobytes() == \
+            slow.model.get_weights().tobytes()
+        for cs, cf in zip(slow.clients, fast.clients):
+            assert cs.residual.tobytes() == cf.residual.tobytes()
+
+    def test_exhausted_shared_memory_up_front_falls_back_to_serial(
+        self, monkeypatch
+    ):
+        # No gradient was served yet, so every minibatch stream is still
+        # at its start in the parent: degrade, warn, stay byte-equal.
+        before = _segment_names()
+        monkeypatch.setattr(pool_module.os, "posix_fallocate", _no_space)
+        backend = ShardedBackend(jobs=2)
+        fast = _trainer(backend)
+        slow = _trainer("serial")
+        try:
+            with pytest.warns(RuntimeWarning,
+                              match="bytes of shared memory.*serial"):
+                fast.run(3, k=8)
+            assert backend._pool is None and backend.jobs == 1
+        finally:
+            fast.close()
+        slow.run(3, k=8)
+        assert fast.model.get_weights().tobytes() == \
+            slow.model.get_weights().tobytes()
+        assert _segment_names() == before
+
+    def test_sharded_run_leaves_a_clean_stderr(self):
+        # The resource tracker reports leaked or doubly unlinked segments
+        # on stderr at interpreter exit; forked workers share the
+        # parent's tracker, so there is nothing to report.
+        script = (
+            "import sys; sys.path.insert(0, 'tests')\n"
+            "from test_parallel import _trainer\n"
+            "from repro.parallel.sharded import ShardedBackend\n"
+            "trainer = _trainer(ShardedBackend(jobs=2))\n"
+            "trainer.run(3, k=8)\n"
+            "trainer.close()\n"
+            "print('done')\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "done\n"
+        assert done.stderr == ""
 
 
 # ----------------------------------------------------------------------
