@@ -61,20 +61,22 @@ Staleness discounts (:func:`build_staleness_discount`):
 - ``polynomial`` — ``d(s) = (1 + s)^{-a}``, the standard polynomial
   staleness attenuation;
 - ``adaptive`` — the polynomial form with the exponent ``a`` *learned
-  online*, a third dual of the paper's learned k: a
-  :class:`~repro.online.algorithm2.SignOGD` walk over an exponent
-  interval, fed by the Section IV-E sign estimator applied to a free
-  counterfactual probe.  Each commit with stale arrivals re-aggregates
-  the same batch under the probe exponent ``a' = max(a − δ/2, a/2)``
-  (``commit=False`` — pure server-side arithmetic, no extra
-  communication, no robust-aggregator state advanced), derives the
-  counterfactual weights, and compares loss progress; the commit cadence
-  does not depend on ``a``, so both "round times" in eq. (10)/(11) are
-  equal and the estimated sign reduces to the loss-progress comparison.
+  online*, a third dual of the paper's learned k:
+  :class:`AdaptiveStalenessDiscount` is a thin adapter over
+  :class:`repro.online.knob.OnlineKnob` (the walk, the probe point and
+  the sign estimate live there).  What a probe means here: each commit
+  with stale arrivals re-aggregates the same batch under the probe
+  exponent ``a'`` through :meth:`~repro.fl.engine.RoundEngine.
+  counterfactual_weights` — pure server-side arithmetic, no extra
+  communication — and compares evaluation-pool loss progress; the
+  commit cadence does not depend on ``a``, so both "round times" in
+  eq. (10)/(11) are equal and the estimated sign reduces to the
+  loss-progress comparison.
 
 Telemetry rides the existing registry — per-arrival ``span`` events
 named ``async.arrival`` (``seconds`` is the upload's *virtual* flight
-time) and ``staleness`` / ``staleness_max`` fields on the ordinary
+time) and ``staleness`` / ``staleness_max`` (plus ``exponent`` /
+``probe_exponent`` under the adaptive discount) fields on the ordinary
 ``round`` event — no new stream, so ``trace-report``, the health
 monitor, and the JSONL tooling consume async runs unchanged.
 """
@@ -85,17 +87,16 @@ import heapq
 
 from repro.fl.engine import RoundContext, RoundEngine, RoundHooks
 from repro.fl.trainer import FLTrainer, _apply_scenario
-from repro.online.algorithm2 import SignOGD
-from repro.online.estimator import estimate_sign
 from repro.online.interval import SearchInterval
+from repro.online.knob import OnlineKnob, Reading
 from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector, Sparsifier
 
 STALENESS_DISCOUNT_KINDS = ("constant", "polynomial", "adaptive")
 
 #: Exponent search interval of the adaptive discount.  The lower edge is
-#: strictly positive (SignOGD's interval invariant, and it keeps the
-#: probe point ``max(a − δ/2, a/2)`` strictly below ``a``); the upper
+#: strictly positive (the search interval's invariant, and it keeps the
+#: probe point, floored at ``a/2``, strictly below ``a``); the upper
 #: edge ``2`` already discounts staleness 3 by a factor of 16 — steeper
 #: attenuation than that is indistinguishable from dropping the upload.
 DEFAULT_EXPONENT_INTERVAL = (0.05, 2.0)
@@ -126,9 +127,10 @@ class StalenessDiscount:
         this commit (None = no probe — fixed discounts never probe)."""
         return None
 
-    def observe(self, sign: int | None) -> None:
-        """Consume one commit's sign estimate (no-op for fixed forms)."""
-        del sign
+    def observe(self, *readings: Reading) -> None:
+        """Consume one commit's probe reading — none when no probe ran
+        (no-op for fixed forms)."""
+        del readings
 
 
 class ConstantDiscount(StalenessDiscount):
@@ -148,8 +150,15 @@ class ConstantDiscount(StalenessDiscount):
         return self.value
 
 
+def polynomial_factor(staleness: int, exponent: float) -> float:
+    """``(1 + s)^{-a}`` — the standard polynomial attenuation."""
+    if staleness < 0:
+        raise ValueError("staleness must be >= 0")
+    return float((1.0 + staleness) ** -exponent)
+
+
 class PolynomialDiscount(StalenessDiscount):
-    """``d(s) = (1 + s)^{-a}`` — the standard polynomial attenuation."""
+    """``d(s) = (1 + s)^{-a}`` at a fixed exponent."""
 
     name = "polynomial"
 
@@ -160,28 +169,20 @@ class PolynomialDiscount(StalenessDiscount):
         self.exponent = exponent
 
     def factor(self, staleness: int) -> float:
-        if staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        return float((1.0 + staleness) ** -self.exponent)
+        return polynomial_factor(staleness, self.exponent)
 
 
 class AdaptiveStalenessDiscount(StalenessDiscount):
     """Polynomial discount with an online-learned exponent.
 
-    The third dual of the paper's learned k (after the learned deadline):
-    the exponent ``a`` is walked by Algorithm 2's
-    :class:`~repro.online.algorithm2.SignOGD` over ``interval``, and the
-    per-commit sign comes from the Section IV-E estimator
-    (:func:`repro.online.estimator.estimate_sign`) applied to a *free
-    counterfactual probe* — the engine re-aggregates the already-received
-    commit batch under ``a' = max(a − δ_m/2, a/2)`` entirely server-side
-    and compares loss progress.  Because the commit cadence (who arrived
-    when) does not depend on ``a``, the actual and counterfactual "round
-    times" of eq. (10) are equal and the sign reduces to which exponent
-    made more loss progress per commit.  Commits with no stale arrival
-    carry no information about ``a`` and advance the walk with ``None``
-    (the paper's "value remains unchanged" rule).  ``probe=False``
-    freezes the exponent at ``a₁`` — a "frozen adaptive" control.
+    The third dual of the paper's learned k (after the learned
+    deadline): an :class:`~repro.online.knob.OnlineKnob` over the
+    exponent interval.  What a probe means here is the commit hooks'
+    business (re-aggregation under ``a'``, see the module docstring);
+    commits with no stale arrival carry no information about ``a`` and
+    advance the walk with no reading (the paper's "value remains
+    unchanged" rule).  ``probe=False`` freezes the exponent at ``a₁`` —
+    a "frozen adaptive" control.
     """
 
     name = "adaptive"
@@ -196,35 +197,31 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
         if interval is None:
             interval = SearchInterval(*DEFAULT_EXPONENT_INTERVAL)
         self.interval = interval
-        self.algorithm = SignOGD(interval, k1=a1)
+        self.knob = OnlineKnob.over(interval, start=a1)
         self.probe = probe
 
     @property
     def exponent(self) -> float:
         """The continuous decision a_m for the current commit."""
-        return self.algorithm.k
+        return self.knob.value
 
     @property
     def exponent_history(self) -> list[float]:
         """Every exponent played so far (the learned {a_m} trace)."""
-        return self.algorithm.k_history
+        return self.knob.history
 
     def factor(self, staleness: int) -> float:
-        if staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        return float((1.0 + staleness) ** -self.algorithm.k)
+        return polynomial_factor(staleness, self.knob.value)
 
     def probe_exponent(self) -> float | None:
         if not self.probe:
             return None
-        a = self.algorithm.k
-        # Strictly below a and strictly positive, like the adaptive
-        # deadline's probe clamp — the estimate is never unavailable at
-        # the interval's lower edge.
-        return max(a - self.algorithm.step_size() / 2.0, a / 2.0)
+        # Floored at a/2, like the adaptive deadline's probe: strictly
+        # positive, and available at the interval's lower edge.
+        return self.knob.probe_below(floor=self.knob.value / 2.0)
 
-    def observe(self, sign: int | None) -> None:
-        self.algorithm.update(sign)
+    def observe(self, *readings: Reading) -> None:
+        self.knob.observe(*readings)
 
 
 def build_staleness_discount(kind: str, **kwargs) -> StalenessDiscount:
@@ -299,8 +296,6 @@ class _CommitHooks(RoundHooks):
     def __init__(self) -> None:
         #: the preprocessed uploads as sent, while ctx carries the wire
         self._sent: list[ClientUpload] = []
-        #: L(w) at the previous probed commit's result (adaptive discount)
-        self._loss_prev: float | None = None
 
     def after_preprocess(self, ctx: RoundContext) -> None:
         engine = ctx.engine
@@ -314,57 +309,36 @@ class _CommitHooks(RoundHooks):
         ctx.uploads = self._sent
 
     def after_update(self, ctx: RoundContext) -> None:
-        """Run the adaptive discount's counterfactual exponent probe.
-
-        The evaluated L(w(m)) goes to ``ctx.eval_loss`` when the probe
-        ran, so eval-cadence commits don't rerun the identical forward
-        pass.
-        """
+        """Run the adaptive discount's counterfactual exponent probe."""
         engine = ctx.engine
         discount = engine.discount
         if not discount.adaptive:
             return
         stale = engine._stale
         a_probe = discount.probe_exponent()
-        if a_probe is None or max(stale) == 0:
-            # No probe, or a batch with no stale arrival — nothing the
-            # exponent could have changed; the walk advances unchanged
-            # and the carried loss goes stale, so force a re-evaluation
-            # at the next probed commit.
-            discount.observe(None)
-            self._loss_prev = None
+        if max(stale) == 0:
+            # A batch with no stale arrival: nothing the exponent could
+            # have changed, so no probe runs.
+            a_probe = None
+        if engine.telemetry.enabled:
+            ctx.trace_extra["exponent"] = discount.exponent
+            ctx.trace_extra["probe_exponent"] = a_probe
+        if a_probe is None:
+            discount.observe()
             return
-        probe_factors = [
-            float((1.0 + s) ** -a_probe) for s in stale
-        ]
-        # Same batch, same selection J, probe discount — a pure
-        # recomputation (commit=False keeps any robust aggregator's
-        # reputation state at the real commit), then the plain SGD rule,
-        # exactly like the deadline probe's w'(m) derivation.
-        payload = engine.server.aggregate(
-            _discounted(ctx.uploads, probe_factors), ctx.selection,
-            commit=False,
-        ).payload
-        w_probe = ctx.w_prev.copy()
-        w_probe[payload.indices] -= engine.learning_rate * payload.values
-        if self._loss_prev is None:
-            self._loss_prev = engine.loss_at(ctx.w_prev)
-        loss_now = engine.global_loss()
-        loss_probe = engine.loss_at(w_probe)
+        # Same batch, same selection J, probe discount.
+        w_probe = engine.counterfactual_weights(ctx, _discounted(
+            ctx.uploads, [polynomial_factor(s, a_probe) for s in stale]
+        ))
+        loss_prev, loss_now, (loss_probe,) = engine.probe_losses(ctx, w_probe)
         # The commit cadence (who arrived when) does not depend on the
         # exponent, so τ_m and the counterfactual θ_m are equal; any
         # positive time cancels out of eq. (11)'s sign.
-        sign = estimate_sign(
-            loss_prev=self._loss_prev,
-            loss_now=loss_now,
-            loss_probe=loss_probe,
-            round_time=1.0,
-            probe_round_time=1.0,
-            k=discount.exponent,
-            k_probe=a_probe,
-        )
-        discount.observe(sign)
-        self._loss_prev = ctx.eval_loss = loss_now
+        discount.observe(Reading(
+            loss_prev, loss_now, loss_probe,
+            round_time=1.0, probe_round_time=1.0,
+            value=discount.exponent, probe_value=a_probe,
+        ))
 
     def round_timing(self, ctx: RoundContext) -> RoundTiming:
         # Virtual time: the server commits when the batch's last

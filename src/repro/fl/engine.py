@@ -91,9 +91,9 @@ class RoundContext:
         #: a partial aggregate over the full sampled cohort); None means
         #: the server normalizes over the received uploads.
         self.aggregation_weight: float | None = None
-        #: evaluation-pool loss at ``w_new``, if a hook already computed
-        #: it (adaptive-deadline probes); the engine then reuses it on
-        #: eval-cadence rounds instead of re-running the identical
+        #: evaluation-pool loss at ``w_new`` once anything evaluated it
+        #: (:meth:`RoundEngine.probe_losses`); later probes and the eval
+        #: cadence reuse it instead of re-running the identical
         #: deterministic forward pass.
         self.eval_loss: float | None = None
         #: extra fields for the round's trace event (telemetry only)
@@ -382,6 +382,9 @@ class RoundEngine:
         self.history = TrainingHistory()
         self._round = 0
         self._clock = 0.0
+        #: (round index, L(w(m))) of the last probed round: L(w(m−1))
+        #: for the next probe iff that probe runs in the very next round
+        self._loss_prev: tuple[int, float] | None = None
         self._eval_x, self._eval_y = _build_eval_pool(
             federation, eval_max_samples, seed
         )
@@ -467,6 +470,57 @@ class RoundEngine:
         """Evaluation-pool loss at ``weights``; the model's own weights
         are restored (counterfactual probes compare it to ``L(w(m))``)."""
         return self.model.loss_at(weights, self._eval_x, self._eval_y)
+
+    def sgd_step(
+        self, w_prev: np.ndarray, indices: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """``w_prev − η·b`` for a sparse update b: the plain synchronized
+        SGD rule, as a new array."""
+        weights = w_prev.copy()
+        weights[indices] -= self.learning_rate * values
+        return weights
+
+    def counterfactual_weights(
+        self, ctx: RoundContext, uploads: list[ClientUpload]
+    ) -> np.ndarray:
+        """w'(m): what the round would have produced from ``uploads``.
+
+        Same selection J as the actual round, re-aggregated over
+        ``uploads`` only — a pure recomputation (``commit=False``: a
+        robust aggregator's reputation and flags never observe a round
+        that didn't happen) — then the plain SGD rule even when a
+        server-side optimizer is configured: a stateful optimizer has no
+        side-effect-free counterfactual step, and the probe loss is an
+        estimate either way.
+        """
+        payload = self.server.aggregate(
+            uploads, ctx.selection, total_weight=ctx.aggregation_weight,
+            commit=False,
+        ).payload
+        return self.sgd_step(ctx.w_prev, payload.indices, payload.values)
+
+    def probe_losses(
+        self, ctx: RoundContext, *probe_weights: np.ndarray
+    ) -> tuple[float, float, list[float]]:
+        """L(w(m−1)), L(w(m)) and each L(w') on the evaluation pool.
+
+        Call with the model at ``ctx.w_new``.  L(w(m)) is evaluated at
+        most once per round (memoised on ``ctx.eval_loss``, which the
+        eval cadence also reads) and carried over as the next round's
+        L(w(m−1)); after a round nothing probed, the carry is stale by
+        construction and L(w(m−1)) is evaluated at ``ctx.w_prev``.
+        """
+        carried = self._loss_prev
+        if carried is not None and carried[0] == ctx.round_index - 1:
+            loss_prev = carried[1]
+        else:
+            loss_prev = self.loss_at(ctx.w_prev)
+        if ctx.eval_loss is None:
+            ctx.eval_loss = self.global_loss()
+        self._loss_prev = (ctx.round_index, ctx.eval_loss)
+        return loss_prev, ctx.eval_loss, [
+            self.loss_at(weights) for weights in probe_weights
+        ]
 
     def test_accuracy(self) -> float | None:
         """Accuracy on the held-out test pool, if the federation has one."""
@@ -565,12 +619,13 @@ class RoundEngine:
             lap("probe")
 
         sparse_update = ctx.downlink.payload
-        weights = ctx.w_prev.copy()
         if self.optimizer is not None:
-            weights = self.optimizer.step(weights, sparse_update.to_dense())
+            weights = self.optimizer.step(
+                ctx.w_prev, sparse_update.to_dense()
+            )
         else:
-            weights[sparse_update.indices] -= (
-                self.learning_rate * sparse_update.values
+            weights = self.sgd_step(
+                ctx.w_prev, sparse_update.indices, sparse_update.values
             )
         ctx.w_new = weights
         self.model.set_weights(weights)

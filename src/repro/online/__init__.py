@@ -6,10 +6,14 @@
 - :mod:`repro.online.algorithm2`: Algorithm 2 — online update using only
   the sign of the derivative, step δ_m = B/√(2m); regret ≤ GB√(2M)
   (Theorem 1) and ≤ GHB√(2M) with a noisy sign (Theorem 2).
-- :mod:`repro.online.algorithm3`: Algorithm 3 — extension with shrinking
-  search intervals (restart rule B' < (√2−1)·B and M'' ≥ M').
+- :mod:`repro.online.algorithm3`: Algorithm 3 — Algorithm 2 restarted on
+  shrinking search intervals (restart rule B' < (√2−1)·B and M'' ≥ M').
 - :mod:`repro.online.estimator`: the practical derivative-sign estimator
   of Section IV-E built from three one-sample losses (eqs. 10–11).
+- :mod:`repro.online.knob`: :class:`OnlineKnob` — walker + probe-point
+  rule + estimator as ONE learning rule.  The learned k
+  (:class:`SignPolicy`), deadline and staleness exponent are adapters
+  over it; nothing else calls the estimator or builds a walker.
 - :mod:`repro.online.baselines`: value-based derivative descent, EXP3, and
   the continuous one-point bandit — the Fig. 5 comparison methods.
 - :mod:`repro.online.regret`: regret bookkeeping and theoretical bounds.
@@ -24,6 +28,7 @@ from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
 from repro.online.estimator import estimate_derivative, estimate_sign, estimate_tau
 from repro.online.interval import SearchInterval, stochastic_round
+from repro.online.knob import OnlineKnob, Reading
 from repro.online.policy import KPolicy, RoundObservation, SignPolicy
 from repro.online.regret import theorem1_bound, theorem2_bound
 
@@ -33,6 +38,8 @@ __all__ = [
     "ContinuousBandit",
     "Exp3Policy",
     "KPolicy",
+    "OnlineKnob",
+    "Reading",
     "RoundObservation",
     "SearchInterval",
     "SignOGD",

@@ -79,11 +79,9 @@ class _ProbeHooks(RoundHooks):
             return
         payload = ctx.downlink.payload
         keep = top_k_indices(payload.values, self.probe_int)
-        w_probe = ctx.w_prev.copy()
-        w_probe[payload.indices[keep]] -= (
-            ctx.engine.learning_rate * payload.values[keep]
+        self.w_probe = ctx.engine.sgd_step(
+            ctx.w_prev, payload.indices[keep], payload.values[keep]
         )
-        self.w_probe = w_probe
 
     def after_update(self, ctx: RoundContext) -> None:
         model = ctx.engine.model

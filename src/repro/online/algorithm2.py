@@ -36,6 +36,7 @@ class SignOGD:
     name = "sign-ogd"
 
     def __init__(self, interval: SearchInterval, k1: float | None = None) -> None:
+        #: the interval being walked (Algorithm 3 shrinks it on restart)
         self.interval = interval
         if k1 is None:
             k1 = 0.5 * (interval.kmin + interval.kmax)
@@ -43,6 +44,8 @@ class SignOGD:
             raise ValueError(f"k1={k1} outside interval {interval}")
         self._k = float(k1)
         self._m = 1
+        #: round before the current instance started (Algorithm 3 moves it)
+        self._m0 = 0
         self.k_history: list[float] = [self._k]
 
     @property
@@ -56,12 +59,13 @@ class SignOGD:
         return self._k
 
     def step_size(self, m: int | None = None) -> float:
-        """δ_m = B/√(2m)."""
+        """δ_m = B/√(2(m − m0)); m0 = 0 outside Algorithm 3."""
         if m is None:
             m = self._m
-        if m < 1:
-            raise ValueError("round index must be >= 1")
-        return self.interval.width / math.sqrt(2.0 * m)
+        instance_round = m - self._m0
+        if instance_round < 1:
+            raise ValueError("round index precedes the current instance")
+        return self.interval.width / math.sqrt(2.0 * instance_round)
 
     def update(self, sign: int | None) -> float:
         """Consume ŝ_m, produce k_{m+1}; advances the round counter.
@@ -73,6 +77,11 @@ class SignOGD:
                 raise ValueError(f"sign must be -1, 0, 1, or None, got {sign}")
             delta = self.step_size(self._m)
             self._k = self.interval.project(self._k - delta * sign)
+            self._after_step()
         self._m += 1
         self.k_history.append(self._k)
         return self._k
+
+    def _after_step(self) -> None:
+        """Called after a signed step moved k, before the round counter
+        advances (Algorithm 3's window bookkeeping and restart)."""

@@ -23,13 +23,22 @@ from __future__ import annotations
 
 import math
 
+from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 
 _SHRINK_FACTOR = math.sqrt(2.0) - 1.0
 
 
-class AdaptiveSignOGD:
-    """Algorithm 3: sign-based updates over a self-shrinking interval."""
+class AdaptiveSignOGD(SignOGD):
+    """Algorithm 3: Algorithm 2 restarted on a self-shrinking interval.
+
+    The step, projection and "unavailable sign leaves k unchanged" rule
+    are :class:`SignOGD`'s (with ``interval`` the *current* instance's
+    and ``m0`` its start); this class adds only the window trackers and
+    the restart (lines 6–15).  When the sign is None the trackers stay
+    untouched too (the paper: "Lines 6 and 7 in Algorithm 3 are skipped
+    when km does not change in round m").
+    """
 
     name = "adaptive-sign-ogd"
 
@@ -44,68 +53,26 @@ class AdaptiveSignOGD:
             raise ValueError("alpha must be >= 1")
         if update_window < 1:
             raise ValueError("update_window must be >= 1")
+        super().__init__(interval, k1)
         self.global_interval = interval
         self.alpha = alpha
         self.update_window = update_window
-        if k1 is None:
-            k1 = 0.5 * (interval.kmin + interval.kmax)
-        if not interval.contains(k1):
-            raise ValueError(f"k1={k1} outside interval {interval}")
-        self._k = float(k1)
-        self._m = 1
-        self._m0 = 0  # round before the current instance started
-        self._current = interval
-        self._B = interval.width
         self._window_count = 0  # n in the pseudocode
         self._prev_instance_rounds = 0  # M'
         self._window_min = math.inf  # k'_min
         self._window_max = 0.0  # k'_max
-        self.k_history: list[float] = [self._k]
         self.restart_rounds: list[int] = []
-
-    # ------------------------------------------------------------------
-    @property
-    def m(self) -> int:
-        return self._m
-
-    @property
-    def k(self) -> float:
-        return self._k
 
     @property
     def current_interval(self) -> SearchInterval:
-        return self._current
+        return self.interval
 
-    def step_size(self, m: int | None = None) -> float:
-        """δ_m = B/√(2(m − m0)) with the current instance's B."""
-        if m is None:
-            m = self._m
-        instance_round = m - self._m0
-        if instance_round < 1:
-            raise ValueError("round index precedes the current instance")
-        return self._B / math.sqrt(2.0 * instance_round)
-
-    # ------------------------------------------------------------------
-    def update(self, sign: int | None) -> float:
-        """Consume ŝ_m and produce k_{m+1} (Algorithm 3 lines 3–15).
-
-        When ``sign`` is None the decision and the window trackers stay
-        untouched (the paper: "Lines 6 and 7 in Algorithm 3 are skipped
-        when km does not change in round m").
-        """
-        if sign is not None:
-            if sign not in (-1, 0, 1):
-                raise ValueError(f"sign must be -1, 0, 1, or None, got {sign}")
-            delta = self.step_size(self._m)
-            self._k = self._current.project(self._k - delta * sign)
-            self._window_min = min(self._window_min, self._k)
-            self._window_max = max(self._window_max, self._k)
-            self._window_count += 1
-            if self._window_count >= self.update_window:
-                self._maybe_restart()
-        self._m += 1
-        self.k_history.append(self._k)
-        return self._k
+    def _after_step(self) -> None:
+        self._window_min = min(self._window_min, self._k)
+        self._window_max = max(self._window_max, self._k)
+        self._window_count += 1
+        if self._window_count >= self.update_window:
+            self._maybe_restart()
 
     def _maybe_restart(self) -> None:
         new_max = min(self.alpha * self._window_max, self.global_interval.kmax)
@@ -113,15 +80,14 @@ class AdaptiveSignOGD:
         new_width = new_max - new_min
         instance_rounds = self._m - self._m0  # M''
         if (
-            new_width < _SHRINK_FACTOR * self._B
+            new_width < _SHRINK_FACTOR * self.interval.width
             and instance_rounds >= self._prev_instance_rounds
             and new_width > 0
         ):
-            self._current = SearchInterval(new_min, new_max)
-            self._B = new_width
+            self.interval = SearchInterval(new_min, new_max)
             self._prev_instance_rounds = instance_rounds
             self._m0 = self._m
-            self._k = self._current.project(self._k)
+            self._k = self.interval.project(self._k)
             self.restart_rounds.append(self._m)
         self._window_count = 0
         self._window_min = math.inf

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.online.algorithm2 import SignOGD
-from repro.online.algorithm3 import AdaptiveSignOGD
-from repro.online.estimator import estimate_sign
+from repro.online.knob import OnlineKnob, Reading
 
 
 @dataclass(frozen=True)
@@ -69,40 +68,35 @@ class KPolicy:
 
 
 class SignPolicy(KPolicy):
-    """The paper's proposed method: Algorithm 2 or 3 + the sign estimator.
+    """The paper's proposed method: Algorithm 2 or 3 + the sign estimator,
+    as an :class:`~repro.online.knob.OnlineKnob` over k.
 
-    The probe point is k' = k − δ_m/2 (Section IV-E), clamped to stay at
-    least 1 and strictly below k; when clamping makes the probe collide
-    with k the estimate is declared unavailable for that round.
+    What a probe means here: k' = k − δ_m/2 floored at 1 (Section IV-E),
+    realized by the trainer as the top-k' of the k-element downlink.
     """
 
-    def __init__(self, algorithm: SignOGD | AdaptiveSignOGD) -> None:
+    def __init__(self, algorithm: SignOGD) -> None:
         self.algorithm = algorithm
+        self.knob = OnlineKnob(algorithm)
         self.name = f"sign({algorithm.name})"
 
     def propose(self) -> float:
-        return self.algorithm.k
+        return self.knob.value
 
     def probe_k(self) -> float | None:
-        k = self.algorithm.k
-        probe = k - self.algorithm.step_size() / 2.0
-        probe = max(probe, 1.0)
-        if probe >= k:
-            return None
-        return probe
+        return self.knob.probe_below(floor=1.0)
 
     def observe(self, observation: RoundObservation) -> None:
         if observation.probe_k is None or observation.loss_probe is None:
-            self.algorithm.update(None)
+            self.knob.observe()
             return
         assert observation.probe_round_time is not None
-        sign = estimate_sign(
+        self.knob.observe(Reading(
             loss_prev=observation.loss_prev,
             loss_now=observation.loss_now,
             loss_probe=observation.loss_probe,
             round_time=observation.round_time,
             probe_round_time=observation.probe_round_time,
-            k=observation.k,
-            k_probe=observation.probe_k,
-        )
-        self.algorithm.update(sign)
+            value=observation.k,
+            probe_value=observation.probe_k,
+        ))

@@ -36,7 +36,6 @@ from repro.scenarios.config import (
 from repro.scenarios.deadline import (
     AdaptiveDeadlinePolicy,
     CyclingDeadlinePolicy,
-    DeadlineObservation,
     DeadlinePolicy,
     DeadlineRoundPolicy,
     DeadlineVerdict,
@@ -68,7 +67,6 @@ __all__ = [
     "AlwaysAvailable",
     "ClientAvailability",
     "CyclingDeadlinePolicy",
-    "DeadlineObservation",
     "DeadlinePolicy",
     "DeadlineRoundPolicy",
     "DeadlineVerdict",

@@ -41,10 +41,10 @@ The deadline *in force* each round comes from a :class:`DeadlinePolicy`:
   straggler amnesty — a few tight rounds, then one loose round in which
   slow clients flush their accumulated residuals;
 - :class:`AdaptiveDeadlinePolicy` — the server *learns* the deadline
-  online, the exact dual of the paper's learned sparsity k: a
-  :class:`~repro.online.algorithm2.SignOGD` walk over a deadline
-  interval, fed by the Section IV-E sign estimator applied to a free
-  counterfactual probe (see the class docstring).
+  online, the exact dual of the paper's learned sparsity k: a thin
+  adapter over :class:`repro.online.knob.OnlineKnob` (which owns the
+  walk, the probe points and the sign estimate) that says what probing
+  a deadline means — replaying the gate at d ∓ δ/2, for free.
 
 ``DeadlineRoundPolicy(deadline=...)`` keeps accepting the raw float /
 sequence / ``None`` forms and resolves them to the matching policy.
@@ -57,9 +57,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.online.algorithm2 import SignOGD
-from repro.online.estimator import estimate_sign
 from repro.online.interval import SearchInterval
+from repro.online.knob import OnlineKnob, Reading
 from repro.simulation.heterogeneous import ClientProfile
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload
@@ -92,51 +91,6 @@ def upload_finish_times(
 # ----------------------------------------------------------------------
 # Deadline policies: what budget is in force each round
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DeadlineObservation:
-    """Feedback one round hands an adaptive deadline policy.
-
-    The dual of :class:`repro.online.policy.RoundObservation` with the
-    decision variable renamed k → deadline.
-
-    Attributes
-    ----------
-    deadline:
-        The deadline that was in force, d_m.
-    round_time:
-        Realized normalized time of the round, τ_m(d_m).
-    loss_prev, loss_now:
-        Evaluation-pool losses L(w(m−1)) and L(w(m)).
-    loss_probe:
-        L(w'(m)) of the counterfactual d'-round, else None.
-    probe_deadline:
-        The probed d' < d (None when no probe ran).
-    probe_round_time:
-        θ_m(d'): what the round would have cost under d'.
-    loss_probe_up, probe_deadline_up, probe_round_time_up:
-        The same triple for the *upward* probe d'' > d the hooks replay
-        when the round dropped uploads (the tight regime, where the
-        one-sided d' probe alone is slow to discover that loosening
-        helps); all None when no upward probe ran.
-    arrived, dropped:
-        Upload delivery counts of the round — available to custom
-        policies even though the sign-based update does not consume them.
-    """
-
-    deadline: float
-    round_time: float
-    loss_prev: float
-    loss_now: float
-    loss_probe: float | None = None
-    probe_deadline: float | None = None
-    probe_round_time: float | None = None
-    loss_probe_up: float | None = None
-    probe_deadline_up: float | None = None
-    probe_round_time_up: float | None = None
-    arrived: int = 0
-    dropped: int = 0
-
-
 class DeadlinePolicy:
     """Interface: the per-round deadline schedule, optionally adaptive."""
 
@@ -159,9 +113,10 @@ class DeadlinePolicy:
         del round_index
         return None
 
-    def observe(self, observation: DeadlineObservation) -> None:
-        """Consume the round's feedback (no-op for fixed schedules)."""
-        del observation
+    def observe(self, *readings: Reading) -> None:
+        """Consume the round's probe readings — d' first, then d'' when
+        it ran (no-op for fixed schedules)."""
+        del readings
 
     @property
     def active(self) -> bool:
@@ -216,42 +171,30 @@ class CyclingDeadlinePolicy(DeadlinePolicy):
 class AdaptiveDeadlinePolicy(DeadlinePolicy):
     """Online-learned deadline — the exact dual of the learned k.
 
-    The server plays a continuous deadline d_m from a
-    :class:`~repro.online.interval.SearchInterval` and walks it with the
-    paper's Algorithm-2 :class:`~repro.online.algorithm2.SignOGD`
-    (``d_{m+1} = P([dmin, dmax])(d_m − δ_m · ŝ_m)``, ``δ_m = B/√(2m)``).
-    The sign ŝ_m comes from the Section IV-E estimator
-    (:func:`repro.online.estimator.estimate_sign`) with k replaced by d:
-    each round the scenario hook evaluates a *free counterfactual probe*
-    at d' = d − δ_m/2 — because the server already observed every
-    upload's arrival time, it can replay the deadline gate at d' and
-    re-aggregate the uploads that would have made it, entirely
-    server-side, with no extra client communication (unlike the k-probe,
-    which ships a difference downlink).  τ_m(d) is the round's realized
-    charge, θ_m(d') the counterfactual charge, and the loss interval is
-    mapped exactly as eq. (10) does for k.
+    An :class:`~repro.online.knob.OnlineKnob` over a deadline interval
+    (the walk, the probe-point rule and the eq. (10)–(11) sign estimate
+    live there).  What a probe means here: because the server already
+    observed every upload's arrival time, it can replay the deadline
+    gate at d' = d − δ_m/2 and re-aggregate the uploads that would have
+    made it, entirely server-side, with no extra client communication
+    (unlike the k-probe, which ships a difference downlink).  τ_m(d) is
+    the round's realized charge, θ_m(d') the counterfactual charge.
 
-    The probe point is clamped to ``max(d − δ_m/2, d/2)`` — strictly
-    below d and strictly positive, so (unlike the k-probe's floor at 1)
-    the estimate is never unavailable at the interval's lower edge and
-    the walk cannot get stuck there.  When the round's losses make the
-    estimate unusable the decision stays unchanged, matching the paper's
-    rule for k.  With ``probe=False`` the policy never updates — useful
-    as a "frozen adaptive" control.
+    The probe point is floored at d/2 — strictly positive, so (unlike
+    the k-probe's floor at 1) the estimate does not go unavailable at
+    the interval's lower edge and the walk cannot get stuck there.  With
+    ``probe=False`` the policy never updates — a "frozen adaptive"
+    control.
 
     The probe is *two-sided* in the tight regime: when the round
     actually dropped uploads the hooks additionally replay the gate at
     d'' = d + δ_m/2 (:meth:`probe_deadline_up`) — still free, the late
-    arrival times are already server knowledge.  The d'-estimate stays
-    primary (whenever it is usable the walk is the one-sided walk,
-    unchanged); the d''-estimate substitutes exactly when the
-    d'-estimate is unavailable — the deadlock round a one-sided policy
-    freezes on (`update(None)`) because the tighter counterfactual made
-    no loss progress.  A d whose tightness is costing uploads therefore
-    learns from a direct looser-deadline comparison instead of waiting
-    out the freeze, which converges it out of the tight regime faster;
-    rounds that dropped nothing behave exactly as the one-sided probe
-    did.
+    arrival times are already server knowledge.  The d'-reading comes
+    first, so whenever it is usable the walk is the one-sided walk; the
+    d''-reading substitutes on the deadlock round a one-sided policy
+    freezes on (the tighter counterfactual made no loss progress), so a
+    d whose tightness is costing uploads learns from a direct
+    looser-deadline comparison instead of waiting out the freeze.
 
     All state lives in the parent process, so adaptive-deadline runs are
     bit-identical across the serial/vectorized/sharded backends.
@@ -267,82 +210,38 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
         probe: bool = True,
     ) -> None:
         self.interval = interval
-        self.algorithm = SignOGD(interval, k1=d1)
+        self.knob = OnlineKnob.over(interval, start=d1)
+        self.algorithm = self.knob.walker
         self.probe = probe
 
     @property
     def deadline(self) -> float:
         """The continuous decision d_m for the current round."""
-        return self.algorithm.k
+        return self.knob.value
 
     @property
     def deadline_history(self) -> list[float]:
         """Every decision played so far (the learned {d_m} trace)."""
-        return self.algorithm.k_history
+        return self.knob.history
 
     def deadline_for(self, round_index: int) -> float:
         self._check_round(round_index)
-        return self.algorithm.k
+        return self.knob.value
 
     def probe_deadline(self, round_index: int) -> float | None:
         self._check_round(round_index)
         if not self.probe:
             return None
-        d = self.algorithm.k
-        return max(d - self.algorithm.step_size() / 2.0, d / 2.0)
+        return self.knob.probe_below(floor=self.knob.value / 2.0)
 
     def probe_deadline_up(self, round_index: int) -> float | None:
         self._check_round(round_index)
         if not self.probe:
             return None
-        return self.algorithm.k + self.algorithm.step_size() / 2.0
+        return self.knob.probe_above()
 
-    def observe(self, observation: DeadlineObservation) -> None:
-        # The downward probe is the primary estimator (the exact dual of
-        # the paper's k-probe); whenever it yields a sign the walk is the
-        # one-sided walk, unchanged.  The upward replay only speaks when
-        # the d'-estimate is unavailable — in the tight regime that is
-        # precisely the deadlock round (the tighter counterfactual made
-        # no loss progress, so eq. (10) is undefined and a one-sided
-        # policy would freeze), and the d''-estimate turns it into a
-        # step out of the regime instead.
-        sign = self._one_sided_sign(
-            observation,
-            observation.loss_probe,
-            observation.probe_deadline,
-            observation.probe_round_time,
-        )
-        if sign is None:
-            sign = self._one_sided_sign(
-                observation,
-                observation.loss_probe_up,
-                observation.probe_deadline_up,
-                observation.probe_round_time_up,
-            )
-        self.algorithm.update(sign)
-
-    @staticmethod
-    def _one_sided_sign(
-        observation: DeadlineObservation,
-        loss_probe: float | None,
-        probe_deadline: float | None,
-        probe_round_time: float | None,
-    ) -> int | None:
-        if loss_probe is None or probe_deadline is None:
-            return None
-        assert probe_round_time is not None
-        return estimate_sign(
-            loss_prev=observation.loss_prev,
-            loss_now=observation.loss_now,
-            loss_probe=loss_probe,
-            round_time=observation.round_time,
-            probe_round_time=probe_round_time,
-            # estimate_sign divides by (d - d'), so the d' < d and the
-            # d'' > d replay both yield the derivative's sign with no
-            # case split.
-            k=observation.deadline,
-            k_probe=probe_deadline,
-        )
+    def observe(self, *readings: Reading) -> None:
+        self.knob.observe(*readings)
 
 
 def resolve_deadline_schedule(

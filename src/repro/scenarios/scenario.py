@@ -45,10 +45,10 @@ from repro.scenarios.availability import (
 )
 from repro.scenarios.config import ScenarioConfig
 from repro.online.interval import SearchInterval
+from repro.online.knob import Reading
 from repro.scenarios.deadline import (
     AdaptiveDeadlinePolicy,
     CyclingDeadlinePolicy,
-    DeadlineObservation,
     DeadlinePolicy,
     DeadlineRoundPolicy,
     FixedDeadlinePolicy,
@@ -210,24 +210,24 @@ class ScenarioSampler:
         return sorted(int(c) for c in chosen)
 
 
+@dataclass
 class _PendingProbe:
-    """One round's counterfactual deadline-probe state (parent-owned)."""
+    """One counterfactual replay of this round's gate (parent-owned)."""
 
-    def __init__(
-        self,
-        probe_deadline: float,
-        client_ids: frozenset[int],
-        close_time: float,
-    ) -> None:
-        self.probe_deadline = probe_deadline
-        #: clients whose uploads would have arrived by the probe
-        #: deadline — always a subset of the actually-accepted set (both
-        #: are prefixes of the same deterministic service order), so the
-        #: probe aggregation can draw from the round's *post-preprocess*
-        #: uploads and stay consistent with the protocol the server runs.
-        self.client_ids = client_ids
-        self.close_time = close_time
-        self.w_probe: np.ndarray | None = None
+    deadline: float
+    #: clients the replayed gate admits.  Below d that is always a
+    #: subset of the actually-accepted set (both are prefixes of the
+    #: same deterministic service order), so the probe aggregation draws
+    #: from the round's *post-preprocess* uploads and stays consistent
+    #: with the protocol the server runs.
+    client_ids: frozenset[int]
+    close_time: float
+    #: raw (pre-preprocess) uploads only a looser gate admits: the real
+    #: round filters them out of ctx before preprocessing
+    extra_raw: list
+    w_probe: np.ndarray | None = None
+    #: (L(w(m−1)), L(w(m)), L(w_probe)) once evaluated
+    losses: tuple[float, float, float] | None = None
 
 
 class ScenarioHooks(RoundHooks):
@@ -259,19 +259,17 @@ class ScenarioHooks(RoundHooks):
       uploads (the tight regime), a second time at d'' > d
       (``probe_deadline_up``), keeping the raw uploads the d''-gate
       would have admitted but the real round cut;
-    - ``after_aggregate`` derives the d'-round's weights w'(m) by
-      re-aggregating the probe arrivals over the *actual* round's
-      selection (the stateless server makes this a pure computation);
-      the d''-round's w''(m) additionally folds in the cut uploads,
-      preprocessed counterfactually (:meth:`repro.sparsify.base.
-      Sparsifier.preprocess_uploads_counterfactual` — same degradation,
-      no RNG stream advanced);
-    - ``after_update`` evaluates L(w(m−1)) / L(w(m)) / L(w'(m)) (and
-      L(w''(m)) when the upward probe ran) on the engine's
-      deterministic evaluation pool;
-    - ``observe`` feeds the :class:`~repro.scenarios.deadline.
-      DeadlineObservation` back so SignOGD can step the deadline from
-      the combined sign estimate.
+    - ``after_aggregate`` derives each replay's weights through
+      :meth:`repro.fl.engine.RoundEngine.counterfactual_weights` from
+      the probe arrivals; the d''-round additionally folds in the cut
+      uploads, preprocessed counterfactually (:meth:`repro.sparsify.
+      base.Sparsifier.preprocess_uploads_counterfactual` — same
+      degradation, no RNG stream advanced);
+    - ``after_update`` has the engine evaluate L(w(m−1)) / L(w(m)) and
+      each replay's loss on its deterministic evaluation pool
+      (:meth:`~repro.fl.engine.RoundEngine.probe_losses`);
+    - ``observe`` hands the policy one :class:`~repro.online.knob.
+      Reading` per replay, d' first.
 
     Everything is parent-state arithmetic on the engine's uploads and
     weights, so adaptive runs stay bit-identical across backends.
@@ -307,16 +305,9 @@ class ScenarioHooks(RoundHooks):
         self._dropped_clients: list = []
         self._close_time: float | None = None
         self._worst_comm: float = 1.0
-        self._probe: _PendingProbe | None = None
-        self._probe_up: _PendingProbe | None = None
-        #: raw (pre-preprocess) uploads only the d''-gate admits
-        self._probe_up_raw: list = []
+        #: this round's gate replays: d' first, then d'' if it ran
+        self._probes: list[_PendingProbe] = []
         self._played_deadline: float | None = None
-        #: L(w(m-1)) carried over from the previous round's L(w(m))
-        self._loss_prev: float | None = None
-        self._pending_losses: (
-            tuple[float, float, float | None, float | None] | None
-        ) = None
         #: clients with a past deadline drop, pending a recovery event
         #: (tracked only while telemetry is enabled — observation only)
         self._ever_dropped: set = set()
@@ -325,11 +316,8 @@ class ScenarioHooks(RoundHooks):
     def after_local_steps(self, ctx: RoundContext) -> None:
         self._dropped_clients = []
         self._close_time = None
-        self._probe = None
-        self._probe_up = None
-        self._probe_up_raw = []
+        self._probes = []
         self._played_deadline = None
-        self._pending_losses = None
         self._honest_uploads = {}
         if self.adversary is not None:
             # Corrupt before the deadline gate so everything downstream
@@ -375,70 +363,44 @@ class ScenarioHooks(RoundHooks):
             self.profiles,
             target_uploads=self.target_uploads,
         )
-        if self.policy.schedule.adaptive:
-            probe_deadline = self.policy.schedule.probe_deadline(
-                ctx.round_index
-            )
-            if probe_deadline is not None:
-                # Counterfactual replay of the gate at d' on the same
-                # pre-gate uploads — free: the arrival times are known
-                # (and already computed by the actual verdict).
-                probe_verdict = self.policy.admit(
+        accepted = set(verdict.accepted)
+        schedule = self.policy.schedule
+        if schedule.adaptive:
+            # Counterfactual replays of the gate on the same pre-gate
+            # uploads — free: the arrival times are known (and already
+            # computed by the actual verdict).
+            wanted = [schedule.probe_deadline(ctx.round_index)]
+            if verdict.dropped_ids:
+                # Tight regime: the deadline (or the over-selection cap)
+                # cut uploads, so also replay the gate *looser* at
+                # d'' > d.  Rounds that dropped nothing skip it: the
+                # d''-gate would admit the identical upload set and
+                # estimate nothing.
+                wanted.append(schedule.probe_deadline_up(ctx.round_index))
+            for deadline in wanted:
+                if deadline is None:
+                    continue
+                replay = self.policy.admit(
                     ctx.round_index,
                     ctx.uploads,
                     self.timing,
                     self.profiles,
                     target_uploads=self.target_uploads,
-                    deadline_override=probe_deadline,
+                    deadline_override=deadline,
                     finish_times=verdict.finish_times,
                 )
-                self._probe = _PendingProbe(
-                    probe_deadline=probe_deadline,
-                    client_ids=frozenset(
-                        ctx.uploads[i].client_id
-                        for i in probe_verdict.accepted
+                self._probes.append(_PendingProbe(
+                    deadline,
+                    frozenset(
+                        ctx.uploads[i].client_id for i in replay.accepted
                     ),
-                    close_time=probe_verdict.close_time,
-                )
-            if verdict.dropped_ids:
-                # Tight regime: the deadline (or the over-selection cap)
-                # cut uploads, so also replay the gate *looser* at
-                # d'' > d — the late arrival times are already known, so
-                # this probe is as free as the downward one.  Rounds
-                # that dropped nothing skip it: the d''-gate would admit
-                # the identical upload set and estimate nothing.
-                probe_up = self.policy.schedule.probe_deadline_up(
-                    ctx.round_index
-                )
-                if probe_up is not None:
-                    up_verdict = self.policy.admit(
-                        ctx.round_index,
-                        ctx.uploads,
-                        self.timing,
-                        self.profiles,
-                        target_uploads=self.target_uploads,
-                        deadline_override=probe_up,
-                        finish_times=verdict.finish_times,
-                    )
-                    actually_accepted = set(verdict.accepted)
-                    self._probe_up = _PendingProbe(
-                        probe_deadline=probe_up,
-                        client_ids=frozenset(
-                            ctx.uploads[i].client_id
-                            for i in up_verdict.accepted
-                        ),
-                        close_time=up_verdict.close_time,
-                    )
-                    # Uploads only the looser gate admits are about to
-                    # be filtered out of ctx (and never preprocessed);
-                    # keep the raw copies for the counterfactual
-                    # aggregation.
-                    self._probe_up_raw = [
+                    replay.close_time,
+                    extra_raw=[
                         ctx.uploads[i]
-                        for i in up_verdict.accepted
-                        if i not in actually_accepted
-                    ]
-        accepted = set(verdict.accepted)
+                        for i in replay.accepted
+                        if i not in accepted
+                    ],
+                ))
         self._dropped_clients = [
             client
             for i, client in enumerate(ctx.participants)
@@ -485,10 +447,20 @@ class ScenarioHooks(RoundHooks):
         # upward probe additionally re-admits uploads the real gate cut;
         # those never went through preprocessing, so they get the
         # counterfactual (state-preserving) variant.
-        self._derive_probe_weights(ctx, self._probe, extra_raw=None)
-        self._derive_probe_weights(
-            ctx, self._probe_up, extra_raw=self._probe_up_raw
-        )
+        for probe in self._probes:
+            probe_uploads = [
+                up for up in ctx.uploads if up.client_id in probe.client_ids
+            ]
+            if probe.extra_raw:
+                probe_uploads = probe_uploads + (
+                    ctx.engine.sparsifier.preprocess_uploads_counterfactual(
+                        probe.extra_raw
+                    )
+                )
+            if probe_uploads:
+                probe.w_probe = ctx.engine.counterfactual_weights(
+                    ctx, probe_uploads
+                )
         if self._honest_uploads:
             # The server has consumed the poisoned payloads; restore the
             # honest ones before the engine's residual reset, so each
@@ -514,49 +486,6 @@ class ScenarioHooks(RoundHooks):
                     detector=aggregator.name,
                     scores=[score for _, score in aggregator.last_flags],
                 )
-
-    @staticmethod
-    def _derive_probe_weights(
-        ctx: RoundContext,
-        probe: "_PendingProbe | None",
-        extra_raw: list | None,
-    ) -> None:
-        if probe is None:
-            return
-        probe_uploads = [
-            up for up in ctx.uploads
-            if up.client_id in probe.client_ids
-        ]
-        if extra_raw:
-            sparsifier = ctx.engine.sparsifier
-            probe_uploads = probe_uploads + (
-                sparsifier.preprocess_uploads_counterfactual(extra_raw)
-            )
-        if not probe_uploads:
-            return
-        # The counterfactual round's update, derived from the actual
-        # round's result: same selection J, aggregated over only the
-        # probe arrivals (the stateless server makes this a pure
-        # recomputation) — the dual of the adaptive-k trainer's
-        # server-side k'-GS derivation, and like that derivation it
-        # applies the plain SGD rule even when a server-side optimizer
-        # is configured (a stateful optimizer has no side-effect-free
-        # counterfactual step; the probe loss is an estimate either
-        # way).
-        # ``commit=False``: a counterfactual aggregation must not advance
-        # a robust aggregator's reputation state or overwrite the flags
-        # the real round recorded.
-        downlink = ctx.engine.server.aggregate(
-            probe_uploads, ctx.selection,
-            total_weight=ctx.aggregation_weight,
-            commit=False,
-        )
-        payload = downlink.payload
-        w_probe = ctx.w_prev.copy()
-        w_probe[payload.indices] -= (
-            ctx.engine.learning_rate * payload.values
-        )
-        probe.w_probe = w_probe
 
     def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
         if self._close_time is None:
@@ -586,86 +515,52 @@ class ScenarioHooks(RoundHooks):
         ):
             for client in self._dropped_clients:
                 client.reset_all()
-        if self._probe is None and self._probe_up is None:
+        if not self._probes:
             return
-        engine = ctx.engine
-        if self._loss_prev is None:
-            self._loss_prev = engine.loss_at(ctx.w_prev)
-        # Model already holds w(m); evaluate in place, and hand the
-        # value to the engine so eval-cadence rounds don't re-run the
-        # identical deterministic forward pass.
-        loss_now = engine.global_loss()
-        ctx.eval_loss = loss_now
-        loss_probe = None
-        if self._probe is not None and self._probe.w_probe is not None:
-            loss_probe = engine.loss_at(self._probe.w_probe)
-        loss_probe_up = None
-        if self._probe_up is not None and self._probe_up.w_probe is not None:
-            loss_probe_up = engine.loss_at(self._probe_up.w_probe)
-        self._pending_losses = (
-            self._loss_prev, loss_now, loss_probe, loss_probe_up
+        evaluated = [p for p in self._probes if p.w_probe is not None]
+        loss_prev, loss_now, losses = ctx.engine.probe_losses(
+            ctx, *(p.w_probe for p in evaluated)
         )
-        # w(m) is next round's w(m-1): carry the evaluation over.
-        self._loss_prev = loss_now
+        for probe, loss in zip(evaluated, losses):
+            probe.losses = (loss_prev, loss_now, loss)
 
     def observe(self, ctx: RoundContext) -> None:
         schedule = self.policy.schedule
         if not schedule.adaptive or self._played_deadline is None:
             return
-        probe = self._probe
-        probe_up = self._probe_up
-        if self._pending_losses is not None:
-            loss_prev, loss_now, loss_probe, loss_probe_up = (
-                self._pending_losses
-            )
-        else:
-            loss_prev = loss_now = float("nan")
-            loss_probe = loss_probe_up = None
-        probe_round_time = None
-        if probe is not None and self._close_time is not None:
-            # Only the uplink-phase close differs between d and d'; the
-            # computation/downlink/extra charges carry over unchanged.
-            probe_round_time = (
-                ctx.round_time - self._close_time + probe.close_time
-            )
-        probe_round_time_up = None
-        if probe_up is not None and self._close_time is not None:
-            probe_round_time_up = (
-                ctx.round_time - self._close_time + probe_up.close_time
-            )
+        played = self._played_deadline
         tel = ctx.engine.telemetry
         if tel.enabled:
             tel.event(
                 "deadline",
                 round=ctx.round_index,
-                deadline=self._played_deadline,
-                probe_deadline=(
-                    probe.probe_deadline if probe is not None else None
+                deadline=played,
+                probe_deadline=next(
+                    (p.deadline for p in self._probes if p.deadline < played),
+                    None,
                 ),
-                probe_deadline_up=(
-                    probe_up.probe_deadline if probe_up is not None else None
+                probe_deadline_up=next(
+                    (p.deadline for p in self._probes if p.deadline > played),
+                    None,
                 ),
                 arrived=len(ctx.uploads),
                 dropped=len(ctx.dropped_ids),
                 round_time=ctx.round_time,
             )
-        schedule.observe(DeadlineObservation(
-            deadline=self._played_deadline,
-            round_time=ctx.round_time,
-            loss_prev=loss_prev,
-            loss_now=loss_now,
-            loss_probe=loss_probe,
-            probe_deadline=(
-                probe.probe_deadline if probe is not None else None
-            ),
-            probe_round_time=probe_round_time,
-            loss_probe_up=loss_probe_up,
-            probe_deadline_up=(
-                probe_up.probe_deadline if probe_up is not None else None
-            ),
-            probe_round_time_up=probe_round_time_up,
-            arrived=len(ctx.uploads),
-            dropped=len(ctx.dropped_ids),
+        schedule.observe(*(
+            Reading(
+                *probe.losses,
+                round_time=ctx.round_time,
+                # Only the uplink-phase close differs between d and the
+                # replay; the computation/downlink/extra charges carry
+                # over unchanged.
+                probe_round_time=(
+                    ctx.round_time - self._close_time + probe.close_time
+                ),
+                value=played,
+                probe_value=probe.deadline,
+            )
+            for probe in self._probes if probe.losses is not None
         ))
 
 

@@ -37,6 +37,7 @@ from repro.fl.async_engine import (
     build_staleness_discount,
 )
 from repro.nn.models import make_mlp
+from repro.online.knob import Reading
 from repro.obs import open_telemetry
 from repro.obs.events import validate_event
 from repro.scenarios import DeploymentScenario, ScenarioConfig
@@ -67,7 +68,7 @@ def _profiles(fed, slow_ids, factor=4.0):
 
 
 def _async_trainer(discount="constant", commit_count=3, slow_ids=(0, 3),
-                   telemetry=None, seed=5, **kwargs):
+                   telemetry=None, seed=5, eval_every=4, **kwargs):
     fed = _federation(seed=seed)
     model = make_mlp(64, 10, hidden=(12,), seed=seed)
     profiles = _profiles(fed, set(slow_ids))
@@ -76,7 +77,7 @@ def _async_trainer(discount="constant", commit_count=3, slow_ids=(0, 3),
     )
     return AsyncFLTrainer(
         model, fed, FABTopK(), timing=timing, learning_rate=0.05,
-        batch_size=8, eval_every=4, seed=seed, discount=discount,
+        batch_size=8, eval_every=eval_every, seed=seed, discount=discount,
         commit_count=commit_count, profiles=profiles, telemetry=telemetry,
         **kwargs,
     )
@@ -113,21 +114,32 @@ class TestDiscounts:
         assert 0.0 < probe < a
         assert d.factor(2) == pytest.approx((1.0 + 2) ** -a)
 
+    @staticmethod
+    def _reading(d, loss_probe):
+        # Equal "round times", as the commit hooks pass them: the sign
+        # is which exponent made more loss progress.  Probe progress
+        # 0.6 > actual 0.5 → +1 (the smaller exponent is better); probe
+        # progress 0.2 < 0.5 → −1.
+        return Reading(1.0, 0.5, loss_probe, 1.0, 1.0,
+                       d.exponent, d.exponent / 2.0)
+
     def test_adaptive_walk_moves_with_signs(self):
         d = AdaptiveStalenessDiscount()
         start = d.exponent
-        d.observe(1)  # positive estimated gradient: step the exponent down
+        # positive estimated gradient: step the exponent down
+        d.observe(self._reading(d, loss_probe=0.4))
         stepped = d.exponent
         assert stepped < start
-        d.observe(None)  # uninformative commit: unchanged
+        d.observe()  # uninformative commit: unchanged
         assert d.exponent == stepped
         lo, hi = DEFAULT_EXPONENT_INTERVAL
         for _ in range(64):
-            d.observe(1)
+            d.observe(self._reading(d, loss_probe=0.4))
         assert d.exponent >= lo  # clamped to the interval
         for _ in range(64):
-            d.observe(-1)
+            d.observe(self._reading(d, loss_probe=0.8))
         assert d.exponent <= hi
+        assert d.exponent > lo  # and the negative sign really moved it
 
     def test_frozen_adaptive_never_probes(self):
         d = AdaptiveStalenessDiscount(a1=0.7, probe=False)
@@ -249,6 +261,102 @@ class TestCommitMechanics:
 # ----------------------------------------------------------------------
 # Telemetry
 # ----------------------------------------------------------------------
+class _EvalCounter:
+    """Counts evaluation-pool forward passes by where they were taken:
+    ``at`` = ``model.loss_at`` (some other weights, restored after),
+    ``here`` = a direct ``model.loss_value`` at the model's own weights."""
+
+    def __init__(self, model):
+        self.at = self.here = 0
+        self._nested = False
+        loss_at, loss_value = model.loss_at, model.loss_value
+
+        def counted_at(*args):
+            self.at += 1
+            self._nested = True
+            try:
+                return loss_at(*args)
+            finally:
+                self._nested = False
+
+        def counted_value(*args):
+            if not self._nested:
+                self.here += 1
+            return loss_value(*args)
+
+        model.loss_at, model.loss_value = counted_at, counted_value
+
+    def take(self):
+        counts, self.at, self.here = (self.at, self.here), 0, 0
+        return counts
+
+
+class TestCounterfactualEvaluator:
+    """``RoundEngine.probe_losses``: L(w(m)) once per round, carried to
+    the next round iff that round is the very next one."""
+
+    def test_carry_is_dropped_across_an_unprobed_commit(self):
+        # eval_every is large, so past commit 1 every evaluation counted
+        # here is the probe's.
+        trainer = _async_trainer("adaptive", commit_count=3, eval_every=50)
+        counter = _EvalCounter(trainer.model)
+        engine = trainer.engine
+
+        trainer.step(12)   # commit 1: whole fresh cohort, nothing stale
+        assert max(engine._stale) == 0
+        assert counter.take() == (0, 1)        # the round-1 eval cadence
+
+        trainer.step(12)   # commit 2: stale arrivals, first probe
+        assert max(engine._stale) > 0
+        # L(w(m−1)) has no carry yet: loss_at(w_prev) + loss_at(w').
+        assert counter.take() == (2, 1)
+
+        engine.commit_count = 0   # drain: every in-flight upload commits
+        trainer.step(12)   # commit 3: probed, directly after a probed one
+        assert max(engine._stale) > 0
+        assert counter.take() == (1, 1)        # carried; only L(w') moved
+
+        engine.commit_count = 3
+        trainer.step(12)   # commit 4: the drained cohort restarted fresh
+        assert max(engine._stale) == 0
+        assert counter.take() == (0, 0)        # no probe, off cadence
+
+        trainer.step(12)   # commit 5: probed again, after the gap
+        assert max(engine._stale) > 0
+        assert counter.take() == (2, 1)        # L(w(m−1)) re-evaluated
+
+        trainer.step(12)   # commit 6: consecutive again
+        assert max(engine._stale) > 0
+        assert counter.take() == (1, 1)
+
+    def test_eval_cadence_reuses_the_probes_loss(self):
+        # Every commit is on the eval cadence; a probed commit already
+        # put L(w(m)) on ctx.eval_loss, so the record costs no second
+        # forward pass — and holds the very same float.
+        trainer = _async_trainer("adaptive", commit_count=3, eval_every=1)
+        counter = _EvalCounter(trainer.model)
+        trainer.step(12)
+        counter.take()
+        record = trainer.step(12)
+        assert max(trainer.engine._stale) > 0
+        assert counter.take() == (2, 1)
+        assert record.loss == trainer.engine._loss_prev[1]
+        assert trainer.engine._loss_prev[0] == record.round_index
+
+    def test_hooks_that_set_eval_loss_skip_the_evaluation(self):
+        from repro.fl.engine import RoundHooks
+
+        class Preset(RoundHooks):
+            def after_update(self, ctx):
+                ctx.eval_loss = 0.125
+
+        trainer = _async_trainer("constant", eval_every=1)
+        counter = _EvalCounter(trainer.model)
+        record = trainer.engine.run_round(12, hooks=Preset())
+        assert record.loss == 0.125
+        assert counter.take() == (0, 0)
+
+
 class TestAsyncTelemetry:
     def _trace(self, tmp_path, **kwargs):
         path = tmp_path / "trace.jsonl"

@@ -178,6 +178,25 @@ def _golden_async():
     return trainer.run(10, k=9)
 
 
+def _golden_async_adaptive_trainer():
+    # Pinned at PR 15's head, before the three hand-wired SignOGD walks
+    # became one OnlineKnob: ``_golden_async`` runs the *polynomial*
+    # discount, so nothing pinned a learned exponent walk.  lr = 1 keeps
+    # the probe losses noisy enough that the walk leaves the interval
+    # floor and turns around several times in 20 commits.
+    model, fed, _ = _golden_setup()
+    profiles, timing = _golden_async_profiles(model, fed)
+    return AsyncFLTrainer(
+        model, fed, FABTopK(), timing=timing, learning_rate=1.0,
+        batch_size=8, eval_every=3, seed=7, discount="adaptive",
+        commit_count=3, profiles=profiles,
+    )
+
+
+def _golden_async_adaptive():
+    return _golden_async_adaptive_trainer().run(20, k=30)
+
+
 GOLDEN_SCENARIOS = {
     "fl_trainer": _golden_fl,
     "adaptive_trainer": _golden_adaptive,
@@ -185,6 +204,7 @@ GOLDEN_SCENARIOS = {
     "sendall_trainer": _golden_sendall,
     "cnn_fl_trainer": _golden_cnn,
     "async_fl_trainer": _golden_async,
+    "adaptive_async_fl_trainer": _golden_async_adaptive,
 }
 
 
@@ -199,6 +219,18 @@ class TestGoldenHistories:
             for row in golden
         ]
         assert history_rows(GOLDEN_SCENARIOS[name]()) == expected
+
+    def test_learned_exponent_walk_matches_golden(self):
+        trainer = _golden_async_adaptive_trainer()
+        trainer.run(20, k=30)
+        walk = trainer.discount.exponent_history
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert walk == golden["adaptive_async_fl_trainer_exponents"]
+        # The pin means something: the walk hit the interval floor, left
+        # it again, and stood still on the stale-free first commit.
+        lo = trainer.discount.interval.kmin
+        assert walk[2] == lo < walk[5] and len(set(walk)) > 8
+        assert walk[0] == walk[1] and trainer.staleness_history[0] == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -852,3 +884,60 @@ class TestTelemetryBitIdentity:
         summary = summarize_trace(tmp_path / "trace.jsonl")
         assert summary["rounds"] == 6
         assert summary["events"]["probe"] == 6
+
+    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+    def test_async_adaptive_discount_identical_with_tracing(
+        self, backend_name, tmp_path
+    ):
+        # The third learned knob is visible in the trace — every commit's
+        # ``round`` event carries the exponent it played and the a' it
+        # probed (None on stale-free commits) — and reading it changes
+        # nothing.
+        from repro.obs import JsonlSink, Telemetry
+        from repro.obs.events import validate_event
+
+        def build(backend, telemetry=None):
+            fed = _federation(seed=5)
+            model = make_mlp(64, 10, hidden=(12,), seed=5)
+            profiles, timing = _golden_async_profiles(model, fed)
+            return AsyncFLTrainer(
+                model, fed, FABTopK(), timing=timing, learning_rate=0.3,
+                batch_size=8, eval_every=3, seed=5, backend=backend,
+                discount="adaptive", commit_count=4, profiles=profiles,
+                telemetry=telemetry,
+            )
+
+        plain = build(make_backend(backend_name))
+        telemetry = Telemetry(sink=JsonlSink(tmp_path / "trace.jsonl"))
+        traced = build(make_backend(backend_name), telemetry=telemetry)
+        hp = plain.run(10, k=12)
+        ht = traced.run(10, k=12)
+        telemetry.close()
+        assert history_rows(hp) == history_rows(ht)
+        assert (plain.discount.exponent_history
+                == traced.discount.exponent_history)
+        assert len(set(traced.discount.exponent_history)) > 1
+        np.testing.assert_array_equal(
+            plain.model.get_weights(), traced.model.get_weights()
+        )
+        for cp, ct in zip(plain.clients, traced.clients):
+            np.testing.assert_array_equal(cp.residual, ct.residual)
+        plain.close()
+        traced.close()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "trace.jsonl").read_text().splitlines()
+        ]
+        for event in events:
+            validate_event(event)
+        rounds = [e for e in events if e["type"] == "round"]
+        assert [e["exponent"] for e in rounds] == (
+            traced.discount.exponent_history[:-1]
+        )
+        probed = [e["probe_exponent"] for e in rounds]
+        for event, a_probe in zip(rounds, probed):
+            if event["staleness_max"] == 0:
+                assert a_probe is None
+            else:
+                assert 0.0 < a_probe < event["exponent"]
+        assert None in probed and any(p is not None for p in probed)

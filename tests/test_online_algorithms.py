@@ -198,7 +198,7 @@ class TestAdaptiveSignOGD:
         if alg.restart_rounds:
             # Right after a restart, δ uses the new small B at instance
             # round 1, so it should be below the pre-restart step.
-            assert alg.step_size() <= alg._B / math.sqrt(2.0) + 1e-9
+            assert alg.step_size() <= alg.current_interval.width / math.sqrt(2.0) + 1e-9
 
 
 class TestEstimator:

@@ -47,14 +47,15 @@ from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
+from repro.online.estimator import estimate_sign
 from repro.online.interval import SearchInterval
+from repro.online.knob import Reading
 from repro.online.policy import SignPolicy
 from repro.parallel.sharded import ShardedBackend
 from repro.scenarios import (
     AdaptiveDeadlinePolicy,
     AlwaysAvailable,
     CyclingDeadlinePolicy,
-    DeadlineObservation,
     DeadlineRoundPolicy,
     DeploymentScenario,
     DiurnalAvailability,
@@ -572,27 +573,26 @@ class TestDeadlineSchedules:
             SearchInterval(2.0, 10.0), probe=False
         )
         assert frozen.probe_deadline(1) is None
-        frozen.observe(DeadlineObservation(
-            deadline=6.0, round_time=5.0, loss_prev=1.0, loss_now=0.5,
-        ))
+        frozen.observe()  # no probe ran, so the round has no reading
         assert frozen.deadline == 6.0  # unchanged, round advanced
         assert frozen.algorithm.m == 2
 
     def _observation(self, adaptive, loss_probe, probe_round_time):
+        """The round's readings: just the d'-reading."""
         d = adaptive.deadline
         probe = adaptive.probe_deadline(1)
-        return DeadlineObservation(
-            deadline=d, round_time=5.0, loss_prev=1.0, loss_now=0.5,
-            loss_probe=loss_probe, probe_deadline=probe,
-            probe_round_time=probe_round_time,
-        )
+        return [Reading(
+            loss_prev=1.0, loss_now=0.5, loss_probe=loss_probe,
+            round_time=5.0, probe_round_time=probe_round_time,
+            value=d, probe_value=probe,
+        )]
 
     def test_adaptive_descends_when_tighter_is_cheaper(self):
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
         before = adaptive.deadline
         # Probe matched the actual loss decrease at lower cost:
         # τ̂ = 3·0.5/0.5 = 3 < τ = 5 → derivative > 0 → tighten.
-        adaptive.observe(self._observation(
+        adaptive.observe(*self._observation(
             adaptive, loss_probe=0.5, probe_round_time=3.0
         ))
         assert adaptive.deadline < before
@@ -602,7 +602,7 @@ class TestDeadlineSchedules:
         before = adaptive.deadline
         # Probe barely decreased the loss: τ̂ = 3·0.5/0.1 = 15 > τ = 5
         # → derivative < 0 → loosen.
-        adaptive.observe(self._observation(
+        adaptive.observe(*self._observation(
             adaptive, loss_probe=0.9, probe_round_time=3.0
         ))
         assert adaptive.deadline > before
@@ -612,7 +612,7 @@ class TestDeadlineSchedules:
         before = adaptive.deadline
         # The round failed to decrease the probe loss → estimate
         # unavailable → d unchanged (the paper's rule for k).
-        adaptive.observe(self._observation(
+        adaptive.observe(*self._observation(
             adaptive, loss_probe=1.2, probe_round_time=3.0
         ))
         assert adaptive.deadline == before
@@ -623,7 +623,7 @@ class TestDeadlineSchedules:
             SearchInterval(5.0, 6.0), d1=5.0
         )
         for _ in range(4):
-            adaptive.observe(self._observation(
+            adaptive.observe(*self._observation(
                 adaptive, loss_probe=0.5, probe_round_time=3.0
             ))
         assert adaptive.deadline == 5.0  # projected at the lower edge
@@ -635,15 +635,15 @@ class TestDeadlineSchedules:
 
     def _two_sided(self, adaptive, loss_probe, probe_round_time,
                    loss_probe_up, probe_round_time_up):
+        """The round's readings: d' first, then d''."""
         d = adaptive.deadline
-        return DeadlineObservation(
-            deadline=d, round_time=5.0, loss_prev=1.0, loss_now=0.5,
-            loss_probe=loss_probe, probe_deadline=adaptive.probe_deadline(1),
-            probe_round_time=probe_round_time,
-            loss_probe_up=loss_probe_up,
-            probe_deadline_up=adaptive.probe_deadline_up(1),
-            probe_round_time_up=probe_round_time_up,
-        )
+        return self._observation(adaptive, loss_probe, probe_round_time) + [
+            Reading(
+                loss_prev=1.0, loss_now=0.5, loss_probe=loss_probe_up,
+                round_time=5.0, probe_round_time=probe_round_time_up,
+                value=d, probe_value=adaptive.probe_deadline_up(1),
+            )
+        ]
 
     def test_up_probe_sits_strictly_above_the_deadline(self):
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
@@ -666,7 +666,7 @@ class TestDeadlineSchedules:
         # < 0 → loosen.
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
         before = adaptive.deadline
-        adaptive.observe(self._two_sided(
+        adaptive.observe(*self._two_sided(
             adaptive, loss_probe=1.2, probe_round_time=3.0,
             loss_probe_up=0.2, probe_round_time_up=6.0,
         ))
@@ -679,11 +679,11 @@ class TestDeadlineSchedules:
         # policy (a summed combination deadlocks the walk in the tight
         # regime — the signs cancel); d'' is fallback only.
         one_sided = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
-        one_sided.observe(self._observation(
+        one_sided.observe(*self._observation(
             one_sided, loss_probe=0.5, probe_round_time=3.0
         ))
         two_sided = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
-        two_sided.observe(self._two_sided(
+        two_sided.observe(*self._two_sided(
             two_sided, loss_probe=0.5, probe_round_time=3.0,
             loss_probe_up=0.2, probe_round_time_up=6.0,
         ))
@@ -692,7 +692,7 @@ class TestDeadlineSchedules:
     def test_both_estimates_unusable_keeps_deadline(self):
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
         before = adaptive.deadline
-        adaptive.observe(self._two_sided(
+        adaptive.observe(*self._two_sided(
             adaptive, loss_probe=1.2, probe_round_time=3.0,
             loss_probe_up=1.1, probe_round_time_up=6.0,
         ))
@@ -1278,25 +1278,23 @@ class TestAdaptiveDeadlineIntegration:
         seen = []
         original = schedule.observe
 
-        def spy(observation):
-            seen.append(observation)
-            original(observation)
+        def spy(*readings):
+            seen.append(readings)
+            original(*readings)
 
         schedule.observe = spy
         trainer.run(10, k=12)
         dropped = [bool(r.dropped_ids) for r in scenario.stats.rounds]
         assert any(dropped) and not all(dropped)  # both kinds occurred
         assert len(seen) == len(dropped)
-        for was_dropped, obs in zip(dropped, seen):
+        for was_dropped, readings in zip(dropped, seen):
+            up = [r for r in readings if r.probe_value > r.value]
             if was_dropped:
-                assert obs.probe_deadline_up is not None
-                assert obs.probe_deadline_up > obs.deadline
-                assert obs.loss_probe_up is not None
-                assert obs.probe_round_time_up is not None
+                assert len(up) == 1 and readings[-1] is up[0]
+                assert up[0].loss_probe is not None
+                assert up[0].probe_round_time is not None
             else:
-                assert obs.probe_deadline_up is None
-                assert obs.loss_probe_up is None
-                assert obs.probe_round_time_up is None
+                assert up == []
 
     def test_up_probe_never_perturbs_a_usable_walk(self):
         # Primacy, end to end: whenever the d'-estimate is usable the
@@ -1314,15 +1312,14 @@ class TestAdaptiveDeadlineIntegration:
             down_always_usable = True
             original = schedule.observe
 
-            def spy(observation):
+            def spy(*readings):
                 nonlocal down_always_usable
-                if observation.dropped and AdaptiveDeadlinePolicy._one_sided_sign(
-                    observation, observation.loss_probe,
-                    observation.probe_deadline,
-                    observation.probe_round_time,
-                ) is None:
+                down = [r for r in readings if r.probe_value < r.value]
+                if scenario.stats.rounds[-1].dropped_ids and (
+                    not down or estimate_sign(*down[0]) is None
+                ):
                     down_always_usable = False
-                original(observation)
+                original(*readings)
 
             schedule.observe = spy
             if one_sided:
@@ -1570,6 +1567,57 @@ def _golden_scenario_trainer():
     return trainer, scenario
 
 
+def _golden_adaptive_deadline_trainer():
+    """The pinned *learned-deadline* run (added before the knob
+    refactor: the golden above is ``cycling``, so nothing pinned a
+    deadline walk).  Tight regime: d₁ = 2 over [1.5, 9] with a 4×
+    straggling quarter, so nearly every round drops uploads and the
+    d'' replay runs; at lr = 0.5 two of the d'-estimates come out
+    unusable and the d'' fallback steps the walk instead.  Run it for
+    12 rounds at k = 10.  This construction must not change."""
+    config = ScenarioConfig(
+        availability="markov",
+        p_drop=0.2,
+        p_recover=0.6,
+        participants=4,
+        over_selection=0.5,
+        deadline=2.0,
+        deadline_policy="adaptive",
+        deadline_min=1.5,
+        deadline_max=9.0,
+        slow_fraction=0.25,
+        slow_factor=4.0,
+        seed=9,
+    )
+    fed = _federation(seed=9, num_writers=6)
+    model = make_mlp(64, 8, hidden=(6,), seed=9)
+    ids = [c.client_id for c in fed.clients]
+    profiles = config.build_profiles(ids)
+    timing = HeterogeneousTimingModel(
+        model.dimension, comm_time=10.0, profiles=profiles
+    )
+    scenario = DeploymentScenario.build(config, ids, timing, profiles)
+    trainer = FLTrainer(
+        model, fed, FABTopK(), timing=timing, learning_rate=0.5,
+        batch_size=8, eval_every=2, seed=9, scenario=scenario,
+    )
+    return trainer, scenario
+
+
+def _golden_rows(name):
+    return [
+        (row["round_index"], row["k"], row["round_time"],
+         row["cumulative_time"], row["loss"], row["accuracy"],
+         row["uplink_elements"], row["downlink_elements"],
+         tuple(
+             (int(cid), n) for cid, n in sorted(
+                 row["contributions"].items(), key=lambda kv: int(kv[0])
+             )
+         ))
+        for row in json.loads(GOLDEN_PATH.read_text())[name]
+    ]
+
+
 class TestGoldenScenarioHistory:
     """Acceptance (d): scenario semantics are pinned absolutely.
 
@@ -1581,19 +1629,37 @@ class TestGoldenScenarioHistory:
     def test_history_matches_golden(self):
         trainer, _ = _golden_scenario_trainer()
         trainer.run(6, k=10)
-        golden = json.loads(GOLDEN_PATH.read_text())["scenario_fl_trainer"]
-        expected = [
-            (row["round_index"], row["k"], row["round_time"],
-             row["cumulative_time"], row["loss"], row["accuracy"],
-             row["uplink_elements"], row["downlink_elements"],
-             tuple(
-                 (int(cid), n) for cid, n in sorted(
-                     row["contributions"].items(), key=lambda kv: int(kv[0])
-                 )
-             ))
-            for row in golden
-        ]
+        expected = _golden_rows("scenario_fl_trainer")
         assert history_rows(trainer.history) == expected
+
+    def test_learned_deadline_run_matches_golden(self):
+        # History rows AND the learned walk, with the d'' fallback
+        # provably on the pinned path.
+        trainer, scenario = _golden_adaptive_deadline_trainer()
+        schedule = scenario.hooks.policy.schedule
+        fallback_rounds = []
+        original = schedule.observe
+
+        def spy(*readings):
+            signs = [estimate_sign(*r) for r in readings]
+            if len(signs) == 2 and signs[0] is None and signs[1]:
+                fallback_rounds.append(trainer.round_index)
+            original(*readings)
+
+        schedule.observe = spy
+        trainer.run(12, k=10)
+        assert history_rows(trainer.history) == _golden_rows(
+            "adaptive_deadline_fl_trainer"
+        )
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert schedule.deadline_history == golden[
+            "adaptive_deadline_fl_trainer_deadlines"
+        ]
+        # d' unusable, d'' stepped the walk instead — at least once.
+        assert fallback_rounds == [5, 8]
+        for m in fallback_rounds:
+            assert (schedule.deadline_history[m]
+                    != schedule.deadline_history[m - 1])
 
     def test_deadline_drops_match_golden(self):
         trainer, scenario = _golden_scenario_trainer()
