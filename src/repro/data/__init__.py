@@ -7,8 +7,8 @@ offline environment, so :mod:`repro.data.synthetic` generates statistically
 analogous datasets — class prototypes with per-writer style transforms and
 additive noise — and :mod:`repro.data.partition` reproduces the paper's
 partitioning schemes (by writer, one class per client, Dirichlet, IID).
-DESIGN.md §2 documents why this substitution preserves the behaviour under
-study.
+The methods under study only see per-client gradients, so what the
+substitution must keep — and does — is the label/style skew across clients.
 """
 
 from repro.data.partition import (

@@ -1,10 +1,10 @@
 """Per-figure reproduction drivers.
 
 Each ``figN`` module reproduces the corresponding figure of the paper's
-evaluation (Section V); see DESIGN.md §4 for the experiment index and
-EXPERIMENTS.md for paper-vs-measured results.  All drivers take an
-:class:`~repro.experiments.config.ExperimentConfig` so the same code runs
-at smoke-test, benchmark, and paper scale.
+evaluation (Section V) through one harness (ROADMAP "Experiment
+drivers"); ``tests/slow/`` asserts the paper's orderings on each.  All
+drivers take an :class:`~repro.experiments.config.ExperimentConfig` so
+the same code runs at smoke-test, benchmark, and paper scale.
 """
 
 from repro.experiments.config import ExperimentConfig

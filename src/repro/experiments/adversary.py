@@ -33,12 +33,10 @@ import json
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_backend,
-    build_federation,
     build_model,
-    build_scenario,
-    build_telemetry,
+    fig4_sparsity,
 )
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
@@ -119,7 +117,7 @@ def _panel_base(
     attack = base.adversary if base.adversary != "none" else DEFAULT_ATTACK
     dimension = build_model(config).dimension
     cohort = base.participants or config.num_clients
-    k = max(2, int(0.4 * dimension / cohort))
+    k = fig4_sparsity(dimension, cohort)
     return base, attack, base.adversary_scale, dimension, k
 
 
@@ -153,63 +151,33 @@ def run_adversary_panel(
         loss_vs_time=curve_fig,
     )
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "adversary") as run:
         for aggregator in aggregators:
             for regime in regimes:
                 k = sparse_k if regime == "sparse" else dimension
                 finals: list[float] = []
                 for fraction in fractions:
                     label = result.cell_label(aggregator, regime, fraction)
-                    telemetry.annotate(
-                        figure="adversary", aggregator=aggregator,
-                        regime=regime, fraction=fraction,
-                    )
                     cell = base.with_overrides(
                         adversary=attack if fraction > 0.0 else "none",
                         adversary_fraction=fraction,
                         aggregator=aggregator,
                     )
-                    cell_config = config.with_overrides(
-                        scenario=cell.to_dict()
+                    model, federation, common = run.fresh(
+                        label, config.with_overrides(scenario=cell.to_dict())
                     )
-                    model = build_model(cell_config)
-                    federation = build_federation(cell_config)
-                    # Population-scale runs derive designation and
-                    # profiles from per-cid laws — enumeration is O(N).
-                    client_ids = (
-                        [] if cell_config.population
-                        else [c.client_id for c in federation.clients]
+                    # The cell's coordinates as separate keys too, so
+                    # traces can be grouped along one axis of the grid.
+                    run.telemetry.annotate(
+                        aggregator=aggregator, regime=regime,
+                        fraction=fraction,
                     )
-                    timing, scenario = build_scenario(
-                        cell_config, client_ids, dimension
-                    )
-                    trainer = FLTrainer(
-                        model, federation, FABTopK(),
-                        learning_rate=cell_config.learning_rate,
-                        batch_size=cell_config.batch_size,
-                        eval_every=cell_config.eval_every,
-                        eval_max_samples=cell_config.eval_max_samples,
-                        timing=timing,
-                        backend=backend,
-                        scenario=scenario,
-                        telemetry=(
-                            telemetry if telemetry.enabled else None
-                        ),
-                        seed=cell_config.seed,
-                    )
-                    for _ in range(cell_config.num_rounds):
-                        trainer.step(k)
+                    trainer = FLTrainer(model, federation, FABTopK(), **common)
+                    trainer.run(config.num_rounds, k)
 
                     result.histories[label] = trainer.history
-                    assert scenario is not None
-                    result.stats[label] = scenario.stats.to_dict()
-                    xs, losses = [], []
-                    for record in trainer.history:
-                        if record.loss == record.loss:  # evaluated only
-                            xs.append(record.cumulative_time)
-                            losses.append(record.loss)
+                    result.stats[label] = common["scenario"].stats.to_dict()
+                    xs, losses = trainer.history.loss_curve()
                     curve_fig.add(label, xs, losses)
                     finals.append(
                         losses[-1] if losses else float("nan")
@@ -219,13 +187,6 @@ def run_adversary_panel(
                     [float(f) for f in fractions],
                     finals,
                 )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
 
     final_fig.notes.append(
         json.dumps(

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    FigureData,
-    build_federation,
-    build_backend,
-    build_model,
-    build_timing,
-)
+from repro.experiments.runner import ExperimentRun, FigureData, build_model
 from repro.fl.trainer import FLTrainer
 from repro.sparsify.fab_topk import FABTopK
 
@@ -86,8 +80,7 @@ def run_assumption2(
     """Measure t(k, l) over a k-grid on the configured federation."""
     if num_bands < 1:
         raise ValueError("need at least one loss band")
-    probe_model = build_model(config)
-    dimension = probe_model.dimension
+    dimension = build_model(config).dimension
     if k_grid is None:
         lo = max(2, int(0.002 * dimension))
         k_grid = sorted(set(
@@ -95,11 +88,10 @@ def run_assumption2(
         ))
     max_rounds = max_rounds if max_rounds is not None else config.num_rounds
 
-    backend = build_backend(config)
-    try:
+    with ExperimentRun(config, "assumption2") as run:
         # Establish the common loss range from a pilot run at the middle k.
-        pilot = _run(config, k_grid[len(k_grid) // 2], max_rounds, backend)
-        losses = [r.loss for r in pilot if r.loss == r.loss]
+        pilot = _run(run, "pilot", k_grid[len(k_grid) // 2], max_rounds)
+        _, losses = pilot.loss_curve()
         top = losses[0]
         bottom = min(losses)
         edges = np.linspace(top, bottom, num_bands + 1)
@@ -108,11 +100,9 @@ def run_assumption2(
 
         t_hat = np.full((num_bands, len(k_grid)), np.nan)
         for j, k in enumerate(k_grid):
-            history = _run(config, k, max_rounds, backend)
+            history = _run(run, f"k={k}", k, max_rounds)
             for i, (hi, lo_band) in enumerate(loss_bands):
                 t_hat[i, j] = _band_density(history, hi, lo_band)
-    finally:
-        backend.close()
 
     figure = FigureData(title="Assumption 2: measured t(k, l) per loss band")
     for i, (hi, lo_band) in enumerate(loss_bands):
@@ -126,21 +116,11 @@ def run_assumption2(
     )
 
 
-def _run(config: ExperimentConfig, k: int, max_rounds: int, backend=None):
-    model = build_model(config)
-    federation = build_federation(config)
-    trainer = FLTrainer(
-        model, federation, FABTopK(),
-        timing=build_timing(config, model.dimension),
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        eval_every=1,  # need the loss at every round for band accounting
-        eval_max_samples=config.eval_max_samples,
-        backend=backend if backend is not None else build_backend(config),
-        seed=config.seed,
-    )
-    trainer.run(max_rounds, k=min(k, model.dimension))
-    return trainer.history
+def _run(run: ExperimentRun, label: str, k: int, max_rounds: int):
+    # eval_every=1: band accounting needs the loss at every round.
+    model, federation, common = run.fresh(label, eval_every=1)
+    trainer = FLTrainer(model, federation, FABTopK(), **common)
+    return trainer.run(max_rounds, k=min(k, model.dimension))
 
 
 def _band_density(history, band_hi: float, band_lo: float) -> float:
@@ -154,9 +134,7 @@ def _band_density(history, band_hi: float, band_lo: float) -> float:
     prev_loss = None
     prev_time = 0.0
     best = np.inf
-    for record in history:
-        if record.loss != record.loss:
-            continue
+    for record in history.evaluated():
         best = min(best, record.loss)
         if prev_loss is not None and best < prev_loss:
             # Overlap of [best, prev_loss] with [band_lo, band_hi].
@@ -166,7 +144,6 @@ def _band_density(history, band_hi: float, band_lo: float) -> float:
                 fraction = (hi - lo) / (prev_loss - best)
                 time_in_band += fraction * (record.cumulative_time - prev_time)
                 loss_in_band += hi - lo
-        prev_loss = best if prev_loss is None else min(prev_loss, best)
         prev_loss = best
         prev_time = record.cumulative_time
     if loss_in_band <= 1e-9:

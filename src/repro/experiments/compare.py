@@ -52,11 +52,7 @@ def summarize_run(
     target_loss: float | None = None,
 ) -> RunSummary:
     """Summarize one history; fit/target fields degrade gracefully."""
-    times, losses = [], []
-    for record in history:
-        if record.loss == record.loss:
-            times.append(record.cumulative_time)
-            losses.append(record.loss)
+    times, losses = history.loss_curve()
     if not losses:
         raise ValueError(f"run {name!r} has no evaluated rounds")
 
@@ -102,7 +98,7 @@ def compare_histories(
     if target_loss is None:
         finals = []
         for history in histories.values():
-            losses = [r.loss for r in history if r.loss == r.loss]
+            _, losses = history.loss_curve()
             if losses:
                 finals.append(min(losses))
         target_loss = max(finals) if finals else None

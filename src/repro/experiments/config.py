@@ -4,7 +4,7 @@ The paper's scale (156 FEMNIST clients, D > 400,000, thousands of rounds)
 is reproducible here by :func:`ExperimentConfig.paper_scale`, but the
 default presets are deliberately laptop-scale: the claims under test are
 *qualitative orderings* (which method wins, how learned k moves with β),
-which are preserved at reduced dimension — see DESIGN.md §7.
+which are preserved at reduced dimension (``tests/slow/`` asserts them).
 """
 
 from __future__ import annotations

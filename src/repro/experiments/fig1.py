@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    FigureData,
-    build_backend,
-    build_federation,
-    build_model,
-    build_telemetry,
-    build_timing,
-)
+from repro.experiments.runner import ExperimentRun, FigureData, build_model
 from repro.fl.trainer import FLTrainer
 from repro.sparsify.fab_topk import FABTopK
 
@@ -82,27 +75,11 @@ def run_fig1(
     figure = FigureData(title=f"Fig1 Assumption-1 validation")
     result = Fig1Result(psi=0.0, k_common=k_common, figure=figure)
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "fig1") as run:
         for i, k_pre in enumerate(pre_ks):
-            telemetry.annotate(figure="fig1", method=f"pre-k={k_pre}")
-            model = build_model(config)
-            federation = build_federation(config)
-            timing = build_timing(config, model.dimension)
-            trainer = FLTrainer(
-                model,
-                federation,
-                FABTopK(),
-                timing=timing,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=1,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
-            )
+            label = f"pre-k={k_pre}"
+            model, federation, common = run.fresh(label, eval_every=1)
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
             if psi is None and i == 0:
                 psi = trainer.global_loss() * 0.85
             assert psi is not None
@@ -117,17 +94,10 @@ def run_fig1(
                 record = trainer.step(k_common)
                 post_losses.append(record.loss)
             figure.add(
-                label=f"pre-k={k_pre}",
+                label=label,
                 x=list(range(len(post_losses))),
                 y=post_losses,
             )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
     figure.notes.append(
         f"psi={result.psi:.4f}, common k={k_common}, dimension={dimension}"
     )

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_backend,
-    build_federation,
     build_model,
-    build_telemetry,
     build_timing,
     contribution_cdf,
+    fig4_sparsity,
 )
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.metrics import TrainingHistory
@@ -56,7 +55,7 @@ class Fig4Result:
 
     def loss_at_time(self, t: float) -> dict[str, float]:
         """Loss of each method at normalized time t (step interpolation)."""
-        return {s.label: s.y_at(t) for s in self.loss_vs_time.series}
+        return self.loss_vs_time.y_at(t)
 
     def ranking_at_time(self, t: float) -> list[str]:
         """Methods ordered best (lowest loss) first at time t."""
@@ -77,14 +76,9 @@ def run_fig4(
     time_budget: float | None = None,
 ) -> Fig4Result:
     """Run all six methods for an equal normalized-time budget."""
-    probe_model = build_model(config)
-    dimension = probe_model.dimension
+    dimension = build_model(config).dimension
     if k is None:
-        # Paper: k = 1000 with D > 4·10⁵ and N = 156, i.e. k ≈ 0.4·D/N.
-        # Preserving kN/D (not k/D) keeps the regime that separates the
-        # methods: unidirectional's downlink of up to kN elements is a
-        # large fraction of D, while bidirectional schemes ship only k.
-        k = max(2, int(0.4 * dimension / config.num_clients))
+        k = fig4_sparsity(dimension, config.num_clients)
 
     timing = build_timing(config, dimension)
     if time_budget is None:
@@ -100,91 +94,41 @@ def run_fig4(
         contribution_cdf=cdf_fig,
     )
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "fig4") as run:
         for method in METHODS:
-            telemetry.annotate(figure="fig4", method=method)
-            history = _run_method(
-                method, config, k, timing, time_budget, backend, telemetry
-            )
+            history = _run_method(run, method, k, time_budget)
             result.histories[method] = history
-            xs, losses, accs = [], [], []
-            for record in history:
-                if record.loss == record.loss:  # skip NaN (non-eval rounds)
-                    xs.append(record.cumulative_time)
-                    losses.append(record.loss)
-                    if record.accuracy is not None:
-                        accs.append(record.accuracy)
-            loss_fig.add(method, xs, losses)
-            acc_fig.add(method, xs, accs)
+            loss_fig.add(method, *history.loss_curve())
+            acc_fig.add(method, *history.accuracy_curve())
             if method in ("fab-top-k", "fub-top-k", "unidirectional-top-k"):
                 totals = history.contribution_counts()
                 if totals:
                     values, cdf = contribution_cdf(totals)
                     cdf_fig.add(method, values.tolist(), cdf.tolist())
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
     return result
 
 
 def _run_method(
-    method: str,
-    config: ExperimentConfig,
-    k: int,
-    timing,
-    time_budget: float,
-    backend,
-    telemetry=None,
+    run: ExperimentRun, method: str, k: int, time_budget: float
 ) -> TrainingHistory:
-    model = build_model(config)
-    federation = build_federation(config)
-    common = dict(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        eval_every=config.eval_every,
-        eval_max_samples=config.eval_max_samples,
-        backend=backend,
-        telemetry=(
-            telemetry if telemetry is not None and telemetry.enabled else None
-        ),
-        seed=config.seed,
-    )
+    model, federation, common = run.fresh(method)
     if method == "fedavg":
         trainer = FedAvgTrainer(
-            model, federation, timing,
-            aggregation_period=timing.fedavg_period(k), **common,
+            model, federation,
+            aggregation_period=common["timing"].fedavg_period(k), **common,
         )
-        return _run_for_time(trainer, time_budget)
+        return trainer.run_for_time(time_budget)
     if method == "always-send-all":
-        trainer = AlwaysSendAllTrainer(model, federation, timing, **common)
-        return _run_for_time(trainer, time_budget)
+        trainer = AlwaysSendAllTrainer(model, federation, **common)
+        return trainer.run_for_time(time_budget)
     sparsifiers = {
         "fab-top-k": FABTopK,
         "fub-top-k": FUBTopK,
         "unidirectional-top-k": UnidirectionalTopK,
     }
     if method == "periodic-k":
-        sparsifier = PeriodicK(model.dimension, seed=config.seed)
+        sparsifier = PeriodicK(model.dimension, seed=run.config.seed)
     else:
         sparsifier = sparsifiers[method]()
-    trainer = FLTrainer(model, federation, sparsifier, timing=timing, **common)
-    return _run_gs_for_time(trainer, k, time_budget)
-
-
-def _run_for_time(trainer, time_budget: float) -> TrainingHistory:
-    while trainer.clock < time_budget:
-        trainer.step()
-    return trainer.history
-
-
-def _run_gs_for_time(trainer: FLTrainer, k: int, time_budget: float
-                     ) -> TrainingHistory:
-    while trainer.clock < time_budget:
-        trainer.step(k)
-    return trainer.history
+    trainer = FLTrainer(model, federation, sparsifier, **common)
+    return trainer.run_for_time(time_budget, k)

@@ -17,17 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_federation,
-    build_backend,
-    build_model,
     build_search_interval,
-    build_telemetry,
-    build_timing,
 )
 from repro.fl.metrics import TrainingHistory
 from repro.online.adaptive_trainer import AdaptiveKTrainer
@@ -47,15 +41,11 @@ class Fig5Result:
     histories: dict[str, TrainingHistory] = field(default_factory=dict)
 
     def loss_at_time(self, t: float) -> dict[str, float]:
-        return {s.label: s.y_at(t) for s in self.loss_vs_time.series}
+        return self.loss_vs_time.y_at(t)
 
     def k_stability(self) -> dict[str, float]:
         """Std-dev of each method's k trace over its second half."""
-        out = {}
-        for s in self.k_traces.series:
-            tail = np.array(s.y[len(s.y) // 2:])
-            out[s.label] = float(tail.std())
-        return out
+        return self.k_traces.second_half_std()
 
 
 def make_policy(
@@ -91,47 +81,16 @@ def run_fig5(
     result = Fig5Result(loss_vs_time=loss_fig, accuracy_vs_time=acc_fig,
                         k_traces=k_fig)
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "fig5") as run:
         for name in policies:
-            telemetry.annotate(figure="fig5", method=name)
-            model = build_model(config)
-            federation = build_federation(config)
-            timing = build_timing(config, model.dimension, comm_time)
+            model, federation, common = run.fresh(name, comm_time=comm_time)
             policy = make_policy(name, config, model.dimension)
             trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), policy, timing,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=config.eval_every,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
+                model, federation, FABTopK(), policy, **common
             )
             trainer.run(num_rounds)
             result.histories[name] = trainer.history
-            xs, losses, accs, acc_xs = [], [], [], []
-            for record in trainer.history:
-                if record.loss == record.loss:
-                    xs.append(record.cumulative_time)
-                    losses.append(record.loss)
-                    if record.accuracy is not None:
-                        acc_xs.append(record.cumulative_time)
-                        accs.append(record.accuracy)
-            loss_fig.add(name, xs, losses)
-            acc_fig.add(name, acc_xs, accs)
-            k_fig.add(
-                name,
-                [float(r.round_index) for r in trainer.history],
-                trainer.history.ks(),
-            )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
+            loss_fig.add(name, *trainer.history.loss_curve())
+            acc_fig.add(name, *trainer.history.accuracy_curve())
+            k_fig.add_k_trace(name, trainer.history)
     return result

@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_federation,
-    build_backend,
-    build_model,
     build_search_interval,
-    build_telemetry,
-    build_timing,
 )
 from repro.fl.metrics import TrainingHistory
 from repro.online.adaptive_trainer import AdaptiveKTrainer
@@ -39,14 +33,10 @@ class Fig6Result:
 
     def k_fluctuation(self) -> dict[str, float]:
         """Std of k over the second half of each trace."""
-        out = {}
-        for s in self.k_traces.series:
-            tail = np.array(s.y[len(s.y) // 2:])
-            out[s.label] = float(tail.std())
-        return out
+        return self.k_traces.second_half_std()
 
     def loss_at_time(self, t: float) -> dict[str, float]:
-        return {s.label: s.y_at(t) for s in self.loss_vs_time.series}
+        return self.loss_vs_time.y_at(t)
 
 
 def run_fig6(
@@ -59,14 +49,9 @@ def run_fig6(
     k_fig = FigureData(title="Fig6 k_m traces")
     result = Fig6Result(loss_vs_time=loss_fig, k_traces=k_fig)
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "fig6") as run:
         for label in ("algorithm3", "algorithm2"):
-            telemetry.annotate(figure="fig6", method=label)
-            model = build_model(config)
-            federation = build_federation(config)
-            timing = build_timing(config, model.dimension, comm_time)
+            model, federation, common = run.fresh(label, comm_time=comm_time)
             interval = build_search_interval(config, model.dimension)
             if label == "algorithm3":
                 algorithm = AdaptiveSignOGD(
@@ -76,32 +61,10 @@ def run_fig6(
             else:
                 algorithm = SignOGD(interval)
             trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), SignPolicy(algorithm), timing,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=config.eval_every,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
+                model, federation, FABTopK(), SignPolicy(algorithm), **common
             )
             trainer.run(num_rounds)
             result.histories[label] = trainer.history
-            xs = [
-                r.cumulative_time for r in trainer.history if r.loss == r.loss
-            ]
-            ys = [r.loss for r in trainer.history if r.loss == r.loss]
-            loss_fig.add(label, xs, ys)
-            k_fig.add(
-                label,
-                [float(r.round_index) for r in trainer.history],
-                trainer.history.ks(),
-            )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
+            loss_fig.add(label, *trainer.history.loss_curve())
+            k_fig.add_k_trace(label, trainer.history)
     return result

@@ -20,12 +20,10 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_federation,
-    build_backend,
     build_model,
     build_search_interval,
-    build_telemetry,
     build_timing,
 )
 from repro.fl.trainer import FLTrainer
@@ -81,15 +79,13 @@ def run_cross_application(
     result = CrossApplicationResult(comm_times=comm_times)
     result.k_traces = FigureData(title="learned k_m sequences")
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "fig7") as run:
         # Phase 1: learn {k_m, beta} with Algorithm 3 at each beta.
         for beta in comm_times:
-            telemetry.annotate(figure="fig7", method=f"learn-beta={beta:g}")
-            model = build_model(config)
-            federation = build_federation(config)
-            timing = build_timing(config, model.dimension, beta)
+            model, federation, common = run.fresh(
+                f"learn-beta={beta:g}", comm_time=beta,
+                eval_every=max(config.eval_every, 10),
+            )
             interval = build_search_interval(config, model.dimension)
             policy = SignPolicy(
                 AdaptiveSignOGD(
@@ -98,97 +94,43 @@ def run_cross_application(
                 )
             )
             trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), policy, timing,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=max(config.eval_every, 10),
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
+                model, federation, FABTopK(), policy, **common
             )
             trainer.run(learn_rounds)
-            sequence = trainer.history.ks()
-            result.sequences[beta] = sequence
-            result.k_traces.add(
-                f"beta={beta:g}",
-                [float(i + 1) for i in range(len(sequence))],
-                sequence,
-            )
+            result.sequences[beta] = trainer.history.ks()
+            result.k_traces.add_k_trace(f"beta={beta:g}", trainer.history)
 
         # Phase 2: replay every sequence at every beta for a common budget.
+        dimension = build_model(config).dimension
         for replay_beta in comm_times:
             fig = FigureData(title=f"replay at beta={replay_beta:g}")
             result.loss_curves[replay_beta] = fig
             budget = replay_time_budget
             if budget is None:
                 # Budget = the time the matched sequence's rounds take.
-                model = build_model(config)
-                timing = build_timing(config, model.dimension, replay_beta)
+                timing = build_timing(config, dimension, replay_beta)
                 matched = result.sequences[replay_beta]
                 budget = sum(
                     timing.sparse_round(int(max(k, 1)), int(max(k, 1))).total
                     for k in matched
                 )
             for seq_beta in comm_times:
-                telemetry.annotate(
-                    figure="fig7",
-                    method=f"replay-seq={seq_beta:g}-at={replay_beta:g}",
+                model, federation, common = run.fresh(
+                    f"replay-seq={seq_beta:g}-at={replay_beta:g}",
+                    comm_time=replay_beta,
                 )
-                history = _replay(config, result.sequences[seq_beta],
-                                  replay_beta, budget, backend, telemetry)
-                xs = [r.cumulative_time for r in history if r.loss == r.loss]
-                ys = [r.loss for r in history if r.loss == r.loss]
+                trainer = FLTrainer(model, federation, FABTopK(), **common)
+                # A listed k holds its last value past the end.
+                trainer.run_for_time(budget, [
+                    max(1, min(int(round(k)), dimension))
+                    for k in result.sequences[seq_beta]
+                ])
+                xs, ys = trainer.history.loss_curve()
                 fig.add(f"k-seq(beta={seq_beta:g})", xs, ys)
                 result.final_loss[(seq_beta, replay_beta)] = (
                     ys[-1] if ys else float("inf")
                 )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
     return result
-
-
-def _replay(
-    config: ExperimentConfig,
-    sequence: list[float],
-    beta: float,
-    time_budget: float,
-    backend,
-    telemetry=None,
-):
-    model = build_model(config)
-    federation = build_federation(config)
-    timing = build_timing(config, model.dimension, beta)
-    trainer = FLTrainer(
-        model, federation, FABTopK(), timing=timing,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        eval_every=config.eval_every,
-        eval_max_samples=config.eval_max_samples,
-        backend=backend,
-        telemetry=(
-            telemetry if telemetry is not None and telemetry.enabled else None
-        ),
-        seed=config.seed,
-    )
-    int_sequence = [max(1, min(int(round(k)), model.dimension)) for k in sequence]
-    schedule = _hold_last(int_sequence)
-    while trainer.clock < time_budget:
-        trainer.step(schedule(trainer.round_index + 1))
-    return trainer.history
-
-
-def _hold_last(sequence: list[int]):
-    def schedule(m: int) -> int:
-        if m - 1 < len(sequence):
-            return sequence[m - 1]
-        return sequence[-1]
-    return schedule
 
 
 def run_fig7(config: ExperimentConfig | None = None, **kwargs

@@ -18,6 +18,7 @@ from repro.data.synthetic import make_cifar_like, make_femnist_like
 from repro.data.virtual import VirtualFederation
 from repro.experiments.config import ExperimentConfig
 from repro.fl.backends import ExecutionBackend, resolve_backend
+from repro.fl.metrics import TrainingHistory
 from repro.nn.flat import FlatModel
 from repro.nn.models import make_cnn, make_mlp
 from repro.online.interval import SearchInterval
@@ -184,9 +185,9 @@ def build_scenario(
 def build_telemetry(config: ExperimentConfig):
     """The config's telemetry: a JSONL-backed instance, or the no-op.
 
-    Figure drivers open this once per run, pass it into every trainer,
-    and close it in their ``finally`` block so counters flush with the
-    backend teardown.  Telemetry is observation-only — it consumes no
+    :class:`ExperimentRun` opens this once per run, passes it into every
+    trainer, and closes it on exit so counters flush with the backend
+    teardown.  Telemetry is observation-only — it consumes no
     RNG and touches no numeric state, so artifacts are identical with
     or without it.
     """
@@ -199,12 +200,12 @@ def build_backend(config: ExperimentConfig) -> ExecutionBackend:
     """The execution backend the config's trainers should run on.
 
     ``config.backend`` is a name ("serial", "vectorized" or "sharded");
-    every figure driver builds one instance per run and passes it into
-    all its trainers, so a whole experiment switches backends from one
-    config field (or the CLI's ``--backend``/``--jobs`` flags).
+    :class:`ExperimentRun` builds one instance per run and passes it
+    into all the run's trainers, so a whole experiment switches backends
+    from one config field (or the CLI's ``--backend``/``--jobs`` flags).
     Histories are backend-independent — only wall-clock speed changes.
-    Sharded backends honor ``config.jobs`` (0 = all usable CPUs); the
-    driver must call ``backend.close()`` when its trainers are done.
+    Sharded backends honor ``config.jobs`` (0 = all usable CPUs) and
+    must be closed when the trainers are done (the run's exit does).
     """
     return resolve_backend(config.backend, jobs=config.jobs)
 
@@ -213,6 +214,90 @@ def build_search_interval(config: ExperimentConfig, dimension: int) -> SearchInt
     """K = [0.002·D, D] as in the paper's Fig. 5 setup."""
     kmin = max(2.0, config.kmin_fraction * dimension)
     return SearchInterval(kmin, float(dimension))
+
+
+def fig4_sparsity(dimension: int, cohort: int) -> int:
+    """Fig. 4's fixed sparsity, k ≈ 0.4·D/N.
+
+    Paper: k = 1000 with D > 4·10⁵ and N = 156.  Preserving kN/D (not
+    k/D) keeps the regime that separates the methods: unidirectional's
+    downlink of up to kN elements is a large fraction of D, while
+    bidirectional schemes ship only k.
+    """
+    return max(2, int(0.4 * dimension / cohort))
+
+
+class ExperimentRun:
+    """One figure run: the scaffolding every driver loop shares.
+
+    The paper's evaluation protocol (Section V) is the same for every
+    figure and panel — build a *fresh* model and federation per method,
+    train it on the run's one backend, read curves off the history — so
+    driver loops differ only in which trainer they build and what they
+    plot.  A run owns the execution backend and the telemetry sink for
+    the driver's ``with`` block; :meth:`fresh` hands each loop iteration
+    what a trainer constructor needs (recipe: ROADMAP "Experiment
+    drivers").
+    """
+
+    def __init__(self, config: ExperimentConfig, figure: str) -> None:
+        self.config = config
+        self.figure = figure
+        self.backend = build_backend(config)
+        self.telemetry = build_telemetry(config)
+
+    def __enter__(self) -> "ExperimentRun":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # Nested so a backend teardown failure still flushes and closes
+        # the telemetry sink (buffered events must survive mid-run raises).
+        try:
+            self.backend.close()
+        finally:
+            self.telemetry.close()
+
+    def fresh(
+        self, label: str, config: ExperimentConfig | None = None,
+        comm_time: float | None = None, **overrides,
+    ) -> tuple[FlatModel, FederatedDataset, dict]:
+        """(model, federation, trainer kwargs) for the method ``label``.
+
+        ``config`` is the method's variant of the run's config (a panel
+        cell's scenario, say) and ``comm_time`` overrides its β.  The
+        kwargs hold the timing model, the freshly built deployment
+        scenario (``"scenario"``, only when the config names one; see
+        :func:`build_scenario`) and the settings every trainer takes
+        from the config; ``overrides`` replace any of them.  Events
+        traced from here on carry ``figure=<the run's>, method=label``.
+        """
+        config = config if config is not None else self.config
+        self.telemetry.annotate(figure=self.figure, method=label)
+        model = build_model(config)
+        federation = build_federation(config)
+        # Population-scale runs derive availability/profiles from
+        # per-cid laws — enumerating client ids would be O(N).
+        client_ids = (
+            [] if config.population or config.scenario is None
+            else [c.client_id for c in federation.clients]
+        )
+        timing, scenario = build_scenario(
+            config, client_ids, model.dimension, comm_time
+        )
+        common = dict(
+            timing=timing,
+            learning_rate=config.learning_rate,
+            batch_size=config.batch_size,
+            eval_every=config.eval_every,
+            eval_max_samples=config.eval_max_samples,
+            backend=self.backend,
+            telemetry=(self.telemetry if self.telemetry.enabled else None),
+            seed=config.seed,
+        )
+        if scenario is not None:
+            common["scenario"] = scenario
+        common.update(overrides)
+        return model, federation, common
 
 
 @dataclass
@@ -260,6 +345,21 @@ class FigureData:
     def labels(self) -> list[str]:
         return [s.label for s in self.series]
 
+    def add_k_trace(self, label: str, history: TrainingHistory) -> None:
+        """Add a history's k_m against the round index m."""
+        rounds = [float(r.round_index) for r in history]
+        self.add(label, rounds, history.ks())
+
+    def y_at(self, x_query: float) -> dict[str, float]:
+        """Every curve's step-interpolated y at ``x_query``, by label."""
+        return {s.label: s.y_at(x_query) for s in self.series}
+
+    def second_half_std(self) -> dict[str, float]:
+        """Std-dev of every curve's y over its second half, by label."""
+        return {
+            s.label: float(np.std(s.y[len(s.y) // 2:])) for s in self.series
+        }
+
     def to_csv(self) -> str:
         """Long-format CSV: series,x,y."""
         buf = io.StringIO()
@@ -272,7 +372,7 @@ class FigureData:
 
 
 def text_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Fixed-width text table used by the benchmark reports."""
+    """Fixed-width text table (examples/reproduce_paper.py, tests/slow)."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):

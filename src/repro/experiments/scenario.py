@@ -46,12 +46,10 @@ import json
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig5 import make_policy
 from repro.experiments.runner import (
+    ExperimentRun,
     FigureData,
-    build_backend,
-    build_federation,
     build_model,
-    build_scenario,
-    build_telemetry,
+    fig4_sparsity,
 )
 from repro.fl.async_engine import AsyncFLTrainer
 from repro.fl.metrics import TrainingHistory
@@ -89,7 +87,7 @@ class ScenarioRunResult:
     stats: dict[str, dict] = field(default_factory=dict)
 
     def loss_at_time(self, t: float) -> dict[str, float]:
-        return {s.label: s.y_at(t) for s in self.loss_vs_time.series}
+        return self.loss_vs_time.y_at(t)
 
     def drop_rate(self, method: str) -> float:
         """Fraction of this method's cohort uploads the deadline cut."""
@@ -133,37 +131,11 @@ def _scenario_budget(
                 (config.scenario or {}).get("participants")
                 or DEFAULT_POPULATION_COHORT
             )
-        k = max(2, int(0.4 * dimension / cohort))
+        k = fig4_sparsity(dimension, cohort)
     if time_budget is None:
         base = TimingModel(dimension=dimension, comm_time=config.comm_time)
         time_budget = config.num_rounds * base.sparse_round(k, k).total
     return dimension, k, time_budget, max(1, 3 * config.num_rounds)
-
-
-def _step_for_budget(
-    trainer: FLTrainer, k: int, time_budget: float, max_rounds: int
-) -> None:
-    """Fixed-k rounds until the normalized clock exhausts the budget."""
-    while (
-        trainer.clock < time_budget
-        and trainer.round_index < max_rounds
-    ):
-        trainer.step(k)
-
-
-def _evaluated_curves(
-    history: TrainingHistory,
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """(time, loss, time, accuracy) series of a history's evaluated rounds."""
-    xs, losses, acc_xs, accs = [], [], [], []
-    for record in history:
-        if record.loss == record.loss:  # evaluated rounds only
-            xs.append(record.cumulative_time)
-            losses.append(record.loss)
-            if record.accuracy is not None:
-                acc_xs.append(record.cumulative_time)
-                accs.append(record.accuracy)
-    return xs, losses, acc_xs, accs
 
 
 def run_scenario(
@@ -186,54 +158,25 @@ def run_scenario(
         accuracy_vs_time=acc_fig, k_traces=k_fig, delivery=delivery_fig,
     )
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "scenario") as run:
         for method in METHODS:
-            telemetry.annotate(figure="scenario", method=method)
-            model = build_model(config)
-            federation = build_federation(config)
-            # Population-scale runs derive availability/profiles from
-            # per-cid laws — enumerating client ids would be O(N).
-            client_ids = (
-                [] if config.population
-                else [c.client_id for c in federation.clients]
-            )
-            timing, scenario = build_scenario(config, client_ids, dimension)
-            common = dict(
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=config.eval_every,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                scenario=scenario,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
-            )
+            model, federation, common = run.fresh(method)
             if method == "fixed-k":
-                trainer = FLTrainer(
-                    model, federation, FABTopK(), timing=timing, **common
-                )
-                _step_for_budget(trainer, k, time_budget, max_rounds)
+                trainer = FLTrainer(model, federation, FABTopK(), **common)
+                trainer.run_for_time(time_budget, k, max_rounds)
             else:
                 trainer = AdaptiveKTrainer(
                     model, federation, FABTopK(),
-                    make_policy("proposed", config, dimension),
-                    timing, **common,
+                    make_policy("proposed", config, dimension), **common,
                 )
                 trainer.run_for_time(time_budget, max_rounds=max_rounds)
 
             result.histories[method] = trainer.history
-            assert scenario is not None
+            scenario = common["scenario"]
             result.stats[method] = scenario.stats.to_dict()
-            xs, losses, acc_xs, accs = _evaluated_curves(trainer.history)
-            loss_fig.add(method, xs, losses)
-            acc_fig.add(method, acc_xs, accs)
-            k_fig.add(
-                method,
-                [float(r.round_index) for r in trainer.history],
-                trainer.history.ks(),
-            )
+            loss_fig.add(method, *trainer.history.loss_curve())
+            acc_fig.add(method, *trainer.history.accuracy_curve())
+            k_fig.add_k_trace(method, trainer.history)
             rounds = scenario.stats.rounds
             delivery_fig.add(
                 f"{method} arrived",
@@ -252,13 +195,6 @@ def run_scenario(
             delivery_fig.notes.append(
                 f"{method}: {json.dumps(result.stats[method], sort_keys=True)}"
             )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
     loss_fig.notes.append(f"scenario: {json.dumps(result.scenario, sort_keys=True)}")
     return result
 
@@ -305,38 +241,45 @@ def run_dirichlet_sweep(
     return fig
 
 
-def _times_to_loss(
-    histories: dict[str, TrainingHistory], target: float
-) -> dict[str, float]:
-    """Per-label simulated time to first recorded loss <= target.
+class _TimeToTarget:
+    """Time-to-target accessors of a panel's per-label ``histories``."""
 
-    ``inf`` for labels that never reach it — the comparison both the
-    adaptive-vs-best-fixed and the async-vs-sync acceptance rest on.
-    """
-    times: dict[str, float] = {}
-    for label, history in histories.items():
-        times[label] = float("inf")
-        for record in history:
-            if record.loss == record.loss and record.loss <= target:
-                times[label] = record.cumulative_time
-                break
-    return times
+    histories: dict[str, TrainingHistory]
 
+    def time_to_loss(self, target: float) -> dict[str, float]:
+        """Per-label simulated time to first recorded loss <= target.
 
-def _last_losses(histories: dict[str, TrainingHistory]) -> dict[str, float]:
-    """Last evaluated loss per label (the reachable-target anchor)."""
-    losses: dict[str, float] = {}
-    for label, history in histories.items():
-        evaluated = [r.loss for r in history if r.loss == r.loss]
-        losses[label] = evaluated[-1] if evaluated else float("inf")
-    return losses
+        ``inf`` for labels that never reach it — the comparison both the
+        adaptive-vs-best-fixed and the async-vs-sync acceptance rest on.
+        """
+        times = {}
+        for label, history in self.histories.items():
+            reached = history.time_to_loss(target)
+            times[label] = float("inf") if reached is None else reached
+        return times
+
+    def final_losses(self) -> dict[str, float]:
+        """Last evaluated loss per label (the reachable-target anchor)."""
+        losses = {}
+        for label, history in self.histories.items():
+            evaluated = history.evaluated()
+            losses[label] = evaluated[-1].loss if evaluated else float("inf")
+        return losses
+
+    def _shared_target_note(self) -> str:
+        """The panel's headline: every label's time to the loss all reach."""
+        reachable = max(self.final_losses().values())
+        return (
+            f"time to shared target loss {reachable:.6g}: "
+            f"{json.dumps(self.time_to_loss(reachable), sort_keys=True)}"
+        )
 
 
 # ----------------------------------------------------------------------
 # Deadline-policy comparison (fixed vs cycling vs adaptive)
 # ----------------------------------------------------------------------
 @dataclass
-class DeadlineAdaptationResult:
+class DeadlineAdaptationResult(_TimeToTarget):
     """Per-policy loss curves + deadline traces of one comparison."""
 
     k: int
@@ -345,14 +288,6 @@ class DeadlineAdaptationResult:
     deadline_traces: FigureData
     histories: dict[str, TrainingHistory] = field(default_factory=dict)
     stats: dict[str, dict] = field(default_factory=dict)
-
-    def time_to_loss(self, target: float) -> dict[str, float]:
-        """Per-policy simulated time to first recorded loss <= target."""
-        return _times_to_loss(self.histories, target)
-
-    def final_losses(self) -> dict[str, float]:
-        """Last evaluated loss per policy (the reachable-target anchor)."""
-        return _last_losses(self.histories)
 
 
 def supports_deadline_comparison(scenario: ScenarioConfig) -> bool:
@@ -446,37 +381,17 @@ def run_deadline_adaptation(
         deadline_traces=trace_fig,
     )
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    with ExperimentRun(config, "scenario-deadline") as run:
         for label, variant in variants.items():
-            telemetry.annotate(figure="scenario-deadline", method=label)
-            model = build_model(config)
-            federation = build_federation(config)
-            client_ids = (
-                [] if config.population
-                else [c.client_id for c in federation.clients]
+            model, federation, common = run.fresh(
+                label, config.with_overrides(scenario=variant.to_dict())
             )
-            timing, scenario = build_scenario(
-                config.with_overrides(scenario=variant.to_dict()),
-                client_ids, dimension,
-            )
-            assert scenario is not None
-            trainer = FLTrainer(
-                model, federation, FABTopK(), timing=timing,
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=config.eval_every,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend, scenario=scenario,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
-            )
-            _step_for_budget(trainer, k, time_budget, max_rounds)
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
+            trainer.run_for_time(time_budget, k, max_rounds)
+            scenario = common["scenario"]
             result.histories[label] = trainer.history
             result.stats[label] = scenario.stats.to_dict()
-            xs, losses, _, _ = _evaluated_curves(trainer.history)
-            loss_fig.add(label, xs, losses)
+            loss_fig.add(label, *trainer.history.loss_curve())
             rounds = scenario.stats.rounds
             trace_fig.add(
                 label,
@@ -486,19 +401,7 @@ def run_deadline_adaptation(
                     for r in rounds
                 ],
             )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
-    targets = result.final_losses()
-    reachable = max(targets.values())
-    loss_fig.notes.append(
-        "time to shared target loss "
-        f"{reachable:.6g}: {json.dumps(result.time_to_loss(reachable), sort_keys=True)}"
-    )
+    loss_fig.notes.append(result._shared_target_note())
     loss_fig.notes.append(
         f"scenario: {json.dumps(result.scenario, sort_keys=True)}"
     )
@@ -509,7 +412,7 @@ def run_deadline_adaptation(
 # Asynchronous staleness-weighted commits vs the synchronous barrier
 # ----------------------------------------------------------------------
 @dataclass
-class AsyncComparisonResult:
+class AsyncComparisonResult(_TimeToTarget):
     """Per-variant loss curves + staleness traces of one comparison."""
 
     k: int
@@ -518,14 +421,6 @@ class AsyncComparisonResult:
     loss_vs_time: FigureData
     staleness: FigureData
     histories: dict[str, TrainingHistory] = field(default_factory=dict)
-
-    def time_to_loss(self, target: float) -> dict[str, float]:
-        """Per-variant simulated time to first recorded loss <= target."""
-        return _times_to_loss(self.histories, target)
-
-    def final_losses(self) -> dict[str, float]:
-        """Last evaluated loss per variant (the reachable-target anchor)."""
-        return _last_losses(self.histories)
 
 
 def resolve_commit_count(scenario: ScenarioConfig, num_clients: int) -> int:
@@ -594,43 +489,21 @@ def run_async_comparison(
         loss_vs_time=loss_fig, staleness=stale_fig,
     )
 
-    backend = build_backend(config)
-    telemetry = build_telemetry(config)
-    try:
+    variant = config.with_overrides(scenario=base.to_dict())
+    with ExperimentRun(config, "scenario-async") as run:
         for label in ASYNC_VARIANTS:
-            telemetry.annotate(figure="scenario-async", method=label)
-            model = build_model(config)
-            federation = build_federation(config)
-            client_ids = [c.client_id for c in federation.clients]
-            timing, scenario = build_scenario(
-                config.with_overrides(scenario=base.to_dict()),
-                client_ids, dimension,
-            )
-            assert scenario is not None
-            common = dict(
-                learning_rate=config.learning_rate,
-                batch_size=config.batch_size,
-                eval_every=config.eval_every,
-                eval_max_samples=config.eval_max_samples,
-                backend=backend,
-                scenario=scenario,
-                telemetry=(telemetry if telemetry.enabled else None),
-                seed=config.seed,
-            )
+            model, federation, common = run.fresh(label, variant)
             if label == "sync":
-                trainer = FLTrainer(
-                    model, federation, FABTopK(), timing=timing, **common
-                )
+                trainer = FLTrainer(model, federation, FABTopK(), **common)
             else:
                 trainer = AsyncFLTrainer(
-                    model, federation, FABTopK(), timing=timing,
+                    model, federation, FABTopK(),
                     discount=label.removeprefix("async-"),
                     commit_count=commit_count, **common,
                 )
-            _step_for_budget(trainer, k, time_budget, max_rounds)
+            trainer.run_for_time(time_budget, k, max_rounds)
             result.histories[label] = trainer.history
-            xs, losses, _, _ = _evaluated_curves(trainer.history)
-            loss_fig.add(label, xs, losses)
+            loss_fig.add(label, *trainer.history.loss_curve())
             if isinstance(trainer, AsyncFLTrainer):
                 trace = trainer.staleness_history
                 stale_fig.add(
@@ -645,19 +518,7 @@ def run_async_comparison(
                         [float(i + 1) for i in range(len(exponents))],
                         [float(a) for a in exponents],
                     )
-    finally:
-        # Nested so a backend teardown failure still flushes and closes
-        # the telemetry sink (buffered events must survive mid-run raises).
-        try:
-            backend.close()
-        finally:
-            telemetry.close()
-    reachable = max(result.final_losses().values())
-    loss_fig.notes.append(
-        "time to shared target loss "
-        f"{reachable:.6g}: "
-        f"{json.dumps(result.time_to_loss(reachable), sort_keys=True)}"
-    )
+    loss_fig.notes.append(result._shared_target_note())
     loss_fig.notes.append(f"commit_count: {commit_count}")
     loss_fig.notes.append(
         f"scenario: {json.dumps(result.scenario, sort_keys=True)}"

@@ -294,6 +294,19 @@ class EngineFacade:
         """Accuracy on the held-out test pool, if the federation has one."""
         return self.engine.test_accuracy()
 
+    def run_for_time(
+        self, time_budget: float, max_rounds: int = 1_000_000
+    ) -> TrainingHistory:
+        """``step()`` until the normalized clock reaches ``time_budget``.
+
+        The paper compares methods over equal normalized time, not equal
+        rounds (Section V); ``max_rounds`` bounds runs whose rounds are
+        nearly free.
+        """
+        while self.clock < time_budget and self.round_index < max_rounds:
+            self.step()
+        return self.history
+
     def close(self) -> None:
         """Release the engine's execution backend (see RoundEngine.close)."""
         self.engine.close()

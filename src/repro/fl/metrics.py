@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 
@@ -57,6 +58,26 @@ class TrainingHistory:
 
     def ks(self) -> list[float]:
         return [r.k for r in self.records]
+
+    def evaluated(self) -> list[RoundRecord]:
+        """Records of the rounds that measured the loss.
+
+        With ``eval_every > 1`` the rounds in between carry NaN.
+        """
+        return [r for r in self.records if not math.isnan(r.loss)]
+
+    def loss_curve(self) -> tuple[list[float], list[float]]:
+        """(normalized time, loss) over the evaluated rounds."""
+        records = self.evaluated()
+        return [r.cumulative_time for r in records], [r.loss for r in records]
+
+    def accuracy_curve(self) -> tuple[list[float], list[float]]:
+        """(normalized time, accuracy) over the evaluated rounds with one."""
+        records = [r for r in self.evaluated() if r.accuracy is not None]
+        return (
+            [r.cumulative_time for r in records],
+            [r.accuracy for r in records],
+        )
 
     @property
     def final_loss(self) -> float:

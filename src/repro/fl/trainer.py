@@ -152,6 +152,19 @@ class FLTrainer(EngineFacade):
             del m
         return self.history
 
+    def run_for_time(
+        self,
+        time_budget: float,
+        k: int | Sequence[int] | KSchedule,
+        max_rounds: int = 1_000_000,
+    ) -> TrainingHistory:
+        """Rounds of constant, listed, or scheduled k until the normalized
+        clock reaches ``time_budget`` (or ``max_rounds``)."""
+        schedule = _as_schedule(k, self.model.dimension)
+        while self.clock < time_budget and self.round_index < max_rounds:
+            self.step(schedule(self.round_index + 1))
+        return self.history
+
     def run_until_loss(
         self,
         target_loss: float,

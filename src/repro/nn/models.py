@@ -5,7 +5,7 @@ The paper trains a CNN with two convolutional and two dense layers
 (:func:`make_cnn`) together with cheaper MLP and logistic-regression
 configurations whose flat dimension D is in the 10k–120k range, which keeps
 the full experiment sweeps laptop-scale while exercising identical
-sparsification code paths (see DESIGN.md §2).
+sparsification code paths (sparsifiers only see FlatModel's D-vector).
 """
 
 from __future__ import annotations

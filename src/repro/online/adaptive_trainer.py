@@ -218,13 +218,3 @@ class AdaptiveKTrainer(EngineFacade):
         for _ in range(num_rounds):
             self.step()
         return self.history
-
-    def run_for_time(self, time_budget: float, max_rounds: int = 1_000_000
-                     ) -> TrainingHistory:
-        """Run until the normalized clock exceeds ``time_budget``."""
-        while (
-            self.engine.clock < time_budget
-            and self.engine.round_index < max_rounds
-        ):
-            self.step()
-        return self.history

@@ -9,7 +9,7 @@
    arm, which is infeasible for D > 10⁴; like any practical EXP3 run at
    this scale we discretize [kmin, kmax] into geometrically spaced arms
    (the paper's qualitative result — slow exploration and wild k
-   fluctuation — is preserved; see DESIGN.md).
+   fluctuation — is preserved; ``tests/slow/test_fig5.py`` asserts it).
 3. :class:`ContinuousBandit` — one-point bandit gradient descent of
    Flaxman et al. [37]: play a perturbed point, use the realized cost as
    a gradient estimate.

@@ -1,7 +1,7 @@
 """Ablation: the fairness floor of FAB-top-k vs FUB-top-k.
 
-DESIGN.md calls out the fairness mechanism (per-client quota via the
-binary search over κ) as the design choice distinguishing FAB from FUB.
+The fairness mechanism (per-client quota via the binary search over κ,
+paper Section III-B) is the design choice distinguishing FAB from FUB.
 This check constructs a federation with one dominant-gradient client and
 measures how many elements the *weakest* client contributes under each
 scheme, plus the accuracy the starved clients' data reaches.

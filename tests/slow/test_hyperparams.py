@@ -1,7 +1,7 @@
 """Ablation: Algorithm 3's hyper-parameters α and M_u.
 
-DESIGN.md calls out the shrinking-interval mechanism as the design choice
-distinguishing Algorithm 3 from Algorithm 2.  This check sweeps the
+The shrinking search interval is the design choice distinguishing the
+paper's Algorithm 3 from its Algorithm 2.  This check sweeps the
 widening coefficient α and the update window M_u on an Assumption-2 cost
 oracle (β = 100 regime, small optimum) and reports regret and tail
 fluctuation — showing the paper's α = 1.5, M_u = 20 sits in the flat part

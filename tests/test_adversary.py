@@ -931,6 +931,34 @@ class TestAdversaryPanel:
         ]
         assert history_rows(plain.history) == history_rows(cell)
 
+    def test_traced_cells_carry_method_beside_the_grid_keys(self, tmp_path):
+        # Every other driver's events group by ``method``; the panel's
+        # had only aggregator/regime/fraction until PR 17.
+        from repro.experiments.adversary import run_adversary_panel
+        from repro.experiments.config import ExperimentConfig
+
+        path = tmp_path / "trace.jsonl"
+        config = ExperimentConfig.smoke().with_overrides(num_rounds=2)
+        grid = dict(fractions=(0.0, 0.5), aggregators=("mean", "median"),
+                    regimes=("sparse",))
+        untraced = run_adversary_panel(config, **grid)
+        traced = run_adversary_panel(
+            config.with_overrides(telemetry=str(path)), **grid
+        )
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        rounds = [e for e in events if e["type"] == "round"]
+        assert {e["method"] for e in rounds} == set(traced.histories)
+        for event in rounds:
+            validate_event(event)
+            assert event["figure"] == "adversary"
+            assert event["method"] == traced.cell_label(
+                event["aggregator"], event["regime"], event["fraction"]
+            )
+        for label, history in untraced.histories.items():
+            assert history_rows(history) == history_rows(
+                traced.histories[label]
+            )
+
     def test_resolver_defaults_to_always_available(self):
         from repro.experiments.adversary import resolve_adversary_config
         from repro.experiments.config import ExperimentConfig

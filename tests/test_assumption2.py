@@ -1,5 +1,7 @@
 """Tests for the Assumption-2 measurement experiment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.experiments.assumption2 import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.fl.metrics import RoundRecord, TrainingHistory
+from repro.obs import validate_event
 
 
 def make_history(points):
@@ -117,3 +120,18 @@ class TestRunAssumption2:
         config = ExperimentConfig.smoke()
         with pytest.raises(ValueError):
             run_assumption2(config, num_bands=0)
+
+    def test_honours_config_telemetry(self, tmp_path):
+        # Until PR 17 this driver never opened the config's trace file.
+        path = tmp_path / "trace.jsonl"
+        config = ExperimentConfig.smoke().with_overrides(
+            num_rounds=2, telemetry=str(path)
+        )
+        run_assumption2(config, k_grid=[20, 40], num_bands=1)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            validate_event(event)
+        rounds = [e for e in events if e["type"] == "round"]
+        assert len(rounds) == 3 * 2  # pilot + two grid points, 2 rounds each
+        assert {e["figure"] for e in rounds} == {"assumption2"}
+        assert {e["method"] for e in rounds} == {"pilot", "k=20", "k=40"}

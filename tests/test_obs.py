@@ -783,10 +783,25 @@ class TestExceptionSafety:
     def test_driver_closes_telemetry_when_backend_teardown_fails(
         self, tmp_path, monkeypatch
     ):
-        from repro.experiments import scenario as scenario_mod
+        """All ten driver loops (fig7 and fig8 share one) tear down
+        through ``ExperimentRun``; one looping test rather than a
+        parametrized one so its id stays what the floor list names."""
+        from repro.experiments import runner
+        from repro.experiments.adversary import run_adversary_panel
+        from repro.experiments.assumption2 import run_assumption2
         from repro.experiments.config import ExperimentConfig
+        from repro.experiments.fig1 import run_fig1
+        from repro.experiments.fig4 import run_fig4
+        from repro.experiments.fig5 import run_fig5
+        from repro.experiments.fig6 import run_fig6
+        from repro.experiments.fig7 import run_fig7
+        from repro.experiments.scenario import (
+            run_async_comparison,
+            run_deadline_adaptation,
+            run_scenario,
+        )
 
-        real_build = scenario_mod.build_backend
+        real_build = runner.build_backend
 
         def exploding_build(config):
             backend = real_build(config)
@@ -799,16 +814,42 @@ class TestExceptionSafety:
             backend.close = close
             return backend
 
-        monkeypatch.setattr(scenario_mod, "build_backend", exploding_build)
-        path = tmp_path / "trace.jsonl"
-        config = ExperimentConfig.smoke().with_overrides(
-            telemetry=str(path), num_rounds=2,
-        )
-        with pytest.raises(RuntimeError, match="teardown failed"):
-            scenario_mod.run_scenario(config)
-        events = [json.loads(l) for l in path.read_text().splitlines()]
-        # The sink was flushed and closed despite the backend failure.
-        assert any(e["type"] == "round" for e in events)
+        real_telemetry = runner.build_telemetry
+        opened = []
+
+        def recording_telemetry(config):
+            opened.append(real_telemetry(config))
+            return opened[-1]
+
+        monkeypatch.setattr(runner, "build_backend", exploding_build)
+        monkeypatch.setattr(runner, "build_telemetry", recording_telemetry)
+        smoke = ExperimentConfig.smoke().with_overrides(num_rounds=2)
+        drivers = {
+            "fig1": lambda c: run_fig1(c, pre_ks=[20], post_rounds=1),
+            "fig4": run_fig4,
+            "fig5": lambda c: run_fig5(c, policies=("proposed",)),
+            "fig6": run_fig6,
+            "fig7": lambda c: run_fig7(c, comm_times=(1.0,)),
+            "scenario": run_scenario,
+            "deadline": run_deadline_adaptation,
+            "async": run_async_comparison,
+            "adversary": lambda c: run_adversary_panel(
+                c, fractions=(0.5,), aggregators=("mean",),
+                regimes=("sparse",),
+            ),
+            "assumption2": lambda c: run_assumption2(
+                c, k_grid=[20], num_bands=1
+            ),
+        }
+        for name, driver in drivers.items():
+            path = tmp_path / f"{name}.jsonl"
+            with pytest.raises(RuntimeError, match="teardown failed"):
+                driver(smoke.with_overrides(telemetry=str(path)))
+            # The sink was flushed and closed despite the backend failure.
+            assert opened.pop().sink._file.closed, name
+            events = [json.loads(l) for l in path.read_text().splitlines()]
+            assert any(e["type"] == "round" for e in events), name
+        assert opened == []
 
 
 class TestConfigThreading:
