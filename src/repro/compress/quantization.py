@@ -121,14 +121,6 @@ class QuantizedSparsifier(Sparsifier):
     ) -> np.ndarray:
         return self.inner.client_select(residual, k, rng)
 
-    def supports_batched_select(self) -> bool:
-        return self.inner.supports_batched_select()
-
-    def client_select_batched(
-        self, residuals: np.ndarray, k: int
-    ) -> np.ndarray | None:
-        return self.inner.client_select_batched(residuals, k)
-
     def preprocess_uploads(
         self, uploads: list[ClientUpload]
     ) -> list[ClientUpload]:

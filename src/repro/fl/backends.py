@@ -10,13 +10,13 @@ Three implementations ship:
 - :class:`SerialBackend` — the reference: a Python loop calling
   ``Client.local_step`` once per participant, exactly the seed trainers'
   behaviour.
-- :class:`VectorizedBackend` — batches the per-client work across all
-  participants: one grouped ``FlatModel.gradients_batched`` pass for the
-  gradients and one ``Sparsifier.client_select_batched`` call for the
-  top-k selection, collapsing the O(N) Python hot path into NumPy-level
-  work.  Every batched step is bit-identical to its serial counterpart
-  (see the respective docstrings), so the two backends produce *equal*
-  training histories; whenever a model or sparsifier lacks batched
+- :class:`VectorizedBackend` — batches the gradient phase across all
+  participants (one grouped ``FlatModel.gradients_batched`` pass) and the
+  residual reset; selection runs per client, as in the serial backend
+  (stacking the residuals to select in one call costs more than the N
+  calls it saves).  Every batched step is bit-identical to its serial
+  counterpart (see the respective docstrings), so the two backends
+  produce *equal* training histories; whenever a model lacks batched
   support the backend silently falls back to the serial path for that
   piece, trading speed, never correctness.
 - :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — partitions
@@ -146,10 +146,9 @@ class VectorizedBackend(ExecutionBackend):
     Minibatches are drawn per client (their RNG streams must match the
     serial backend), then grouped by batch size and pushed through
     ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes); top-k client selection runs once on the
-    stacked residual matrix.  Models without grouped-batch support
-    (active Dropout, training-mode BatchNorm) and sparsifiers without
-    batched selection fall back to the equivalent per-client calls.
+    grouped im2col passes); each client then selects its own upload.
+    Models without grouped-batch support (active Dropout, training-mode
+    BatchNorm) fall back to the equivalent per-client calls.
     """
 
     name = "vectorized"
@@ -166,26 +165,9 @@ class VectorizedBackend(ExecutionBackend):
         for client, grad in zip(participants, grads):
             client.accumulate_gradient(grad)
 
-        index_rows = None
-        if sparsifier.supports_batched_select():
-            residual_matrix = np.stack(
-                [client.residual for client in participants]
-            )
-            index_rows = sparsifier.client_select_batched(residual_matrix, k)
-        if index_rows is not None:
-            value_rows = np.take_along_axis(
-                residual_matrix, index_rows, axis=1
-            )
-            uploads = [
-                client.build_upload(row, values)
-                for client, row, values in zip(
-                    participants, index_rows, value_rows
-                )
-            ]
-        else:
-            uploads = [
-                client.select_upload(k, sparsifier) for client in participants
-            ]
+        uploads = [
+            client.select_upload(k, sparsifier) for client in participants
+        ]
         if draw_probes:
             for client in participants:
                 client.draw_probe_sample()

@@ -144,10 +144,10 @@ class Client:
 
         This is the serial reference path; execution backends may instead
         compose the pieces (:meth:`draw_minibatch`,
-        :meth:`accumulate_gradient`, :meth:`select_upload` /
-        :meth:`build_upload`) so the gradient and selection can be batched
-        across clients — each piece touches the same per-client state in
-        the same order, so compositions reproduce this method exactly.
+        :meth:`accumulate_gradient`, :meth:`select_upload`) so the
+        gradient can be batched across clients — each piece touches the
+        same per-client state in the same order, so compositions
+        reproduce this method exactly.
         """
         x, y = self.draw_minibatch()
         grad, _ = model.gradient(x, y)
@@ -207,29 +207,6 @@ class Client:
             self._last_upload_indices,
             self.residual[self._last_upload_indices],
             self.dimension,
-        )
-        return ClientUpload(
-            client_id=self.client_id,
-            payload=payload,
-            sample_count=self.sample_count,
-        )
-
-    def build_upload(
-        self, sorted_indices: np.ndarray, values: np.ndarray | None = None
-    ) -> ClientUpload:
-        """Package an upload for externally selected (sorted) indices.
-
-        Used by vectorized backends whose batched selection already
-        produced each client's sorted unique index row; skips re-running
-        the per-client selection and the payload validation pass.
-        ``values``, when given, must equal ``residual[sorted_indices]``
-        (backends gather all clients' values in one batched operation).
-        """
-        self._last_upload_indices = sorted_indices
-        if values is None:
-            values = self.residual[sorted_indices]
-        payload = SparseVector.from_sorted(
-            sorted_indices, values, self.dimension
         )
         return ClientUpload(
             client_id=self.client_id,

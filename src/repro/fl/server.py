@@ -45,13 +45,11 @@ class Server:
     ) -> DownlinkMessage:
         """Aggregate uploaded residuals over the selected index set.
 
-        When all uploads carry the same number of pairs (the common top-k
-        case) the membership tests run on one stacked matrix and a single
-        ``np.add.at`` performs the accumulation.  ``np.add.at`` applies
-        its updates in element order, and the stacked operands are laid
-        out client-major, so each coordinate accumulates its terms in
-        exactly the per-client order of the fallback loop — the aggregate
-        is bit-identical, not merely equal in expectation.
+        The mean accumulates into one dense D-vector, one upload at a
+        time.  Indices are unique inside one upload, so a plain ``+=``
+        scatter adds every pair exactly once, and looping uploads in
+        order gives each coordinate its terms in upload order — the sum
+        is a fixed float expression, bit-identical on every backend.
 
         ``total_weight`` overrides the normalizing constant ``C``.  By
         default ``C`` is the received uploads' total sample count; under
@@ -80,39 +78,15 @@ class Server:
         elif total_weight <= 0:
             raise ValueError("total_weight must be positive")
         selected = selection.indices  # sorted unique
-        values = np.zeros(selected.size)
-        nnz = uploads[0].payload.nnz
-        if selected.size and nnz > 0 and all(up.payload.nnz == nnz for up in uploads):
-            index_matrix = np.stack([up.payload.indices for up in uploads])
-            value_matrix = np.stack([up.payload.values for up in uploads])
-            weights = np.array(
-                [up.sample_count / total_weight for up in uploads]
-            )
-            pos = np.searchsorted(selected, index_matrix)
-            pos_clipped = np.minimum(pos, selected.size - 1)
-            hits = (pos < selected.size) & (
-                selected[pos_clipped] == index_matrix
-            )
-            np.add.at(
-                values,
-                pos_clipped[hits],
-                (weights[:, None] * value_matrix)[hits],
-            )
-        else:
-            for up in uploads:
-                # Positions of this client's uploads within `selected`.
-                pos = np.searchsorted(selected, up.payload.indices)
-                in_range = pos < selected.size
-                pos_clipped = np.minimum(pos, selected.size - 1)
-                hits = in_range & (selected[pos_clipped] == up.payload.indices)
-                weight = up.sample_count / total_weight
-                np.add.at(
-                    values, pos_clipped[hits], weight * up.payload.values[hits]
-                )
+        dense = np.zeros(self.dimension)
+        for up in uploads:
+            dense[up.payload.indices] += (
+                up.sample_count / total_weight
+            ) * up.payload.values
         # ``selected`` is sorted unique int64 (SelectionResult invariant)
-        # and ``values`` is freshly computed float64: take the trusted
-        # constructor, skipping a per-round re-sort/duplicate scan.
+        # and the gather is fresh float64: take the trusted constructor,
+        # skipping a per-round re-sort/duplicate scan.
         payload = SparseVector.from_sorted(
-            selected, values, self.dimension
+            selected, dense[selected], self.dimension
         )
         return DownlinkMessage(payload=payload)

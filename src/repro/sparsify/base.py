@@ -73,11 +73,10 @@ class SparseVector:
         """Trusted constructor for pre-validated inputs.
 
         ``indices`` must already be sorted, unique, in-range int64 and
-        ``values`` float64 of equal length (e.g. the output of a batched
-        top-k selection).  Skips the normalization/validation pass of
-        ``__post_init__``; content is identical to the checked
-        construction.  This is the hot-path constructor: client uploads
-        (serial and batched selection), the server's downlink payload and
+        ``values`` float64 of equal length.  Skips the
+        normalization/validation pass of ``__post_init__``; content is
+        identical to the checked construction.  This is the hot-path
+        constructor: client uploads, the server's downlink payload and
         quantization rewraps all route through it, so the validating
         ``__init__`` only runs for externally supplied vectors.
         """
@@ -167,26 +166,8 @@ class Sparsifier:
         """
         raise NotImplementedError
 
-    def supports_batched_select(self) -> bool:
-        """Whether :meth:`client_select_batched` has an implementation.
-
-        Callers check this *before* stacking client residuals into a
-        matrix, so unsupported schemes never pay that copy.
-        """
-        return False
-
-    def client_select_batched(
-        self, residuals: np.ndarray, k: int
-    ) -> np.ndarray | None:
-        """Vectorized :meth:`client_select` over a ``(clients, D)`` matrix.
-
-        Returns a ``(clients, k')`` array of sorted index rows identical to
-        per-client :meth:`client_select` calls, or None when no batched
-        implementation exists (callers then fall back to the per-client
-        path).  Only sparsifiers whose selection ignores the per-client RNG
-        may implement this — a batched path must not alter RNG streams.
-        """
-        del residuals, k
+    def client_select_batched(self, residuals: np.ndarray, k: int) -> None:
+        # Only the frozen benchmarks/suite/trace.py names this (it wraps it).
         return None
 
     def preprocess_uploads(

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
 from repro.sparsify.fab_topk import _count_contributions
-from repro.sparsify.topk import top_k_indices, top_k_indices_batched
+from repro.sparsify.topk import top_k_indices
 
 
 class FUBTopK(Sparsifier):
@@ -29,14 +29,6 @@ class FUBTopK(Sparsifier):
         del rng
         return top_k_indices(residual, k)
 
-    def supports_batched_select(self) -> bool:
-        return True
-
-    def client_select_batched(
-        self, residuals: np.ndarray, k: int
-    ) -> np.ndarray | None:
-        return top_k_indices_batched(residuals, k)
-
     def server_select(
         self, uploads: list[ClientUpload], k: int, dimension: int
     ) -> SelectionResult:
@@ -44,17 +36,17 @@ class FUBTopK(Sparsifier):
         if not uploads:
             raise ValueError("no uploads to select from")
         total_weight = float(sum(up.sample_count for up in uploads))
-        aggregate: dict[int, float] = {}
+        aggregate = np.zeros(dimension)
+        uploaded = np.zeros(dimension, dtype=bool)
         for up in uploads:
-            w = up.sample_count / total_weight
-            for j, v in zip(up.payload.indices, up.payload.values):
-                aggregate[int(j)] = aggregate.get(int(j), 0.0) + w * float(v)
-        indices = np.fromiter(aggregate.keys(), dtype=np.int64)
-        values = np.fromiter(aggregate.values(), dtype=np.float64)
-        if indices.size <= k:
-            selected = np.sort(indices)
-        else:
-            keep = top_k_indices(values, k)
-            selected = np.sort(indices[keep])
+            # Same accumulate as Server.aggregate's mean (upload order).
+            aggregate[up.payload.indices] += (
+                up.sample_count / total_weight
+            ) * up.payload.values
+            uploaded[up.payload.indices] = True
+        # Index-ordered candidates, so top_k_indices' position tie-break is
+        # the index tie-break every other selector uses.
+        indices = np.flatnonzero(uploaded)
+        selected = indices[top_k_indices(aggregate[indices], k)]
         contributions = _count_contributions(uploads, selected)
         return SelectionResult(indices=selected, contributions=contributions)

@@ -74,18 +74,6 @@ class PeriodicK(Sparsifier):
         assert self._current is not None
         return self._current
 
-    def supports_batched_select(self) -> bool:
-        return True
-
-    def client_select_batched(
-        self, residuals: np.ndarray, k: int
-    ) -> np.ndarray | None:
-        # All clients share the round's coordinate set; one draw, tiled.
-        if self._current is None or self._current.size != k:
-            self.start_round(k)
-        assert self._current is not None
-        return np.tile(self._current, (residuals.shape[0], 1))
-
     def server_select(
         self, uploads: list[ClientUpload], k: int, dimension: int
     ) -> SelectionResult:

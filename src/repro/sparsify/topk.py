@@ -42,71 +42,12 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.concatenate([strict, tied]).astype(np.int64, copy=False))
 
 
-def top_k_indices_batched(values: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise :func:`top_k_indices` for a ``(rows, D)`` matrix.
-
-    Returns a ``(rows, min(k, D))`` int64 array whose row ``r`` equals
-    ``top_k_indices(values[r], k)``.  Same argpartition-threshold scheme
-    as the scalar version, vectorized over rows: per row, entries above
-    the row's k-th largest magnitude are selected, and threshold ties are
-    admitted in index order until the row holds exactly k entries — a
-    deterministic function of each row, so the batched result is
-    identical to the per-row calls by construction.
-    """
-    rows, n = values.shape
-    if k <= 0:
-        return np.empty((rows, 0), dtype=np.int64)
-    if k >= n:
-        return np.tile(np.arange(n, dtype=np.int64), (rows, 1))
-    magnitude = np.abs(values)
-    part = np.argpartition(magnitude, n - k, axis=1)
-    top = part[:, n - k :]  # the k largest per row (tie placement arbitrary)
-    top_mag = np.take_along_axis(magnitude, top, axis=1)
-    threshold = top_mag[:, :1]  # partition point = k-th largest magnitude
-    out = np.empty((rows, k), dtype=np.int64)
-    # Strictly-above entries are all inside the k-sized partition block,
-    # so everything below works on (rows, k) arrays — except the single
-    # full equality pass locating threshold ties, which may sit anywhere.
-    above_r, above_c = np.nonzero(top_mag > threshold)  # row-major order
-    counts_above = np.bincount(above_r, minlength=rows)
-    starts = np.cumsum(counts_above) - counts_above
-    out[above_r, np.arange(above_r.size) - starts[above_r]] = top[
-        above_r, above_c
-    ]
-    # Fill each row's remaining slots with its lowest-index threshold
-    # ties (nonzero scans row-major, so per-row tie columns come out
-    # ascending; at least `need` ties exist by definition of the
-    # threshold).
-    need = k - counts_above
-    tie_r, tie_c = np.nonzero(magnitude == threshold)
-    counts_tie = np.bincount(tie_r, minlength=rows)
-    starts = np.cumsum(counts_tie) - counts_tie
-    rank = np.arange(tie_r.size) - starts[tie_r]
-    keep = rank < need[tie_r]
-    out[tie_r[keep], counts_above[tie_r[keep]] + rank[keep]] = tie_c[keep]
-    return np.sort(out, axis=1)
-
-
 def ranked_indices(values: np.ndarray, limit: int | None = None) -> np.ndarray:
     """All indices ordered by (|value| descending, index ascending).
 
-    ``limit`` truncates the ranking (used by FAB-top-k, which needs each
-    client's upload ranked so per-client prefixes J_i^κ can be formed).
-    A truncated ranking is computed from only the argpartition-prefiltered
-    top-``limit`` candidates (plus every threshold tie, so the cut is
-    exact); the full ranking still costs one lexsort.
+    A stable sort on -|value| leaves equal magnitudes in position order,
+    which *is* the index tie-break.  ``limit`` truncates the ranking to
+    its first ``limit`` entries (FAB-top-k's per-client prefixes J_i^κ).
     """
-    n = values.shape[0]
-    magnitude = np.abs(values)
-    if limit is None or limit >= n:
-        order = np.lexsort((np.arange(n), -magnitude))
-        if limit is not None:
-            order = order[:limit]
-        return order.astype(np.int64, copy=False)
-    if limit <= 0:
-        return np.empty(0, dtype=np.int64)
-    part = np.argpartition(magnitude, n - limit)
-    threshold = magnitude[part[n - limit]]
-    candidates = np.flatnonzero(magnitude >= threshold)
-    order = np.lexsort((candidates, -magnitude[candidates]))
-    return candidates[order[:limit]].astype(np.int64, copy=False)
+    order = np.argsort(-np.abs(values), kind="stable")
+    return order if limit is None else order[: max(limit, 0)]

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
 from repro.sparsify.fab_topk import _count_contributions
-from repro.sparsify.topk import top_k_indices, top_k_indices_batched
+from repro.sparsify.topk import top_k_indices
 
 
 class UnidirectionalTopK(Sparsifier):
@@ -25,14 +25,6 @@ class UnidirectionalTopK(Sparsifier):
     ) -> np.ndarray:
         del rng
         return top_k_indices(residual, k)
-
-    def supports_batched_select(self) -> bool:
-        return True
-
-    def client_select_batched(
-        self, residuals: np.ndarray, k: int
-    ) -> np.ndarray | None:
-        return top_k_indices_batched(residuals, k)
 
     def server_select(
         self, uploads: list[ClientUpload], k: int, dimension: int

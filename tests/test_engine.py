@@ -13,8 +13,8 @@ Three layers of guarantees:
    quantization-wrapped path) and model families (MLP and CNN — conv/pool
    run the grouped im2col pass), plus the batched-unsupported fallbacks
    (momentum masking, active dropout).
-3. **Batched kernels** — ``FlatModel.gradients_batched`` and
-   ``top_k_indices_batched`` equal their per-client counterparts exactly.
+3. **Batched kernels** — ``FlatModel.gradients_batched`` equals its
+   per-client counterpart exactly.
 """
 
 import json
@@ -48,7 +48,6 @@ from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
-from repro.sparsify.topk import top_k_indices, top_k_indices_batched
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
@@ -618,25 +617,6 @@ class TestBatchedKernels:
         ys = [rng.integers(0, 5, size=6) for _ in range(9)]
         serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(serial, model.gradients_batched(xs, ys))
-
-    def test_top_k_batched_matches_rows(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((17, 200))
-        for k in (1, 7, 64, 200, 500):
-            batched = top_k_indices_batched(values, k)
-            for row in range(values.shape[0]):
-                np.testing.assert_array_equal(
-                    batched[row], top_k_indices(values[row], k)
-                )
-
-    def test_top_k_batched_deterministic_under_ties(self):
-        values = np.zeros((3, 12))
-        values[:, [2, 5, 9]] = 1.0  # three-way magnitude ties everywhere
-        batched = top_k_indices_batched(values, 2)
-        for row in range(3):
-            np.testing.assert_array_equal(
-                batched[row], top_k_indices(values[row], 2)
-            )
 
     def test_vectorized_gradients_match_serial_backend(self):
         fed = _federation()

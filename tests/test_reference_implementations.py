@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.data.partition import partition_iid
 from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.metrics import RoundRecord, TrainingHistory
+from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_logistic
 from repro.online.adaptive_trainer import AdaptiveKTrainer
@@ -21,8 +22,9 @@ from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
 from repro.simulation.heterogeneous import ClientSampler
 from repro.simulation.timing import TimingModel
-from repro.sparsify.base import ClientUpload, SparseVector
+from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import fair_select
+from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.topk import top_k_indices
@@ -63,6 +65,77 @@ def reference_fair_select(uploads, k):
     return chosen
 
 
+def reference_aggregate(uploads, selected, total_weight=None):
+    """Literal Algorithm 1 lines 8-11: b_j = (1/C) Σ_i C_i a_ij 1[j ∈ J_i],
+    each coordinate summed in upload order in pure Python floats."""
+    if total_weight is None:
+        total_weight = float(sum(up.sample_count for up in uploads))
+    b = {j: 0.0 for j in selected}
+    for up in uploads:
+        weight = up.sample_count / total_weight
+        for j, v in zip(up.payload.indices.tolist(), up.payload.values.tolist()):
+            if j in b:
+                b[j] += weight * v
+    return np.array([b[j] for j in selected], dtype=np.float64)
+
+
+def reference_fub_select(uploads, k):
+    """Literal FUB-top-k: the k largest |aggregated value|, index asc on ties."""
+    total_weight = float(sum(up.sample_count for up in uploads))
+    aggregate = {}
+    for up in uploads:
+        weight = up.sample_count / total_weight
+        for j, v in zip(up.payload.indices.tolist(), up.payload.values.tolist()):
+            aggregate[j] = aggregate.get(j, 0.0) + weight * v
+    ranked = sorted(aggregate, key=lambda j: (-abs(aggregate[j]), j))
+    return sorted(ranked[:k])
+
+
+def reference_contributions(uploads, selected):
+    """Per client, how many of its uploaded indices are in ``selected``."""
+    chosen = set(selected)
+    return {
+        up.client_id: len(chosen & set(up.payload.indices.tolist()))
+        for up in uploads
+    }
+
+
+#: a tiny alphabet (sign pairs, exact zeros) so duplicate magnitudes are the
+#: rule, mixed with one-decimal floats so distinct ones occur too
+UPLOAD_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(
+    min_value=-4.0, max_value=4.0, allow_nan=False
+).map(lambda v: round(v, 1))
+
+
+@st.composite
+def generated_uploads(draw, rectangular=False):
+    """``(uploads, k, dimension)``: 1-8 clients, upload sizes ragged and
+    down to 0 (equal when ``rectangular``), server k drawn independently of
+    any upload size — so |∪ J_i| <= k, k >= N·nnz, single-upload,
+    empty-mixed-in and all-empty cases all occur."""
+    dimension = draw(st.integers(min_value=1, max_value=24))
+    n_clients = draw(st.integers(min_value=1, max_value=8))
+    sizes = st.integers(min_value=0, max_value=dimension)
+    common = draw(sizes)
+    uploads = []
+    for cid in range(n_clients):
+        size = common if rectangular else draw(sizes)
+        indices = draw(st.lists(
+            st.integers(min_value=0, max_value=dimension - 1),
+            unique=True, min_size=size, max_size=size,
+        ))
+        values = draw(st.lists(UPLOAD_VALUES, min_size=size, max_size=size))
+        payload = SparseVector(
+            np.array(indices, dtype=np.int64), np.array(values, dtype=float),
+            dimension,
+        )
+        uploads.append(
+            ClientUpload(cid, payload, draw(st.integers(min_value=1, max_value=5)))
+        )
+    k = draw(st.integers(min_value=1, max_value=dimension))
+    return uploads, k, dimension
+
+
 class TestFABAgainstReference:
     @given(
         st.integers(min_value=1, max_value=5),    # clients
@@ -83,6 +156,68 @@ class TestFABAgainstReference:
         got = fair_select(uploads, k).tolist()
         expected = reference_fair_select(uploads, k)
         assert got == expected
+
+    @pytest.mark.parametrize("rectangular", [True, False])
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fair_select_matches_reference_on_generated_uploads(
+        self, rectangular, data
+    ):
+        uploads, k, dimension = data.draw(generated_uploads(rectangular))
+        selected = fair_select(uploads, k)
+        assert selected.dtype == np.int64
+        assert selected.tolist() == reference_fair_select(uploads, k)
+
+        result = FABTopK().server_select(uploads, k, dimension)
+        assert result.indices.tolist() == selected.tolist()
+        assert result.contributions == reference_contributions(
+            uploads, selected.tolist()
+        )
+        # The paper's floor: κ = ⌊k/N⌋ always fits (N·κ <= k), so a client
+        # that uploaded at least that many pairs gets at least that many in.
+        quota = k // len(uploads)
+        for up in uploads:
+            if up.payload.nnz >= quota:
+                assert result.contributions[up.client_id] >= quota
+
+
+class TestAggregateAgainstReference:
+    @pytest.mark.parametrize("rectangular", [True, False])
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mean_is_byte_equal_to_upload_order_accumulation(
+        self, rectangular, data
+    ):
+        uploads, k, dimension = data.draw(generated_uploads(rectangular))
+        # Either the FAB selection or an arbitrary index set (which may
+        # hold coordinates nobody uploaded).
+        if data.draw(st.booleans()):
+            selected = fair_select(uploads, k)
+        else:
+            selected = np.array(sorted(data.draw(st.sets(
+                st.integers(min_value=0, max_value=dimension - 1), min_size=1
+            ))), dtype=np.int64)
+        total_weight = data.draw(
+            st.none() | st.floats(min_value=0.5, max_value=64.0)
+        )
+        message = Server(dimension).aggregate(
+            uploads, SelectionResult(indices=selected), total_weight=total_weight
+        )
+        assert message.payload.indices.tolist() == selected.tolist()
+        assert message.payload.values.dtype == np.float64
+        expected = reference_aggregate(uploads, selected.tolist(), total_weight)
+        assert message.payload.values.tobytes() == expected.tobytes()
+
+
+class TestFUBAgainstReference:
+    @given(generated_uploads())
+    @settings(max_examples=150, deadline=None)
+    def test_server_select_matches_reference(self, case):
+        uploads, k, dimension = case
+        result = FUBTopK().server_select(uploads, k, dimension)
+        expected = reference_fub_select(uploads, k)
+        assert result.indices.tolist() == expected
+        assert result.contributions == reference_contributions(uploads, expected)
 
 
 class TestPeriodicResidualModes:

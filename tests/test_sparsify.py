@@ -10,6 +10,9 @@ The key properties tested here are the ones the paper claims:
 - Periodic-k covers every coordinate within ⌈D/k⌉ rounds.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +22,7 @@ from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK, fair_select
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
-from repro.sparsify.topk import (
-    ranked_indices,
-    top_k_indices,
-    top_k_indices_batched,
-)
+from repro.sparsify.topk import ranked_indices, top_k_indices
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
 RNG = np.random.default_rng(3)
@@ -109,12 +108,13 @@ class TestTopKIndices:
 
     @pytest.mark.parametrize("k", [0, 1, 6, 29, 30, 31, 100])
     def test_batched_matches_lexsort_on_ties(self, k):
+        # Per-row selection over a tie-heavy matrix: what every backend,
+        # the vectorized one included, runs for a cohort's residuals.
         rng = np.random.default_rng(9)
         values = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(13, 30))
-        batched = top_k_indices_batched(values, k)
-        for row in range(values.shape[0]):
+        for row in values:
             np.testing.assert_array_equal(
-                batched[row], self._lexsort_reference(values[row], k)
+                top_k_indices(row, k), self._lexsort_reference(row, k)
             )
 
     @given(
@@ -310,6 +310,16 @@ class TestFUBTopK:
         result = FUBTopK().server_select(uploads, k=5, dimension=d)
         np.testing.assert_array_equal(result.indices, [3])
 
+    def test_equal_aggregates_tie_break_by_index_not_arrival(self):
+        # {5: 1.0} arrives before {2: 1.0}; like every other selector the
+        # tie goes to the lowest index, not to whoever uploaded first.
+        d = 8
+        first = ClientUpload(0, SparseVector(np.array([5]), np.array([1.0]), d), 1)
+        second = ClientUpload(1, SparseVector(np.array([2]), np.array([1.0]), d), 1)
+        result = FUBTopK().server_select([first, second], k=1, dimension=d)
+        np.testing.assert_array_equal(result.indices, [2])
+        assert result.contributions == {0: 0, 1: 1}
+
 
 class TestUnidirectionalTopK:
     def test_downlink_is_union(self):
@@ -378,3 +388,71 @@ class TestPeriodicK:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             PeriodicK(dimension=0)
+
+
+# ----------------------------------------------------------------------
+# Tooling: keep the server's set operations one path
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ONE_PATH_FILES = sorted((SRC / "sparsify").glob("*.py")) + [SRC / "fl" / "server.py"]
+
+
+def _is_payload_nnz(node):
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "nnz"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "payload"
+    )
+
+
+def _forked_paths(tree):
+    """``(lineno, what)`` for each idiom that forks selection/aggregation
+    into a rectangular fast path beside a ragged fallback."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(
+            _is_payload_nnz(side) for side in (node.left, *node.comparators)
+        ):
+            found.append((node.lineno, "payload.nnz comparison"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "isinstance" and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "ndarray"
+            for sub in ast.walk(node.args[1])
+        ):
+            found.append((node.lineno, "isinstance(..., np.ndarray) dispatch"))
+        if isinstance(func, ast.Attribute) and func.attr == "stack":
+            found.append((node.lineno, "np.stack(...)"))
+    return found
+
+
+class TestOneDensePass:
+    def test_no_rectangular_fork_in_selection_or_aggregation(self):
+        offenders = [
+            f"{path.relative_to(SRC).as_posix()}:{lineno} {what}"
+            for path in ONE_PATH_FILES
+            for lineno, what in _forked_paths(ast.parse(path.read_text()))
+        ]
+        assert offenders == [], (
+            "FAB selection, contribution counts and the weighted mean are "
+            "one per-upload pass over dense D-vectors; no equal-size "
+            "precondition, type dispatch or stacking of uploads: "
+            + "; ".join(offenders)
+        )
+
+    def test_the_lint_sees_what_it_forbids(self):
+        # Guard against a vacuous lint: the kernels' files are in its
+        # scope and each forbidden idiom is recognised.
+        assert {"fab_topk.py", "fub_topk.py", "server.py"} <= {
+            path.name for path in ONE_PATH_FILES
+        }
+        idioms = _forked_paths(ast.parse(
+            "if nnz > 0 and all(up.payload.nnz == nnz for up in uploads):\n"
+            "    m = np.stack([up.payload.indices for up in uploads])\n"
+            "if isinstance(ranked, np.ndarray) or n != up.payload.nnz:\n"
+            "    pass\n"
+        ))
+        assert sorted(what for _, what in idioms) == [
+            "isinstance(..., np.ndarray) dispatch", "np.stack(...)",
+            "payload.nnz comparison", "payload.nnz comparison",
+        ]
