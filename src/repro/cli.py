@@ -60,6 +60,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.declared import add_flags, overrides_from
 from repro.experiments.config import (
     SCALE_NAMES,
     ExperimentConfig,
@@ -79,10 +80,10 @@ from repro.parallel.sweep import (
     collect_artifacts,
     run_sweep,
 )
+from repro.scenarios import ScenarioConfig
 
-FIGURES = (
-    "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "scenario", "adversary",
-)
+#: every figure command is sweepable: one tuple, two names
+FIGURES = SWEEP_FIGURES
 
 logger = get_logger("cli")
 
@@ -116,88 +117,16 @@ def _run_figure(figure: str, config: ExperimentConfig, out: Path,
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    """Deployment-scenario knobs of the ``scenario`` subcommand.
-
-    Defaults are ``None`` so unset flags leave the preset
-    (:meth:`repro.scenarios.ScenarioConfig.default_churn`, seeded from
-    the experiment seed) untouched.
-    """
-    from repro.scenarios import (
-        AVAILABILITY_KINDS,
-        DEADLINE_POLICY_KINDS,
-        REWEIGHT_MODES,
-    )
-
-    p.add_argument("--availability", default=None, choices=AVAILABILITY_KINDS,
-                   help="who is online each round (default: markov churn)")
-    p.add_argument("--p-drop", type=float, default=None,
-                   help="markov: per-round P(online -> offline)")
-    p.add_argument("--p-recover", type=float, default=None,
-                   help="markov: per-round P(offline -> online)")
-    p.add_argument("--period", type=int, default=None,
-                   help="diurnal: rounds per day cycle")
-    p.add_argument("--duty", type=float, default=None,
-                   help="diurnal: fraction of the cycle a client is online")
+    """The ``scenario``/``adversary`` flags that are not a field's value
+    (every other deployment knob is declared on its
+    :class:`~repro.scenarios.ScenarioConfig` field)."""
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="JSON availability trace "
                         '({"rounds": [[ids...], ...], "cycle": true}); '
                         "implies --availability trace")
-    p.add_argument("--participants", type=int, default=None,
-                   help="uploads aggregated per round, m (0 = all available)")
-    p.add_argument("--over-selection", type=float, default=None,
-                   help="sample m*(1+eps) clients, aggregate the first m "
-                        "to finish")
-    p.add_argument("--deadline", type=float, nargs="+", default=None,
-                   help="round deadline(s); several values cycle "
-                        "(periodic straggler amnesty)")
-    p.add_argument("--deadline-policy", default=None,
-                   choices=DEADLINE_POLICY_KINDS,
-                   help="how the deadline evolves: fixed (a schedule "
-                        "preset collapses to its mean), cycling, or "
-                        "adaptive (the server learns the deadline online "
-                        "over [--deadline-min, --deadline-max], the dual "
-                        "of the learned k; the interval defaults to the "
-                        "schedule's min/max, or to [d/2, 2d] around a "
-                        "single --deadline d)")
-    p.add_argument("--deadline-min", type=float, default=None,
-                   help="adaptive: lower edge of the deadline interval")
-    p.add_argument("--deadline-max", type=float, default=None,
-                   help="adaptive: upper edge of the deadline interval")
     p.add_argument("--no-deadline-probe", action="store_true",
                    help="adaptive: disable the counterfactual probe "
                         "(freezes the deadline at its start value)")
-    p.add_argument("--min-uploads", type=int, default=None,
-                   help="floor of accepted uploads per round")
-    p.add_argument("--reweight", default=None, choices=REWEIGHT_MODES,
-                   help="partial-aggregate normalization: over arrivals "
-                        "or over the sampled cohort")
-    p.add_argument("--slow-fraction", type=float, default=None,
-                   help="fraction of clients that are stragglers")
-    p.add_argument("--slow-factor", type=float, default=None,
-                   help="compute+comm slowdown of a straggler")
-    p.add_argument("--async", dest="async_mode", action="store_const",
-                   const=True, default=None,
-                   help="additionally run the asynchronous staleness-"
-                        "weighted commit comparison (sync barrier vs "
-                        "async commits per staleness discount, equal "
-                        "simulated time; writes scenario_async_*)")
-    p.add_argument("--staleness", default=None,
-                   choices=("constant", "poly", "polynomial", "adaptive"),
-                   help="staleness discount of async commits: constant "
-                        "(no correction), poly[nomial] (1+s)^-a, or "
-                        "adaptive (the exponent a learned online, a "
-                        "third dual of the learned k); implies --async")
-    p.add_argument("--commit-count", type=int, default=None,
-                   help="arrivals the async server buffers per commit "
-                        "(0 = half the target cohort); implies --async")
-    p.add_argument("--population", type=int, default=None, metavar="N",
-                   help="run over a virtual population of N clients "
-                        "(e.g. 1000000): per-client data, availability "
-                        "and straggler profiles regenerate from (seed, "
-                        "id) on demand, so rounds cost O(cohort) and "
-                        "memory O(ever-sampled) at any N; pairs with "
-                        "--participants m (defaults to a small fixed "
-                        "cohort — an all-available round would be O(N))")
     p.add_argument("--alpha-sweep", type=float, nargs="+", default=None,
                    metavar="ALPHA",
                    help="additionally run the scenario comparison at "
@@ -205,42 +134,10 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                         "write a scenario x alpha panel "
                         "(scenario_dirichlet_alpha); eager "
                         "federations only")
-    _add_adversary_flags(p)
-
-
-def _add_adversary_flags(p: argparse.ArgumentParser) -> None:
-    """Byzantine-attack + robust-aggregation knobs.
-
-    Shared by ``scenario`` (one attack x defense run under churn) and
-    ``adversary`` (the attack x defense panel, where the kind/scale set
-    the mounted attack and the fraction/aggregator of each cell are
-    swept by the driver).
-    """
-    from repro.fl.robust import AGGREGATOR_KINDS
-    from repro.scenarios import ADVERSARY_KINDS
-
-    p.add_argument("--adversary-kind", default=None, choices=ADVERSARY_KINDS,
-                   help="Byzantine attack mounted by designated clients "
-                        "(default: none for scenario, sign_flip for the "
-                        "adversary panel)")
-    p.add_argument("--adversary-fraction", type=float, default=None,
-                   help="probability each client is Byzantine (one "
-                        "seeded draw per client); a positive value "
-                        "implies --adversary-kind sign_flip")
-    p.add_argument("--adversary-scale", type=float, default=None,
-                   help="attack magnitude (sign-flip/scale multiplier, "
-                        "noise amplitude in upload-RMS units)")
-    p.add_argument("--aggregator", default=None, choices=AGGREGATOR_KINDS,
-                   help="server aggregation rule; mean is the paper's "
-                        "weighted mean, the others are "
-                        "Byzantine-tolerant")
-    p.add_argument("--trim-fraction", type=float, default=None,
-                   help="per-coordinate trim rate of the trimmed_mean "
-                        "aggregator")
 
 
 def _scenario_overrides(
-    args, seed: int, base: "ScenarioConfig | None" = None
+    args, seed: int, base: ScenarioConfig | None = None
 ) -> dict:
     """The ScenarioConfig dict the subcommand's flags describe.
 
@@ -248,39 +145,19 @@ def _scenario_overrides(
     for ``scenario``, an always-available population for ``adversary``
     (the panel isolates the Byzantine axis).
     """
-    from repro.scenarios import ScenarioConfig
+    from repro.experiments.scenario import population_cohort
     from repro.scenarios.availability import load_trace_json
+    from repro.scenarios.deadline import single_deadline_interval
 
     if base is None:
         base = ScenarioConfig.default_churn()
     scenario = base.with_overrides(seed=seed)
-    overrides = {}
+    overrides = overrides_from(args, ScenarioConfig)
     if getattr(args, "population", None) and args.participants is None:
         # Population-scale runs must name a cohort: participants=0
         # ("all available") is an O(N) round, the one thing a virtual
         # population exists to avoid.
-        from repro.experiments.scenario import DEFAULT_POPULATION_COHORT
-
-        overrides["participants"] = DEFAULT_POPULATION_COHORT
-    for flag, field_name in (
-        ("availability", "availability"), ("p_drop", "p_drop"),
-        ("p_recover", "p_recover"), ("period", "period"), ("duty", "duty"),
-        ("participants", "participants"),
-        ("over_selection", "over_selection"), ("min_uploads", "min_uploads"),
-        ("reweight", "reweight"), ("slow_fraction", "slow_fraction"),
-        ("slow_factor", "slow_factor"),
-        ("async_mode", "async_mode"), ("staleness", "staleness_discount"),
-        ("commit_count", "commit_count"),
-        ("deadline_policy", "deadline_policy"),
-        ("deadline_min", "deadline_min"), ("deadline_max", "deadline_max"),
-        ("adversary_kind", "adversary"),
-        ("adversary_fraction", "adversary_fraction"),
-        ("adversary_scale", "adversary_scale"),
-        ("aggregator", "aggregator"), ("trim_fraction", "trim_fraction"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
+        overrides["participants"] = population_cohort()
     if (
         overrides.get("adversary_fraction", 0.0) > 0.0
         and "adversary" not in overrides
@@ -293,10 +170,10 @@ def _scenario_overrides(
     ):
         # Async-only knobs are a request for the async comparison.
         overrides["async_mode"] = True
-    if args.deadline is not None:
+    if "deadline" in overrides:
+        values = overrides["deadline"]
         overrides["deadline"] = (
-            args.deadline[0] if len(args.deadline) == 1
-            else tuple(args.deadline)
+            values[0] if len(values) == 1 else tuple(values)
         )
     if args.no_deadline_probe:
         overrides["deadline_probe"] = False
@@ -316,10 +193,9 @@ def _scenario_overrides(
         and "deadline_min" not in overrides
         and "deadline_max" not in overrides
     ):
-        # A single deadline has no schedule to seed the interval from;
-        # search around it (matching the comparison panel's convention).
-        overrides["deadline_min"] = effective_deadline / 2.0
-        overrides["deadline_max"] = effective_deadline * 2.0
+        overrides["deadline_min"], overrides["deadline_max"] = (
+            single_deadline_interval(effective_deadline)
+        )
     if args.trace is not None:
         rounds, cycle = load_trace_json(args.trace)
         overrides["availability"] = "trace"
@@ -349,46 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             help_text = f"reproduce {figure} of the paper"
         p = sub.add_parser(figure, help=help_text)
-        if figure in ("scenario", "adversary"):
+        deployment = figure in ("scenario", "adversary")
+        if deployment:
+            add_flags(p, ScenarioConfig)
             _add_scenario_flags(p)
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--scale", default="bench", choices=SCALE_NAMES)
-        p.add_argument("--rounds", type=int, default=None,
-                       help="override the preset's round count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the preset's seed")
-        p.add_argument("--comm-time", type=float, default=None,
-                       help="override the preset's communication time")
-        p.add_argument("--backend", default=None,
-                       choices=BACKEND_NAMES,
-                       help="execution backend for the trainers "
-                            "(vectorized batches all clients per round, "
-                            "sharded fans them out over worker processes; "
-                            "identical results, faster)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="sharded worker processes (0 = all usable "
-                            "CPUs); any value except 1 implies "
-                            "--backend sharded")
-        p.add_argument("--partition", default=None,
-                       choices=("auto", "dirichlet"),
-                       help="client partition: auto follows the paper "
-                            "(femnist by writer, cifar by class); "
-                            "dirichlet applies a Dirichlet(alpha) "
-                            "label-skew split")
-        p.add_argument("--dirichlet-alpha", type=float, default=None,
-                       help="Dirichlet concentration for --partition "
-                            "dirichlet (small = near-single-class "
-                            "clients, large = near-IID); implies "
-                            "--partition dirichlet")
+        # --population needs a scenario's cohort target to stay O(cohort).
+        add_flags(
+            p, ExperimentConfig, skip=() if deployment else ("population",)
+        )
         p.add_argument("--plot", action="store_true",
                        help="render ASCII charts to stdout")
-        p.add_argument("--telemetry", default=None, metavar="PATH",
-                       help="trace the run: append structured JSONL "
-                            "events (round spans, byte counts, drops, "
-                            "counters) to PATH; summarize with "
-                            "`repro trace-report PATH`.  Observation-"
-                            "only — results are bit-identical with or "
-                            "without it")
         p.add_argument("--verbose", action="store_true",
                        help="debug-level progress logging")
     ps = sub.add_parser(
@@ -488,47 +336,31 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "trace-report":
         return _run_trace_report(args)
     if args.command == "sweep":
+        if args.jobs < 0:  # the pool size is not a config field
+            parser.error(f"jobs must be in [0, inf), got {args.jobs}")
         return _run_sweep_command(args)
 
-    config = scaled_config(args.scale, args.command)
-    overrides = {}
-    if args.rounds is not None:
-        overrides["num_rounds"] = args.rounds
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.comm_time is not None:
-        overrides["comm_time"] = args.comm_time
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-        if args.backend is None and args.jobs != 1:
-            overrides["backend"] = "sharded"
-    if args.partition is not None:
-        overrides["partition"] = args.partition
-    if args.dirichlet_alpha is not None:
-        overrides["dirichlet_alpha"] = args.dirichlet_alpha
-        if args.partition is None:
-            overrides["partition"] = "dirichlet"
-    if getattr(args, "population", None):
-        overrides["population"] = args.population
-    if args.telemetry is not None:
-        overrides["telemetry"] = args.telemetry
-    if overrides:
-        config = config.with_overrides(**overrides)
-    if args.command in ("scenario", "adversary"):
-        from repro.scenarios import ScenarioConfig
-
-        base = (
-            ScenarioConfig(availability="always")
-            if args.command == "adversary" else None
+    overrides = overrides_from(args, ExperimentConfig)
+    # What one flag implies about another (the only hand-written rules).
+    if overrides.get("jobs", 1) != 1 and "backend" not in overrides:
+        overrides["backend"] = "sharded"
+    if "dirichlet_alpha" in overrides and "partition" not in overrides:
+        overrides["partition"] = "dirichlet"
+    try:
+        config = scaled_config(args.scale, args.command).with_overrides(
+            **overrides
         )
-        try:
-            scenario = _scenario_overrides(args, config.seed, base=base)
-        except ValueError as error:
-            # An invalid flag combination, caught by ScenarioConfig.
-            parser.error(str(error))
-        config = config.with_overrides(scenario=scenario)
+        if args.command in ("scenario", "adversary"):
+            base = (
+                ScenarioConfig(availability="always")
+                if args.command == "adversary" else None
+            )
+            config = config.with_overrides(
+                scenario=_scenario_overrides(args, config.seed, base=base)
+            )
+    except ValueError as error:
+        # Out of a field's declared range, or an invalid combination.
+        parser.error(str(error))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

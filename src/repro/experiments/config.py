@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.declared import option, validate
 from repro.fl.backends import BACKEND_NAMES
 
 
@@ -22,51 +23,75 @@ class ExperimentConfig:
     (one class per client, 10 classes).
     """
 
-    dataset: str = "femnist"
-    num_clients: int = 20
+    dataset: str = option("femnist", one_of=("femnist", "cifar"))
+    num_clients: int = option(20, within="[1, inf)")
     #: when positive, replace the eager federation with a
     #: :class:`~repro.data.virtual.VirtualFederation` of this many
     #: clients (``num_clients`` is then ignored); requires a scenario
     #: with an explicit participants target so rounds stay O(cohort)
-    population: int = 0
-    #: "auto" follows the paper's mapping (femnist → by writer, cifar →
-    #: by class); "dirichlet" applies a Dirichlet(α) label-skew split
-    partition: str = "auto"
-    dirichlet_alpha: float = 0.5
-    samples_per_client: int = 30
-    image_size: int = 12
-    num_classes: int = 62
-    classes_per_writer: int = 8
+    population: int = option(
+        0, within="[0, inf)", flag="--population", metavar="N",
+        help="run over a virtual population of N clients (e.g. 1000000): "
+             "per-client data, availability and straggler profiles "
+             "regenerate from (seed, id) on demand, so rounds cost "
+             "O(cohort) and memory O(ever-sampled) at any N; pairs with "
+             "--participants m (defaults to a small fixed cohort — an "
+             "all-available round would be O(N))")
+    partition: str = option(
+        "auto", one_of=("auto", "dirichlet"), flag="--partition",
+        help="client partition: auto follows the paper (femnist by writer, "
+             "cifar by class); dirichlet applies a Dirichlet(alpha) "
+             "label-skew split")
+    dirichlet_alpha: float = option(
+        0.5, within="(0, inf)", flag="--dirichlet-alpha",
+        help="Dirichlet concentration for --partition dirichlet (small = "
+             "near-single-class clients, large = near-IID); implies "
+             "--partition dirichlet")
+    samples_per_client: int = option(30, within="[1, inf)")
+    image_size: int = option(12, within="[1, inf)")
+    num_classes: int = option(62, within="[1, inf)")
+    classes_per_writer: int = option(8, within="[1, inf)")
     hidden: tuple[int, ...] = (32,)
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    comm_time: float = 10.0
-    num_rounds: int = 300
-    eval_every: int = 5
-    eval_max_samples: int = 1000
-    kmin_fraction: float = 0.002  # paper: kmin = 0.002 * D
-    alpha: float = 1.5            # paper: α = 1.5
-    update_window: int = 20       # paper: M_u = 20
-    backend: str = "serial"       # execution: serial | vectorized | sharded
-    jobs: int = 0                 # sharded worker count; 0 = all usable CPUs
+    learning_rate: float = option(0.05, within="(0, inf)")
+    batch_size: int = option(32, within="[1, inf)")
+    comm_time: float = option(
+        10.0, within="[0, inf)", flag="--comm-time",
+        help="override the preset's communication time")
+    num_rounds: int = option(
+        300, within="[1, inf)", flag="--rounds",
+        help="override the preset's round count")
+    eval_every: int = option(5, within="[1, inf)")
+    eval_max_samples: int = option(1000, within="[1, inf)")
+    #: paper: kmin = 0.002 * D
+    kmin_fraction: float = option(0.002, within="(0, 1)")
+    alpha: float = option(1.5, within="(1, inf)")         # paper: α = 1.5
+    update_window: int = option(20, within="[1, inf)")    # paper: M_u = 20
+    backend: str = option(
+        "serial", one_of=BACKEND_NAMES, flag="--backend",
+        help="execution backend for the trainers (vectorized batches all "
+             "clients per round, sharded fans them out over worker "
+             "processes; identical results, faster)")
+    jobs: int = option(
+        0, within="[0, inf)", flag="--jobs",
+        help="sharded worker processes (0 = all usable CPUs); any value "
+             "except 1 implies --backend sharded")
     #: deployment scenario as a ScenarioConfig.to_dict() mapping (kept as
     #: a plain dict so configs stay import-light and sweep-cacheable);
     #: None = the paper's ideal population (everyone, always, no deadline)
     scenario: dict | None = None
-    #: JSONL trace destination (``--telemetry out.jsonl``); None disables.
     #: Observation-only: traced runs are bit-identical to untraced ones,
-    #: and sweep cache keys exclude this field.
-    telemetry: str | None = None
-    seed: int = 0
+    #: and sweep cache keys exclude this field.  None disables.
+    telemetry: str | None = option(
+        None, flag="--telemetry", metavar="PATH",
+        help="trace the run: append structured JSONL events (round spans, "
+             "byte counts, drops, counters) to PATH; summarize with "
+             "`repro trace-report PATH`.  Observation-only — results are "
+             "bit-identical with or without it")
+    seed: int = option(0, flag="--seed", help="override the preset's seed")
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.dataset not in ("femnist", "cifar"):
-            raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.num_clients < 1 or self.samples_per_client < 1:
-            raise ValueError("need at least one client and one sample")
-        if self.population < 0:
-            raise ValueError("population must be >= 0 (0 = eager federation)")
+        validate(self)
         if self.population and self.dataset != "femnist":
             raise ValueError(
                 "virtual populations are femnist-like; use dataset='femnist'"
@@ -76,24 +101,6 @@ class ExperimentConfig:
                 "virtual populations carry their own per-client generator; "
                 "partition overrides only apply to eager federations"
             )
-        if self.partition not in ("auto", "dirichlet"):
-            raise ValueError(
-                f"unknown partition {self.partition!r}; "
-                "expected 'auto' or 'dirichlet'"
-            )
-        if self.dirichlet_alpha <= 0:
-            raise ValueError("dirichlet_alpha must be positive")
-        if self.num_rounds < 1:
-            raise ValueError("num_rounds must be positive")
-        if not 0.0 < self.kmin_fraction < 1.0:
-            raise ValueError("kmin_fraction must be in (0, 1)")
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKEND_NAMES}"
-            )
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 = all usable CPUs)")
         if self.scenario is not None and not isinstance(self.scenario, dict):
             raise ValueError(
                 "scenario must be a ScenarioConfig.to_dict() mapping or None"

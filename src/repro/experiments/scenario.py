@@ -56,6 +56,7 @@ from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.scenarios import ScenarioConfig, build_adversary
+from repro.scenarios.deadline import single_deadline_interval
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
@@ -71,6 +72,12 @@ ASYNC_VARIANTS = ("sync", "async-constant", "async-polynomial",
 #: is exactly the O(population) iteration virtual federations exist to
 #: avoid, so it is never the right default at N = 10^6.
 DEFAULT_POPULATION_COHORT = 10
+
+
+def population_cohort(participants: int | None = None) -> int:
+    """The per-round cohort of a population-scale run: the scenario's
+    ``participants`` target, else :data:`DEFAULT_POPULATION_COHORT`."""
+    return int(participants or DEFAULT_POPULATION_COHORT)
 
 
 @dataclass
@@ -107,7 +114,7 @@ def resolve_scenario_config(config: ExperimentConfig) -> ExperimentConfig:
     scenario = ScenarioConfig.default_churn().with_overrides(seed=config.seed)
     if config.population:
         scenario = scenario.with_overrides(
-            participants=DEFAULT_POPULATION_COHORT
+            participants=population_cohort()
         )
     return config.with_overrides(scenario=scenario.to_dict())
 
@@ -127,9 +134,8 @@ def _scenario_budget(
         if config.population:
             # Virtual populations never run full-participation rounds;
             # the per-round cohort is the scenario's participants target.
-            cohort = int(
+            cohort = population_cohort(
                 (config.scenario or {}).get("participants")
-                or DEFAULT_POPULATION_COHORT
             )
         k = fig4_sparsity(dimension, cohort)
     if time_budget is None:
@@ -325,7 +331,7 @@ def deadline_variants(
         dmin, dmax = min(scenario.deadline), max(scenario.deadline)
         schedule = scenario.deadline
     elif scenario.deadline is not None:
-        dmin, dmax = scenario.deadline / 2.0, scenario.deadline * 2.0
+        dmin, dmax = single_deadline_interval(scenario.deadline)
     else:
         raise ValueError(
             "deadline comparison needs a scenario with a deadline (or an "

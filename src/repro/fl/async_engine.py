@@ -93,6 +93,8 @@ from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector, Sparsifier
 
 STALENESS_DISCOUNT_KINDS = ("constant", "polynomial", "adaptive")
+#: accepted shorthands, normalized wherever a kind string enters
+STALENESS_ALIASES = {"poly": "polynomial", "const": "constant"}
 
 #: Exponent search interval of the adaptive discount.  The lower edge is
 #: strictly positive (the search interval's invariant, and it keeps the
@@ -231,7 +233,7 @@ def build_staleness_discount(kind: str, **kwargs) -> StalenessDiscount:
     ``exponent`` for polynomial, ``interval``/``a1``/``probe`` for
     adaptive).  ``"poly"`` is accepted as shorthand for ``"polynomial"``.
     """
-    kind = {"poly": "polynomial", "const": "constant"}.get(kind, kind)
+    kind = STALENESS_ALIASES.get(kind, kind)
     if kind == "constant":
         return ConstantDiscount(**kwargs)
     if kind == "polynomial":
@@ -344,9 +346,9 @@ class _CommitHooks(RoundHooks):
         # Virtual time: the server commits when the batch's last
         # arrival lands (never before it finished the previous
         # broadcast), then broadcasts the new model, paced by the
-        # slowest committed client's link.  Base-class transfer time
-        # on purpose — a HeterogeneousTimingModel's own sparse_round
-        # folds in its worst-client factor, which would double-count.
+        # slowest committed client's link.
+        from repro.scenarios.deadline import broadcast_time
+
         engine = ctx.engine
         worst_comm = max(
             (
@@ -356,11 +358,8 @@ class _CommitHooks(RoundHooks):
             ),
             default=1.0,
         )
-        downlink_time = (
-            TimingModel.sparse_round(
-                engine.timing, 0, ctx.selection.downlink_element_count
-            ).downlink
-            * worst_comm
+        downlink_time = broadcast_time(
+            engine.timing, ctx.selection.downlink_element_count, worst_comm
         )
         commit_complete = (
             max(engine._commit_close, engine._vclock) + downlink_time
@@ -562,63 +561,38 @@ class AsyncFLTrainer(FLTrainer):
         rather than silently run unattacked.
     """
 
+    engine_class = AsyncRoundEngine
+
     def __init__(
         self,
         model,
         federation,
         sparsifier: Sparsifier,
         timing: TimingModel | None = None,
-        learning_rate: float = 0.01,
-        batch_size: int = 32,
-        eval_every: int = 1,
-        eval_max_samples: int = 2000,
-        sampler=None,
-        momentum_correction: float = 0.0,
-        optimizer=None,
-        backend=None,
         scenario=None,
         discount: StalenessDiscount | str = "constant",
-        commit_count: int = 0,
         profiles=None,
-        spill_after: int = 0,
-        telemetry=None,
-        seed: int = 0,
+        **engine_settings,
     ) -> None:
-        sampler, hooks, aggregator = _apply_scenario(scenario, sampler)
-        if getattr(hooks, "adversary", None) is not None:
-            raise ValueError(
-                "the scenario carries an adversary, but async commits do "
-                "not install scenario hooks (where uploads are corrupted): "
-                "the run would silently be attack-free"
-            )
-        if scenario is not None and profiles is None:
-            profiles = scenario.profiles
+        settings = _apply_scenario(scenario, engine_settings)
+        if scenario is not None:
+            # Commits replace deadline gating: the hooks stay out.
+            hooks = settings.pop("scenario_hooks")
+            if getattr(hooks, "adversary", None) is not None:
+                raise ValueError(
+                    "the scenario carries an adversary, but async commits "
+                    "do not install scenario hooks (where uploads are "
+                    "corrupted): the run would silently be attack-free"
+                )
+            if profiles is None:
+                profiles = scenario.profiles
         if isinstance(discount, str):
             discount = build_staleness_discount(discount)
         if profiles is not None and not isinstance(profiles, dict):
             profiles = {p.client_id: p for p in profiles}
-        self.engine = AsyncRoundEngine(
-            model=model,
-            federation=federation,
-            sparsifier=sparsifier,
-            timing=timing if timing is not None else TimingModel(
-                dimension=model.dimension, comm_time=0.0
-            ),
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            eval_every=eval_every,
-            eval_max_samples=eval_max_samples,
-            sampler=sampler,
-            momentum_correction=momentum_correction,
-            optimizer=optimizer,
-            backend=backend,
-            spill_after=spill_after,
-            telemetry=telemetry,
-            seed=seed,
-            aggregator=aggregator,
-            commit_count=commit_count,
-            discount=discount,
-            profiles=profiles,
+        super().__init__(
+            model, federation, sparsifier, timing,
+            discount=discount, profiles=profiles, **settings,
         )
 
     # ------------------------------------------------------------------

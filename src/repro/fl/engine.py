@@ -315,9 +315,11 @@ class EngineFacade:
 class RoundEngine:
     """Owns the Algorithm-1 round skeleton and all round bookkeeping.
 
-    Parameters mirror the seed trainers'; see :class:`repro.fl.trainer.
-    FLTrainer` for their meaning.  ``backend`` selects the execution
-    strategy for the local-step phase (a name or an
+    This signature is where the engine settings and their defaults are
+    declared — every trainer façade forwards ``**engine_settings`` here
+    (a misspelt keyword fails in this ``__init__``); see :class:`repro.
+    fl.trainer.FLTrainer` for their meaning.  ``backend`` selects the
+    execution strategy for the local-step phase (a name or an
     :class:`~repro.fl.backends.ExecutionBackend` instance); ``sparsifier``
     may be None for trainers that only use :meth:`begin_round` /
     :meth:`finish_round` (FedAvg-style local phases).

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.partition import FederatedDataset
-from repro.fl.backends import ExecutionBackend
 from repro.fl.engine import EngineFacade, RoundEngine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.nn.flat import FlatModel
@@ -34,33 +33,18 @@ from repro.simulation.timing import TimingModel
 
 
 class _BaselineTrainer(EngineFacade):
-    """Shared engine plumbing for the two dense baselines."""
+    """Shared engine plumbing for the two dense baselines: keywords are
+    engine settings, forwarded to a sparsifier-less ``RoundEngine``."""
 
     def __init__(
         self,
         model: FlatModel,
         federation: FederatedDataset,
         timing: TimingModel,
-        learning_rate: float,
-        batch_size: int,
-        eval_every: int,
-        eval_max_samples: int,
-        backend: str | ExecutionBackend | None,
-        seed: int,
-        telemetry=None,
+        **engine_settings,
     ) -> None:
         self.engine = RoundEngine(
-            model=model,
-            federation=federation,
-            sparsifier=None,
-            timing=timing,
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            eval_every=eval_every,
-            eval_max_samples=eval_max_samples,
-            backend=backend,
-            telemetry=telemetry,
-            seed=seed,
+            model, federation, None, timing, **engine_settings
         )
 
     def run(self, num_rounds: int) -> TrainingHistory:
@@ -81,20 +65,11 @@ class FedAvgTrainer(_BaselineTrainer):
         federation: FederatedDataset,
         timing: TimingModel,
         aggregation_period: int,
-        learning_rate: float = 0.01,
-        batch_size: int = 32,
-        eval_every: int = 1,
-        eval_max_samples: int = 2000,
-        backend: str | ExecutionBackend | None = None,
-        telemetry=None,
-        seed: int = 0,
+        **engine_settings,
     ) -> None:
         if aggregation_period < 1:
             raise ValueError("aggregation_period must be >= 1")
-        super().__init__(
-            model, federation, timing, learning_rate, batch_size,
-            eval_every, eval_max_samples, backend, seed, telemetry=telemetry,
-        )
+        super().__init__(model, federation, timing, **engine_settings)
         self.period = aggregation_period
         # Per-client local weight copies, initially synchronized.
         w0 = model.get_weights()
@@ -157,24 +132,6 @@ class FedAvgTrainer(_BaselineTrainer):
 
 class AlwaysSendAllTrainer(_BaselineTrainer):
     """Full dense gradient aggregation every round (Fig. 4 baseline)."""
-
-    def __init__(
-        self,
-        model: FlatModel,
-        federation: FederatedDataset,
-        timing: TimingModel,
-        learning_rate: float = 0.01,
-        batch_size: int = 32,
-        eval_every: int = 1,
-        eval_max_samples: int = 2000,
-        backend: str | ExecutionBackend | None = None,
-        telemetry=None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            model, federation, timing, learning_rate, batch_size,
-            eval_every, eval_max_samples, backend, seed, telemetry=telemetry,
-        )
 
     def step(self) -> RoundRecord:
         self.engine.begin_round()

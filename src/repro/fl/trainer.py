@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.partition import FederatedDataset
-from repro.fl.backends import ExecutionBackend
 from repro.fl.engine import EngineFacade, RoundEngine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.nn.flat import FlatModel
@@ -55,6 +54,18 @@ class FLTrainer(EngineFacade):
     timing:
         Normalized-time model; if omitted, a zero-communication model is
         used (useful in unit tests that only check learning behaviour).
+    scenario:
+        Optional :class:`repro.scenarios.DeploymentScenario` wrapping the
+        run in a client population with availability churn and
+        deadline-driven partial aggregation; supplies both the per-round
+        sampler and the engine's persistent scenario hooks (mutually
+        exclusive with ``sampler``).  Scenarios are stateful — build a
+        fresh one per trainer.
+
+    Every other keyword is an *engine setting*, forwarded untouched to
+    :class:`~repro.fl.engine.RoundEngine` — the one signature that
+    declares them and their defaults (a misspelt one fails there):
+
     learning_rate:
         SGD step size η (paper: 0.01).
     batch_size:
@@ -73,13 +84,6 @@ class FLTrainer(EngineFacade):
         Execution backend for the local-step phase: ``"serial"``
         (default), ``"vectorized"``, or an
         :class:`~repro.fl.backends.ExecutionBackend` instance.
-    scenario:
-        Optional :class:`repro.scenarios.DeploymentScenario` wrapping the
-        run in a client population with availability churn and
-        deadline-driven partial aggregation; supplies both the per-round
-        sampler and the engine's persistent scenario hooks (mutually
-        exclusive with ``sampler``).  Scenarios are stateful — build a
-        fresh one per trainer.
     spill_after:
         When positive, clients idle for this many rounds spill their
         dense residual/velocity to a sparse store (and release lazy
@@ -92,48 +96,23 @@ class FLTrainer(EngineFacade):
         untraced ones.
     """
 
+    #: the engine this façade builds (the async trainer swaps it)
+    engine_class = RoundEngine
+
     def __init__(
         self,
         model: FlatModel,
         federation: FederatedDataset,
         sparsifier: Sparsifier,
         timing: TimingModel | None = None,
-        learning_rate: float = 0.01,
-        batch_size: int = 32,
-        eval_every: int = 1,
-        eval_max_samples: int = 2000,
-        sampler=None,
-        momentum_correction: float = 0.0,
-        optimizer=None,
-        backend: str | ExecutionBackend | None = None,
         scenario=None,
-        spill_after: int = 0,
-        telemetry=None,
-        seed: int = 0,
+        **engine_settings,
     ) -> None:
-        sampler, scenario_hooks, aggregator = _apply_scenario(
-            scenario, sampler
-        )
-        self.engine = RoundEngine(
-            model=model,
-            federation=federation,
-            sparsifier=sparsifier,
-            timing=timing if timing is not None else TimingModel(
-                dimension=model.dimension, comm_time=0.0
-            ),
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            eval_every=eval_every,
-            eval_max_samples=eval_max_samples,
-            sampler=sampler,
-            momentum_correction=momentum_correction,
-            optimizer=optimizer,
-            backend=backend,
-            scenario_hooks=scenario_hooks,
-            spill_after=spill_after,
-            telemetry=telemetry,
-            seed=seed,
-            aggregator=aggregator,
+        if timing is None:
+            timing = TimingModel(dimension=model.dimension, comm_time=0.0)
+        self.engine = self.engine_class(
+            model, federation, sparsifier, timing,
+            **_apply_scenario(scenario, engine_settings),
         )
 
     # ------------------------------------------------------------------
@@ -190,23 +169,27 @@ class FLTrainer(EngineFacade):
         return self.history
 
 
-def _apply_scenario(scenario, sampler):
-    """Resolve a deployment scenario into (sampler, hooks, aggregator).
+def _apply_scenario(scenario, engine_settings: dict) -> dict:
+    """Engine settings with a deployment scenario's sampler, hooks and
+    aggregator merged in.
 
     Duck-typed (``.sampler``/``.hooks``/``.aggregator`` attributes) so
     this module does not import :mod:`repro.scenarios`, which imports
     the engine back.
     """
     if scenario is None:
-        return sampler, None, None
-    if sampler is not None:
+        return engine_settings
+    if engine_settings.get("sampler") is not None:
         raise ValueError(
             "pass either a scenario or a sampler, not both: the scenario "
             "provides its own availability-gated sampler"
         )
-    return scenario.sampler, scenario.hooks, getattr(
-        scenario, "aggregator", None
-    )
+    return {
+        **engine_settings,
+        "sampler": scenario.sampler,
+        "scenario_hooks": scenario.hooks,
+        "aggregator": getattr(scenario, "aggregator", None),
+    }
 
 
 def _as_schedule(

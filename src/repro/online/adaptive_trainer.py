@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.partition import FederatedDataset
-from repro.fl.backends import ExecutionBackend
 from repro.fl.engine import EngineFacade, RoundContext, RoundEngine, RoundHooks
 from repro.fl.trainer import _apply_scenario
 from repro.fl.metrics import RoundRecord, TrainingHistory
@@ -145,7 +144,8 @@ class _ProbeHooks(RoundHooks):
 
 
 class AdaptiveKTrainer(EngineFacade):
-    """Federated training with online-learned sparsity k."""
+    """Federated training with online-learned sparsity k (``seed`` also
+    seeds k's stochastic rounding; other keywords as in ``FLTrainer``)."""
 
     def __init__(
         self,
@@ -154,35 +154,14 @@ class AdaptiveKTrainer(EngineFacade):
         sparsifier: Sparsifier,
         policy: KPolicy,
         timing: TimingModel,
-        learning_rate: float = 0.01,
-        batch_size: int = 32,
-        eval_every: int = 1,
-        eval_max_samples: int = 2000,
         charge_probe_communication: bool = True,
-        sampler=None,
-        backend: str | ExecutionBackend | None = None,
         scenario=None,
-        telemetry=None,
         seed: int = 0,
+        **engine_settings,
     ) -> None:
-        sampler, scenario_hooks, aggregator = _apply_scenario(
-            scenario, sampler
-        )
         self.engine = RoundEngine(
-            model=model,
-            federation=federation,
-            sparsifier=sparsifier,
-            timing=timing,
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            eval_every=eval_every,
-            eval_max_samples=eval_max_samples,
-            sampler=sampler,
-            backend=backend,
-            scenario_hooks=scenario_hooks,
-            telemetry=telemetry,
-            seed=seed,
-            aggregator=aggregator,
+            model, federation, sparsifier, timing, seed=seed,
+            **_apply_scenario(scenario, engine_settings),
         )
         self.policy = policy
         self.charge_probe_communication = charge_probe_communication

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro.fl.async_engine import STALENESS_DISCOUNT_KINDS
+from repro.declared import option, validate
+from repro.fl.async_engine import STALENESS_ALIASES, STALENESS_DISCOUNT_KINDS
 from repro.fl.robust import AGGREGATOR_KINDS
 from repro.scenarios.adversary import ADVERSARY_KINDS
 from repro.simulation.heterogeneous import ClientProfile
@@ -29,132 +30,158 @@ DEADLINE_POLICY_KINDS = ("fixed", "cycling", "adaptive")
 class ScenarioConfig:
     """Everything needed to wrap a trainer in a deployment scenario.
 
-    Attributes
-    ----------
-    availability:
-        One of :data:`AVAILABILITY_KINDS`.  ``markov`` uses
-        ``p_drop``/``p_recover``; ``diurnal`` uses ``period``/``duty``;
-        ``trace`` replays ``trace`` (a tuple of per-round id tuples,
-        cycling when ``trace_cycle``).
-    participants:
-        Target ``m`` of aggregated uploads per round; 0 means "every
-        available client" (over-selection then requires an explicit m).
-    over_selection:
-        ε of the "sample ``m·(1+ε)``, aggregate the first ``m`` to
-        finish" rule; 0 disables over-selection.
-    deadline:
-        Per-round compute+uplink budget — a float, a tuple (cycling
-        per-round schedule, enabling periodic straggler amnesty), or
-        ``None`` (wait for everyone).  Under ``deadline_policy
-        "adaptive"`` a float is the initial decision d₁ (``None`` starts
-        at the interval midpoint).
-    deadline_policy:
-        One of :data:`DEADLINE_POLICY_KINDS`.  ``"fixed"`` follows the
-        (scalar) ``deadline`` every round; ``"cycling"`` cycles a
-        ``deadline`` tuple; ``"adaptive"`` learns the deadline online
-        with the SignOGD dual of the learned k
-        (:class:`~repro.scenarios.deadline.AdaptiveDeadlinePolicy`) over
-        ``[deadline_min, deadline_max]``.  For backward compatibility a
-        tuple ``deadline`` under the default ``"fixed"`` is normalized
-        to ``"cycling"``.
-    deadline_min / deadline_max:
-        The adaptive policy's search interval.  May be omitted when
-        ``deadline`` is a tuple with distinct entries — the interval is
-        then derived as its (min, max) and ``deadline`` cleared (d₁
-        defaults to the midpoint).
-    deadline_probe:
-        Whether the adaptive policy runs its per-round counterfactual
-        probe (``False`` freezes the deadline at d₁ — a control).
-    min_uploads:
-        Floor of accepted uploads per round (the server extends the
-        round rather than aggregate fewer).
-    reweight:
-        ``"arrived"`` renormalizes aggregation weights over the uploads
-        that made it (each round's update is a proper weighted average of
-        the arrivals); ``"cohort"`` keeps the sampled cohort's total
-        weight in the denominator, scaling the update down when uploads
-        are missing (unbiased w.r.t. the cohort).
-    slow_fraction / slow_factor:
-        Fraction of clients designated stragglers and their compute+comm
-        slowdown; feeds both the deadline gate's finish times and the
-        :class:`~repro.simulation.heterogeneous.HeterogeneousTimingModel`
-        a scenario run charges time with.
-    adversary:
-        One of :data:`repro.scenarios.adversary.ADVERSARY_KINDS` — the
-        Byzantine attack a designated fraction of clients mounts on
-        their uploads (``"none"`` = everyone honest; the degenerate
-        config stays bit-identical to the plain trainer).
-    adversary_fraction:
-        Probability each client is designated Byzantine (one seeded
-        Bernoulli draw per client, fixed for the run).
-    adversary_scale:
-        Attack magnitude (sign-flip/scale multiplier, noise amplitude
-        in upload-RMS units).
-    aggregator:
-        One of :data:`repro.fl.robust.AGGREGATOR_KINDS` — the server's
-        aggregation rule.  ``"mean"`` is the paper's weighted mean (the
-        unmodified server path); the others are Byzantine-tolerant.
-    trim_fraction:
-        Per-coordinate trim rate of the ``"trimmed_mean"`` aggregator.
-    async_mode:
-        Run the asynchronous staleness-weighted commit comparison
-        (:func:`repro.experiments.scenario.run_async_comparison`) on top
-        of the synchronous artifacts.  Under async commits the deadline
-        family of fields is inert — stragglers arrive late (and get
-        discounted by staleness) instead of being dropped — and the
-        adversary fields (``adversary``, ``adversary_fraction``,
-        ``adversary_scale``) are unsupported: corruption runs in the
-        scenario hooks async commits do not install, so naming an
-        ``adversary`` together with ``async_mode`` raises; see
-        :mod:`repro.fl.async_engine`.
-    staleness_discount:
-        One of :data:`repro.fl.async_engine.STALENESS_DISCOUNT_KINDS`
-        (``"poly"``/``"const"`` shorthands are normalized) — the
-        discount the async trainer applies to an s-commits-stale upload.
-    commit_count:
-        Arrivals the async server buffers per commit; 0 means "derive"
-        (the experiment drivers use half the target cohort, so commits
-        close before the stragglers land).
-    seed:
-        Seeds availability chains, straggler designation, and cohort
-        sampling (all streams are derived, so one scenario seed pins the
-        whole deployment realization).
+    Each field declares its own range, CLI flag and ``--help`` text
+    (:func:`repro.declared.option`); what spans fields:
+
+    - **Availability** — ``markov`` uses ``p_drop``/``p_recover``,
+      ``diurnal`` uses ``period``/``duty``, ``trace`` replays ``trace``
+      (a tuple of per-round id tuples, cycling when ``trace_cycle``).
+    - **Cohort** — ``participants=0`` means "every available client",
+      so over-selection needs an explicit target m.
+    - **Deadline family** — ``deadline`` is the per-round compute+uplink
+      budget: a float, a tuple (cycling per-round schedule, enabling
+      periodic straggler amnesty), or ``None`` (wait for everyone).
+      ``deadline_policy`` ``"fixed"`` follows the scalar every round
+      (for backward compatibility a tuple under ``"fixed"`` is
+      normalized to ``"cycling"``); ``"adaptive"`` learns the deadline
+      online with the SignOGD dual of the learned k
+      (:class:`~repro.scenarios.deadline.AdaptiveDeadlinePolicy`) over
+      ``[deadline_min, deadline_max]``, which may be omitted when
+      ``deadline`` is a tuple with distinct entries — the interval is
+      then its (min, max) and ``deadline`` cleared.  Under
+      ``"adaptive"`` a float ``deadline`` is the initial decision d₁
+      (``None`` starts at the midpoint), and ``deadline_probe=False``
+      freezes the deadline at d₁ — a control.  ``min_uploads`` is a
+      floor: the server extends the round rather than aggregate fewer.
+    - **Reweighting** — ``"arrived"`` renormalizes aggregation weights
+      over the uploads that made it (each update is a proper weighted
+      average of the arrivals); ``"cohort"`` keeps the sampled cohort's
+      total weight in the denominator, scaling the update down when
+      uploads are missing (unbiased w.r.t. the cohort).
+    - **Stragglers** — ``slow_fraction``/``slow_factor`` feed both the
+      deadline gate's finish times and the
+      :class:`~repro.simulation.heterogeneous.HeterogeneousTimingModel`
+      a scenario run charges time with.
+    - **Adversary / aggregator** — ``adversary="none"`` and
+      ``aggregator="mean"`` are the degenerate settings that stay
+      bit-identical to the plain trainer (the paper's weighted mean,
+      the unmodified server path); each client is designated Byzantine
+      by one seeded Bernoulli(``adversary_fraction``) draw, fixed for
+      the run.
+    - **Async** — ``async_mode`` runs the asynchronous comparison
+      (:func:`repro.experiments.scenario.run_async_comparison`) on top
+      of the synchronous artifacts.  Under async commits the deadline
+      family is inert — stragglers arrive late (and get discounted by
+      staleness) instead of being dropped — and the adversary fields
+      are unsupported: corruption runs in the scenario hooks async
+      commits do not install, so naming an ``adversary`` together with
+      ``async_mode`` raises; see :mod:`repro.fl.async_engine`.
+      ``commit_count`` 0 means "derive" (the drivers use half the
+      target cohort, so commits close before the stragglers land).
+    - ``seed`` seeds availability chains, straggler designation, and
+      cohort sampling (all streams are derived, so one scenario seed
+      pins the whole deployment realization).
     """
 
-    availability: str = "markov"
-    p_drop: float = 0.1
-    p_recover: float = 0.5
-    period: int = 24
-    duty: float = 0.5
+    availability: str = option(
+        "markov", one_of=AVAILABILITY_KINDS, flag="--availability",
+        help="who is online each round (default: markov churn)")
+    p_drop: float = option(
+        0.1, within="[0, 1]", flag="--p-drop",
+        help="markov: per-round P(online -> offline)")
+    p_recover: float = option(
+        0.5, within="[0, 1]", flag="--p-recover",
+        help="markov: per-round P(offline -> online)")
+    period: int = option(
+        24, within="[1, inf)", flag="--period",
+        help="diurnal: rounds per day cycle")
+    duty: float = option(
+        0.5, within="(0, 1]", flag="--duty",
+        help="diurnal: fraction of the cycle a client is online")
     trace: tuple[tuple[int, ...], ...] | None = None
     trace_cycle: bool = True
-    participants: int = 0
-    over_selection: float = 0.0
-    deadline: float | tuple[float, ...] | None = None
-    deadline_policy: str = "fixed"
-    deadline_min: float | None = None
-    deadline_max: float | None = None
+    participants: int = option(
+        0, within="[0, inf)", flag="--participants",
+        help="uploads aggregated per round, m (0 = all available)")
+    over_selection: float = option(
+        0.0, within="[0, inf)", flag="--over-selection",
+        help="sample m*(1+eps) clients, aggregate the first m to finish")
+    deadline: float | tuple[float, ...] | None = option(
+        None, flag="--deadline", type=float, nargs="+",
+        help="round deadline(s); several values cycle (periodic straggler "
+             "amnesty)")
+    deadline_policy: str = option(
+        "fixed", one_of=DEADLINE_POLICY_KINDS, flag="--deadline-policy",
+        help="how the deadline evolves: fixed (a schedule preset collapses "
+             "to its mean), cycling, or adaptive (the server learns the "
+             "deadline online over [--deadline-min, --deadline-max], the "
+             "dual of the learned k; the interval defaults to the "
+             "schedule's min/max, or to [d/2, 2d] around a single "
+             "--deadline d)")
+    deadline_min: float | None = option(
+        None, flag="--deadline-min", type=float,
+        help="adaptive: lower edge of the deadline interval")
+    deadline_max: float | None = option(
+        None, flag="--deadline-max", type=float,
+        help="adaptive: upper edge of the deadline interval")
     deadline_probe: bool = True
-    min_uploads: int = 1
-    reweight: str = "arrived"
-    slow_fraction: float = 0.0
-    slow_factor: float = 4.0
-    adversary: str = "none"
-    adversary_fraction: float = 0.0
-    adversary_scale: float = 10.0
-    aggregator: str = "mean"
-    trim_fraction: float = 0.25
-    async_mode: bool = False
-    staleness_discount: str = "constant"
-    commit_count: int = 0
+    min_uploads: int = option(
+        1, within="[1, inf)", flag="--min-uploads",
+        help="floor of accepted uploads per round")
+    reweight: str = option(
+        "arrived", one_of=REWEIGHT_MODES, flag="--reweight",
+        help="partial-aggregate normalization: over arrivals or over the "
+             "sampled cohort")
+    slow_fraction: float = option(
+        0.0, within="[0, 1]", flag="--slow-fraction",
+        help="fraction of clients that are stragglers")
+    slow_factor: float = option(
+        4.0, within="(0, inf)", flag="--slow-factor",
+        help="compute+comm slowdown of a straggler")
+    adversary: str = option(
+        "none", one_of=ADVERSARY_KINDS, flag="--adversary-kind",
+        help="Byzantine attack mounted by designated clients (default: none "
+             "for scenario, sign_flip for the adversary panel)")
+    adversary_fraction: float = option(
+        0.0, within="[0, 1]", flag="--adversary-fraction",
+        help="probability each client is Byzantine (one seeded draw per "
+             "client); a positive value implies --adversary-kind sign_flip")
+    adversary_scale: float = option(
+        10.0, within="(0, inf)", flag="--adversary-scale",
+        help="attack magnitude (sign-flip/scale multiplier, noise amplitude "
+             "in upload-RMS units)")
+    aggregator: str = option(
+        "mean", one_of=AGGREGATOR_KINDS, flag="--aggregator",
+        help="server aggregation rule; mean is the paper's weighted mean, "
+             "the others are Byzantine-tolerant")
+    trim_fraction: float = option(
+        0.25, within="[0, 0.5)", flag="--trim-fraction",
+        help="per-coordinate trim rate of the trimmed_mean aggregator")
+    async_mode: bool = option(
+        False, flag="--async", dest="async_mode",
+        action="store_const", const=True,
+        help="additionally run the asynchronous staleness-weighted commit "
+             "comparison (sync barrier vs async commits per staleness "
+             "discount, equal simulated time; writes scenario_async_*)")
+    #: the flag's wider choices: ``--staleness`` keeps its ``poly`` shorthand
+    staleness_discount: str = option(
+        "constant", one_of=STALENESS_DISCOUNT_KINDS, flag="--staleness",
+        choices=("constant", "poly", "polynomial", "adaptive"),
+        help="staleness discount of async commits: constant (no "
+             "correction), poly[nomial] (1+s)^-a, or adaptive (the exponent "
+             "a learned online, a third dual of the learned k); implies "
+             "--async")
+    commit_count: int = option(
+        0, within="[0, inf)", flag="--commit-count",
+        help="arrivals the async server buffers per commit (0 = half the "
+             "target cohort); implies --async")
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.availability not in AVAILABILITY_KINDS:
-            raise ValueError(
-                f"unknown availability {self.availability!r}; expected one "
-                f"of {AVAILABILITY_KINDS}"
-            )
+        alias = STALENESS_ALIASES.get(self.staleness_discount)
+        if alias is not None:  # normalized first: one_of names the kinds
+            object.__setattr__(self, "staleness_discount", alias)
+        validate(self)
         if self.availability == "trace" and not self.trace:
             raise ValueError("trace availability needs a non-empty trace")
         if self.trace is not None:
@@ -162,16 +189,6 @@ class ScenarioConfig:
                 self, "trace",
                 tuple(tuple(int(c) for c in entry) for entry in self.trace),
             )
-        if not 0.0 <= self.p_drop <= 1.0 or not 0.0 <= self.p_recover <= 1.0:
-            raise ValueError("p_drop/p_recover must be in [0, 1]")
-        if self.period < 1:
-            raise ValueError("period must be >= 1")
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError("duty must be in (0, 1]")
-        if self.participants < 0:
-            raise ValueError("participants must be >= 0 (0 = all available)")
-        if self.over_selection < 0.0:
-            raise ValueError("over_selection must be >= 0")
         if self.over_selection > 0.0 and self.participants == 0:
             raise ValueError(
                 "over_selection needs an explicit participants target m"
@@ -183,49 +200,9 @@ class ScenarioConfig:
         elif self.deadline is not None:
             object.__setattr__(self, "deadline", float(self.deadline))
         self._normalize_deadline_policy()
-        if self.min_uploads < 1:
-            raise ValueError("min_uploads must be >= 1")
-        if self.reweight not in REWEIGHT_MODES:
-            raise ValueError(
-                f"unknown reweight mode {self.reweight!r}; expected one of "
-                f"{REWEIGHT_MODES}"
-            )
-        if not 0.0 <= self.slow_fraction <= 1.0:
-            raise ValueError("slow_fraction must be in [0, 1]")
-        if self.slow_factor <= 0.0:
-            raise ValueError("slow_factor must be positive")
-        if self.adversary not in ADVERSARY_KINDS:
-            raise ValueError(
-                f"unknown adversary {self.adversary!r}; expected one of "
-                f"{ADVERSARY_KINDS}"
-            )
-        if not 0.0 <= self.adversary_fraction <= 1.0:
-            raise ValueError("adversary_fraction must be in [0, 1]")
         if self.adversary_fraction > 0.0 and self.adversary == "none":
             raise ValueError(
                 "adversary_fraction > 0 needs an adversary kind"
-            )
-        if self.adversary_scale <= 0.0:
-            raise ValueError("adversary_scale must be positive")
-        if self.aggregator not in AGGREGATOR_KINDS:
-            raise ValueError(
-                f"unknown aggregator {self.aggregator!r}; expected one of "
-                f"{AGGREGATOR_KINDS}"
-            )
-        if not 0.0 <= self.trim_fraction < 0.5:
-            raise ValueError("trim_fraction must be in [0, 0.5)")
-        normalized = {"poly": "polynomial", "const": "constant"}.get(
-            self.staleness_discount, self.staleness_discount
-        )
-        if normalized not in STALENESS_DISCOUNT_KINDS:
-            raise ValueError(
-                f"unknown staleness_discount {self.staleness_discount!r}; "
-                f"expected one of {STALENESS_DISCOUNT_KINDS}"
-            )
-        object.__setattr__(self, "staleness_discount", normalized)
-        if self.commit_count < 0:
-            raise ValueError(
-                "commit_count must be >= 0 (0 = derived from the cohort)"
             )
         if self.async_mode and self.adversary != "none":
             raise ValueError(
@@ -241,11 +218,6 @@ class ScenarioConfig:
         itself is normalized), so serialized configs round-trip: every
         normalization is idempotent on its own output.
         """
-        if self.deadline_policy not in DEADLINE_POLICY_KINDS:
-            raise ValueError(
-                f"unknown deadline_policy {self.deadline_policy!r}; "
-                f"expected one of {DEADLINE_POLICY_KINDS}"
-            )
         if self.deadline_policy == "fixed" and isinstance(self.deadline, tuple):
             if len(self.deadline) == 1:
                 object.__setattr__(self, "deadline", self.deadline[0])

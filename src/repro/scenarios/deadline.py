@@ -88,6 +88,23 @@ def upload_finish_times(
     return times
 
 
+def broadcast_time(
+    timing: TimingModel, downlink_elements: int, worst_comm: float
+) -> float:
+    """Downlink time of a broadcast paced by the cohort's slowest link
+    (base-class transfer time, for the reason given above)."""
+    return (
+        TimingModel.sparse_round(timing, 0, downlink_elements).downlink
+        * worst_comm
+    )
+
+
+def single_deadline_interval(deadline: float) -> tuple[float, float]:
+    """``[d/2, 2d]``: where an adaptive policy searches around a single
+    deadline d that brings no schedule to seed the interval from."""
+    return deadline / 2.0, deadline * 2.0
+
+
 # ----------------------------------------------------------------------
 # Deadline policies: what budget is in force each round
 # ----------------------------------------------------------------------

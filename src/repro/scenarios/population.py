@@ -21,16 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.robust import build_aggregator
-from repro.scenarios.adversary import build_adversary
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.deadline import DeadlineRoundPolicy
-from repro.scenarios.scenario import (
-    DeploymentScenario,
-    ScenarioHooks,
-    ScenarioStats,
-    build_deadline_schedule,
-)
+from repro.scenarios.scenario import DeploymentScenario, ScenarioStats
 from repro.simulation.population import PopulationModel
 from repro.simulation.timing import TimingModel
 
@@ -148,25 +140,7 @@ def build_population_scenario(
         seed=config.seed,
         stats=stats,
     )
-    policy = DeadlineRoundPolicy(
-        build_deadline_schedule(config),
-        over_selection=config.over_selection,
-        min_uploads=config.min_uploads,
-    )
-    hooks = ScenarioHooks(
-        policy,
-        timing,
-        profiles=model.profiles,
-        target_uploads=config.participants,
-        reweight=config.reweight,
-        stats=stats,
-        # The adversary's designation law is per-cid, so it works at any
-        # N without enumerating the population.
-        adversary=build_adversary(config),
-    )
-    aggregator = build_aggregator(
-        config.aggregator, trim_fraction=config.trim_fraction
-    )
-    return DeploymentScenario(
-        config, sampler, hooks, stats, model.profiles, aggregator
+    return DeploymentScenario.assemble(
+        config, sampler, stats, timing, model.profiles,
+        profile_map=model.profiles,
     )

@@ -52,6 +52,7 @@ from repro.scenarios.deadline import (
     DeadlinePolicy,
     DeadlineRoundPolicy,
     FixedDeadlinePolicy,
+    broadcast_time,
 )
 from repro.simulation.heterogeneous import ClientProfile
 from repro.simulation.timing import RoundTiming, TimingModel
@@ -490,22 +491,16 @@ class ScenarioHooks(RoundHooks):
     def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
         if self._close_time is None:
             return None
-        # The downlink broadcast reaches the whole cohort (dropped clients
-        # still apply the synchronized update), so it is paced by the
-        # cohort's slowest link.  Base-class transfer time on purpose: a
-        # HeterogeneousTimingModel's sparse_round already applies its
-        # worst-of-all-clients factor, which would double-count here.
-        downlink = (
-            TimingModel.sparse_round(
-                self.timing, 0, ctx.selection.downlink_element_count
-            ).downlink
-            * self._worst_comm
-        )
         computation = self.timing.computation_time
         return RoundTiming(
             computation=computation,
             uplink=max(0.0, self._close_time - computation),
-            downlink=downlink,
+            # The broadcast reaches the whole cohort (dropped clients
+            # still apply the synchronized update).
+            downlink=broadcast_time(
+                self.timing, ctx.selection.downlink_element_count,
+                self._worst_comm,
+            ),
         )
 
     def after_update(self, ctx: RoundContext) -> None:
@@ -610,23 +605,35 @@ class DeploymentScenario:
         if profiles is None:
             profiles = config.build_profiles(client_ids)
         stats = ScenarioStats()
-        availability = build_availability(config, client_ids)
         sampler = ScenarioSampler(
-            availability,
+            build_availability(config, client_ids),
             count=config.participants,
             over_selection=config.over_selection,
             seed=config.seed,
             stats=stats,
         )
-        policy = DeadlineRoundPolicy(
-            build_deadline_schedule(config),
-            over_selection=config.over_selection,
-            min_uploads=config.min_uploads,
+        return cls.assemble(
+            config, sampler, stats, timing, profiles,
+            profile_map={p.client_id: p for p in profiles},
         )
+
+    @classmethod
+    def assemble(
+        cls, config: ScenarioConfig, sampler, stats: ScenarioStats,
+        timing: TimingModel, profiles, profile_map,
+    ) -> "DeploymentScenario":
+        """What every scenario shares once its sampler exists: the
+        deadline gate, the hooks (with the adversary — its designation
+        law is per-cid, so it needs no enumerated population) and the
+        aggregator.  ``profile_map`` is anything with ``.get(cid)``."""
         hooks = ScenarioHooks(
-            policy,
+            DeadlineRoundPolicy(
+                build_deadline_schedule(config),
+                over_selection=config.over_selection,
+                min_uploads=config.min_uploads,
+            ),
             timing,
-            profiles={p.client_id: p for p in profiles},
+            profiles=profile_map,
             target_uploads=config.participants or None,
             reweight=config.reweight,
             stats=stats,
