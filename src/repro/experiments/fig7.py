@@ -49,11 +49,6 @@ class CrossApplicationResult:
     def mean_k(self, beta: float) -> float:
         return float(np.mean(self.sequences[beta]))
 
-    def mean_k_is_decreasing_in_beta(self) -> bool:
-        """The paper's headline qualitative claim for Fig. 7."""
-        means = [self.mean_k(b) for b in self.comm_times]
-        return all(m2 <= m1 * 1.05 for m1, m2 in zip(means, means[1:]))
-
     def matched_sequence_rank(self, beta: float) -> int:
         """Rank (0 = best) of the matched sequence when replayed at beta."""
         losses = {

@@ -55,7 +55,7 @@ from repro.fl.async_engine import AsyncFLTrainer
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
-from repro.scenarios import ScenarioConfig, build_adversary
+from repro.scenarios import ScenarioConfig
 from repro.scenarios.deadline import single_deadline_interval
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
@@ -450,12 +450,12 @@ def run_async_comparison(
 ) -> AsyncComparisonResult:
     """Sync barrier vs async staleness-weighted commits, equal sim time.
 
-    All variants share the availability realization, straggler profiles
-    and cohort sampling (same scenario seed) with the deadline cleared —
-    the synchronous baseline pays the full barrier (every round waits
-    for its slowest participant under the heterogeneous timing model),
-    while the async variants commit after ``commit_count`` arrivals and
-    differ only in their staleness discount
+    All variants share the availability realization, straggler profiles,
+    adversaries and cohort sampling (same scenario seed) with the
+    deadline cleared — the synchronous baseline pays the full barrier
+    (every round waits for its slowest participant under the
+    heterogeneous timing model), while the async variants commit after
+    ``commit_count`` arrivals and differ only in their staleness discount
     (:data:`repro.fl.async_engine.STALENESS_DISCOUNT_KINDS`).  The panel
     answers the question the async engine exists for: does decoupling
     commits from stragglers buy convergence per simulated second, and
@@ -472,13 +472,6 @@ def run_async_comparison(
     )
     assert config.scenario is not None
     scenario_config = ScenarioConfig.from_dict(config.scenario)
-    if build_adversary(scenario_config) is not None:
-        raise ValueError(
-            "the async comparison cannot run ScenarioConfig.adversary="
-            f"{scenario_config.adversary!r}: async commits do not install "
-            "the scenario hooks that corrupt uploads, so only the sync "
-            "baseline would be attacked"
-        )
     commit_count = resolve_commit_count(scenario_config, config.num_clients)
     # The deadline family is the synchronous answer to stragglers; both
     # sides run without it so the comparison isolates the commit

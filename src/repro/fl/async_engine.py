@@ -30,15 +30,15 @@ upload-source steps and nothing else of the round):
    upload's staleness ``s`` is the number of commits since the version
    it was computed at.
 
-Commit hooks (:class:`_CommitHooks`, installed as the engine's
-persistent hooks):
+Commit hooks (:class:`_CommitHooks`, the last of the engine's persistent
+hooks — a scenario's adversary seam is chained ahead of them):
 
 - **Discount the wire** — after ``preprocess_uploads`` (server side, so
   after quantization) each upload's values are scaled by the pluggable
-  staleness discount ``d(s)``; selection and aggregation see the
-  discounted wire.  The *sent* uploads are put back before the residual
-  reset: the client's error-feedback bookkeeping reflects what it
-  actually sent, the same wire-only pattern as the adversary seam.
+  staleness discount ``d(s)`` and put on the wire
+  (``ctx.put_on_wire``): selection and aggregation see the discounted
+  values, the residual reset subtracts what each client sent — the same
+  wire-only rule as the adversary seam, and the two compose.
 - **Probe the exponent** — see ``adaptive`` below.
 - **Charge virtual time** — each commit's ``round_time`` is the
   virtual-clock delta from the previous commit's completion to this
@@ -85,7 +85,12 @@ from __future__ import annotations
 
 import heapq
 
-from repro.fl.engine import RoundContext, RoundEngine, RoundHooks
+from repro.fl.engine import (
+    ChainedHooks,
+    RoundContext,
+    RoundEngine,
+    RoundHooks,
+)
 from repro.fl.trainer import FLTrainer, _apply_scenario
 from repro.online.interval import SearchInterval
 from repro.online.knob import OnlineKnob, Reading
@@ -272,8 +277,7 @@ def _discounted(
 
     Structural no-op when every factor is 1, so a full-barrier commit
     aggregates the very same arrays the plain trainer does.  Scaled
-    payloads keep the original index array (same support, same nnz),
-    preserving the server's stacked fast-path precondition.
+    payloads keep the original index array (same support, same nnz).
     """
     if all(f == 1.0 for f in factors):
         return uploads
@@ -296,19 +300,21 @@ class _CommitHooks(RoundHooks):
     probe the adaptive exponent, charge virtual time."""
 
     def __init__(self) -> None:
-        #: the preprocessed uploads as sent, while ctx carries the wire
-        self._sent: list[ClientUpload] = []
+        #: the wire before the discount: what an exponent probe rescales
+        self._undiscounted: list[ClientUpload] = []
 
     def after_preprocess(self, ctx: RoundContext) -> None:
         engine = ctx.engine
+        if len(ctx.uploads) != len(engine._stale):
+            raise RuntimeError(
+                f"commit {ctx.round_index} aggregates {len(ctx.uploads)} "
+                f"uploads but popped {len(engine._stale)} arrivals: a hook "
+                "filtered the batch, which misaligns the per-upload "
+                "staleness (deadline gating is not supported under async)"
+            )
         factors = [engine.discount.factor(s) for s in engine._stale]
-        self._sent = ctx.uploads
-        ctx.uploads = _discounted(ctx.uploads, factors)
-
-    def after_aggregate(self, ctx: RoundContext) -> None:
-        # Error feedback subtracts what each client actually sent — the
-        # undiscounted preprocessed uploads, not the discounted wire.
-        ctx.uploads = self._sent
+        self._undiscounted = ctx.uploads
+        ctx.put_on_wire(_discounted(ctx.uploads, factors))
 
     def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe."""
@@ -328,9 +334,9 @@ class _CommitHooks(RoundHooks):
         if a_probe is None:
             discount.observe()
             return
-        # Same batch, same selection J, probe discount.
+        # Same batch as the server saw it, same selection J, probe discount.
         w_probe = engine.counterfactual_weights(ctx, _discounted(
-            ctx.uploads, [polynomial_factor(s, a_probe) for s in stale]
+            self._undiscounted, [polynomial_factor(s, a_probe) for s in stale]
         ))
         loss_prev, loss_now, (loss_probe,) = engine.probe_losses(ctx, w_probe)
         # The commit cadence (who arrived when) does not depend on the
@@ -350,16 +356,9 @@ class _CommitHooks(RoundHooks):
         from repro.scenarios.deadline import broadcast_time
 
         engine = ctx.engine
-        worst_comm = max(
-            (
-                engine.profiles[c.client_id].comm_factor
-                for c in ctx.participants
-                if c.client_id in engine.profiles
-            ),
-            default=1.0,
-        )
         downlink_time = broadcast_time(
-            engine.timing, ctx.selection.downlink_element_count, worst_comm
+            engine.timing, ctx.selection.downlink_element_count,
+            ctx.participants, engine.profiles,
         )
         commit_complete = (
             max(engine._commit_close, engine._vclock) + downlink_time
@@ -400,16 +399,15 @@ class AsyncRoundEngine(RoundEngine):
         profiles=None,
         **kwargs,
     ) -> None:
-        if kwargs.get("scenario_hooks") is not None:
-            raise ValueError(
-                "the async engine replaces the deadline/availability hook "
-                "mechanism with commit points; scenario_hooks are not "
-                "supported"
-            )
         super().__init__(*args, **kwargs)
         if commit_count < 0:
             raise ValueError("commit_count must be >= 0 (0 = full cohort)")
-        self.scenario_hooks = _CommitHooks()
+        # The caller's persistent hooks (an adversary seam) rewrite the
+        # arrivals before the commit discounts them.
+        self.scenario_hooks = (
+            _CommitHooks() if self.scenario_hooks is None
+            else ChainedHooks(self.scenario_hooks, _CommitHooks())
+        )
         self.discount = discount if discount is not None else ConstantDiscount()
         self.commit_count = commit_count
         self.profiles = dict(profiles) if profiles else {}
@@ -553,12 +551,11 @@ class AsyncFLTrainer(FLTrainer):
         make commits reorder relative to dispatches.
     scenario:
         Optional :class:`~repro.scenarios.DeploymentScenario`; supplies
-        the sampler, straggler profiles, and robust aggregator.  The
-        scenario's *hooks are not installed* — asynchronous commits
-        replace deadline-driven partial aggregation (stragglers arrive
-        late instead of being dropped) — so a scenario carrying an
-        adversary, whose corruption runs in those hooks, is rejected
-        rather than silently run unattacked.
+        the sampler, straggler profiles, robust aggregator and adversary
+        seam (corruption + ``flagged`` reporting, chained ahead of the
+        commit hooks).  Its deadline gate stays out: asynchronous
+        commits replace deadline-driven partial aggregation (stragglers
+        arrive late instead of being dropped).
     """
 
     engine_class = AsyncRoundEngine
@@ -576,14 +573,8 @@ class AsyncFLTrainer(FLTrainer):
     ) -> None:
         settings = _apply_scenario(scenario, engine_settings)
         if scenario is not None:
-            # Commits replace deadline gating: the hooks stay out.
-            hooks = settings.pop("scenario_hooks")
-            if getattr(hooks, "adversary", None) is not None:
-                raise ValueError(
-                    "the scenario carries an adversary, but async commits "
-                    "do not install scenario hooks (where uploads are "
-                    "corrupted): the run would silently be attack-free"
-                )
+            # Commits replace the deadline gate; the adversary seam stays.
+            settings["scenario_hooks"] = scenario.hooks.adversary_hooks
             if profiles is None:
                 profiles = scenario.profiles
         if isinstance(discount, str):

@@ -283,7 +283,3 @@ class Client:
             raise RuntimeError("probe_loss called before draw_probe_sample")
         x, y = self.probe_sample
         return float(model.per_sample_losses_at(weights, x, y)[0])
-
-    def local_loss(self, model: FlatModel) -> float:
-        """Full local loss ``L(w, i)`` at the model's current weights."""
-        return model.loss_value(self.dataset.x, self.dataset.y)

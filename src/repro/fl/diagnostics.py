@@ -130,24 +130,3 @@ def fairness_index(contributions: dict[int, int]) -> float:
 def history_fairness(history: TrainingHistory) -> float:
     """Jain index of the cumulative contributions in a training history."""
     return fairness_index(history.contribution_counts())
-
-
-def staleness_histogram(
-    clients: list[Client], round_index: int, last_sent: dict[int, np.ndarray]
-) -> np.ndarray:
-    """Rounds-since-transmission histogram (experimental helper).
-
-    ``last_sent`` maps client id to an int array holding, per coordinate,
-    the round at which the coordinate was last transmitted (callers
-    maintain it from SelectionResults).  Returns the flattened staleness
-    values of all coordinates of all clients.
-    """
-    values = []
-    for client in clients:
-        sent = last_sent.get(client.client_id)
-        if sent is None:
-            continue
-        values.append(round_index - sent)
-    if not values:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(values).astype(np.int64)

@@ -76,7 +76,12 @@ class RoundContext:
         self.w_prev: np.ndarray | None = None
         self.participant_ids: list[int] | None = None
         self.participants: list[Client] = []
+        #: the wire: what the server sees, from collection to round end
         self.uploads: list[ClientUpload] = []
+        #: client id -> the upload that client *sent*, wherever a hook
+        #: put something else on the wire (:meth:`put_on_wire`); the
+        #: residual reset reads it, nothing else does
+        self.sent_uploads: dict[int, ClientUpload] = {}
         self.selection: SelectionResult | None = None
         self.downlink: DownlinkMessage | None = None
         #: weights w(m) after the synchronized update
@@ -99,6 +104,19 @@ class RoundContext:
         #: extra fields for the round's trace event (telemetry only)
         self.trace_extra: dict = {}
 
+    def put_on_wire(self, wire: list[ClientUpload]) -> None:
+        """Change what the server sees, not what the clients sent.
+
+        ``wire`` lines up with ``ctx.uploads``; every upload it replaces
+        is remembered as sent — first writer wins, so however many hooks
+        rewrite the wire (Byzantine corruption, then the staleness
+        discount) Algorithm 1's reset still subtracts the client's own.
+        """
+        for sent, seen in zip(self.uploads, wire, strict=True):
+            if seen is not sent:
+                self.sent_uploads.setdefault(sent.client_id, sent)
+        self.uploads = wire
+
 
 class RoundHooks:
     """Extension points for trainer-specific behaviour inside a round.
@@ -118,14 +136,9 @@ class RoundHooks:
     ``ctx.participants`` (keeping the two lists aligned) — this is how
     deployment scenarios drop deadline-missing uploads; every later
     phase (selection, aggregation, residual reset) then sees only the
-    survivors, so dropped clients keep their residuals.
-
-    A hook that changes what the *server* sees without changing what the
-    client sent (Byzantine corruption, the async staleness discount)
-    swaps ``ctx.uploads`` for the wire version — raw uploads in
-    ``after_local_steps``, server-side preprocessed ones in
-    ``after_preprocess`` — and puts the originals back in
-    ``after_aggregate``, so the residual reset subtracts what was sent.
+    survivors, so dropped clients keep their residuals.  A hook that
+    only changes what the server *sees* (Byzantine corruption, the async
+    staleness discount) hands the new wire to ``ctx.put_on_wire``.
     """
 
     #: ask the backend to draw one-sample probes during local steps
@@ -647,8 +660,13 @@ class RoundEngine:
         if tracing:
             lap("update")
 
+        # Lines 16–17 reset against what each client sent, not the wire.
+        sent = ctx.sent_uploads
         self.backend.reset_residuals(
-            ctx.participants, ctx.uploads, ctx.selection.indices
+            ctx.participants,
+            [sent.get(up.client_id, up) for up in ctx.uploads]
+            if sent else ctx.uploads,
+            ctx.selection.indices,
         )
         if self.sparsifier.discards_residual:
             for client in ctx.participants:

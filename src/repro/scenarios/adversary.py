@@ -11,7 +11,8 @@ order, round count, or execution backend.  The only stochastic attack
 ``(seed, 0xBAD1, cid, round)`` on every call, so corrupting the same
 upload twice — or on a different backend, or after a counterfactual
 probe — yields byte-equal results.  All corruption happens parent-side
-in :class:`~repro.scenarios.scenario.ScenarioHooks`, after the backend
+in :class:`AdversaryHooks` (run first by the synchronous scenario's
+hooks, chained ahead of the commit hooks under async), after the backend
 returns honest uploads; backends never see the adversary, which is what
 lets the serial/vectorized/sharded bit-identity matrix extend over every
 attack × defense configuration unchanged.
@@ -21,11 +22,11 @@ Threat model
 Attacks corrupt the *wire payload only*: the values of the client's
 top-k upload change, its index support does not, and the client's
 residual bookkeeping proceeds as if the honest values had been sent
-(the honest payload is restored before error-feedback reset — see
-``ScenarioHooks.after_aggregate``).  This mirrors the dropped-upload
-design: scenario effects live at the transport seam, client learning
-state stays honest, and what the optimizer ultimately recovers through
-FAB/top-k is the honest gradient information.
+(the poison goes on through ``ctx.put_on_wire``, so the engine's
+error-feedback reset subtracts the honest upload).  This mirrors the
+dropped-upload design: scenario effects live at the transport seam,
+client learning state stays honest, and what the optimizer ultimately
+recovers through FAB/top-k is the honest gradient information.
 
 The ``topk`` attack is the threat unique to this paper's setting: the
 adversary knows its sparsifier selected exactly the coordinates the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fl.engine import RoundContext, RoundHooks
 from repro.sparsify.base import ClientUpload, SparseVector
 
 #: ``ScenarioConfig.adversary`` values.  ``"none"`` maps to no adversary
@@ -193,6 +195,48 @@ class AdversaryModel:
             ),
             sample_count=upload.sample_count,
         )
+
+
+class AdversaryHooks(RoundHooks):
+    """The adversary seam of a round: poison the designated clients'
+    wire payloads (before any deadline gate, so finish times, probes,
+    preprocessing and aggregation all see what the server would) and
+    report whom the robust aggregator flagged.  ``adversary=None`` and a
+    plain-mean server make every call a no-op."""
+
+    def __init__(self, adversary: AdversaryModel | None, stats) -> None:
+        self.adversary = adversary
+        self.stats = stats
+
+    def after_local_steps(self, ctx: RoundContext) -> None:
+        adversary = self.adversary
+        if adversary is None:
+            return
+        poisoned = [adversary.is_adversary(up.client_id) for up in ctx.uploads]
+        if any(poisoned):
+            ctx.put_on_wire([
+                adversary.corrupt_upload(up, ctx.round_index) if bad else up
+                for up, bad in zip(ctx.uploads, poisoned)
+            ])
+            self.stats.record_corrupted([
+                up.client_id for up, bad in zip(ctx.uploads, poisoned) if bad
+            ])
+
+    def after_aggregate(self, ctx: RoundContext) -> None:
+        aggregator = ctx.engine.server.aggregator
+        if aggregator is None or not aggregator.last_flags:
+            return
+        flagged_ids = [cid for cid, _ in aggregator.last_flags]
+        self.stats.record_flagged(flagged_ids)
+        tel = ctx.engine.telemetry
+        if tel.enabled:
+            tel.event(
+                "flagged",
+                round=ctx.round_index,
+                client_ids=flagged_ids,
+                detector=aggregator.name,
+                scores=[score for _, score in aggregator.last_flags],
+            )
 
 
 def build_adversary(config) -> AdversaryModel | None:

@@ -72,10 +72,10 @@ class ScenarioConfig:
       (:func:`repro.experiments.scenario.run_async_comparison`) on top
       of the synchronous artifacts.  Under async commits the deadline
       family is inert — stragglers arrive late (and get discounted by
-      staleness) instead of being dropped — and the adversary fields
-      are unsupported: corruption runs in the scenario hooks async
-      commits do not install, so naming an ``adversary`` together with
-      ``async_mode`` raises; see :mod:`repro.fl.async_engine`.
+      staleness) instead of being dropped — while the adversary and
+      aggregator fields apply to every variant alike (arrivals are
+      corrupted before the commit discounts them); see
+      :mod:`repro.fl.async_engine`.
       ``commit_count`` 0 means "derive" (the drivers use half the
       target cohort, so commits close before the stragglers land).
     - ``seed`` seeds availability chains, straggler designation, and
@@ -203,12 +203,6 @@ class ScenarioConfig:
         if self.adversary_fraction > 0.0 and self.adversary == "none":
             raise ValueError(
                 "adversary_fraction > 0 needs an adversary kind"
-            )
-        if self.async_mode and self.adversary != "none":
-            raise ValueError(
-                "async_mode cannot be combined with adversary="
-                f"{self.adversary!r}: async commits do not install the "
-                "scenario hooks that corrupt uploads"
             )
 
     def _normalize_deadline_policy(self) -> None:

@@ -89,10 +89,19 @@ def upload_finish_times(
 
 
 def broadcast_time(
-    timing: TimingModel, downlink_elements: int, worst_comm: float
+    timing: TimingModel, downlink_elements: int, participants, profiles
 ) -> float:
-    """Downlink time of a broadcast paced by the cohort's slowest link
-    (base-class transfer time, for the reason given above)."""
+    """Downlink time of a broadcast to ``participants``, paced by the
+    slowest link among those ``profiles`` knows (base-class transfer
+    time, for the reason given above)."""
+    worst_comm = max(
+        (
+            profiles[c.client_id].comm_factor
+            for c in participants
+            if c.client_id in profiles
+        ),
+        default=1.0,
+    )
     return (
         TimingModel.sparse_round(timing, 0, downlink_elements).downlink
         * worst_comm
@@ -290,10 +299,6 @@ class DeadlineVerdict:
     dropped_ids: tuple[int, ...]
     close_time: float
     finish_times: tuple[float, ...]
-
-    @property
-    def dropped_count(self) -> int:
-        return len(self.dropped_ids)
 
 
 class DeadlineRoundPolicy:

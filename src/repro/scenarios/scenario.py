@@ -35,7 +35,11 @@ import numpy as np
 
 from repro.fl.engine import RoundContext, RoundHooks
 from repro.fl.robust import RobustAggregator, build_aggregator
-from repro.scenarios.adversary import AdversaryModel, build_adversary
+from repro.scenarios.adversary import (
+    AdversaryHooks,
+    AdversaryModel,
+    build_adversary,
+)
 from repro.scenarios.availability import (
     AlwaysAvailable,
     ClientAvailability,
@@ -239,11 +243,14 @@ class ScenarioHooks(RoundHooks):
     so it composes with any backend and any sparsifier.  Per call order
     (see :class:`repro.fl.engine.RoundHooks`):
 
-    - ``after_local_steps``: compute per-upload finish times, apply the
-      deadline verdict, filter ``ctx.uploads``/``ctx.participants`` down
-      to the arrivals (late clients keep their residuals untouched —
-      that is the recovery mechanism), and set the aggregation weight
-      for cohort-mode reweighting.
+    - ``after_local_steps``: run the adversary seam first
+      (:class:`~repro.scenarios.adversary.AdversaryHooks`: the gate
+      judges the wire the server would see), compute per-upload finish
+      times, apply the deadline verdict, filter
+      ``ctx.uploads``/``ctx.participants`` down to the arrivals (late
+      clients keep their residuals untouched — that is the recovery
+      mechanism), and set the aggregation weight for cohort-mode
+      reweighting.
     - ``round_timing``: replace the straggler-tail charge with the
       deadline-bounded close plus the downlink broadcast.
     - ``after_update``: for non-accumulating sparsifiers
@@ -292,20 +299,15 @@ class ScenarioHooks(RoundHooks):
         self.target_uploads = target_uploads
         self.reweight = reweight
         self.stats = stats if stats is not None else ScenarioStats()
-        #: Byzantine upload corruption (None = everyone honest).  The
-        #: seam mirrors the dropped-upload design: ``after_local_steps``
-        #: swaps the designated clients' *wire payloads* for poisoned
-        #: ones (same index support, pure in ``(seed, cid, round)``),
-        #: and ``after_aggregate`` restores the honest payloads before
-        #: the engine's residual reset — so client learning state
-        #: evolves exactly as if the honest upload had been sent, and
-        #: only the server-visible transport is attacked.
+        #: Byzantine upload corruption (None = everyone honest)
         self.adversary = adversary
-        #: client id -> honest upload, while the wire carries poison
-        self._honest_uploads: dict = {}
+        #: the adversary seam — wire-only corruption + flagged reporting
+        #: — as hooks of its own: run first here, chained ahead of the
+        #: commit hooks under async (where this gate stays out)
+        self.adversary_hooks = AdversaryHooks(adversary, self.stats)
+        self._cohort: list = []
         self._dropped_clients: list = []
         self._close_time: float | None = None
-        self._worst_comm: float = 1.0
         #: this round's gate replays: d' first, then d'' if it ran
         self._probes: list[_PendingProbe] = []
         self._played_deadline: float | None = None
@@ -319,32 +321,10 @@ class ScenarioHooks(RoundHooks):
         self._close_time = None
         self._probes = []
         self._played_deadline = None
-        self._honest_uploads = {}
-        if self.adversary is not None:
-            # Corrupt before the deadline gate so everything downstream
-            # (finish times, probes, preprocessing, aggregation) sees
-            # exactly what the server would see on the wire.  Support is
-            # unchanged — only values are poisoned — so timing and the
-            # backends' fast-path preconditions are unaffected.
-            corrupted_ids = []
-            for i, up in enumerate(ctx.uploads):
-                if self.adversary.is_adversary(up.client_id):
-                    self._honest_uploads[up.client_id] = up
-                    ctx.uploads[i] = self.adversary.corrupt_upload(
-                        up, ctx.round_index
-                    )
-                    corrupted_ids.append(up.client_id)
-            if corrupted_ids and self.stats is not None:
-                self.stats.record_corrupted(corrupted_ids)
-        cohort = list(ctx.participants)
-        self._worst_comm = max(
-            (
-                self.profiles[c.client_id].comm_factor
-                for c in cohort
-                if c.client_id in self.profiles
-            ),
-            default=1.0,
-        )
+        # Corrupt before the deadline gate: everything downstream sees
+        # exactly what the server would see on the wire.
+        self.adversary_hooks.after_local_steps(ctx)
+        self._cohort = cohort = list(ctx.participants)
         if self.reweight == "cohort":
             ctx.aggregation_weight = float(
                 sum(up.sample_count for up in ctx.uploads)
@@ -462,31 +442,7 @@ class ScenarioHooks(RoundHooks):
                 probe.w_probe = ctx.engine.counterfactual_weights(
                     ctx, probe_uploads
                 )
-        if self._honest_uploads:
-            # The server has consumed the poisoned payloads; restore the
-            # honest ones before the engine's residual reset, so each
-            # adversarial client's error-feedback bookkeeping subtracts
-            # what its residual actually holds (the honest values) —
-            # mirroring how dropped uploads keep residual state honest.
-            ctx.uploads = [
-                self._honest_uploads.get(up.client_id, up)
-                for up in ctx.uploads
-            ]
-            self._honest_uploads = {}
-        aggregator = ctx.engine.server.aggregator
-        if aggregator is not None and aggregator.last_flags:
-            flagged_ids = [cid for cid, _ in aggregator.last_flags]
-            if self.stats is not None:
-                self.stats.record_flagged(flagged_ids)
-            tel = ctx.engine.telemetry
-            if tel.enabled:
-                tel.event(
-                    "flagged",
-                    round=ctx.round_index,
-                    client_ids=flagged_ids,
-                    detector=aggregator.name,
-                    scores=[score for _, score in aggregator.last_flags],
-                )
+        self.adversary_hooks.after_aggregate(ctx)
 
     def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
         if self._close_time is None:
@@ -499,7 +455,7 @@ class ScenarioHooks(RoundHooks):
             # still apply the synchronized update).
             downlink=broadcast_time(
                 self.timing, ctx.selection.downlink_element_count,
-                self._worst_comm,
+                self._cohort, self.profiles,
             ),
         )
 

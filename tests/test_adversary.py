@@ -39,6 +39,7 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
 
+from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
 from repro.fl.engine import RoundHooks
@@ -117,7 +118,8 @@ ATTACK_CHURN = ScenarioConfig(
 )
 
 
-def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5):
+def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5,
+                      sparsifier=None):
     fed = _federation(seed=seed)
     model = make_mlp(64, 8, hidden=(10,), seed=seed)
     ids = [c.client_id for c in fed.clients]
@@ -127,9 +129,9 @@ def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5):
     )
     scenario = DeploymentScenario.build(scenario_config, ids, timing, profiles)
     trainer = FLTrainer(
-        model, fed, FABTopK(), timing=timing, learning_rate=0.05,
-        batch_size=8, eval_every=3, seed=seed, backend=backend,
-        scenario=scenario,
+        model, fed, sparsifier or FABTopK(), timing=timing,
+        learning_rate=0.05, batch_size=8, eval_every=3, seed=seed,
+        backend=backend, scenario=scenario,
     )
     return trainer, scenario
 
@@ -561,19 +563,16 @@ class TestAttackDefenseBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestResidualHonesty:
 
-    def test_residuals_hold_honest_gradients_despite_corruption(self):
-        # Corruption is wire-only: after round 1, EVERY client's residual
-        # equals its honest gradient with zeros exactly at J ∩ J_i (the
-        # server-selected coordinates it uploaded) — never the ×(−10)
-        # poisoned values — while the adversaries' wire uploads carry the
-        # poison.  (Note the attacked run's J itself may legitimately
-        # differ from an honest run's: selection ranks the corrupted
-        # values.  The invariant is about state, not about J.)
+    @staticmethod
+    def _attacked_round_one(sparsifier=None):
+        """One attacked full-participation round: the trainer, its
+        adversary, a recorder of the wire and every client's honest
+        round-1 gradient at w0."""
         attacked, a_scn = _scenario_trainer(
             "serial", scenario_config=ATTACK_CHURN.with_overrides(
                 availability="always", participants=0, over_selection=0.0,
                 deadline=None, deadline_policy="fixed", slow_fraction=0.0,
-            )
+            ), sparsifier=sparsifier,
         )
         adversary = a_scn.hooks.adversary
         assert adversary is not None
@@ -584,12 +583,13 @@ class TestResidualHonesty:
                     up.client_id: up.payload for up in ctx.uploads
                 }
 
-            def after_aggregate(self, ctx):
-                self.selection = ctx.selection.indices
-                # Scenario hooks restored the honest payloads first.
-                self.restored = {
+            def after_preprocess(self, ctx):
+                self.preprocessed = {
                     up.client_id: up.payload for up in ctx.uploads
                 }
+
+            def after_aggregate(self, ctx):
+                self.selection = ctx.selection.indices
 
         recorder = Recorder()
         w0 = attacked.model.get_weights()
@@ -604,6 +604,17 @@ class TestResidualHonesty:
 
         attacked.engine.run_round(12, hooks=recorder)
         assert a_scn.stats.corrupted_by_client  # someone was designated
+        return attacked, adversary, recorder, gradients
+
+    def test_residuals_hold_honest_gradients_despite_corruption(self):
+        # Corruption is wire-only: after round 1, EVERY client's residual
+        # equals its honest gradient with zeros exactly at J ∩ J_i (the
+        # server-selected coordinates it uploaded) — never the ×(−10)
+        # poisoned values — while the adversaries' wire uploads carry the
+        # poison.  (Note the attacked run's J itself may legitimately
+        # differ from an honest run's: selection ranks the corrupted
+        # values.  The invariant is about state, not about J.)
+        attacked, adversary, recorder, gradients = self._attacked_round_one()
         saw_adversary = False
         for client in attacked.clients:
             cid = client.client_id
@@ -619,14 +630,44 @@ class TestResidualHonesty:
                 np.testing.assert_array_equal(
                     recorder.wire[cid].values, g[uploaded]
                 )
-            # ...and the restored upload is honest either way.
-            np.testing.assert_array_equal(
-                recorder.restored[cid].values, g[uploaded]
-            )
+            # ...and the reset subtracted the honest upload either way:
+            # had it subtracted the poison, an adversary's residual would
+            # hold 11·g at J ∩ J_i instead of zero.
             expected = g.copy()
             expected[np.intersect1d(recorder.selection, uploaded)] = 0.0
             np.testing.assert_array_equal(client.residual, expected)
         assert saw_adversary
+
+    def test_quantized_reset_subtracts_what_each_client_sent(self):
+        # Adversary × quantized: the server quantizes the wire it
+        # received, so an honest client's reset subtracts its *quantized*
+        # upload (the compression error stays in the residual), while an
+        # adversary's subtracts its *raw honest* upload — what it sent
+        # before anything replaced it on the wire (first writer wins: the
+        # corruption's record precedes the quantization).  Pinned byte
+        # for byte before the wire/sent split was ported.
+        attacked, adversary, recorder, gradients = self._attacked_round_one(
+            QuantizedSparsifier(FABTopK(), UniformQuantizer(4, seed=5))
+        )
+        saw_adversary = saw_error = False
+        for client in attacked.clients:
+            cid = client.client_id
+            g = gradients[cid]
+            uploaded = recorder.wire[cid].indices
+            hit = np.isin(uploaded, recorder.selection)
+            expected = g.copy()
+            if adversary.is_adversary(cid):
+                saw_adversary = True
+                np.testing.assert_array_equal(
+                    recorder.wire[cid].values, -10.0 * g[uploaded]
+                )
+                expected[uploaded[hit]] -= g[uploaded[hit]]
+            else:
+                quantized = recorder.preprocessed[cid].values
+                saw_error |= bool(np.any(quantized[hit] != g[uploaded[hit]]))
+                expected[uploaded[hit]] -= quantized[hit]
+            np.testing.assert_array_equal(client.residual, expected)
+        assert saw_adversary and saw_error
 
     def test_dropped_poisoned_gradient_recovers_exactly(self):
         # The straggler is ALSO the adversary (seed 1 designates client

@@ -8,7 +8,9 @@ Four layers:
    and the staleness each commit actually records (cross-backend and
    full-barrier identity with the plain trainer live in
    ``tests/test_engine.py``'s equivalence matrix; the pinned async
-   history in its golden suite).
+   history in its golden suite).  Async × adversary: corruption and the
+   staleness discount both rewrite the wire, and every client's
+   residual still resets against what it *sent*.
 3. **Telemetry** — async runs emit schema-valid ``round`` events with
    ``staleness``/``staleness_max`` and per-arrival ``async.arrival``
    spans through the existing registry, as strict JSONL, and tracing
@@ -25,8 +27,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
+from repro.fl.engine import RoundHooks
 from repro.fl.async_engine import (
     DEFAULT_EXPONENT_INTERVAL,
     STALENESS_DISCOUNT_KINDS,
@@ -67,20 +71,51 @@ def _profiles(fed, slow_ids, factor=4.0):
     ]
 
 
-def _async_trainer(discount="constant", commit_count=3, slow_ids=(0, 3),
-                   telemetry=None, seed=5, eval_every=4, **kwargs):
+def _parts(slow_ids, seed):
     fed = _federation(seed=seed)
     model = make_mlp(64, 10, hidden=(12,), seed=seed)
     profiles = _profiles(fed, set(slow_ids))
     timing = HeterogeneousTimingModel(
         model.dimension, comm_time=10.0, profiles=profiles
     )
+    return fed, model, profiles, timing
+
+
+def _async_trainer(discount="constant", commit_count=3, slow_ids=(0, 3),
+                   telemetry=None, seed=5, eval_every=4, **kwargs):
+    fed, model, profiles, timing = _parts(slow_ids, seed)
     return AsyncFLTrainer(
         model, fed, FABTopK(), timing=timing, learning_rate=0.05,
         batch_size=8, eval_every=eval_every, seed=seed, discount=discount,
         commit_count=commit_count, profiles=profiles, telemetry=telemetry,
         **kwargs,
     )
+
+
+#: always-available full participation, 30% sign-flip adversaries (seed 5
+#: designates clients 2 and 4 of the 6-writer federation)
+ATTACKED = ScenarioConfig(
+    availability="always", adversary="sign_flip", adversary_fraction=0.3,
+    aggregator="trimmed_mean", seed=5,
+)
+
+
+def _attacked_async_trainer(config=ATTACKED, sparsifier=None,
+                            discount="polynomial", commit_count=3,
+                            slow_ids=(0, 3), seed=5, **kwargs):
+    """``_async_trainer`` under a scenario: same federation, model and
+    stragglers, plus the scenario's adversaries and aggregator."""
+    fed, model, profiles, timing = _parts(slow_ids, seed)
+    scenario = DeploymentScenario.build(
+        config, [c.client_id for c in fed.clients], timing, profiles
+    )
+    trainer = AsyncFLTrainer(
+        model, fed, sparsifier or FABTopK(), timing=timing,
+        learning_rate=0.05, batch_size=8, eval_every=4, seed=seed,
+        discount=discount, commit_count=commit_count, scenario=scenario,
+        **kwargs,
+    )
+    return trainer, scenario
 
 
 # ----------------------------------------------------------------------
@@ -241,21 +276,195 @@ class TestCommitMechanics:
         assert all(r.round_index == i + 1 for i, r in enumerate(history))
         assert trainer.engine.profiles  # profiles came from the scenario
 
-    def test_scenario_with_adversary_is_rejected(self):
-        # Corruption runs in the scenario hooks, which async commits do
-        # not install: the run would silently be attack-free.
-        fed = _federation()
-        model = make_mlp(64, 10, hidden=(12,), seed=5)
-        config = ScenarioConfig(
-            availability="always", adversary="sign_flip",
-            adversary_fraction=0.5, aggregator="trimmed_mean", seed=5,
+    def test_scenario_with_adversary_is_attacked(self):
+        # The scenario's adversary seam is chained ahead of the commit
+        # hooks (its deadline gate stays out), so the run is attacked.
+        trainer, scenario = _attacked_async_trainer()
+        chain = trainer.engine.scenario_hooks.hooks
+        assert [type(h).__name__ for h in chain] == [
+            "AdversaryHooks", "_CommitHooks"
+        ]
+        assert chain[0] is scenario.hooks.adversary_hooks
+        trainer.run(4, k=12)
+        assert scenario.stats.corrupted_by_client
+        assert all(
+            scenario.hooks.adversary.is_adversary(cid)
+            for cid in scenario.stats.corrupted_by_client
         )
-        ids = [c.client_id for c in fed.clients]
-        timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        scenario = DeploymentScenario.build(config, ids, timing)
-        with pytest.raises(ValueError, match="adversary"):
-            AsyncFLTrainer(model, fed, FABTopK(), timing=timing,
-                           scenario=scenario, seed=5)
+        assert scenario.stats.rounds == []  # the gate never ran
+
+    def test_filtered_batch_raises_instead_of_truncating(self):
+        # The one thing still unsupported under async, checked where it
+        # would bite: a hook that drops an upload (a deadline gate)
+        # leaves fewer uploads than popped arrivals.
+        class DropFirst(RoundHooks):
+            def after_local_steps(self, ctx):
+                ctx.uploads = ctx.uploads[1:]
+                ctx.participants = ctx.participants[1:]
+
+        trainer = _async_trainer(scenario_hooks=DropFirst())
+        with pytest.raises(RuntimeError, match="filtered the batch"):
+            trainer.step(12)
+
+
+# ----------------------------------------------------------------------
+# Async × adversary: two wire rewrites, one sent record
+# ----------------------------------------------------------------------
+class _WireRecorder(RoundHooks):
+    """Sits between the adversary seam and the commit hooks: sees the
+    poisoned raw wire, then the preprocessed wire before the discount;
+    checks every committed client's residual after the reset."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+        self.commits = 0
+        self.discounted_adversary = self.discounted_honest = False
+        self.quantization_error = False
+
+    def after_local_steps(self, ctx):
+        # A client in flight computes nothing, so its residual still is
+        # what it was at dispatch and its honest upload is that residual
+        # at the uploaded indices.
+        self.before = {
+            c.client_id: c.residual.copy() for c in ctx.participants
+        }
+        for up in ctx.uploads:
+            honest = self.before[up.client_id][up.payload.indices]
+            scale = -10.0 if self.adversary.is_adversary(up.client_id) else 1.0
+            np.testing.assert_array_equal(up.payload.values, scale * honest)
+
+    def after_preprocess(self, ctx):
+        self.preprocessed = {up.client_id: up.payload for up in ctx.uploads}
+
+    def after_aggregate(self, ctx):
+        # The server aggregated corrupted → preprocessed → discounted.
+        discount = ctx.engine.discount
+        for up, s in zip(ctx.uploads, ctx.engine._stale, strict=True):
+            factor = discount.factor(s)
+            np.testing.assert_array_equal(
+                up.payload.values,
+                self.preprocessed[up.client_id].values * factor,
+            )
+            if factor != 1.0:
+                if self.adversary.is_adversary(up.client_id):
+                    self.discounted_adversary = True
+                else:
+                    self.discounted_honest = True
+
+    def after_update(self, ctx):
+        selected = ctx.selection.indices
+        for client in ctx.participants:
+            cid = client.client_id
+            before = self.before[cid]
+            indices = self.preprocessed[cid].indices
+            hit = np.isin(indices, selected)
+            if self.adversary.is_adversary(cid):
+                # Sent = the raw honest upload: nothing the server did
+                # to the wire (poison, quantization, discount) shows.
+                sent = before[indices]
+            else:
+                # Sent = the preprocessed upload, undiscounted.
+                sent = self.preprocessed[cid].values
+                self.quantization_error |= bool(
+                    np.any(sent != before[indices])
+                )
+            expected = before.copy()
+            expected[indices[hit]] -= sent[hit]
+            np.testing.assert_array_equal(client.residual, expected)
+        self.commits += 1
+
+
+class TestAsyncAdversary:
+    @pytest.mark.parametrize("quantized", (False, True))
+    def test_residuals_reset_against_what_was_sent(self, quantized):
+        # Residual honesty in the new cell: sign-flip corruption and the
+        # polynomial staleness discount both rewrite the wire, yet after
+        # every commit each client's residual is its honest accumulated
+        # gradient with what it *sent* subtracted at J ∩ J_i.
+        sparsifier = (
+            QuantizedSparsifier(FABTopK(), UniformQuantizer(4, seed=5))
+            if quantized else None
+        )
+        trainer, scenario = _attacked_async_trainer(sparsifier=sparsifier)
+        recorder = _WireRecorder(scenario.hooks.adversary)
+        trainer.engine.scenario_hooks.hooks.insert(1, recorder)
+        trainer.run(8, k=12)
+        assert recorder.commits == 8
+        assert recorder.discounted_adversary and recorder.discounted_honest
+        assert recorder.quantization_error == quantized
+
+    def test_exponent_probe_reaggregates_the_wire_the_server_saw(self):
+        # The adaptive probe rescales the corrupted-then-preprocessed
+        # wire under a', never the honest payloads.
+        trainer, scenario = _attacked_async_trainer(discount="adaptive")
+        adversary = scenario.hooks.adversary
+        seen = []
+        counterfactual = trainer.engine.counterfactual_weights
+
+        def spy(ctx, uploads):
+            for up in uploads:
+                if adversary.is_adversary(up.client_id):
+                    sent = ctx.sent_uploads[up.client_id].payload
+                    # Poison and probe discount have opposite signs...
+                    assert np.all(up.payload.values * sent.values <= 0.0)
+                    assert np.any(up.payload.values != 0.0)
+                    seen.append(up.client_id)
+            return counterfactual(ctx, uploads)
+
+        trainer.engine.counterfactual_weights = spy
+        trainer.run(8, k=12)
+        assert seen  # ...on commits that probed a stale adversary
+
+    def test_degenerate_settings_write_no_sent_record(self):
+        # adversary="none" + identity discount: the plain path — the
+        # very list the server aggregated goes to the residual reset.
+        trainer, _ = _attacked_async_trainer(
+            config=ScenarioConfig(availability="always", seed=5),
+            discount="constant", commit_count=0,
+        )
+        reset = trainer.engine.backend.reset_residuals
+        calls = []
+
+        class Watch(RoundHooks):
+            def after_update(self, ctx):
+                assert ctx.sent_uploads == {}
+                assert calls[-1] is ctx.uploads
+
+        def spy(participants, uploads, selected):
+            calls.append(uploads)
+            return reset(participants, uploads, selected)
+
+        trainer.engine.backend.reset_residuals = spy
+        for _ in range(3):
+            trainer.engine.run_round(12, hooks=Watch())
+        assert len(calls) == 3
+
+    def test_flagged_clients_are_reported(self, tmp_path):
+        # Was silent before the adversary seam was chained: the
+        # scenario's aggregator was installed under async, the hooks
+        # that turn its ``last_flags`` into events and stats were not.
+        path = tmp_path / "trace.jsonl"
+        telemetry = open_telemetry(path)
+        trainer, scenario = _attacked_async_trainer(
+            discount="constant", commit_count=0, slow_ids=(),
+            telemetry=telemetry,
+        )
+        trainer.run(3, k=400)
+        telemetry.close()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            validate_event(event)
+        flagged = [e for e in events if e["type"] == "flagged"]
+        assert flagged and all(
+            e["detector"] == "trimmed_mean" for e in flagged
+        )
+        counts = scenario.stats.flagged_by_client
+        assert counts == {
+            cid: sum(cid in e["client_ids"] for e in flagged)
+            for e in flagged for cid in e["client_ids"]
+        }
+        adversaries = set(scenario.stats.corrupted_by_client)
+        assert adversaries & set(counts)
 
 
 # ----------------------------------------------------------------------
@@ -463,38 +672,59 @@ class TestAsyncWiring:
             assert max(result.staleness.get(variant).y) > 0.0
         assert "async-adaptive exponent" in labels
 
-    def test_async_comparison_rejects_adversary(self):
+    def test_async_comparison_attacks_every_variant(self, monkeypatch):
+        from repro.experiments import scenario as driver
         from repro.experiments.config import scaled_config
-        from repro.experiments.scenario import run_async_comparison
 
         config = scaled_config("smoke", "scenario")
         scenario = ScenarioConfig.default_churn().with_overrides(
             seed=config.seed, adversary="sign_flip", adversary_fraction=0.5,
         )
         config = config.with_overrides(scenario=scenario.to_dict())
-        with pytest.raises(ValueError, match="ScenarioConfig.adversary"):
-            run_async_comparison(config)
+        built = {}
+        fresh = driver.ExperimentRun.fresh
 
-    def test_scenario_config_rejects_adversary_under_async(self):
-        with pytest.raises(ValueError, match="async_mode.*adversary"):
-            ScenarioConfig(async_mode=True, adversary="sign_flip")
+        def recording_fresh(run, label, *args, **kwargs):
+            parts = fresh(run, label, *args, **kwargs)
+            built[label] = parts[2]["scenario"]
+            return parts
 
-    def test_cli_rejects_async_adversary_before_training(
-        self, monkeypatch, capsys, tmp_path
-    ):
+        monkeypatch.setattr(driver.ExperimentRun, "fresh", recording_fresh)
+        result = driver.run_async_comparison(config)
+        assert sorted(built) == sorted(driver.ASYNC_VARIANTS)
+        # Same scenario seed => the same designated adversaries, and all
+        # four variants (not just the sync baseline) corrupted them.
+        corrupted = {
+            label: set(s.stats.corrupted_by_client)
+            for label, s in built.items()
+        }
+        assert corrupted["sync"]
+        assert all(ids == corrupted["sync"] for ids in corrupted.values())
+        assert sorted(result.histories) == sorted(driver.ASYNC_VARIANTS)
+
+    def test_scenario_config_accepts_adversary_under_async(self):
+        config = ScenarioConfig(
+            async_mode=True, adversary="sign_flip", adversary_fraction=0.3
+        )
+        assert ScenarioConfig.from_dict(config.to_dict()) == config
+
+    def test_cli_runs_async_adversary(self, tmp_path, capsys):
         import repro.cli as cli
 
-        def trained(*args, **kwargs):
-            raise AssertionError("trained despite the invalid flags")
-
-        monkeypatch.setattr(cli, "_run_figure", trained)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main(["scenario", "--scale", "smoke", "--async",
-                      "--adversary-kind", "sign_flip",
-                      "--out", str(tmp_path / "out")])
-        assert exit_info.value.code == 2
-        assert "async_mode" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        assert cli.main([
+            "scenario", "--scale", "smoke", "--async",
+            "--adversary-kind", "sign_flip", "--adversary-fraction", "0.3",
+            "--aggregator", "trimmed_mean", "--out", str(out),
+        ]) in (0, None)
+        capsys.readouterr()
+        panel = json.loads((out / "scenario_async_loss_vs_time.json").read_text())
+        scenario_note = next(
+            n for n in panel["notes"] if n.startswith("scenario: ")
+        )
+        recorded = json.loads(scenario_note.removeprefix("scenario: "))
+        assert recorded["adversary"] == "sign_flip"
+        assert recorded["adversary_fraction"] == 0.3
 
     def test_cli_flags(self):
         from repro.cli import _scenario_overrides, build_parser

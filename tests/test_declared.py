@@ -320,25 +320,22 @@ class TestEngineSettings:
                 build(model, fed, timing, scenario=scenario,
                       sampler=ClientSampler(ids, 2))
 
-    def test_async_still_rejects_a_scenario_with_an_adversary(self):
+    def test_async_takes_a_scenarios_adversary_seam_not_its_gate(self):
         model, fed, timing = _parts()
         attacked = DeploymentScenario.build(
             ScenarioConfig(availability="always", adversary="sign_flip",
-                           adversary_fraction=0.5),
-            [c.client_id for c in fed.clients], timing,
-        )
-        with pytest.raises(ValueError, match="carries an adversary"):
-            AsyncFLTrainer(model, fed, FABTopK(), timing, scenario=attacked)
-        honest = DeploymentScenario.build(
-            ScenarioConfig(availability="always", slow_fraction=0.5),
+                           adversary_fraction=0.5, slow_fraction=0.5),
             [c.client_id for c in fed.clients], timing,
         )
         trainer = AsyncFLTrainer(
-            model, fed, FABTopK(), timing, scenario=honest, commit_count=2
+            model, fed, FABTopK(), timing, scenario=attacked, commit_count=2
         )
-        # The scenario's hooks stay out; its profiles and sampler go in.
-        assert type(trainer.engine.scenario_hooks).__name__ == "_CommitHooks"
+        # The deadline gate stays out; the adversary seam, profiles and
+        # sampler go in.
+        seam, commit = trainer.engine.scenario_hooks.hooks
+        assert seam is attacked.hooks.adversary_hooks
+        assert type(commit).__name__ == "_CommitHooks"
         assert set(trainer.engine.profiles) == {
             c.client_id for c in fed.clients
         }
-        assert trainer.engine.sampler is honest.sampler
+        assert trainer.engine.sampler is attacked.sampler

@@ -17,6 +17,8 @@ Three layers of guarantees:
    per-client counterpart exactly.
 """
 
+import ast
+import functools
 import json
 import pathlib
 
@@ -27,6 +29,7 @@ from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer, partition_iid
 from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
 from repro.fl.async_engine import AsyncFLTrainer
+from repro.fl.engine import RoundContext, RoundHooks
 from repro.fl.backends import (
     BACKEND_NAMES,
     SerialBackend,
@@ -43,11 +46,13 @@ from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
+from repro.scenarios import DeploymentScenario, ScenarioConfig
 from repro.simulation.heterogeneous import ClientSampler
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
+from repro.sparsify.base import ClientUpload, SparseVector
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
@@ -196,6 +201,32 @@ def _golden_async_adaptive():
     return _golden_async_adaptive_trainer().run(20, k=30)
 
 
+def _golden_async_adversary():
+    # Pinned at PR 24's head, the first commit on which async × adversary
+    # runs at all: sign-flip corruption and the learned staleness
+    # discount both rewrite the wire, the trimmed mean defends, and the
+    # exponent probe re-aggregates what the server saw.  What validates
+    # it is not this history but the full-barrier identity under attack
+    # (``test_async_barrier_under_attack_matches_plain_trainer``).
+    model, fed, _ = _golden_setup()
+    profiles, timing = _golden_async_profiles(model, fed)
+    scenario = DeploymentScenario.build(
+        ScenarioConfig(
+            availability="always", adversary="sign_flip",
+            adversary_fraction=0.3, aggregator="trimmed_mean", seed=7,
+        ),
+        [c.client_id for c in fed.clients], timing, profiles,
+    )
+    trainer = AsyncFLTrainer(
+        model, fed, FABTopK(), timing=timing, learning_rate=0.1,
+        batch_size=8, eval_every=3, seed=7, discount="adaptive",
+        commit_count=3, scenario=scenario,
+    )
+    history = trainer.run(12, k=9)
+    assert scenario.stats.corrupted_by_client  # the attack actually ran
+    return history
+
+
 GOLDEN_SCENARIOS = {
     "fl_trainer": _golden_fl,
     "adaptive_trainer": _golden_adaptive,
@@ -204,6 +235,7 @@ GOLDEN_SCENARIOS = {
     "cnn_fl_trainer": _golden_cnn,
     "async_fl_trainer": _golden_async,
     "adaptive_async_fl_trainer": _golden_async_adaptive,
+    "async_adversary_fl_trainer": _golden_async_adversary,
 }
 
 
@@ -406,28 +438,7 @@ class TestBackendEquivalence:
 
     @staticmethod
     def _async_trainer(backend):
-        fed = _federation()
-        model = make_mlp(64, 10, hidden=(12,), seed=5)
-        from repro.simulation.heterogeneous import (
-            ClientProfile,
-            HeterogeneousTimingModel,
-        )
-        profiles = [
-            ClientProfile(
-                client_id=c.client_id,
-                compute_factor=3.0 if c.client_id % 4 == 0 else 1.0,
-                comm_factor=3.0 if c.client_id % 4 == 0 else 1.0,
-            )
-            for c in fed.clients
-        ]
-        timing = HeterogeneousTimingModel(
-            model.dimension, comm_time=10.0, profiles=profiles
-        )
-        return AsyncFLTrainer(
-            model, fed, FABTopK(), timing=timing, learning_rate=0.05,
-            batch_size=8, eval_every=4, seed=5, backend=backend,
-            profiles=profiles, discount="polynomial", commit_count=4,
-        )
+        return _async_matrix_trainer(backend)[0]
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_async_commit_histories_identical(self, backend_name):
@@ -480,6 +491,167 @@ class TestBackendEquivalence:
         for cp, cb in zip(plain.clients, barrier.clients, strict=True):
             np.testing.assert_array_equal(cp.residual, cb.residual)
         assert all(s == 0.0 for s in barrier.staleness_history)
+        plain.close()
+        barrier.close()
+
+
+def _async_matrix_trainer(backend, scenario_config=None, telemetry=None):
+    """The async matrix row: every fourth client a 3x straggler, commits
+    of 4 under the polynomial discount — optionally under a scenario
+    (returned beside the trainer; None without one)."""
+    from repro.simulation.heterogeneous import (
+        ClientProfile,
+        HeterogeneousTimingModel,
+    )
+
+    fed = _federation()
+    model = make_mlp(64, 10, hidden=(12,), seed=5)
+    profiles = [
+        ClientProfile(
+            client_id=c.client_id,
+            compute_factor=3.0 if c.client_id % 4 == 0 else 1.0,
+            comm_factor=3.0 if c.client_id % 4 == 0 else 1.0,
+        )
+        for c in fed.clients
+    ]
+    timing = HeterogeneousTimingModel(
+        model.dimension, comm_time=10.0, profiles=profiles
+    )
+    scenario = None if scenario_config is None else DeploymentScenario.build(
+        scenario_config, [c.client_id for c in fed.clients], timing, profiles
+    )
+    trainer = AsyncFLTrainer(
+        model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+        batch_size=8, eval_every=4, seed=5, backend=backend,
+        profiles=profiles, discount="polynomial", commit_count=4,
+        scenario=scenario, telemetry=telemetry,
+    )
+    return trainer, scenario
+
+
+def _attacked_async_trainer(backend, attack, aggregator, telemetry=None):
+    """The async matrix row with 30% adversaries (seed 5: clients 2, 4)."""
+    return _async_matrix_trainer(backend, ScenarioConfig(
+        availability="always", adversary=attack, adversary_fraction=0.3,
+        aggregator=aggregator, seed=5,
+    ), telemetry)
+
+
+def _run_fingerprint(trainer, scenario, history):
+    """Everything an attacked async run must reproduce byte for byte."""
+    return (
+        history_rows(history),
+        contribution_rows(history),
+        trainer.staleness_history,
+        trainer.model.get_weights().tobytes(),
+        [c.residual.tobytes() for c in trainer.clients],
+        scenario.stats.corrupted_by_client,
+        scenario.stats.flagged_by_client,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _attacked_async_reference(attack, aggregator):
+    trainer, scenario = _attacked_async_trainer("serial", attack, aggregator)
+    fingerprint = _run_fingerprint(trainer, scenario, trainer.run(10, k=15))
+    assert scenario.stats.corrupted_by_client  # the attack actually ran
+    return fingerprint
+
+
+class TestAsyncAdversaryEquivalence:
+    """The cell PR 24 opened: async commits × Byzantine uploads.
+
+    Corruption, robust aggregation and the staleness discount all run
+    in the parent on parent-owned state, so the attacked async run is
+    backend-blind and telemetry-blind like every other matrix row.
+    """
+
+    @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
+    @pytest.mark.parametrize("aggregator", ("mean", "trimmed_mean"))
+    @pytest.mark.parametrize("attack", ("sign_flip", "topk"))
+    def test_histories_identical_across_backends(
+        self, attack, aggregator, backend_name
+    ):
+        fast, scenario = _attacked_async_trainer(
+            make_backend(backend_name), attack, aggregator
+        )
+        fingerprint = _run_fingerprint(fast, scenario, fast.run(10, k=15))
+        fast.close()
+        assert fingerprint == _attacked_async_reference(attack, aggregator)
+
+    @pytest.mark.parametrize("aggregator", ("mean", "trimmed_mean"))
+    @pytest.mark.parametrize("attack", ("sign_flip", "topk"))
+    def test_identical_with_tracing(self, attack, aggregator, tmp_path):
+        from repro.obs import JsonlSink, Telemetry
+        from repro.obs.events import validate_event
+
+        telemetry = Telemetry(sink=JsonlSink(tmp_path / "trace.jsonl"))
+        traced, scenario = _attacked_async_trainer(
+            "serial", attack, aggregator, telemetry=telemetry
+        )
+        fingerprint = _run_fingerprint(traced, scenario, traced.run(10, k=15))
+        telemetry.close()
+        assert fingerprint == _attacked_async_reference(attack, aggregator)
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "trace.jsonl").read_text().splitlines()
+        ]
+        for event in events:
+            validate_event(event)
+        flagged = {}
+        for event in events:
+            if event["type"] == "flagged":
+                for cid in event["client_ids"]:
+                    flagged[cid] = flagged.get(cid, 0) + 1
+        assert flagged == scenario.stats.flagged_by_client
+
+    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    def test_async_barrier_under_attack_matches_plain_trainer(
+        self, backend_name
+    ):
+        # The full-barrier identity with the adversary on: commit_count
+        # 0 + identity discount is the synchronous attacked round, so
+        # the adversary seam chained ahead of the commit hooks must do
+        # exactly what the sync scenario's hooks do — byte for byte on
+        # weights, residuals and losses.  This is what says the golden
+        # ``async_adversary_fl_trainer`` pins the right semantics.
+        config = ScenarioConfig(
+            availability="always", adversary="sign_flip",
+            adversary_fraction=0.3, aggregator="trimmed_mean", seed=5,
+        )
+
+        def build(trainer_class, **extra):
+            fed = _federation()
+            model = make_mlp(64, 10, hidden=(12,), seed=5)
+            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+            scenario = DeploymentScenario.build(
+                config, [c.client_id for c in fed.clients], timing
+            )
+            trainer = trainer_class(
+                model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+                batch_size=8, eval_every=4, seed=5,
+                backend=make_backend(backend_name), scenario=scenario,
+                **extra,
+            )
+            return trainer, scenario
+
+        plain, p_scn = build(FLTrainer)
+        barrier, b_scn = build(AsyncFLTrainer, commit_count=0)
+        hp = plain.run(10, k=15)
+        hb = barrier.run(10, k=15)
+        for rp, rb in zip(history_rows(hp), history_rows(hb), strict=True):
+            assert rp[:2] + rp[4:] == rb[:2] + rb[4:]
+            assert rb[2:4] == pytest.approx(rp[2:4], rel=1e-12)
+        assert contribution_rows(hp) == contribution_rows(hb)
+        np.testing.assert_array_equal(
+            plain.model.get_weights(), barrier.model.get_weights()
+        )
+        for cp, cb in zip(plain.clients, barrier.clients, strict=True):
+            np.testing.assert_array_equal(cp.residual, cb.residual)
+        assert p_scn.stats.corrupted_by_client
+        assert (p_scn.stats.corrupted_by_client
+                == b_scn.stats.corrupted_by_client)
+        assert p_scn.stats.flagged_by_client == b_scn.stats.flagged_by_client
         plain.close()
         barrier.close()
 
@@ -742,6 +914,92 @@ class TestEngineBehaviour:
 # ----------------------------------------------------------------------
 # Telemetry bit-identity: traced runs equal untraced runs exactly
 # ----------------------------------------------------------------------
+def _upload(cid, values):
+    return ClientUpload(
+        client_id=cid, sample_count=1,
+        payload=SparseVector.from_sorted(
+            np.arange(len(values)), np.asarray(values, dtype=float), 8
+        ),
+    )
+
+
+class TestSentRecord:
+    """``ctx.uploads`` is the wire; ``ctx.sent_uploads`` what was sent
+    where that differs — written through ``put_on_wire``, read by the
+    engine's residual reset and by nothing else."""
+
+    def test_first_writer_wins(self):
+        ctx = RoundContext(engine=None, round_index=1, k=1)
+        honest = [_upload(0, [1.0]), _upload(1, [2.0]), _upload(2, [3.0])]
+        ctx.uploads = list(honest)
+        poisoned = [honest[0], _upload(1, [-20.0]), honest[2]]
+        ctx.put_on_wire(poisoned)
+        assert ctx.uploads is poisoned
+        assert ctx.sent_uploads == {1: honest[1]}
+        discounted = [_upload(c, up.payload.values * 0.5)
+                      for c, up in enumerate(poisoned)]
+        ctx.put_on_wire(discounted)
+        assert ctx.uploads is discounted
+        # Client 1 sent its honest upload, not the poison the discount
+        # replaced; clients 0 and 2 sent what the discount replaced.
+        assert ctx.sent_uploads == {
+            0: honest[0], 1: honest[1], 2: honest[2]
+        }
+
+    def test_same_objects_write_nothing(self):
+        ctx = RoundContext(engine=None, round_index=1, k=1)
+        ctx.uploads = [_upload(0, [1.0])]
+        ctx.put_on_wire(list(ctx.uploads))
+        assert ctx.sent_uploads == {}
+
+    def test_wire_must_line_up(self):
+        ctx = RoundContext(engine=None, round_index=1, k=1)
+        ctx.uploads = [_upload(0, [1.0]), _upload(1, [2.0])]
+        with pytest.raises(ValueError):
+            ctx.put_on_wire(ctx.uploads[:1])
+
+    def test_plain_round_resets_against_the_wire_itself(self):
+        trainer = _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"])
+        reset = trainer.engine.backend.reset_residuals
+        seen = []
+
+        class Watch(RoundHooks):
+            def after_update(self, ctx):
+                seen.append(ctx.uploads)
+
+        def spy(participants, uploads, selected):
+            seen.append(uploads)
+            return reset(participants, uploads, selected)
+
+        trainer.engine.backend.reset_residuals = spy
+        trainer.engine.run_round(15, hooks=Watch())
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_only_the_engine_reads_the_record_and_no_hook_restores(self):
+        src = pathlib.Path(__file__).parents[1] / "src" / "repro"
+        readers, restores = [], []
+        for path in sorted(src.rglob("*.py")):
+            name = str(path.relative_to(src))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "sent_uploads"
+                        and name != "fl/engine.py"):
+                    readers.append(f"{name}:{node.lineno}")
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "after_aggregate"):
+                    restores += [
+                        f"{name}:{target.lineno}"
+                        for target in ast.walk(node)
+                        if isinstance(target, ast.Attribute)
+                        and target.attr == "uploads"
+                        and isinstance(target.ctx, ast.Store)
+                    ]
+        assert readers == [], f"sent_uploads outside fl/engine.py: {readers}"
+        assert restores == [], (
+            f"after_aggregate assigns ctx.uploads (swap/restore): {restores}"
+        )
+
+
 ALL_BACKENDS = ("serial",) + FAST_BACKENDS
 
 
