@@ -14,12 +14,12 @@ Design notes
 - ``forward`` stores whatever the matching ``backward`` needs on ``self``.
   A layer instance therefore processes one batch at a time, which matches
   the synchronous FL simulation (one client's minibatch per call).
-- Convolution is batched-gemm on *both* execution paths: the serial
-  forward/backward and the grouped multi-client pass each expand inputs
-  with im2col and run one (batched) matrix multiplication, and the input
-  gradient comes back through the same vectorized ``_col2im`` scatter-add
-  — per-sample contribution order is identical in every path, so serial
-  and grouped convolutions are bit-identical, not merely close.
+- Linear and Conv2D run their serial pass as the grouped multi-client
+  pass with one group, and the parameter-free layers take any leading
+  axes, so serial and grouped results are the same kernel calls —
+  bit-identical, not merely close.  Convolution is im2col plus one
+  batched gemm; its input gradient comes back through one vectorized
+  ``_col2im`` scatter-add.
 """
 
 from __future__ import annotations
@@ -51,9 +51,15 @@ class Layer:
         """Backpropagate ``grad_out`` (dLoss/dOutput) and return dLoss/dInput.
 
         Side effect: fills ``self.grads`` with dLoss/dParam for each entry
-        of ``self.params``.
+        of ``self.params``.  The *network's* input gradient is not produced
+        on the model's gradient paths: :class:`Sequential` runs its first
+        layer through :meth:`backward_params` instead.
         """
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` without the input gradient: fills ``self.grads``."""
+        self.backward(grad_out)
 
     def zero_grad(self) -> None:
         for g in self.grads:
@@ -107,8 +113,36 @@ class Layer:
             f"{type(self).__name__} does not support grouped execution"
         )
 
+    def backward_params_grouped(self, grad_out: np.ndarray) -> list[np.ndarray]:
+        """:meth:`backward_grouped` without the input gradient."""
+        return self.backward_grouped(grad_out)[1]
 
-class Linear(Layer):
+
+class _OneGroupLayer(Layer):
+    """Base for parameterized layers whose serial pass *is* their grouped
+    pass with one group: both share every kernel call, so a client's
+    gradient is the same bytes on every backend."""
+
+    def supports_grouped_batch(self) -> bool:
+        return True
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.forward_grouped(x[None])[0]
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_in, param_grads = self.backward_grouped(grad_out[None])
+        self._store(param_grads)
+        return grad_in[0]
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._store(self.backward_params_grouped(grad_out[None]))
+
+    def _store(self, param_grads: list[np.ndarray]) -> None:
+        for grad, (group_grad,) in zip(self.grads, param_grads):
+            grad[...] = group_grad
+
+
+class Linear(_OneGroupLayer):
     """Fully-connected layer: ``y = x @ W + b`` with W of shape (in, out)."""
 
     def __init__(
@@ -126,59 +160,37 @@ class Linear(Layer):
         self.params = [w, b]
         self.grads = [np.zeros_like(w), np.zeros_like(b)]
         self._x: np.ndarray | None = None
-        self._x3: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expected input of shape (batch, {self.in_features}), "
-                f"got {x.shape}"
-            )
-        self._x = x
-        w, b = self.params
-        return x @ w + b
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        x = self._x
-        w, _ = self.params
-        self.grads[0][...] = x.T @ grad_out
-        self.grads[1][...] = grad_out.sum(axis=0)
-        return grad_out @ w.T
-
-    def supports_grouped_batch(self) -> bool:
-        return True
 
     def forward_grouped(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
             raise ValueError(
-                f"grouped Linear expected (groups, batch, {self.in_features}), "
-                f"got {x.shape}"
+                f"Linear expected input of shape (batch, {self.in_features}) "
+                f"per group, got {x.shape[1:]}"
             )
-        self._x3 = x
+        self._x = x if self.training else None
         w, b = self.params
         return np.matmul(x, w) + b
 
     def backward_grouped(
         self, grad_out: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._x3 is None:
-            raise RuntimeError("grouped backward called before forward")
-        x3 = self._x3
-        w, _ = self.params
-        # Batched x_g.T @ g_g / g_g @ w.T — per group the identical dgemm
-        # calls the serial path makes, so results are bit-exact.
-        grad_w = np.matmul(x3.transpose(0, 2, 1), grad_out)
-        grad_b = grad_out.sum(axis=1)
-        return np.matmul(grad_out, w.T), [grad_w, grad_b]
+        param_grads = self.backward_params_grouped(grad_out)
+        return np.matmul(grad_out, self.params[0].T), param_grads
+
+    def backward_params_grouped(self, grad_out: np.ndarray) -> list[np.ndarray]:
+        if self._x is None:
+            raise RuntimeError("backward called before forward")
+        grad_w = np.matmul(self._x.transpose(0, 2, 1), grad_out)
+        return [grad_w, grad_out.sum(axis=1)]
 
 
-class _ElementwiseLayer(Layer):
-    """Base for parameter-free per-element layers.
+class _SampleWiseLayer(Layer):
+    """Base for parameter-free layers that treat every sample alone (per
+    element, per pooling window, or a reshape).
 
-    Their forward/backward are shape-agnostic, so the grouped pass simply
-    reuses them on the (G, batch, *dims) stack.
+    Their backward takes any leading axes, and so does their forward
+    unless it says otherwise, so the grouped pass reuses them on the
+    (G, batch, *dims) stack.
     """
 
     def supports_grouped_batch(self) -> bool:
@@ -193,16 +205,27 @@ class _ElementwiseLayer(Layer):
         return self.backward(grad_out), []
 
 
-class ReLU(_ElementwiseLayer):
-    """Rectified linear unit."""
+class ReLU(_SampleWiseLayer):
+    """Rectified linear unit.
+
+    Branch-free: ``fmax(x, 0) + 0.0`` is byte-equal to
+    ``where(x > 0, x, 0.0)`` for every input — ``fmax`` maps NaN to 0,
+    and adding +0.0 turns the -0.0 it may keep into +0.0 while leaving
+    every other value (subnormals, inf) unchanged.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # C order: a conv output arrives as a transposed view, and a
+        # contiguous result keeps the mask, the pool's window views and
+        # the backward product unit-stride.
+        y = np.fmax(x, 0.0, order="C")
+        y += 0.0
+        self._mask = y > 0 if self.training else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -210,7 +233,7 @@ class ReLU(_ElementwiseLayer):
         return grad_out * self._mask
 
 
-class Tanh(_ElementwiseLayer):
+class Tanh(_SampleWiseLayer):
     """Hyperbolic-tangent activation."""
 
     def __init__(self) -> None:
@@ -218,8 +241,9 @@ class Tanh(_ElementwiseLayer):
         self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
+        y = np.tanh(x)
+        self._y = y if self.training else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
@@ -227,7 +251,7 @@ class Tanh(_ElementwiseLayer):
         return grad_out * (1.0 - self._y**2)
 
 
-class Sigmoid(_ElementwiseLayer):
+class Sigmoid(_SampleWiseLayer):
     """Logistic sigmoid activation."""
 
     def __init__(self) -> None:
@@ -241,7 +265,7 @@ class Sigmoid(_ElementwiseLayer):
         out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
         ex = np.exp(x[~positive])
         out[~positive] = ex / (1.0 + ex)
-        self._y = out
+        self._y = out if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -319,7 +343,7 @@ class BatchNorm1D(Layer):
         ) / std
 
 
-class Flatten(Layer):
+class Flatten(_SampleWiseLayer):
     """Flatten all non-batch dimensions."""
 
     def __init__(self) -> None:
@@ -335,22 +359,12 @@ class Flatten(Layer):
             raise RuntimeError("backward called before forward")
         return grad_out.reshape(self._shape)
 
-    def supports_grouped_batch(self) -> bool:
-        return True
-
     def forward_grouped(self, x: np.ndarray) -> np.ndarray:
         self._shape = x.shape
         return x.reshape(x.shape[0], x.shape[1], -1)
 
-    def backward_grouped(
-        self, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._shape is None:
-            raise RuntimeError("grouped backward called before forward")
-        return grad_out.reshape(self._shape), []
 
-
-class Dropout(Layer):
+class Dropout(_SampleWiseLayer):
     """Inverted dropout; identity at evaluation time.
 
     The dropout mask is drawn from the layer's own generator, seeded at
@@ -386,17 +400,8 @@ class Dropout(Layer):
     def consumes_forward_rng(self) -> bool:
         return self.rate > 0.0
 
-    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
-        self._mask = None
-        return x
 
-    def backward_grouped(
-        self, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        return grad_out, []
-
-
-class Conv2D(Layer):
+class Conv2D(_OneGroupLayer):
     """2-D convolution (NCHW) via im2col, stride 1, symmetric zero padding."""
 
     def __init__(
@@ -419,8 +424,6 @@ class Conv2D(Layer):
         self.grads = [np.zeros_like(w), np.zeros_like(b)]
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._cols3: np.ndarray | None = None
-        self._gx_shape: tuple[int, ...] | None = None
 
     def _output_hw(self, h: int, w_in: int) -> tuple[int, int]:
         k, p = self.kernel_size, self.padding
@@ -432,48 +435,11 @@ class Conv2D(Layer):
             )
         return h_out, w_out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2D expected (batch, {self.in_channels}, H, W), got {x.shape}"
-            )
-        n, _, h, w_in = x.shape
-        h_out, w_out = self._output_hw(h, w_in)
-        cols = _im2col(x, self.kernel_size, self.padding)  # (n*h_out*w_out, c*k*k)
-        # Cache for backward only while training: evaluation forwards run
-        # over whole eval pools, and pinning a pool-sized im2col buffer
-        # until the next forward would dwarf any minibatch-sized leak.
-        self._cols = cols if self.training else None
-        self._x_shape = x.shape
-        self._cols3 = None  # invalidate any stale grouped cache
-        w_mat = self.params[0].reshape(self.out_channels, -1)  # (out, c*k*k)
-        out = cols @ w_mat.T + self.params[1]
-        return out.reshape(n, h_out, w_out, self.out_channels).transpose(0, 3, 1, 2)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w_in = self._x_shape
-        k, p = self.kernel_size, self.padding
-        # (n, out, h_out, w_out) -> (n*h_out*w_out, out)
-        g = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grads[0][...] = (g.T @ self._cols).reshape(self.params[0].shape)
-        self.grads[1][...] = g.sum(axis=0)
-        w_mat = self.params[0].reshape(self.out_channels, -1)
-        grad_cols = g @ w_mat  # (n*h_out*w_out, c*k*k)
-        # Drop the im2col buffer: it holds n·H·W·C·k² floats, and keeping
-        # it would pin that much memory per client between rounds.
-        self._cols = None
-        return _col2im(grad_cols, (n, c, h, w_in), k, p)
-
-    def supports_grouped_batch(self) -> bool:
-        return True
-
     def forward_grouped(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
-                f"grouped Conv2D expected (groups, batch, {self.in_channels}, "
-                f"H, W), got {x.shape}"
+                f"Conv2D expected (batch, {self.in_channels}, H, W) per group, "
+                f"got {x.shape[1:]}"
             )
         groups, n, c, h, w_in = x.shape
         h_out, w_out = self._output_hw(h, w_in)
@@ -483,13 +449,14 @@ class Conv2D(Layer):
             x.reshape(groups * n, c, h, w_in), self.kernel_size, self.padding
         )
         cols3 = cols.reshape(groups, n * h_out * w_out, -1)
-        self._cols3 = cols3 if self.training else None
-        self._gx_shape = x.shape
-        self._cols = None  # invalidate any stale serial cache
+        # Cache for backward only while training: evaluation forwards run
+        # over whole eval pools, and pinning a pool-sized im2col buffer
+        # until the next forward would dwarf any minibatch-sized leak.
+        self._cols = cols3 if self.training else None
+        self._x_shape = x.shape
         w_mat = self.params[0].reshape(self.out_channels, -1)
-        # One batched gemm whose per-group slices have exactly the serial
-        # forward's operand shapes — (n*h_out*w_out, c*k*k) @ (c*k*k, out)
-        # — so each group's output is bit-identical to its serial call.
+        # One batched gemm whose per-group slices are each a plain
+        # (n*h_out*w_out, c*k*k) @ (c*k*k, out) product.
         out = np.matmul(cols3, w_mat.T) + self.params[1]
         return out.reshape(
             groups, n, h_out, w_out, self.out_channels
@@ -498,34 +465,49 @@ class Conv2D(Layer):
     def backward_grouped(
         self, grad_out: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._cols3 is None or self._gx_shape is None:
-            raise RuntimeError("grouped backward called before forward")
-        groups, n, c, h, w_in = self._gx_shape
-        h_out, w_out = self._output_hw(h, w_in)
-        cols3 = self._cols3
-        # (groups, n, out, h_out, w_out) -> (groups, n*h_out*w_out, out),
-        # per group the identical reshape the serial backward performs.
-        g3 = grad_out.transpose(0, 1, 3, 4, 2).reshape(
-            groups, -1, self.out_channels
-        )
-        grad_w = np.matmul(g3.transpose(0, 2, 1), cols3).reshape(
-            (groups,) + self.params[0].shape
-        )
-        grad_b = g3.sum(axis=1)
+        g3, param_grads = self._weight_grads(grad_out)
+        groups, n, c, h, w_in = self._x_shape
         w_mat = self.params[0].reshape(self.out_channels, -1)
         grad_cols = np.matmul(g3, w_mat)  # (groups, n*h_out*w_out, c*k*k)
-        self._cols3 = None
         grad_x = _col2im(
-            grad_cols.reshape(groups * n * h_out * w_out, -1),
+            grad_cols.reshape(-1, w_mat.shape[1]),
             (groups * n, c, h, w_in),
             self.kernel_size,
             self.padding,
         )
-        return grad_x.reshape(self._gx_shape), [grad_w, grad_b]
+        return grad_x.reshape(self._x_shape), param_grads
+
+    def backward_params_grouped(self, grad_out: np.ndarray) -> list[np.ndarray]:
+        return self._weight_grads(grad_out)[1]
+
+    def _weight_grads(
+        self, grad_out: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``grad_out`` as (groups, n*h_out*w_out, out) and the per-group
+        ``[grad_w, grad_b]``."""
+        if self._cols is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        g3 = grad_out.transpose(0, 1, 3, 4, 2).reshape(
+            grad_out.shape[0], -1, self.out_channels
+        )
+        grad_w = np.matmul(g3.transpose(0, 2, 1), self._cols)
+        # Drop the im2col buffer: it holds n·H·W·C·k² floats, and keeping
+        # it would pin that much memory per client between rounds.
+        self._cols = None
+        return g3, [grad_w.reshape((-1,) + self.params[0].shape), g3.sum(axis=1)]
 
 
-class MaxPool2D(Layer):
-    """Non-overlapping max pooling (NCHW); input H, W must be divisible."""
+class MaxPool2D(_SampleWiseLayer):
+    """Non-overlapping max pooling (NCHW); input H, W must be divisible.
+
+    Each window position ("tap") is one strided view of the input, so the
+    pool is s² elementwise passes with no window copy.  The max is a
+    left-to-right ``np.maximum`` chain over the taps and the routing index
+    is the *first* maximum — a later tap wins only on a strict ``>``, a
+    NaN wins unless one came earlier — which reproduces the values, the
+    ±0 choices and the tie/NaN routing of ``max``/``argmax`` over each
+    window byte for byte.
+    """
 
     def __init__(self, pool_size: int) -> None:
         super().__init__()
@@ -535,55 +517,52 @@ class MaxPool2D(Layer):
         self._argmax: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 
+    def _taps(self, x: np.ndarray) -> list[np.ndarray]:
+        s = self.pool_size
+        return [x[..., i::s, j::s] for i in range(s) for j in range(s)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        h, w = x.shape[-2:]
         s = self.pool_size
         if h % s or w % s:
             raise ValueError(f"input {h}x{w} not divisible by pool size {s}")
-        xr = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
-        xr = xr.reshape(n, c, h // s, w // s, s * s)
-        # argmax is only needed for backward; skip it (and don't pin an
-        # output-sized int buffer) on evaluation forwards over eval pools.
-        self._argmax = xr.argmax(axis=-1) if self.training else None
+        first, *rest = self._taps(x)
+        out = first.copy()
+        index = np.min_scalar_type(s * s - 1).type
+        argmax = np.zeros(out.shape, index)
+        for t, tap in enumerate(rest, 1):
+            # The index is only needed for backward; skip it (and don't pin
+            # an output-sized buffer) on evaluation forwards over eval pools.
+            if self.training:
+                wins = ~(tap <= out)  # tap > out, or either is NaN ...
+                wins &= out == out  # ... but an earlier NaN keeps its place
+                # Winners only move forward, so the last win is a max.
+                np.maximum(argmax, wins * index(t), out=argmax)
+            np.maximum(out, tap, out=out)
+        self._argmax = argmax if self.training else None
         self._x_shape = x.shape
-        return xr.max(axis=-1)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._argmax is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
-        s = self.pool_size
-        grad_windows = np.zeros((n, c, h // s, w // s, s * s))
-        np.put_along_axis(
-            grad_windows, self._argmax[..., None], grad_out[..., None], axis=-1
-        )
-        grad = grad_windows.reshape(n, c, h // s, w // s, s, s)
-        grad = grad.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        # Each tap's slice is the gradient's bits AND-ed with all-ones
+        # where that tap won, all-zeros elsewhere: the routed value moves
+        # unchanged (-0.0 and NaN included), the rest is +0.0, and no
+        # data-dependent branch runs.  The taps tile the input exactly.
+        grad = np.empty(self._x_shape)
+        bits = np.asarray(grad_out, np.float64).view(np.int64)
+        for t, tap in enumerate(self._taps(grad)):
+            keep = np.multiply(self._argmax == t, -1, dtype=np.int64)
+            np.bitwise_and(bits, keep, out=tap.view(np.int64))
         return grad
 
-    def supports_grouped_batch(self) -> bool:
-        return True
-
     def forward_grouped(self, x: np.ndarray) -> np.ndarray:
-        # Pooling reduces each window independently, so the group axis
-        # simply folds into the batch: every per-window max/argmax is the
-        # exact operation the per-group forward performs.
         if x.ndim != 5:
             raise ValueError(
                 f"grouped MaxPool2D expected (groups, batch, C, H, W), got {x.shape}"
             )
-        groups, n = x.shape[:2]
-        out = self.forward(x.reshape((groups * n,) + x.shape[2:]))
-        return out.reshape((groups, n) + out.shape[1:])
-
-    def backward_grouped(
-        self, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        groups, n = grad_out.shape[:2]
-        grad = self.backward(
-            grad_out.reshape((groups * n,) + grad_out.shape[2:])
-        )
-        return grad.reshape((groups, n) + grad.shape[1:]), []
+        return self.forward(x)
 
 
 class Sequential(Layer):
@@ -598,10 +577,18 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Fill every layer's ``grads``; returns nothing.
+
+        The network's input gradient is read by no one (the model's
+        gradient paths keep parameter gradients only), so the first layer
+        runs :meth:`Layer.backward_params` — for a first Conv2D that skips
+        a gemm and a ``_col2im`` scatter per call.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        first.backward_params(grad_out)
 
     def zero_grad(self) -> None:
         for layer in self.layers:
@@ -625,14 +612,16 @@ class Sequential(Layer):
 
     def backward_grouped(
         self, grad_out: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Grouped backward; parameter gradients come back in layer order."""
+    ) -> tuple[None, list[np.ndarray]]:
+        """Grouped :meth:`backward`: ``(None, param_grads in layer order)``."""
+        first, *rest = self.layers
         per_layer: list[list[np.ndarray]] = []
-        for layer in reversed(self.layers):
+        for layer in reversed(rest):
             grad_out, param_grads = layer.backward_grouped(grad_out)
             per_layer.append(param_grads)
+        per_layer.append(first.backward_params_grouped(grad_out))
         per_layer.reverse()
-        return grad_out, [g for grads in per_layer for g in grads]
+        return None, [g for grads in per_layer for g in grads]
 
     def parameter_arrays(self) -> list[np.ndarray]:
         """All parameter arrays, in deterministic layer order."""

@@ -19,7 +19,9 @@ Three layers of guarantees:
 
 import ast
 import functools
+import hashlib
 import json
+import multiprocessing
 import pathlib
 
 import numpy as np
@@ -36,9 +38,11 @@ from repro.fl.backends import (
     VectorizedBackend,
     resolve_backend,
 )
+from repro.parallel.pool import preferred_start_method
 from repro.parallel.sharded import ShardedBackend
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.trainer import FLTrainer
+from repro.nn import layers
 from repro.nn.flat import FlatModel
 from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.models import make_cnn, make_logistic, make_mlp
@@ -411,20 +415,9 @@ class TestBackendEquivalence:
         # configs no longer fall back to per-client gradients on the
         # vectorized backend — and every backend must still produce
         # bit-equal histories, weights and residuals.
-        def build(backend):
-            ds = make_femnist_like(num_writers=6, samples_per_writer=12,
-                                   num_classes=6, image_size=8,
-                                   classes_per_writer=3, flatten=False, seed=5)
-            fed = partition_by_writer(ds, seed=5)
-            model = make_cnn(image_size=8, channels=1, num_classes=6,
-                             dense_width=8, seed=5)
-            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-            return FLTrainer(model, fed, FABTopK(), timing=timing,
-                             learning_rate=0.05, batch_size=6, eval_every=2,
-                             seed=5, backend=backend)
-        fast = build(make_backend(backend_name))
+        fast = _cnn_trainer(make_backend(backend_name))
         assert fast.model.supports_batched_gradients()
-        serial = build("serial")
+        serial = _cnn_trainer("serial")
         hs = serial.run(3, k=20)
         hf = fast.run(3, k=20)
         assert history_rows(hs) == history_rows(hf)
@@ -493,6 +486,19 @@ class TestBackendEquivalence:
         assert all(s == 0.0 for s in barrier.staleness_history)
         plain.close()
         barrier.close()
+
+
+def _cnn_trainer(backend, seed=5):
+    ds = make_femnist_like(num_writers=6, samples_per_writer=12,
+                           num_classes=6, image_size=8,
+                           classes_per_writer=3, flatten=False, seed=seed)
+    fed = partition_by_writer(ds, seed=seed)
+    model = make_cnn(image_size=8, channels=1, num_classes=6,
+                     dense_width=8, seed=seed)
+    timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+    return FLTrainer(model, fed, FABTopK(), timing=timing,
+                     learning_rate=0.05, batch_size=6, eval_every=2,
+                     seed=seed, backend=backend)
 
 
 def _async_matrix_trainer(backend, scenario_config=None, telemetry=None):
@@ -789,6 +795,47 @@ class TestBatchedKernels:
         ys = [rng.integers(0, 5, size=6) for _ in range(9)]
         serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(serial, model.gradients_batched(xs, ys))
+
+    def test_gradients_batched_cnn_at_suite_geometry(self):
+        # The benchmark's CNN (16x16 inputs, 62 classes, conv (8, 16),
+        # dense 64: D = 21,726), 24 clients x batch 32.  Rows equal the
+        # serial gradients and a digest taken before ReLU and MaxPool2D
+        # went branch-free and the first layer dropped its input gradient.
+        rng = np.random.default_rng(0)
+        model = make_cnn(16, 1, 62, (8, 16), 64)
+        xs = [rng.standard_normal((32, 1, 16, 16)) for _ in range(24)]
+        ys = [rng.integers(0, 62, size=32) for _ in range(24)]
+        batched = model.gradients_batched(xs, ys)
+        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        assert batched.tobytes() == serial.tobytes()
+        assert hashlib.sha256(batched.tobytes()).hexdigest() == (
+            "f9b5a3c4390343050c12edd849fd8c2d011aa21f7d3f97e2e17f75bbc81b8a23"
+        )
+
+    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    def test_first_conv_input_gradient_never_computed(
+        self, backend_name, monkeypatch
+    ):
+        # dLoss/dImage has no reader, so layer 0's _col2im must never run
+        # (serial, grouped, and in the sharded workers, which fork after
+        # the patch and count into shared memory).  Layer 3's must run:
+        # that proves the spy is live where the gradients are computed.
+        if backend_name == "sharded" and preferred_start_method() != "fork":
+            pytest.skip("workers inherit the spy only when forked")
+        calls = multiprocessing.Array("i", 2)  # [image-shaped, other]
+        real = layers._col2im
+
+        def spy(cols, x_shape, kernel, padding):
+            with calls.get_lock():
+                calls[int(x_shape[1] != 1)] += 1
+            return real(cols, x_shape, kernel, padding)
+
+        monkeypatch.setattr(layers, "_col2im", spy)
+        trainer = _cnn_trainer(make_backend(backend_name))
+        trainer.run(2, k=20)
+        trainer.close()
+        assert calls[0] == 0
+        assert calls[1] > 0
 
     def test_vectorized_gradients_match_serial_backend(self):
         fed = _federation()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
+    BatchNorm1D,
     Conv2D,
     Dropout,
     Flatten,
@@ -11,6 +12,7 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     Sequential,
+    Sigmoid,
     Tanh,
 )
 
@@ -43,8 +45,12 @@ def check_layer_gradients(layer, x, tol=1e-6):
         return float((layer.forward(x) * upstream).sum())
 
     grad_in = layer.backward(upstream)
-    num_in = numeric_grad(loss, x)
-    np.testing.assert_allclose(grad_in, num_in, atol=tol, rtol=1e-4)
+    if isinstance(layer, Sequential):
+        # The network's input gradient is read by no one: not produced.
+        assert grad_in is None
+    else:
+        num_in = numeric_grad(loss, x)
+        np.testing.assert_allclose(grad_in, num_in, atol=tol, rtol=1e-4)
 
     layer.forward(x)
     layer.backward(upstream)
@@ -190,13 +196,29 @@ class TestConv2D:
     def test_eval_forward_does_not_cache(self):
         # Evaluation forwards run over whole eval pools; caching backward
         # state there would pin pool-sized buffers until the next forward.
-        conv = Conv2D(1, 2, kernel_size=3, rng=np.random.default_rng(0))
-        pool = MaxPool2D(2)
-        conv.train(False)
-        pool.train(False)
-        pool.forward(conv.forward(RNG.standard_normal((4, 1, 6, 6))))
-        assert conv._cols is None
-        assert pool._argmax is None
+        # A training forward first, so a stale cache would show too.
+        # (BatchNorm1D is the exception: its eval-mode backward is
+        # supported and needs the normalized input.)
+        rng = np.random.default_rng(0)
+        net = Sequential([
+            Conv2D(1, 2, kernel_size=3, rng=rng), ReLU(), MaxPool2D(2),
+            Flatten(), Linear(8, 6, rng), Tanh(), Dropout(0.5), Sigmoid(),
+            Linear(6, 3, rng),
+        ])
+        x = RNG.standard_normal((4, 1, 6, 6))
+        for forward, batch in ((net.forward, x), (net.forward_grouped, x[None])):
+            forward(batch)
+            net.train(False)
+            forward(batch)
+            net.train(True)
+            caches = {
+                f"{i}:{type(layer).__name__}.{name}": value
+                for i, layer in enumerate(net.layers)
+                for name, value in vars(layer).items()
+                if name in ("_cols", "_argmax", "_mask", "_y", "_x")
+            }
+            assert len(caches) == 8
+            assert all(v is None for v in caches.values()), caches
 
 
 class TestGroupedConvPool:
@@ -308,6 +330,35 @@ class TestMaxPool2D:
 
 
 class TestSequential:
+    def test_first_layer_skips_input_gradient(self, monkeypatch):
+        # Only parameter gradients leave the network, so its first layer
+        # never computes dLoss/dInput; parameter gradients are unchanged.
+        rng = np.random.default_rng(4)
+        layers = [Conv2D(1, 2, kernel_size=3, rng=rng, padding=1), ReLU(),
+                  Flatten(), Linear(32, 3, rng)]
+        net = Sequential(layers)
+        x = RNG.standard_normal((2, 1, 4, 4))
+        upstream = RNG.standard_normal((2, 3))
+        net.forward(x)
+        grad = upstream
+        for layer in reversed(layers):
+            grad = layer.backward(grad)
+        expected = [g.copy() for g in net.gradient_arrays()]
+
+        def no_input_gradient(*args):
+            raise AssertionError("the first layer computed its input gradient")
+
+        monkeypatch.setattr("repro.nn.layers._col2im", no_input_gradient)
+        net.zero_grad()
+        net.forward(x)
+        assert net.backward(upstream) is None
+        for got, want in zip(net.gradient_arrays(), expected):
+            np.testing.assert_array_equal(got, want)
+        net.forward_grouped(x[None])
+        _, grouped = net.backward_grouped(upstream[None])
+        for got, want in zip(grouped, expected):
+            np.testing.assert_array_equal(got[0], want)
+
     def test_end_to_end_gradient(self):
         rng = np.random.default_rng(5)
         net = Sequential(

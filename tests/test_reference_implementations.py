@@ -15,6 +15,7 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
+from repro.nn.layers import Conv2D, MaxPool2D, ReLU, _col2im, _im2col
 from repro.nn.models import make_logistic
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
@@ -218,6 +219,170 @@ class TestFUBAgainstReference:
         expected = reference_fub_select(uploads, k)
         assert result.indices.tolist() == expected
         assert result.contributions == reference_contributions(uploads, expected)
+
+
+# ----------------------------------------------------------------------
+# CNN layer kernels: literal transcriptions of their first implementation
+# ----------------------------------------------------------------------
+def reference_relu_forward(x):
+    mask = x > 0
+    return np.where(mask, x, 0.0), mask
+
+
+def reference_relu_backward(mask, grad_out):
+    return grad_out * mask
+
+
+def reference_maxpool_forward(x, s):
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 2, 4, 3, 5)
+    xr = xr.reshape(n, c, h // s, w // s, s * s)
+    return xr.max(axis=-1), xr.argmax(axis=-1)
+
+
+def reference_maxpool_backward(argmax, x_shape, s, grad_out):
+    n, c, h, w = x_shape
+    grad_windows = np.zeros((n, c, h // s, w // s, s * s))
+    np.put_along_axis(
+        grad_windows, argmax[..., None], grad_out[..., None], axis=-1
+    )
+    grad = grad_windows.reshape(n, c, h // s, w // s, s, s)
+    return grad.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+def reference_conv_backward(conv, x, grad_out):
+    """``(grad_x, grad_w, grad_b)`` of one serial Conv2D backward."""
+    n, c, h, w_in = x.shape
+    k, p = conv.kernel_size, conv.padding
+    cols = _im2col(x, k, p)
+    g = grad_out.transpose(0, 2, 3, 1).reshape(-1, conv.out_channels)
+    grad_w = (g.T @ cols).reshape(conv.params[0].shape)
+    grad_b = g.sum(axis=0)
+    w_mat = conv.params[0].reshape(conv.out_channels, -1)
+    grad_cols = g @ w_mat
+    return _col2im(grad_cols, (n, c, h, w_in), k, p), grad_w, grad_b
+
+
+#: values whose handling a branch-free kernel could get subtly wrong: both
+#: zeros, the canonical quiet NaN, infinities and subnormals
+SPECIAL_VALUES = np.array([
+    -0.0, 0.0, np.nan, np.inf, -np.inf,
+    5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0,
+])
+
+
+def awkward(rng, shape, specials=SPECIAL_VALUES):
+    """Normals with ~30% of entries replaced by ``specials``."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    hit = rng.random(flat.size) < 0.3
+    flat[hit] = rng.choice(specials, int(hit.sum()))
+    return x
+
+
+def tie_heavy(rng, shape):
+    """Integer values in [-2, 2] with zeros of both signs: most pooling
+    windows hold repeated maxima, many of them a mix of 0.0 and -0.0."""
+    x = rng.integers(-2, 3, size=shape).astype(float)
+    zeros = x == 0
+    x[zeros] *= rng.choice([-1.0, 1.0], int(zeros.sum()))
+    return x
+
+
+def as_conv_output(x):
+    """The same values laid out like Conv2D's output: an NHWC buffer
+    seen through an NCHW transpose."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_bytes_equal(got, expected):
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+LAYOUTS = {"contiguous": lambda x: x, "conv_output": as_conv_output}
+
+
+class TestLayerKernelsAgainstReference:
+    """Byte equality against the transcriptions above on inputs chosen to
+    break a kernel that is only approximately right."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relu_matches_reference(self, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = LAYOUTS[layout](awkward(rng, (5, 3, 4, 6)))
+        # Finite gradients: inf * False is NaN with an "invalid" warning
+        # in the reference too, which the suite turns into an error.
+        grad = awkward(rng, x.shape, SPECIAL_VALUES[~np.isinf(SPECIAL_VALUES)])
+        expected, mask = reference_relu_forward(x)
+        relu = ReLU()
+        assert_bytes_equal(relu.forward(x), expected)
+        assert_bytes_equal(relu.backward(grad), reference_relu_backward(mask, grad))
+        # Grouped: one (G, batch, ...) stack through the same kernels.
+        x5, g5 = x.reshape((5, 1) + x.shape[1:]), grad.reshape((5, 1) + x.shape[1:])
+        assert_bytes_equal(relu.forward_grouped(x5), expected.reshape(x5.shape))
+        grad_in, params = relu.backward_grouped(g5)
+        assert params == []
+        assert_bytes_equal(grad_in, reference_relu_backward(mask, grad).reshape(x5.shape))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("values", ["awkward", "tie_heavy"])
+    @pytest.mark.parametrize("s,c,h,w", [(1, 2, 3, 5), (2, 3, 4, 6), (3, 2, 6, 9)])
+    def test_maxpool_matches_reference(self, s, c, h, w, values, layout):
+        rng = np.random.default_rng(s * 100 + h)
+        make = awkward if values == "awkward" else tie_heavy
+        groups, batch = 3, 4
+        x5 = make(rng, (groups, batch, c, h, w))
+        grad5 = awkward(rng, (groups, batch, c, h // s, w // s))
+        pool = MaxPool2D(s)
+        # Serial, one group at a time.
+        for g in range(groups):
+            x = LAYOUTS[layout](x5[g])
+            expected, argmax = reference_maxpool_forward(x, s)
+            assert_bytes_equal(pool.forward(x), expected)
+            assert_bytes_equal(
+                pool.backward(grad5[g]),
+                reference_maxpool_backward(argmax, x.shape, s, grad5[g]),
+            )
+        # Grouped: the group axis folds into the batch.
+        folded = x5.reshape((groups * batch,) + x5.shape[2:])
+        expected, argmax = reference_maxpool_forward(folded, s)
+        assert_bytes_equal(
+            pool.forward_grouped(x5), expected.reshape(grad5.shape)
+        )
+        grad_in, params = pool.backward_grouped(grad5)
+        assert params == []
+        assert_bytes_equal(grad_in, reference_maxpool_backward(
+            argmax, folded.shape, s, grad5.reshape(expected.shape)
+        ).reshape(x5.shape))
+
+    # (cin, cout, kernel, padding, h, w): non-square, padded and not,
+    # h_out == 1, kernel larger than the input, even and 1x1 kernels.
+    CONV_CASES = [
+        (2, 3, 3, 0, 5, 7), (2, 3, 3, 1, 5, 7), (1, 2, 3, 0, 3, 5),
+        (1, 1, 3, 1, 2, 2), (3, 2, 2, 0, 6, 4), (2, 4, 1, 0, 4, 3),
+    ]
+
+    @pytest.mark.parametrize("cin,cout,kernel,padding,h,w", CONV_CASES)
+    def test_conv_backward_matches_reference(self, cin, cout, kernel, padding, h, w):
+        rng = np.random.default_rng(cin * 31 + h * 7 + w)
+        conv = Conv2D(cin, cout, kernel_size=kernel, rng=rng, padding=padding)
+        finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
+        groups, batch = 3, 2
+        x5 = awkward(rng, (groups, batch, cin, h, w), finite)
+        out5 = conv.forward_grouped(x5)
+        grad5 = awkward(rng, out5.shape, finite)
+        grad_in, (grad_w, grad_b) = conv.backward_grouped(grad5)
+        for g in range(groups):
+            ref_x, ref_w, ref_b = reference_conv_backward(conv, x5[g], grad5[g])
+            conv.forward(x5[g])
+            assert_bytes_equal(conv.backward(grad5[g]), ref_x)
+            assert_bytes_equal(conv.grads[0], ref_w)
+            assert_bytes_equal(conv.grads[1], ref_b)
+            assert_bytes_equal(grad_in[g], ref_x)
+            assert_bytes_equal(grad_w[g], ref_w)
+            assert_bytes_equal(grad_b[g], ref_b)
 
 
 class TestPeriodicResidualModes:
