@@ -462,11 +462,6 @@ def run_async_comparison(
     does discounting staleness keep the late uploads from hurting?
     """
     config = resolve_scenario_config(config)
-    if config.population:
-        raise ValueError(
-            "the async comparison enumerates straggler profiles; virtual "
-            "populations (population > 0) are not supported"
-        )
     dimension, k, time_budget, max_rounds = _scenario_budget(
         config, k, time_budget
     )

@@ -3,13 +3,13 @@
 The paper's protocol is synchronous: every round waits for its slowest
 participant before the server aggregates.  The asynchronous variant is
 the *same* Algorithm-1 round (:meth:`repro.fl.engine.RoundEngine.
-run_round`, unmodified) with a different **upload source** and three
+run_round`, unmodified) with a different **upload source** and two
 **commit hooks**: clients compute continuously, their uploads arrive at
 the server in virtual time, and "round m" is the server's m-th commit
 point — the moment it folds the next batch of arrivals into the
 synchronized weights.
 
-Upload source (:class:`AsyncRoundEngine` overrides the engine's two
+Upload source (:class:`AsyncRoundEngine` overrides the engine's three
 upload-source steps and nothing else of the round):
 
 1. **Who starts a local step** — the first commit dispatches the whole
@@ -28,7 +28,15 @@ upload-source steps and nothing else of the round):
    in-flight upload, the full-cohort barrier) and orders the batch by
    dispatch sequence, so float sums accumulate in cohort order.  Each
    upload's staleness ``s`` is the number of commits since the version
-   it was computed at.
+   it was computed at (``ctx.staleness``, keyed by client id, so a hook
+   may drop an arrival), and the last arrival is the round's close
+   (``ctx.close_time``).
+3. **What the commit costs** — each commit's ``round_time`` is the
+   virtual-clock delta from the previous commit's completion to this
+   one's (the close plus the downlink broadcast), so
+   ``history.cumulative_time`` is simulated elapsed time and
+   convergence-vs-time comparisons against the synchronous baseline are
+   direct.
 
 Commit hooks (:class:`_CommitHooks`, the last of the engine's persistent
 hooks — a scenario's adversary seam is chained ahead of them):
@@ -40,12 +48,6 @@ hooks — a scenario's adversary seam is chained ahead of them):
   values, the residual reset subtracts what each client sent — the same
   wire-only rule as the adversary seam, and the two compose.
 - **Probe the exponent** — see ``adaptive`` below.
-- **Charge virtual time** — each commit's ``round_time`` is the
-  virtual-clock delta from the previous commit's completion to this
-  one's (arrival close plus the downlink broadcast), so
-  ``history.cumulative_time`` is simulated elapsed time and
-  convergence-vs-time comparisons against the synchronous baseline are
-  direct.
 
 Full-barrier identity: with ``commit_count=0``, the identity discount
 and full participation, every commit is a whole fresh cohort in cohort
@@ -271,14 +273,16 @@ class _InFlight:
 
 
 def _discounted(
-    uploads: list[ClientUpload], factors: list[float]
+    uploads: list[ClientUpload], staleness: dict[int, int], factor
 ) -> list[ClientUpload]:
-    """Uploads with wire values scaled by ``factors``.
+    """Uploads with wire values scaled by ``factor(s)``, ``s`` each
+    upload's own staleness (looked up by client id).
 
     Structural no-op when every factor is 1, so a full-barrier commit
     aggregates the very same arrays the plain trainer does.  Scaled
     payloads keep the original index array (same support, same nnz).
     """
+    factors = [factor(staleness[up.client_id]) for up in uploads]
     if all(f == 1.0 for f in factors):
         return uploads
     return [
@@ -296,25 +300,18 @@ def _discounted(
 
 
 class _CommitHooks(RoundHooks):
-    """What a commit does on top of the plain round: discount the wire,
-    probe the adaptive exponent, charge virtual time."""
+    """What a commit does on top of the plain round: discount the wire
+    and probe the adaptive exponent."""
 
     def __init__(self) -> None:
         #: the wire before the discount: what an exponent probe rescales
         self._undiscounted: list[ClientUpload] = []
 
     def after_preprocess(self, ctx: RoundContext) -> None:
-        engine = ctx.engine
-        if len(ctx.uploads) != len(engine._stale):
-            raise RuntimeError(
-                f"commit {ctx.round_index} aggregates {len(ctx.uploads)} "
-                f"uploads but popped {len(engine._stale)} arrivals: a hook "
-                "filtered the batch, which misaligns the per-upload "
-                "staleness (deadline gating is not supported under async)"
-            )
-        factors = [engine.discount.factor(s) for s in engine._stale]
         self._undiscounted = ctx.uploads
-        ctx.put_on_wire(_discounted(ctx.uploads, factors))
+        ctx.put_on_wire(_discounted(
+            ctx.uploads, ctx.staleness, ctx.engine.discount.factor
+        ))
 
     def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe."""
@@ -322,9 +319,8 @@ class _CommitHooks(RoundHooks):
         discount = engine.discount
         if not discount.adaptive:
             return
-        stale = engine._stale
         a_probe = discount.probe_exponent()
-        if max(stale) == 0:
+        if not any(ctx.staleness[up.client_id] for up in self._undiscounted):
             # A batch with no stale arrival: nothing the exponent could
             # have changed, so no probe runs.
             a_probe = None
@@ -336,7 +332,8 @@ class _CommitHooks(RoundHooks):
             return
         # Same batch as the server saw it, same selection J, probe discount.
         w_probe = engine.counterfactual_weights(ctx, _discounted(
-            self._undiscounted, [polynomial_factor(s, a_probe) for s in stale]
+            self._undiscounted, ctx.staleness,
+            lambda s: polynomial_factor(s, a_probe),
         ))
         loss_prev, loss_now, (loss_probe,) = engine.probe_losses(ctx, w_probe)
         # The commit cadence (who arrived when) does not depend on the
@@ -347,28 +344,6 @@ class _CommitHooks(RoundHooks):
             round_time=1.0, probe_round_time=1.0,
             value=discount.exponent, probe_value=a_probe,
         ))
-
-    def round_timing(self, ctx: RoundContext) -> RoundTiming:
-        # Virtual time: the server commits when the batch's last
-        # arrival lands (never before it finished the previous
-        # broadcast), then broadcasts the new model, paced by the
-        # slowest committed client's link.
-        from repro.scenarios.deadline import broadcast_time
-
-        engine = ctx.engine
-        downlink_time = broadcast_time(
-            engine.timing, ctx.selection.downlink_element_count,
-            ctx.participants, engine.profiles,
-        )
-        commit_complete = (
-            max(engine._commit_close, engine._vclock) + downlink_time
-        )
-        # The whole commit-to-commit delta as one term: splitting it
-        # into wait + downlink would re-associate the float sum the
-        # history records.
-        elapsed = commit_complete - engine._vclock
-        engine._vclock = commit_complete
-        return RoundTiming(computation=0.0, uplink=elapsed, downlink=0.0)
 
 
 class AsyncRoundEngine(RoundEngine):
@@ -387,8 +362,9 @@ class AsyncRoundEngine(RoundEngine):
         :class:`ConstantDiscount`).
     profiles:
         ``client_id ->`` :class:`~repro.simulation.heterogeneous.
-        ClientProfile` feeding the arrival-time model; clients missing
-        from the map travel at unit speed.
+        ClientProfile` map (or a profile list) feeding the arrival-time
+        model and pacing the broadcast; clients missing from the map
+        travel at unit speed.  Default: the timing model's map.
     """
 
     def __init__(
@@ -400,6 +376,13 @@ class AsyncRoundEngine(RoundEngine):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
+        if profiles is not None:
+            # A map (a population's ProfileMap too) is used as-is: it is
+            # only ever asked about the clients in flight.
+            self.profiles = (
+                {p.client_id: p for p in profiles}
+                if isinstance(profiles, (list, tuple)) else profiles
+            )
         if commit_count < 0:
             raise ValueError("commit_count must be >= 0 (0 = full cohort)")
         # The caller's persistent hooks (an adversary seam) rewrite the
@@ -410,17 +393,12 @@ class AsyncRoundEngine(RoundEngine):
         )
         self.discount = discount if discount is not None else ConstantDiscount()
         self.commit_count = commit_count
-        self.profiles = dict(profiles) if profiles else {}
         #: virtual (simulated) time; advances at commit points
         self._vclock = 0.0
         self._queue: list[tuple[float, int, _InFlight]] = []
         self._seq = 0
         #: clients the last commit freed, idle until the next dispatch
         self._idle: list = []
-        #: the current batch's per-upload staleness and last arrival time
-        #: (what the commit hooks discount by and charge for)
-        self._stale: list[int] = []
-        self._commit_close = 0.0
         #: mean staleness of each commit's batch (the figure/bench trace)
         self.staleness_history: list[float] = []
 
@@ -483,7 +461,8 @@ class AsyncRoundEngine(RoundEngine):
         self, ctx: RoundContext, draw_probes: bool
     ) -> list[ClientUpload]:
         """Dispatch the wave, then pop the commit's batch of arrivals;
-        ``ctx.participants`` becomes the batch's clients."""
+        ``ctx.participants`` becomes the batch's clients, and
+        ``ctx.staleness``/``ctx.close_time`` its arrivals' facts."""
         self._dispatch(ctx.participants, ctx.k, draw_probes)
         if not self._queue:
             raise RuntimeError("no uploads in flight — empty cohort")
@@ -493,18 +472,21 @@ class AsyncRoundEngine(RoundEngine):
         )
         batch = [heapq.heappop(self._queue)[2] for _ in range(target)]
         # Pops are arrival-ordered, so the close is the last pop's time.
-        self._commit_close = batch[-1].arrival
+        ctx.close_time = batch[-1].arrival
         # Aggregate in dispatch order: for a full-barrier commit that is
         # exactly the plain trainer's cohort order, so the weighted
         # float sums accumulate bit-identically.
         batch.sort(key=lambda entry: entry.seq)
         version = self.version
-        self._stale = stale = [version - e.version for e in batch]
-        mean_staleness = float(sum(stale)) / len(stale)
+        ctx.staleness = staleness = {
+            entry.upload.client_id: version - entry.version for entry in batch
+        }
+        mean_staleness = float(sum(staleness.values())) / len(batch)
         self.staleness_history.append(mean_staleness)
         tel = self.telemetry
         if tel.enabled:
-            for entry, s in zip(batch, stale):
+            for entry in batch:
+                cid = entry.upload.client_id
                 # ``seconds`` is the upload's *virtual* flight time
                 # (dispatch → arrival), not wall-clock.
                 tel.event(
@@ -512,19 +494,33 @@ class AsyncRoundEngine(RoundEngine):
                     name="async.arrival",
                     seconds=entry.arrival - entry.dispatch_time,
                     round=ctx.round_index,
-                    client_id=int(entry.upload.client_id),
-                    staleness=int(s),
+                    client_id=int(cid),
+                    staleness=int(staleness[cid]),
                     arrival=entry.arrival,
                 )
             ctx.trace_extra = {
                 "staleness": mean_staleness,
-                "staleness_max": int(max(stale)),
+                "staleness_max": int(max(staleness.values())),
                 "in_flight": len(self._queue),
                 "version": ctx.round_index,
             }
         self._idle = ctx.participants = [entry.client for entry in batch]
         ctx.participant_ids = [c.client_id for c in ctx.participants]
         return [entry.upload for entry in batch]
+
+    def _charge(self, ctx: RoundContext) -> RoundTiming:
+        # Virtual time: the server commits at the round's close (never
+        # before it finished the previous broadcast), then broadcasts
+        # the new model to the batch, paced by its slowest link.
+        commit_complete = (
+            max(ctx.close_time, self._vclock) + self._broadcast_time(ctx)
+        )
+        # The whole commit-to-commit delta as one term: splitting it
+        # into wait + downlink would re-associate the float sum the
+        # history records.
+        elapsed = commit_complete - self._vclock
+        self._vclock = commit_complete
+        return RoundTiming(computation=0.0, uplink=elapsed, downlink=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -548,14 +544,15 @@ class AsyncFLTrainer(FLTrainer):
     profiles:
         ``client_id -> ClientProfile`` map (or a profile list) feeding
         the virtual arrival-time model; heterogeneous profiles are what
-        make commits reorder relative to dispatches.
+        make commits reorder relative to dispatches.  Default: the
+        scenario's map, else the timing model's.
     scenario:
         Optional :class:`~repro.scenarios.DeploymentScenario`; supplies
-        the sampler, straggler profiles, robust aggregator and adversary
-        seam (corruption + ``flagged`` reporting, chained ahead of the
-        commit hooks).  Its deadline gate stays out: asynchronous
-        commits replace deadline-driven partial aggregation (stragglers
-        arrive late instead of being dropped).
+        the sampler, straggler profile map, robust aggregator and
+        adversary seam (corruption + ``flagged`` reporting, chained
+        ahead of the commit hooks).  Its deadline gate stays out:
+        asynchronous commits replace deadline-driven partial aggregation
+        (stragglers arrive late instead of being dropped).
     """
 
     engine_class = AsyncRoundEngine
@@ -579,8 +576,6 @@ class AsyncFLTrainer(FLTrainer):
                 profiles = scenario.profiles
         if isinstance(discount, str):
             discount = build_staleness_discount(discount)
-        if profiles is not None and not isinstance(profiles, dict):
-            profiles = {p.client_id: p for p in profiles}
         super().__init__(
             model, federation, sparsifier, timing,
             discount=discount, profiles=profiles, **settings,

@@ -25,10 +25,11 @@ feedback, without duplicating any of the skeleton.  Trainers with a
 different *local* phase (FedAvg's local SGD on per-client weight copies,
 always-send-all's dense aggregation) reuse steps 6–7 through
 :meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`.
-Steps 1–2 are the round's *upload source*, two small overridable
-methods: the async engine (:mod:`repro.fl.async_engine`) swaps the
-barrier for a virtual-time arrival queue there and runs the rest of
-the round unchanged.
+Steps 1–2 and the time charge of step 6 are the round's *upload
+source*, three small overridable methods: the async engine
+(:mod:`repro.fl.async_engine`) swaps the barrier for a virtual-time
+arrival queue and the straggler tail for its virtual clock there, and
+runs the rest of the round unchanged.
 
 ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
 ``AlwaysSendAllTrainer`` are thin façades over this class; their public
@@ -76,20 +77,32 @@ class RoundContext:
         self.w_prev: np.ndarray | None = None
         self.participant_ids: list[int] | None = None
         self.participants: list[Client] = []
+        #: the round's clients before any hook filtered them: who the
+        #: broadcast reaches (dropped clients still apply the update)
+        self.cohort: list[Client] = []
         #: the wire: what the server sees, from collection to round end
         self.uploads: list[ClientUpload] = []
         #: client id -> the upload that client *sent*, wherever a hook
         #: put something else on the wire (:meth:`put_on_wire`); the
         #: residual reset reads it, nothing else does
         self.sent_uploads: dict[int, ClientUpload] = {}
+        #: client id -> commits since the weights its upload was computed
+        #: at (async arrivals; empty on a barrier round)
+        self.staleness: dict[int, int] = {}
+        #: when the uplink phase closes: stated by the upload source
+        #: (None = the timing model's straggler tail), lowered by a gate
+        #: through :meth:`close_by`
+        self.close_time: float | None = None
         self.selection: SelectionResult | None = None
         self.downlink: DownlinkMessage | None = None
         #: weights w(m) after the synchronized update
         self.w_new: np.ndarray | None = None
         self.uplink_elements: int = 0
-        self.round_timing: RoundTiming | None = None
         #: total charged time including hook extras
         self.round_time: float = 0.0
+        #: the k value stored in the round's record (the adaptive
+        #: trainer's probe hooks store the continuous k_m)
+        self.recorded_k: float = float(k)
         #: client ids whose uploads a scenario hook dropped this round
         self.dropped_ids: tuple[int, ...] = ()
         #: aggregation-weight override (deployment scenarios reweighting
@@ -117,6 +130,13 @@ class RoundContext:
                 self.sent_uploads.setdefault(sent.client_id, sent)
         self.uploads = wire
 
+    def close_by(self, time: float) -> None:
+        """Close the uplink phase no later than ``time``: a gate may
+        bring the source's close earlier, never later."""
+        self.close_time = (
+            time if self.close_time is None else min(self.close_time, time)
+        )
+
 
 class RoundHooks:
     """Extension points for trainer-specific behaviour inside a round.
@@ -128,17 +148,18 @@ class RoundHooks:
     ``after_preprocess`` (uploads preprocessed, nothing selected yet) →
     ``after_aggregate`` (selection/downlink ready, update not applied) →
     ``after_update`` (model at ``w_new``, residuals reset) →
-    ``round_timing`` (may replace the default charge) →
-    ``extra_round_time`` (timing computed) → ``observe`` (round_time
-    final, before evaluation/record).
+    ``extra_round_time`` (the engine's charge computed) → ``observe``
+    (round_time final, before evaluation/record).
 
     ``after_local_steps`` may *filter* ``ctx.uploads`` and
     ``ctx.participants`` (keeping the two lists aligned) — this is how
     deployment scenarios drop deadline-missing uploads; every later
     phase (selection, aggregation, residual reset) then sees only the
-    survivors, so dropped clients keep their residuals.  A hook that
-    only changes what the server *sees* (Byzantine corruption, the async
-    staleness discount) hands the new wire to ``ctx.put_on_wire``.
+    survivors, so dropped clients keep their residuals.  A gate that
+    closes the round early says so with ``ctx.close_by``; the engine
+    charges the round, no hook does.  A hook that only changes what the
+    server *sees* (Byzantine corruption, the async staleness discount)
+    hands the new wire to ``ctx.put_on_wire``.
     """
 
     #: ask the backend to draw one-sample probes during local steps
@@ -156,15 +177,11 @@ class RoundHooks:
     def after_update(self, ctx: RoundContext) -> None:
         """Model holds ``ctx.w_new``; residuals already reset."""
 
-    def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
-        """Replace the round's timing charge, or None for the default.
-
-        Called after ``after_update`` with ``ctx.selection`` final.
-        Deployment scenarios override this to charge the deadline-bounded
-        round close instead of the straggler tail.
-        """
+    def round_timing(self, ctx: RoundContext) -> None:
+        # Never called: the round's charge is RoundEngine._charge.  Kept
+        # only because the frozen benchmarks/suite/trace.py:150 wraps
+        # ScenarioHooks.round_timing by name.
         del ctx
-        return None
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         """Additional normalized time to charge (e.g. probe downlink)."""
@@ -173,10 +190,6 @@ class RoundHooks:
 
     def observe(self, ctx: RoundContext) -> None:
         """``ctx.round_time`` final; called before evaluation/record."""
-
-    def record_k(self, ctx: RoundContext) -> float:
-        """The k value stored in the round's record (default: played k)."""
-        return float(ctx.k)
 
 
 _DEFAULT_HOOKS = RoundHooks()
@@ -188,9 +201,9 @@ class ChainedHooks(RoundHooks):
     Used by the engine to stack a persistent scenario hook under a
     trainer's per-round hooks: notification methods run in order (so a
     scenario's upload filtering happens before a trainer's probe
-    measurements see ``ctx``), ``extra_round_time`` contributions add,
-    ``round_timing`` takes the first override, and ``record_k`` defers
-    to the innermost (trainer) hook — the one that knows what k meant.
+    measurements see ``ctx``) and ``extra_round_time`` contributions
+    add.  Nothing here picks one hook's answer over another's: what a
+    round decides (its close, its recorded k) is written on ``ctx``.
     """
 
     def __init__(self, *hooks: RoundHooks | None) -> None:
@@ -213,24 +226,12 @@ class ChainedHooks(RoundHooks):
         for hook in self.hooks:
             hook.after_update(ctx)
 
-    def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
-        for hook in self.hooks:
-            override = hook.round_timing(ctx)
-            if override is not None:
-                return override
-        return None
-
     def extra_round_time(self, ctx: RoundContext) -> float:
         return sum(hook.extra_round_time(ctx) for hook in self.hooks)
 
     def observe(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
             hook.observe(ctx)
-
-    def record_k(self, ctx: RoundContext) -> float:
-        if not self.hooks:
-            return float(ctx.k)
-        return self.hooks[-1].record_k(ctx)
 
 
 class EngineFacade:
@@ -372,6 +373,9 @@ class RoundEngine:
         self.eval_every = eval_every
         self.sampler = sampler
         self.optimizer = optimizer
+        #: client id -> ClientProfile pacing the broadcast: the timing
+        #: model's own map (none on a homogeneous model: unit speed)
+        self.profiles = getattr(timing, "profiles", {})
         #: persistent hooks applied to *every* round under the per-call
         #: hooks (deployment scenarios: availability/deadline gating).
         self.scenario_hooks = scenario_hooks
@@ -620,6 +624,7 @@ class RoundEngine:
 
         ctx.w_prev = self.model.get_weights()
         ctx.uploads = self._collect_uploads(ctx, hooks.wants_probes)
+        ctx.cohort = list(ctx.participants)
         if tracing:
             lap("local_steps")
         hooks.after_local_steps(ctx)
@@ -679,20 +684,7 @@ class RoundEngine:
             lap("probe")
 
         ctx.uplink_elements = max(up.payload.nnz for up in ctx.uploads)
-        timing_override = hooks.round_timing(ctx)
-        sparse_round_for = getattr(self.timing, "sparse_round_for", None)
-        if timing_override is not None:
-            ctx.round_timing = timing_override
-        elif sparse_round_for is not None:
-            ctx.round_timing = sparse_round_for(
-                ctx.uplink_elements, ctx.selection.downlink_element_count,
-                ctx.participant_ids,
-            )
-        else:
-            ctx.round_timing = self.timing.sparse_round(
-                ctx.uplink_elements, ctx.selection.downlink_element_count
-            )
-        ctx.round_time = ctx.round_timing.total + hooks.extra_round_time(ctx)
+        ctx.round_time = self._charge(ctx).total + hooks.extra_round_time(ctx)
         hooks.observe(ctx)
         if tracing:
             lap("probe")
@@ -708,7 +700,7 @@ class RoundEngine:
             }
 
         return self.finish_round(
-            k=hooks.record_k(ctx),
+            k=ctx.recorded_k,
             round_time=ctx.round_time,
             uplink_elements=ctx.uplink_elements,
             downlink_elements=ctx.selection.downlink_element_count,
@@ -721,7 +713,7 @@ class RoundEngine:
         )
 
     # ------------------------------------------------------------------
-    # The round's upload source (the async engine overrides both)
+    # The round's upload source (the async engine overrides all three)
     # ------------------------------------------------------------------
     def _start_wave(self) -> tuple[list[Client], list[int] | None]:
         """Who starts a local step this round, and their sampled ids
@@ -741,6 +733,47 @@ class RoundEngine:
             self.model, ctx.participants, ctx.k, self.sparsifier,
             draw_probes=draw_probes,
         )
+
+    def _charge(self, ctx: RoundContext) -> RoundTiming:
+        """The round's time charge.  Barrier protocol: with no close
+        stated, the straggler tail of the timing model; once a gate
+        closed the round (``ctx.close_by``), the computation, the wait
+        until that close, and the broadcast."""
+        downlink_elements = ctx.selection.downlink_element_count
+        if ctx.close_time is None:
+            sparse_round_for = getattr(self.timing, "sparse_round_for", None)
+            if sparse_round_for is not None:
+                return sparse_round_for(
+                    ctx.uplink_elements, downlink_elements,
+                    ctx.participant_ids,
+                )
+            return self.timing.sparse_round(
+                ctx.uplink_elements, downlink_elements
+            )
+        computation = self.timing.computation_time
+        return RoundTiming(
+            computation=computation,
+            uplink=max(0.0, ctx.close_time - computation),
+            downlink=self._broadcast_time(ctx),
+        )
+
+    def _broadcast_time(self, ctx: RoundContext) -> float:
+        """Downlink time of the broadcast to ``ctx.cohort``, paced by the
+        slowest link among those ``self.profiles`` knows.  Base-class
+        transfer time: a HeterogeneousTimingModel's own downlink already
+        folds in its worst-client factor, which would double-count."""
+        profiles = self.profiles
+        worst_comm = max(
+            (
+                profiles[c.client_id].comm_factor
+                for c in ctx.cohort
+                if c.client_id in profiles
+            ),
+            default=1.0,
+        )
+        return TimingModel.sparse_round(
+            self.timing, 0, ctx.selection.downlink_element_count
+        ).downlink * worst_comm
 
     # ------------------------------------------------------------------
     # Skeleton primitives for trainers with a custom local phase

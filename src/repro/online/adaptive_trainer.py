@@ -67,6 +67,8 @@ class _ProbeHooks(RoundHooks):
         self.w_probe: np.ndarray | None = None
 
     def after_local_steps(self, ctx: RoundContext) -> None:
+        # The record stores the policy's continuous k_m, not the played k.
+        ctx.recorded_k = self.k_continuous
         # f_{i,h}(w(m-1)), averaged over the round's participants.
         model = ctx.engine.model
         self.loss_prev = float(
@@ -137,10 +139,6 @@ class _ProbeHooks(RoundHooks):
             probe_round_time=probe_round_time,
             cost=cost,
         ))
-
-    def record_k(self, ctx: RoundContext) -> float:
-        del ctx
-        return self.k_continuous
 
 
 class AdaptiveKTrainer(EngineFacade):

@@ -88,26 +88,6 @@ def upload_finish_times(
     return times
 
 
-def broadcast_time(
-    timing: TimingModel, downlink_elements: int, participants, profiles
-) -> float:
-    """Downlink time of a broadcast to ``participants``, paced by the
-    slowest link among those ``profiles`` knows (base-class transfer
-    time, for the reason given above)."""
-    worst_comm = max(
-        (
-            profiles[c.client_id].comm_factor
-            for c in participants
-            if c.client_id in profiles
-        ),
-        default=1.0,
-    )
-    return (
-        TimingModel.sparse_round(timing, 0, downlink_elements).downlink
-        * worst_comm
-    )
-
-
 def single_deadline_interval(deadline: float) -> tuple[float, float]:
     """``[d/2, 2d]``: where an adaptive policy searches around a single
     deadline d that brings no schedule to seed the interval from."""

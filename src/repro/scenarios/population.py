@@ -141,6 +141,5 @@ def build_population_scenario(
         stats=stats,
     )
     return DeploymentScenario.assemble(
-        config, sampler, stats, timing, model.profiles,
-        profile_map=model.profiles,
+        config, sampler, stats, timing, model.profiles
     )

@@ -10,8 +10,9 @@ knows how to consume:
 - :class:`ScenarioHooks` — a :class:`repro.fl.engine.RoundHooks` that
   gates the round's uploads through the :class:`~repro.scenarios.
   deadline.DeadlineRoundPolicy`, drops the late ones *before* selection
-  and aggregation, and overrides the round's timing charge with the
-  deadline-bounded close.
+  and aggregation, and closes the round at the deadline-bounded close
+  (``ctx.close_by``) — the engine then charges that, not the straggler
+  tail.
 
 Dropped-upload semantics (the part that makes the paper's sparsifiers
 shine under churn): a dropped client already accumulated its gradient
@@ -56,10 +57,9 @@ from repro.scenarios.deadline import (
     DeadlinePolicy,
     DeadlineRoundPolicy,
     FixedDeadlinePolicy,
-    broadcast_time,
 )
 from repro.simulation.heterogeneous import ClientProfile
-from repro.simulation.timing import RoundTiming, TimingModel
+from repro.simulation.timing import TimingModel
 
 
 @dataclass
@@ -236,7 +236,7 @@ class _PendingProbe:
 
 
 class ScenarioHooks(RoundHooks):
-    """Deadline gate + partial-aggregation reweighting + timing override.
+    """Deadline gate + partial-aggregation reweighting + early close.
 
     Runs entirely in the parent process on the uploads the execution
     backend produced, after residual accumulation and client selection —
@@ -249,10 +249,10 @@ class ScenarioHooks(RoundHooks):
       times, apply the deadline verdict, filter
       ``ctx.uploads``/``ctx.participants`` down to the arrivals (late
       clients keep their residuals untouched — that is the recovery
-      mechanism), and set the aggregation weight for cohort-mode
-      reweighting.
-    - ``round_timing``: replace the straggler-tail charge with the
-      deadline-bounded close plus the downlink broadcast.
+      mechanism), set the aggregation weight for cohort-mode
+      reweighting, and close the round at the verdict's close
+      (``ctx.close_by``): the engine charges it plus the broadcast to
+      the whole cohort instead of the straggler tail.
     - ``after_update``: for non-accumulating sparsifiers
       (``discards_residual``), dropped clients discard their residual
       too — the scheme's semantics, not the scenario's.
@@ -305,9 +305,7 @@ class ScenarioHooks(RoundHooks):
         #: — as hooks of its own: run first here, chained ahead of the
         #: commit hooks under async (where this gate stays out)
         self.adversary_hooks = AdversaryHooks(adversary, self.stats)
-        self._cohort: list = []
         self._dropped_clients: list = []
-        self._close_time: float | None = None
         #: this round's gate replays: d' first, then d'' if it ran
         self._probes: list[_PendingProbe] = []
         self._played_deadline: float | None = None
@@ -318,13 +316,12 @@ class ScenarioHooks(RoundHooks):
     # ------------------------------------------------------------------
     def after_local_steps(self, ctx: RoundContext) -> None:
         self._dropped_clients = []
-        self._close_time = None
         self._probes = []
         self._played_deadline = None
         # Corrupt before the deadline gate: everything downstream sees
         # exactly what the server would see on the wire.
         self.adversary_hooks.after_local_steps(ctx)
-        self._cohort = cohort = list(ctx.participants)
+        cohort = len(ctx.participants)
         if self.reweight == "cohort":
             ctx.aggregation_weight = float(
                 sum(up.sample_count for up in ctx.uploads)
@@ -332,7 +329,7 @@ class ScenarioHooks(RoundHooks):
         if not self.policy.applies(self.target_uploads):
             if self.stats is not None:
                 self.stats.record_round(
-                    ctx.round_index, len(cohort), len(cohort), (),
+                    ctx.round_index, cohort, cohort, (),
                     close_time=float("nan"), deadline=None,
                 )
             return
@@ -399,7 +396,7 @@ class ScenarioHooks(RoundHooks):
                 c.client_id for c in ctx.participants
             ]
         ctx.dropped_ids = verdict.dropped_ids
-        self._close_time = verdict.close_time
+        ctx.close_by(verdict.close_time)
         tel = ctx.engine.telemetry
         if tel.enabled:
             recovered = [up.client_id for up in ctx.uploads
@@ -416,7 +413,7 @@ class ScenarioHooks(RoundHooks):
                 self._ever_dropped.update(verdict.dropped_ids)
         if self.stats is not None:
             self.stats.record_round(
-                ctx.round_index, len(cohort), len(ctx.uploads),
+                ctx.round_index, cohort, len(ctx.uploads),
                 verdict.dropped_ids, verdict.close_time,
                 self.policy.deadline_for(ctx.round_index),
             )
@@ -443,21 +440,6 @@ class ScenarioHooks(RoundHooks):
                     ctx, probe_uploads
                 )
         self.adversary_hooks.after_aggregate(ctx)
-
-    def round_timing(self, ctx: RoundContext) -> RoundTiming | None:
-        if self._close_time is None:
-            return None
-        computation = self.timing.computation_time
-        return RoundTiming(
-            computation=computation,
-            uplink=max(0.0, self._close_time - computation),
-            # The broadcast reaches the whole cohort (dropped clients
-            # still apply the synchronized update).
-            downlink=broadcast_time(
-                self.timing, ctx.selection.downlink_element_count,
-                self._cohort, self.profiles,
-            ),
-        )
 
     def after_update(self, ctx: RoundContext) -> None:
         if (
@@ -506,7 +488,7 @@ class ScenarioHooks(RoundHooks):
                 # replay; the computation/downlink/extra charges carry
                 # over unchanged.
                 probe_round_time=(
-                    ctx.round_time - self._close_time + probe.close_time
+                    ctx.round_time - ctx.close_time + probe.close_time
                 ),
                 value=played,
                 probe_value=probe.deadline,
@@ -530,13 +512,16 @@ class DeploymentScenario:
         sampler: ScenarioSampler,
         hooks: ScenarioHooks,
         stats: ScenarioStats,
-        profiles: list[ClientProfile],
+        profiles,
         aggregator: RobustAggregator | None = None,
     ) -> None:
         self.config = config
         self.sampler = sampler
         self.hooks = hooks
         self.stats = stats
+        #: client id -> ClientProfile (anything with ``in``/``[]``/
+        #: ``get``): what the gate times arrivals by, and what an async
+        #: trainer's engine paces arrivals by
         self.profiles = profiles
         #: optional RobustAggregator the trainer threads into its engine
         #: (None = the paper's weighted mean, the unmodified server path)
@@ -569,19 +554,20 @@ class DeploymentScenario:
             stats=stats,
         )
         return cls.assemble(
-            config, sampler, stats, timing, profiles,
-            profile_map={p.client_id: p for p in profiles},
+            config, sampler, stats, timing,
+            {p.client_id: p for p in profiles},
         )
 
     @classmethod
     def assemble(
         cls, config: ScenarioConfig, sampler, stats: ScenarioStats,
-        timing: TimingModel, profiles, profile_map,
+        timing: TimingModel, profiles,
     ) -> "DeploymentScenario":
         """What every scenario shares once its sampler exists: the
         deadline gate, the hooks (with the adversary — its designation
         law is per-cid, so it needs no enumerated population) and the
-        aggregator.  ``profile_map`` is anything with ``.get(cid)``."""
+        aggregator.  ``profiles`` is a per-cid map (anything with
+        ``in``/``[]``/``get``), never enumerated."""
         hooks = ScenarioHooks(
             DeadlineRoundPolicy(
                 build_deadline_schedule(config),
@@ -589,7 +575,7 @@ class DeploymentScenario:
                 min_uploads=config.min_uploads,
             ),
             timing,
-            profiles=profile_map,
+            profiles=profiles,
             target_uploads=config.participants or None,
             reweight=config.reweight,
             stats=stats,

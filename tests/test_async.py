@@ -293,18 +293,93 @@ class TestCommitMechanics:
         )
         assert scenario.stats.rounds == []  # the gate never ran
 
-    def test_filtered_batch_raises_instead_of_truncating(self):
-        # The one thing still unsupported under async, checked where it
-        # would bite: a hook that drops an upload (a deadline gate)
-        # leaves fewer uploads than popped arrivals.
+    def test_a_hook_may_drop_an_arrival(self):
+        # Staleness is keyed by client id, so a hook may drop an arrival
+        # the way the deadline gate does: the survivors commit, each
+        # discounted by its own staleness; the dropped client keeps its
+        # residual and is re-dispatched at the next commit.
         class DropFirst(RoundHooks):
+            def __init__(self):
+                self.dropped = None
+
             def after_local_steps(self, ctx):
+                if ctx.round_index != 4:  # stale arrivals {0: 3, 3: 3, 5: 1}
+                    return
+                client = ctx.participants[0]
+                client.drop_upload()
+                self.dropped = (client, client.residual.copy())
+                self.raw = {up.client_id: up for up in ctx.uploads[1:]}
                 ctx.uploads = ctx.uploads[1:]
                 ctx.participants = ctx.participants[1:]
+                ctx.participant_ids = ctx.participant_ids[1:]
+                ctx.dropped_ids = (client.client_id,)
 
-        trainer = _async_trainer(scenario_hooks=DropFirst())
-        with pytest.raises(RuntimeError, match="filtered the batch"):
-            trainer.step(12)
+        class Wire(RoundHooks):
+            # Per-round hooks run after the commit hooks' discount.
+            def after_aggregate(self, ctx):
+                self.staleness = dict(ctx.staleness)
+                self.values = {
+                    up.client_id: up.payload.values for up in ctx.uploads
+                }
+
+        drop = DropFirst()
+        trainer = _async_trainer(discount="polynomial", scenario_hooks=drop)
+        waves = []
+        local_steps = trainer.engine.backend.local_steps
+
+        def spy(model, wave, *args, **kwargs):
+            waves.append([c.client_id for c in wave])
+            return local_steps(model, wave, *args, **kwargs)
+
+        trainer.engine.backend.local_steps = spy
+        trainer.run(3, k=12)
+        wire = Wire()
+        trainer.engine.run_round(12, hooks=wire)
+        client, residual = drop.dropped
+        assert sorted(wire.values) == sorted(drop.raw)
+        assert client.client_id in wire.staleness
+        factors = set()
+        for cid, values in wire.values.items():
+            factor = trainer.discount.factor(wire.staleness[cid])
+            np.testing.assert_array_equal(
+                values, drop.raw[cid].payload.values * factor
+            )
+            factors.add(factor)
+        assert len(factors) == 2 and 1.0 not in factors
+        np.testing.assert_array_equal(client.residual, residual)
+        trainer.step(12)
+        assert client.client_id in waves[-1]
+
+    def test_population_scenario_costs_the_cohort(self):
+        # The scenario's per-cid profile map reaches the engine as-is:
+        # nothing enumerates the population (copying the map into a dict
+        # used to walk it until a KeyError past the last client id).
+        from repro.data.virtual import VirtualFederation
+        from repro.scenarios import build_population_scenario
+        from repro.simulation.population import PopulationModel
+
+        config = ScenarioConfig(
+            availability="markov", participants=5, slow_fraction=0.3, seed=3
+        )
+        fed = VirtualFederation.build(
+            1000, samples_per_client=12, num_classes=8, image_size=6,
+            classes_per_writer=4, test_samples=32, seed=3,
+        )
+        model = make_mlp(36, 8, hidden=(8,), seed=3)
+        population = PopulationModel.from_scenario_config(config, 1000)
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=population.profiles
+        )
+        scenario = build_population_scenario(config, 1000, timing)
+        trainer = AsyncFLTrainer(
+            model, fed, FABTopK(), timing=timing, scenario=scenario,
+            commit_count=2, learning_rate=0.05, batch_size=8, seed=3,
+        )
+        assert trainer.engine.profiles is scenario.profiles
+        history = trainer.run(3, k=10)
+        assert len(history) == 3
+        assert max(trainer.staleness_history) > 0  # stragglers arrived late
+        assert len(trainer.clients) <= 5
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +414,8 @@ class _WireRecorder(RoundHooks):
     def after_aggregate(self, ctx):
         # The server aggregated corrupted → preprocessed → discounted.
         discount = ctx.engine.discount
-        for up, s in zip(ctx.uploads, ctx.engine._stale, strict=True):
-            factor = discount.factor(s)
+        for up in ctx.uploads:
+            factor = discount.factor(ctx.staleness[up.client_id])
             np.testing.assert_array_equal(
                 up.payload.values,
                 self.preprocessed[up.client_id].values * factor,
@@ -512,30 +587,30 @@ class TestCounterfactualEvaluator:
         engine = trainer.engine
 
         trainer.step(12)   # commit 1: whole fresh cohort, nothing stale
-        assert max(engine._stale) == 0
+        assert engine.staleness_history[-1] == 0
         assert counter.take() == (0, 1)        # the round-1 eval cadence
 
         trainer.step(12)   # commit 2: stale arrivals, first probe
-        assert max(engine._stale) > 0
+        assert engine.staleness_history[-1] > 0
         # L(w(m−1)) has no carry yet: loss_at(w_prev) + loss_at(w').
         assert counter.take() == (2, 1)
 
         engine.commit_count = 0   # drain: every in-flight upload commits
         trainer.step(12)   # commit 3: probed, directly after a probed one
-        assert max(engine._stale) > 0
+        assert engine.staleness_history[-1] > 0
         assert counter.take() == (1, 1)        # carried; only L(w') moved
 
         engine.commit_count = 3
         trainer.step(12)   # commit 4: the drained cohort restarted fresh
-        assert max(engine._stale) == 0
+        assert engine.staleness_history[-1] == 0
         assert counter.take() == (0, 0)        # no probe, off cadence
 
         trainer.step(12)   # commit 5: probed again, after the gap
-        assert max(engine._stale) > 0
+        assert engine.staleness_history[-1] > 0
         assert counter.take() == (2, 1)        # L(w(m−1)) re-evaluated
 
         trainer.step(12)   # commit 6: consecutive again
-        assert max(engine._stale) > 0
+        assert engine.staleness_history[-1] > 0
         assert counter.take() == (1, 1)
 
     def test_eval_cadence_reuses_the_probes_loss(self):
@@ -547,7 +622,7 @@ class TestCounterfactualEvaluator:
         trainer.step(12)
         counter.take()
         record = trainer.step(12)
-        assert max(trainer.engine._stale) > 0
+        assert trainer.engine.staleness_history[-1] > 0
         assert counter.take() == (2, 1)
         assert record.loss == trainer.engine._loss_prev[1]
         assert trainer.engine._loss_prev[0] == record.round_index
@@ -671,6 +746,25 @@ class TestAsyncWiring:
             assert variant in labels
             assert max(result.staleness.get(variant).y) > 0.0
         assert "async-adaptive exponent" in labels
+
+    def test_async_comparison_runs_over_a_population(self):
+        from repro.experiments.config import scaled_config
+        from repro.experiments.scenario import (
+            ASYNC_VARIANTS,
+            run_async_comparison,
+        )
+
+        config = scaled_config("smoke", "scenario").with_overrides(
+            population=100_000, samples_per_client=12,
+        )
+        scenario = ScenarioConfig.default_churn().with_overrides(
+            seed=config.seed, async_mode=True, participants=8,
+        )
+        result = run_async_comparison(
+            config.with_overrides(scenario=scenario.to_dict())
+        )
+        assert sorted(result.histories) == sorted(ASYNC_VARIANTS)
+        assert result.commit_count == 4
 
     def test_async_comparison_attacks_every_variant(self, monkeypatch):
         from repro.experiments import scenario as driver

@@ -1023,10 +1023,15 @@ class TestSentRecord:
         assert len(seen) == 2 and seen[0] is seen[1]
 
     def test_only_the_engine_reads_the_record_and_no_hook_restores(self):
+        # Also: per-upload facts are keyed by client id (no positional
+        # staleness list), the engine charges the round (no hook returns
+        # a timing or a recorded k), and ChainedHooks only fans out.
         src = pathlib.Path(__file__).parents[1] / "src" / "repro"
-        readers, restores = [], []
+        readers, restores, leftovers = [], [], []
+        stub, chained = set(), None
         for path in sorted(src.rglob("*.py")):
             name = str(path.relative_to(src))
+            # Breadth-first: a class is visited before its methods.
             for node in ast.walk(ast.parse(path.read_text())):
                 if (isinstance(node, ast.Attribute)
                         and node.attr == "sent_uploads"
@@ -1041,10 +1046,32 @@ class TestSentRecord:
                         and target.attr == "uploads"
                         and isinstance(target.ctx, ast.Store)
                     ]
+                if isinstance(node, ast.ClassDef) and name == "fl/engine.py":
+                    methods = {
+                        f.name: f for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                    }
+                    if node.name == "RoundHooks":
+                        stub.add(methods["round_timing"])
+                    if node.name == "ChainedHooks":
+                        chained = set(methods)
+                if isinstance(node, ast.Attribute) and node.attr in (
+                        "_stale", "record_k", "round_timing"):
+                    leftovers.append(f"{name}:{node.lineno} .{node.attr}")
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name in ("record_k", "round_timing")
+                        and node not in stub):
+                    leftovers.append(f"{name}:{node.lineno} def {node.name}")
         assert readers == [], f"sent_uploads outside fl/engine.py: {readers}"
         assert restores == [], (
             f"after_aggregate assigns ctx.uploads (swap/restore): {restores}"
         )
+        assert len(stub) == 1
+        assert leftovers == [], f"positional/first-wins rules: {leftovers}"
+        assert chained == {
+            "__init__", "after_local_steps", "after_preprocess",
+            "after_aggregate", "after_update", "extra_round_time", "observe",
+        }
 
 
 ALL_BACKENDS = ("serial",) + FAST_BACKENDS

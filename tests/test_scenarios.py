@@ -1722,13 +1722,12 @@ class TestReweighting:
 # Engine plumbing
 # ----------------------------------------------------------------------
 class TestEnginePlumbing:
-    def test_chained_hooks_order_and_record_k(self):
+    def test_chained_hooks_order_and_extra_time(self):
         calls = []
 
         class Named(RoundHooks):
-            def __init__(self, name, k):
+            def __init__(self, name):
                 self.name = name
-                self._k = k
 
             def after_local_steps(self, ctx):
                 calls.append(self.name)
@@ -1736,15 +1735,10 @@ class TestEnginePlumbing:
             def extra_round_time(self, ctx):
                 return 1.5
 
-            def record_k(self, ctx):
-                return self._k
-
-        chain = ChainedHooks(Named("outer", 1.0), None, Named("inner", 2.0))
+        chain = ChainedHooks(Named("outer"), None, Named("inner"))
         chain.after_local_steps(None)
         assert calls == ["outer", "inner"]
         assert chain.extra_round_time(None) == 3.0
-        assert chain.record_k(None) == 2.0  # innermost wins
-        assert chain.round_timing(None) is None
         assert not chain.wants_probes
 
     def test_scenario_and_sampler_are_mutually_exclusive(self):
