@@ -1,41 +1,42 @@
 """Pluggable execution backends for the round engine's local-step phase.
 
-A backend answers one question: *how* do the round's participants compute
-their gradients and produce uploads?  The protocol they implement — the
-Algorithm-1 round skeleton — lives in :class:`repro.fl.engine.RoundEngine`
-and is backend-independent.
+A backend answers one question: *how* are the round's gradients
+computed?  The protocol around them — the Algorithm-1 round skeleton —
+lives in :class:`repro.fl.engine.RoundEngine`, and the client side of a
+round is written once, in :meth:`ExecutionBackend.local_steps`: each
+participant in order folds its gradient into its residual, selects its
+upload and (on probe rounds) draws its probe sample.  A backend
+implements :meth:`ExecutionBackend.compute_gradients` and nothing else
+of the step.
 
 Three implementations ship:
 
-- :class:`SerialBackend` — the reference: a Python loop calling
-  ``Client.local_step`` once per participant, exactly the seed trainers'
-  behaviour.
-- :class:`VectorizedBackend` — batches the gradient phase across all
-  participants (one grouped ``FlatModel.gradients_batched`` pass) and the
-  residual reset; selection runs per client, as in the serial backend
-  (stacking the residuals to select in one call costs more than the N
-  calls it saves).  Every batched step is bit-identical to its serial
-  counterpart (see the respective docstrings), so the two backends
-  produce *equal* training histories; whenever a model lacks batched
-  support the backend silently falls back to the serial path for that
-  piece, trading speed, never correctness.
-- :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — partitions
-  clients into shards and runs the gradient phase on a persistent
-  multiprocessing worker pool for multi-core scaling, with the same
-  bit-identity guarantee.  It lives in :mod:`repro.parallel` and is
-  resolved lazily here to keep this module import-light.
+- :class:`SerialBackend` — the reference: one ``FlatModel.gradient``
+  call per participant, yielded one at a time, so the round holds a
+  single gradient, exactly the seed trainers' behaviour.
+- :class:`VectorizedBackend` — one grouped ``FlatModel.gradients_batched``
+  pass over all participants, bit-identical per client to the serial
+  call; a model without grouped support (active Dropout, training-mode
+  BatchNorm) falls back to per-client calls, trading speed, never
+  correctness.
+- :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — the
+  gradients of a persistent multiprocessing worker pool, one shard of
+  clients per worker, with the same bit-identity guarantee.  It lives in
+  :mod:`repro.parallel` and is resolved lazily here to keep this module
+  import-light.
 
 Per-client RNG streams are preserved by construction: minibatch draws use
 each client's dataset generator, selection/probe draws use each client's
 own generator, and both are consumed in participant order in every
 backend.
 
-Backends are stateless, so one instance may serve many engines; select
-them by name via :func:`resolve_backend` (the string form is what
-``ExperimentConfig.backend`` and the CLI ``--backend`` flag carry).
+Select a backend by name via :func:`resolve_backend` (the string form is
+what ``ExperimentConfig.backend`` and the CLI ``--backend`` flag carry).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -48,7 +49,8 @@ BACKEND_NAMES = ("serial", "vectorized", "sharded")
 
 
 class ExecutionBackend:
-    """Strategy interface for executing the participants' local steps."""
+    """How a round's gradients are computed (:meth:`compute_gradients`);
+    the local step and the residual reset around them are shared."""
 
     name = "abstract"
     #: observation-only hook; the engine replaces this with its enabled
@@ -65,26 +67,41 @@ class ExecutionBackend:
     ) -> list[ClientUpload]:
         """Run every participant's Algorithm-1 local step; return uploads.
 
-        ``model`` holds the synchronized weights ``w(m-1)`` and must be
-        left unchanged.  With ``draw_probes`` each participant also draws
-        its one-sample probe after its selection (the adaptive trainer's
-        estimator input).
+        Each participant, in order, adds its gradient to its residual and
+        selects its upload; with ``draw_probes`` it then draws its
+        one-sample probe from the round's minibatch (the adaptive
+        trainer's estimator input).  ``model`` holds the synchronized
+        weights ``w(m-1)`` and must be left unchanged.
         """
-        raise NotImplementedError
+        grads = self.compute_gradients(
+            model, participants, want_batches=draw_probes
+        )
+        uploads = []
+        for client, grad in zip(participants, grads):
+            client.accumulate_gradient(grad)
+            uploads.append(client.select_upload(k, sparsifier))
+            if draw_probes:
+                client.draw_probe_sample()
+        return uploads
 
     def compute_gradients(
-        self, model: FlatModel, participants: list[Client]
-    ) -> list[np.ndarray]:
+        self,
+        model: FlatModel,
+        participants: list[Client],
+        want_batches: bool = False,
+    ) -> Iterable[np.ndarray]:
         """Per-participant minibatch gradients at the current weights.
 
-        Draws each participant's minibatch (recording it for probe draws)
-        and returns the flat gradients; used directly by dense baselines
-        (always-send-all) that skip sparsification.
+        Draws each participant's minibatch and yields the flat gradients
+        as an iterable in participant order; used directly by dense
+        baselines (always-send-all) that skip sparsification.  With
+        ``want_batches`` every participant's minibatch is recorded on the
+        client by the time its gradient arrives, for
+        :meth:`Client.draw_probe_sample`.
 
-        The arrays are valid until this backend's next gradient phase
-        (``compute_gradients`` or ``local_steps``): a backend may return
-        views of a buffer it reuses, as the sharded one does.  Consume
-        them at once, or copy what must last longer.
+        Each gradient is valid until this backend's next gradient phase:
+        a backend may return views of a buffer it reuses, as the sharded
+        one does.  Consume them at once, or copy what must last longer.
         """
         raise NotImplementedError
 
@@ -114,30 +131,15 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def local_steps(
+    def compute_gradients(
         self,
         model: FlatModel,
         participants: list[Client],
-        k: int,
-        sparsifier: Sparsifier,
-        draw_probes: bool = False,
-    ) -> list[ClientUpload]:
-        uploads = []
+        want_batches: bool = False,
+    ) -> Iterable[np.ndarray]:
+        # A generator: each gradient is folded in before the next exists.
         for client in participants:
-            uploads.append(client.local_step(model, k, sparsifier))
-            if draw_probes:
-                client.draw_probe_sample()
-        return uploads
-
-    def compute_gradients(
-        self, model: FlatModel, participants: list[Client]
-    ) -> list[np.ndarray]:
-        grads = []
-        for client in participants:
-            x, y = client.draw_minibatch()
-            grad, _ = model.gradient(x, y)
-            grads.append(grad)
-        return grads
+            yield model.gradient(*client.draw_minibatch())[0]
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -146,73 +148,18 @@ class VectorizedBackend(ExecutionBackend):
     Minibatches are drawn per client (their RNG streams must match the
     serial backend), then grouped by batch size and pushed through
     ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes); each client then selects its own upload.
-    Models without grouped-batch support (active Dropout, training-mode
-    BatchNorm) fall back to the equivalent per-client calls.
+    grouped im2col passes).  Models without grouped-batch support (active
+    Dropout, training-mode BatchNorm) fall back to the equivalent
+    per-client calls.
     """
 
     name = "vectorized"
 
-    def local_steps(
+    def compute_gradients(
         self,
         model: FlatModel,
         participants: list[Client],
-        k: int,
-        sparsifier: Sparsifier,
-        draw_probes: bool = False,
-    ) -> list[ClientUpload]:
-        grads = self.compute_gradients(model, participants)
-        for client, grad in zip(participants, grads):
-            client.accumulate_gradient(grad)
-
-        uploads = [
-            client.select_upload(k, sparsifier) for client in participants
-        ]
-        if draw_probes:
-            for client in participants:
-                client.draw_probe_sample()
-        return uploads
-
-    def reset_residuals(
-        self,
-        participants: list[Client],
-        uploads: list[ClientUpload],
-        selected: np.ndarray,
-    ) -> None:
-        """Batched ``J ∩ J_i`` residual reset.
-
-        One ``searchsorted`` membership test over the stacked upload-index
-        matrix replaces the per-client ``intersect1d`` chains; the
-        per-client subtraction is the identical elementwise operation, so
-        residual state matches the serial reset bit-for-bit.  Falls back
-        per client whenever the fast path's preconditions fail (ragged
-        upload sizes, index-rewriting preprocessing, momentum masking).
-        """
-        nnz = uploads[0].payload.nnz if uploads else 0
-        fast = all(
-            up.payload.nnz == nnz
-            and client._velocity is None
-            and (
-                up.payload.indices is client._last_upload_indices
-                or np.array_equal(
-                    up.payload.indices, client._last_upload_indices
-                )
-            )
-            for client, up in zip(participants, uploads)
-        )
-        if not fast or nnz == 0:
-            super().reset_residuals(participants, uploads, selected)
-            return
-        index_matrix = np.stack([up.payload.indices for up in uploads])
-        positions = np.searchsorted(selected, index_matrix)
-        clipped = np.minimum(positions, selected.size - 1)
-        mask = (positions < selected.size) & (selected[clipped] == index_matrix)
-        for client, upload, hits in zip(participants, uploads, mask):
-            hit_indices = upload.payload.indices[hits]
-            client.residual[hit_indices] -= upload.payload.values[hits]
-
-    def compute_gradients(
-        self, model: FlatModel, participants: list[Client]
+        want_batches: bool = False,
     ) -> list[np.ndarray]:
         batches = [client.draw_minibatch() for client in participants]
         if not model.supports_batched_gradients():

@@ -142,12 +142,13 @@ class Client:
         ``model`` must hold the synchronized weights ``w(m-1)`` on entry;
         it is left unchanged (gradient computation does not move weights).
 
-        This is the serial reference path; execution backends may instead
-        compose the pieces (:meth:`draw_minibatch`,
-        :meth:`accumulate_gradient`, :meth:`select_upload`) so the
-        gradient can be batched across clients — each piece touches the
-        same per-client state in the same order, so compositions
-        reproduce this method exactly.
+        A one-client convenience: the round engine runs the same pieces
+        (:meth:`draw_minibatch`, :meth:`accumulate_gradient`,
+        :meth:`select_upload`) through
+        :meth:`repro.fl.backends.ExecutionBackend.local_steps`, whose
+        backend computes the gradient — batched, or on a worker — and
+        each piece touches the same per-client state in the same order,
+        so every backend reproduces this method exactly.
         """
         x, y = self.draw_minibatch()
         grad, _ = model.gradient(x, y)
@@ -227,7 +228,7 @@ class Client:
         time.
         """
         if self._last_upload_indices is None:
-            raise RuntimeError("reset_transmitted called before local_step")
+            raise RuntimeError("reset_transmitted called before select_upload")
         hit = np.intersect1d(
             selected, self._last_upload_indices, assume_unique=True
         )
@@ -272,7 +273,7 @@ class Client:
     def draw_probe_sample(self) -> None:
         """Pick one random sample h from the current round's minibatch."""
         if self._last_batch is None:
-            raise RuntimeError("draw_probe_sample called before local_step")
+            raise RuntimeError("draw_probe_sample called before draw_minibatch")
         x, y = self._last_batch
         h = int(self._rng.integers(0, x.shape[0]))
         self.probe_sample = (x[h : h + 1], y[h : h + 1])

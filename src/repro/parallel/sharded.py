@@ -30,8 +30,10 @@ construction, the same argument as the vectorized backend's:
 - ``FlatModel.gradient`` is a deterministic function of (weights, batch)
   and every worker runs the same NumPy build as the parent;
 - residual accumulation, top-k selection, probe draws and residual reset
-  all run in the parent on the parent's clients, in participant order,
-  exactly as :class:`~repro.fl.backends.SerialBackend` interleaves them.
+  all run in the parent on the parent's clients, in participant order:
+  this backend implements only ``compute_gradients`` and inherits the one
+  :meth:`~repro.fl.backends.ExecutionBackend.local_steps` every backend
+  shares.
 
 ``tests/test_engine.py`` enforces the invariant across the sparsifier
 matrix (histories, weights, residuals).
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from typing import Iterable
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from repro.parallel.pool import (
     default_worker_count,
     in_daemon_process,
 )
-from repro.sparsify.base import ClientUpload, Sparsifier
+from repro.sparsify.base import ClientUpload
 
 
 class ShardedBackend(ExecutionBackend):
@@ -112,57 +115,12 @@ class ShardedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # ExecutionBackend interface
     # ------------------------------------------------------------------
-    def local_steps(
-        self,
-        model: FlatModel,
-        participants: list[Client],
-        k: int,
-        sparsifier: Sparsifier,
-        draw_probes: bool = False,
-    ) -> list[ClientUpload]:
-        grads = self._compute(model, participants, want_batches=draw_probes)
-        for client, grad in zip(participants, grads):
-            client.accumulate_gradient(grad)
-        uploads = [
-            client.select_upload(k, sparsifier) for client in participants
-        ]
-        if draw_probes:
-            for client in participants:
-                client.draw_probe_sample()
-        return uploads
-
     def compute_gradients(
-        self, model: FlatModel, participants: list[Client]
-    ) -> list[np.ndarray]:
-        return self._compute(model, participants, want_batches=False)
-
-    def reset_residuals(
-        self,
-        participants: list[Client],
-        uploads: list[ClientUpload],
-        selected: np.ndarray,
-    ) -> None:
-        # Residuals live in the parent, so this *could* still work after
-        # close() — but a closed backend means the training run is over
-        # (ROADMAP convention); enforce it uniformly rather than let half
-        # the interface keep functioning.
-        self._ensure_open()
-        super().reset_residuals(participants, uploads, selected)
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "ShardedBackend used after close(); worker-side RNG state "
-                "is gone, so resuming would break bit-identity — build a "
-                "fresh backend (and trainer) instead"
-            )
-
-    def _compute(
         self,
         model: FlatModel,
         participants: list[Client],
-        want_batches: bool,
-    ) -> list[np.ndarray]:
+        want_batches: bool = False,
+    ) -> Iterable[np.ndarray]:
         self._ensure_open()
         if not model.deterministic_gradients():
             # Active Dropout: the gradient depends on the model's RNG
@@ -200,6 +158,27 @@ class ShardedBackend(ExecutionBackend):
                 client.adopt_minibatch(*batch)
             grads.append(grad)
         return grads
+
+    def reset_residuals(
+        self,
+        participants: list[Client],
+        uploads: list[ClientUpload],
+        selected: np.ndarray,
+    ) -> None:
+        # Residuals live in the parent, so this *could* still work after
+        # close() — but a closed backend means the training run is over
+        # (ROADMAP convention); enforce it uniformly rather than let half
+        # the interface keep functioning.
+        self._ensure_open()
+        super().reset_residuals(participants, uploads, selected)
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                "ShardedBackend used after close(); worker-side RNG state "
+                "is gone, so resuming would break bit-identity — build a "
+                "fresh backend (and trainer) instead"
+            )
 
     def close(self) -> None:
         """Shut the worker pool down; the backend is unusable afterwards."""

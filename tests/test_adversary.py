@@ -823,6 +823,7 @@ class TestFlaggedTelemetry:
         # every round; telemetry and stats agree.
         assert all(6 in e["client_ids"] for e in flagged)
         assert scenario.stats.flagged_by_client[6] == 3
+        assert scenario.stats.corrupted_by_client == {6: 3}
 
     def test_no_flags_without_telemetry_or_detector(self):
         # Honest run under a robust aggregator: stats may flag (noisy

@@ -38,6 +38,7 @@ from repro.fl.backends import (
     VectorizedBackend,
     resolve_backend,
 )
+from repro.fl.client import Client
 from repro.parallel.pool import preferred_start_method
 from repro.parallel.sharded import ShardedBackend
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
@@ -851,6 +852,38 @@ class TestBatchedKernels:
         )
         for a, b in zip(gs, gv):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("draw_probes", [False, True])
+    def test_serial_step_holds_one_gradient_at_a_time(
+        self, monkeypatch, draw_probes
+    ):
+        # g1, a1, g2, a2, ...: each gradient is folded into its client's
+        # residual before the next exists, so the serial round never
+        # buffers the cohort's gradients (cohort × D floats).
+        trainer = _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"])
+        events = []
+        gradient = trainer.model.gradient
+        accumulate = Client.accumulate_gradient
+
+        def spy_gradient(*args):
+            events.append("g")
+            return gradient(*args)
+
+        def spy_accumulate(client, grad):
+            events.append(client.client_id)
+            accumulate(client, grad)
+
+        monkeypatch.setattr(trainer.model, "gradient", spy_gradient)
+        monkeypatch.setattr(Client, "accumulate_gradient", spy_accumulate)
+        SerialBackend().local_steps(
+            trainer.model, trainer.clients, 8, FABTopK(),
+            draw_probes=draw_probes,
+        )
+        assert len(trainer.clients) > 1
+        assert events == [
+            event for client in trainer.clients
+            for event in ("g", client.client_id)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,13 @@ a stronger guarantee than example-based tests.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.data.partition import partition_iid
+from repro.data.partition import ClientDataset, partition_iid
 from repro.data.synthetic import make_gaussian_blobs
+from repro.fl.backends import ExecutionBackend
+from repro.fl.client import Client
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
@@ -219,6 +221,111 @@ class TestFUBAgainstReference:
         expected = reference_fub_select(uploads, k)
         assert result.indices.tolist() == expected
         assert result.contributions == reference_contributions(uploads, expected)
+
+
+# ----------------------------------------------------------------------
+# Algorithm 1 lines 16–17: the stacked equal-nnz residual reset
+# ----------------------------------------------------------------------
+class StackedResetBackend(ExecutionBackend):
+    """The vectorized backend's former residual reset, verbatim: one
+    membership test over the stacked upload indices when every upload has
+    the same size, no client carries momentum, and each payload holds its
+    client's index array (the same object or an equal copy)."""
+
+    def reset_residuals(self, participants, uploads, selected):
+        nnz = uploads[0].payload.nnz if uploads else 0
+        fast = all(
+            up.payload.nnz == nnz
+            and client._velocity is None
+            and (
+                up.payload.indices is client._last_upload_indices
+                or np.array_equal(
+                    up.payload.indices, client._last_upload_indices
+                )
+            )
+            for client, up in zip(participants, uploads)
+        )
+        if not fast or nnz == 0:
+            super().reset_residuals(participants, uploads, selected)
+            return
+        index_matrix = np.stack([up.payload.indices for up in uploads])
+        positions = np.searchsorted(selected, index_matrix)
+        clipped = np.minimum(positions, selected.size - 1)
+        mask = (positions < selected.size) & (selected[clipped] == index_matrix)
+        for client, upload, hits in zip(participants, uploads, mask):
+            hit_indices = upload.payload.indices[hits]
+            client.residual[hit_indices] -= upload.payload.values[hits]
+
+
+def equal_nnz_round(residuals, nnz, quantized, copied):
+    """Fresh clients holding ``residuals``, each having selected its top
+    ``nnz``, and their uploads: values rounded away from the residual where
+    ``quantized``, indices an equal copy of the client's array where
+    ``copied`` (else that very array)."""
+    clients, uploads = [], []
+    for cid, residual in enumerate(residuals):
+        client = Client(
+            ClientDataset(cid, np.zeros((1, 1)), np.zeros(1)), residual.size
+        )
+        client.residual = residual.copy()
+        sent = client.select_upload(nnz, FABTopK()).payload
+        indices = sent.indices.copy() if copied else sent.indices
+        values = np.round(0.75 * sent.values, 1) if quantized else sent.values
+        uploads.append(ClientUpload(
+            cid, SparseVector.from_sorted(indices, values, residual.size), 1
+        ))
+        clients.append(client)
+    return clients, uploads
+
+
+class TestResidualResetAgainstStackedReference:
+    @pytest.mark.parametrize("copied", [False, True], ids=["shared", "copied"])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["exact", "quantized"])
+    @pytest.mark.parametrize("j_case", ["disjoint", "covering", "single", "any"])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_per_client_reset_is_byte_equal_to_the_stacked_one(
+        self, j_case, quantized, copied, data
+    ):
+        dimension = data.draw(st.integers(min_value=2, max_value=24))
+        nnz = data.draw(st.integers(min_value=1, max_value=dimension))
+        residuals = [
+            np.array(data.draw(st.lists(
+                UPLOAD_VALUES, min_size=dimension, max_size=dimension
+            )))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=6)))
+        ]
+        clients, uploads = equal_nnz_round(residuals, nnz, quantized, copied)
+        union = np.unique(np.concatenate([up.payload.indices for up in uploads]))
+        if j_case == "disjoint":
+            selected = np.setdiff1d(np.arange(dimension), union)
+            assume(selected.size > 0)
+        elif j_case == "covering":
+            selected = union
+        elif j_case == "single":
+            selected = np.array(
+                [data.draw(st.integers(min_value=0, max_value=dimension - 1))]
+            )
+        else:
+            selected = np.array(sorted(data.draw(st.sets(
+                st.integers(min_value=0, max_value=dimension - 1), min_size=1
+            ))))
+        selected = selected.astype(np.int64)
+
+        expected, expected_uploads = equal_nnz_round(
+            residuals, nnz, quantized, copied
+        )
+        # The stacked path really runs: its preconditions all hold.
+        for client, up in zip(expected, expected_uploads):
+            assert up.payload.nnz == nnz and client._velocity is None
+            assert (up.payload.indices is client._last_upload_indices) != copied
+            assert np.array_equal(up.payload.indices, client._last_upload_indices)
+        StackedResetBackend().reset_residuals(
+            expected, expected_uploads, selected
+        )
+        ExecutionBackend().reset_residuals(clients, uploads, selected)
+        for got, want in zip(clients, expected):
+            assert got.residual.tobytes() == want.residual.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1763,7 +1763,7 @@ class TestEnginePlumbing:
         residual = client.residual.copy()
         client.drop_upload()
         np.testing.assert_array_equal(client.residual, residual)
-        with pytest.raises(RuntimeError, match="local_step"):
+        with pytest.raises(RuntimeError, match="select_upload"):
             client.reset_transmitted(np.array([0, 1]))
 
 

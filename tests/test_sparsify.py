@@ -394,7 +394,12 @@ class TestPeriodicK:
 # Tooling: keep the server's set operations one path
 # ----------------------------------------------------------------------
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-ONE_PATH_FILES = sorted((SRC / "sparsify").glob("*.py")) + [SRC / "fl" / "server.py"]
+ONE_PATH_FILES = sorted((SRC / "sparsify").glob("*.py")) + [
+    SRC / "fl" / "server.py", SRC / "fl" / "backends.py",
+    SRC / "parallel" / "sharded.py",
+]
+#: a Client's momentum and last index set, private to fl/client.py
+CLIENT_PRIVATE = {"_velocity", "_last_upload_indices"}
 
 
 def _is_payload_nnz(node):
@@ -443,9 +448,10 @@ class TestOneDensePass:
     def test_the_lint_sees_what_it_forbids(self):
         # Guard against a vacuous lint: the kernels' files are in its
         # scope and each forbidden idiom is recognised.
-        assert {"fab_topk.py", "fub_topk.py", "server.py"} <= {
-            path.name for path in ONE_PATH_FILES
-        }
+        assert {
+            "fab_topk.py", "fub_topk.py", "server.py", "backends.py",
+            "sharded.py",
+        } <= {path.name for path in ONE_PATH_FILES}
         idioms = _forked_paths(ast.parse(
             "if nnz > 0 and all(up.payload.nnz == nnz for up in uploads):\n"
             "    m = np.stack([up.payload.indices for up in uploads])\n"
@@ -456,3 +462,30 @@ class TestOneDensePass:
             "isinstance(..., np.ndarray) dispatch", "np.stack(...)",
             "payload.nnz comparison", "payload.nnz comparison",
         ]
+
+    def test_one_local_step_and_client_state_stays_in_the_client(self):
+        # Backends differ only in how gradients are computed: the step
+        # (accumulate, select, probe) and the residual reset are written
+        # once, and nothing outside the client reaches into its state.
+        steps, reaches = [], []
+        for path in sorted(SRC.rglob("*.py")):
+            name = path.relative_to(SRC).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    steps += [
+                        f"{name}:{node.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "local_steps"
+                    ]
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in CLIENT_PRIVATE
+                    and name != "fl/client.py"
+                    and not (
+                        isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    )
+                ):
+                    reaches.append(f"{name}:{node.lineno} .{node.attr}")
+        assert steps == ["fl/backends.py:ExecutionBackend"], steps
+        assert reaches == [], "; ".join(reaches)
