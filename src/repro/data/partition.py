@@ -6,20 +6,38 @@ corresponds to a client") and :func:`partition_by_class` (CIFAR-10: "each
 client only has one class of images that is randomly partitioned among all
 the clients with this image class").  Dirichlet and IID partitioners are
 provided for ablations.
+
+A partition is an index map: each partitioner computes every client's
+rows of the pool once, and client ``i`` holds the samples at ``rows[i]``.
+With ``client_id`` set, a partitioner returns that one client's
+:class:`ClientDataset` from the same rows instead of the whole federation
+(index bookkeeping for all, sample arrays for one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.data.synthetic import SyntheticDataset
 
+#: evaluation-pool stream tag (disjoint from every other stream tag in
+#: the repo: 0xC11E client RNG, 0xDA7A virtual client data, 0x5CE2
+#: sampler, ...)
+EVAL_POOL_TAG = 0xE0A1
+
 
 @dataclass
 class ClientDataset:
-    """One client's local shard with seeded minibatch sampling."""
+    """One client's local shard with seeded minibatch sampling.
+
+    The minibatch stream is seeded ``(seed, client_id)`` on the first
+    draw and depends on nothing else — in particular not on where ``x``
+    and ``y`` come from (:class:`~repro.data.virtual.LazyClientDataset`
+    regenerates them on demand).
+    """
 
     client_id: int
     x: np.ndarray
@@ -31,10 +49,13 @@ class ClientDataset:
             raise ValueError("x and y must have equal sample counts")
         if self.x.shape[0] == 0:
             raise ValueError(f"client {self.client_id} received no samples")
-        self._rng = np.random.default_rng((self.seed, self.client_id))
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng((self.seed, self.client_id))
 
     def minibatch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample a minibatch with replacement-free draw when possible.
@@ -83,6 +104,15 @@ class FederatedDataset:
         y = np.concatenate([c.y for c in self.clients])
         return x, y
 
+    def eval_pool(
+        self, max_samples: int, seed: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's loss-evaluation pool: the :meth:`global_pool`
+        rows :func:`_eval_rows` picks."""
+        x, y = self.global_pool()
+        rows = _eval_rows(len(y), max_samples, seed)
+        return x[rows], y[rows]
+
     def non_iid_degree(self) -> float:
         """Mean total-variation distance between client and global label
         distributions; 0 for perfectly IID shards, → 1 for disjoint ones."""
@@ -98,30 +128,24 @@ class FederatedDataset:
         return float(np.mean(tvs))
 
 
+def _eval_rows(total: int, max_samples: int, seed: int) -> np.ndarray:
+    """Which of a federation's ``total`` pooled rows the engine evaluates
+    on: all of them in order, or ``max_samples`` drawn without replacement
+    from the ``(seed, EVAL_POOL_TAG)`` stream."""
+    if total <= max_samples:
+        return np.arange(total)
+    rng = np.random.default_rng((seed, EVAL_POOL_TAG))
+    return rng.choice(total, size=max_samples, replace=False)
+
+
 def partition_by_writer(
     dataset: SyntheticDataset, seed: int = 0, *, client_id: int | None = None
 ):
-    """One client per writer (the FEMNIST setting).
-
-    With ``client_id`` set, returns just that client's
-    :class:`ClientDataset` — bit-identical to the eager partition's
-    (same slice, same minibatch seed) without building the others.
-    """
-    writers = np.unique(dataset.writer)
-    if client_id is not None:
-        _check_client_id(client_id, writers.size)
-        mask = dataset.writer == writers[client_id]
-        return ClientDataset(
-            client_id=int(client_id), x=dataset.x[mask], y=dataset.y[mask],
-            seed=seed,
-        )
-    clients = []
-    for cid, w in enumerate(writers):
-        mask = dataset.writer == w
-        clients.append(
-            ClientDataset(client_id=cid, x=dataset.x[mask], y=dataset.y[mask], seed=seed)
-        )
-    return _wrap(dataset, clients)
+    """One client per writer (the FEMNIST setting)."""
+    rows = [
+        np.flatnonzero(dataset.writer == w) for w in np.unique(dataset.writer)
+    ]
+    return _shards(dataset, rows, seed, client_id)
 
 
 def partition_by_class(
@@ -133,13 +157,6 @@ def partition_by_class(
     Clients are assigned classes round-robin; the samples of each class
     are split randomly and evenly among the clients holding that class.
     Requires ``num_clients >= num_classes`` so every class is covered.
-
-    With ``client_id`` set, returns just that client's
-    :class:`ClientDataset`, bit-identical to the eager partition's: the
-    per-class shuffles consume one shared RNG in class order, so the
-    materializer replays the shuffles up to the client's class and slices
-    its chunk (index bookkeeping only — no other client's arrays are
-    built).
     """
     if num_clients < dataset.num_classes:
         raise ValueError(
@@ -148,25 +165,7 @@ def partition_by_class(
         )
     rng = np.random.default_rng(seed)
     class_of_client = np.arange(num_clients) % dataset.num_classes
-    if client_id is not None:
-        _check_client_id(client_id, num_clients)
-        target = int(client_id) % dataset.num_classes
-        for cls in range(target + 1):
-            holders = np.flatnonzero(class_of_client == cls)
-            idx = np.flatnonzero(dataset.y == cls)
-            if idx.size < holders.size:
-                raise ValueError(
-                    f"class {cls} has {idx.size} samples but "
-                    f"{holders.size} clients"
-                )
-            rng.shuffle(idx)
-        slot = int(np.searchsorted(holders, int(client_id)))
-        part = np.array_split(idx, holders.size)[slot]
-        return ClientDataset(
-            client_id=int(client_id), x=dataset.x[part], y=dataset.y[part],
-            seed=seed,
-        )
-    clients: list[ClientDataset] = []
+    rows: list[np.ndarray] = [None] * num_clients
     for cls in range(dataset.num_classes):
         holders = np.flatnonzero(class_of_client == cls)
         idx = np.flatnonzero(dataset.y == cls)
@@ -175,52 +174,16 @@ def partition_by_class(
                 f"class {cls} has {idx.size} samples but {holders.size} clients"
             )
         rng.shuffle(idx)
-        for part, cid in zip(np.array_split(idx, holders.size), holders):
-            clients.append(
-                ClientDataset(
-                    client_id=int(cid), x=dataset.x[part], y=dataset.y[part], seed=seed
-                )
-            )
-    clients.sort(key=lambda c: c.client_id)
-    return _wrap(dataset, clients)
+        for cid, part in zip(holders, np.array_split(idx, holders.size)):
+            rows[cid] = part
+    return _shards(dataset, rows, seed, client_id)
 
 
 def partition_dirichlet(
     dataset: SyntheticDataset, num_clients: int, alpha: float = 0.5,
     seed: int = 0, *, client_id: int | None = None,
 ):
-    """Dirichlet(alpha) label-skew partition (smaller alpha = more skew).
-
-    With ``client_id`` set, returns just that client's
-    :class:`ClientDataset`, bit-identical to the eager partition's.  The
-    donor-stealing rescue couples every bucket, so the per-client path
-    still computes all index buckets — but materializes only one client's
-    sample arrays (the dominant cost at image dimensions).
-    """
-    buckets = _dirichlet_buckets(dataset, num_clients, alpha, seed)
-    if client_id is not None:
-        _check_client_id(client_id, num_clients)
-        rows = np.array(sorted(buckets[client_id]))
-        return ClientDataset(
-            client_id=int(client_id), x=dataset.x[rows], y=dataset.y[rows],
-            seed=seed,
-        )
-    clients = [
-        ClientDataset(
-            client_id=cid,
-            x=dataset.x[np.array(sorted(bucket))],
-            y=dataset.y[np.array(sorted(bucket))],
-            seed=seed,
-        )
-        for cid, bucket in enumerate(buckets)
-    ]
-    return _wrap(dataset, clients)
-
-
-def _dirichlet_buckets(
-    dataset: SyntheticDataset, num_clients: int, alpha: float, seed: int
-) -> list[list[int]]:
-    """Per-client sample-index buckets of the Dirichlet partition."""
+    """Dirichlet(alpha) label-skew partition (smaller alpha = more skew)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
@@ -236,11 +199,12 @@ def _dirichlet_buckets(
             buckets[cid].extend(part.tolist())
     # Guarantee every client has at least one sample by stealing from the
     # largest bucket; Dirichlet draws with small alpha can empty a client.
-    for cid, bucket in enumerate(buckets):
+    for bucket in buckets:
         if not bucket:
             donor = max(range(num_clients), key=lambda c: len(buckets[c]))
             bucket.append(buckets[donor].pop())
-    return buckets
+    rows = [np.array(sorted(bucket)) for bucket in buckets]
+    return _shards(dataset, rows, seed, client_id)
 
 
 def partition_iid(
@@ -250,24 +214,27 @@ def partition_iid(
     if num_clients > len(dataset):
         raise ValueError("more clients than samples")
     rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(dataset))
-    clients = [
-        ClientDataset(client_id=cid, x=dataset.x[part], y=dataset.y[part], seed=seed)
-        for cid, part in enumerate(np.array_split(idx, num_clients))
-    ]
-    return _wrap(dataset, clients)
+    rows = np.array_split(rng.permutation(len(dataset)), num_clients)
+    return _shards(dataset, rows, seed)
 
 
-def _check_client_id(client_id: int, num_clients: int) -> None:
-    if not 0 <= int(client_id) < num_clients:
-        raise ValueError(
-            f"client_id {client_id} outside [0, {num_clients})"
-        )
+def _shards(
+    dataset: SyntheticDataset, rows: list[np.ndarray], seed: int,
+    client_id: int | None = None,
+) -> FederatedDataset | ClientDataset:
+    """Client ``i`` holds ``dataset``'s ``rows[i]``: the federation, or
+    with ``client_id`` set that one client's shard."""
 
+    def shard(cid: int) -> ClientDataset:
+        return ClientDataset(client_id=cid, x=dataset.x[rows[cid]],
+                             y=dataset.y[rows[cid]], seed=seed)
 
-def _wrap(dataset: SyntheticDataset, clients: list[ClientDataset]) -> FederatedDataset:
+    if client_id is not None:
+        if not 0 <= int(client_id) < len(rows):
+            raise ValueError(f"client_id {client_id} outside [0, {len(rows)})")
+        return shard(int(client_id))
     return FederatedDataset(
-        clients=clients,
+        clients=[shard(cid) for cid in range(len(rows))],
         num_classes=dataset.num_classes,
         test_x=dataset.test_x,
         test_y=dataset.test_y,

@@ -93,18 +93,23 @@ def make_femnist_like(
     Returns a dataset with held-out test samples (drawn from the same
     writers) in ``test_x`` / ``test_y``.
     """
-    return _make_prototype_dataset(
-        name="femnist-like",
-        num_writers=num_writers,
-        samples_per_writer=samples_per_writer,
-        num_classes=num_classes,
-        channels=1,
-        image_size=image_size,
-        classes_per_writer=classes_per_writer,
-        noise_std=noise_std,
-        test_fraction=test_fraction,
-        flatten=flatten,
-        seed=seed,
+    if classes_per_writer > num_classes:
+        raise ValueError("classes_per_writer cannot exceed num_classes")
+    rng = np.random.default_rng(seed)
+    prototypes = _make_prototypes(rng, num_classes, 1, image_size)
+    xs, ys = zip(*(
+        _draw_writer(rng, prototypes, classes_per_writer, samples_per_writer,
+                     noise_std, flatten)
+        for _ in range(num_writers)
+    ))
+    test_n = max(1, int(test_fraction * num_writers * samples_per_writer))
+    test_x, test_y = _make_test_pool(rng, prototypes, noise_std, test_n, flatten)
+    return SyntheticDataset(
+        x=np.concatenate(xs), y=np.concatenate(ys),
+        writer=np.repeat(np.arange(num_writers, dtype=np.int64),
+                         samples_per_writer),
+        num_classes=num_classes, name="femnist-like",
+        test_x=test_x, test_y=test_y,
     )
 
 
@@ -126,29 +131,23 @@ def make_cifar_like(
     reproduces "each client only has one class of images".
     """
     rng = np.random.default_rng(seed)
-    channels = 3
-    prototypes = _make_prototypes(rng, num_classes, channels, image_size)
-    xs, ys, writers = [], [], []
+    prototypes = _make_prototypes(rng, num_classes, 3, image_size)
+    shape = prototypes[0].shape
+    xs = []
     for client in range(num_clients):
-        cls = client % num_classes
         gain = rng.uniform(0.8, 1.2)
-        style = rng.normal(0.0, 0.15, size=prototypes[0].shape)
-        noise = rng.normal(0.0, noise_std,
-                           size=(samples_per_client, *prototypes[0].shape))
-        samples = np.clip(gain * prototypes[cls] + style + noise, -3.0, 3.0)
-        xs.append(samples)
-        ys.append(np.full(samples_per_client, cls, dtype=np.int64))
-        writers.append(np.full(samples_per_client, client, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    writer = np.concatenate(writers)
+        style = rng.normal(0.0, 0.15, size=shape)
+        noise = rng.normal(0.0, noise_std, size=(samples_per_client, *shape))
+        prototype = prototypes[client % num_classes]
+        xs.append(_flat(np.clip(gain * prototype + style + noise, -3.0, 3.0),
+                        flatten))
+    writer = np.repeat(np.arange(num_clients, dtype=np.int64),
+                       samples_per_client)
     test_n = max(1, int(test_fraction * num_classes * samples_per_client))
-    test_x, test_y = _make_test_pool(rng, prototypes, noise_std, test_n, num_classes)
-    if flatten:
-        x = x.reshape(x.shape[0], -1)
-        test_x = test_x.reshape(test_x.shape[0], -1)
+    test_x, test_y = _make_test_pool(rng, prototypes, noise_std, test_n, flatten)
     return SyntheticDataset(
-        x=x, y=y, writer=writer, num_classes=num_classes, name="cifar-like",
+        x=np.concatenate(xs), y=writer % num_classes, writer=writer,
+        num_classes=num_classes, name="cifar-like",
         test_x=test_x, test_y=test_y,
     )
 
@@ -200,57 +199,39 @@ def _make_prototypes(
     return blurred * 1.5
 
 
+def _draw_writer(
+    rng: np.random.Generator,
+    prototypes: np.ndarray,
+    classes_per_writer: int,
+    samples: int,
+    noise_std: float,
+    flatten: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One writer's ``(x, y)``: a class subset, a gain and a style shared
+    by all its samples.  Eager datasets pass one generator through every
+    writer, virtual federations a fresh one per client id."""
+    classes = rng.choice(len(prototypes), size=classes_per_writer, replace=False)
+    gain = rng.uniform(0.7, 1.3)
+    style = rng.normal(0.0, 0.2, size=prototypes[0].shape)
+    labels = rng.choice(classes, size=samples)
+    noise = rng.normal(0.0, noise_std, size=(samples, *prototypes[0].shape))
+    x = np.clip(gain * prototypes[labels] + style + noise, -3.0, 3.0)
+    return _flat(x, flatten), labels.astype(np.int64)
+
+
 def _make_test_pool(
     rng: np.random.Generator,
     prototypes: np.ndarray,
     noise_std: float,
     test_n: int,
-    num_classes: int,
+    flatten: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    test_y = rng.integers(0, num_classes, test_n).astype(np.int64)
+    test_y = rng.integers(0, len(prototypes), test_n).astype(np.int64)
     noise = rng.normal(0.0, noise_std, size=(test_n, *prototypes[0].shape))
     test_x = np.clip(prototypes[test_y] + noise, -3.0, 3.0)
-    return test_x, test_y
+    return _flat(test_x, flatten), test_y
 
 
-def _make_prototype_dataset(
-    name: str,
-    num_writers: int,
-    samples_per_writer: int,
-    num_classes: int,
-    channels: int,
-    image_size: int,
-    classes_per_writer: int,
-    noise_std: float,
-    test_fraction: float,
-    flatten: bool,
-    seed: int,
-) -> SyntheticDataset:
-    if classes_per_writer > num_classes:
-        raise ValueError("classes_per_writer cannot exceed num_classes")
-    rng = np.random.default_rng(seed)
-    prototypes = _make_prototypes(rng, num_classes, channels, image_size)
-    xs, ys, writers = [], [], []
-    for w in range(num_writers):
-        classes = rng.choice(num_classes, size=classes_per_writer, replace=False)
-        gain = rng.uniform(0.7, 1.3)
-        style = rng.normal(0.0, 0.2, size=prototypes[0].shape)
-        labels = rng.choice(classes, size=samples_per_writer)
-        noise = rng.normal(0.0, noise_std,
-                           size=(samples_per_writer, *prototypes[0].shape))
-        samples = np.clip(gain * prototypes[labels] + style + noise, -3.0, 3.0)
-        xs.append(samples)
-        ys.append(labels.astype(np.int64))
-        writers.append(np.full(samples_per_writer, w, dtype=np.int64))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    writer = np.concatenate(writers)
-    test_n = max(1, int(test_fraction * num_writers * samples_per_writer))
-    test_x, test_y = _make_test_pool(rng, prototypes, noise_std, test_n, num_classes)
-    if flatten:
-        x = x.reshape(x.shape[0], -1)
-        test_x = test_x.reshape(test_x.shape[0], -1)
-    return SyntheticDataset(
-        x=x, y=y, writer=writer, num_classes=num_classes, name=name,
-        test_x=test_x, test_y=test_y,
-    )
+def _flat(x: np.ndarray, flatten: bool) -> np.ndarray:
+    """``(n, c, h, w)`` samples as ``(n, c·h·w)`` rows when ``flatten``."""
+    return x.reshape(x.shape[0], -1) if flatten else x

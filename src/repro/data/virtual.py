@@ -14,23 +14,22 @@ Three pieces:
 * :class:`VirtualSpec` — the picklable value object describing the whole
   federation (what the sharded backend ships to workers instead of
   datasets).
-* :class:`LazyClientDataset` — the :class:`~repro.data.partition.
-  ClientDataset` surface with arrays that materialize on first access and
-  can be released and regenerated at will; the minibatch RNG stream is
-  seeded exactly like the eager class (``(seed, client_id)``) and survives
-  releases, so draws are bit-identical to an eager run.
+* :class:`LazyClientDataset` — a :class:`~repro.data.partition.
+  ClientDataset` whose arrays materialize on first access and can be
+  released and regenerated at will; the minibatch stream is the base
+  class's and survives releases.
 * :class:`VirtualFederation` — the :class:`~repro.data.partition.
   FederatedDataset` surface over ``population`` virtual clients with a
-  bounded LRU over recently *materialized* clients and an
-  ``eval_pool`` that replicates the engine's eager eval-pool RNG call
-  exactly while only materializing the O(max_samples) touched clients.
+  bounded LRU over recently *materialized* clients and an ``eval_pool``
+  that draws its rows by the eager rule but only materializes the
+  O(max_samples) clients that own one.
 
-Statistically the family mirrors :func:`~repro.data.synthetic.
-make_femnist_like` (per-client class subset, gain/style/noise around
-shared prototypes) — it is a *new* dataset, not a reordering of the eager
-one, because the eager per-writer draws are not per-cid decomposable.
-The bit-identity contract is therefore between a :class:`VirtualFederation`
-and its own :meth:`VirtualFederation.materialize` eager twin.
+A client is drawn by the same writer draw as :func:`~repro.data.
+synthetic.make_femnist_like` (per-client class subset, gain/style/noise
+around shared prototypes), from a per-cid generator instead of one shared
+one — so it is a *new* dataset, not a reordering of the eager one.
+:meth:`VirtualFederation.materialize` builds the eager federation over
+the same arrays.
 """
 
 from __future__ import annotations
@@ -40,20 +39,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.data.partition import ClientDataset, FederatedDataset
-from repro.data.synthetic import _make_prototypes, _make_test_pool
+from repro.data.partition import ClientDataset, FederatedDataset, _eval_rows
+from repro.data.synthetic import _draw_writer, _make_prototypes, _make_test_pool
 from repro.obs import NULL_TELEMETRY
 
 #: per-cid client-data stream tag (disjoint from every other stream tag
-#: in the repo: 0xC11E client RNG, 0xE0A1 eval pool, 0x5CE2 sampler, ...)
+#: in the repo: 0xC11E client RNG, 0x5CE2 sampler, ...)
 CLIENT_DATA_TAG = 0xDA7A
 #: prototype stream tag (shared across the federation, pure in the seed)
 PROTOTYPE_TAG = 0x9707
 #: held-out test-pool stream tag
 TEST_POOL_TAG = 0x7E57
-#: engine eval-pool tag — must equal the engine's so the virtual pool is
-#: bit-identical to the eager ``global_pool + choice`` construction
-EVAL_POOL_TAG = 0xE0A1
 
 #: refuse O(population) conveniences (``.clients``/``global_pool``) above
 #: this size — they exist so small virtual federations can be compared
@@ -108,16 +104,14 @@ class VirtualSpec:
         return self.channels * self.image_size**2
 
 
-class LazyClientDataset:
+class LazyClientDataset(ClientDataset):
     """One virtual client's shard; arrays regenerate on demand.
 
-    Satisfies the :class:`~repro.data.partition.ClientDataset` surface
-    (``client_id``/``x``/``y``/``seed``/``__len__``/``minibatch``/
-    ``label_histogram``).  The minibatch RNG is seeded ``(seed,
-    client_id)`` exactly like the eager class and is *not* part of the
-    releasable state: :meth:`release` drops only the arrays, so a client
-    that hibernates and later rematerializes continues its draw stream
-    where it left off — bit-identical to never having released.
+    A :class:`~repro.data.partition.ClientDataset` that differs only in
+    where ``x``/``y`` come from.  The minibatch stream is *not* part of
+    the releasable state: :meth:`release` drops only the arrays, so a
+    client that hibernates and later rematerializes continues its draw
+    stream where it left off — as if it had never released.
     """
 
     def __init__(
@@ -131,9 +125,7 @@ class LazyClientDataset:
         self.seed = seed
         self._federation = federation
         self._count = int(sample_count)
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._rng = np.random.default_rng((seed, self.client_id))
+        self.release()
 
     def __len__(self) -> int:
         return self._count
@@ -176,18 +168,6 @@ class LazyClientDataset:
         self._x = None
         self._y = None
 
-    def minibatch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Seeded minibatch; identical logic (and stream) to the eager
-        :meth:`~repro.data.partition.ClientDataset.minibatch`."""
-        n = len(self)
-        if batch_size >= n:
-            return self.x, self.y
-        idx = self._rng.choice(n, size=batch_size, replace=False)
-        return self.x[idx], self.y[idx]
-
-    def label_histogram(self, num_classes: int) -> np.ndarray:
-        return np.bincount(self.y, minlength=num_classes)
-
 
 class VirtualFederation:
     """``FederatedDataset`` surface over ``population`` virtual clients.
@@ -220,7 +200,7 @@ class VirtualFederation:
 
     @classmethod
     def build(cls, population: int, cache_size: int = 256, **spec_kwargs):
-        """Convenience constructor mirroring ``make_femnist_like``."""
+        """Convenience constructor: ``population`` plus spec keywords."""
         return cls(VirtualSpec(population=population, **spec_kwargs), cache_size)
 
     # ------------------------------------------------------------------
@@ -297,46 +277,28 @@ class VirtualFederation:
             raise ValueError(
                 f"client_id {cid} outside population [0, {spec.population})"
             )
-        prototypes = self._prototype_array()
         rng = np.random.default_rng((spec.seed, CLIENT_DATA_TAG, cid))
-        classes = rng.choice(
-            spec.num_classes, size=spec.classes_per_writer, replace=False
+        return _draw_writer(
+            rng, self._prototype_array(), spec.classes_per_writer,
+            spec.samples_per_client, spec.noise_std, spec.flatten,
         )
-        gain = rng.uniform(0.7, 1.3)
-        style = rng.normal(0.0, 0.2, size=prototypes[0].shape)
-        labels = rng.choice(classes, size=spec.samples_per_client)
-        noise = rng.normal(
-            0.0, spec.noise_std,
-            size=(spec.samples_per_client, *prototypes[0].shape),
-        )
-        x = np.clip(gain * prototypes[labels] + style + noise, -3.0, 3.0)
-        if spec.flatten:
-            x = x.reshape(x.shape[0], -1)
-        return x, labels.astype(np.int64)
 
     def eval_pool(
         self, max_samples: int, seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The engine's evaluation pool without touching the population.
 
-        Replicates the eager construction exactly — ``global_pool()``
-        followed by ``default_rng((seed, 0xE0A1)).choice(total,
-        max_samples, replace=False)`` — but only materializes the clients
-        that own a selected row (every client holds ``samples_per_client``
-        rows, so row ``r`` lives at ``(r // spc)[r % spc]``).  numpy's
-        no-replacement ``choice`` is O(max_samples) in memory at any
-        population size (verified: no permutation of ``total`` is built).
+        The :meth:`global_pool` rows the eager ``FederatedDataset.
+        eval_pool`` rule picks, gathered from only the clients that own
+        one (every client holds ``samples_per_client`` rows, so row ``r``
+        lives at ``(r // spc)[r % spc]``).  numpy's no-replacement
+        ``choice`` is O(max_samples) in memory at any population size
+        (verified: no permutation of ``total`` is built).
         """
-        total = self.total_samples
-        if total <= max_samples:
-            return self.global_pool()
-        rng = np.random.default_rng((seed, EVAL_POOL_TAG))
-        rows = rng.choice(total, size=max_samples, replace=False)
-        spc = self.spec.samples_per_client
-        cids = rows // spc
-        offsets = rows % spc
-        x = np.empty((max_samples, *self._sample_shape()))
-        y = np.empty(max_samples, dtype=np.int64)
+        rows = _eval_rows(self.total_samples, max_samples, seed)
+        cids, offsets = np.divmod(rows, self.spec.samples_per_client)
+        x = np.empty((rows.size, *self._sample_shape()))
+        y = np.empty(rows.size, dtype=np.int64)
         for cid in np.unique(cids):
             cx, cy = self.client_arrays(int(cid))
             mask = cids == cid
@@ -386,13 +348,10 @@ class VirtualFederation:
     def _test_pool(self) -> tuple[np.ndarray, np.ndarray]:
         if self._test is None:
             rng = np.random.default_rng((self.spec.seed, TEST_POOL_TAG))
-            test_x, test_y = _make_test_pool(
+            self._test = _make_test_pool(
                 rng, self._prototype_array(), self.spec.noise_std,
-                self.spec.test_samples, self.spec.num_classes,
+                self.spec.test_samples, self.spec.flatten,
             )
-            if self.spec.flatten:
-                test_x = test_x.reshape(test_x.shape[0], -1)
-            self._test = (test_x, test_y)
         return self._test
 
     def _touch(self, dataset: LazyClientDataset) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig5 import make_policy
 from repro.experiments.runner import (
     ExperimentRun,
     FigureData,
@@ -20,7 +21,6 @@ from repro.experiments.runner import (
 from repro.fl.metrics import TrainingHistory
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
-from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.policy import SignPolicy
 from repro.sparsify.fab_topk import FABTopK
 
@@ -52,16 +52,14 @@ def run_fig6(
     with ExperimentRun(config, "fig6") as run:
         for label in ("algorithm3", "algorithm2"):
             model, federation, common = run.fresh(label, comm_time=comm_time)
-            interval = build_search_interval(config, model.dimension)
             if label == "algorithm3":
-                algorithm = AdaptiveSignOGD(
-                    interval, alpha=config.alpha,
-                    update_window=config.update_window,
-                )
+                policy = make_policy("proposed", config, model.dimension)
             else:
-                algorithm = SignOGD(interval)
+                policy = SignPolicy(
+                    SignOGD(build_search_interval(config, model.dimension))
+                )
             trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), SignPolicy(algorithm), **common
+                model, federation, FABTopK(), policy, **common
             )
             trainer.run(num_rounds)
             result.histories[label] = trainer.history

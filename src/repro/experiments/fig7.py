@@ -19,17 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig5 import make_policy
 from repro.experiments.runner import (
     ExperimentRun,
     FigureData,
     build_model,
-    build_search_interval,
     build_timing,
 )
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
-from repro.online.algorithm3 import AdaptiveSignOGD
-from repro.online.policy import SignPolicy
 from repro.sparsify.fab_topk import FABTopK
 
 COMM_TIMES = (0.1, 1.0, 10.0, 100.0)
@@ -81,15 +79,9 @@ def run_cross_application(
                 f"learn-beta={beta:g}", comm_time=beta,
                 eval_every=max(config.eval_every, 10),
             )
-            interval = build_search_interval(config, model.dimension)
-            policy = SignPolicy(
-                AdaptiveSignOGD(
-                    interval, alpha=config.alpha,
-                    update_window=config.update_window,
-                )
-            )
             trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), policy, **common
+                model, federation, FABTopK(),
+                make_policy("proposed", config, model.dimension), **common
             )
             trainer.run(learn_rounds)
             result.sequences[beta] = trainer.history.ks()

@@ -49,7 +49,8 @@ def build_federation(config: ExperimentConfig):
             flatten=flatten,
             seed=config.seed,
         )
-    if config.dataset == "femnist":
+    femnist = config.dataset == "femnist"
+    if femnist:
         ds = make_femnist_like(
             num_writers=config.num_clients,
             samples_per_writer=config.samples_per_client,
@@ -59,25 +60,22 @@ def build_federation(config: ExperimentConfig):
             flatten=flatten,
             seed=config.seed,
         )
-        if config.partition == "dirichlet":
-            return partition_dirichlet(
-                ds, num_clients=config.num_clients,
-                alpha=config.dirichlet_alpha, seed=config.seed,
-            )
-        return partition_by_writer(ds, seed=config.seed)
-    ds = make_cifar_like(
-        num_clients=config.num_clients,
-        samples_per_client=config.samples_per_client,
-        num_classes=config.num_classes,
-        image_size=config.image_size,
-        flatten=flatten,
-        seed=config.seed,
-    )
+    else:
+        ds = make_cifar_like(
+            num_clients=config.num_clients,
+            samples_per_client=config.samples_per_client,
+            num_classes=config.num_classes,
+            image_size=config.image_size,
+            flatten=flatten,
+            seed=config.seed,
+        )
     if config.partition == "dirichlet":
         return partition_dirichlet(
             ds, num_clients=config.num_clients,
             alpha=config.dirichlet_alpha, seed=config.seed,
         )
+    if femnist:
+        return partition_by_writer(ds, seed=config.seed)
     return partition_by_class(ds, num_clients=config.num_clients, seed=config.seed)
 
 

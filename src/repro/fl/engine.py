@@ -417,8 +417,8 @@ class RoundEngine:
         #: (round index, L(w(m))) of the last probed round: L(w(m−1))
         #: for the next probe iff that probe runs in the very next round
         self._loss_prev: tuple[int, float] | None = None
-        self._eval_x, self._eval_y = _build_eval_pool(
-            federation, eval_max_samples, seed
+        self._eval_x, self._eval_y = federation.eval_pool(
+            eval_max_samples, seed
         )
 
     # ------------------------------------------------------------------
@@ -869,22 +869,3 @@ class RoundEngine:
         )
         self.history.append(record)
         return record
-
-
-def _build_eval_pool(
-    federation: FederatedDataset, max_samples: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministically subsample the global pool for loss evaluation.
-
-    Federations exposing an ``eval_pool`` (virtual populations) build the
-    identical pool without concatenating the whole population.
-    """
-    eval_pool = getattr(federation, "eval_pool", None)
-    if eval_pool is not None:
-        return eval_pool(max_samples, seed)
-    x, y = federation.global_pool()
-    if x.shape[0] > max_samples:
-        rng = np.random.default_rng((seed, 0xE0A1))
-        idx = rng.choice(x.shape[0], size=max_samples, replace=False)
-        x, y = x[idx], y[idx]
-    return x, y

@@ -327,11 +327,10 @@ class ScenarioHooks(RoundHooks):
                 sum(up.sample_count for up in ctx.uploads)
             )
         if not self.policy.applies(self.target_uploads):
-            if self.stats is not None:
-                self.stats.record_round(
-                    ctx.round_index, cohort, cohort, (),
-                    close_time=float("nan"), deadline=None,
-                )
+            self.stats.record_round(
+                ctx.round_index, cohort, cohort, (),
+                close_time=float("nan"), deadline=None,
+            )
             return
         self._played_deadline = self.policy.deadline_for(ctx.round_index)
         verdict = self.policy.admit(
@@ -411,12 +410,10 @@ class ScenarioHooks(RoundHooks):
                           deadline=self._played_deadline,
                           close_time=verdict.close_time)
                 self._ever_dropped.update(verdict.dropped_ids)
-        if self.stats is not None:
-            self.stats.record_round(
-                ctx.round_index, cohort, len(ctx.uploads),
-                verdict.dropped_ids, verdict.close_time,
-                self.policy.deadline_for(ctx.round_index),
-            )
+        self.stats.record_round(
+            ctx.round_index, cohort, len(ctx.uploads),
+            verdict.dropped_ids, verdict.close_time, self._played_deadline,
+        )
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         # ctx.uploads here is the accepted, *preprocessed* upload list

@@ -1,6 +1,9 @@
 """Tests for synthetic datasets and partitioners."""
 
+import ast
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +23,9 @@ from repro.data.synthetic import (
     make_femnist_like,
     make_gaussian_blobs,
 )
+from repro.fl.engine import RoundEngine
+from repro.nn.models import make_mlp
+from repro.simulation.timing import TimingModel
 
 
 class TestFemnistLike:
@@ -475,3 +481,192 @@ class TestVirtualFederation:
         again_x, again_y = warmed.client_arrays(cid)
         assert again_x.tobytes() == reference_x.tobytes()
         assert again_y.tobytes() == reference_y.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Absolute pins: the relative tests above ("per-client equals eager",
+# "virtual equals its eager twin") would still pass if both sides drifted
+# together, so what each path produces is also pinned by SHA-256.
+# ----------------------------------------------------------------------
+def _sha(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.asarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def _dataset_digest(ds) -> str:
+    return _sha(ds.x, ds.y, ds.writer, ds.test_x, ds.test_y)
+
+
+def _shard_digest(shard) -> str:
+    """A shard's arrays and the first two draws of its minibatch stream."""
+    return _sha(shard.client_id, shard.x, shard.y,
+                *shard.minibatch(4), *shard.minibatch(4))
+
+
+def _federation_digest(fed) -> str:
+    return _sha(*(_shard_digest(c) for c in fed.clients),
+                fed.test_x, fed.test_y)
+
+
+def _lone_digest(name, seed) -> str:
+    _, materialize, num_clients = PARTITIONERS[name]
+    ds = _small_femnist()
+    return _sha(*(_shard_digest(materialize(ds, seed, cid))
+                  for cid in range(num_clients)))
+
+
+def _engine_pool_digest(fed) -> str:
+    model = make_mlp(fed.test_x.shape[1], fed.num_classes, hidden=(4,))
+    engine = RoundEngine(model, fed, None, TimingModel(model.dimension, 1.0),
+                         eval_max_samples=20, seed=5)
+    return _sha(engine._eval_x, engine._eval_y)
+
+
+def _lazy_stream_digest() -> str:
+    dataset = _virtual(population=20).client_dataset(4)
+    draws = [dataset.minibatch(4) for _ in range(3)]
+    dataset.release()
+    draws += [dataset.minibatch(4) for _ in range(3)]
+    return _sha(*(array for batch in draws for array in batch))
+
+
+_PIN_CIFAR = dict(num_clients=6, samples_per_client=10, num_classes=5,
+                  image_size=4, seed=5)
+_PIN_VIRTUAL = VirtualFederation.build(1000, **SPEC)
+
+DATA_PINS = {
+    "femnist_flat": lambda: _dataset_digest(_small_femnist(seed=5)),
+    "femnist_image": lambda: _dataset_digest(make_femnist_like(
+        num_writers=6, samples_per_writer=12, num_classes=8, image_size=6,
+        classes_per_writer=3, flatten=False, seed=5,
+    )),
+    "cifar_flat": lambda: _dataset_digest(make_cifar_like(**_PIN_CIFAR)),
+    "cifar_image": lambda: _dataset_digest(
+        make_cifar_like(**_PIN_CIFAR, flatten=False)
+    ),
+    **{
+        f"{name}_eager_seed{seed}": (
+            lambda build=PARTITIONERS[name][0], seed=seed:
+            _federation_digest(build(_small_femnist(), seed))
+        )
+        for name in PARTITIONERS for seed in (3, 11)
+    },
+    **{
+        f"{name}_client_id_seed{seed}": (
+            lambda name=name, seed=seed: _lone_digest(name, seed)
+        )
+        for name in PARTITIONERS for seed in (3, 11)
+    },
+    **{
+        f"iid_eager_seed{seed}": (
+            lambda seed=seed: _federation_digest(
+                partition_iid(_small_femnist(), num_clients=5, seed=seed)
+            )
+        )
+        for seed in (3, 11)
+    },
+    **{
+        f"virtual_client_arrays_cid{cid}": (
+            lambda cid=cid: _sha(*_PIN_VIRTUAL.client_arrays(cid))
+        )
+        for cid in (0, 1, 999)
+    },
+    "virtual_test_pool": lambda: _sha(_PIN_VIRTUAL.test_x,
+                                      _PIN_VIRTUAL.test_y),
+    "engine_eval_pool_eager": lambda: _engine_pool_digest(
+        partition_by_writer(_small_femnist(), seed=3)
+    ),
+    "engine_eval_pool_virtual": lambda: _engine_pool_digest(_virtual()),
+    "lazy_minibatch_stream_with_release": _lazy_stream_digest,
+}
+
+#: generated once, before the eager and per-client paths were merged;
+#: never regenerate — a mismatch is a changed dataset
+DATA_DIGESTS = {
+    "cifar_flat": "cafacb26c27754adf74a09aeb47ca169379b7a872f8b960a2076dbbe1052e5fe",
+    "cifar_image": "4d38edd44966c381c7352a7e2a081924dc6fbc22172124cddfe1e35926c701a1",
+    "class_client_id_seed11": "ac73c20cd3cf7d5e332a4016e4019cc4e269e6664b44ff6a486b88689621def3",
+    "class_client_id_seed3": "fda994e3e7f328a5d7bd00b8ed13da0ac6b9a01a29ad430ccf9752a79fb939bd",
+    "class_eager_seed11": "db1a85f098e1c429ebd25f5eaf8c758f22d0a8a90a582707ef61717cde4661d1",
+    "class_eager_seed3": "74bed986c273eae347f535b20c42a5e84e5231a8474259a19dbdb08922d2b5d8",
+    "dirichlet_client_id_seed11": "0d5689a7e9e61de29e9abce06eab4f5a1e967883665865134071ec8b3fb4984e",
+    "dirichlet_client_id_seed3": "ff29a8e26d93990e5132384875b35f89723f592cd3e22cdf2a0744e65c6df0dd",
+    "dirichlet_eager_seed11": "9afce877b87c791f1d4348121c238623a07e4626b13637aa94fea345cd762629",
+    "dirichlet_eager_seed3": "52829ac1efbcea215c8535e68fb660ad9352ff645bd82489a5559a0faa5c80a6",
+    "engine_eval_pool_eager": "028eb378ea8b36345a642d1b0cbf07c5acbbc33a71c1738af0d55f6ec988989f",
+    "engine_eval_pool_virtual": "e564745fed819b1f3bd4d953f2ceaff59c567dd3343428aa230a8b1594888029",
+    "femnist_flat": "6a30295e3968dcc836b1308e6a0f27bbc136f006157f942c9654c34bc1738120",
+    "femnist_image": "387506a9b4b12cf7cfb0343625a6a7bf9bbde4c03764bf3b157894d86e4c2ae3",
+    "iid_eager_seed11": "13bd445a02a87439960c7be0093c24a2475643a50f748d57acf06d8eed4a9295",
+    "iid_eager_seed3": "70314f8d22d1d1aac3f8d5941531029b22be75a2c4a91cd8b4e751865f7f1031",
+    "lazy_minibatch_stream_with_release": "7ae52476f87e5ec014e27960d973791eb15d56ffad09748d6355faf5f3b00053",
+    "virtual_client_arrays_cid0": "c5cb5bd11e1639e05906b836f2994c07d8597ba4197bc74c34f6c9272f9345d6",
+    "virtual_client_arrays_cid1": "de13432ae9c0e5b15e1f1b8653e4c5722e8396dc423aeacb7d28436e6f314011",
+    "virtual_client_arrays_cid999": "7c13f2616ed75cd49af9ae471e643688ed5b9faaf608c15aedd9e0dc7c5fd648",
+    "virtual_test_pool": "ac715dac4830dfc870cbd7d39abe732f0c98cc4af34aa097a9282e7e39b599a0",
+    "writer_client_id_seed11": "ccf9c397fc3f11d2757469741cb3f55990d2a8434d660379537356e9738593e7",
+    "writer_client_id_seed3": "79ea192acb1a067e7a9fd8527b67e0495e78c8466baebad6ef5470c3bf3cc7a8",
+    "writer_eager_seed11": "95f894df9f6ec84dd43d4a932ddd9c311cc3ed09aec70504bdc38b978a4bcd4f",
+    "writer_eager_seed3": "22ceeca325113c879166c44a72f4f7f057b4cff199bad636252a6022be2ad90e",
+}
+
+
+class TestAbsolutePins:
+    @pytest.mark.parametrize("case", sorted(DATA_PINS))
+    def test_digest(self, case):
+        assert DATA_PINS[case]() == DATA_DIGESTS[case]
+
+    def test_every_pin_has_a_digest(self):
+        assert sorted(DATA_DIGESTS) == sorted(DATA_PINS)
+
+
+# ----------------------------------------------------------------------
+# Lint: one shard path
+# ----------------------------------------------------------------------
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _src_nodes():
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield relative, node
+
+
+def _compares_client_id_with_none(test) -> bool:
+    return any(
+        isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Name) and n.id == "client_id"
+                for n in ast.walk(node))
+        and any(isinstance(n, ast.Constant) and n.value is None
+                for n in ast.walk(node))
+        for node in ast.walk(test)
+    )
+
+
+class TestOneShardPath:
+    """Eager and virtual clients share one minibatch stream and one
+    eval-pool rule, and the partitioners one rows-to-shards step."""
+
+    def test_one_minibatch(self):
+        sites = [f"{rel}:{node.lineno}" for rel, node in _src_nodes()
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "minibatch"]
+        assert len(sites) == 1, sites
+
+    def test_one_eval_pool_tag(self):
+        sites = [f"{rel}:{node.lineno}" for rel, node in _src_nodes()
+                 if isinstance(node, ast.Constant)
+                 and type(node.value) is int and node.value == 0xE0A1]
+        assert len(sites) == 1, sites
+
+    def test_partition_branches_on_client_id_once(self):
+        tree = ast.parse((SRC / "data" / "partition.py").read_text())
+        sites = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.If, ast.IfExp))
+                 and _compares_client_id_with_none(node.test)]
+        assert len(sites) == 1, sites

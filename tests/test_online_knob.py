@@ -254,9 +254,9 @@ class TestZeroWidthIntervalFreezesTheWalk:
 # ----------------------------------------------------------------------
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 WALKERS = {"SignOGD", "AdaptiveSignOGD"}
-#: the figure drivers that build the k policy's walker
-WALKER_BUILDERS = {"experiments/fig5.py", "experiments/fig6.py",
-                   "experiments/fig7.py"}
+#: the figure drivers that build the k policy's walker (fig7 and fig6's
+#: Algorithm-3 arm take the proposed policy from fig5.make_policy)
+WALKER_BUILDERS = {"experiments/fig5.py", "experiments/fig6.py"}
 
 
 def _called_name(node):

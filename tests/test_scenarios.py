@@ -27,7 +27,10 @@ point.
 """
 
 import json
+import multiprocessing
 import pathlib
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -1184,6 +1187,64 @@ class TestVirtualScenarioEquivalence:
         assert ids_s == ids_f
         assert 0 < len(ids_s) < 100  # O(cohort), nowhere near N=2000
         fast.close()
+
+    def test_population_smoke_at_1e5_serial_equals_sharded(self):
+        # The same path at N = 10^5: (a) serial and sharded stay
+        # bit-identical, (b) fewer than 100 clients are ever
+        # constructed, and (c) peak RSS stays under 500 MB — building
+        # 10^5 clients eagerly would take several GB.  The serial leg
+        # runs in a spawned child so that ru_maxrss, a process-wide
+        # peak, sees nothing this pytest process allocated before.
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            serial = pool.apply_async(_population_smoke_run).get(timeout=300)
+        sharded = _population_smoke_run(ShardedBackend(jobs=2))
+        rows, weights, drops, touched, peak = serial
+        assert rows == sharded[0], "population histories diverged"
+        np.testing.assert_array_equal(weights, sharded[1])
+        assert drops == sharded[2], "drop sets diverged"
+        assert touched == sharded[3]
+        assert touched < 100, f"{touched} clients: not O(cohort)"
+        assert peak < 500 * 1024 * 1024, f"peak RSS {peak / 1e6:.0f} MB"
+
+
+def _population_smoke_run(backend="serial"):
+    """3 churn + deadline rounds over 10^5 virtual clients: (history
+    rows, weights, drop sets, clients constructed, peak RSS bytes)."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import (
+        build_federation,
+        build_model,
+        build_scenario,
+    )
+
+    scenario_cfg = ScenarioConfig.default_churn().with_overrides(
+        participants=8, over_selection=0.25, seed=0
+    )
+    config = ExperimentConfig(
+        population=100_000, samples_per_client=20, image_size=8,
+        num_classes=10, classes_per_writer=4, hidden=(12,),
+        learning_rate=0.05, batch_size=10, eval_every=1_000_000,
+        scenario=scenario_cfg.to_dict(), seed=0,
+    )
+    model = build_model(config)
+    timing, scenario = build_scenario(config, [], model.dimension)
+    trainer = FLTrainer(
+        model, build_federation(config), FABTopK(), timing=timing,
+        learning_rate=config.learning_rate, batch_size=config.batch_size,
+        eval_every=config.eval_every, seed=config.seed, backend=backend,
+        scenario=scenario,
+    )
+    try:
+        history = trainer.run(3, k=40)
+    finally:
+        trainer.close()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return (
+        history_rows(history), model.get_weights(),
+        [r.dropped_ids for r in scenario.stats.rounds],
+        len(trainer.clients),
+        peak if sys.platform == "darwin" else peak * 1024,
+    )
 
 
 class TestAdaptiveDeadlineIntegration:
