@@ -277,10 +277,3 @@ class Client:
         x, y = self._last_batch
         h = int(self._rng.integers(0, x.shape[0]))
         self.probe_sample = (x[h : h + 1], y[h : h + 1])
-
-    def probe_loss(self, model: FlatModel, weights: np.ndarray) -> float:
-        """Loss ``f_{i,h}(weights)`` of the probe sample at given weights."""
-        if self.probe_sample is None:
-            raise RuntimeError("probe_loss called before draw_probe_sample")
-        x, y = self.probe_sample
-        return float(model.per_sample_losses_at(weights, x, y)[0])

@@ -159,23 +159,25 @@ class FlatModel:
             flat[:, lo:hi] = grads.reshape(groups, hi - lo)
         return flat
 
+    def _evaluate(self, forward, x: np.ndarray) -> np.ndarray:
+        """``forward(x)`` in evaluation mode; the training flag is restored."""
+        was_training = self.network.training
+        self.network.train(False)
+        try:
+            return forward(x)
+        finally:
+            self.network.train(was_training)
+
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss on ``(x, y)`` at the current weights (no gradients)."""
-        was_training = self.network.training
-        self.network.train(False)
-        logits = self.network.forward(x)
-        value = self.loss.forward(logits, y)
-        self.network.train(was_training)
-        return value
+        return self.loss.forward(self._evaluate(self.network.forward, x), y)
 
     def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Loss of each sample at the current weights, shape ``(batch,)``."""
-        was_training = self.network.training
-        self.network.train(False)
-        logits = self.network.forward(x)
-        values = self.loss.per_sample(logits, y)
-        self.network.train(was_training)
-        return values
+        """Loss of each sample at the current weights, shape ``(batch,)``:
+        each sample is its own group of one grouped pass, so its loss is
+        the bytes of a one-sample call whatever else is in the batch."""
+        logits = self._evaluate(self.network.forward_grouped, x[:, None])
+        return self.loss.per_sample(logits[:, 0], y)
 
     def loss_at(self, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss of ``(x, y)`` evaluated at an arbitrary weight vector.
@@ -210,8 +212,5 @@ class FlatModel:
         predict = getattr(self.loss, "predict", None)
         if predict is None:
             raise TypeError("loss does not define hard predictions")
-        was_training = self.network.training
-        self.network.train(False)
-        logits = self.network.forward(x)
-        self.network.train(was_training)
+        logits = self._evaluate(self.network.forward, x)
         return float((predict(logits) == y).mean())

@@ -326,6 +326,13 @@ class BatchNorm1D(Layer):
         self._cache = (x_hat, std)
         return gamma * x_hat + beta
 
+    def forward_grouped(self, x: np.ndarray) -> np.ndarray:
+        """Evaluation mode only: on the running statistics each group's
+        slice is its serial forward's bytes (batch statistics mix them)."""
+        if self.training:
+            return super().forward_grouped(x)
+        return self.forward(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")

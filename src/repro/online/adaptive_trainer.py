@@ -5,15 +5,14 @@ This is the full system of the paper's Fig. 3.  Each round m:
 1. The policy proposes a continuous k_m; stochastic rounding (Definition 2)
    yields the integer sparsity actually played.
 2. Clients run the Algorithm-1 local step at the synchronized weights
-   w(m−1) and each draws one probe sample h from its minibatch, reporting
-   f_{i,h}(w(m−1)).
+   w(m−1) and each draws one probe sample h from its minibatch.
 3. The server runs the sparsifier's selection and aggregation to produce
    w(m), and — when the policy requests a probe k' < k — derives the
    k'-element GS update from the k-element result (top-k' of the
    aggregated downlink values, transmitted as a small "difference"
    message, step ③ of Fig. 3) to form the probe weights w'(m).
-4. Clients report f_{i,h}(w(m)) and f_{i,h}(w'(m)); the server averages
-   them and the policy consumes the :class:`RoundObservation` (for the
+4. Clients report f_{i,h} at w(m−1), w(m) and w'(m); the server averages
+   each and the policy consumes the :class:`RoundObservation` (for the
    proposed method this computes ŝ_m via eqs. (10)–(11) and steps
    Algorithm 2/3).
 5. The timing model charges the round: computation, k-pair uplink, |J|-
@@ -69,11 +68,6 @@ class _ProbeHooks(RoundHooks):
     def after_local_steps(self, ctx: RoundContext) -> None:
         # The record stores the policy's continuous k_m, not the played k.
         ctx.recorded_k = self.k_continuous
-        # f_{i,h}(w(m-1)), averaged over the round's participants.
-        model = ctx.engine.model
-        self.loss_prev = float(
-            np.mean([c.probe_loss(model, ctx.w_prev) for c in ctx.participants])
-        )
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         if self.probe_int is None:
@@ -85,16 +79,17 @@ class _ProbeHooks(RoundHooks):
         )
 
     def after_update(self, ctx: RoundContext) -> None:
-        model = ctx.engine.model
-        self.loss_now = float(
-            np.mean([c.probe_loss(model, ctx.w_new) for c in ctx.participants])
-        )
-        if self.w_probe is not None:
-            self.loss_probe = float(
-                np.mean(
-                    [c.probe_loss(model, self.w_probe) for c in ctx.participants]
-                )
-            )
+        # f_{i,h} at w(m-1), w(m) and w'(m), each averaged over the round's
+        # participants: one evaluation of their stacked probe samples h.
+        samples = [c.probe_sample for c in ctx.participants]
+        if None in samples:
+            raise RuntimeError("probe losses requested before draw_probe_sample")
+        x, y = (np.concatenate(part) for part in zip(*samples))
+        self.loss_prev, self.loss_now, *probe = [
+            float(np.mean(ctx.engine.model.per_sample_losses_at(w, x, y)))
+            for w in (ctx.w_prev, ctx.w_new, self.w_probe) if w is not None
+        ]
+        self.loss_probe = probe[0] if probe else None
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         if not (

@@ -51,41 +51,43 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
     The server already holds a D-vector (w), so set membership is two
     more: ``first_rank[j] = min_i rank_i(j)`` — j ∈ ∪_i J_i^κ exactly when
     ``first_rank[j] < κ`` — and the largest |value| uploaded at j.  One
-    pass per upload fills them, after which a bincount is the whole
-    union-size curve.  O(D + Σ nnz log nnz); the O(D) part only loses to
-    sorting index sets when N·k ≪ D (N=8, k=40, D=400k: ≈ 4 ms vs 0.3),
-    where the round's N client-side top-k passes over their D-residuals
-    (> 1 ms each) already cost more than that — so there is no branch.
+    pass per upload fills each; a bincount is then the union-size curve.
+    It is read only to κ*+1, so uploads are ranked to a depth d
+    (``ranked_indices``, O(nnz + d log d)) from d = 2⌈k/N⌉, doubling while
+    κ* ≥ d and d is short of the longest upload (the full ranking).
+    O(D + Σ nnz) a pass: the O(D) part only loses to sorting index sets
+    when N·k ≪ D, where the N client-side top-k passes cost more anyway.
     """
     dimension = uploads[0].payload.dimension
-    # "Never uploaded" = the longest upload's length, one past any real
-    # rank.  No clamp at k is needed: ranks beyond k only land in buckets
-    # the search below never reaches (κ* ≤ k, because one client's top-κ
-    # alone are κ distinct indices).
-    never = max(up.payload.nnz for up in uploads)
-    first_rank = np.full(dimension, never, dtype=np.int64)
+    longest = max(up.payload.nnz for up in uploads)
     max_magnitude = np.zeros(dimension)
     for up in uploads:
-        indices = up.payload.indices
-        # Payload indices are sorted, so ranked_indices' position
-        # tie-break is the index tie-break: ranked[r] has rank_i = r and
-        # J_i^κ is ranked[:κ].
-        ranked = indices[ranked_indices(up.payload.values)]
         # Indices are unique inside one upload: plain gather/scatter sees
         # every pair exactly once (no ufunc.at, no stacking of uploads).
-        first_rank[ranked] = np.minimum(
-            first_rank[ranked], np.arange(ranked.size)
-        )
+        indices = up.payload.indices
         max_magnitude[indices] = np.maximum(
             max_magnitude[indices], np.abs(up.payload.values)
         )
-
-    # union_sizes[κ-1] = |∪_i J_i^κ| for κ = 1..never; the paper's κ* is the
-    # largest κ whose union still fits in k.
-    union_sizes = np.cumsum(np.bincount(first_rank, minlength=never + 1)[:never])
-    kappa = int(np.searchsorted(union_sizes, k, side="right"))
+    depth = 2 * -(-k // len(uploads))
+    while True:
+        depth = min(depth, longest)  # also "unranked": one past any rank
+        first_rank = np.full(dimension, depth, dtype=np.int64)
+        for up in uploads:
+            # Payload indices are sorted, so ranked_indices' position
+            # tie-break is the index tie-break: J_i^κ is ranked[:κ].
+            ranked = up.payload.indices[ranked_indices(up.payload.values, depth)]
+            first_rank[ranked] = np.minimum(
+                first_rank[ranked], np.arange(ranked.size)
+            )
+        # union_sizes[κ-1] = |∪_i J_i^κ| for κ = 1..depth; the paper's κ*
+        # is the largest κ whose union still fits in k.
+        union_sizes = np.cumsum(np.bincount(first_rank, minlength=depth + 1)[:depth])
+        kappa = int(np.searchsorted(union_sizes, k, side="right"))
+        if kappa < depth or depth == longest:
+            break
+        depth *= 2
     base = np.flatnonzero(first_rank < kappa)
-    if kappa == never:
+    if kappa == longest:
         # Every uploaded index fits in the downlink budget.
         return base
     # Fill from (∪ J^{κ+1}) \ (∪ J^κ), largest absolute uploaded value

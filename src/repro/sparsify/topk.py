@@ -23,12 +23,16 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     ascending (callers treat selections as sets; sorting makes output
     canonical).  Equals ``np.lexsort((arange, -|values|))[:k]`` as a set.
     """
-    n = values.shape[0]
+    return _largest(np.abs(values), k)
+
+
+def _largest(magnitude: np.ndarray, k: int) -> np.ndarray:
+    """:func:`top_k_indices` on precomputed magnitudes."""
+    n = magnitude.shape[0]
     if k <= 0:
         return np.empty(0, dtype=np.int64)
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    magnitude = np.abs(values)
     part = np.argpartition(magnitude, n - k)
     threshold = magnitude[part[n - k]]
     # Everything strictly above the k-th largest magnitude is in; the
@@ -42,12 +46,12 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.concatenate([strict, tied]).astype(np.int64, copy=False))
 
 
-def ranked_indices(values: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """All indices ordered by (|value| descending, index ascending).
-
-    A stable sort on -|value| leaves equal magnitudes in position order,
-    which *is* the index tie-break.  ``limit`` truncates the ranking to
-    its first ``limit`` entries (FAB-top-k's per-client prefixes J_i^κ).
+def ranked_indices(values: np.ndarray, limit: int) -> np.ndarray:
+    """The first ``limit`` of ``np.argsort(-|values|, kind="stable")`` —
+    (|value| desc, index asc), NaN last — in O(n + limit log limit): a
+    top-``limit`` selection with NaN mapped below every magnitude, then a
+    stable sort of only that prefix (FAB-top-k's J_i^κ).
     """
-    order = np.argsort(-np.abs(values), kind="stable")
-    return order if limit is None else order[: max(limit, 0)]
+    magnitude = np.fmax(np.abs(values), -np.inf)  # NaN -> -inf
+    top = _largest(magnitude, limit)
+    return top[np.argsort(-magnitude[top], kind="stable")]

@@ -1,5 +1,7 @@
 """Tests for the FL core: client, server, trainer (Algorithm 1), baselines."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer, _as_schedule
 from repro.nn.models import make_logistic, make_mlp
+from repro.online.adaptive_trainer import _ProbeHooks
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK
@@ -74,19 +77,27 @@ class TestClient:
         with pytest.raises(RuntimeError):
             client.draw_probe_sample()
         client.local_step(model, k=3, sparsifier=FABTopK())
-        with pytest.raises(RuntimeError):
-            client.probe_loss(model, model.get_weights())
+        hooks = _ProbeHooks(None, 3.0, None, None)
+        w = model.get_weights()
+        ctx = SimpleNamespace(
+            engine=SimpleNamespace(model=model), participants=[client],
+            w_prev=w, w_new=w, recorded_k=None,
+        )
+        with pytest.raises(RuntimeError, match="draw_probe_sample"):
+            hooks.after_update(ctx)
         client.draw_probe_sample()
-        loss = client.probe_loss(model, model.get_weights())
-        assert np.isfinite(loss) and loss >= 0
+        hooks.after_update(ctx)
+        assert np.isfinite(hooks.loss_prev) and hooks.loss_prev >= 0
+        assert hooks.loss_now == hooks.loss_prev and hooks.loss_probe is None
 
     def test_probe_loss_at_other_weights_restores(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
         client.local_step(model, k=3, sparsifier=FABTopK())
         client.draw_probe_sample()
         w = model.get_weights()
-        client.probe_loss(model, np.zeros(model.dimension))
+        model.per_sample_losses_at(np.zeros(model.dimension), *client.probe_sample)
         np.testing.assert_allclose(model.get_weights(), w)
+        assert model.network.training
 
 
 class TestServer:

@@ -877,3 +877,48 @@ class TestConfigThreading:
         args = parser.parse_args(["trace-report", "t.jsonl", "--json"])
         assert args.trace_file == "t.jsonl"
         assert args.json
+
+
+class TestTracedScenarioSmoke:
+    def test_traced_scenario_smoke(self, tmp_path, capsys):
+        """A 3-round churn scenario over a virtual population, traced to
+        one JSONL: once sharded (pool IPC/broadcast counters), once serial
+        (virtual-LRU counters).  Every event validates, every round event
+        covers every engine phase, the counter snapshots hold the pool and
+        virtual families, and the sharded leg ships `worker.gradients`
+        spans from both workers, merged into the parent's stream."""
+        from repro import cli
+
+        trace = tmp_path / "trace.jsonl"
+        for out, backend in (("sharded", ["--jobs", "2"]),
+                             ("serial", ["--backend", "serial"])):
+            assert cli.main([
+                "scenario", "--out", str(tmp_path / out), "--scale", "smoke",
+                "--rounds", "3", "--population", "2000", *backend,
+                "--telemetry", str(trace),
+            ]) == 0
+        assert cli.main(["trace-report", str(trace)]) == 0
+        assert "trace summary" in capsys.readouterr().out
+
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert events, "trace is empty"
+        for event in events:
+            validate_event(event)
+        rounds = [e for e in events if e["type"] == "round"]
+        assert rounds, "no round events"
+        for event in rounds:
+            assert set(event["phases"]) == set(ENGINE_PHASES), event["round"]
+            assert event["uplink_bytes"] > 0 and event["downlink_bytes"] > 0
+        counters = {}
+        for event in events:
+            if event["type"] == "counters":
+                counters.update(event["counters"])
+        for needed in ("pool.ipc_bytes_out", "pool.ipc_bytes_back",
+                       "pool.model_broadcast_seconds", "virtual.regenerate"):
+            assert needed in counters, needed
+        worker_spans = [e for e in events if e["type"] == "span"
+                        and e["process"].startswith("worker-")]
+        assert len({e["process"] for e in worker_spans}) == 2
+        for event in worker_spans:
+            assert event["name"] == "worker.gradients"
+            assert event["clients"] > 0 and event["seconds"] >= 0.0

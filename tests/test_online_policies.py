@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_gaussian_blobs
-from repro.nn.models import make_logistic
+from repro.data.partition import partition_by_writer, partition_iid
+from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
+from repro.nn.models import make_logistic, make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
 from repro.online.interval import SearchInterval
-from repro.online.policy import RoundObservation, SignPolicy
+from repro.online.policy import KPolicy, RoundObservation, SignPolicy
 from repro.simulation.timing import TimingModel
+from repro.sparsify import fab_topk
 from repro.sparsify.fab_topk import FABTopK
 
 
@@ -314,3 +315,80 @@ class TestAdaptiveKTrainer:
         k_expensive = final_k(comm_time=200.0)
         k_cheap = final_k(comm_time=0.01)
         assert k_expensive < k_cheap
+
+
+class _FixedPolicy(KPolicy):
+    """Plays ``k`` every round and probes ``probe`` (None: no probe)."""
+
+    def __init__(self, k, probe):
+        self.k, self.probe = k, probe
+
+    def propose(self):
+        return self.k
+
+    def probe_k(self):
+        return self.probe
+
+    def observe(self, observation):
+        del observation
+
+
+class TestRoundWorkCounts:
+    """How often a round runs its two server-side costs, counted."""
+
+    @pytest.mark.parametrize("probe", [None, 5.0], ids=["no_probe", "probe"])
+    @pytest.mark.parametrize("participants", [4, 32])
+    def test_one_probe_evaluation_per_weight_vector(self, participants, probe):
+        ds = make_gaussian_blobs(num_samples=20 * participants, num_classes=4,
+                                 feature_dim=10, separation=4.0, seed=0)
+        fed = partition_iid(ds, num_clients=participants, seed=0)
+        model = make_logistic(10, 4, seed=0)
+        trainer = AdaptiveKTrainer(
+            model, fed, FABTopK(), _FixedPolicy(20.0, probe),
+            TimingModel(dimension=model.dimension, comm_time=10.0),
+            learning_rate=0.1, batch_size=8, seed=0,
+        )
+        batches = []
+        evaluate = model.per_sample_losses_at
+
+        def spy(weights, x, y):
+            batches.append(x.shape[0])
+            return evaluate(weights, x, y)
+
+        model.per_sample_losses_at = spy
+        for _ in range(3):
+            batches.clear()
+            trainer.step()
+            # w(m-1), w(m) and, with a probe k', w'(m): one call each,
+            # every participant's probe sample in it.
+            assert batches == [participants] * (2 if probe is None else 3)
+
+    def test_fab_ranks_short_of_every_upload_on_the_adaptive_geometry(
+        self, monkeypatch
+    ):
+        # The suite's adaptive-k workload: 32 writers, 16x16 images, a
+        # 256-64-62 MLP, the paper's interval and Algorithm 3.
+        ds = make_femnist_like(num_writers=32, samples_per_writer=40,
+                               num_classes=62, image_size=16,
+                               classes_per_writer=8, flatten=True, seed=0)
+        fed = partition_by_writer(ds, seed=0)
+        model = make_mlp(256, 62, hidden=(64,), seed=0)
+        K = SearchInterval(0.002 * model.dimension, float(model.dimension))
+        trainer = AdaptiveKTrainer(
+            model, fed, FABTopK(),
+            SignPolicy(AdaptiveSignOGD(K, alpha=1.5, update_window=20)),
+            TimingModel(dimension=model.dimension, comm_time=10.0),
+            learning_rate=0.05, batch_size=32, eval_every=10,
+            eval_max_samples=1000, seed=0,
+        )
+        ranked = []
+        rank = fab_topk.ranked_indices
+
+        def spy(values, limit=None):
+            ranked.append((values.size, limit))
+            return rank(values, limit)
+
+        monkeypatch.setattr(fab_topk, "ranked_indices", spy)
+        trainer.run(5)
+        assert len(ranked) >= 5 * 32
+        assert all(limit < nnz for nnz, limit in ranked), ranked

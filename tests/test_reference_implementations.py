@@ -5,6 +5,9 @@ unoptimized way possible and verify the production code matches exactly —
 a stronger guarantee than example-based tests.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,15 +20,20 @@ from repro.fl.client import Client
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
-from repro.nn.layers import Conv2D, MaxPool2D, ReLU, _col2im, _im2col
-from repro.nn.models import make_logistic
-from repro.online.adaptive_trainer import AdaptiveKTrainer
+from repro.nn.flat import FlatModel
+from repro.nn.layers import (
+    BatchNorm1D, Conv2D, Dropout, Linear, MaxPool2D, ReLU, Sequential,
+    _col2im, _im2col,
+)
+from repro.nn.models import make_cnn, make_logistic, make_mlp
+from repro.online.adaptive_trainer import AdaptiveKTrainer, _ProbeHooks
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
 from repro.simulation.heterogeneous import ClientSampler
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
+from repro.sparsify import fab_topk
 from repro.sparsify.fab_topk import fair_select
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
@@ -33,19 +41,33 @@ from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.topk import top_k_indices
 
 
+def _rank_key(pair):
+    """(|value| desc, index asc), NaN after every number — the order of a
+    stable ``np.argsort`` on −|value|."""
+    j, v = pair
+    return (math.isnan(v), 0.0 if math.isnan(v) else -abs(v), j)
+
+
 def reference_fair_select(uploads, k):
-    """Literal transcription of Section III-B's selection procedure."""
+    """Literal transcription of Section III-B's selection procedure.
+
+    Returns None when a fill candidate's largest |value| is NaN: "the
+    largest-|value| candidates" does not order those (the full-ranking
+    transcription below pins what the code does there)."""
     # Rank each client's uploads by |value| desc, index asc.
     rankings = []
     best_value = {}
     for up in uploads:
         pairs = sorted(
             zip(up.payload.indices.tolist(), up.payload.values.tolist()),
-            key=lambda p: (-abs(p[1]), p[0]),
+            key=_rank_key,
         )
         rankings.append([j for j, _ in pairs])
         for j, v in pairs:
-            best_value[j] = max(best_value.get(j, 0.0), abs(v))
+            best = best_value.get(j, 0.0)
+            best_value[j] = best if math.isnan(best) else (
+                abs(v) if math.isnan(v) else max(best, abs(v))
+            )
 
     def union(kappa):
         out = set()
@@ -61,11 +83,49 @@ def reference_fair_select(uploads, k):
     while len(union(kappa + 1)) <= k:
         kappa += 1
     base = union(kappa)
+    if any(math.isnan(best_value[j]) for j in union(kappa + 1) - base):
+        return None
     extra_pool = sorted(
         union(kappa + 1) - base, key=lambda j: (-best_value[j], j)
     )
     chosen = sorted(base | set(extra_pool[: k - len(base)]))
     return chosen
+
+
+def full_ranking_fair_select(uploads, k):
+    """``fair_select`` as it was before it ranked to depth, verbatim: every
+    upload stable-argsorted in full on −|value|."""
+    dimension = uploads[0].payload.dimension
+    never = max(up.payload.nnz for up in uploads)
+    first_rank = np.full(dimension, never, dtype=np.int64)
+    max_magnitude = np.zeros(dimension)
+    for up in uploads:
+        indices = up.payload.indices
+        ranked = indices[np.argsort(-np.abs(up.payload.values), kind="stable")]
+        first_rank[ranked] = np.minimum(
+            first_rank[ranked], np.arange(ranked.size)
+        )
+        max_magnitude[indices] = np.maximum(
+            max_magnitude[indices], np.abs(up.payload.values)
+        )
+    union_sizes = np.cumsum(np.bincount(first_rank, minlength=never + 1)[:never])
+    kappa = int(np.searchsorted(union_sizes, k, side="right"))
+    base = np.flatnonzero(first_rank < kappa)
+    if kappa == never:
+        return base
+    candidates = np.flatnonzero(first_rank == kappa)
+    fill = candidates[top_k_indices(max_magnitude[candidates], k - base.size)]
+    return np.sort(np.concatenate([base, fill]))
+
+
+def assert_matches_both_references(uploads, k):
+    """``fair_select`` equals the full-ranking transcription, and the
+    paper's procedure wherever that orders the fill."""
+    selected = fair_select(uploads, k).tolist()
+    assert selected == full_ranking_fair_select(uploads, k).tolist()
+    expected = reference_fair_select(uploads, k)
+    if expected is not None:
+        assert selected == expected
 
 
 def reference_aggregate(uploads, selected, total_weight=None):
@@ -109,9 +169,18 @@ UPLOAD_VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.flo
     min_value=-4.0, max_value=4.0, allow_nan=False
 ).map(lambda v: round(v, 1))
 
+#: what a ranking treats specially: NaN (last, where argpartition would
+#: put it first), ±inf, both zeros; and uploads of one magnitude throughout
+SPECIAL_UPLOAD_VALUES = {
+    "specials": UPLOAD_VALUES | st.sampled_from(
+        [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    ),
+    "all_equal": st.sampled_from([-1.5, 1.5]),
+}
+
 
 @st.composite
-def generated_uploads(draw, rectangular=False):
+def generated_uploads(draw, rectangular=False, alphabet=UPLOAD_VALUES):
     """``(uploads, k, dimension)``: 1-8 clients, upload sizes ragged and
     down to 0 (equal when ``rectangular``), server k drawn independently of
     any upload size — so |∪ J_i| <= k, k >= N·nnz, single-upload,
@@ -127,7 +196,7 @@ def generated_uploads(draw, rectangular=False):
             st.integers(min_value=0, max_value=dimension - 1),
             unique=True, min_size=size, max_size=size,
         ))
-        values = draw(st.lists(UPLOAD_VALUES, min_size=size, max_size=size))
+        values = draw(st.lists(alphabet, min_size=size, max_size=size))
         payload = SparseVector(
             np.array(indices, dtype=np.int64), np.array(values, dtype=float),
             dimension,
@@ -137,6 +206,44 @@ def generated_uploads(draw, rectangular=False):
         )
     k = draw(st.integers(min_value=1, max_value=dimension))
     return uploads, k, dimension
+
+
+#: (clients, nnz, k, shared, ranking depths).  Shared uploads carry one
+#: index set and one value array, so every client ranks alike, |∪ J^κ| = κ
+#: and κ* = k: a search that starts at depth 2⌈k/N⌉ must double to reach
+#: it.  Disjoint uploads give |∪ J^κ| = N·κ and κ* = ⌊k/N⌋, inside the
+#: first depth.
+DEPTH_CASES = {
+    "no_doubling": (4, 12, 16, False, [8]),
+    "one_doubling": (2, 40, 10, True, [10, 20]),
+    "three_doublings": (8, 200, 64, True, [16, 32, 64, 128]),
+    "doubles_to_nnz": (8, 50, 64, True, [16, 32, 50]),
+    "first_depth_past_nnz": (3, 3, 20, False, [3]),
+}
+
+DEPTH_VALUES = {
+    "ties": [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0],
+    "specials": [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -1.0, 1.0],
+    "all_equal": [-1.5, 1.5],
+}
+
+
+def depth_case_uploads(case, values, seed):
+    """``(uploads, k)`` for one :data:`DEPTH_CASES` row."""
+    clients, nnz, k, shared, _ = DEPTH_CASES[case]
+    rng = np.random.default_rng(seed)
+    dimension = nnz + 7 if shared else clients * nnz + 7
+    layout = np.sort(rng.choice(dimension, nnz if shared else clients * nnz,
+                                replace=False))
+    common = rng.choice(DEPTH_VALUES[values], nnz)
+    uploads = []
+    for cid in range(clients):
+        indices = layout if shared else layout[cid::clients]
+        upload_values = common if shared else rng.choice(DEPTH_VALUES[values], nnz)
+        uploads.append(ClientUpload(
+            cid, SparseVector.from_sorted(indices, upload_values, dimension), 1
+        ))
+    return uploads, k
 
 
 class TestFABAgainstReference:
@@ -182,6 +289,36 @@ class TestFABAgainstReference:
         for up in uploads:
             if up.payload.nnz >= quota:
                 assert result.contributions[up.client_id] >= quota
+
+    @pytest.mark.parametrize("alphabet", sorted(SPECIAL_UPLOAD_VALUES))
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fair_select_matches_reference_on_special_values(self, alphabet, data):
+        uploads, k, _ = data.draw(
+            generated_uploads(alphabet=SPECIAL_UPLOAD_VALUES[alphabet])
+        )
+        assert_matches_both_references(uploads, k)
+
+    @pytest.mark.parametrize("values", sorted(DEPTH_VALUES))
+    @pytest.mark.parametrize("case", sorted(DEPTH_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fair_select_matches_reference_at_every_depth(self, case, values, seed):
+        uploads, k = depth_case_uploads(case, values, seed)
+        assert_matches_both_references(uploads, k)
+
+    @pytest.mark.parametrize("case", sorted(DEPTH_CASES))
+    def test_ranking_depth_doubles_as_the_case_says(self, case, monkeypatch):
+        uploads, k = depth_case_uploads(case, "ties", 0)
+        depths = []
+        rank = fab_topk.ranked_indices
+
+        def spy(values, limit=None):
+            depths.append(limit)
+            return rank(values, limit)
+
+        monkeypatch.setattr(fab_topk, "ranked_indices", spy)
+        fair_select(uploads, k)
+        assert depths == [d for d in DEPTH_CASES[case][-1] for _ in uploads]
 
 
 class TestAggregateAgainstReference:
@@ -490,6 +627,100 @@ class TestLayerKernelsAgainstReference:
             assert_bytes_equal(grad_in[g], ref_x)
             assert_bytes_equal(grad_w[g], ref_w)
             assert_bytes_equal(grad_b[g], ref_b)
+
+
+# ----------------------------------------------------------------------
+# Section IV-E probe losses: the per-client path, one sample at a time
+# ----------------------------------------------------------------------
+def reference_probe_reading(model, participants, weights):
+    """One averaged probe reading the way each client reported it: swap
+    ``weights`` in, run the client's one probe sample through an
+    evaluation-mode forward on its own, restore — then the mean of the
+    per-client floats."""
+    losses = []
+    for client in participants:
+        x, y = client.probe_sample
+        saved = model.get_weights()
+        model.set_weights(weights)
+        model.network.train(False)
+        logits = model.network.forward(x)
+        losses.append(float(model.loss.per_sample(logits, y)[0]))
+        model.network.train(True)
+        model.set_weights(saved)
+    return float(np.mean(losses))
+
+
+def _probe_models(seed):
+    """name -> (model, per-sample input shape)."""
+    rng = np.random.default_rng(seed)
+    norm = BatchNorm1D(7)
+    norm.running_mean = rng.standard_normal(7)
+    norm.running_var = rng.random(7) + 0.1
+    return {
+        "mlp": (make_mlp(12, 5, hidden=(7,), seed=seed), (12,)),
+        "cnn": (make_cnn(8, 1, 5, conv_channels=(2, 3), dense_width=6,
+                         seed=seed), (1, 8, 8)),
+        "dropout": (FlatModel(Sequential([
+            Linear(12, 7, rng), ReLU(), Dropout(0.5, seed=seed),
+            Linear(7, 5, rng),
+        ])), (12,)),
+        "batchnorm": (FlatModel(Sequential([
+            Linear(12, 7, rng), norm, ReLU(), Linear(7, 5, rng),
+        ])), (12,)),
+    }
+
+
+#: probe features: ±0, NaN, ±inf and subnormals, plus magnitudes whose
+#: logits overflow
+PROBE_SPECIALS = np.concatenate([SPECIAL_VALUES, [1e300, -1e300, 1e150]])
+
+
+class TestProbeLossesAgainstPerClientReference:
+    @pytest.mark.parametrize("participants", [1, 4, 9])
+    @pytest.mark.parametrize("inputs", ["normal", "awkward"])
+    @pytest.mark.parametrize("name", ["mlp", "cnn", "dropout", "batchnorm"])
+    def test_hook_readings_are_byte_equal(self, name, inputs, participants):
+        seed = participants
+        model, shape = _probe_models(seed)[name]
+        rng = np.random.default_rng(seed + 100)
+        x = rng.standard_normal((participants,) + shape)
+        if inputs == "awkward":
+            x = awkward(rng, x.shape, PROBE_SPECIALS)
+        y = rng.integers(0, 5, participants)
+        clients = []
+        for cid in range(participants):
+            client = Client(
+                ClientDataset(cid, np.zeros((1, 1)), np.zeros(1)),
+                model.dimension,
+            )
+            client.probe_sample = (x[cid : cid + 1], y[cid : cid + 1])
+            clients.append(client)
+        w_prev = model.get_weights()
+        w_new = w_prev + 0.1 * rng.standard_normal(w_prev.size)
+        w_probe = 1e3 * w_prev  # huge logits
+        ctx = SimpleNamespace(
+            engine=SimpleNamespace(model=model), participants=clients,
+            w_prev=w_prev, w_new=w_new, recorded_k=None,
+        )
+        hooks = _ProbeHooks(None, 3.0, None, None)
+        with np.errstate(all="ignore"):
+            # The round's phases, with the model where the engine puts it.
+            hooks.after_local_steps(ctx)
+            model.set_weights(w_new)
+            hooks.w_probe = w_probe
+            hooks.after_update(ctx)
+            assert model.get_weights().tobytes() == w_new.tobytes()
+            assert model.network.training
+            expected = [
+                reference_probe_reading(model, clients, w)
+                for w in (w_prev, w_new, w_probe)
+            ]
+        got = [hooks.loss_prev, hooks.loss_now, hooks.loss_probe]
+        assert [np.float64(v).tobytes() for v in got] == [
+            np.float64(v).tobytes() for v in expected
+        ]
+        if inputs == "normal":
+            assert all(np.isfinite(got))
 
 
 class TestPeriodicResidualModes:

@@ -38,6 +38,15 @@ def make_upload(client_id, dense, k, weight=1):
     )
 
 
+#: value alphabets for the ranking prefix: magnitude ties, the IEEE
+#: specials (NaN, ±inf, ±0), one magnitude throughout
+RANKING_ALPHABETS = {
+    "ties": [-1.0, 0.0, 0.25, 1.0],
+    "specials": [-1.0, -0.0, 0.0, 0.25, 1.0, np.nan, np.inf, -np.inf],
+    "all_equal": [-0.5, 0.5],
+}
+
+
 class TestTopKIndices:
     def test_basic(self):
         v = np.array([0.1, -5.0, 3.0, 0.0, 4.0])
@@ -71,7 +80,7 @@ class TestTopKIndices:
 
     def test_ranked_indices_order(self):
         v = np.array([1.0, -3.0, 2.0])
-        np.testing.assert_array_equal(ranked_indices(v), [1, 2, 0])
+        np.testing.assert_array_equal(ranked_indices(v, 3), [1, 2, 0])
 
     def test_ranked_indices_limit(self):
         v = RNG.standard_normal(50)
@@ -120,13 +129,19 @@ class TestTopKIndices:
     @given(
         st.integers(min_value=0, max_value=35),
         st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(sorted(RANKING_ALPHABETS)),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_ranked_indices_limit_is_exact_prefix(self, limit, seed):
+    @settings(max_examples=120, deadline=None)
+    def test_ranked_indices_limit_is_exact_prefix(self, limit, seed, alphabet):
+        # The prefix of the full stable sort on -|v|, also where a
+        # partition and a sort disagree: argpartition puts NaN on top,
+        # the sort puts it last.
         rng = np.random.default_rng(seed)
-        v = rng.choice([-1.0, 0.0, 0.25, 1.0], size=33)
-        full = np.lexsort((np.arange(v.size), -np.abs(v)))
-        np.testing.assert_array_equal(ranked_indices(v, limit=limit), full[:limit])
+        v = rng.choice(RANKING_ALPHABETS[alphabet], size=33)
+        full = np.argsort(-np.abs(v), kind="stable")
+        got = ranked_indices(v, limit=limit)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, full[:limit])
 
 
 class TestSparseVector:
@@ -206,7 +221,7 @@ class TestFABTopK:
             uploads.append(make_upload(i, dense, k))
         result = FABTopK().server_select(uploads, k=k, dimension=d)
         for up in uploads:
-            ranked = up.payload.indices[ranked_indices(up.payload.values)]
+            ranked = up.payload.indices[ranked_indices(up.payload.values, quota)]
             top_quota = set(ranked[:quota].tolist())
             assert top_quota <= set(result.indices.tolist()), (
                 f"client {up.client_id} top-{quota} not all selected"
