@@ -158,9 +158,7 @@ def build_scenario(
             )
         else:
             timing = build_timing(config, dimension, comm_time)
-        scenario = build_population_scenario(
-            scenario_config, config.population, timing
-        )
+        scenario = build_population_scenario(scenario_config, model, timing)
         return timing, scenario
     profiles = scenario_config.build_profiles(client_ids)
     heterogeneous = any(

@@ -116,22 +116,23 @@ class PopulationSampler:
 
 def build_population_scenario(
     config: ScenarioConfig,
-    population: int,
+    model: PopulationModel,
     timing: TimingModel,
 ) -> DeploymentScenario:
-    """Materialize ``config`` over a virtual population of size N.
+    """Materialize ``config`` over the virtual population ``model``.
 
     The population analogue of :meth:`DeploymentScenario.build`: requires
-    an explicit ``participants`` target (cohort size) and a population-
-    scale availability law; the returned scenario plugs into trainers
-    exactly like a list-based one (``.sampler`` / ``.hooks``).
+    an explicit ``participants`` target (cohort size); ``model`` is the
+    :meth:`PopulationModel.from_scenario_config` law the caller already
+    built (its per-cid profiles also time the run).  The returned
+    scenario plugs into trainers exactly like a list-based one
+    (``.sampler`` / ``.hooks``).
     """
     if config.participants < 1:
         raise ValueError(
             "population scenarios need an explicit participants target "
             "(participants=0 means 'all available', which is O(population))"
         )
-    model = PopulationModel.from_scenario_config(config, population)
     stats = ScenarioStats()
     sampler = PopulationSampler(
         model,

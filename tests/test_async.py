@@ -370,7 +370,8 @@ class TestCommitMechanics:
         timing = HeterogeneousTimingModel(
             model.dimension, comm_time=10.0, profiles=population.profiles
         )
-        scenario = build_population_scenario(config, 1000, timing)
+        scenario = build_population_scenario(config, population, timing)
+        assert scenario.profiles is population.profiles  # one model
         trainer = AsyncFLTrainer(
             model, fed, FABTopK(), timing=timing, scenario=scenario,
             commit_count=2, learning_rate=0.05, batch_size=8, seed=3,

@@ -59,6 +59,9 @@ ARGV = [
     "scenario --deadline-policy adaptive --deadline 5",
     "scenario --deadline-policy adaptive --deadline-min 2 --deadline-max 8 "
     "--no-deadline-probe",
+    "scenario --deadline 5",
+    "adversary --deadline 5",
+    "scenario --deadline-policy adaptive --deadline 2 9",
     "scenario --staleness poly",
     "scenario --commit-count 3",
     "scenario --async --staleness adaptive",

@@ -6,7 +6,11 @@ claims hold at smoke scale.
 """
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -445,3 +449,20 @@ class TestOneHarness:
             "x.loss == x.loss NaN filter"
         ) == 2
         assert len(idioms) == 4
+
+
+class TestPaperChecksAreCollected:
+    def test_at_least_21_slow_tests_are_collected(self):
+        """A rename that drops a module out of the ``slow`` tree must fail
+        here, not pass the slow job with fewer tests."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-m", "slow", "--collect-only",
+             "-q", "-p", "no:cacheprovider"],
+            cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        # The ini's -q plus this one: one "path: count" line per module.
+        counts = re.findall(r"^tests/\S+\.py: (\d+)$", done.stdout, re.M)
+        assert sum(int(n) for n in counts) >= 21, done.stdout

@@ -39,6 +39,9 @@ from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.topk import top_k_indices
+from repro import cli
+from repro.scenarios import AdaptiveDeadlinePolicy, ScenarioConfig
+from repro.scenarios import build_deadline_schedule
 
 
 def _rank_key(pair):
@@ -721,6 +724,236 @@ class TestProbeLossesAgainstPerClientReference:
         ]
         if inputs == "normal":
             assert all(np.isfinite(got))
+
+
+# ----------------------------------------------------------------------
+# The deadline family: CLI flags -> ScenarioConfig -> deadline schedule
+# ----------------------------------------------------------------------
+DEADLINE_FIELDS = (
+    "deadline", "deadline_policy", "deadline_min", "deadline_max",
+    "deadline_probe",
+)
+DEADLINE_ROUNDS = range(1, 9)
+CLI_PARSER = cli.build_parser()
+
+
+def reference_cli_deadline(base, flags):
+    """The deadline rules ``cli._scenario_overrides`` applies, literally.
+    ``base`` holds the preset's deadline fields, ``flags`` the ones the
+    user gave (``deadline`` as the list ``--deadline`` parses to)."""
+    overrides = dict(flags)
+    if "deadline" in overrides:
+        values = overrides["deadline"]
+        overrides["deadline"] = (
+            values[0] if len(values) == 1 else tuple(values)
+        )
+    policy = overrides.get("deadline_policy")
+    effective_deadline = overrides.get("deadline", base["deadline"])
+    if policy == "fixed" and isinstance(effective_deadline, tuple):
+        overrides["deadline"] = sum(effective_deadline) / len(
+            effective_deadline
+        )
+    elif policy == "cycling" and isinstance(effective_deadline, float):
+        overrides["deadline"] = (effective_deadline,)
+    elif (
+        policy == "adaptive"
+        and isinstance(effective_deadline, (int, float))
+        and "deadline_min" not in overrides
+        and "deadline_max" not in overrides
+    ):
+        overrides["deadline_min"] = effective_deadline / 2.0
+        overrides["deadline_max"] = effective_deadline * 2.0
+    return {**base, **overrides}
+
+
+def reference_normalized_deadline(fields):
+    """``ScenarioConfig.__post_init__``'s deadline coercion plus
+    ``_normalize_deadline_policy``, literally: the normalized fields, or
+    the ValueError they raise."""
+    deadline, policy = fields["deadline"], fields["deadline_policy"]
+    dmin, dmax = fields["deadline_min"], fields["deadline_max"]
+    if isinstance(deadline, (list, tuple)):
+        deadline = tuple(float(d) for d in deadline)
+    elif deadline is not None:
+        deadline = float(deadline)
+    if policy == "fixed" and isinstance(deadline, tuple):
+        if len(deadline) == 1:
+            deadline = deadline[0]
+        else:
+            policy = "cycling"
+    if policy == "cycling" and not isinstance(deadline, tuple):
+        raise ValueError("cycling deadline_policy needs a deadline sequence")
+    if policy != "adaptive":
+        if dmin is not None or dmax is not None:
+            raise ValueError(
+                "deadline_min/deadline_max only apply to the adaptive "
+                "deadline_policy"
+            )
+        return dict(fields, deadline=deadline, deadline_policy=policy)
+    if isinstance(deadline, tuple):
+        if dmin is None:
+            dmin = min(deadline)
+        if dmax is None:
+            dmax = max(deadline)
+        deadline = None
+    if dmin is None or dmax is None:
+        raise ValueError(
+            "adaptive deadline_policy needs deadline_min/deadline_max "
+            "(or a deadline schedule to derive them from)"
+        )
+    dmin, dmax = float(dmin), float(dmax)
+    if not 0.0 < dmin < dmax:
+        raise ValueError(
+            f"need 0 < deadline_min < deadline_max, got [{dmin}, {dmax}]"
+        )
+    if deadline is not None and not dmin <= deadline <= dmax:
+        raise ValueError(
+            f"initial deadline {deadline} outside [{dmin}, {dmax}]"
+        )
+    return dict(fields, deadline=deadline, deadline_policy=policy,
+                deadline_min=dmin, deadline_max=dmax)
+
+
+def deadline_walk(schedule):
+    """(deadline in force, d' probe, d'' probe) for rounds 1..8."""
+    return [
+        (schedule.deadline_for(m), schedule.probe_deadline(m),
+         schedule.probe_deadline_up(m))
+        for m in DEADLINE_ROUNDS
+    ]
+
+
+def reference_deadline_walk(fields):
+    """What the policy a normalized config names answers each round:
+    fixed and cycling schedules literally (with their constructors'
+    raises); the adaptive walker itself is not part of the family."""
+    policy, deadline = fields["deadline_policy"], fields["deadline"]
+    if policy == "adaptive":
+        return deadline_walk(AdaptiveDeadlinePolicy(
+            SearchInterval(fields["deadline_min"], fields["deadline_max"]),
+            d1=deadline, probe=fields["deadline_probe"],
+        ))
+    if policy == "cycling":
+        if not deadline:
+            raise ValueError("empty deadline sequence")
+        if any(d <= 0 for d in deadline):
+            raise ValueError("deadlines must be positive")
+        return [(deadline[(m - 1) % len(deadline)], None, None)
+                for m in DEADLINE_ROUNDS]
+    if deadline is not None and deadline <= 0:
+        raise ValueError("deadlines must be positive")
+    return [(deadline, None, None) for _ in DEADLINE_ROUNDS]
+
+
+def deadline_outcome(build):
+    """("ok", to_dict, walk) of one chain, or ("raises", message)."""
+    try:
+        config = build()
+        if isinstance(config, dict):  # a reference chain's fields
+            data, walk = config, reference_deadline_walk(config)
+            if isinstance(data["deadline"], tuple):
+                data = dict(data, deadline=list(data["deadline"]))
+            return ("ok", data, walk)
+        walk = deadline_walk(build_deadline_schedule(config))
+    except ValueError as error:
+        return ("raises", str(error))
+    # The normalizer is idempotent on its own output.
+    assert ScenarioConfig.from_dict(config.to_dict()) == config
+    assert ScenarioConfig.from_dict(config.to_dict()).to_dict() == (
+        config.to_dict()
+    )
+    return ("ok", config.to_dict(), walk)
+
+
+DEADLINE_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0, 2.5, 4.0, 9.0])
+DEADLINE_SPECS = st.one_of(
+    st.none(),
+    DEADLINE_VALUES,
+    st.tuples(DEADLINE_VALUES),
+    st.lists(DEADLINE_VALUES, min_size=2, max_size=4)
+    .filter(lambda v: len(set(v)) > 1).map(tuple),
+    st.builds(lambda v, n: (v,) * n, DEADLINE_VALUES, st.integers(2, 4)),
+)
+
+
+class TestDeadlineFamilyAgainstReference:
+    """Every way a deadline spec reaches a schedule — the ``scenario`` and
+    ``adversary`` flags over their presets, or ``ScenarioConfig(...)``
+    directly — resolves to the reference chain's config and per-round
+    deadlines, or raises its ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        command=st.sampled_from(["scenario", "adversary", None]),
+        policy=st.sampled_from([None, "fixed", "cycling", "adaptive"]),
+        deadline=DEADLINE_SPECS,
+        dmin=st.one_of(st.none(), DEADLINE_VALUES),
+        dmax=st.one_of(st.none(), DEADLINE_VALUES),
+        probe=st.booleans(),
+    )
+    def test_chain_matches_reference(
+        self, command, policy, deadline, dmin, dmax, probe
+    ):
+        given_fields = {
+            "deadline": deadline, "deadline_min": dmin,
+            "deadline_max": dmax, "deadline_policy": policy,
+        }
+        if command is None:
+            base = ScenarioConfig()
+            kwargs = {
+                k: v for k, v in given_fields.items() if v is not None
+            }
+
+            def real():
+                return ScenarioConfig(deadline_probe=probe, **kwargs)
+
+            def reference():
+                fields = {f: getattr(base, f) for f in DEADLINE_FIELDS}
+                fields.update(kwargs, deadline_probe=probe)
+                return reference_normalized_deadline(fields)
+        else:
+            base = (
+                ScenarioConfig.default_churn() if command == "scenario"
+                else ScenarioConfig(availability="always")
+            )
+            values = None if deadline is None else (
+                [deadline] if isinstance(deadline, float) else list(deadline)
+            )
+            argv = [command]
+            if values is not None:
+                argv += ["--deadline", *map(repr, values)]
+            for flag, value in (("--deadline-min", dmin),
+                                ("--deadline-max", dmax),
+                                ("--deadline-policy", policy)):
+                if value is not None:
+                    argv += [flag, str(value)]
+            if not probe:
+                argv.append("--no-deadline-probe")
+            args = CLI_PARSER.parse_args(argv)
+
+            def real():
+                return ScenarioConfig.from_dict(cli._scenario_overrides(
+                    args, 0, base=None if command == "scenario" else base,
+                ))
+
+            def reference():
+                flags = {
+                    k: v
+                    for k, v in dict(given_fields, deadline=values).items()
+                    if v is not None
+                }
+                if not probe:
+                    flags["deadline_probe"] = False
+                fields = reference_cli_deadline(
+                    {f: getattr(base, f) for f in DEADLINE_FIELDS}, flags
+                )
+                return reference_normalized_deadline(fields)
+
+        expected = deadline_outcome(reference)
+        if expected[0] == "ok":
+            # The reference chain owns only the deadline fields.
+            expected = ("ok", {**base.to_dict(), **expected[1]}, expected[2])
+        assert deadline_outcome(real) == expected
 
 
 class TestPeriodicResidualModes:

@@ -1023,13 +1023,15 @@ class TestPopulationSampler:
         # participants=0 means "all available" in the list-based path —
         # an O(population) round, exactly what the virtual path forbids.
         from repro.scenarios import build_population_scenario
+        from repro.simulation.population import PopulationModel
 
         config = ScenarioConfig.default_churn().with_overrides(
             participants=0, seed=0
         )
+        model = PopulationModel.from_scenario_config(config, 1000)
         timing = TimingModel(dimension=10, comm_time=10.0)
         with pytest.raises(ValueError, match="participants"):
-            build_population_scenario(config, 1000, timing)
+            build_population_scenario(config, model, timing)
 
     def test_cohort_is_distinct_online_and_deterministic(self):
         from repro.scenarios import PopulationSampler
