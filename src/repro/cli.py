@@ -147,7 +147,6 @@ def _scenario_overrides(
     """
     from repro.experiments.scenario import population_cohort
     from repro.scenarios.availability import load_trace_json
-    from repro.scenarios.deadline import single_deadline_interval
 
     if base is None:
         base = ScenarioConfig.default_churn()
@@ -177,24 +176,15 @@ def _scenario_overrides(
         )
     if args.no_deadline_probe:
         overrides["deadline_probe"] = False
-    policy = overrides.get("deadline_policy")
     effective_deadline = overrides.get("deadline", scenario.deadline)
-    if policy == "fixed" and isinstance(effective_deadline, tuple):
+    if overrides.get("deadline_policy") == "fixed" and isinstance(
+        effective_deadline, tuple
+    ):
         # An explicit fixed request against a schedule preset: compare
         # like with like by collapsing the cycle to its mean budget.
+        # (Every other deadline rule is ScenarioConfig's.)
         overrides["deadline"] = sum(effective_deadline) / len(
             effective_deadline
-        )
-    elif policy == "cycling" and isinstance(effective_deadline, float):
-        overrides["deadline"] = (effective_deadline,)
-    elif (
-        policy == "adaptive"
-        and isinstance(effective_deadline, (int, float))
-        and "deadline_min" not in overrides
-        and "deadline_max" not in overrides
-    ):
-        overrides["deadline_min"], overrides["deadline_max"] = (
-            single_deadline_interval(effective_deadline)
         )
     if args.trace is not None:
         rounds, cycle = load_trace_json(args.trace)

@@ -56,7 +56,6 @@ from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.scenarios import ScenarioConfig
-from repro.scenarios.deadline import single_deadline_interval
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
@@ -304,11 +303,7 @@ def supports_deadline_comparison(scenario: ScenarioConfig) -> bool:
     collector, the CLI) skip the comparison panel instead of failing a
     run whose primary artifacts are fine.
     """
-    if scenario.deadline_policy == "adaptive":
-        return True
-    if isinstance(scenario.deadline, tuple):
-        return min(scenario.deadline) < max(scenario.deadline)
-    return scenario.deadline is not None
+    return scenario.deadline_interval is not None
 
 
 def deadline_variants(
@@ -316,35 +311,27 @@ def deadline_variants(
 ) -> dict[str, ScenarioConfig]:
     """Fixed-endpoint / cycling / adaptive variants of one regime.
 
-    The deadline interval comes from the scenario itself: an adaptive
-    config's ``[deadline_min, deadline_max]``, a cycling schedule's
-    (min, max), or ``[d/2, 2d]`` around a fixed deadline.  The fixed
-    variants sit at the interval's endpoints (the tight and the loose
-    extreme the adaptive policy searches between); the cycling variant
-    keeps the scenario's schedule (or three tight rounds plus one
-    amnesty round when the scenario had none).
+    The deadline interval is the scenario's own
+    (:attr:`~repro.scenarios.config.ScenarioConfig.deadline_interval`):
+    an adaptive config's ``[deadline_min, deadline_max]``, a cycling
+    schedule's (min, max), or ``[d/2, 2d]`` around a fixed deadline.
+    The fixed variants sit at the interval's endpoints (the tight and
+    the loose extreme the adaptive policy searches between); the
+    cycling variant keeps the scenario's schedule (or three tight rounds
+    plus one amnesty round when the scenario had none).
     """
-    schedule: tuple[float, ...] | None = None
-    if scenario.deadline_policy == "adaptive":
-        dmin, dmax = scenario.deadline_min, scenario.deadline_max
-    elif isinstance(scenario.deadline, tuple):
-        dmin, dmax = min(scenario.deadline), max(scenario.deadline)
-        schedule = scenario.deadline
-    elif scenario.deadline is not None:
-        dmin, dmax = single_deadline_interval(scenario.deadline)
-    else:
+    interval = scenario.deadline_interval
+    if interval is None:
         raise ValueError(
-            "deadline comparison needs a scenario with a deadline (or an "
-            "adaptive deadline interval)"
+            "deadline comparison needs a scenario with a deadline interval "
+            "(a deadline, a schedule with distinct entries, or an adaptive "
+            "interval)"
         )
-    assert dmin is not None and dmax is not None
-    if not dmin < dmax:
-        raise ValueError(
-            f"degenerate deadline interval [{dmin}, {dmax}]: the scenario's "
-            "deadlines are all equal, nothing to compare"
-        )
-    if schedule is None:
-        schedule = (dmin, dmin, dmin, dmax)
+    dmin, dmax = interval
+    schedule = (
+        scenario.deadline if isinstance(scenario.deadline, tuple)
+        else (dmin, dmin, dmin, dmax)
+    )
     base = scenario.with_overrides(
         deadline=None, deadline_policy="fixed",
         deadline_min=None, deadline_max=None,

@@ -39,8 +39,6 @@ from repro.scenarios.deadline import (
     DeadlinePolicy,
     DeadlineRoundPolicy,
     DeadlineVerdict,
-    FixedDeadlinePolicy,
-    resolve_deadline_schedule,
     upload_finish_times,
 )
 from repro.scenarios.population import (
@@ -53,7 +51,6 @@ from repro.scenarios.scenario import (
     ScenarioSampler,
     ScenarioStats,
     build_availability,
-    build_deadline_schedule,
 )
 
 __all__ = [
@@ -72,7 +69,6 @@ __all__ = [
     "DeadlineVerdict",
     "DeploymentScenario",
     "DiurnalAvailability",
-    "FixedDeadlinePolicy",
     "MarkovAvailability",
     "NoiseAdversary",
     "PopulationSampler",
@@ -86,8 +82,6 @@ __all__ = [
     "TraceAvailability",
     "build_adversary",
     "build_availability",
-    "build_deadline_schedule",
     "build_population_scenario",
-    "resolve_deadline_schedule",
     "upload_finish_times",
 ]

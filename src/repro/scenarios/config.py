@@ -18,7 +18,13 @@ import numpy as np
 from repro.declared import option, validate
 from repro.fl.async_engine import STALENESS_ALIASES, STALENESS_DISCOUNT_KINDS
 from repro.fl.robust import AGGREGATOR_KINDS
+from repro.online.interval import SearchInterval
 from repro.scenarios.adversary import ADVERSARY_KINDS
+from repro.scenarios.deadline import (
+    AdaptiveDeadlinePolicy,
+    CyclingDeadlinePolicy,
+    DeadlinePolicy,
+)
 from repro.simulation.heterogeneous import ClientProfile
 
 AVAILABILITY_KINDS = ("always", "markov", "diurnal", "trace")
@@ -43,16 +49,21 @@ class ScenarioConfig:
       periodic straggler amnesty), or ``None`` (wait for everyone).
       ``deadline_policy`` ``"fixed"`` follows the scalar every round
       (for backward compatibility a tuple under ``"fixed"`` is
-      normalized to ``"cycling"``); ``"adaptive"`` learns the deadline
-      online with the SignOGD dual of the learned k
+      normalized to ``"cycling"``), and ``"cycling"`` over a scalar d
+      cycles the one-entry schedule ``(d,)``; ``"adaptive"`` learns the
+      deadline online with the SignOGD dual of the learned k
       (:class:`~repro.scenarios.deadline.AdaptiveDeadlinePolicy`) over
       ``[deadline_min, deadline_max]``, which may be omitted when
       ``deadline`` is a tuple with distinct entries — the interval is
-      then its (min, max) and ``deadline`` cleared.  Under
-      ``"adaptive"`` a float ``deadline`` is the initial decision d₁
-      (``None`` starts at the midpoint), and ``deadline_probe=False``
-      freezes the deadline at d₁ — a control.  ``min_uploads`` is a
-      floor: the server extends the round rather than aggregate fewer.
+      then its (min, max) and ``deadline`` cleared — or, with both
+      edges omitted, when it is a scalar d — the interval is then
+      ``[d/2, 2d]``.  Under ``"adaptive"`` a float ``deadline`` is the
+      initial decision d₁ (``None`` starts at the midpoint), and
+      ``deadline_probe=False`` freezes the deadline at d₁ — a control.
+      :attr:`deadline_interval` is the interval a regime spans and
+      :meth:`deadline_schedule` builds its policy — the only place one
+      is built.  ``min_uploads`` is a floor: the server extends the
+      round rather than aggregate fewer.
     - **Reweighting** — ``"arrived"`` renormalizes aggregation weights
       over the uploads that made it (each update is a proper weighted
       average of the arrivals); ``"cohort"`` keeps the sampled cohort's
@@ -218,6 +229,11 @@ class ScenarioConfig:
             else:
                 # Legacy configs predate the field: a schedule means cycling.
                 object.__setattr__(self, "deadline_policy", "cycling")
+        if self.deadline_policy == "cycling" and isinstance(
+            self.deadline, float
+        ):
+            # A single deadline cycles as the one-entry schedule.
+            object.__setattr__(self, "deadline", (self.deadline,))
         if self.deadline_policy == "cycling" and not isinstance(
             self.deadline, tuple
         ):
@@ -239,6 +255,9 @@ class ScenarioConfig:
                 dmax = max(self.deadline)
             # The schedule only seeded the interval; d1 = its midpoint.
             object.__setattr__(self, "deadline", None)
+        elif dmin is None and dmax is None and self.deadline is not None:
+            # A single d with no edges: search around it, from d1 = d.
+            dmin, dmax = self.deadline_interval
         if dmin is None or dmax is None:
             raise ValueError(
                 "adaptive deadline_policy needs deadline_min/deadline_max "
@@ -256,6 +275,45 @@ class ScenarioConfig:
             )
         object.__setattr__(self, "deadline_min", dmin)
         object.__setattr__(self, "deadline_max", dmax)
+
+    @property
+    def deadline_interval(self) -> tuple[float, float] | None:
+        """The deadline interval this regime spans: the adaptive edges,
+        a schedule's (min, max) when its entries differ, ``[d/2, 2d]``
+        around a single deadline d, or ``None`` (no deadline, or an
+        all-equal schedule)."""
+        if self.deadline_min is not None and self.deadline_max is not None:
+            return self.deadline_min, self.deadline_max
+        if isinstance(self.deadline, tuple):
+            lo, hi = min(self.deadline), max(self.deadline)
+            return (lo, hi) if lo < hi else None
+        if self.deadline is None:
+            return None
+        return self.deadline / 2.0, self.deadline * 2.0
+
+    def deadline_schedule(self) -> DeadlinePolicy | None:
+        """The deadline policy this config names; ``None`` without a
+        deadline (the server waits for everyone).
+
+        A fixed d is the one-entry cycle ``(d,)``.  Adaptive policies
+        are stateful — like the rest of a
+        :class:`~repro.scenarios.scenario.DeploymentScenario`, build a
+        fresh one per run.
+        """
+        if self.deadline_policy == "adaptive":
+            assert self.deadline_min is not None
+            assert self.deadline_max is not None
+            return AdaptiveDeadlinePolicy(
+                SearchInterval(self.deadline_min, self.deadline_max),
+                d1=self.deadline,
+                probe=self.deadline_probe,
+            )
+        if self.deadline is None:
+            return None
+        return CyclingDeadlinePolicy(
+            self.deadline if isinstance(self.deadline, tuple)
+            else (self.deadline,)
+        )
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         """Copy with fields replaced (scenario configs are immutable)."""

@@ -32,22 +32,24 @@ Round-close semantics ("charge the deadline, not the straggler tail"):
   the fastest ``min_uploads`` clients (close at the last forced
   acceptee) — partial aggregation never degenerates to an empty round.
 
-The deadline *in force* each round comes from a :class:`DeadlinePolicy`:
+The deadline *in force* each round comes from a :class:`DeadlinePolicy`
+(or none at all — the server waits for everyone):
 
-- :class:`FixedDeadlinePolicy` — one constant budget (or ``None``, wait
-  for everyone);
 - :class:`CyclingDeadlinePolicy` — a per-round sequence that cycles
   (``schedule[(m - 1) mod len]``), which lets a server run periodic
   straggler amnesty — a few tight rounds, then one loose round in which
-  slow clients flush their accumulated residuals;
+  slow clients flush their accumulated residuals.  A fixed deadline d
+  is the one-entry cycle ``(d,)``;
 - :class:`AdaptiveDeadlinePolicy` — the server *learns* the deadline
   online, the exact dual of the paper's learned sparsity k: a thin
   adapter over :class:`repro.online.knob.OnlineKnob` (which owns the
   walk, the probe points and the sign estimate) that says what probing
   a deadline means — replaying the gate at d ∓ δ/2, for free.
 
-``DeadlineRoundPolicy(deadline=...)`` keeps accepting the raw float /
-sequence / ``None`` forms and resolves them to the matching policy.
+:meth:`repro.scenarios.config.ScenarioConfig.deadline_schedule` builds
+the policy a config names; :class:`DeadlineRoundPolicy` holds it, and
+its gate judges whatever deadline it is handed — the one in force, or a
+probe's counterfactual one.
 """
 
 from __future__ import annotations
@@ -88,12 +90,6 @@ def upload_finish_times(
     return times
 
 
-def single_deadline_interval(deadline: float) -> tuple[float, float]:
-    """``[d/2, 2d]``: where an adaptive policy searches around a single
-    deadline d that brings no schedule to seed the interval from."""
-    return deadline / 2.0, deadline * 2.0
-
-
 # ----------------------------------------------------------------------
 # Deadline policies: what budget is in force each round
 # ----------------------------------------------------------------------
@@ -104,7 +100,7 @@ class DeadlinePolicy:
     #: whether :meth:`observe` feedback can move the deadline
     adaptive = False
 
-    def deadline_for(self, round_index: int) -> float | None:
+    def deadline_for(self, round_index: int) -> float:
         """The deadline in force for 1-based round ``round_index``."""
         raise NotImplementedError
 
@@ -121,13 +117,8 @@ class DeadlinePolicy:
 
     def observe(self, *readings: Reading) -> None:
         """Consume the round's probe readings — d' first, then d'' when
-        it ran (no-op for fixed schedules)."""
+        it ran (no-op for cycling schedules)."""
         del readings
-
-    @property
-    def active(self) -> bool:
-        """Whether this policy ever bounds a round."""
-        return True
 
     @staticmethod
     def _check_round(round_index: int) -> None:
@@ -135,29 +126,9 @@ class DeadlinePolicy:
             raise ValueError("round_index is 1-based and must be >= 1")
 
 
-class FixedDeadlinePolicy(DeadlinePolicy):
-    """One constant deadline, or ``None`` for "wait for everyone"."""
-
-    name = "fixed"
-
-    def __init__(self, deadline: float | None) -> None:
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                raise ValueError("deadlines must be positive")
-        self.deadline = deadline
-
-    def deadline_for(self, round_index: int) -> float | None:
-        self._check_round(round_index)
-        return self.deadline
-
-    @property
-    def active(self) -> bool:
-        return self.deadline is not None
-
-
 class CyclingDeadlinePolicy(DeadlinePolicy):
-    """A per-round deadline sequence that cycles (straggler amnesty)."""
+    """A per-round deadline sequence that cycles (straggler amnesty); a
+    fixed deadline d is the one-entry cycle ``(d,)``."""
 
     name = "cycling"
 
@@ -250,21 +221,6 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
         self.knob.observe(*readings)
 
 
-def resolve_deadline_schedule(
-    deadline: float | Sequence[float] | DeadlinePolicy | None,
-) -> DeadlinePolicy:
-    """Normalize a raw deadline spec into a :class:`DeadlinePolicy`."""
-    if isinstance(deadline, DeadlinePolicy):
-        return deadline
-    if deadline is None or isinstance(deadline, (int, float)):
-        return FixedDeadlinePolicy(deadline)
-    return CyclingDeadlinePolicy(deadline)
-
-
-#: sentinel distinguishing "use the policy's deadline" from None
-_USE_SCHEDULE = object()
-
-
 @dataclass(frozen=True)
 class DeadlineVerdict:
     """Outcome of one round's deadline gate.
@@ -278,7 +234,6 @@ class DeadlineVerdict:
     accepted: tuple[int, ...]
     dropped_ids: tuple[int, ...]
     close_time: float
-    finish_times: tuple[float, ...]
 
 
 class DeadlineRoundPolicy:
@@ -286,10 +241,9 @@ class DeadlineRoundPolicy:
 
     Parameters
     ----------
-    deadline:
-        Normalized-time budget of a round's compute+uplink phase — a
-        float, a cycling per-round sequence, a :class:`DeadlinePolicy`
-        instance (fixed / cycling / adaptive), or ``None`` for "wait for
+    schedule:
+        The :class:`DeadlinePolicy` naming each round's compute+uplink
+        budget (cycling or adaptive), or ``None`` for "wait for
         everyone" (no drops; useful to isolate availability effects).
     over_selection:
         The ε of "sample ``m·(1+ε)`` clients, aggregate the first ``m``
@@ -302,7 +256,7 @@ class DeadlineRoundPolicy:
 
     def __init__(
         self,
-        deadline: float | Sequence[float] | DeadlinePolicy | None,
+        schedule: DeadlinePolicy | None,
         over_selection: float = 0.0,
         min_uploads: int = 1,
     ) -> None:
@@ -311,60 +265,28 @@ class DeadlineRoundPolicy:
         if min_uploads < 1:
             raise ValueError("min_uploads must be >= 1 (the server cannot "
                              "aggregate an empty round)")
-        self.schedule = resolve_deadline_schedule(deadline)
-        #: legacy raw spec (None for policy instances beyond fixed/cycling)
-        if isinstance(self.schedule, FixedDeadlinePolicy):
-            self.deadline = self.schedule.deadline
-        elif isinstance(self.schedule, CyclingDeadlinePolicy):
-            self.deadline = self.schedule.schedule
-        else:
-            self.deadline = None
+        self.schedule = schedule
         self.over_selection = over_selection
         self.min_uploads = min_uploads
 
-    # ------------------------------------------------------------------
-    def deadline_for(self, round_index: int) -> float | None:
-        """The deadline in force for 1-based round ``round_index``."""
-        return self.schedule.deadline_for(round_index)
-
-    def finish_times(
-        self,
-        uploads: list[ClientUpload],
-        timing: TimingModel,
-        profiles: dict[int, ClientProfile] | None = None,
-    ) -> np.ndarray:
-        """Per-upload finish times (see :func:`upload_finish_times`)."""
-        return upload_finish_times(uploads, timing, profiles)
-
     def admit(
         self,
-        round_index: int,
         uploads: list[ClientUpload],
-        timing: TimingModel,
-        profiles: dict[int, ClientProfile] | None = None,
+        finish: np.ndarray,
+        deadline: float | None,
         target_uploads: int | None = None,
-        deadline_override: float | None | object = _USE_SCHEDULE,
-        finish_times: np.ndarray | None = None,
     ) -> DeadlineVerdict:
-        """Gate one round's uploads; deterministic in its arguments.
+        """Gate one round's uploads; a pure function of its arguments.
 
-        ``target_uploads`` is the over-selection target ``m`` (``None``
-        means "as many as arrive" — plain deadline semantics).
-        ``deadline_override`` replaces the schedule's deadline for this
-        verdict only, and ``finish_times`` reuses already-computed
-        arrival times — together they make the counterfactual replay an
-        adaptive policy's probe runs a pure threshold change.
+        ``finish`` holds the uploads' arrival times
+        (:func:`upload_finish_times`), ``deadline`` the budget to judge
+        them by (``None``: wait for everyone) — the one in force, or a
+        probe's counterfactual one, so a replay is a pure threshold
+        change.  ``target_uploads`` is the over-selection target ``m``
+        (``None`` means "as many as arrive" — plain deadline semantics).
         """
         if not uploads:
             raise ValueError("no uploads to admit")
-        if deadline_override is _USE_SCHEDULE:
-            deadline = self.deadline_for(round_index)
-        else:
-            deadline = deadline_override
-        if finish_times is not None:
-            finish = np.asarray(finish_times, dtype=float)
-        else:
-            finish = self.finish_times(uploads, timing, profiles)
         # Deterministic service order: finish time, then client id.
         order = sorted(
             range(len(uploads)),
@@ -413,22 +335,15 @@ class DeadlineRoundPolicy:
             accepted=tuple(sorted(accepted)),
             dropped_ids=dropped,
             close_time=close,
-            finish_times=tuple(float(t) for t in finish),
         )
 
-    # ------------------------------------------------------------------
     def applies(self, target_uploads: int | None) -> bool:
         """Whether this policy can drop or re-time a round.
 
-        True with an active deadline schedule, and also for pure
-        over-selection (no deadline, but the server still closes once
-        the first ``target_uploads`` of the over-sampled cohort finish).
+        True with a deadline schedule, and also for pure over-selection
+        (no deadline, but the server still closes once the first
+        ``target_uploads`` of the over-sampled cohort finish).
         """
-        return self.schedule.active or (
+        return self.schedule is not None or (
             self.over_selection > 0 and target_uploads is not None
         )
-
-    @property
-    def active(self) -> bool:
-        """Whether a deadline is configured (see :meth:`applies`)."""
-        return self.schedule.active

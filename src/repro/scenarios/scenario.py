@@ -49,15 +49,8 @@ from repro.scenarios.availability import (
     TraceAvailability,
 )
 from repro.scenarios.config import ScenarioConfig
-from repro.online.interval import SearchInterval
 from repro.online.knob import Reading
-from repro.scenarios.deadline import (
-    AdaptiveDeadlinePolicy,
-    CyclingDeadlinePolicy,
-    DeadlinePolicy,
-    DeadlineRoundPolicy,
-    FixedDeadlinePolicy,
-)
+from repro.scenarios.deadline import DeadlineRoundPolicy, upload_finish_times
 from repro.simulation.heterogeneous import ClientProfile
 from repro.simulation.timing import TimingModel
 
@@ -332,20 +325,19 @@ class ScenarioHooks(RoundHooks):
                 close_time=float("nan"), deadline=None,
             )
             return
-        self._played_deadline = self.policy.deadline_for(ctx.round_index)
+        schedule = self.policy.schedule
+        if schedule is not None:
+            self._played_deadline = schedule.deadline_for(ctx.round_index)
+        # One arrival-time computation judges the real gate and every
+        # replay below.
+        finish = upload_finish_times(ctx.uploads, self.timing, self.profiles)
         verdict = self.policy.admit(
-            ctx.round_index,
-            ctx.uploads,
-            self.timing,
-            self.profiles,
-            target_uploads=self.target_uploads,
+            ctx.uploads, finish, self._played_deadline, self.target_uploads
         )
         accepted = set(verdict.accepted)
-        schedule = self.policy.schedule
-        if schedule.adaptive:
+        if schedule is not None and schedule.adaptive:
             # Counterfactual replays of the gate on the same pre-gate
-            # uploads — free: the arrival times are known (and already
-            # computed by the actual verdict).
+            # uploads — free: the arrival times are known.
             wanted = [schedule.probe_deadline(ctx.round_index)]
             if verdict.dropped_ids:
                 # Tight regime: the deadline (or the over-selection cap)
@@ -358,13 +350,7 @@ class ScenarioHooks(RoundHooks):
                 if deadline is None:
                     continue
                 replay = self.policy.admit(
-                    ctx.round_index,
-                    ctx.uploads,
-                    self.timing,
-                    self.profiles,
-                    target_uploads=self.target_uploads,
-                    deadline_override=deadline,
-                    finish_times=verdict.finish_times,
+                    ctx.uploads, finish, deadline, self.target_uploads
                 )
                 self._probes.append(_PendingProbe(
                     deadline,
@@ -456,7 +442,7 @@ class ScenarioHooks(RoundHooks):
 
     def observe(self, ctx: RoundContext) -> None:
         schedule = self.policy.schedule
-        if not schedule.adaptive or self._played_deadline is None:
+        if self._played_deadline is None or not schedule.adaptive:
             return
         played = self._played_deadline
         tel = ctx.engine.telemetry
@@ -567,7 +553,7 @@ class DeploymentScenario:
         ``in``/``[]``/``get``), never enumerated."""
         hooks = ScenarioHooks(
             DeadlineRoundPolicy(
-                build_deadline_schedule(config),
+                config.deadline_schedule(),
                 over_selection=config.over_selection,
                 min_uploads=config.min_uploads,
             ),
@@ -582,27 +568,6 @@ class DeploymentScenario:
             config.aggregator, trim_fraction=config.trim_fraction
         )
         return cls(config, sampler, hooks, stats, profiles, aggregator)
-
-
-def build_deadline_schedule(config: ScenarioConfig) -> DeadlinePolicy:
-    """The deadline policy a :class:`ScenarioConfig` names.
-
-    ``ScenarioConfig.__post_init__`` already normalized the field family
-    (tuple ⇒ cycling, adaptive interval derived/validated), so this is a
-    straight dispatch.  Adaptive policies are stateful — like the rest
-    of a :class:`DeploymentScenario`, build a fresh one per run.
-    """
-    if config.deadline_policy == "adaptive":
-        assert config.deadline_min is not None
-        assert config.deadline_max is not None
-        return AdaptiveDeadlinePolicy(
-            SearchInterval(config.deadline_min, config.deadline_max),
-            d1=config.deadline,
-            probe=config.deadline_probe,
-        )
-    if config.deadline_policy == "cycling":
-        return CyclingDeadlinePolicy(config.deadline)
-    return FixedDeadlinePolicy(config.deadline)
 
 
 def build_availability(

@@ -804,16 +804,25 @@ class TestAsyncWiring:
         assert ScenarioConfig.from_dict(config.to_dict()) == config
 
     def test_cli_runs_async_adversary(self, tmp_path, capsys):
+        # The same attack under async commits (every variant of the
+        # comparison is attacked alike), serial vs sharded end to end.
         import repro.cli as cli
 
-        out = tmp_path / "out"
-        assert cli.main([
-            "scenario", "--scale", "smoke", "--async",
-            "--adversary-kind", "sign_flip", "--adversary-fraction", "0.3",
-            "--aggregator", "trimmed_mean", "--out", str(out),
-        ]) in (0, None)
-        capsys.readouterr()
-        panel = json.loads((out / "scenario_async_loss_vs_time.json").read_text())
+        panels = {}
+        for backend in (["serial"], ["sharded", "--jobs", "2"]):
+            out = tmp_path / backend[0]
+            assert cli.main([
+                "scenario", "--scale", "smoke", "--async",
+                "--adversary-kind", "sign_flip", "--adversary-fraction", "0.3",
+                "--aggregator", "trimmed_mean", "--backend", *backend,
+                "--out", str(out),
+            ]) in (0, None)
+            capsys.readouterr()
+            panels[backend[0]] = (
+                out / "scenario_async_loss_vs_time.json"
+            ).read_bytes()
+        assert panels["serial"] == panels["sharded"]
+        panel = json.loads(panels["serial"])
         scenario_note = next(
             n for n in panel["notes"] if n.startswith("scenario: ")
         )

@@ -905,6 +905,17 @@ class TestSweep:
         assert (warm.computed, warm.cached) == (0, 1)
         assert (warm.cache_hits, warm.cache_misses) == (1, 0)
 
+    def test_warm_smoke_sweep_computes_nothing(self, tmp_path):
+        # The full smoke grid over the sweep pool, then a re-run served
+        # entirely from the content-addressed results cache.
+        spec = SweepSpec(scales=("smoke",))
+        cold = run_sweep(spec, cache_dir=tmp_path, jobs=2)
+        assert cold.computed == 8
+        warm = run_sweep(spec, cache_dir=tmp_path, jobs=2)
+        assert (warm.cache_hits, warm.cache_misses, warm.computed) == (
+            8, 0, 0
+        )
+
     def test_run_sweep_pool_matches_inline(self, tmp_path):
         spec = SweepSpec(figures=("fig1", "fig6"), scales=("smoke",),
                          rounds=3)

@@ -40,8 +40,9 @@ from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.topk import top_k_indices
 from repro import cli
-from repro.scenarios import AdaptiveDeadlinePolicy, ScenarioConfig
-from repro.scenarios import build_deadline_schedule
+from repro.scenarios import (
+    AdaptiveDeadlinePolicy, DeadlineRoundPolicy, ScenarioConfig,
+)
 
 
 def _rank_key(pair):
@@ -781,6 +782,8 @@ def reference_normalized_deadline(fields):
             deadline = deadline[0]
         else:
             policy = "cycling"
+    if policy == "cycling" and isinstance(deadline, float):
+        deadline = (deadline,)
     if policy == "cycling" and not isinstance(deadline, tuple):
         raise ValueError("cycling deadline_policy needs a deadline sequence")
     if policy != "adaptive":
@@ -796,6 +799,8 @@ def reference_normalized_deadline(fields):
         if dmax is None:
             dmax = max(deadline)
         deadline = None
+    elif dmin is None and dmax is None and deadline is not None:
+        dmin, dmax = deadline / 2.0, deadline * 2.0
     if dmin is None or dmax is None:
         raise ValueError(
             "adaptive deadline_policy needs deadline_min/deadline_max "
@@ -854,7 +859,11 @@ def deadline_outcome(build):
             if isinstance(data["deadline"], tuple):
                 data = dict(data, deadline=list(data["deadline"]))
             return ("ok", data, walk)
-        walk = deadline_walk(build_deadline_schedule(config))
+        schedule = config.deadline_schedule()
+        walk = (
+            [(None, None, None) for _ in DEADLINE_ROUNDS] if schedule is None
+            else deadline_walk(schedule)
+        )
     except ValueError as error:
         return ("raises", str(error))
     # The normalizer is idempotent on its own output.
@@ -954,6 +963,85 @@ class TestDeadlineFamilyAgainstReference:
             # The reference chain owns only the deadline fields.
             expected = ("ok", {**base.to_dict(), **expected[1]}, expected[2])
         assert deadline_outcome(real) == expected
+
+
+# ----------------------------------------------------------------------
+# The deadline gate: one round's uploads, finish times and deadline
+# ----------------------------------------------------------------------
+def reference_admit(client_ids, finish, deadline, target_uploads,
+                    min_uploads):
+    """``DeadlineRoundPolicy.admit``, literally: (accepted positions,
+    dropped client ids, close time)."""
+    n = len(client_ids)
+    # Service order: finish time, then client id.
+    order = sorted(range(n), key=lambda i: (finish[i], client_ids[i]))
+    if deadline is None:
+        in_time = list(order)
+    else:
+        in_time = [i for i in order if finish[i] <= deadline]
+    target = n if target_uploads is None else max(min_uploads, target_uploads)
+    accepted = in_time[:target]
+    extended = len(accepted) < min_uploads
+    if extended:
+        accepted = order[:min_uploads]
+    if extended:
+        # Fewer than min_uploads made it: wait for the fastest ones.
+        close = max(finish[i] for i in accepted)
+    elif target_uploads is not None and len(accepted) == target and n > target:
+        # Over-selection reached m: close on the m-th finisher.
+        close = finish[accepted[-1]]
+    elif deadline is None or len(in_time) == n:
+        # Everyone made it: close on the last finisher.
+        close = max(finish[i] for i in accepted)
+    else:
+        # Someone missed: the server learns so at the deadline.
+        close = deadline
+    dropped = tuple(client_ids[i] for i in range(n) if i not in accepted)
+    return tuple(sorted(accepted)), dropped, float(close)
+
+
+class TestDeadlineGateAgainstReference:
+    """The gate's verdict — service order, in-time filter, target,
+    ``min_uploads`` extension and the four close rules — on tied finish
+    times, every deadline/target/floor combination."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 40),
+                      st.sampled_from([0.5, 1.0, 2.0, 3.5, 7.0])),
+            min_size=1, max_size=8, unique_by=lambda row: row[0],
+        ),
+        deadline=st.one_of(
+            st.none(), st.sampled_from([0.25, 1.0, 2.0, 3.0, 5.0, 10.0])
+        ),
+        target=st.one_of(st.none(), st.integers(1, 9)),
+        min_uploads=st.integers(1, 3),
+    )
+    def test_verdict_matches_reference(self, rows, deadline, target,
+                                       min_uploads):
+        client_ids = [cid for cid, _ in rows]
+        finish = np.array([t for _, t in rows])
+        uploads = [
+            ClientUpload(
+                client_id=cid,
+                payload=SparseVector.from_sorted(
+                    np.arange(1, dtype=np.int64), np.ones(1), 10
+                ),
+                sample_count=1,
+            )
+            for cid in client_ids
+        ]
+        gate = DeadlineRoundPolicy(None, min_uploads=min_uploads)
+        verdict = gate.admit(uploads, finish, deadline, target_uploads=target)
+        accepted, dropped, close = reference_admit(
+            client_ids, finish, deadline, target, min_uploads
+        )
+        assert verdict.accepted == accepted
+        assert verdict.dropped_ids == dropped
+        assert np.float64(verdict.close_time).tobytes() == (
+            np.float64(close).tobytes()
+        )
 
 
 class TestPeriodicResidualModes:

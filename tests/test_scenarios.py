@@ -26,6 +26,7 @@ reweighting, the deadline-policy comparison panel, and the CLI entry
 point.
 """
 
+import ast
 import json
 import multiprocessing
 import pathlib
@@ -62,13 +63,10 @@ from repro.scenarios import (
     DeadlineRoundPolicy,
     DeploymentScenario,
     DiurnalAvailability,
-    FixedDeadlinePolicy,
     MarkovAvailability,
     ScenarioConfig,
     ScenarioSampler,
     TraceAvailability,
-    build_deadline_schedule,
-    resolve_deadline_schedule,
     upload_finish_times,
 )
 from repro.simulation.heterogeneous import ClientProfile, HeterogeneousTimingModel
@@ -78,6 +76,7 @@ from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.periodic import PeriodicK
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def history_rows(history):
@@ -375,33 +374,35 @@ def _uploads(nnz_by_client):
 class TestDeadlinePolicy:
     TIMING = TimingModel(dimension=100, comm_time=10.0)
 
+    def _admit(self, uploads, deadline, profiles=None, target_uploads=None,
+               min_uploads=1):
+        """The gate's verdict on the helper's finish times, and the times."""
+        finish = upload_finish_times(uploads, self.TIMING, profiles)
+        gate = DeadlineRoundPolicy(None, min_uploads=min_uploads)
+        return gate.admit(uploads, finish, deadline, target_uploads), finish
+
     def test_finish_times_scale_with_profiles(self):
         uploads = _uploads({0: 10, 1: 10})
-        policy = DeadlineRoundPolicy(deadline=5.0)
-        base = policy.finish_times(uploads, self.TIMING)
+        base = upload_finish_times(uploads, self.TIMING)
         np.testing.assert_allclose(base, base[0])
         profiles = {1: ClientProfile(1, compute_factor=3.0, comm_factor=2.0)}
-        slowed = policy.finish_times(uploads, self.TIMING, profiles)
+        slowed = upload_finish_times(uploads, self.TIMING, profiles)
         assert slowed[0] == base[0]
         uplink = self.TIMING.sparse_round(10, 0).uplink
         assert slowed[1] == pytest.approx(3.0 * 1.0 + 2.0 * uplink)
 
     def test_all_in_time_closes_at_last_finish(self):
         uploads = _uploads({0: 10, 1: 20})
-        verdict = DeadlineRoundPolicy(deadline=50.0).admit(
-            1, uploads, self.TIMING
-        )
+        verdict, finish = self._admit(uploads, 50.0)
         assert verdict.accepted == (0, 1)
         assert verdict.dropped_ids == ()
-        assert verdict.close_time == pytest.approx(max(verdict.finish_times))
+        assert verdict.close_time == pytest.approx(max(finish))
         assert verdict.close_time < 50.0
 
     def test_late_upload_dropped_and_deadline_charged(self):
         uploads = _uploads({0: 10, 1: 10})
         profiles = {1: ClientProfile(1, compute_factor=40.0)}
-        verdict = DeadlineRoundPolicy(deadline=5.0).admit(
-            1, uploads, self.TIMING, profiles
-        )
+        verdict, _ = self._admit(uploads, 5.0, profiles)
         assert verdict.accepted == (0,)
         assert verdict.dropped_ids == (1,)
         # The server waited for the deadline, not the straggler tail.
@@ -409,14 +410,12 @@ class TestDeadlinePolicy:
 
     def test_over_selection_closes_on_mth_finisher(self):
         uploads = _uploads({0: 10, 1: 20, 2: 30})
-        verdict = DeadlineRoundPolicy(deadline=50.0).admit(
-            1, uploads, self.TIMING, target_uploads=2
-        )
+        verdict, finish = self._admit(uploads, 50.0, target_uploads=2)
         # Fastest two (smallest payloads) accepted, slowest dropped even
         # though it was within the deadline; close at the 2nd finisher.
         assert verdict.accepted == (0, 1)
         assert verdict.dropped_ids == (2,)
-        assert verdict.close_time == pytest.approx(verdict.finish_times[1])
+        assert verdict.close_time == pytest.approx(finish[1])
 
     def test_target_reached_exactly_still_closes_early(self):
         # Boundary case: exactly m uploads beat the deadline.  The server
@@ -424,23 +423,24 @@ class TestDeadlinePolicy:
         # must not sit out the rest of the deadline window.
         uploads = _uploads({0: 10, 1: 20, 2: 10, 3: 10})
         profiles = {3: ClientProfile(3, compute_factor=100.0)}
-        verdict = DeadlineRoundPolicy(deadline=50.0).admit(
-            1, uploads, self.TIMING, profiles, target_uploads=3
+        verdict, finish = self._admit(
+            uploads, 50.0, profiles, target_uploads=3
         )
         assert verdict.accepted == (0, 1, 2)
         assert verdict.dropped_ids == (3,)
         # Client 1's larger payload makes it the 3rd (last) finisher.
-        assert verdict.close_time == pytest.approx(verdict.finish_times[1])
+        assert verdict.close_time == pytest.approx(finish[1])
         assert verdict.close_time < 50.0
 
     def test_over_selection_applies_without_deadline(self):
         uploads = _uploads({0: 10, 1: 20, 2: 30})
-        policy = DeadlineRoundPolicy(deadline=None, over_selection=0.5)
+        policy = DeadlineRoundPolicy(None, over_selection=0.5)
         assert policy.applies(target_uploads=2)
         assert not policy.applies(target_uploads=None)
-        verdict = policy.admit(1, uploads, self.TIMING, target_uploads=2)
+        finish = upload_finish_times(uploads, self.TIMING)
+        verdict = policy.admit(uploads, finish, None, target_uploads=2)
         assert verdict.accepted == (0, 1)
-        assert verdict.close_time == pytest.approx(verdict.finish_times[1])
+        assert verdict.close_time == pytest.approx(finish[1])
 
     def test_min_uploads_floor_extends_the_round(self):
         uploads = _uploads({0: 10, 1: 10})
@@ -448,30 +448,31 @@ class TestDeadlinePolicy:
             0: ClientProfile(0, compute_factor=30.0),
             1: ClientProfile(1, compute_factor=40.0),
         }
-        verdict = DeadlineRoundPolicy(deadline=2.0, min_uploads=1).admit(
-            1, uploads, self.TIMING, profiles
-        )
+        verdict, finish = self._admit(uploads, 2.0, profiles, min_uploads=1)
         assert verdict.accepted == (0,)
-        assert verdict.close_time == pytest.approx(verdict.finish_times[0])
+        assert verdict.close_time == pytest.approx(finish[0])
         assert verdict.close_time > 2.0  # round extended past the deadline
 
     def test_deadline_schedule_cycles(self):
-        policy = DeadlineRoundPolicy(deadline=(2.0, 2.0, 9.0))
-        assert [policy.deadline_for(m) for m in range(1, 7)] == [
+        schedule = ScenarioConfig(deadline=(2.0, 2.0, 9.0)).deadline_schedule()
+        assert [schedule.deadline_for(m) for m in range(1, 7)] == [
             2.0, 2.0, 9.0, 2.0, 2.0, 9.0
         ]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_uploads"):
-            DeadlineRoundPolicy(5.0, min_uploads=0)
+            DeadlineRoundPolicy(None, min_uploads=0)
         with pytest.raises(ValueError, match="positive"):
-            DeadlineRoundPolicy(-1.0)
+            ScenarioConfig(deadline=-1.0).deadline_schedule()
         with pytest.raises(ValueError, match="positive"):
-            DeadlineRoundPolicy((2.0, 0.0))
+            ScenarioConfig(deadline=(2.0, 0.0)).deadline_schedule()
         with pytest.raises(ValueError, match="over_selection"):
-            DeadlineRoundPolicy(5.0, over_selection=-0.1)
-        assert DeadlineRoundPolicy(None).active is False
-        assert DeadlineRoundPolicy(5.0).active is True
+            DeadlineRoundPolicy(None, over_selection=-0.1)
+        with pytest.raises(ValueError, match="no uploads"):
+            DeadlineRoundPolicy(None).admit([], np.empty(0), 5.0)
+        assert DeadlineRoundPolicy(None).applies(None) is False
+        fixed = ScenarioConfig(deadline=5.0).deadline_schedule()
+        assert DeadlineRoundPolicy(fixed).applies(None) is True
 
 
 # ----------------------------------------------------------------------
@@ -498,54 +499,50 @@ class TestFinishTimeHelper:
             upload_finish_times(uploads, timing), [2.0, 2.0, 3.5]
         )
 
-    def test_round_policy_delegates_to_helper(self):
+    def test_gate_judges_the_helpers_times(self):
+        # The gate computes no arrival times of its own: it judges the
+        # helper's (nnz=10 → 2.0, nnz=25 → 3.5) against the deadline.
         timing = TimingModel(dimension=100, comm_time=10.0)
         uploads = _uploads({0: 10, 1: 25})
-        policy = DeadlineRoundPolicy(deadline=5.0)
-        np.testing.assert_array_equal(
-            policy.finish_times(uploads, timing),
-            upload_finish_times(uploads, timing),
-        )
+        finish = upload_finish_times(uploads, timing)
+        verdict = DeadlineRoundPolicy(None).admit(uploads, finish, 3.0)
+        assert verdict.accepted == (0,)
+        assert verdict.dropped_ids == (1,)
+        assert verdict.close_time == 3.0
+        assert DeadlineRoundPolicy(None).admit(
+            uploads, finish, 3.5
+        ).accepted == (0, 1)
 
 
 class TestDeadlineSchedules:
     def test_fixed_is_constant_and_none_inactive(self):
-        fixed = FixedDeadlinePolicy(4.0)
+        fixed = ScenarioConfig(deadline=4.0).deadline_schedule()
         assert [fixed.deadline_for(m) for m in (1, 7, 100)] == [4.0] * 3
-        assert fixed.active
+        assert DeadlineRoundPolicy(fixed).applies(None)
         assert fixed.probe_deadline(1) is None
-        idle = FixedDeadlinePolicy(None)
-        assert idle.deadline_for(3) is None
-        assert not idle.active
+        assert not fixed.adaptive
+        # No deadline: no schedule, and the gate never applies.
+        assert ScenarioConfig(deadline=None).deadline_schedule() is None
+        assert not DeadlineRoundPolicy(None).applies(None)
         with pytest.raises(ValueError, match="positive"):
-            FixedDeadlinePolicy(0.0)
+            ScenarioConfig(deadline=0.0).deadline_schedule()
 
     def test_cycling_cycles(self):
         cycling = CyclingDeadlinePolicy((2.0, 2.0, 9.0))
         assert [cycling.deadline_for(m) for m in range(1, 7)] == [
             2.0, 2.0, 9.0, 2.0, 2.0, 9.0
         ]
-        assert cycling.active
+        assert DeadlineRoundPolicy(cycling).applies(None)
         with pytest.raises(ValueError, match="empty"):
             CyclingDeadlinePolicy(())
         with pytest.raises(ValueError, match="positive"):
             CyclingDeadlinePolicy((2.0, -1.0))
 
-    def test_resolve_deadline_schedule(self):
-        assert isinstance(
-            resolve_deadline_schedule(5.0), FixedDeadlinePolicy
-        )
-        assert isinstance(
-            resolve_deadline_schedule(None), FixedDeadlinePolicy
-        )
-        assert isinstance(
-            resolve_deadline_schedule((2.0, 9.0)), CyclingDeadlinePolicy
-        )
+    def test_round_policy_holds_a_schedule_or_none(self):
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 9.0))
-        assert resolve_deadline_schedule(adaptive) is adaptive
-        # DeadlineRoundPolicy accepts any of the raw forms or a policy.
         assert DeadlineRoundPolicy(adaptive).schedule is adaptive
-        assert DeadlineRoundPolicy(adaptive).active
+        assert DeadlineRoundPolicy(adaptive).applies(None)
+        assert DeadlineRoundPolicy(None).schedule is None
 
     def test_adaptive_starts_at_midpoint_or_d1(self):
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
@@ -702,21 +699,23 @@ class TestDeadlineSchedules:
         assert adaptive.deadline == before
         assert adaptive.algorithm.m == 2  # round still advanced
 
-    def test_build_deadline_schedule_dispatch(self):
-        fixed = build_deadline_schedule(
-            ScenarioConfig(deadline=4.0, deadline_policy="fixed")
-        )
-        assert isinstance(fixed, FixedDeadlinePolicy)
-        assert fixed.deadline == 4.0
-        cycling = build_deadline_schedule(
-            ScenarioConfig(deadline=(2.0, 9.0), deadline_policy="cycling")
-        )
+    def test_config_builds_the_deadline_schedule(self):
+        # A fixed d is the one-entry cycle; no deadline builds nothing.
+        fixed = ScenarioConfig(
+            deadline=4.0, deadline_policy="fixed"
+        ).deadline_schedule()
+        assert isinstance(fixed, CyclingDeadlinePolicy)
+        assert fixed.schedule == (4.0,)
+        assert ScenarioConfig(deadline=None).deadline_schedule() is None
+        cycling = ScenarioConfig(
+            deadline=(2.0, 9.0), deadline_policy="cycling"
+        ).deadline_schedule()
         assert isinstance(cycling, CyclingDeadlinePolicy)
         assert cycling.schedule == (2.0, 9.0)
-        adaptive = build_deadline_schedule(ScenarioConfig(
+        adaptive = ScenarioConfig(
             deadline_policy="adaptive", deadline=3.0,
             deadline_min=2.0, deadline_max=9.0, deadline_probe=False,
-        ))
+        ).deadline_schedule()
         assert isinstance(adaptive, AdaptiveDeadlinePolicy)
         assert adaptive.deadline == 3.0
         assert adaptive.interval.kmin == 2.0
@@ -777,12 +776,22 @@ class TestScenarioConfig:
     def test_deadline_policy_validation(self):
         with pytest.raises(ValueError, match="deadline_policy"):
             ScenarioConfig(deadline_policy="oracle")
+        # A scalar under cycling is the one-entry cycle; adaptive around
+        # a scalar searches [d/2, 2d].
+        assert ScenarioConfig(
+            deadline=5.0, deadline_policy="cycling"
+        ).deadline == (5.0,)
+        around = ScenarioConfig(deadline=5.0, deadline_policy="adaptive")
+        assert (around.deadline_min, around.deadline_max) == (2.5, 10.0)
+        assert around.deadline == 5.0
         with pytest.raises(ValueError, match="cycling"):
-            ScenarioConfig(deadline=5.0, deadline_policy="cycling")
+            ScenarioConfig(deadline=None, deadline_policy="cycling")
         with pytest.raises(ValueError, match="deadline_min"):
             ScenarioConfig(deadline_policy="adaptive")
         with pytest.raises(ValueError, match="deadline_min"):
-            ScenarioConfig(deadline=5.0, deadline_policy="adaptive")
+            ScenarioConfig(
+                deadline=5.0, deadline_policy="adaptive", deadline_min=2.0
+            )
         with pytest.raises(ValueError, match="deadline_min"):
             ScenarioConfig(
                 deadline_policy="adaptive",
@@ -825,6 +834,181 @@ class TestScenarioConfig:
         config = ScenarioConfig.from_dict(data)
         assert config.deadline_policy == "cycling"
         assert config.deadline == (2.5, 2.5, 2.5, 9.0)
+
+
+# ----------------------------------------------------------------------
+# Lint: one deadline family
+# ----------------------------------------------------------------------
+#: the raw-spec resolvers, the fixed policy and the gate's override
+#: sentinel the config-built schedule replaced
+DELETED_DEADLINE_NAMES = frozenset({
+    "single_deadline_interval", "resolve_deadline_schedule",
+    "build_deadline_schedule", "FixedDeadlinePolicy", "_USE_SCHEDULE",
+    "deadline_override",
+})
+DEADLINE_POLICY_CLASSES = frozenset({
+    "CyclingDeadlinePolicy", "AdaptiveDeadlinePolicy", "FixedDeadlinePolicy",
+})
+DEADLINE_EDGES = frozenset({"deadline_min", "deadline_max"})
+
+
+def _identifier(node):
+    for attr in ("id", "attr", "arg", "name"):
+        value = getattr(node, attr, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def deleted_deadline_names(source):
+    """``"line: name"`` for every deleted name ``source`` spells."""
+    return [
+        f"{node.lineno}: {_identifier(node)}"
+        for node in ast.walk(ast.parse(source))
+        if _identifier(node) in DELETED_DEADLINE_NAMES
+    ]
+
+
+def deadline_policy_builders(source):
+    """The functions of ``source`` that construct a deadline policy."""
+    return [
+        func.name
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and _identifier(call.func) in DEADLINE_POLICY_CLASSES
+            for call in ast.walk(func)
+        )
+    ]
+
+
+def deadline_edge_assignments(source):
+    """``"line: edge"`` for every store to a ``deadline_min``/``max``:
+    an attribute, a name, a string subscript or a ``setattr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    key = _identifier(leaf)
+                    if isinstance(leaf, ast.Subscript) and isinstance(
+                        leaf.slice, ast.Constant
+                    ):
+                        key = leaf.slice.value
+                    if key in DEADLINE_EDGES:
+                        found.append(f"{node.lineno}: {key}")
+        elif (
+            isinstance(node, ast.Call)
+            and _identifier(node.func) in ("setattr", "__setattr__")
+            and any(isinstance(a, ast.Constant) and a.value in DEADLINE_EDGES
+                    for a in node.args)
+        ):
+            found.append(f"{node.lineno}: setattr")
+    return found
+
+
+def class_members(source, name):
+    """What class ``name`` defines: methods, class-level fields and the
+    ``self.x`` its methods assign."""
+    cls = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    members = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members.add(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            members.add(node.target.id)
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target
+            ]
+            members.update(
+                t.attr for t in targets
+                if isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name) and t.value.id == "self"
+            )
+    return members
+
+
+class TestOneDeadlineFamily:
+    """``ScenarioConfig`` is the one place that knows what a deadline
+    spec means and builds its policy; the gate judges the deadline it is
+    handed."""
+
+    SOURCES = {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+    def test_deleted_names_stay_deleted(self):
+        offenders = [
+            f"{name}:{hit}"
+            for name, source in self.SOURCES.items()
+            for hit in deleted_deadline_names(source)
+        ]
+        assert offenders == [], "; ".join(offenders)
+
+    def test_one_function_builds_the_deadline_policy(self):
+        builders = [
+            f"{name}:{func}"
+            for name, source in self.SOURCES.items()
+            for func in deadline_policy_builders(source)
+        ]
+        assert builders == ["scenarios/config.py:deadline_schedule"]
+
+    def test_only_the_config_assigns_the_interval_edges(self):
+        offenders = [
+            f"{name}:{hit}"
+            for name, source in self.SOURCES.items()
+            if name != "scenarios/config.py"
+            for hit in deadline_edge_assignments(source)
+        ]
+        assert offenders == [], "; ".join(offenders)
+
+    def test_the_gate_holds_a_schedule_and_judges_one_deadline(self):
+        source = self.SOURCES["scenarios/deadline.py"]
+        assert "active" not in class_members(source, "DeadlinePolicy")
+        assert class_members(source, "DeadlineRoundPolicy") == {
+            "__init__", "admit", "applies",
+            "schedule", "over_selection", "min_uploads",
+        }
+        assert class_members(source, "DeadlineVerdict") == {
+            "accepted", "dropped_ids", "close_time",
+        }
+
+    def test_the_lints_are_not_vacuous(self):
+        # Each lint flags the pattern it replaced ...
+        assert deleted_deadline_names(
+            "from repro.scenarios.deadline import single_deadline_interval\n"
+            "gate.admit(1, ups, timing, deadline_override=d)\n"
+        ) == ["1: single_deadline_interval", "2: deadline_override"]
+        assert deadline_policy_builders(
+            "def build(config):\n"
+            "    return FixedDeadlinePolicy(config.deadline)\n"
+            "def other():\n"
+            "    return 1\n"
+        ) == ["build"]
+        assert deadline_edge_assignments(
+            "overrides['deadline_min'], overrides['deadline_max'] = lo, hi\n"
+            "cfg.deadline_max = 3.0\n"
+            "object.__setattr__(cfg, 'deadline_min', 1.0)\n"
+            "kwargs = dict(deadline_min=1.0)\n"
+        ) == ["1: deadline_min", "1: deadline_max", "2: deadline_max",
+              "3: setattr"]
+        # ... and the config is where the family lives.
+        config = self.SOURCES["scenarios/config.py"]
+        assert len(deadline_edge_assignments(config)) >= 2
+        assert "_normalize_deadline_policy" in {
+            node.name for node in ast.walk(ast.parse(config))
+            if isinstance(node, ast.FunctionDef)
+        }
 
 
 # ----------------------------------------------------------------------
