@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
+from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_mlp
-from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
@@ -38,11 +38,12 @@ def run_one(comm_time: float, num_rounds: int = 250) -> None:
                               float(model.dimension))
     policy = SignPolicy(AdaptiveSignOGD(interval, alpha=1.5, update_window=20))
 
-    trainer = AdaptiveKTrainer(
-        model, federation, FABTopK(), policy, timing,
+    # Handing run() a policy instead of a k makes it the engine's k rule.
+    trainer = FLTrainer(
+        model, federation, FABTopK(), timing,
         learning_rate=0.05, batch_size=16, eval_every=25, seed=0,
     )
-    trainer.run(num_rounds)
+    trainer.run(num_rounds, policy)
 
     ks = trainer.history.ks()
     print(f"\n=== communication time beta = {comm_time} ===")

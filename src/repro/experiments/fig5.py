@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     build_search_interval,
 )
 from repro.fl.metrics import TrainingHistory
-from repro.online.adaptive_trainer import AdaptiveKTrainer
+from repro.fl.trainer import FLTrainer
 from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
 from repro.online.policy import KPolicy, SignPolicy
@@ -85,10 +85,8 @@ def run_fig5(
         for name in policies:
             model, federation, common = run.fresh(name, comm_time=comm_time)
             policy = make_policy(name, config, model.dimension)
-            trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), policy, **common
-            )
-            trainer.run(num_rounds)
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
+            trainer.run(num_rounds, policy)
             result.histories[name] = trainer.history
             loss_fig.add(name, *trainer.history.loss_curve())
             acc_fig.add(name, *trainer.history.accuracy_curve())

@@ -19,7 +19,7 @@ from repro.experiments.runner import (
     build_search_interval,
 )
 from repro.fl.metrics import TrainingHistory
-from repro.online.adaptive_trainer import AdaptiveKTrainer
+from repro.fl.trainer import FLTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.policy import SignPolicy
 from repro.sparsify.fab_topk import FABTopK
@@ -58,10 +58,8 @@ def run_fig6(
                 policy = SignPolicy(
                     SignOGD(build_search_interval(config, model.dimension))
                 )
-            trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(), policy, **common
-            )
-            trainer.run(num_rounds)
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
+            trainer.run(num_rounds, policy)
             result.histories[label] = trainer.history
             loss_fig.add(label, *trainer.history.loss_curve())
             k_fig.add_k_trace(label, trainer.history)

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     build_timing,
 )
 from repro.fl.trainer import FLTrainer
-from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.sparsify.fab_topk import FABTopK
 
 COMM_TIMES = (0.1, 1.0, 10.0, 100.0)
@@ -79,11 +78,10 @@ def run_cross_application(
                 f"learn-beta={beta:g}", comm_time=beta,
                 eval_every=max(config.eval_every, 10),
             )
-            trainer = AdaptiveKTrainer(
-                model, federation, FABTopK(),
-                make_policy("proposed", config, model.dimension), **common
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
+            trainer.run(
+                learn_rounds, make_policy("proposed", config, model.dimension)
             )
-            trainer.run(learn_rounds)
             result.sequences[beta] = trainer.history.ks()
             result.k_traces.add_k_trace(f"beta={beta:g}", trainer.history)
 

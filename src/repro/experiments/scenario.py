@@ -14,8 +14,9 @@ fresh per run, seeded identically):
 
 - ``fixed-k``:   :class:`~repro.fl.trainer.FLTrainer` at the Fig. 4
   sparsity ``k ≈ 0.4·D/N``.
-- ``adaptive-k``: :class:`~repro.online.adaptive_trainer.AdaptiveKTrainer`
-  with the paper's proposed policy (Algorithm 3 + sign estimator).
+- ``adaptive-k``: the same trainer playing the k the paper's proposed
+  policy learns (Algorithm 3 + sign estimator;
+  :class:`~repro.online.adaptive_trainer.LearnedK`).
 
 Artifacts: loss/accuracy vs normalized time, the adaptive k-trace, and a
 delivery panel (per-round arrivals and cumulative deadline drops) showing
@@ -54,7 +55,6 @@ from repro.experiments.runner import (
 from repro.fl.async_engine import AsyncFLTrainer
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
-from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.scenarios import ScenarioConfig
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
@@ -166,15 +166,12 @@ def run_scenario(
     with ExperimentRun(config, "scenario") as run:
         for method in METHODS:
             model, federation, common = run.fresh(method)
-            if method == "fixed-k":
-                trainer = FLTrainer(model, federation, FABTopK(), **common)
-                trainer.run_for_time(time_budget, k, max_rounds)
-            else:
-                trainer = AdaptiveKTrainer(
-                    model, federation, FABTopK(),
-                    make_policy("proposed", config, dimension), **common,
-                )
-                trainer.run_for_time(time_budget, max_rounds=max_rounds)
+            rule = (
+                k if method == "fixed-k"
+                else make_policy("proposed", config, dimension)
+            )
+            trainer = FLTrainer(model, federation, FABTopK(), **common)
+            trainer.run_for_time(time_budget, rule, max_rounds)
 
             result.histories[method] = trainer.history
             scenario = common["scenario"]

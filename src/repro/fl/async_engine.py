@@ -530,9 +530,13 @@ class AsyncFLTrainer(FLTrainer):
     """Asynchronous federated training with staleness-weighted commits.
 
     An :class:`~repro.fl.trainer.FLTrainer` over an
-    :class:`AsyncRoundEngine`: ``step``/``run``/``run_until_loss`` are
-    inherited (one step = one commit point) and the shared parameters
-    mean the same thing.  Additional parameters:
+    :class:`AsyncRoundEngine`: ``step``/``run``/``run_for_time``/
+    ``run_until_loss`` are inherited (one step = one commit point) and
+    the shared parameters mean the same thing — ``k`` too, so a learned
+    k (``run(n, policy)``) plays on commits as on barrier rounds.  Its
+    k' difference downlink is charged to the commit's ``round_time``, as
+    at a barrier; it moves neither arrival times nor the virtual clock.
+    Additional parameters:
 
     discount:
         A :class:`StalenessDiscount` instance or a kind string from

@@ -18,10 +18,12 @@ pluggable.  :class:`RoundEngine` owns the invariant skeleton:
 7.  :class:`~repro.fl.metrics.RoundRecord` construction and history
     bookkeeping.
 
-What varies is injected through :class:`RoundHooks` — the adaptive-k
-trainer hooks in its probe-loss measurements, probe-weight derivation
-(step ③ of Fig. 3), extra probe communication charges, and the policy
-feedback, without duplicating any of the skeleton.  Trainers with a
+The round's k comes from the engine's **k rule**, itself a hook
+(:meth:`RoundEngine.use_k`): a :class:`ScheduledK`, or the learned k
+(:class:`~repro.online.adaptive_trainer.LearnedK`), which also hooks in
+the probe losses, probe weights (step ③ of Fig. 3), probe downlink
+charge and policy feedback — so it runs wherever the round does, async
+commits included, without duplicating any of the skeleton.  Trainers with a
 different *local* phase (FedAvg's local SGD on per-client weight copies,
 always-send-all's dense aggregation) reuse steps 6–7 through
 :meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`.
@@ -31,17 +33,19 @@ source*, three small overridable methods: the async engine
 arrival queue and the straggler tail for its virtual clock there, and
 runs the rest of the round unchanged.
 
-``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
-``AlwaysSendAllTrainer`` are thin façades over this class; their public
-APIs and produced histories are unchanged from the pre-engine
-implementations.  This is also the seam future scaling work (async
-rounds, client dropout, multiprocessing, sharding) plugs into: a new
-scenario is a new hook object or backend, not a fourth copy of the loop.
+``FLTrainer`` (and its async subclass), ``FedAvgTrainer`` and
+``AlwaysSendAllTrainer`` are thin façades over this class, and
+:class:`EngineFacade`'s ``run``/``run_for_time`` are the only run loops;
+produced histories are unchanged from the pre-engine implementations.
+This is also the seam future scaling work (async rounds, client dropout,
+multiprocessing, sharding) plugs into: a new scenario is a new hook
+object or backend, not another copy of the loop.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,6 +63,8 @@ from repro.sparsify.base import (
     SelectionResult,
     Sparsifier,
 )
+
+KSchedule = Callable[[int], int]
 
 
 class RoundContext:
@@ -192,15 +198,39 @@ class RoundHooks:
         """``ctx.round_time`` final; called before evaluation/record."""
 
 
-_DEFAULT_HOOKS = RoundHooks()
+class ScheduledK(RoundHooks):
+    """A k rule that only reads a schedule: round index -> k, no feedback."""
+
+    def __init__(self, schedule: KSchedule) -> None:
+        self.schedule = schedule
+
+    def next_k(self, round_index: int, dimension: int) -> int:
+        del dimension
+        return self.schedule(round_index)
+
+
+def _as_schedule(
+    k: int | Sequence[int] | KSchedule, dimension: int
+) -> KSchedule:
+    """Normalize a k specification into a function round_index -> k."""
+    if callable(k):
+        return k
+    if isinstance(k, (int, np.integer)):
+        constant = int(k)
+        return lambda m: constant
+    sequence = [min(int(v), dimension) for v in k]
+    if not sequence:
+        raise ValueError("empty k sequence")
+    # Rounds are 1-based; hold the last value past the end.
+    return lambda m: sequence[min(m, len(sequence)) - 1]
 
 
 class ChainedHooks(RoundHooks):
     """Compose several hook objects into one (outermost first).
 
-    Used by the engine to stack a persistent scenario hook under a
-    trainer's per-round hooks: notification methods run in order (so a
-    scenario's upload filtering happens before a trainer's probe
+    Used by the engine to stack the persistent scenario hook, the k rule
+    and a caller's hooks: notification methods run in order (so a
+    scenario's upload filtering happens before the learned k's probe
     measurements see ``ctx``) and ``extra_round_time`` contributions
     add.  Nothing here picks one hook's answer over another's: what a
     round decides (its close, its recorded k) is written on ``ctx``.
@@ -255,32 +285,12 @@ class EngineFacade:
         return self.engine.federation
 
     @property
-    def sparsifier(self) -> Sparsifier | None:
-        return self.engine.sparsifier
-
-    @property
     def timing(self) -> TimingModel:
         return self.engine.timing
 
     @property
     def learning_rate(self) -> float:
         return self.engine.learning_rate
-
-    @property
-    def eval_every(self) -> int:
-        return self.engine.eval_every
-
-    @property
-    def sampler(self):
-        return self.engine.sampler
-
-    @property
-    def optimizer(self):
-        return self.engine.optimizer
-
-    @property
-    def server(self) -> Server:
-        return self.engine.server
 
     @property
     def clients(self) -> list[Client]:
@@ -304,19 +314,26 @@ class EngineFacade:
         """Global training loss L(w) at the current weights."""
         return self.engine.global_loss()
 
-    def test_accuracy(self) -> float | None:
-        """Accuracy on the held-out test pool, if the federation has one."""
-        return self.engine.test_accuracy()
+    def run(self, num_rounds: int, k=None) -> TrainingHistory:
+        """``step()`` ``num_rounds`` times; a given ``k`` (see
+        :meth:`RoundEngine.use_k`) becomes the engine's k rule first."""
+        if k is not None:
+            self.engine.use_k(k)
+        for _ in range(num_rounds):
+            self.step()
+        return self.history
 
     def run_for_time(
-        self, time_budget: float, max_rounds: int = 1_000_000
+        self, time_budget: float, k=None, max_rounds: int = 1_000_000
     ) -> TrainingHistory:
         """``step()`` until the normalized clock reaches ``time_budget``.
 
         The paper compares methods over equal normalized time, not equal
         rounds (Section V); ``max_rounds`` bounds runs whose rounds are
-        nearly free.
+        nearly free.  ``k`` as in :meth:`run`.
         """
+        if k is not None:
+            self.engine.use_k(k)
         while self.clock < time_budget and self.round_index < max_rounds:
             self.step()
         return self.history
@@ -420,6 +437,11 @@ class RoundEngine:
         self._eval_x, self._eval_y = federation.eval_pool(
             eval_max_samples, seed
         )
+        #: the learned k's stochastic-rounding stream: one per engine, so
+        #: ``run(n, policy)`` twice draws what ``run(2n, policy)`` does
+        self._k_rng = np.random.default_rng((seed, 0xADA9))
+        #: the hook every round asks for its k (:meth:`use_k`)
+        self.k_rule: RoundHooks | None = None
 
     # ------------------------------------------------------------------
     # State accessors
@@ -572,15 +594,29 @@ class RoundEngine:
         self.backend.close()
 
     # ------------------------------------------------------------------
-    # The full sparse-GS round (FLTrainer / AdaptiveKTrainer path)
+    # The full sparse-GS round
     # ------------------------------------------------------------------
+    def use_k(self, k) -> None:
+        """Make ``k`` — an int, a sequence, a callable of the round index
+        or a :class:`~repro.online.policy.KPolicy` (the learned k) — the
+        rule every later round asks for its sparsity."""
+        # Local imports: repro.online imports the engine back.
+        from repro.online.adaptive_trainer import LearnedK
+        from repro.online.policy import KPolicy
+
+        if isinstance(k, KPolicy):
+            self.k_rule = LearnedK(k, self._k_rng)
+        else:
+            self.k_rule = ScheduledK(_as_schedule(k, self.model.dimension))
+
     def run_round(
         self,
-        k: int,
+        k=None,
         hooks: RoundHooks | None = None,
         ensure_loss: bool = False,
     ) -> RoundRecord:
-        """Run one Algorithm-1 round with sparsity ``k`` and record it.
+        """Run one Algorithm-1 round at the k rule's k and record it; a
+        given ``k`` becomes the rule first (:meth:`use_k`).
 
         ``ensure_loss`` evaluates the global loss even on rounds the
         evaluation cadence would skip (the stopping rule of
@@ -588,13 +624,16 @@ class RoundEngine:
         """
         if self.sparsifier is None:
             raise RuntimeError("run_round requires a sparsifier")
+        if k is not None:
+            self.use_k(k)
+        if self.k_rule is None:
+            raise RuntimeError("no k rule: pass k or call use_k first")
+        k = self.k_rule.next_k(self._round + 1, self.model.dimension)
         if not 1 <= k <= self.model.dimension:
             raise ValueError(
                 f"k must be in [1, {self.model.dimension}], got {k}"
             )
-        hooks = hooks if hooks is not None else _DEFAULT_HOOKS
-        if self.scenario_hooks is not None:
-            hooks = ChainedHooks(self.scenario_hooks, hooks)
+        hooks = ChainedHooks(self.scenario_hooks, self.k_rule, hooks)
         ctx = RoundContext(self, self.begin_round(), k)
 
         tel = self.telemetry

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.data.partition import FederatedDataset
 from repro.fl.engine import EngineFacade, RoundEngine
-from repro.fl.metrics import RoundRecord, TrainingHistory
+from repro.fl.metrics import RoundRecord
 from repro.nn.flat import FlatModel
 from repro.simulation.timing import TimingModel
 
@@ -46,11 +46,6 @@ class _BaselineTrainer(EngineFacade):
         self.engine = RoundEngine(
             model, federation, None, timing, **engine_settings
         )
-
-    def run(self, num_rounds: int) -> TrainingHistory:
-        for _ in range(num_rounds):
-            self.step()
-        return self.history
 
     def step(self) -> RoundRecord:
         raise NotImplementedError

@@ -13,31 +13,29 @@ One round of :class:`FLTrainer`:
 4. The timing model charges computation plus uplink/downlink transfer.
 
 The round protocol itself lives in :class:`repro.fl.engine.RoundEngine`
-(shared with the adaptive-k trainer and the baselines); this class is the
-constant-or-scheduled-k façade over it.  ``backend`` selects how the
-local steps execute — ``"serial"`` (the reference loop) or
-``"vectorized"`` (one batched pass over all participants, identical
-histories, faster wall-clock).
+(shared with the baselines); this class is the sparse-GS façade over it.
+``backend`` selects how the local steps execute — ``"serial"`` (the
+reference loop) or ``"vectorized"`` (one batched pass over all
+participants, identical histories, faster wall-clock).
 
-The per-round sparsity ``k`` may be a constant or a schedule (mapping from
-round index to k), which is how learned {k_m} sequences from the adaptive
-algorithm are replayed in the Fig. 7/8 cross-application experiments.
+The per-round sparsity ``k`` handed to ``step``/``run``/``run_for_time``
+becomes the engine's k rule: a constant, a list or a schedule (mapping
+from round index to k — how learned {k_m} sequences are replayed in the
+Fig. 7/8 cross-application experiments), or a
+:class:`~repro.online.policy.KPolicy`, which learns k online — Fig. 3's
+adaptive system, ``FLTrainer(...).run(n, policy)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.data.partition import FederatedDataset
-from repro.fl.engine import EngineFacade, RoundEngine
+from repro.fl.engine import EngineFacade, KSchedule, RoundEngine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.nn.flat import FlatModel
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import Sparsifier
-
-KSchedule = Callable[[int], int]
 
 
 class FLTrainer(EngineFacade):
@@ -116,33 +114,10 @@ class FLTrainer(EngineFacade):
         )
 
     # ------------------------------------------------------------------
-    def step(self, k: int) -> RoundRecord:
-        """Run one training round with k-element GS and record it."""
+    def step(self, k=None) -> RoundRecord:
+        """Run one round and record it; a given ``k`` becomes the
+        engine's k rule first (:meth:`RoundEngine.use_k`)."""
         return self.engine.run_round(k)
-
-    # ------------------------------------------------------------------
-    def run(
-        self, num_rounds: int, k: int | Sequence[int] | KSchedule
-    ) -> TrainingHistory:
-        """Run ``num_rounds`` rounds with constant, listed, or scheduled k."""
-        schedule = _as_schedule(k, self.model.dimension)
-        for m in range(num_rounds):
-            self.step(schedule(self.engine.round_index + 1))
-            del m
-        return self.history
-
-    def run_for_time(
-        self,
-        time_budget: float,
-        k: int | Sequence[int] | KSchedule,
-        max_rounds: int = 1_000_000,
-    ) -> TrainingHistory:
-        """Rounds of constant, listed, or scheduled k until the normalized
-        clock reaches ``time_budget`` (or ``max_rounds``)."""
-        schedule = _as_schedule(k, self.model.dimension)
-        while self.clock < time_budget and self.round_index < max_rounds:
-            self.step(schedule(self.round_index + 1))
-        return self.history
 
     def run_until_loss(
         self,
@@ -159,12 +134,9 @@ class FLTrainer(EngineFacade):
         the ``eval_every`` cadence) — no duplicate evaluation outside the
         history as in earlier revisions.
         """
-        schedule = _as_schedule(k, self.model.dimension)
+        self.engine.use_k(k)
         while self.engine.round_index < max_rounds:
-            record = self.engine.run_round(
-                schedule(self.engine.round_index + 1), ensure_loss=True
-            )
-            if record.loss <= target_loss:
+            if self.engine.run_round(ensure_loss=True).loss <= target_loss:
                 break
         return self.history
 
@@ -190,26 +162,3 @@ def _apply_scenario(scenario, engine_settings: dict) -> dict:
         "scenario_hooks": scenario.hooks,
         "aggregator": getattr(scenario, "aggregator", None),
     }
-
-
-def _as_schedule(
-    k: int | Sequence[int] | KSchedule, dimension: int
-) -> KSchedule:
-    """Normalize a k specification into a function round_index -> k."""
-    if callable(k):
-        return k
-    if isinstance(k, (int, np.integer)):
-        constant = int(k)
-        return lambda m: constant
-    sequence = [int(v) for v in k]
-    if not sequence:
-        raise ValueError("empty k sequence")
-    last = sequence[-1]
-
-    def schedule(m: int) -> int:
-        # Rounds are 1-based; hold the last value past the end.
-        if m - 1 < len(sequence):
-            return min(sequence[m - 1], dimension)
-        return min(last, dimension)
-
-    return schedule

@@ -45,7 +45,7 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "drop": frozenset({"round", "client_ids", "deadline", "close_time"}),
     # Previously-dropped clients delivered an accepted upload again.
     "recovery": frozenset({"round", "client_ids"}),
-    # Online-k probe walk (adaptive trainer).
+    # Online-k probe walk (the learned k, LearnedK).
     "probe": frozenset({
         "round", "k_continuous", "probe_k", "loss_prev", "loss_now",
         "loss_probe",

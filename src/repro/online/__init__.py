@@ -17,12 +17,14 @@
 - :mod:`repro.online.baselines`: value-based derivative descent, EXP3, and
   the continuous one-point bandit — the Fig. 5 comparison methods.
 - :mod:`repro.online.regret`: regret bookkeeping and theoretical bounds.
-- :mod:`repro.online.adaptive_trainer`: Algorithm 1 + Algorithm 3 + the
-  estimator wired together into a full adaptive-k FL trainer (Fig. 3's
-  protocol).
+- :mod:`repro.online.adaptive_trainer`: :class:`LearnedK`, the k rule
+  a policy learns — Algorithm 1 + Algorithm 3 + the estimator wired
+  together as one persistent engine hook (Fig. 3's protocol), run by
+  ``FLTrainer(...).run(n, policy)``; ``AdaptiveKTrainer`` is the same
+  trainer built with the policy.
 """
 
-from repro.online.adaptive_trainer import AdaptiveKTrainer
+from repro.online.adaptive_trainer import AdaptiveKTrainer, LearnedK
 from repro.online.algorithm2 import SignOGD
 from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
@@ -38,6 +40,7 @@ __all__ = [
     "ContinuousBandit",
     "Exp3Policy",
     "KPolicy",
+    "LearnedK",
     "OnlineKnob",
     "Reading",
     "RoundObservation",

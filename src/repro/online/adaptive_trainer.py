@@ -1,9 +1,13 @@
-"""Adaptive-k federated training: Algorithm 1 + a k-policy + the estimator.
+"""The learned k: Algorithm 1 played at a k that Algorithms 2/3 learn.
 
-This is the full system of the paper's Fig. 3.  Each round m:
+This is the full system of the paper's Fig. 3, as one persistent
+:class:`~repro.fl.engine.RoundHooks` object, :class:`LearnedK`, that the
+engine holds as its k rule (:meth:`repro.fl.engine.RoundEngine.use_k`
+with a :class:`~repro.online.policy.KPolicy`).  Each round m:
 
 1. The policy proposes a continuous k_m; stochastic rounding (Definition 2)
-   yields the integer sparsity actually played.
+   on the engine's rounding stream yields the integer sparsity actually
+   played, then the probe k' is drawn on the same stream.
 2. Clients run the Algorithm-1 local step at the synchronized weights
    w(m−1) and each draws one probe sample h from its minibatch.
 3. The server runs the sparsifier's selection and aggregation to produce
@@ -19,9 +23,9 @@ This is the full system of the paper's Fig. 3.  Each round m:
    pair downlink, plus the (k − k')-pair probe difference downlink.
 
 The Algorithm-1 skeleton itself (steps 2–3 and the timing/eval/record
-bookkeeping) is :class:`repro.fl.engine.RoundEngine`; this trainer adds
-the probe machinery through a :class:`repro.fl.engine.RoundHooks` object
-and keeps only the policy interaction here.  The k'-GS probe derivation
+bookkeeping) is :class:`repro.fl.engine.RoundEngine`, so the learned k
+runs on every engine — barrier rounds and async commits alike — through
+the one ``FLTrainer(...).run(n, policy)``.  The k'-GS probe derivation
 differs per sparsifier in principle; we use the generic server-side
 derivation (largest-|value| k' elements of the aggregated downlink) which
 is available for every scheme and matches the paper's requirement that
@@ -32,38 +36,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.partition import FederatedDataset
-from repro.fl.engine import EngineFacade, RoundContext, RoundEngine, RoundHooks
-from repro.fl.trainer import _apply_scenario
-from repro.fl.metrics import RoundRecord, TrainingHistory
-from repro.nn.flat import FlatModel
+from repro.fl.engine import RoundContext, RoundHooks
+from repro.fl.trainer import FLTrainer
 from repro.online.interval import stochastic_round
 from repro.online.policy import KPolicy, RoundObservation
-from repro.simulation.timing import TimingModel
-from repro.sparsify.base import Sparsifier
 from repro.sparsify.topk import top_k_indices
 
 
-class _ProbeHooks(RoundHooks):
-    """One round's probe measurements and policy feedback (Fig. 3 ③–④)."""
+class LearnedK(RoundHooks):
+    """The k rule a policy learns: each round's (k, k') draw, its probe
+    measurements and the policy feedback (Fig. 3 ①–④)."""
 
     wants_probes = True
 
-    def __init__(
-        self,
-        trainer: "AdaptiveKTrainer",
-        k_continuous: float,
-        probe_continuous: float | None,
-        probe_int: int | None,
-    ) -> None:
-        self.trainer = trainer
-        self.k_continuous = k_continuous
-        self.probe_continuous = probe_continuous
-        self.probe_int = probe_int
+    def __init__(self, policy: KPolicy, rng: np.random.Generator) -> None:
+        self.policy = policy
+        self.rng = rng
+        self.k_continuous = float("nan")
+        self.probe_continuous: float | None = None
+        self.probe_int: int | None = None
         self.loss_prev = float("nan")
         self.loss_now = float("nan")
         self.loss_probe: float | None = None
         self.w_probe: np.ndarray | None = None
+
+    def next_k(self, round_index: int, dimension: int) -> int:
+        """Draw the round's k, then its probe k' in [1, k) (None when
+        none fits), both stochastically rounded on ``rng``."""
+        del round_index
+        self.k_continuous = float(self.policy.propose())
+        k_int = stochastic_round(
+            min(max(self.k_continuous, 1.0), float(dimension)), self.rng
+        )
+        k_int = max(1, min(k_int, dimension))
+        self.probe_continuous = self.policy.probe_k()
+        self.probe_int = None
+        if self.probe_continuous is not None:
+            probe_int = min(
+                stochastic_round(max(self.probe_continuous, 1.0), self.rng),
+                k_int - 1,
+            )
+            if probe_int >= 1:
+                self.probe_int = probe_int
+        self.w_probe = None
+        return k_int
 
     def after_local_steps(self, ctx: RoundContext) -> None:
         # The record stores the policy's continuous k_m, not the played k.
@@ -92,10 +108,7 @@ class _ProbeHooks(RoundHooks):
         self.loss_probe = probe[0] if probe else None
 
     def extra_round_time(self, ctx: RoundContext) -> float:
-        if not (
-            self.trainer.charge_probe_communication
-            and self.probe_int is not None
-        ):
+        if self.probe_int is None:
             return 0.0
         # Step ③ of Fig. 3: the downlink difference message lets each
         # client reconstruct the k'-GS result from the k-GS one.
@@ -122,7 +135,7 @@ class _ProbeHooks(RoundHooks):
                 loss_now=self.loss_now,
                 loss_probe=self.loss_probe,
             )
-        self.trainer.policy.observe(RoundObservation(
+        self.policy.observe(RoundObservation(
             k=self.k_continuous,
             round_time=ctx.round_time,
             loss_prev=self.loss_prev,
@@ -136,57 +149,15 @@ class _ProbeHooks(RoundHooks):
         ))
 
 
-class AdaptiveKTrainer(EngineFacade):
-    """Federated training with online-learned sparsity k (``seed`` also
-    seeds k's stochastic rounding; other keywords as in ``FLTrainer``)."""
+class AdaptiveKTrainer(FLTrainer):
+    """An :class:`FLTrainer` whose engine plays the k ``policy`` learns:
+    ``FLTrainer(...).run(n, policy)`` under a name callers still build."""
 
-    def __init__(
-        self,
-        model: FlatModel,
-        federation: FederatedDataset,
-        sparsifier: Sparsifier,
-        policy: KPolicy,
-        timing: TimingModel,
-        charge_probe_communication: bool = True,
-        scenario=None,
-        seed: int = 0,
-        **engine_settings,
-    ) -> None:
-        self.engine = RoundEngine(
-            model, federation, sparsifier, timing, seed=seed,
-            **_apply_scenario(scenario, engine_settings),
-        )
-        self.policy = policy
-        self.charge_probe_communication = charge_probe_communication
-        self._rng = np.random.default_rng((seed, 0xADA9))
+    def __init__(self, model, federation, sparsifier, policy: KPolicy,
+                 timing=None, **settings) -> None:
+        super().__init__(model, federation, sparsifier, timing, **settings)
+        self.engine.use_k(policy)
 
-    # ------------------------------------------------------------------
-    def step(self) -> RoundRecord:
-        """Run one adaptive round; returns its record."""
-        dimension = self.engine.model.dimension
-        k_continuous = float(self.policy.propose())
-        k_int = stochastic_round(
-            min(max(k_continuous, 1.0), float(dimension)), self._rng
-        )
-        k_int = max(1, min(k_int, dimension))
-
-        probe_continuous = self.policy.probe_k()
-        probe_int = self._round_probe(probe_continuous, k_int)
-
-        hooks = _ProbeHooks(self, k_continuous, probe_continuous, probe_int)
-        return self.engine.run_round(k_int, hooks=hooks)
-
-    def _round_probe(self, probe_continuous: float | None, k_int: int) -> int | None:
-        """Stochastic-round the probe k' and keep it in [1, k_int)."""
-        if probe_continuous is None:
-            return None
-        probe_int = stochastic_round(max(probe_continuous, 1.0), self._rng)
-        probe_int = min(probe_int, k_int - 1)
-        if probe_int < 1:
-            return None
-        return probe_int
-
-    def run(self, num_rounds: int) -> TrainingHistory:
-        for _ in range(num_rounds):
-            self.step()
-        return self.history
+    @property
+    def policy(self) -> KPolicy:
+        return self.engine.k_rule.policy

@@ -1,10 +1,11 @@
 """Policy interface shared by the proposed method and the Fig. 5 baselines.
 
-The adaptive trainer is method-agnostic: each round it asks the policy for
-a continuous decision k, optionally runs the k' probe the policy requests,
-and feeds back a :class:`RoundObservation` carrying everything any of the
-methods needs (probe losses for sign/value-based updates, realized cost
-for the bandit methods).
+The learned k (:class:`~repro.online.adaptive_trainer.LearnedK`) is
+method-agnostic: each round it asks the policy for a continuous decision
+k, optionally runs the k' probe the policy requests, and feeds back a
+:class:`RoundObservation` carrying everything any of the methods needs
+(probe losses for sign/value-based updates, realized cost for the bandit
+methods).
 """
 
 from __future__ import annotations

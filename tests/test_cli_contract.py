@@ -227,7 +227,6 @@ FACADE_FILES = ("fl/trainer.py", "fl/fedavg.py", "online/adaptive_trainer.py")
 #: engine keywords a façade may still name, each with its reason
 FACADE_ALLOWED = {
     ("*", "timing"): "façades default it / pass it positionally",
-    ("AdaptiveKTrainer", "seed"): "also seeds its own rounding RNG",
 }
 
 

@@ -244,17 +244,32 @@ GOLDEN_SCENARIOS = {
 }
 
 
+def golden_rows(name):
+    """The named golden history as ``history_rows`` tuples."""
+    return [
+        (row["round_index"], row["k"], row["round_time"],
+         row["cumulative_time"], row["loss"], row["accuracy"],
+         row["uplink_elements"], row["downlink_elements"])
+        for row in json.loads(GOLDEN_PATH.read_text())[name]
+    ]
+
+
 class TestGoldenHistories:
     @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
     def test_engine_reproduces_seed_history(self, name):
-        golden = json.loads(GOLDEN_PATH.read_text())[name]
-        expected = [
-            (row["round_index"], row["k"], row["round_time"],
-             row["cumulative_time"], row["loss"], row["accuracy"],
-             row["uplink_elements"], row["downlink_elements"])
-            for row in golden
-        ]
-        assert history_rows(GOLDEN_SCENARIOS[name]()) == expected
+        assert history_rows(GOLDEN_SCENARIOS[name]()) == golden_rows(name)
+
+    def test_adaptive_golden_through_fl_trainer(self):
+        # The learned k is a k rule like any other: the plain trainer
+        # handed the policy walks the adaptive trainer's golden history.
+        model, fed, timing = _golden_setup()
+        trainer = FLTrainer(model, fed, FABTopK(), timing=timing,
+                            learning_rate=0.1, batch_size=8, eval_every=2,
+                            seed=7)
+        policy = _learned_k_policy(model)
+        assert history_rows(trainer.run(8, policy)) == golden_rows(
+            "adaptive_trainer"
+        )
 
     def test_learned_exponent_walk_matches_golden(self):
         trainer = _golden_async_adaptive_trainer()
@@ -502,10 +517,11 @@ def _cnn_trainer(backend, seed=5):
                      seed=seed, backend=backend)
 
 
-def _async_matrix_trainer(backend, scenario_config=None, telemetry=None):
+def _async_matrix_trainer(backend, scenario_config=None, telemetry=None,
+                          discount="polynomial"):
     """The async matrix row: every fourth client a 3x straggler, commits
-    of 4 under the polynomial discount — optionally under a scenario
-    (returned beside the trainer; None without one)."""
+    of 4 under the polynomial discount (or ``discount``) — optionally
+    under a scenario (returned beside the trainer; None without one)."""
     from repro.simulation.heterogeneous import (
         ClientProfile,
         HeterogeneousTimingModel,
@@ -530,10 +546,109 @@ def _async_matrix_trainer(backend, scenario_config=None, telemetry=None):
     trainer = AsyncFLTrainer(
         model, fed, FABTopK(), timing=timing, learning_rate=0.05,
         batch_size=8, eval_every=4, seed=5, backend=backend,
-        profiles=profiles, discount="polynomial", commit_count=4,
+        profiles=profiles, discount=discount, commit_count=4,
         scenario=scenario, telemetry=telemetry,
     )
     return trainer, scenario
+
+
+def _learned_k_policy(model):
+    return SignPolicy(SignOGD(SearchInterval(2.0, float(model.dimension))))
+
+
+def _learned_k_fingerprint(trainer, history):
+    """Everything a learned-k async run must reproduce byte for byte."""
+    return (
+        history_rows(history),
+        contribution_rows(history),
+        trainer.staleness_history,
+        trainer.discount.exponent_history,
+        trainer.model.get_weights().tobytes(),
+        [c.residual.tobytes() for c in trainer.clients],
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _learned_k_async_reference():
+    trainer, _ = _async_matrix_trainer("serial", discount="adaptive")
+    history = trainer.run(12, _learned_k_policy(trainer.model))
+    return _learned_k_fingerprint(trainer, history)
+
+
+class TestLearnedKUnderAsync:
+    """The learned k is the engine's k rule, so it runs on async commits
+    as on barrier rounds: one ``run(n, policy)`` on every engine."""
+
+    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    def test_learned_k_async_histories_identical(self, backend_name):
+        # Buffered commits of 4, stragglers, the learned staleness
+        # discount: two learned knobs on one engine, backend-blind.
+        trainer, _ = _async_matrix_trainer(
+            make_backend(backend_name), discount="adaptive"
+        )
+        history = trainer.run(12, _learned_k_policy(trainer.model))
+        trainer.close()
+        assert (_learned_k_fingerprint(trainer, history)
+                == _learned_k_async_reference())
+        # The row means something: k moved, arrivals were stale, and
+        # both knobs probed.
+        assert len(set(history.ks())) > 1
+        assert max(trainer.staleness_history) > 0
+        assert len(set(trainer.discount.exponent_history)) > 1
+        assert trainer.engine.k_rule.probe_int is not None
+
+    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    def test_learned_k_async_barrier_matches_plain_trainer(
+        self, backend_name
+    ):
+        # commit_count=0 + identity discount + everyone: the learned k
+        # walks the same k, losses and weights as the barrier trainer.
+        # The k' difference downlink is charged to each commit's
+        # round_time as at a barrier; the clock is the same quantity
+        # through a different float expression, so it agrees to rounding.
+        plain = _fl_trainer(make_backend(backend_name),
+                            SPARSIFIER_FACTORIES["fab-top-k"])
+        hp = plain.run(30, _learned_k_policy(plain.model))
+        fed = _federation()
+        model = make_mlp(64, 10, hidden=(12,), seed=5)
+        timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+        barrier = AsyncFLTrainer(
+            model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+            batch_size=8, eval_every=4, seed=5,
+            backend=make_backend(backend_name), commit_count=0,
+        )
+        hb = barrier.run(30, _learned_k_policy(model))
+        plain.close()
+        barrier.close()
+        for rp, rb in zip(history_rows(hp), history_rows(hb), strict=True):
+            assert rp[:2] + rp[4:] == rb[:2] + rb[4:]
+            assert rb[2:4] == pytest.approx(rp[2:4], rel=1e-12)
+        assert len(set(hp.ks())) > 1
+        np.testing.assert_array_equal(
+            plain.model.get_weights(), barrier.model.get_weights()
+        )
+
+    def test_learned_k_async_probe_events_validate(self, tmp_path):
+        from repro.obs import JsonlSink, Telemetry
+        from repro.obs.events import validate_event
+
+        telemetry = Telemetry(sink=JsonlSink(tmp_path / "trace.jsonl"))
+        traced, _ = _async_matrix_trainer(
+            "serial", telemetry=telemetry, discount="adaptive"
+        )
+        history = traced.run(12, _learned_k_policy(traced.model))
+        telemetry.close()
+        assert (_learned_k_fingerprint(traced, history)
+                == _learned_k_async_reference())
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "trace.jsonl").read_text().splitlines()
+        ]
+        for event in events:
+            validate_event(event)
+        probes = [e for e in events if e["type"] == "probe"]
+        assert [e["round"] for e in probes] == list(range(1, 13))
+        assert [e["k_continuous"] for e in probes] == history.ks()
 
 
 def _attacked_async_trainer(backend, attack, aggregator, telemetry=None):

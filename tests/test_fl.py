@@ -8,12 +8,13 @@ import pytest
 from repro.data.partition import partition_by_writer, partition_iid
 from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.client import Client
+from repro.fl.engine import _as_schedule
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
-from repro.fl.trainer import FLTrainer, _as_schedule
+from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_logistic, make_mlp
-from repro.online.adaptive_trainer import _ProbeHooks
+from repro.online.adaptive_trainer import LearnedK
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK
@@ -77,7 +78,7 @@ class TestClient:
         with pytest.raises(RuntimeError):
             client.draw_probe_sample()
         client.local_step(model, k=3, sparsifier=FABTopK())
-        hooks = _ProbeHooks(None, 3.0, None, None)
+        hooks = LearnedK(None, None)
         w = model.get_weights()
         ctx = SimpleNamespace(
             engine=SimpleNamespace(model=model), participants=[client],

@@ -299,3 +299,77 @@ class TestOneLearningRule:
             and _called_name(node) == "estimate_sign"
         ]
         assert len(calls) == 1
+
+
+def _calls_by_class(relative):
+    """(enclosing class name or None, call node) of every call in a file."""
+    tree = ast.parse((SRC / relative).read_text())
+    inside = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                inside.setdefault(id(node), cls.name)
+    return [
+        (inside.get(id(node)), node)
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+
+
+def _sources():
+    return [
+        path.relative_to(SRC).as_posix() for path in sorted(SRC.rglob("*.py"))
+    ]
+
+
+class TestOneKRule:
+    """The engine holds the k rule; the learned k is the one hook that
+    draws it (``LearnedK``), and ``EngineFacade`` holds the one loop."""
+
+    def test_only_learned_k_rounds_and_asks_the_policy(self):
+        offenders = [
+            f"{relative}:{node.lineno} {owner}: {_called_name(node)}(...)"
+            for relative in _sources()
+            for owner, node in _calls_by_class(relative)
+            if _called_name(node) == "stochastic_round"
+            or (isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("propose", "probe_k"))
+            if (relative, owner) != ("online/adaptive_trainer.py", "LearnedK")
+        ]
+        assert offenders == [], (
+            "only LearnedK draws k (stochastic_round) and asks a policy "
+            "for it (propose/probe_k): " + "; ".join(offenders)
+        )
+
+    def test_the_rounding_stream_is_made_once_by_the_engine(self):
+        sites = [
+            relative
+            for relative in _sources()
+            for node in ast.walk(ast.parse((SRC / relative).read_text()))
+            if isinstance(node, ast.Constant) and node.value == 0xADA9
+        ]
+        assert sites == ["fl/engine.py"]
+
+    def test_only_the_engine_facade_defines_run_loops(self):
+        offenders = [
+            f"{relative}: {cls.name}.{item.name}"
+            for relative in _sources()
+            for cls in ast.walk(ast.parse((SRC / relative).read_text()))
+            if isinstance(cls, ast.ClassDef) and cls.name != "EngineFacade"
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            and item.name in ("run", "run_for_time")
+        ]
+        assert offenders == [], (
+            "EngineFacade.run/run_for_time are the only run loops: "
+            + "; ".join(offenders)
+        )
+
+    def test_the_lints_see_the_calls_they_allow(self):
+        # Guard against vacuous lints: LearnedK's own calls parse.
+        names = [
+            _called_name(node)
+            for owner, node in _calls_by_class("online/adaptive_trainer.py")
+            if owner == "LearnedK"
+        ]
+        assert names.count("stochastic_round") == 2
+        assert {"propose", "probe_k"} <= set(names)

@@ -26,10 +26,11 @@ from repro.nn.layers import (
     _col2im, _im2col,
 )
 from repro.nn.models import make_cnn, make_logistic, make_mlp
-from repro.online.adaptive_trainer import AdaptiveKTrainer, _ProbeHooks
+from repro.obs import Telemetry
+from repro.online.adaptive_trainer import AdaptiveKTrainer, LearnedK
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
-from repro.online.policy import SignPolicy
+from repro.online.policy import KPolicy, SignPolicy
 from repro.simulation.heterogeneous import ClientSampler
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
@@ -706,7 +707,7 @@ class TestProbeLossesAgainstPerClientReference:
             engine=SimpleNamespace(model=model), participants=clients,
             w_prev=w_prev, w_new=w_new, recorded_k=None,
         )
-        hooks = _ProbeHooks(None, 3.0, None, None)
+        hooks = LearnedK(None, None)
         with np.errstate(all="ignore"):
             # The round's phases, with the model where the engine puts it.
             hooks.after_local_steps(ctx)
@@ -725,6 +726,131 @@ class TestProbeLossesAgainstPerClientReference:
         ]
         if inputs == "normal":
             assert all(np.isfinite(got))
+
+
+# ----------------------------------------------------------------------
+# The learned k's draw: Definition 2 rounding of (k, k') per round
+# ----------------------------------------------------------------------
+def reference_stochastic_round(k, rng):
+    """Definition 2: ⌊k⌋ w.p. ⌈k⌉ − k, ⌈k⌉ w.p. k − ⌊k⌋; integers exact."""
+    lo, hi = math.floor(k), math.ceil(k)
+    if lo == hi:
+        return lo
+    return hi if rng.random() < k - lo else lo
+
+
+def reference_learned_k_draws(script, dimension, seed):
+    """(played k, probe k') per round: the adaptive trainer's rounding,
+    transcribed.  k is clamped to [1, D], rounded on the (seed, 0xADA9)
+    stream and clamped again; k' is drawn next on the same stream,
+    floored at 1, capped at k − 1, and dropped when that leaves it < 1."""
+    rng = np.random.default_rng((seed, 0xADA9))
+    draws = []
+    for k_continuous, probe_continuous in script:
+        k_int = reference_stochastic_round(
+            min(max(k_continuous, 1.0), float(dimension)), rng
+        )
+        k_int = max(1, min(k_int, dimension))
+        probe_int = None
+        if probe_continuous is not None:
+            probe_int = reference_stochastic_round(
+                max(probe_continuous, 1.0), rng
+            )
+            probe_int = min(probe_int, k_int - 1)
+            if probe_int < 1:
+                probe_int = None
+        draws.append((k_int, probe_int))
+    return draws
+
+
+class ScriptedPolicy(KPolicy):
+    """Proposes a fixed script of (k, k') pairs, one pair per observe."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.observed = []
+
+    def propose(self):
+        return self.script[len(self.observed)][0]
+
+    def probe_k(self):
+        return self.script[len(self.observed)][1]
+
+    def observe(self, observation):
+        self.observed.append(observation)
+
+
+class EventList(list):
+    """A telemetry sink that keeps the (validated) events in memory."""
+
+    write = list.append
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def _learned_k_setup(features, classes):
+    ds = make_gaussian_blobs(num_samples=60, num_classes=classes,
+                             feature_dim=features, separation=3.0, seed=0)
+    fed = partition_iid(ds, num_clients=3, seed=0)
+    model = make_logistic(features, classes, seed=0)
+    return model, fed, TimingModel(model.dimension, comm_time=2.0)
+
+
+class TestLearnedKDrawAgainstReference:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_played_probe_and_recorded_k(self, data):
+        features = data.draw(st.integers(1, 4), label="features")
+        classes = data.draw(st.integers(2, 3), label="classes")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        model, fed, timing = _learned_k_setup(features, classes)
+        dimension = model.dimension
+        k_values = st.floats(-2.0, dimension + 5.0, allow_nan=False)
+        script = data.draw(st.lists(
+            st.tuples(k_values, st.none() | k_values), min_size=1, max_size=6,
+        ), label="script")
+        policy = ScriptedPolicy(script)
+        events = EventList()
+        trainer = AdaptiveKTrainer(
+            model, fed, FABTopK(), policy, timing, learning_rate=0.1,
+            batch_size=8, seed=seed, telemetry=Telemetry(sink=events),
+        )
+        for _ in script:
+            trainer.step()
+        probes = [e["probe_k"] for e in events if e["type"] == "probe"]
+        got = [
+            (record.uplink_elements, probe)
+            for record, probe in zip(trainer.history.records, probes,
+                                     strict=True)
+        ]
+        assert got == reference_learned_k_draws(script, dimension, seed)
+        assert trainer.history.ks() == [float(k) for k, _ in script]
+        assert [o.k for o in policy.observed] == [k for k, _ in script]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_run_twice_draws_what_one_run_draws(self, seed):
+        # The rounding stream is the engine's, not the run's: a second
+        # ``run(n, policy)`` continues it instead of restarting it.
+        def trainer():
+            model, fed, timing = _learned_k_setup(4, 3)
+            return FLTrainer(model, fed, FABTopK(), timing,
+                             learning_rate=0.1, batch_size=8, seed=seed)
+
+        interval = SearchInterval(2.0, 15.0)
+        split, whole = trainer(), trainer()
+        split_policy = SignPolicy(SignOGD(interval))
+        split.run(5, split_policy)
+        split.run(5, split_policy)
+        whole.run(10, SignPolicy(SignOGD(interval)))
+        assert split.history.records == whole.history.records
+        assert len(set(whole.history.ks())) > 1
+        np.testing.assert_array_equal(
+            split.model.get_weights(), whole.model.get_weights()
+        )
 
 
 # ----------------------------------------------------------------------
