@@ -51,60 +51,78 @@ from repro.sparsify.base import (
 AGGREGATOR_KINDS = ("mean", "trimmed_mean", "median", "cosine")
 
 
+def _coordinate_value_order(pos, values, size):
+    """The permutation ``np.lexsort((values, pos))``, for finite values:
+    an unstable SIMD value sort made stable by the unique tie key ``value
+    rank · n + input position`` (−0.0 ranks with +0.0), then a stable
+    radix sort of the coordinate in its narrowest unsigned type."""
+    key = np.argsort(values)
+    ranked = values[key]
+    key[1:] += np.cumsum(ranked[1:] != ranked[:-1]) * values.size
+    by_value = np.sort(key) % max(values.size, 1)
+    coordinate = pos[by_value].astype(np.min_scalar_type(size))
+    return by_value[np.argsort(coordinate, kind="stable")]
+
+
 class _CoordinateView:
     """Per-coordinate view of a ragged upload set, sorted by value.
 
     Shared scaffolding of the robust statistics: every (upload,
-    coordinate) hit inside the selection ``J`` is flattened, then sorted
-    by ``(coordinate, value)`` so each coordinate's uploader values form
-    a contiguous ascending run — order statistics (trim boundaries,
-    medians) become cumulative-sum arithmetic over run boundaries.
+    coordinate) hit inside the selection ``J`` is gathered once and
+    ordered by ``(coordinate, value)``, ties in upload order, so each
+    coordinate's uploader values form a contiguous ascending run — order
+    statistics (trim boundaries, medians) become cumulative-sum
+    arithmetic over run boundaries.  A non-finite upload entry is
+    *absent*: it joins no run, so it moves no count, support weight or
+    running sum of any coordinate.
     """
 
     def __init__(
         self,
         uploads: list[ClientUpload],
         selected: np.ndarray,
+        dimension: int,
         value_scales: np.ndarray | None = None,
     ) -> None:
-        pos_parts, val_parts, weight_parts, row_parts = [], [], [], []
-        for row, up in enumerate(uploads):
-            indices = up.payload.indices
-            pos = np.searchsorted(selected, indices)
-            in_range = pos < selected.size
-            pos_clipped = np.minimum(pos, max(selected.size - 1, 0))
-            hits = in_range & (selected[pos_clipped] == indices)
-            pos_parts.append(pos_clipped[hits])
-            values = up.payload.values[hits]
-            if value_scales is not None:
-                values = values * value_scales[row]
-            val_parts.append(values)
-            count = int(hits.sum())
-            weight_parts.append(np.full(count, float(up.sample_count)))
-            row_parts.append(np.full(count, row, dtype=np.int64))
-        pos_all = np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int64)
-        val_all = np.concatenate(val_parts) if val_parts else np.empty(0)
-        weight_all = (
-            np.concatenate(weight_parts) if weight_parts else np.empty(0)
+        rows = np.repeat(
+            np.arange(len(uploads)), [up.payload.nnz for up in uploads]
         )
-        row_all = (
-            np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-        )
-        order = np.lexsort((val_all, pos_all))
-        self.pos = pos_all[order]
-        self.values = val_all[order]
-        self.weights = weight_all[order]
-        self.rows = row_all[order]
+        values = np.concatenate([up.payload.values for up in uploads])
+        # J membership by one dense map: coordinate -> index in J, or -1
+        pos_of = np.full(dimension, -1, dtype=np.int64)
+        pos_of[selected] = np.arange(selected.size)
+        pos = pos_of[np.concatenate([up.payload.indices for up in uploads])]
+        hits = np.flatnonzero(pos >= 0)
+        hits = hits[np.isfinite(values[hits])]
+        pos, values, rows = pos[hits], values[hits], rows[hits]
+        if value_scales is not None:
+            values = values * value_scales[rows]
+        order = _coordinate_value_order(pos, values, selected.size)
+        self.pos = pos[order]
+        self.values = values[order]
+        self.rows = rows[order]
+        self.weights = np.array(
+            [float(up.sample_count) for up in uploads]
+        )[self.rows]
         #: run boundaries: coordinate j's values are values[starts[j]:ends[j]]
-        self.starts = np.searchsorted(self.pos, np.arange(selected.size))
-        self.ends = np.searchsorted(
-            self.pos, np.arange(selected.size), side="right"
-        )
-        self.counts = self.ends - self.starts
+        self.counts = np.bincount(self.pos, minlength=selected.size)
+        self.ends = np.cumsum(self.counts)
+        self.starts = self.ends - self.counts
         #: rank of each hit within its coordinate's ascending run
         self.ranks = np.arange(self.pos.size) - self.starts[self.pos]
         self._value_cumsum = np.concatenate(([0.0], np.cumsum(self.values)))
         self._weight_cumsum = np.concatenate(([0.0], np.cumsum(self.weights)))
+
+    def median(self) -> np.ndarray:
+        """Per-coordinate median of the run (0 where no one uploaded)."""
+        median = np.zeros(self.counts.size)
+        some = self.counts > 0
+        starts, counts = self.starts[some], self.counts[some]
+        median[some] = 0.5 * (
+            self.values[starts + (counts - 1) // 2]
+            + self.values[starts + counts // 2]
+        )
+        return median
 
     def range_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Σ values over sorted slots ``[lo, hi)`` per coordinate."""
@@ -166,7 +184,8 @@ class RobustAggregator:
             )
             return DownlinkMessage(payload=payload)
         view = _CoordinateView(
-            uploads, selected, value_scales=self._norm_clip_scales(uploads)
+            uploads, selected, dimension,
+            value_scales=self._norm_clip_scales(uploads),
         )
         centers = self.robust_values(view, uploads, commit=commit)
         values = np.where(
@@ -190,12 +209,16 @@ class RobustAggregator:
         self, uploads: list[ClientUpload]
     ) -> np.ndarray | None:
         """Per-upload scale factors bounding each upload to
-        ``clip_factor × median upload norm`` (None = no clipping)."""
+        ``clip_factor × median upload norm`` (None = no clipping); a norm
+        skips non-finite entries, absent here as in the view."""
         if self.clip_factor is None:
             return None
         norms = np.array([
             float(np.linalg.norm(up.payload.values)) for up in uploads
         ])
+        for row in np.flatnonzero(~np.isfinite(norms)):
+            values = uploads[row].payload.values
+            norms[row] = np.linalg.norm(values[np.isfinite(values)])
         positive = norms[norms > 0.0]
         if positive.size == 0:
             return None
@@ -257,10 +280,8 @@ class _RankFlagAggregator(RobustAggregator):
             (view.ranks < per_coord_tail)
             | (view.ranks >= counts - per_coord_tail)
         )
-        uploaded = np.zeros(len(uploads))
-        tailed = np.zeros(len(uploads))
-        np.add.at(uploaded, view.rows[eligible], 1.0)
-        np.add.at(tailed, view.rows[in_tail], 1.0)
+        uploaded = np.bincount(view.rows[eligible], minlength=len(uploads))
+        tailed = np.bincount(view.rows[in_tail], minlength=len(uploads))
         scores: dict[int, float] = {}
         for row, up in enumerate(uploads):
             if uploaded[row] < self.min_eligible:
@@ -316,20 +337,11 @@ class MedianAggregator(_RankFlagAggregator):
     name = "median"
 
     def robust_values(self, view, uploads, commit=True):
-        counts = view.counts
-        safe = np.maximum(counts, 1)
-        lo = view.starts + (safe - 1) // 2
-        hi = view.starts + safe // 2
-        clip = max(view.values.size - 1, 0)
-        median = 0.5 * (
-            view.values[np.minimum(lo, clip)]
-            + view.values[np.minimum(hi, clip)]
-        )
         if commit:
             self._flag_by_tail(
-                view, uploads, np.where(counts >= 3, 1, 0)
+                view, uploads, np.where(view.counts >= 3, 1, 0)
             )
-        return np.where(counts > 0, median, 0.0)
+        return view.median()
 
 
 class CosineReputationAggregator(RobustAggregator):
@@ -362,26 +374,13 @@ class CosineReputationAggregator(RobustAggregator):
         self.reputation: dict[int, float] = {}
 
     def _cosines(self, view, uploads) -> np.ndarray:
-        counts = view.counts
-        safe = np.maximum(counts, 1)
-        lo = view.starts + (safe - 1) // 2
-        hi = view.starts + safe // 2
-        clip = max(view.values.size - 1, 0)
-        reference = np.where(
-            counts > 0,
-            0.5 * (
-                view.values[np.minimum(lo, clip)]
-                + view.values[np.minimum(hi, clip)]
-            ),
-            0.0,
+        reference = view.median()[view.pos]
+        dots, norms, ref_norms = (
+            np.bincount(view.rows, weights=per_hit, minlength=len(uploads))
+            for per_hit in (
+                view.values * reference, view.values**2, reference**2
+            )
         )
-        per_hit = view.values * reference[view.pos]
-        dots = np.zeros(len(uploads))
-        norms = np.zeros(len(uploads))
-        ref_norms = np.zeros(len(uploads))
-        np.add.at(dots, view.rows, per_hit)
-        np.add.at(norms, view.rows, view.values**2)
-        np.add.at(ref_norms, view.rows, reference[view.pos] ** 2)
         denom = np.sqrt(norms) * np.sqrt(ref_norms)
         return np.where(denom > 0.0, dots / np.maximum(denom, 1e-300), 0.0)
 
@@ -404,10 +403,10 @@ class CosineReputationAggregator(RobustAggregator):
             # plain weighted mean rather than aggregate nothing.
             trust = np.ones(len(uploads))
         per_hit_weight = view.weights * trust[view.rows]
-        num = np.zeros(view.counts.size)
-        den = np.zeros(view.counts.size)
-        np.add.at(num, view.pos, per_hit_weight * view.values)
-        np.add.at(den, view.pos, per_hit_weight)
+        num, den = (
+            np.bincount(view.pos, weights=per_hit, minlength=view.counts.size)
+            for per_hit in (per_hit_weight * view.values, per_hit_weight)
+        )
         if commit:
             self._record_flags(uploads, {
                 up.client_id: float(reputations[row])

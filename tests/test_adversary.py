@@ -438,6 +438,65 @@ class TestRobustAggregators:
                 total_weight=0.0,
             )
 
+    def test_non_finite_entry_does_not_poison_other_coordinates(self):
+        # One inf at coordinate 1 used to turn coordinate 5 to NaN: the
+        # clip scaled it by bound/inf = 0 into a NaN, which the global
+        # running sum carried forward past coordinate 1's run.
+        uploads = [_upload(c, [1, 5], [1.0, 2.0]) for c in range(4)]
+        uploads.append(_upload(4, [1, 5], [np.inf, 2.0]))
+        result = TrimmedMeanAggregator().aggregate(
+            uploads, _selection([1, 5]), 16
+        )
+        np.testing.assert_array_equal(
+            result.payload.values, [1.0 * 32 / 40, 2.0]
+        )
+
+    @pytest.mark.parametrize("clip_factor", [2.0, None])
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_are_absent(self, special, kind, clip_factor):
+        # A non-finite entry counts nowhere — not in n_j, the support
+        # weight, the clip norm or its median: the aggregate, flags and
+        # reputations equal those of the uploads with it deleted.
+        rng = np.random.default_rng(3)
+        selection = _selection([0, 2, 3, 5, 8, 9, 11])
+        uploads, deleted = [], []
+        for cid in range(7):
+            indices = np.sort(rng.choice(12, 8, replace=False))
+            values = rng.normal(size=8) * (10.0 if cid == 6 else 1.0)
+            bad = rng.random(8) < 0.3
+            uploads.append(_upload(
+                cid, indices, np.where(bad, special, values), samples=cid + 1
+            ))
+            deleted.append(_upload(
+                cid, indices[~bad], values[~bad], samples=cid + 1
+            ))
+        # an upload with nothing finite left: a zero norm, no hits
+        uploads.append(_upload(7, [0, 2], [special, special]))
+        deleted.append(_upload(7, [], []))
+        results = []
+        for batch in (uploads, deleted):
+            aggregator = build_aggregator(kind)
+            aggregator.clip_factor = clip_factor
+            for _ in range(2):  # a second round reads the reputations
+                message = aggregator.aggregate(batch, selection, 16)
+            results.append((
+                message.payload.values.tobytes(), aggregator.last_flags,
+                getattr(aggregator, "reputation", None),
+            ))
+        assert np.all(np.isfinite(np.frombuffer(results[0][0])))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("kind", ROBUST_KINDS)
+    def test_no_uploaded_value_in_j_aggregates_to_zero(self, kind):
+        # Nobody hit J (or only with non-finite values): every b_j is
+        # 0 — the median used to index an empty run and raise.
+        uploads = [_upload(0, [2], [1.0]), _upload(1, [4], [np.nan])]
+        result = build_aggregator(kind).aggregate(
+            uploads, _selection([3, 4]), 16
+        )
+        assert result.payload.values.tolist() == [0.0, 0.0]
+
     def test_build_aggregator_mapping(self):
         assert build_aggregator("mean") is None
         assert isinstance(

@@ -6,6 +6,7 @@ a stronger guarantee than example-based tests.
 """
 
 import math
+import statistics
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,9 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.backends import ExecutionBackend
 from repro.fl.client import Client
 from repro.fl.metrics import RoundRecord, TrainingHistory
+from repro.fl.robust import (
+    CosineReputationAggregator, MedianAggregator, TrimmedMeanAggregator,
+)
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn.flat import FlatModel
@@ -363,6 +367,208 @@ class TestFUBAgainstReference:
         expected = reference_fub_select(uploads, k)
         assert result.indices.tolist() == expected
         assert result.contributions == reference_contributions(uploads, expected)
+
+
+# ----------------------------------------------------------------------
+# The robust server step: trimmed mean, median, cosine reputation
+# ----------------------------------------------------------------------
+def running_sums(terms):
+    """``[0.0] + np.cumsum(terms)`` in Python floats: the first partial sum
+    is the first term itself (a leading −0.0 stays −0.0), then left to
+    right."""
+    sums = []
+    for term in terms:
+        sums.append(sums[-1] + term if sums else term)
+    return [0.0] + sums
+
+
+def reference_clip_scales(uploads, clip_factor):
+    """An upload whose L2 norm exceeds ``clip_factor ×`` the median
+    positive upload norm is scaled onto that bound; every other upload
+    keeps scale 1.0."""
+    norms = [float(np.linalg.norm(up.payload.values)) for up in uploads]
+    positive = [norm for norm in norms if norm > 0.0]
+    if clip_factor is None or not positive:
+        return [1.0] * len(uploads)
+    bound = clip_factor * statistics.median(positive)
+    if bound <= 0.0:
+        return [1.0] * len(uploads)
+    return [bound / max(norm, 1e-300) if norm > bound else 1.0
+            for norm in norms]
+
+
+def reference_robust_aggregate(aggregator, uploads, selected, total_weight,
+                               commit):
+    """Literal robust ``b_j`` over J, in Python floats.
+
+    Per coordinate of J, ascending: the ``(value · scale_i, C_i, row)``
+    hits in upload order, stable-sorted by value.  Those runs laid end to
+    end carry one running sum of values and one of weights; a trim is a
+    difference of two running sums, a median the mean of the middle two
+    hits.  Returns ``(values, last_flags, reputation)`` after the call,
+    leaving ``aggregator`` untouched."""
+    if total_weight is None:
+        total_weight = float(sum(up.sample_count for up in uploads))
+    scales = reference_clip_scales(uploads, aggregator.clip_factor)
+    hits, starts = [], []
+    for j in selected:
+        run = []
+        for row, up in enumerate(uploads):
+            for i, v in zip(up.payload.indices.tolist(),
+                            up.payload.values.tolist()):
+                if i == j:
+                    run.append((v * scales[row], float(up.sample_count), row))
+        starts.append(len(hits))
+        hits += sorted(run, key=lambda hit: hit[0])
+    ends = starts[1:] + [len(hits)]
+    value_sums = running_sums([v for v, _, _ in hits])
+    weight_sums = running_sums([c for _, c, _ in hits])
+
+    def median(start, end):
+        return 0.5 * (hits[start + (end - start - 1) // 2][0]
+                      + hits[start + (end - start) // 2][0])
+
+    flags = aggregator.last_flags if not commit else []
+    reputation = dict(aggregator.reputation) if isinstance(
+        aggregator, CosineReputationAggregator) else {}
+    if not selected:  # an empty J aggregates nothing and scores no one
+        return [], flags, reputation
+    if isinstance(aggregator, CosineReputationAggregator):
+        reference = [median(s, e) if e > s else 0.0
+                     for s, e in zip(starts, ends)]
+        dots, norms, ref_norms = ([0.0] * len(uploads) for _ in range(3))
+        for (s, e), ref in zip(zip(starts, ends), reference):
+            for v, _, row in hits[s:e]:
+                dots[row] += v * ref
+                norms[row] += v * v
+                ref_norms[row] += ref * ref
+        reputations = []
+        for row, up in enumerate(uploads):
+            denom = math.sqrt(norms[row]) * math.sqrt(ref_norms[row])
+            cosine = dots[row] / max(denom, 1e-300) if denom > 0.0 else 0.0
+            previous = aggregator.reputation.get(up.client_id)
+            reputations.append(cosine if previous is None else (
+                aggregator.memory * previous
+                + (1.0 - aggregator.memory) * cosine
+            ))
+            if commit:
+                reputation[up.client_id] = reputations[row]
+        trust = [max(r, 0.0) for r in reputations]
+        if not any(t > 0.0 for t in trust):
+            trust = [1.0] * len(uploads)
+        centers = []
+        for s, e in zip(starts, ends):
+            num = den = 0.0
+            for v, c, row in hits[s:e]:
+                num += c * trust[row] * v
+                den += c * trust[row]
+            centers.append(num / max(den, 1e-300) if den > 0.0 else 0.0)
+        if commit:
+            flags = sorted((up.client_id, reputations[row])
+                           for row, up in enumerate(uploads)
+                           if reputations[row] < 0.0)
+    else:
+        centers, tails = [], []
+        for s, e in zip(starts, ends):
+            n = e - s
+            if isinstance(aggregator, MedianAggregator):
+                centers.append(median(s, e) if n > 0 else 0.0)
+                tails.append(1 if n >= 3 else 0)
+                continue
+            trim = min(int(aggregator.trim_fraction * n), max(n - 1, 0) // 2)
+            centers.append((value_sums[e - trim] - value_sums[s + trim])
+                           / max(n - 2 * trim, 1))
+            tails.append(trim)
+        uploaded, tailed = [0] * len(uploads), [0] * len(uploads)
+        for (s, e), tail in zip(zip(starts, ends), tails):
+            for rank, (_, _, row) in enumerate(hits[s:e]):
+                if tail > 0:
+                    uploaded[row] += 1
+                    tailed[row] += rank < tail or rank >= e - s - tail
+        if commit:
+            flags = [
+                (up.client_id, tailed[row] / uploaded[row])
+                for row, up in sorted(enumerate(uploads),
+                                      key=lambda item: item[1].client_id)
+                if uploaded[row] >= aggregator.min_eligible
+                and tailed[row] / uploaded[row] >= aggregator.flag_threshold
+            ]
+    values = [
+        center * (weight_sums[e] - weight_sums[s]) / total_weight
+        if e > s else 0.0
+        for center, s, e in zip(centers, starts, ends)
+    ]
+    return values, flags, reputation
+
+
+def float_bytes(pairs):
+    """``(key, float)`` pairs with each float as its exact bit pattern."""
+    return [(key, float(value).hex()) for key, value in pairs]
+
+
+#: every finite value the robust statistics treat alike or apart: both
+#: zeros, cross-row duplicates from a small alphabet, one-decimal floats
+ROBUST_VALUES = UPLOAD_VALUES | st.sampled_from([-0.0, 0.0])
+
+
+class TestRobustAggregatorsAgainstReference:
+    @pytest.mark.parametrize("kind", ["trimmed_mean", "median", "cosine"])
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_robust_aggregate_is_byte_equal_to_reference(self, kind, data):
+        uploads, k, dimension = data.draw(
+            generated_uploads(alphabet=ROBUST_VALUES)
+        )
+        # Either the FAB selection or an arbitrary index set: indices
+        # off J and J coordinates nobody uploaded both occur.
+        if data.draw(st.booleans()):
+            selected = fair_select(uploads, k)
+        else:
+            selected = np.array(sorted(data.draw(st.sets(
+                st.integers(min_value=0, max_value=dimension - 1), min_size=1
+            ))), dtype=np.int64)
+        if kind == "trimmed_mean":
+            aggregator = TrimmedMeanAggregator(
+                trim_fraction=data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.4])),
+                flag_threshold=data.draw(st.sampled_from([0.3, 0.6, 1.0])),
+            )
+        elif kind == "median":
+            aggregator = MedianAggregator(
+                flag_threshold=data.draw(st.sampled_from([0.3, 0.6, 1.0])),
+            )
+        else:
+            aggregator = CosineReputationAggregator(
+                memory=data.draw(st.sampled_from([0.0, 0.5, 0.9]))
+            )
+            aggregator.reputation = data.draw(st.dictionaries(
+                st.integers(min_value=0, max_value=9),
+                st.floats(min_value=-1.0, max_value=1.0),
+            ))
+        if kind != "cosine":
+            aggregator.min_eligible = data.draw(st.integers(1, 4))
+        aggregator.clip_factor = data.draw(st.sampled_from([None, 2.0, 1.0]))
+        aggregator.last_flags = [(99, 0.5)]
+        total_weight = data.draw(
+            st.none() | st.floats(min_value=0.5, max_value=64.0)
+        )
+        commit = data.draw(st.booleans())
+
+        expected, flags, reputation = reference_robust_aggregate(
+            aggregator, uploads, selected.tolist(), total_weight, commit
+        )
+        message = aggregator.aggregate(
+            uploads, SelectionResult(indices=selected), dimension,
+            total_weight=total_weight, commit=commit,
+        )
+        assert message.payload.indices.tolist() == selected.tolist()
+        assert message.payload.values.tobytes() == (
+            np.array(expected, dtype=np.float64).tobytes()
+        )
+        assert float_bytes(aggregator.last_flags) == float_bytes(flags)
+        if kind == "cosine":
+            assert float_bytes(sorted(aggregator.reputation.items())) == (
+                float_bytes(sorted(reputation.items()))
+            )
 
 
 # ----------------------------------------------------------------------

@@ -446,6 +446,25 @@ def _forked_paths(tree):
     return found
 
 
+def _comparison_sorts(tree):
+    """``(lineno, what)`` for each comparison sort or unbuffered scatter
+    the robust aggregation gave up: ``np.lexsort``, ``np.add.at`` and a
+    ``searchsorted`` inside a ``for`` loop."""
+    found = []
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name.endswith("lexsort") or name.endswith("add.at"):
+            found.append((node.lineno, name))
+        if name.endswith("searchsorted") and any(
+            node in ast.walk(loop) for loop in loops
+        ):
+            found.append((node.lineno, f"{name} in a for loop"))
+    return found
+
+
 class TestOneDensePass:
     def test_no_rectangular_fork_in_selection_or_aggregation(self):
         offenders = [
@@ -476,6 +495,24 @@ class TestOneDensePass:
         assert sorted(what for _, what in idioms) == [
             "isinstance(..., np.ndarray) dispatch", "np.stack(...)",
             "payload.nnz comparison", "payload.nnz comparison",
+        ]
+
+    def test_robust_aggregation_takes_no_comparison_sort(self):
+        # The coordinate view orders hits by radix and SIMD sorts over a
+        # dense J-position map; flags and cosine sums accumulate with
+        # np.bincount.
+        path = SRC / "fl" / "robust.py"
+        offenders = _comparison_sorts(ast.parse(path.read_text()))
+        assert offenders == [], offenders
+        idioms = _comparison_sorts(ast.parse(
+            "order = np.lexsort((values, pos))\n"
+            "np.add.at(flags, rows, 1.0)\n"
+            "starts = np.searchsorted(pos, np.arange(n))\n"
+            "for row, up in enumerate(uploads):\n"
+            "    hit = np.searchsorted(selected, up.payload.indices)\n"
+        ))
+        assert [what for _, what in idioms] == [
+            "np.lexsort", "np.add.at", "np.searchsorted in a for loop",
         ]
 
     def test_one_local_step_and_client_state_stays_in_the_client(self):
