@@ -1,14 +1,10 @@
-"""Extensions in action: stragglers, client sampling, and energy budgets.
+"""Extension in action: stragglers and client sampling.
 
-The paper's conclusion sketches two extensions this library implements:
-
-1. *Heterogeneous client resources* — some clients are much slower; a
-   synchronous round waits for the slowest participant, so sampling a
-   fast subset each round can beat full participation in time-to-loss.
-2. *Other additive resources* — by replacing the timing model with a
-   weighted time+energy+money resource model, the same training loop
-   (and the online-k machinery) minimizes a joint budget instead of
-   time alone.
+The paper's conclusion sketches *heterogeneous client resources* as
+future work: some clients are much slower, and a synchronous round waits
+for the slowest participant, so sampling a fast subset each round can
+beat full participation in time-to-loss.  This example runs that
+comparison under one fixed time budget.
 
 Run:  python examples/heterogeneous_energy.py
 """
@@ -22,8 +18,6 @@ from repro.simulation.heterogeneous import (
     ClientSampler,
     HeterogeneousTimingModel,
 )
-from repro.simulation.resources import ResourceModel, ResourceWeights
-from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
 
@@ -39,7 +33,7 @@ def build():
 
 def straggler_demo() -> None:
     print("=" * 60)
-    print("Part 1: straggler avoidance via fastest-biased sampling")
+    print("Straggler avoidance via fastest-biased sampling")
     print("=" * 60)
     _, federation, _ = build()
     # Every fourth client is an 8x straggler.
@@ -69,37 +63,9 @@ def straggler_demo() -> None:
         while trainer.clock < budget:
             trainer.step(k)
         print(f"  {label:<22} rounds={len(trainer.history):>4} "
-              f"loss={trainer.history.last_evaluated_loss:.4f}")
-
-
-def energy_demo() -> None:
-    print()
-    print("=" * 60)
-    print("Part 2: minimizing a joint time+energy objective")
-    print("=" * 60)
-    _, federation, model = build()
-    timing = TimingModel(model.dimension, comm_time=10.0)
-    resources = ResourceModel(
-        timing,
-        weights=ResourceWeights(time=1.0, energy=2.0),
-        compute_energy=0.5,              # each round of local compute
-        energy_per_element=0.01,         # radio energy per element sent
-    )
-    trainer = FLTrainer(model, federation, FABTopK(), timing=resources,
-                        learning_rate=0.05, batch_size=16, eval_every=20,
-                        seed=2)
-    k = max(2, int(0.4 * model.dimension / federation.num_clients))
-    trainer.run(150, k=k)
-    time_only = timing.sparse_round(k, k).total * 150
-    print(f"  joint cost consumed : {trainer.clock:.0f} units")
-    print(f"  (pure time would be : {time_only:.0f} units)")
-    print(f"  final loss          : {trainer.history.last_evaluated_loss:.4f}")
-    print("  The trainer and the online-k algorithm see only 'cost per")
-    print("  round', so swapping the model changes what gets minimized —")
-    print("  the extension the paper describes in its conclusion.")
+              f"loss={trainer.history.final_loss:.4f}")
 
 
 if __name__ == "__main__":
     print(__doc__)
     straggler_demo()
-    energy_demo()

@@ -7,7 +7,6 @@ renders ASCII charts, and prints quantitative comparison tables — a
 Run:  python examples/reproduce_paper.py
 """
 
-from repro.experiments.compare import compare_histories, speedup_at_target
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -24,6 +23,25 @@ def config():
     )
 
 
+def summary_table(histories, target: float) -> str:
+    """Final loss, time to ``target`` and Jain's index of the per-client
+    contribution totals (1 = even), best final loss first."""
+    rows = []
+    for name, history in sorted(histories.items(),
+                                key=lambda item: item[1].final_loss):
+        reach = history.time_to_loss(target)
+        counts = list(history.contribution_counts().values())
+        squares = sum(c * c for c in counts)
+        rows.append([
+            name, f"{history.final_loss:.4f}", f"{history.total_time:.0f}",
+            str(len(history)), "-" if reach is None else f"{reach:.0f}",
+            f"{sum(counts) ** 2 / (len(counts) * squares):.3f}"
+            if squares else "-",
+        ])
+    return text_table(["run", "final loss", "time", "rounds", "t(target)",
+                       "fairness"], rows)
+
+
 def part1_gs_methods() -> None:
     print("=" * 72)
     print("Experiment 1 (paper Fig. 4): GS methods at fixed k, comm time 10")
@@ -31,15 +49,16 @@ def part1_gs_methods() -> None:
     result = run_fig4(config())
     print(render_figure(result.loss_vs_time, height=16))
     print()
-    summaries = compare_histories(result.histories)
-    print(text_table(
-        summaries[0].headers(), [s.row() for s in summaries],
-    ))
-    target = summaries[0].final_loss * 2
-    speedups = speedup_at_target(result.histories, "always-send-all", target)
-    print(f"\nspeedup vs always-send-all at loss {target:.3f}:")
-    for name, s in speedups.items():
-        print(f"  {name:<22} {'never reached' if s is None else f'{s:.1f}x'}")
+    histories = result.histories
+    baseline = histories["always-send-all"]
+    target = baseline.final_loss
+    print(summary_table(histories, target))
+    base = baseline.time_to_loss(target)
+    print(f"\nspeedup vs always-send-all at its final loss {target:.3f}:")
+    for name, history in histories.items():
+        reach = history.time_to_loss(target)
+        speedup = "never reached" if reach is None else f"{base / reach:.1f}x"
+        print(f"  {name:<22} {speedup}")
 
 
 def part2_adaptive_k() -> None:
@@ -50,10 +69,8 @@ def part2_adaptive_k() -> None:
     result = run_fig5(config().with_overrides(num_rounds=150))
     print(render_figure(result.k_traces, height=14))
     print()
-    summaries = compare_histories(result.histories)
-    print(text_table(
-        summaries[0].headers(), [s.row() for s in summaries],
-    ))
+    finals = [h.final_loss for h in result.histories.values()]
+    print(summary_table(result.histories, max(finals)))
     stability = result.k_stability()
     print("\nk-trace stability (std of the 2nd half — lower is steadier):")
     for name, std in sorted(stability.items(), key=lambda kv: kv[1]):

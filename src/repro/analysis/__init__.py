@@ -10,30 +10,23 @@ the measurement side of that analysis:
 - :mod:`repro.analysis.contraction`: exact and empirical contraction
   coefficients of the implemented sparsifiers, verifying the (1 − k/D)
   bound and measuring how much better real gradients do (they are
-  heavy-tailed, so top-k contracts far more strongly).
-- :mod:`repro.analysis.convergence`: loss-curve fitting (power-law and
-  exponential models) and time-to-target extraction used to compare
-  training runs quantitatively rather than by eyeballing curves.
+  heavy-tailed, so top-k contracts far more strongly), plus the share of
+  gradient mass the top fraction of coordinates carries.
+
+Loss-curve comparisons (time to a target loss, per-client contribution
+totals) are :class:`~repro.fl.metrics.TrainingHistory` accessors.
 """
 
 from repro.analysis.contraction import (
     contraction_coefficient,
     empirical_contraction,
+    gradient_concentration,
     topk_contraction_bound,
-)
-from repro.analysis.convergence import (
-    ConvergenceFit,
-    fit_exponential,
-    fit_power_law,
-    time_to_target,
 )
 
 __all__ = [
-    "ConvergenceFit",
     "contraction_coefficient",
     "empirical_contraction",
-    "fit_exponential",
-    "fit_power_law",
-    "time_to_target",
+    "gradient_concentration",
     "topk_contraction_bound",
 ]

@@ -62,3 +62,22 @@ def empirical_contraction(
         "k": float(k),
         "dimension": float(dimension),
     }
+
+
+def gradient_concentration(gradient: np.ndarray, fractions=(0.001, 0.01, 0.1)
+                           ) -> dict[float, float]:
+    """Share of total |gradient| mass captured by the top-f fraction.
+
+    Values near 1 at small f mean the gradient is heavy-tailed and top-k
+    sparsification is nearly lossless; values near f mean the gradient is
+    flat and sparsification costs information proportionally.
+    """
+    magnitude = np.sort(np.abs(gradient))[::-1]
+    total = magnitude.sum()
+    out: dict[float, float] = {}
+    for f in fractions:
+        if not 0 < f <= 1:
+            raise ValueError("fractions must be in (0, 1]")
+        count = max(1, int(round(f * magnitude.size)))
+        out[f] = float(magnitude[:count].sum() / total) if total > 0 else 0.0
+    return out

@@ -110,20 +110,6 @@ class Client:
             or self._spilled_velocity is not None
         )
 
-    def residual_nonzeros(self) -> np.ndarray:
-        """The residual's nonzero values, without touching client state.
-
-        Read-only diagnostics path: never materializes the dense array
-        and never wakes a hibernating client — a spilled residual is
-        read straight from its sparse store, and a never-touched one
-        (all zeros) returns an empty array.
-        """
-        if self._residual is not None:
-            return self._residual[self._residual != 0.0]
-        if self._spilled_residual is not None:
-            return self._spilled_residual[1]
-        return np.empty(0)
-
     @property
     def client_id(self) -> int:
         return self.dataset.client_id

@@ -10,8 +10,7 @@ pluggable.  :class:`RoundEngine` owns the invariant skeleton:
     the vectorized batched pass),
 3.  ``Sparsifier.preprocess_uploads`` → ``server_select`` → weighted
     aggregation (:class:`~repro.fl.server.Server`),
-4.  the synchronized weight update (plain SGD step or a server-side
-    optimizer),
+4.  the synchronized weight update ``w(m) = w(m−1) − η·b``,
 5.  residual reset at ``J ∩ J_i`` (plus full reset for non-accumulating
     schemes),
 6.  normalized-time accounting and the evaluation cadence,
@@ -368,7 +367,6 @@ class RoundEngine:
         eval_max_samples: int = 2000,
         sampler=None,
         momentum_correction: float = 0.0,
-        optimizer=None,
         backend: str | ExecutionBackend | None = None,
         scenario_hooks: RoundHooks | None = None,
         spill_after: int = 0,
@@ -389,7 +387,6 @@ class RoundEngine:
         self.learning_rate = learning_rate
         self.eval_every = eval_every
         self.sampler = sampler
-        self.optimizer = optimizer
         #: client id -> ClientProfile pacing the broadcast: the timing
         #: model's own map (none on a homogeneous model: unit speed)
         self.profiles = getattr(timing, "profiles", {})
@@ -542,10 +539,7 @@ class RoundEngine:
         Same selection J as the actual round, re-aggregated over
         ``uploads`` only — a pure recomputation (``commit=False``: a
         robust aggregator's reputation and flags never observe a round
-        that didn't happen) — then the plain SGD rule even when a
-        server-side optimizer is configured: a stateful optimizer has no
-        side-effect-free counterfactual step, and the probe loss is an
-        estimate either way.
+        that didn't happen) — then the round's SGD step.
         """
         payload = self.server.aggregate(
             uploads, ctx.selection, total_weight=ctx.aggregation_weight,
@@ -691,14 +685,9 @@ class RoundEngine:
             lap("probe")
 
         sparse_update = ctx.downlink.payload
-        if self.optimizer is not None:
-            weights = self.optimizer.step(
-                ctx.w_prev, sparse_update.to_dense()
-            )
-        else:
-            weights = self.sgd_step(
-                ctx.w_prev, sparse_update.indices, sparse_update.values
-            )
+        weights = self.sgd_step(
+            ctx.w_prev, sparse_update.indices, sparse_update.values
+        )
         ctx.w_new = weights
         self.model.set_weights(weights)
         if tracing:

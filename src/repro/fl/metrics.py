@@ -81,19 +81,13 @@ class TrainingHistory:
 
     @property
     def final_loss(self) -> float:
-        if not self.records:
-            raise ValueError("empty history")
-        return self.records[-1].loss
+        """Loss of the most recent round that evaluated.
 
-    @property
-    def last_evaluated_loss(self) -> float:
-        """Loss of the most recent round that actually evaluated.
-
-        With ``eval_every > 1`` intermediate rounds carry NaN; this skips
+        With ``eval_every > 1`` the rounds in between carry NaN; this skips
         back to the last real measurement.
         """
         for record in reversed(self.records):
-            if record.loss == record.loss:  # not NaN
+            if not math.isnan(record.loss):
                 return record.loss
         raise ValueError("history contains no evaluated rounds")
 
@@ -104,15 +98,16 @@ class TrainingHistory:
         return self.records[-1].cumulative_time
 
     def loss_at_time(self, t: float) -> float:
-        """Loss of the last round completed by normalized time ``t``.
+        """Loss of the last evaluated round completed by normalized time ``t``.
 
-        Before the first completed round the initial loss is unknown to
-        the history, so the first record's loss is returned.
+        Before the first evaluated round the initial loss is unknown to
+        the history, so that round's loss is returned.
         """
-        if not self.records:
-            raise ValueError("empty history")
-        best = self.records[0].loss
-        for r in self.records:
+        records = self.evaluated()
+        if not records:
+            raise ValueError("history contains no evaluated rounds")
+        best = records[0].loss
+        for r in records:
             if r.cumulative_time <= t:
                 best = r.loss
             else:

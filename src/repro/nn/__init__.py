@@ -32,7 +32,6 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropy
 from repro.nn.models import make_cnn, make_logistic, make_mlp
-from repro.nn.optim import SGD, constant_lr, cosine_lr, step_decay_lr
 
 __all__ = [
     "BatchNorm1D",
@@ -46,14 +45,10 @@ __all__ = [
     "MaxPool2D",
     "MSELoss",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "SoftmaxCrossEntropy",
     "Tanh",
-    "constant_lr",
-    "cosine_lr",
-    "step_decay_lr",
     "glorot_uniform",
     "he_normal",
     "make_cnn",

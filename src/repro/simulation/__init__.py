@@ -26,7 +26,6 @@ from repro.simulation.heterogeneous import (
     ClientSampler,
     HeterogeneousTimingModel,
 )
-from repro.simulation.resources import ResourceModel, ResourceWeights
 from repro.simulation.timing import RoundTiming, TimingModel
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "HeterogeneousTimingModel",
     "NoisySignOracle",
     "QuadraticCost",
-    "ResourceModel",
-    "ResourceWeights",
     "RoundTiming",
     "TimePerLossCost",
     "TimingModel",

@@ -30,7 +30,6 @@ from repro.sparsify.fab_topk import FABTopK, fair_select
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.layerwise import LayerwiseTopK
 from repro.sparsify.periodic import PeriodicK
-from repro.sparsify.threshold import HardThreshold
 from repro.sparsify.topk import top_k_indices
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
@@ -39,7 +38,6 @@ __all__ = [
     "DownlinkMessage",
     "FABTopK",
     "FUBTopK",
-    "HardThreshold",
     "LayerwiseTopK",
     "PeriodicK",
     "SelectionResult",

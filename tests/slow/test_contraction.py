@@ -10,9 +10,11 @@ nearly all the signal at tiny k/D.
 import numpy as np
 
 from .conftest import bench_config
-from repro.analysis.contraction import empirical_contraction
+from repro.analysis.contraction import (
+    empirical_contraction,
+    gradient_concentration,
+)
 from repro.experiments.runner import build_federation, build_model, text_table
-from repro.fl.diagnostics import gradient_concentration
 
 
 def test_gradient_contraction_vs_bound(capsys):

@@ -72,7 +72,7 @@ def test_straggler_avoidance(capsys):
         rows.append([
             mode,
             str(len(history)),
-            f"{history.last_evaluated_loss:.4f}",
+            f"{history.final_loss:.4f}",
         ])
     with capsys.disabled():
         print(f"\n[Heterogeneous ablation] 25% of clients are 8x stragglers,"
@@ -83,5 +83,5 @@ def test_straggler_avoidance(capsys):
     # Avoiding stragglers completes more rounds in the same budget...
     assert len(histories["fastest-biased"]) > len(histories["full"])
     # ...and reaches a lower loss.
-    assert (histories["fastest-biased"].last_evaluated_loss
-            < histories["full"].last_evaluated_loss)
+    assert (histories["fastest-biased"].final_loss
+            < histories["full"].final_loss)

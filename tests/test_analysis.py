@@ -1,4 +1,4 @@
-"""Tests for the contraction and convergence analysis tooling."""
+"""Tests for the contraction analysis tooling."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from repro.analysis.contraction import (
     contraction_coefficient,
     empirical_contraction,
+    gradient_concentration,
     topk_contraction_bound,
-)
-from repro.analysis.convergence import (
-    fit_exponential,
-    fit_power_law,
-    time_to_target,
 )
 
 RNG = np.random.default_rng(13)
@@ -93,75 +89,23 @@ class TestEmpiricalContraction:
         assert stats["mean"] < stats["bound"]
 
 
-class TestConvergenceFits:
-    def test_power_law_recovers_parameters(self):
-        t = np.linspace(1, 100, 60)
-        y = 0.5 + 3.0 * t**-0.8
-        fit = fit_power_law(t, y, floor=0.5)
-        assert fit.rate == pytest.approx(0.8, rel=0.02)
-        assert fit.amplitude == pytest.approx(3.0, rel=0.05)
-        assert fit.r_squared > 0.99
+class TestGradientConcentration:
+    def test_flat_gradient(self):
+        g = np.ones(1000)
+        conc = gradient_concentration(g, fractions=(0.1,))
+        assert conc[0.1] == pytest.approx(0.1, rel=0.01)
 
-    def test_exponential_recovers_parameters(self):
-        t = np.linspace(0, 10, 50)
-        y = 1.0 + 2.0 * np.exp(-0.5 * t)
-        fit = fit_exponential(t, y, floor=1.0)
-        assert fit.rate == pytest.approx(0.5, rel=0.02)
-        assert fit.r_squared > 0.99
+    def test_concentrated_gradient(self):
+        g = np.zeros(1000)
+        g[:10] = 100.0
+        g[10:] = 0.001
+        conc = gradient_concentration(g, fractions=(0.01,))
+        assert conc[0.01] > 0.99
 
-    def test_predict_roundtrip(self):
-        t = np.linspace(1, 50, 30)
-        y = 0.1 + 5.0 * t**-1.0
-        fit = fit_power_law(t, y, floor=0.1)
-        np.testing.assert_allclose(fit.predict(t), y, rtol=0.05)
-
-    def test_auto_floor(self):
-        t = np.linspace(1, 100, 40)
-        y = 2.0 + 4.0 * t**-0.6
-        fit = fit_power_law(t, y)  # floor estimated
-        assert fit.floor < y.min()
-        assert fit.r_squared > 0.9
-
-    def test_noisy_fit_reasonable(self):
-        t = np.linspace(1, 200, 100)
-        y = 0.3 + 2.0 * t**-0.7 + RNG.normal(0, 0.01, t.size)
-        fit = fit_power_law(t, y, floor=0.25)
-        assert 0.4 < fit.rate < 1.1
+    def test_zero_gradient(self):
+        conc = gradient_concentration(np.zeros(10), fractions=(0.5,))
+        assert conc[0.5] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fit_power_law([1, 2], [1, 2])  # too few points
-        with pytest.raises(ValueError):
-            fit_power_law([0, 1, 2], [3, 2, 1])  # nonpositive time
-        with pytest.raises(ValueError):
-            fit_power_law([1, 2, 3], [3, 2, 1], floor=5.0)  # floor above
-        with pytest.raises(ValueError):
-            fit_exponential([1, 2, 3], [[3], [2], [1]])  # bad shape
-
-    def test_nan_points_dropped(self):
-        t = np.linspace(1, 100, 50)
-        y = 0.5 + 3.0 * t**-0.8
-        y[::7] = np.nan
-        fit = fit_power_law(t, y, floor=0.5)
-        assert fit.r_squared > 0.99
-
-
-class TestTimeToTarget:
-    def test_exact_hit(self):
-        assert time_to_target([1, 2, 3], [5.0, 3.0, 1.0], 3.0) == 2.0
-
-    def test_interpolated(self):
-        t = time_to_target([1, 2], [4.0, 2.0], 3.0)
-        assert t == pytest.approx(1.5)
-
-    def test_never_reached(self):
-        assert time_to_target([1, 2, 3], [5.0, 4.0, 3.5], 1.0) is None
-
-    def test_noisy_curve_uses_running_min(self):
-        # Loss bounces back above target after reaching it; the first
-        # crossing still counts.
-        t = time_to_target([1, 2, 3, 4], [5.0, 2.0, 6.0, 1.0], 2.5)
-        assert t is not None and t < 2.01
-
-    def test_target_met_at_first_point(self):
-        assert time_to_target([2, 3], [1.0, 0.5], 1.5) == 2.0
+            gradient_concentration(np.ones(10), fractions=(0.0,))

@@ -1,12 +1,10 @@
-"""Tests for diagnostics, experiment serialization, and the CLI."""
+"""Tests for experiment serialization and the CLI."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_gaussian_blobs
 from repro.experiments.io import (
     export_figure_csv,
     figure_from_dict,
@@ -17,121 +15,8 @@ from repro.experiments.io import (
     save_history,
 )
 from repro.experiments.runner import FigureData
-from repro.fl.client import Client
-from repro.fl.diagnostics import (
-    fairness_index,
-    gradient_concentration,
-    history_fairness,
-    residual_stats,
-)
 from repro.fl.metrics import RoundRecord, TrainingHistory
-from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic
-from repro.sparsify.fab_topk import FABTopK
 from repro import cli
-
-
-class TestResidualStats:
-    def _clients(self):
-        ds = make_gaussian_blobs(num_samples=100, num_classes=3,
-                                 feature_dim=8, seed=0)
-        fed = partition_iid(ds, num_clients=3, seed=0)
-        return [Client(shard, dimension=27) for shard in fed.clients]
-
-    def test_fresh_clients_zero(self):
-        stats = residual_stats(self._clients())
-        assert stats.total_l1 == 0.0
-        assert stats.nonzero_fraction == 0.0
-        assert stats.mean_client_l1 == 0.0
-
-    def test_after_training_nonzero(self):
-        ds = make_gaussian_blobs(num_samples=200, num_classes=3,
-                                 feature_dim=8, seed=0)
-        fed = partition_iid(ds, num_clients=3, seed=0)
-        model = make_logistic(8, 3, seed=0)
-        trainer = FLTrainer(model, fed, FABTopK(), learning_rate=0.1, seed=0)
-        trainer.run(5, k=3)
-        stats = residual_stats(trainer.clients)
-        assert stats.total_l1 > 0
-        assert 0 < stats.nonzero_fraction <= 1
-        assert stats.max_abs > 0
-        assert len(stats.per_client_l1) == 3
-
-    def test_empty_is_zeroed(self):
-        # A population-scale run that never touched a client yields an
-        # empty ever-touched list; diagnostics report zeros, not errors.
-        stats = residual_stats([])
-        assert stats.total_l1 == 0.0
-        assert stats.max_abs == 0.0
-        assert stats.per_client_l1 == {}
-        assert stats.nonzero_fraction == 0.0
-        assert stats.mean_client_l1 == 0.0
-
-    def test_accepts_trainer(self):
-        ds = make_gaussian_blobs(num_samples=200, num_classes=3,
-                                 feature_dim=8, seed=0)
-        fed = partition_iid(ds, num_clients=3, seed=0)
-        model = make_logistic(8, 3, seed=0)
-        trainer = FLTrainer(model, fed, FABTopK(), learning_rate=0.1, seed=0)
-        trainer.run(5, k=3)
-        via_trainer = residual_stats(trainer)
-        via_list = residual_stats(trainer.clients)
-        assert via_trainer == via_list
-
-    def test_hibernating_clients_not_woken(self):
-        ds = make_gaussian_blobs(num_samples=200, num_classes=3,
-                                 feature_dim=8, seed=0)
-        fed = partition_iid(ds, num_clients=3, seed=0)
-        model = make_logistic(8, 3, seed=0)
-        trainer = FLTrainer(model, fed, FABTopK(), learning_rate=0.1, seed=0)
-        trainer.run(5, k=3)
-        awake = residual_stats(trainer.clients)
-        for client in trainer.clients:
-            client.hibernate()
-        spilled = residual_stats(trainer.clients)
-        assert spilled == awake
-        assert all(c.hibernating for c in trainer.clients)
-
-
-class TestGradientConcentration:
-    def test_flat_gradient(self):
-        g = np.ones(1000)
-        conc = gradient_concentration(g, fractions=(0.1,))
-        assert conc[0.1] == pytest.approx(0.1, rel=0.01)
-
-    def test_concentrated_gradient(self):
-        g = np.zeros(1000)
-        g[:10] = 100.0
-        g[10:] = 0.001
-        conc = gradient_concentration(g, fractions=(0.01,))
-        assert conc[0.01] > 0.99
-
-    def test_zero_gradient(self):
-        conc = gradient_concentration(np.zeros(10), fractions=(0.5,))
-        assert conc[0.5] == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gradient_concentration(np.ones(10), fractions=(0.0,))
-
-
-class TestFairnessIndex:
-    def test_perfectly_even(self):
-        assert fairness_index({0: 5, 1: 5, 2: 5}) == pytest.approx(1.0)
-
-    def test_single_dominant(self):
-        idx = fairness_index({0: 100, 1: 0, 2: 0, 3: 0})
-        assert idx == pytest.approx(0.25)
-
-    def test_history_fairness(self):
-        h = TrainingHistory()
-        h.append(RoundRecord(1, 1.0, 1.0, 1.0, 1.0,
-                             contributions={0: 3, 1: 3}))
-        assert history_fairness(h) == pytest.approx(1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fairness_index({})
 
 
 class TestFigureIO:

@@ -2,14 +2,16 @@
 
 The examples are the README's front door; nothing else imports them, so
 without this file they can silently rot.  ``quickstart.py`` actually
-*runs* at tiny scale; every other example must at least byte-compile
-(they are too slow to execute in tier 1, but syntax errors, renamed
-imports, and removed APIs still surface at compile/import time for the
-quickstart and at compile time for the rest).
+*runs* at tiny scale; every other example is too slow to execute in
+tier 1, so each one is byte-compiled and imported: all of them are
+``__main__``-guarded, so an import runs nothing but their own imports,
+and a renamed or removed API fails here.
 """
 
+import importlib
 import pathlib
 import py_compile
+import sys
 
 import pytest
 
@@ -32,11 +34,19 @@ def test_quickstart_runs_at_tiny_scale(examples_on_path, capsys):
     assert "communication:" in out
 
 
-@pytest.mark.parametrize(
-    "example", sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
-)
+EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
 def test_example_compiles(example):
     py_compile.compile(str(EXAMPLES_DIR / example), doraise=True)
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_example_imports(example, examples_on_path, monkeypatch):
+    name = pathlib.Path(example).stem
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    assert importlib.import_module(name).__doc__
 
 
 def test_examples_directory_is_covered():

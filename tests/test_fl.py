@@ -149,12 +149,16 @@ class TestTrainingHistory:
             h.append(self._record(1))
 
     def test_loss_at_time(self):
+        # Rounds 3 and 5 were not evaluated (eval_every > 1): NaN.
         h = TrainingHistory()
         h.append(self._record(1, t=1.0, loss=5.0))
         h.append(self._record(2, t=2.0, loss=3.0))
-        h.append(self._record(3, t=4.0, loss=2.0))
+        h.append(self._record(3, t=3.0, loss=float("nan")))
+        h.append(self._record(4, t=4.0, loss=2.0))
+        h.append(self._record(5, t=5.0, loss=float("nan")))
         assert h.loss_at_time(0.5) == 5.0
         assert h.loss_at_time(2.5) == 3.0
+        assert h.loss_at_time(3.5) == 3.0
         assert h.loss_at_time(10.0) == 2.0
 
     def test_time_to_loss(self):
@@ -185,6 +189,16 @@ class TestTrainingHistory:
         with pytest.raises(ValueError):
             h.loss_at_time(1.0)
         assert h.total_time == 0.0
+
+    def test_cadence_skipped_last_round(self, federation, model):
+        # Round 7 of eval_every=5 is not evaluated: the finals read round 5.
+        trainer = FLTrainer(model, federation, FABTopK(), eval_every=5)
+        history = trainer.run(7, 20)
+        fifth = history.records[4].loss
+        assert not np.isnan(fifth)
+        assert np.isnan(history.records[-1].loss)
+        assert history.final_loss == fifth
+        assert history.loss_at_time(history.total_time) == fifth
 
 
 class TestFLTrainer:

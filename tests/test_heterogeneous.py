@@ -1,4 +1,4 @@
-"""Tests for heterogeneous timing, client sampling, and resource models."""
+"""Tests for heterogeneous timing and client sampling."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.simulation.heterogeneous import (
     ClientSampler,
     HeterogeneousTimingModel,
 )
-from repro.simulation.resources import ResourceModel, ResourceWeights
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
@@ -165,88 +164,3 @@ class TestSampledTraining:
         trainer_all.run(20, k=10)
         assert trainer_fast.clock < trainer_all.clock
 
-
-class TestResourceModel:
-    def test_pure_time_matches_timing(self):
-        timing = TimingModel(dimension=1000, comm_time=10.0)
-        resources = ResourceModel(timing, compute_energy=0.0,
-                                  energy_per_element=0.0)
-        assert resources.sparse_round(50, 50).total == pytest.approx(
-            timing.sparse_round(50, 50).total
-        )
-        assert resources.dense_round().total == pytest.approx(
-            timing.dense_round().total
-        )
-
-    def test_energy_term_grows_with_elements(self):
-        timing = TimingModel(dimension=1000, comm_time=10.0)
-        resources = ResourceModel(
-            timing, weights=ResourceWeights(time=0.0, energy=1.0),
-            compute_energy=1.0, energy_per_element=0.01,
-        )
-        small = resources.sparse_round(10, 10).total
-        large = resources.sparse_round(100, 100).total
-        assert large > small
-        # 2x(10+10) pairs -> 40 elements * 0.01 + compute 1.0
-        assert small == pytest.approx(1.0 + 0.4)
-
-    def test_money_per_round_fee(self):
-        timing = TimingModel(dimension=100, comm_time=1.0)
-        resources = ResourceModel(
-            timing, weights=ResourceWeights(time=0.0, money=1.0),
-            money_per_element=0.0, money_per_round=2.5,
-        )
-        assert resources.sparse_round(1, 1).total == pytest.approx(2.5)
-
-    def test_combined_objective(self):
-        timing = TimingModel(dimension=1000, comm_time=10.0)
-        resources = ResourceModel(
-            timing, weights=ResourceWeights(time=1.0, energy=2.0, money=1.0),
-            compute_energy=0.5, energy_per_element=0.001,
-            money_per_element=0.002, money_per_round=0.1,
-        )
-        rt = resources.sparse_round(50, 50)
-        elements = 2 * 100  # pair_overhead * (50+50)
-        expected = (
-            timing.sparse_round(50, 50).total
-            + 2.0 * (0.5 + 0.001 * elements)
-            + 1.0 * (0.002 * elements + 0.1)
-        )
-        assert rt.total == pytest.approx(expected)
-
-    def test_expected_sparse_round_interpolates(self):
-        timing = TimingModel(dimension=1000, comm_time=10.0)
-        resources = ResourceModel(timing, energy_per_element=0.01)
-        mid = resources.expected_sparse_round_time(10.5)
-        lo = resources.sparse_round(10, 10).total
-        hi = resources.sparse_round(11, 11).total
-        assert mid == pytest.approx(0.5 * (lo + hi))
-
-    def test_drop_in_for_trainer(self):
-        ds = make_gaussian_blobs(num_samples=200, num_classes=3,
-                                 feature_dim=8, separation=4.0, seed=0)
-        fed = partition_iid(ds, num_clients=4, seed=0)
-        model = make_logistic(8, 3, seed=0)
-        resources = ResourceModel(
-            TimingModel(model.dimension, comm_time=5.0),
-            weights=ResourceWeights(time=1.0, energy=1.0),
-            compute_energy=0.2, energy_per_element=0.005,
-        )
-        trainer = FLTrainer(model, fed, FABTopK(), timing=resources,
-                            learning_rate=0.1, batch_size=16, seed=0)
-        trainer.run(10, k=8)
-        assert trainer.clock > 0
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ResourceWeights(time=-1.0)
-        with pytest.raises(ValueError):
-            ResourceWeights(time=0.0, energy=0.0, money=0.0)
-        timing = TimingModel(10, 1.0)
-        with pytest.raises(ValueError):
-            ResourceModel(timing, compute_energy=-1.0)
-
-    def test_fedavg_period_delegates(self):
-        timing = TimingModel(dimension=1000, comm_time=10.0)
-        resources = ResourceModel(timing)
-        assert resources.fedavg_period(100) == timing.fedavg_period(100)

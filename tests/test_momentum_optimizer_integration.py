@@ -1,4 +1,4 @@
-"""Tests for DGC momentum correction and server-side optimizers in FL."""
+"""Tests for DGC momentum correction in FL."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.client import Client
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_logistic
-from repro.nn.optim import SGD, step_decay_lr
 from repro.sparsify.fab_topk import FABTopK
 
 
@@ -77,43 +76,3 @@ class TestMomentumCorrection:
 
         assert final_loss(0.9) < final_loss(0.0) * 1.05
 
-
-class TestServerOptimizer:
-    def test_plain_equivalence(self):
-        # optimizer=SGD(lr) without momentum must match the built-in step.
-        # Build two independent federations: ClientDataset sampling is
-        # stateful, so sharing one would desynchronize the minibatches.
-        def fresh_federation():
-            ds = make_gaussian_blobs(num_samples=300, num_classes=4,
-                                     feature_dim=10, separation=4.0, seed=0)
-            return partition_iid(ds, num_clients=4, seed=0)
-
-        model_a = make_logistic(10, 4, seed=0)
-        trainer_a = FLTrainer(model_a, fresh_federation(), FABTopK(),
-                              learning_rate=0.05, batch_size=16, seed=0)
-        model_b = make_logistic(10, 4, seed=0)
-        trainer_b = FLTrainer(model_b, fresh_federation(), FABTopK(),
-                              learning_rate=123.0,  # ignored when optimizer set
-                              optimizer=SGD(lr=0.05),
-                              batch_size=16, seed=0)
-        trainer_a.run(5, k=10)
-        trainer_b.run(5, k=10)
-        np.testing.assert_allclose(model_a.get_weights(), model_b.get_weights())
-
-    def test_server_momentum_converges(self, federation):
-        model = make_logistic(10, 4, seed=0)
-        trainer = FLTrainer(model, federation, FABTopK(),
-                            optimizer=SGD(lr=0.05, momentum=0.8),
-                            batch_size=16, seed=0)
-        initial = trainer.global_loss()
-        trainer.run(60, k=10)
-        assert trainer.history.final_loss < initial * 0.8
-
-    def test_lr_schedule_applies(self, federation):
-        model = make_logistic(10, 4, seed=0)
-        opt = SGD(lr=step_decay_lr(0.1, decay=0.5, every=2))
-        trainer = FLTrainer(model, federation, FABTopK(), optimizer=opt,
-                            batch_size=16, seed=0)
-        trainer.run(4, k=10)
-        assert opt.step_count == 4
-        assert opt.current_lr() == pytest.approx(0.025)

@@ -1414,13 +1414,13 @@ class TestHistoryLastEvaluated:
         h = TrainingHistory()
         h.append(RoundRecord(1, 1.0, 1.0, 1.0, 5.0))
         h.append(RoundRecord(2, 1.0, 1.0, 2.0, float("nan")))
-        assert h.last_evaluated_loss == 5.0
+        assert h.final_loss == 5.0
 
     def test_all_nan_raises(self):
         h = TrainingHistory()
         h.append(RoundRecord(1, 1.0, 1.0, 1.0, float("nan")))
         with pytest.raises(ValueError):
-            _ = h.last_evaluated_loss
+            _ = h.final_loss
 
 
 class TestAdaptiveTrainerWithSampler:

@@ -52,7 +52,7 @@ def run_fixed_k(config, sparsifier_factory, time_budget, k):
                         seed=config.seed)
     while trainer.clock < time_budget:
         trainer.step(k)
-    return trainer.history.last_evaluated_loss
+    return trainer.history.final_loss
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -78,7 +78,7 @@ def test_fab_beats_weak_baselines_across_seeds(seed):
     )
     while dense_trainer.clock < budget:
         dense_trainer.step()
-    dense = dense_trainer.history.last_evaluated_loss
+    dense = dense_trainer.history.final_loss
 
     assert fab < periodic, f"seed {seed}: FAB {fab} vs periodic {periodic}"
     assert fab < dense, f"seed {seed}: FAB {fab} vs send-all {dense}"

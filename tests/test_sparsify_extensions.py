@@ -1,4 +1,4 @@
-"""Tests for the layer-wise and hard-threshold sparsifier extensions."""
+"""Tests for the layer-wise sparsifier extension."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_logistic, make_mlp
 from repro.sparsify.layerwise import LayerwiseTopK
-from repro.sparsify.threshold import HardThreshold
 
 RNG = np.random.default_rng(9)
 
@@ -128,53 +127,3 @@ class TestLayerwiseSelection:
         for b, size in zip(budgets, sizes):
             assert 0 <= b <= size
 
-
-class TestHardThreshold:
-    def test_selects_above_threshold(self):
-        sp = HardThreshold(threshold=1.0)
-        residual = np.array([0.5, 1.5, -2.0, 0.1, 1.0])
-        idx = sp.client_select(residual, k=10, rng=RNG)
-        np.testing.assert_array_equal(idx, [1, 2, 4])
-
-    def test_cap_at_k(self):
-        sp = HardThreshold(threshold=0.1)
-        residual = RNG.standard_normal(50) + 1.0
-        idx = sp.client_select(residual, k=5, rng=RNG)
-        assert idx.size == 5
-
-    def test_never_sends_nothing(self):
-        sp = HardThreshold(threshold=100.0)
-        residual = np.array([0.1, 0.5, 0.3])
-        idx = sp.client_select(residual, k=5, rng=RNG)
-        np.testing.assert_array_equal(idx, [1])
-
-    def test_adaptive_threshold_moves_toward_target(self):
-        sp = HardThreshold(threshold=0.001, target_elements=5, adapt_rate=0.2)
-        rng = np.random.default_rng(0)
-        sent = []
-        for _ in range(60):
-            residual = rng.standard_normal(200)
-            sent.append(sp.client_select(residual, k=200, rng=RNG).size)
-        # Early rounds send ~200 elements; after adaptation counts drop
-        # close to the target.
-        assert np.mean(sent[-10:]) < 4 * 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HardThreshold(threshold=0.0)
-        with pytest.raises(ValueError):
-            HardThreshold(threshold=1.0, target_elements=0)
-        with pytest.raises(ValueError):
-            HardThreshold(threshold=1.0, adapt_rate=1.0)
-
-    def test_training_converges(self):
-        ds = make_gaussian_blobs(num_samples=300, num_classes=4,
-                                 feature_dim=10, separation=4.0, seed=0)
-        fed = partition_iid(ds, num_clients=4, seed=0)
-        model = make_logistic(10, 4, seed=0)
-        sp = HardThreshold(threshold=0.05, target_elements=10)
-        trainer = FLTrainer(model, fed, sp, learning_rate=0.1,
-                            batch_size=16, seed=0)
-        initial = trainer.global_loss()
-        trainer.run(50, k=20)
-        assert trainer.history.final_loss < initial * 0.8
