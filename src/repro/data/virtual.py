@@ -110,7 +110,7 @@ class LazyClientDataset(ClientDataset):
     A :class:`~repro.data.partition.ClientDataset` that differs only in
     where ``x``/``y`` come from.  The minibatch stream is *not* part of
     the releasable state: :meth:`release` drops only the arrays, so a
-    client that hibernates and later rematerializes continues its draw
+    client the LRU evicted and later rematerialized continues its draw
     stream where it left off — as if it had never released.
     """
 
@@ -268,8 +268,8 @@ class VirtualFederation:
         """Regenerate one client's ``(x, y)`` from ``(seed, cid)`` alone.
 
         Pure: same ``(spec, client_id)`` gives byte-equal arrays across
-        calls, instances, processes and query orders (the invariant lazy
-        residual spilling and worker-side construction rest on).
+        calls, instances, processes and query orders (the invariant LRU
+        releases and worker-side construction rest on).
         """
         spec = self.spec
         cid = int(client_id)

@@ -47,6 +47,9 @@ from repro.sparsify.base import ClientUpload, Sparsifier
 
 BACKEND_NAMES = ("serial", "vectorized", "sharded")
 
+#: one minibatch ``(x, y)``
+Batch = tuple[np.ndarray, np.ndarray]
+
 
 class ExecutionBackend:
     """How a round's gradients are computed (:meth:`compute_gradients`);
@@ -73,15 +76,15 @@ class ExecutionBackend:
         trainer's estimator input).  ``model`` holds the synchronized
         weights ``w(m-1)`` and must be left unchanged.
         """
-        grads = self.compute_gradients(
+        steps = self.compute_gradients(
             model, participants, want_batches=draw_probes
         )
         uploads = []
-        for client, grad in zip(participants, grads):
+        for client, (grad, batch) in zip(participants, steps):
             client.accumulate_gradient(grad)
             uploads.append(client.select_upload(k, sparsifier))
             if draw_probes:
-                client.draw_probe_sample()
+                client.draw_probe_sample(*batch)
         return uploads
 
     def compute_gradients(
@@ -89,15 +92,15 @@ class ExecutionBackend:
         model: FlatModel,
         participants: list[Client],
         want_batches: bool = False,
-    ) -> Iterable[np.ndarray]:
+    ) -> Iterable[tuple[np.ndarray, Batch | None]]:
         """Per-participant minibatch gradients at the current weights.
 
-        Draws each participant's minibatch and yields the flat gradients
-        as an iterable in participant order; used directly by dense
-        baselines (always-send-all) that skip sparsification.  With
-        ``want_batches`` every participant's minibatch is recorded on the
-        client by the time its gradient arrives, for
-        :meth:`Client.draw_probe_sample`.
+        Draws each participant's minibatch and yields ``(gradient,
+        minibatch)`` pairs in participant order; used directly by dense
+        baselines (always-send-all) that skip sparsification.  The
+        minibatch ``(x, y)`` comes with its gradient when ``want_batches``
+        asks for it (the input of :meth:`Client.draw_probe_sample`);
+        otherwise it may be None.  No client keeps it.
 
         Each gradient is valid until this backend's next gradient phase:
         a backend may return views of a buffer it reuses, as the sharded
@@ -136,10 +139,11 @@ class SerialBackend(ExecutionBackend):
         model: FlatModel,
         participants: list[Client],
         want_batches: bool = False,
-    ) -> Iterable[np.ndarray]:
+    ) -> Iterable[tuple[np.ndarray, Batch]]:
         # A generator: each gradient is folded in before the next exists.
         for client in participants:
-            yield model.gradient(*client.draw_minibatch())[0]
+            batch = client.draw_minibatch()
+            yield model.gradient(*batch)[0], batch
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -160,10 +164,10 @@ class VectorizedBackend(ExecutionBackend):
         model: FlatModel,
         participants: list[Client],
         want_batches: bool = False,
-    ) -> list[np.ndarray]:
+    ) -> list[tuple[np.ndarray, Batch]]:
         batches = [client.draw_minibatch() for client in participants]
         if not model.supports_batched_gradients():
-            return [model.gradient(x, y)[0] for x, y in batches]
+            return [(model.gradient(x, y)[0], (x, y)) for x, y in batches]
         grads: list[np.ndarray | None] = [None] * len(batches)
         # Group clients by batch size (shards smaller than batch_size
         # yield short batches); one grouped pass per size class.
@@ -177,7 +181,7 @@ class VectorizedBackend(ExecutionBackend):
             )
             for row, i in enumerate(members):
                 grads[i] = stacked[row]
-        return grads  # type: ignore[return-value]
+        return list(zip(grads, batches))  # type: ignore[arg-type]
 
 
 def resolve_backend(

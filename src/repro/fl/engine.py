@@ -366,10 +366,8 @@ class RoundEngine:
         eval_every: int = 1,
         eval_max_samples: int = 2000,
         sampler=None,
-        momentum_correction: float = 0.0,
         backend: str | ExecutionBackend | None = None,
         scenario_hooks: RoundHooks | None = None,
-        spill_after: int = 0,
         telemetry=None,
         seed: int = 0,
         aggregator=None,
@@ -378,8 +376,6 @@ class RoundEngine:
             raise ValueError("learning_rate must be positive")
         if eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        if spill_after < 0:
-            raise ValueError("spill_after must be >= 0")
         self.model = model
         self.federation = federation
         self.sparsifier = sparsifier
@@ -405,10 +401,7 @@ class RoundEngine:
         #: optional RobustAggregator (Byzantine-tolerant b_j); None keeps
         #: the paper's weighted-mean path byte-for-byte.
         self.server = Server(model.dimension, aggregator=aggregator)
-        #: clients spill dense state after this many idle rounds (0 = off)
-        self.spill_after = spill_after
         self._batch_size = batch_size
-        self._momentum_correction = momentum_correction
         self._seed = seed
         #: virtual federations construct Client objects on first
         #: participation; eager ones keep the seed behaviour (all up
@@ -420,11 +413,10 @@ class RoundEngine:
         else:
             self._client_list = [
                 Client(shard, model.dimension, batch_size=batch_size,
-                       momentum_correction=momentum_correction, seed=seed)
+                       seed=seed)
                 for shard in federation.clients
             ]
             self._clients_by_id = {c.client_id: c for c in self._client_list}
-        self._last_active: dict[int, int] = {}
         self.history = TrainingHistory()
         self._round = 0
         self._clock = 0.0
@@ -472,9 +464,7 @@ class RoundEngine:
                 raise KeyError(cid)
             client = Client(
                 self.federation.client_dataset(cid), self.model.dimension,
-                batch_size=self._batch_size,
-                momentum_correction=self._momentum_correction,
-                seed=self._seed,
+                batch_size=self._batch_size, seed=self._seed,
             )
             self._clients_by_id[cid] = client
             self._client_list.append(client)
@@ -490,28 +480,6 @@ class RoundEngine:
         if self._virtual:
             return [self._client_for(cid) for cid in self.federation.client_ids]
         return self._client_list
-
-    def _note_participation(self, participants: list[Client]) -> None:
-        """Track last-active rounds and hibernate long-idle clients.
-
-        O(ever-touched) per round, only when ``spill_after`` is enabled;
-        hibernation is exact (sparse spill + regenerable datasets), so
-        results are identical with spilling on or off.
-        """
-        if not self.spill_after:
-            return
-        for client in participants:
-            self._last_active[client.client_id] = self._round
-        for client in self._client_list:
-            if client.hibernating:
-                continue
-            idle = self._round - self._last_active.get(
-                client.client_id, self._round
-            )
-            if idle >= self.spill_after:
-                client.hibernate()
-                if self.telemetry.enabled:
-                    self.telemetry.count("engine.residual_spill")
 
     def global_loss(self) -> float:
         """Global training loss L(w) at the current weights."""
@@ -630,8 +598,7 @@ class RoundEngine:
         hooks = ChainedHooks(self.scenario_hooks, self.k_rule, hooks)
         ctx = RoundContext(self, self.begin_round(), k)
 
-        tel = self.telemetry
-        tracing = tel.enabled
+        tracing = self.telemetry.enabled
         if tracing:
             phases: dict[str, float] = {}
             wall_start = mark = time.perf_counter()
@@ -651,9 +618,6 @@ class RoundEngine:
         ctx.participants, ctx.participant_ids = self._start_wave()
         if tracing:
             lap("sample")
-            restored = sum(1 for c in ctx.participants if c.hibernating)
-            if restored:
-                tel.count("engine.residual_restore", restored)
 
         ctx.w_prev = self.model.get_weights()
         ctx.uploads = self._collect_uploads(ctx, hooks.wants_probes)
@@ -704,7 +668,6 @@ class RoundEngine:
         if self.sparsifier.discards_residual:
             for client in ctx.participants:
                 client.reset_all()
-        self._note_participation(ctx.participants)
         if tracing:
             lap("residual_reset")
         hooks.after_update(ctx)

@@ -132,9 +132,9 @@ class AlwaysSendAllTrainer(_BaselineTrainer):
         self.engine.begin_round()
         counts = np.array([c.sample_count for c in self.clients], dtype=float)
         total = counts.sum()
-        grads = self.engine.backend.compute_gradients(self.model, self.clients)
+        steps = self.engine.backend.compute_gradients(self.model, self.clients)
         aggregate = np.zeros(self.model.dimension)
-        for grad, count in zip(grads, counts):
+        for (grad, _), count in zip(steps, counts):
             aggregate += (count / total) * grad
         self.model.set_weights(
             self.model.get_weights() - self.learning_rate * aggregate

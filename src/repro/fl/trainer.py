@@ -15,8 +15,9 @@ One round of :class:`FLTrainer`:
 The round protocol itself lives in :class:`repro.fl.engine.RoundEngine`
 (shared with the baselines); this class is the sparse-GS façade over it.
 ``backend`` selects how the local steps execute — ``"serial"`` (the
-reference loop) or ``"vectorized"`` (one batched pass over all
-participants, identical histories, faster wall-clock).
+reference loop), ``"vectorized"`` (one batched pass over all
+participants) or ``"sharded"`` (a worker pool); all three produce
+identical histories.
 
 The per-round sparsity ``k`` handed to ``step``/``run``/``run_for_time``
 becomes the engine's k rule: a constant, a list or a schedule (mapping
@@ -80,18 +81,22 @@ class FLTrainer(EngineFacade):
         heterogeneous-clients extension of the paper's Section VI.
     backend:
         Execution backend for the local-step phase: ``"serial"``
-        (default), ``"vectorized"``, or an
+        (default), ``"vectorized"``, ``"sharded"``, or an
         :class:`~repro.fl.backends.ExecutionBackend` instance.
-    spill_after:
-        When positive, clients idle for this many rounds spill their
-        dense residual/velocity to a sparse store (and release lazy
-        virtual datasets) — exact, so results are identical with
-        spilling on or off; it only bounds idle-client memory in
-        population-scale runs.  0 (default) disables spilling.
+    scenario_hooks:
+        Persistent :class:`~repro.fl.engine.RoundHooks` run in every
+        round; a ``scenario`` supplies its own.
     telemetry:
         Optional :class:`repro.obs.Telemetry` receiving round traces and
         counters.  Observation-only — traced runs are bit-identical to
         untraced ones.
+    seed:
+        Seeds every client's selection/probe stream, the evaluation-pool
+        subsample and the learned k's rounding stream.
+    aggregator:
+        Optional robust aggregator for the server's ``b_j`` (see
+        :mod:`repro.fl.robust`); None keeps the paper's weighted mean.  A
+        ``scenario`` supplies its own.
     """
 
     #: the engine this façade builds (the async trainer swaps it)

@@ -62,7 +62,9 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "counters": frozenset({"counters", "gauges"}),
     # A run-health detector fired (:mod:`repro.obs.health`): divergence,
     # drop-rate, flagged-client accumulation, or wall-clock stall.
-    # ``severity`` is ``"warning"`` or ``"critical"``.
+    # ``severity`` is ``"warning"`` or ``"critical"``.  The detectors run
+    # post-hoc over a trace; the kind stays so traces that carry alert
+    # lines still validate and ``trace-report`` still tallies them.
     "alert": frozenset({"round", "detector", "severity", "message"}),
 }
 

@@ -1,7 +1,7 @@
-"""Run-health monitor: pure streaming detectors over the event stream.
+"""Run-health monitor: pure streaming detectors over a recorded trace.
 
-:class:`HealthMonitor` watches the same schema-validated records that go
-to the sink and raises ``alert`` events when a run looks unhealthy:
+:class:`HealthMonitor` replays the schema-validated records a run wrote
+to its JSONL trace and raises alerts where the run looked unhealthy:
 
 * **divergence** — a round loss is non-finite (NaN/inf) or exploded far
   above the best loss seen so far;
@@ -18,12 +18,11 @@ bounded per-phase windows — so the monitor rides the telemetry invariant
 unchanged.  Detectors latch: each (detector, subject) pair alerts once
 per run, so a sick run produces a handful of alerts, not thousands.
 
-Post-hoc use (``trace-report``) replays a JSONL trace through
-:func:`scan_trace`; live use hands a monitor to
-:class:`~repro.obs.telemetry.Telemetry`, which re-emits raised alerts
-into the stream as schema-registered ``alert`` events.  Note the stall
-detector reads wall-clock phase times, so live alerts are inherently
-host-dependent; runs that must be byte-compared should scan post-hoc.
+The detectors run post-hoc only: ``trace-report`` replays a finished
+trace (:func:`repro.obs.report.summarize_trace`, or :func:`scan_trace`
+on its own) and prints what they raised in its health section; nothing
+watches a run while it trains.  The stall detector reads wall-clock
+phase times, so its verdict is host-dependent.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ class HealthMonitor:
     """Streaming health detectors; feed records, collect alert dicts.
 
     ``observe(record)`` returns a (usually empty) list of alert field
-    dicts — each ready to emit as an ``alert`` event — and ``summary()``
+    dicts — each carrying the ``alert`` event fields — and ``summary()``
     reports everything raised so far.
     """
 

@@ -19,8 +19,8 @@ def summarize_trace(path: str | pathlib.Path,
     """Validate every event in ``path`` and return the aggregate summary.
 
     The stream is also replayed through a :class:`HealthMonitor`, so the
-    summary's ``health`` section reports post-hoc what a live monitor
-    would have raised.
+    summary's ``health`` section reports what the run-health detectors
+    raise over the recorded run.
     """
     aggregator = MemoryAggregator()
     monitor = HealthMonitor(health_config or HealthConfig())

@@ -83,15 +83,10 @@ class Telemetry:
     process = "parent"
 
     def __init__(self, sink: JsonlSink | None = None,
-                 aggregator: MemoryAggregator | None = None,
-                 health=None):
+                 aggregator: MemoryAggregator | None = None):
         self.sink = sink
         self.aggregator = MemoryAggregator() if aggregator is None \
             else aggregator
-        #: Optional live :class:`repro.obs.health.HealthMonitor`; every
-        #: non-alert event streams through it and any alerts it raises
-        #: are re-emitted as schema-registered ``alert`` events.
-        self.health = health
         #: Engine-maintained current round index, used to stamp merged
         #: worker events (set by ``RoundEngine.begin_round`` when tracing).
         self.current_round = 0
@@ -120,9 +115,6 @@ class Telemetry:
         self.aggregator.add(record)
         if self.sink is not None:
             self.sink.write(record)
-        if self.health is not None and kind != "alert":
-            for alert in self.health.observe(record):
-                self.event("alert", **alert)
 
     @contextmanager
     def span(self, name: str, **fields):

@@ -1,7 +1,7 @@
 """ShardedBackend: the round's gradient phase on a multiprocessing pool.
 
 The round skeleton (:class:`repro.fl.engine.RoundEngine`) stays in the
-parent process and keeps owning *all* client state — residuals, momentum,
+parent process and keeps owning *all* client state — residuals and the
 selection/probe RNG.  Only the embarrassingly parallel piece moves out:
 each participant's minibatch draw and gradient computation runs on the
 worker owning that client's shard (:class:`repro.parallel.pool.
@@ -58,7 +58,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.fl.backends import ExecutionBackend, SerialBackend
+from repro.fl.backends import Batch, ExecutionBackend, SerialBackend
 from repro.fl.client import Client
 from repro.nn.flat import FlatModel
 from repro.parallel.pool import (
@@ -120,7 +120,7 @@ class ShardedBackend(ExecutionBackend):
         model: FlatModel,
         participants: list[Client],
         want_batches: bool = False,
-    ) -> Iterable[np.ndarray]:
+    ) -> Iterable[tuple[np.ndarray, Batch | None]]:
         self._ensure_open()
         if not model.deterministic_gradients():
             # Active Dropout: the gradient depends on the model's RNG
@@ -144,20 +144,15 @@ class ShardedBackend(ExecutionBackend):
             return self._serial.compute_gradients(model, participants)
         token = self._session_token(pool, model)
         self._register_missing(pool, token, participants)
-        results = pool.compute_gradients(
+        # The worker drew each minibatch; with ``want_batches`` it comes
+        # back beside the gradient, so probe draws see the round's batch
+        # exactly as under serial execution.
+        return pool.compute_gradients(
             token,
             [client.client_id for client in participants],
             model.get_weights(),
             want_batches=want_batches,
         )
-        grads = []
-        for client, (grad, batch) in zip(participants, results):
-            if batch is not None:
-                # The worker drew the minibatch; mirror it so probe draws
-                # see the round's batch exactly as under serial execution.
-                client.adopt_minibatch(*batch)
-            grads.append(grad)
-        return grads
 
     def reset_residuals(
         self,

@@ -3,8 +3,7 @@
 The paper cites layer-wise adaptive sparsification [26], [27] as
 orthogonal/complementary.  This check compares global FAB-top-k against
 the two layer-wise budget splits (proportional and magnitude-adaptive) at
-the same total k, plus the DGC momentum-correction variant, all under the
-same normalized-time accounting.
+the same total k, all under the same normalized-time accounting.
 """
 
 from .conftest import bench_config
@@ -18,12 +17,8 @@ def _run(config, variant: str, num_rounds: int):
     model = build_model(config)
     federation = build_federation(config)
     timing = build_timing(config, model.dimension)
-    momentum = 0.0
     if variant == "global":
         sparsifier = FABTopK()
-    elif variant == "global+dgc":
-        sparsifier = FABTopK()
-        momentum = 0.9
     else:
         split = "proportional" if variant == "layerwise-prop" else "magnitude"
         sparsifier = LayerwiseTopK(model.parameter_slices(), split=split)
@@ -32,17 +27,16 @@ def _run(config, variant: str, num_rounds: int):
                         batch_size=config.batch_size,
                         eval_every=config.eval_every,
                         eval_max_samples=config.eval_max_samples,
-                        momentum_correction=momentum,
                         seed=config.seed)
     k = max(4, int(0.4 * model.dimension / config.num_clients))
     trainer.run(num_rounds, k=k)
     return trainer.history
 
 
-VARIANTS = ("global", "global+dgc", "layerwise-prop", "layerwise-mag")
+VARIANTS = ("global", "layerwise-prop", "layerwise-mag")
 
 
-def test_layerwise_and_momentum_variants(capsys):
+def test_layerwise_variants(capsys):
     config = bench_config().with_overrides(num_rounds=150)
 
     def run():
@@ -54,7 +48,7 @@ def test_layerwise_and_momentum_variants(capsys):
         for v, h in histories.items()
     ]
     with capsys.disabled():
-        print("\n[Layer-wise / momentum ablation] equal total k, equal rounds")
+        print("\n[Layer-wise ablation] equal total k, equal rounds")
         print(text_table(["variant", "final loss", "total time"], rows))
 
     # All variants must actually learn; none should blow up.

@@ -467,8 +467,8 @@ class TestVirtualFederation:
     @settings(max_examples=20, deadline=None)
     def test_client_arrays_are_pure(self, cid, queries, spec_seed):
         # Same (seed, cid) -> byte-equal arrays across calls,
-        # instances and query orders: the invariant residual
-        # spilling and worker-side regeneration rest on.
+        # instances and query orders: the invariant LRU releases
+        # and worker-side regeneration rest on.
         spec = dict(SPEC, seed=spec_seed)
         fresh = VirtualFederation.build(12, **spec)
         reference_x, reference_y = fresh.client_arrays(cid)

@@ -411,21 +411,6 @@ class TestBackendEquivalence:
         fast.close()
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
-    def test_momentum_fallback_identical(self, backend_name):
-        # Momentum masking disables the batched residual reset; the
-        # vectorized backend must fall back without changing results
-        # (momentum state stays in the parent under sharding anyway).
-        factory = SPARSIFIER_FACTORIES["fab-top-k"]
-        serial = _fl_trainer("serial", factory, momentum_correction=0.5)
-        fast = _fl_trainer(
-            make_backend(backend_name), factory, momentum_correction=0.5
-        )
-        assert history_rows(serial.run(8, k=12)) == history_rows(
-            fast.run(8, k=12)
-        )
-        fast.close()
-
-    @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_cnn_model_grouped_and_identical(self, backend_name):
         # Conv2D/MaxPool2D implement the grouped im2col pass, so CNN
         # configs no longer fall back to per-client gradients on the
@@ -786,25 +771,17 @@ class TestVirtualEagerEquivalence:
 
     The contract every population-scale claim rests on: training over
     :class:`~repro.data.virtual.VirtualFederation` (lazy datasets, lazy
-    clients, LRU releases, optional hibernation spilling) must produce
-    the same histories, weights and residuals as the same run over
-    ``federation.materialize()`` — across sparsifier families, momentum
-    correction and every backend.
+    clients, LRU releases) must produce the same histories, weights and
+    residuals as the same run over ``federation.materialize()`` — across
+    sparsifier families, the asynchronous engine and every backend.
     """
 
-    #: (sparsifier factory, momentum, spill_after) matrix rows
+    #: sparsifier factory per matrix row
     VARIANTS = {
-        "fab-top-k": (lambda: FABTopK(), 0.0, 0),
-        "quantized": (
-            lambda: QuantizedSparsifier(
-                FABTopK(), UniformQuantizer(num_levels=15, seed=7)
-            ),
-            0.0,
-            0,
+        "fab-top-k": lambda: FABTopK(),
+        "quantized": lambda: QuantizedSparsifier(
+            FABTopK(), UniformQuantizer(num_levels=15, seed=7)
         ),
-        "momentum": (lambda: FABTopK(), 0.5, 0),
-        "spill": (lambda: FABTopK(), 0.0, 2),
-        "momentum-spill": (lambda: FABTopK(), 0.5, 2),
     }
 
     def _virtual_federation(self, seed=7):
@@ -815,29 +792,22 @@ class TestVirtualEagerEquivalence:
             classes_per_writer=4, test_samples=32, seed=seed,
         )
 
-    def _trainer(self, federation, sparsifier, backend="serial",
-                 momentum=0.0, spill_after=0, seed=7):
+    def _trainer(self, federation, sparsifier, backend="serial", seed=7):
         model = make_mlp(49, 8, hidden=(10,), seed=seed)
         timing = TimingModel(dimension=model.dimension, comm_time=10.0)
         return FLTrainer(
             model, federation, sparsifier, timing=timing,
             learning_rate=0.05, batch_size=6, eval_every=3, seed=seed,
-            backend=backend, momentum_correction=momentum,
-            spill_after=spill_after,
+            backend=backend,
         )
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_virtual_matches_materialized_twin(self, name):
-        factory, momentum, spill_after = self.VARIANTS[name]
-        virtual_fed = self._virtual_federation()
-        eager_fed = self._virtual_federation().materialize()
-        virtual = self._trainer(
-            virtual_fed, factory(), momentum=momentum,
-            spill_after=spill_after,
+        factory = self.VARIANTS[name]
+        virtual = self._trainer(self._virtual_federation(), factory())
+        eager = self._trainer(
+            self._virtual_federation().materialize(), factory()
         )
-        # The eager twin never spills — hibernation must be exact, so
-        # the spilling virtual run still equals the non-spilling eager.
-        eager = self._trainer(eager_fed, factory(), momentum=momentum)
         hv = virtual.run(8, k=12)
         he = eager.run(8, k=12)
         assert history_rows(hv) == history_rows(he)
@@ -849,6 +819,68 @@ class TestVirtualEagerEquivalence:
         for cv, ce in zip(virtual.clients, eager.clients):
             assert cv.client_id == ce.client_id
             np.testing.assert_array_equal(cv.residual, ce.residual)
+
+    def _population_async(self, federation, backend, seed=3):
+        # Half of the 200 clients are 6x slow, so commits of 2 leave
+        # stragglers' uploads (and their probe samples) in flight across
+        # commits while the learned k probes.
+        from repro.scenarios import build_population_scenario
+        from repro.simulation.heterogeneous import HeterogeneousTimingModel
+        from repro.simulation.population import PopulationModel
+
+        config = ScenarioConfig(
+            participants=5, slow_fraction=0.5, slow_factor=6, seed=seed
+        )
+        model = make_mlp(36, 8, hidden=(8,), seed=seed)
+        population = PopulationModel.from_scenario_config(config, 200)
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=population.profiles
+        )
+        return AsyncFLTrainer(
+            model, federation, FABTopK(), timing=timing,
+            scenario=build_population_scenario(config, population, timing),
+            commit_count=2, learning_rate=0.05, batch_size=8, seed=seed,
+            backend=backend,
+        )
+
+    @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
+    def test_async_population_learned_k_matches_materialized_twin(
+        self, backend_name
+    ):
+        from repro.data.virtual import VirtualFederation
+
+        def federation():
+            return VirtualFederation.build(
+                200, samples_per_client=12, num_classes=8, image_size=6,
+                classes_per_writer=4, test_samples=32, seed=3,
+            )
+
+        virtual = self._population_async(
+            federation(), make_backend(backend_name)
+        )
+        eager = self._population_async(
+            federation().materialize(), make_backend(backend_name)
+        )
+        hv = virtual.run(20, _learned_k_policy(virtual.model))
+        he = eager.run(20, _learned_k_policy(eager.model))
+        virtual.close()
+        eager.close()
+        assert history_rows(hv) == history_rows(he)
+        assert contribution_rows(hv) == contribution_rows(he)
+        assert virtual.staleness_history == eager.staleness_history
+        assert virtual.model.get_weights().tobytes() == (
+            eager.model.get_weights().tobytes()
+        )
+        eager_by_id = {c.client_id: c for c in eager.clients}
+        for cv in virtual.clients:
+            assert cv.residual.tobytes() == (
+                eager_by_id[cv.client_id].residual.tobytes()
+            )
+        # The row means something: k moved, stragglers committed stale,
+        # and only a cohort's worth of clients ever existed.
+        assert len(set(hv.ks())) > 1
+        assert max(virtual.staleness_history) > 0
+        assert len(virtual.clients) < 200
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_virtual_equivalence_holds_on_fast_backends(self, backend_name):
@@ -965,8 +997,9 @@ class TestBatchedKernels:
         gv = VectorizedBackend().compute_gradients(
             vec_clients.model, vec_clients.clients
         )
-        for a, b in zip(gs, gv):
+        for (a, batch_a), (b, batch_b) in zip(gs, gv):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(batch_a[0], batch_b[0])
 
     @pytest.mark.parametrize("draw_probes", [False, True])
     def test_serial_step_holds_one_gradient_at_a_time(

@@ -6,6 +6,7 @@ claims hold at smoke scale.
 """
 
 import ast
+import inspect
 import os
 import pathlib
 import re
@@ -518,9 +519,9 @@ def _defining_module(module, attr, modules):
     return module
 
 
-def _unreached_modules(roots, modules):
-    """The non-``__init__`` modules no ``(path, dotted name)`` root
-    imports, directly or transitively."""
+def _reached_modules(roots, modules):
+    """The modules ``(path, dotted name)`` roots import, directly or
+    transitively, plus the roots' own names."""
     reached = {name for _, name in roots}
     todo = list(roots)
     while todo:
@@ -536,26 +537,38 @@ def _unreached_modules(roots, modules):
                 reached.add(target)
                 if modules[target].name != "__init__.py":
                     todo.append((modules[target], target))
+    return reached
+
+
+def _unreached_modules(roots, modules):
+    """The non-``__init__`` modules no ``(path, dotted name)`` root
+    imports, directly or transitively."""
+    reached = _reached_modules(roots, modules)
     return sorted(
         name for name, path in modules.items()
         if path.name != "__init__.py" and name not in reached
     )
 
 
+def _entry_roots():
+    """The CLI, the benchmark's workloads and the paper-result checks."""
+    src = ROOT / "src"
+    return [
+        (src / "repro" / "cli.py", "repro.cli"),
+        (src / "repro" / "__main__.py", "repro.__main__"),
+        (ROOT / "benchmarks" / "suite" / "workloads.py", ""),
+    ] + [
+        (path, "")
+        for path in sorted((ROOT / "tests" / "slow").glob("test_*.py"))
+    ]
+
+
 class TestEveryModuleIsReached:
     def test_every_module_is_reached_from_an_entry_point(self):
-        # Roots: the CLI, the benchmark's workloads and the paper-result
-        # checks. There is no allow-list.
-        src = ROOT / "src"
-        roots = [
-            (src / "repro" / "cli.py", "repro.cli"),
-            (src / "repro" / "__main__.py", "repro.__main__"),
-            (ROOT / "benchmarks" / "suite" / "workloads.py", ""),
-        ] + [
-            (path, "")
-            for path in sorted((ROOT / "tests" / "slow").glob("test_*.py"))
-        ]
-        unreached = _unreached_modules(roots, _module_files(src))
+        # There is no allow-list.
+        unreached = _unreached_modules(
+            _entry_roots(), _module_files(ROOT / "src")
+        )
         assert unreached == [], (
             "no CLI command, benchmark workload or paper-result check "
             "imports these modules; delete them or reach them: "
@@ -580,3 +593,122 @@ class TestEveryModuleIsReached:
         modules = _module_files(tmp_path)
         assert _unreached_modules([(pkg / "root.py", "pkg.root")],
                                   modules) == ["pkg.spare"]
+
+
+# ----------------------------------------------------------------------
+# Surface: every engine setting is set by an entry point
+# ----------------------------------------------------------------------
+#: ``(module, class)`` whose ``__init__`` declares engine settings
+SETTING_DECLARATIONS = (
+    ("repro.fl.engine", "RoundEngine"),
+    ("repro.fl.async_engine", "AsyncRoundEngine"),
+    ("repro.obs.telemetry", "Telemetry"),
+)
+
+
+def _declared_settings(path, class_name):
+    """The keywords with a default in ``class_name.__init__``, in order."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                args = item.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    arg for arg, default in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                    if default is not None
+                ]
+                return [arg.arg for arg in defaulted]
+    raise LookupError(f"no {class_name}.__init__ in {path}")
+
+
+def _set_names(path):
+    """Every call keyword and string dict key in ``path``: the ways a
+    caller sets a setting.  A definition's own defaults are not
+    keywords, and a ``**settings`` pass-through names nothing."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
+
+
+def _unset_settings(roots, modules, declarations):
+    """``Class.setting`` for every declared setting that nothing the
+    roots reach sets."""
+    paths = {path for path, _ in roots} | {
+        modules[name] for name in _reached_modules(roots, modules)
+        if name in modules
+    }
+    used = set().union(*map(_set_names, paths))
+    return [
+        f"{class_name}.{name}"
+        for module, class_name in declarations
+        for name in _declared_settings(modules[module], class_name)
+        if name not in used
+    ]
+
+
+class TestEverySettingIsSet:
+    def test_every_engine_setting_is_set_by_an_entry_point(self):
+        # Same roots and graph as the module lint; no allow-list.
+        unset = _unset_settings(
+            _entry_roots(), _module_files(ROOT / "src"), SETTING_DECLARATIONS
+        )
+        assert unset == [], (
+            "no CLI command, benchmark workload or paper-result check "
+            "sets these engine settings; delete them or set them: "
+            + ", ".join(unset)
+        )
+
+    def test_the_settings_lint_reads_keywords_and_dict_keys(self, tmp_path):
+        # Guard against a vacuous lint on a throwaway package: a call
+        # keyword and a dict key count, a definition's default, a
+        # ``**settings`` forwarder and an unreached module do not.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        for name, source in {
+            "__init__.py": "",
+            "engine.py": (
+                "class Engine:\n"
+                "    def __init__(self, model, rate=0.1, hooks=None, *,\n"
+                "                 depth=2, spill=0, width):\n"
+                "        pass\n"
+            ),
+            "wiring.py": (
+                "from pkg.engine import Engine\n"
+                "def build(model, hooks, spill=1, **settings):\n"
+                "    settings = {**settings, 'hooks': hooks}\n"
+                "    return Engine(model, rate=0.2, **settings)\n"
+            ),
+            "spare.py": (
+                "from pkg.engine import Engine\n"
+                "ENGINE = Engine(None, depth=3)\n"
+            ),
+            "root.py": "def main():\n    from pkg.wiring import build\n",
+        }.items():
+            (pkg / name).write_text(source)
+        unset = _unset_settings(
+            [(pkg / "root.py", "pkg.root")], _module_files(tmp_path),
+            [("pkg.engine", "Engine")],
+        )
+        assert unset == ["Engine.depth", "Engine.spill"]
+
+    def test_fl_trainer_documents_exactly_the_engine_settings(self):
+        doc = inspect.cleandoc(FLTrainer.__doc__)
+        _, _, settings_section = doc.partition(
+            "Every other keyword is an *engine setting*"
+        )
+        documented = re.findall(r"^(\w+):$", settings_section, re.M)
+        declared = _declared_settings(
+            ROOT / "src" / "repro" / "fl" / "engine.py", "RoundEngine"
+        )
+        assert documented == declared

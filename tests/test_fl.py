@@ -75,8 +75,6 @@ class TestClient:
 
     def test_probe_flow(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
-        with pytest.raises(RuntimeError):
-            client.draw_probe_sample()
         client.local_step(model, k=3, sparsifier=FABTopK())
         hooks = LearnedK(None, None)
         w = model.get_weights()
@@ -86,15 +84,27 @@ class TestClient:
         )
         with pytest.raises(RuntimeError, match="draw_probe_sample"):
             hooks.after_update(ctx)
-        client.draw_probe_sample()
+        client.draw_probe_sample(*client.draw_minibatch())
         hooks.after_update(ctx)
         assert np.isfinite(hooks.loss_prev) and hooks.loss_prev >= 0
         assert hooks.loss_now == hooks.loss_prev and hooks.loss_probe is None
 
+    def test_probe_sample_is_its_own_row(self, federation, model):
+        # The probe sample outlives the minibatch it came from: a copy of
+        # one row, never a view pinning the whole batch.
+        client = Client(federation.clients[0], model.dimension, batch_size=8)
+        x, y = client.draw_minibatch()
+        client.draw_probe_sample(x, y)
+        px, py = client.probe_sample
+        assert px.base is None and py.base is None
+        assert px.shape == (1,) + x.shape[1:] and py.shape == (1,)
+        row = next(i for i in range(len(x)) if np.array_equal(x[i], px[0]))
+        assert y[row] == py[0]
+
     def test_probe_loss_at_other_weights_restores(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
         client.local_step(model, k=3, sparsifier=FABTopK())
-        client.draw_probe_sample()
+        client.draw_probe_sample(*client.draw_minibatch())
         w = model.get_weights()
         model.per_sample_losses_at(np.zeros(model.dimension), *client.probe_sample)
         np.testing.assert_allclose(model.get_weights(), w)

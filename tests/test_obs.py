@@ -453,29 +453,6 @@ class TestInstrumentationCounters:
         assert counters["virtual.lru_evict"] == 2
         assert counters["virtual.lru_hit"] >= 1
 
-    def test_hibernation_spill_and_restore_counted(self, tmp_path):
-        from repro.fl.engine import RoundEngine
-        from repro.simulation.heterogeneous import ClientSampler
-
-        telemetry = Telemetry()
-        ds = make_gaussian_blobs(num_samples=160, num_classes=4,
-                                 feature_dim=12, seed=3)
-        fed = partition_iid(ds, num_clients=8, seed=3)
-        model = make_logistic(12, 4, seed=3)
-        timing = TimingModel(dimension=model.dimension, comm_time=8.0)
-        engine = RoundEngine(
-            model=model, federation=fed, sparsifier=FABTopK(), timing=timing,
-            learning_rate=0.1, batch_size=8, eval_every=100,
-            eval_max_samples=200, backend="serial",
-            sampler=ClientSampler([c.client_id for c in fed.clients],
-                                  count=2, seed=3),
-            spill_after=2, telemetry=telemetry, seed=3,
-        )
-        for _ in range(12):
-            engine.run_round(k=6)
-        assert telemetry.counters.get("engine.residual_spill", 0) > 0
-        assert telemetry.counters.get("engine.residual_restore", 0) > 0
-
 
 class TestLogging:
     def test_package_logger_has_null_handler(self):
@@ -682,42 +659,16 @@ class TestHealthMonitor:
         assert not summary["healthy"]
         assert summary["by_detector"] == {"divergence": 1}
 
-    def test_live_health_emits_alert_events(self, tmp_path):
-        from repro.obs import HealthMonitor
-
-        def emit(tel, row):
-            row = dict(row)
-            tel.event(row.pop("type"), **row)
-
-        path = tmp_path / "trace.jsonl"
-        tel = Telemetry(sink=JsonlSink(path), health=HealthMonitor())
-        emit(tel, self._round(1, 0.9))
-        emit(tel, self._round(2, 1e6))  # lacks warmup: no alert yet
-        for i in range(3, 6):
-            emit(tel, self._round(i, 0.5))
-        # The engine's wire shape for a diverged (infinite) loss: null
-        # plus the non-finite marker, keeping the stream strict JSON.
-        inf_row = self._round(6, None)
-        inf_row["loss_nonfinite"] = "inf"
-        emit(tel, inf_row)
-        tel.close()
-        events = [json.loads(l) for l in path.read_text().splitlines()]
-        alerts = [e for e in events if e["type"] == "alert"]
-        assert len(alerts) == 1 and alerts[0]["detector"] == "divergence"
-        # Alert events are schema-valid in the stream.
-        for event in events:
-            validate_event(event)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
     def test_infinite_loss_round_trips_as_strict_json(self, tmp_path):
         # End to end through the real engine and a real JsonlSink: a run
         # whose loss diverges to +inf must still write parseable strict
         # JSONL (no bare ``Infinity`` token) and the replayed trace must
         # raise the divergence alert.
-        from repro.obs import HealthMonitor, scan_trace
+        from repro.obs import scan_trace
 
         path = tmp_path / "trace.jsonl"
-        tel = Telemetry(sink=JsonlSink(path), health=HealthMonitor())
+        tel = Telemetry(sink=JsonlSink(path))
         trainer = _trainer("serial", telemetry=tel)
         trainer.step(9)
         # Blow the weights up so the next evaluated loss (round 3 under

@@ -577,14 +577,13 @@ class TestRobustAggregatorsAgainstReference:
 class StackedResetBackend(ExecutionBackend):
     """The vectorized backend's former residual reset, verbatim: one
     membership test over the stacked upload indices when every upload has
-    the same size, no client carries momentum, and each payload holds its
-    client's index array (the same object or an equal copy)."""
+    the same size and each payload holds its client's index array (the
+    same object or an equal copy)."""
 
     def reset_residuals(self, participants, uploads, selected):
         nnz = uploads[0].payload.nnz if uploads else 0
         fast = all(
             up.payload.nnz == nnz
-            and client._velocity is None
             and (
                 up.payload.indices is client._last_upload_indices
                 or np.array_equal(
@@ -665,7 +664,7 @@ class TestResidualResetAgainstStackedReference:
         )
         # The stacked path really runs: its preconditions all hold.
         for client, up in zip(expected, expected_uploads):
-            assert up.payload.nnz == nnz and client._velocity is None
+            assert up.payload.nnz == nnz
             assert (up.payload.indices is client._last_upload_indices) != copied
             assert np.array_equal(up.payload.indices, client._last_upload_indices)
         StackedResetBackend().reset_residuals(

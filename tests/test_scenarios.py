@@ -4,10 +4,9 @@ Four load-bearing guarantees (the PR acceptance criteria):
 
 (a) **Backend bit-identity under churn** — the same seeded scenario
     (Markov availability, straggler profiles, deadline drops,
-    over-selection — including quantized uploads, momentum correction,
-    and the online-adapted deadline) produces *identical* histories,
-    weights and residuals on the serial, vectorized and sharded
-    backends.
+    over-selection — including quantized uploads and the online-adapted
+    deadline) produces *identical* histories, weights and residuals on
+    the serial, vectorized and sharded backends.
 (b) **Exact recovery of dropped uploads** — a deadline-dropped client's
     gradient survives in its residual and is transmitted, bit for bit,
     the next time the client makes a deadline.
@@ -32,6 +31,7 @@ import multiprocessing
 import pathlib
 import resource
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -1066,24 +1066,22 @@ CHURN = ScenarioConfig(
 ADAPTIVE_CHURN = CHURN.with_overrides(deadline_policy="adaptive")
 
 #: backend-equivalence matrix rows: scenario config + sparsifier factory
-#: + momentum — quantized uploads and momentum correction under deadline
-#: drops, and the online-adapted deadline, all must stay bit-identical.
+#: — quantized uploads under deadline drops, and the online-adapted
+#: deadline, must stay bit-identical.
 SCENARIO_VARIANTS = {
-    "churn": (CHURN, lambda: FABTopK(), 0.0),
+    "churn": (CHURN, lambda: FABTopK()),
     "quantized": (
         CHURN,
         lambda: QuantizedSparsifier(
             FABTopK(), UniformQuantizer(num_levels=15, seed=5)
         ),
-        0.0,
     ),
-    "momentum": (CHURN, lambda: FABTopK(), 0.5),
-    "adaptive-deadline": (ADAPTIVE_CHURN, lambda: FABTopK(), 0.0),
+    "adaptive-deadline": (ADAPTIVE_CHURN, lambda: FABTopK()),
 }
 
 
 def _scenario_trainer(backend, scenario_config=CHURN, sparsifier=None,
-                      seed=5, momentum_correction=0.0):
+                      seed=5):
     fed = _federation(seed=seed)
     model = make_mlp(64, 8, hidden=(10,), seed=seed)
     ids = [c.client_id for c in fed.clients]
@@ -1096,7 +1094,6 @@ def _scenario_trainer(backend, scenario_config=CHURN, sparsifier=None,
         model, fed, sparsifier if sparsifier is not None else FABTopK(),
         timing=timing, learning_rate=0.05, batch_size=8, eval_every=3,
         seed=seed, backend=backend, scenario=scenario,
-        momentum_correction=momentum_correction,
     )
     return trainer, scenario
 
@@ -1107,9 +1104,7 @@ class TestScenarioBackendEquivalence:
     @pytest.mark.parametrize("backend_name", ["vectorized", "sharded"])
     @pytest.mark.parametrize("variant", sorted(SCENARIO_VARIANTS))
     def test_churn_histories_identical(self, variant, backend_name):
-        scenario_config, sparsifier_factory, momentum = SCENARIO_VARIANTS[
-            variant
-        ]
+        scenario_config, sparsifier_factory = SCENARIO_VARIANTS[variant]
         backend = (
             ShardedBackend(jobs=2) if backend_name == "sharded"
             else backend_name
@@ -1119,7 +1114,6 @@ class TestScenarioBackendEquivalence:
             return _scenario_trainer(
                 backend_spec, scenario_config=scenario_config,
                 sparsifier=sparsifier_factory(),
-                momentum_correction=momentum,
             )
 
         serial, s_scn = build("serial")
@@ -1251,23 +1245,17 @@ class TestVirtualScenarioEquivalence:
 
     Same churn + deadline + over-selection gate, same seeds — the only
     difference is the data/client layer (lazy regeneration, LRU
-    releases, optional hibernation spilling).  Histories, weights,
-    residuals and the per-round drop sets must all stay bit-identical
-    to the run over ``federation.materialize()``.
+    releases).  Histories, weights, residuals and the per-round drop
+    sets must all stay bit-identical to the run over
+    ``federation.materialize()``.
     """
 
-    #: (sparsifier factory, momentum, virtual-side spill_after)
+    #: sparsifier factory per row
     VARIANTS = {
-        "churn": (lambda: FABTopK(), 0.0, 0),
-        "quantized": (
-            lambda: QuantizedSparsifier(
-                FABTopK(), UniformQuantizer(num_levels=15, seed=7)
-            ),
-            0.0,
-            0,
+        "churn": lambda: FABTopK(),
+        "quantized": lambda: QuantizedSparsifier(
+            FABTopK(), UniformQuantizer(num_levels=15, seed=7)
         ),
-        "momentum": (lambda: FABTopK(), 0.5, 0),
-        "spill": (lambda: FABTopK(), 0.0, 2),
     }
 
     def _virtual(self, seed=7):
@@ -1278,7 +1266,7 @@ class TestVirtualScenarioEquivalence:
             classes_per_writer=4, test_samples=32, seed=seed,
         )
 
-    def _trainer(self, fed, sparsifier, momentum, spill_after, seed=7):
+    def _trainer(self, fed, sparsifier, seed=7):
         model = make_mlp(64, 8, hidden=(10,), seed=seed)
         ids = list(range(8))
         profiles = CHURN.build_profiles(ids)
@@ -1289,20 +1277,14 @@ class TestVirtualScenarioEquivalence:
         trainer = FLTrainer(
             model, fed, sparsifier, timing=timing, learning_rate=0.05,
             batch_size=8, eval_every=3, seed=seed, scenario=scenario,
-            momentum_correction=momentum, spill_after=spill_after,
         )
         return trainer, scenario
 
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_drops_identical_to_materialized_twin(self, name):
-        factory, momentum, spill_after = self.VARIANTS[name]
-        virtual, v_scn = self._trainer(
-            self._virtual(), factory(), momentum, spill_after
-        )
-        # The eager twin never spills — hibernation must be exact.
-        eager, e_scn = self._trainer(
-            self._virtual().materialize(), factory(), momentum, 0
-        )
+        factory = self.VARIANTS[name]
+        virtual, v_scn = self._trainer(self._virtual(), factory())
+        eager, e_scn = self._trainer(self._virtual().materialize(), factory())
         hv = virtual.run(9, k=12)
         he = eager.run(9, k=12)
         assert history_rows(hv) == history_rows(he)
@@ -1391,6 +1373,64 @@ class TestVirtualScenarioEquivalence:
         assert touched == sharded[3]
         assert touched < 100, f"{touched} clients: not O(cohort)"
         assert peak < 500 * 1024 * 1024, f"peak RSS {peak / 1e6:.0f} MB"
+
+    @pytest.mark.parametrize("engine", ["serial", "vectorized", "async"])
+    def test_population_rounds_keep_no_minibatch(self, engine, monkeypatch):
+        # The memory bound of a population run, as structure: once a
+        # round is over, nothing holds a minibatch it drew, and each
+        # learned-k probe sample is a one-row array owning its data —
+        # also while a straggler's upload is still in flight.
+        from repro.data.partition import ClientDataset
+        from repro.fl.async_engine import AsyncFLTrainer
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import (
+            build_federation,
+            build_model,
+            build_scenario,
+        )
+
+        drawn = []
+        minibatch = ClientDataset.minibatch
+
+        def recording_minibatch(dataset, batch_size):
+            x, y = minibatch(dataset, batch_size)
+            drawn.extend((weakref.ref(x), weakref.ref(y)))
+            return x, y
+
+        monkeypatch.setattr(ClientDataset, "minibatch", recording_minibatch)
+        scenario_cfg = ScenarioConfig.default_churn().with_overrides(
+            participants=6, slow_fraction=0.5, seed=0
+        )
+        config = ExperimentConfig(
+            population=10_000, samples_per_client=20, image_size=8,
+            num_classes=10, classes_per_writer=4, hidden=(12,),
+            learning_rate=0.05, batch_size=10, eval_every=1_000_000,
+            scenario=scenario_cfg.to_dict(), seed=0,
+        )
+        model = build_model(config)
+        timing, scenario = build_scenario(config, [], model.dimension)
+        trainer_class, settings = FLTrainer, {"backend": engine}
+        if engine == "async":
+            trainer_class, settings = AsyncFLTrainer, {"commit_count": 3}
+        trainer = trainer_class(
+            model, build_federation(config), FABTopK(), timing=timing,
+            learning_rate=config.learning_rate, batch_size=config.batch_size,
+            seed=config.seed, scenario=scenario, **settings,
+        )
+        trainer.engine.use_k(SignPolicy(
+            SignOGD(SearchInterval(2.0, float(model.dimension)))
+        ))
+        for _ in range(8):
+            trainer.step()
+            held = sum(ref() is not None for ref in drawn)
+            assert drawn and held == 0, f"{held} batch arrays outlived a round"
+            drawn.clear()
+            samples = [c.probe_sample for c in trainer.clients
+                       if c.probe_sample is not None]
+            assert samples
+            for array in (a for sample in samples for a in sample):
+                assert array.base is None and array.shape[0] == 1
+        trainer.close()
 
 
 def _population_smoke_run(backend="serial"):

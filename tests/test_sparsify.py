@@ -413,8 +413,8 @@ ONE_PATH_FILES = sorted((SRC / "sparsify").glob("*.py")) + [
     SRC / "fl" / "server.py", SRC / "fl" / "backends.py",
     SRC / "parallel" / "sharded.py",
 ]
-#: a Client's momentum and last index set, private to fl/client.py
-CLIENT_PRIVATE = {"_velocity", "_last_upload_indices"}
+#: a Client's last index set, private to fl/client.py
+CLIENT_PRIVATE = {"_last_upload_indices"}
 
 
 def _is_payload_nnz(node):
