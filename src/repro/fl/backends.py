@@ -15,10 +15,9 @@ Three implementations ship:
   call per participant, yielded one at a time, so the round holds a
   single gradient, exactly the seed trainers' behaviour.
 - :class:`VectorizedBackend` — one grouped ``FlatModel.gradients_batched``
-  pass over all participants, bit-identical per client to the serial
-  call; a model without grouped support (active Dropout, training-mode
-  BatchNorm) falls back to per-client calls, trading speed, never
-  correctness.
+  pass over all participants of one batch size, bit-identical per client
+  to the serial call: every layer has one pass, and a client's gradient
+  is its G = 1 case.
 - :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — the
   gradients of a persistent multiprocessing worker pool, one shard of
   clients per worker, with the same bit-identity guarantee.  It lives in
@@ -152,9 +151,7 @@ class VectorizedBackend(ExecutionBackend):
     Minibatches are drawn per client (their RNG streams must match the
     serial backend), then grouped by batch size and pushed through
     ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes).  Models without grouped-batch support (active
-    Dropout, training-mode BatchNorm) fall back to the equivalent
-    per-client calls.
+    grouped im2col passes).
     """
 
     name = "vectorized"
@@ -166,8 +163,6 @@ class VectorizedBackend(ExecutionBackend):
         want_batches: bool = False,
     ) -> list[tuple[np.ndarray, Batch]]:
         batches = [client.draw_minibatch() for client in participants]
-        if not model.supports_batched_gradients():
-            return [(model.gradient(x, y)[0], (x, y)) for x, y in batches]
         grads: list[np.ndarray | None] = [None] * len(batches)
         # Group clients by batch size (shards smaller than batch_size
         # yield short batches); one grouped pass per size class.

@@ -15,28 +15,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Sequential
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 
 
 class FlatModel:
-    """A `Sequential` network plus a loss, exposed through flat vectors.
+    """A `Sequential` network plus softmax cross-entropy, exposed through
+    flat vectors.
 
     Parameters
     ----------
     network:
         The layer stack.  Its parameter arrays are referenced (not copied);
         :meth:`set_weights` writes into them in place.
-    loss:
-        Loss function; defaults to softmax cross-entropy.
     """
 
-    def __init__(self, network: Sequential, loss: Loss | None = None) -> None:
+    def __init__(self, network: Sequential) -> None:
         self.network = network
-        self.loss = loss if loss is not None else SoftmaxCrossEntropy()
-        self._param_arrays = network.parameter_arrays()
-        self._grad_arrays = network.gradient_arrays()
-        if len(self._param_arrays) != len(self._grad_arrays):
-            raise ValueError("network has mismatched parameter/gradient lists")
+        self.loss = SoftmaxCrossEntropy()
+        self._param_arrays = network.params
         self._shapes = [p.shape for p in self._param_arrays]
         self._sizes = [p.size for p in self._param_arrays]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
@@ -82,37 +78,10 @@ class FlatModel:
 
         Returns ``(grad, loss_value)`` where ``grad`` has length
         ``dimension`` and ``loss_value`` is the mean minibatch loss at the
-        current weights.
+        current weights.  The one-group case of :meth:`gradients_batched`.
         """
-        self.network.zero_grad()
-        logits = self.network.forward(x)
-        loss_value = self.loss.forward(logits, y)
-        grad_logits = self.loss.backward(logits, y)
-        self.network.backward(grad_logits)
-        flat_grad = np.concatenate([g.ravel() for g in self._grad_arrays])
-        return flat_grad, loss_value
-
-    def supports_batched_gradients(self) -> bool:
-        """Whether :meth:`gradients_batched` can reproduce per-group calls.
-
-        True when every layer processes samples independently and consumes
-        no per-call RNG (no training-mode BatchNorm, no active Dropout).
-        The whole experiment model zoo qualifies: dense layers run one
-        batched gemm per layer, and Conv2D/MaxPool2D run grouped im2col
-        passes whose per-group slices are the exact serial calls.
-        """
-        return self.network.supports_grouped_batch()
-
-    def deterministic_gradients(self) -> bool:
-        """Whether :meth:`gradient` is a pure function of (weights, batch).
-
-        False when a layer draws per-call RNG in training mode (active
-        Dropout): the gradient then also depends on the layer's RNG
-        stream position, so it cannot be reproduced from a model replica
-        in another process.  Process-based backends must fall back to
-        in-process gradients for such models.
-        """
-        return not self.network.consumes_forward_rng()
+        flat, logits = self._flat_gradients(x[None], y[None])
+        return flat[0], self.loss.forward(logits[0], y)
 
     def gradients_batched(
         self, xs: list[np.ndarray], ys: list[np.ndarray]
@@ -122,19 +91,11 @@ class FlatModel:
         ``xs``/``ys`` are per-group minibatches of one common batch size
         (in FL: one minibatch per client, all at the synchronized weights).
         Returns an array of shape ``(groups, dimension)`` whose row ``g``
-        equals ``self.gradient(xs[g], ys[g])[0]``, but the network runs a
-        single stacked pass: the O(groups) Python loop over clients
-        collapses into batched NumPy/BLAS work.  Image minibatches stack
-        to ``(groups, batch, C, H, W)`` and flow through the conv/pool
-        grouped passes, so CNN configs take this path too.
-
-        The loss gradient is still taken per group (each group's loss is
-        the *mean* over its own batch), and parameterized layers reduce
-        their parameter gradients per group via
-        :meth:`repro.nn.layers.Layer.backward_grouped`.  Raises
-        ``ValueError`` when the network contains a layer for which the
-        stacked pass is not equivalent (see
-        :meth:`supports_batched_gradients`) or batch sizes differ.
+        equals ``self.gradient(xs[g], ys[g])[0]`` byte for byte — both
+        run :meth:`_flat_gradients` — but the network runs a single
+        stacked pass: the O(groups) Python loop over clients collapses
+        into batched NumPy/BLAS work.  Raises ``ValueError`` when batch
+        sizes differ.
         """
         groups = len(xs)
         if groups == 0 or len(ys) != groups:
@@ -144,39 +105,40 @@ class FlatModel:
             np.shape(y)[0] != batch for y in ys
         ):
             raise ValueError("all groups must share one batch size")
-        if not self.supports_batched_gradients():
-            raise ValueError(
-                "network contains a layer without grouped-batch support"
-            )
-        x3 = np.stack(xs)  # (groups, batch, *feature_dims)
-        logits3 = self.network.forward_grouped(x3)
-        # The loss gradient normalizes by each group's own batch size, so
-        # it is taken per group (vectorized when the loss supports it).
-        grad3 = self.loss.backward_grouped(logits3, ys)
-        _, param_grads = self.network.backward_grouped(grad3)
-        flat = np.empty((groups, self.dimension))
-        for grads, lo, hi in zip(param_grads, self._offsets[:-1], self._offsets[1:]):
-            flat[:, lo:hi] = grads.reshape(groups, hi - lo)
-        return flat
+        return self._flat_gradients(np.stack(xs), np.asarray(ys))[0]
 
-    def _evaluate(self, forward, x: np.ndarray) -> np.ndarray:
-        """``forward(x)`` in evaluation mode; the training flag is restored."""
+    def _flat_gradients(
+        self, x: np.ndarray, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(groups, dimension)`` gradients of each group's mean loss on
+        the stacks ``x`` ``(groups, batch, *dims)`` and ``y``
+        ``(groups, batch)``, plus the training-mode logits."""
+        logits = self.network.forward(x)
+        _, param_grads = self.network.backward(self.loss.backward(logits, y))
+        flat = np.empty((x.shape[0], self.dimension))
+        for grads, lo, hi in zip(param_grads, self._offsets[:-1], self._offsets[1:]):
+            flat[:, lo:hi] = grads.reshape(x.shape[0], hi - lo)
+        return flat, logits
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The network's forward of the stack ``x`` in evaluation mode;
+        the training flag is restored."""
         was_training = self.network.training
         self.network.train(False)
         try:
-            return forward(x)
+            return self.network.forward(x)
         finally:
             self.network.train(was_training)
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss on ``(x, y)`` at the current weights (no gradients)."""
-        return self.loss.forward(self._evaluate(self.network.forward, x), y)
+        return self.loss.forward(self._evaluate(x[None])[0], y)
 
     def per_sample_losses(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Loss of each sample at the current weights, shape ``(batch,)``:
         each sample is its own group of one grouped pass, so its loss is
         the bytes of a one-sample call whatever else is in the batch."""
-        logits = self._evaluate(self.network.forward_grouped, x[:, None])
+        logits = self._evaluate(x[:, None])
         return self.loss.per_sample(logits[:, 0], y)
 
     def loss_at(self, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -205,12 +167,6 @@ class FlatModel:
             self.set_weights(saved)
 
     def accuracy(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Classification accuracy at the current weights.
-
-        Only meaningful for classification losses exposing ``predict``.
-        """
-        predict = getattr(self.loss, "predict", None)
-        if predict is None:
-            raise TypeError("loss does not define hard predictions")
-        logits = self._evaluate(self.network.forward, x)
-        return float((predict(logits) == y).mean())
+        """Classification accuracy at the current weights."""
+        logits = self._evaluate(x[None])[0]
+        return float((self.loss.predict(logits) == y).mean())

@@ -30,13 +30,6 @@ def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, std, size=shape)
 
 
-def normal_init(
-    shape: tuple[int, ...], rng: np.random.Generator, std: float = 0.01
-) -> np.ndarray:
-    """Plain Gaussian initialization with a fixed standard deviation."""
-    return rng.normal(0.0, std, size=shape)
-
-
 def zeros_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-zeros initialization (biases)."""
     del rng  # deterministic; accepted for interface uniformity

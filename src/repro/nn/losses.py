@@ -1,8 +1,8 @@
-"""Loss functions with per-sample access.
+"""Softmax cross-entropy with per-sample access.
 
 The derivative-sign estimator in Section IV-E of the paper evaluates the
-loss of a *single* sample ``h`` at three different weight vectors, so every
-loss here exposes both the batch-mean value (used for training) and the
+loss of a *single* sample ``h`` at three different weight vectors, so the
+loss exposes both the batch-mean value (used for training) and the
 per-sample vector (used by the estimator and by fine-grained metrics).
 """
 
@@ -11,8 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class Loss:
-    """Interface: batch-mean forward plus gradient, per-sample values."""
+class SoftmaxCrossEntropy:
+    """Softmax + cross-entropy on integer class labels.
+
+    ``predictions`` are raw logits of shape ``(batch, classes)``; ``targets``
+    are integer labels of shape ``(batch,)``.  :meth:`backward` takes the
+    grouped shapes of :mod:`repro.nn.layers` instead.
+    """
 
     def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         """Mean loss over the batch."""
@@ -20,47 +25,17 @@ class Loss:
 
     def per_sample(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Loss of each sample in the batch, shape ``(batch,)``."""
-        raise NotImplementedError
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Gradient of the *mean* loss w.r.t. ``predictions``."""
-        raise NotImplementedError
-
-    def backward_grouped(self, predictions: np.ndarray, targets) -> np.ndarray:
-        """Per-group :meth:`backward` for stacked predictions.
-
-        ``predictions`` has shape ``(groups, batch, ...)`` and
-        ``targets[g]`` is group g's target array; each group's gradient is
-        normalized by its own batch size, exactly as the per-group calls
-        would be.  Subclasses may override with a vectorized computation
-        as long as results stay bit-identical to this loop.
-        """
-        return np.stack(
-            [self.backward(predictions[g], targets[g])
-             for g in range(predictions.shape[0])]
-        )
-
-
-class SoftmaxCrossEntropy(Loss):
-    """Softmax + cross-entropy on integer class labels.
-
-    ``predictions`` are raw logits of shape ``(batch, classes)``; ``targets``
-    are integer labels of shape ``(batch,)``.
-    """
-
-    def per_sample(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
         log_probs = _log_softmax(predictions)
         batch = np.arange(predictions.shape[0])
         return -log_probs[batch, targets.astype(np.intp)]
 
     def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        probs = _softmax(predictions)
-        batch = np.arange(predictions.shape[0])
-        grad = probs
-        grad[batch, targets.astype(np.intp)] -= 1.0
-        return grad / predictions.shape[0]
+        """Gradient of each group's *mean* loss w.r.t. its predictions.
 
-    def backward_grouped(self, predictions: np.ndarray, targets) -> np.ndarray:
+        ``predictions`` has shape ``(groups, batch, classes)`` and
+        ``targets`` shape ``(groups, batch)``; each group's gradient is
+        normalized by its own batch size.
+        """
         probs = _softmax(predictions)
         groups, batch = predictions.shape[0], predictions.shape[1]
         labels = np.asarray(targets).astype(np.intp)
@@ -71,20 +46,6 @@ class SoftmaxCrossEntropy(Loss):
     def predict(self, predictions: np.ndarray) -> np.ndarray:
         """Hard class decisions from logits."""
         return predictions.argmax(axis=1)
-
-
-class MSELoss(Loss):
-    """Mean squared error; ``targets`` has the same shape as ``predictions``."""
-
-    def per_sample(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        diff = predictions - targets
-        return 0.5 * (diff * diff).reshape(diff.shape[0], -1).sum(axis=1)
-
-    def backward(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return (predictions - targets) / predictions.shape[0]
-
-    def backward_grouped(self, predictions: np.ndarray, targets) -> np.ndarray:
-        return (predictions - np.asarray(targets)) / predictions.shape[1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.nn.losses import SoftmaxCrossEntropy
 
 
 def make_mlp(
@@ -44,7 +43,7 @@ def make_mlp(
         layers.append(ReLU())
         prev = width
     layers.append(Linear(prev, num_classes, rng))
-    return FlatModel(Sequential(layers), SoftmaxCrossEntropy())
+    return FlatModel(Sequential(layers))
 
 
 def make_logistic(input_dim: int, num_classes: int, seed: int = 0) -> FlatModel:
@@ -54,7 +53,7 @@ def make_logistic(input_dim: int, num_classes: int, seed: int = 0) -> FlatModel:
     """
     rng = np.random.default_rng(seed)
     network = Sequential([Linear(input_dim, num_classes, rng)])
-    return FlatModel(network, SoftmaxCrossEntropy())
+    return FlatModel(network)
 
 
 def make_cnn(
@@ -91,4 +90,4 @@ def make_cnn(
             Linear(dense_width, num_classes, rng),
         ]
     )
-    return FlatModel(network, SoftmaxCrossEntropy())
+    return FlatModel(network)

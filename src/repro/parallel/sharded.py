@@ -44,10 +44,6 @@ too small for the gradient rows of the first cohort — the backend
 degrades to the in-process serial path, which is trivially identical.
 Once a worker has drawn a minibatch that hand-over would fork an RNG
 stream, so losing the buffer later is a ``RuntimeError`` instead.
-The same fallback covers models whose gradient is *not* a pure function
-of (weights, batch) — active Dropout draws per-call RNG, so worker
-replicas could not share the serial model's single stream
-(``FlatModel.deterministic_gradients``).
 """
 
 from __future__ import annotations
@@ -122,12 +118,6 @@ class ShardedBackend(ExecutionBackend):
         want_batches: bool = False,
     ) -> Iterable[tuple[np.ndarray, Batch | None]]:
         self._ensure_open()
-        if not model.deterministic_gradients():
-            # Active Dropout: the gradient depends on the model's RNG
-            # stream position, which worker replicas cannot share.  Run
-            # in process on the one true model, like the vectorized
-            # backend's fallback — slower, never different.
-            return self._serial.compute_gradients(model, participants)
         pool = self._ensure_pool(model)
         if pool is None:
             return self._serial.compute_gradients(model, participants)

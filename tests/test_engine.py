@@ -11,8 +11,7 @@ Three layers of guarantees:
    uplink/downlink counts, contributions) and final weights *identical*
    to ``SerialBackend`` across sparsifier families (including the
    quantization-wrapped path) and model families (MLP and CNN — conv/pool
-   run the grouped im2col pass), plus the batched-unsupported fallbacks
-   (momentum masking, active dropout).
+   run the grouped im2col pass).
 3. **Batched kernels** — ``FlatModel.gradients_batched`` equals its
    per-client counterpart exactly.
 """
@@ -44,8 +43,6 @@ from repro.parallel.sharded import ShardedBackend
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.trainer import FLTrainer
 from repro.nn import layers
-from repro.nn.flat import FlatModel
-from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.models import make_cnn, make_logistic, make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
@@ -412,12 +409,11 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_cnn_model_grouped_and_identical(self, backend_name):
-        # Conv2D/MaxPool2D implement the grouped im2col pass, so CNN
-        # configs no longer fall back to per-client gradients on the
-        # vectorized backend — and every backend must still produce
-        # bit-equal histories, weights and residuals.
+        # Conv2D/MaxPool2D run the grouped im2col pass, so CNN configs
+        # take one grouped pass on the vectorized backend — and every
+        # backend must still produce bit-equal histories, weights and
+        # residuals.
         fast = _cnn_trainer(make_backend(backend_name))
-        assert fast.model.supports_batched_gradients()
         serial = _cnn_trainer("serial")
         hs = serial.run(3, k=20)
         hf = fast.run(3, k=20)
@@ -916,29 +912,13 @@ class TestBatchedKernels:
         with pytest.raises(ValueError, match="batch size"):
             model.gradients_batched(xs, ys)
 
-    def test_gradients_batched_rejects_unsupported_network(self):
-        # Active Dropout draws per-forward RNG, so a single grouped pass
-        # cannot reproduce the per-client calls and must be refused.
-        rng = np.random.default_rng(0)
-        network = Sequential(
-            [Linear(6, 6, rng), Dropout(0.5, seed=0), Linear(6, 3, rng)]
-        )
-        model = FlatModel(network)
-        assert not model.supports_batched_gradients()
-        with pytest.raises(ValueError, match="grouped-batch"):
-            model.gradients_batched(
-                [rng.standard_normal((2, 6))],
-                [rng.integers(0, 3, size=2)],
-            )
-
     def test_gradients_batched_cnn_bitwise_equal(self):
         # The grouped conv/pool pass must equal per-client gradients
         # exactly — this is what lets CNN configs ride the vectorized
-        # backend without a fallback.
+        # backend.
         rng = np.random.default_rng(0)
         model = make_cnn(image_size=8, channels=1, num_classes=5,
                          conv_channels=(3, 4), dense_width=8, seed=2)
-        assert model.supports_batched_gradients()
         xs = [rng.standard_normal((6, 1, 8, 8)) for _ in range(9)]
         ys = [rng.integers(0, 5, size=6) for _ in range(9)]
         serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])

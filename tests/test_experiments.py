@@ -598,11 +598,14 @@ class TestEveryModuleIsReached:
 # ----------------------------------------------------------------------
 # Surface: every engine setting is set by an entry point
 # ----------------------------------------------------------------------
-#: ``(module, class)`` whose ``__init__`` declares engine settings
+#: ``(module, class)`` whose ``__init__`` declares engine (or layer)
+#: settings
 SETTING_DECLARATIONS = (
     ("repro.fl.engine", "RoundEngine"),
     ("repro.fl.async_engine", "AsyncRoundEngine"),
     ("repro.obs.telemetry", "Telemetry"),
+    ("repro.nn.layers", "Linear"),
+    ("repro.nn.layers", "Conv2D"),
 )
 
 
@@ -665,7 +668,7 @@ class TestEverySettingIsSet:
         )
         assert unset == [], (
             "no CLI command, benchmark workload or paper-result check "
-            "sets these engine settings; delete them or set them: "
+            "sets these engine or layer settings; delete them or set them: "
             + ", ".join(unset)
         )
 
@@ -712,3 +715,102 @@ class TestEverySettingIsSet:
             ROOT / "src" / "repro" / "fl" / "engine.py", "RoundEngine"
         )
         assert documented == declared
+
+
+# ----------------------------------------------------------------------
+# Surface: every layer and loss class is built by an entry point
+# ----------------------------------------------------------------------
+#: the modules whose classes make up the model
+MODEL_MODULES = ("repro.nn.layers", "repro.nn.losses")
+
+
+def _called_names(path):
+    """The name of every call in ``path``: ``f(...)`` and ``m.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                names.add(func.attr)
+    return names
+
+
+def _unbuilt_classes(roots, modules, class_modules):
+    """The classes of ``class_modules`` that no module the roots reach
+    calls by name — the class's own file and package ``__init__`` files
+    aside — and that are no base of a class that is called."""
+    paths = {path for path, _ in roots} | {
+        modules[name] for name in _reached_modules(roots, modules)
+        if name in modules
+    }
+    calls = {
+        path: _called_names(path)
+        for path in paths if path.name != "__init__.py"
+    }
+    bases = {}
+    built = []
+    for module in class_modules:
+        own = modules[module]
+        for node in ast.parse(own.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [
+                    base.id for base in node.bases
+                    if isinstance(base, ast.Name)
+                ]
+                if any(node.name in names for path, names in calls.items()
+                       if path != own):
+                    built.append(node.name)
+    reached = set()
+    while built:
+        name = built.pop()
+        if name in bases and name not in reached:
+            reached.add(name)
+            built.extend(bases[name])
+    return sorted(set(bases) - reached)
+
+
+class TestEveryLayerIsBuilt:
+    def test_every_layer_and_loss_is_built_by_an_entry_point(self):
+        # Same roots and graph as the module lint; no allow-list.
+        unbuilt = _unbuilt_classes(
+            _entry_roots(), _module_files(ROOT / "src"), MODEL_MODULES
+        )
+        assert unbuilt == [], (
+            "no CLI command, benchmark workload or paper-result check "
+            "builds these layers or losses; delete them or build them: "
+            + ", ".join(unbuilt)
+        )
+
+    def test_the_layer_lint_counts_calls_and_bases(self, tmp_path):
+        # Guard against a vacuous lint on a throwaway package: a call by
+        # name or attribute counts, and so does being a base of a class
+        # that is called; a call in the class's own file, a package
+        # re-export and an unreached module's call do not.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        for name, source in {
+            "__init__.py": "from pkg.layers import Spare\nSPARE = Spare()\n",
+            "layers.py": (
+                "class Base:\n    pass\n"
+                "class Used(Base):\n    pass\n"
+                "class Named:\n    pass\n"
+                "class Spare:\n    pass\n"
+                "class Local:\n    pass\n"
+                "LOCAL = Local()\n"
+            ),
+            "model.py": (
+                "from pkg import layers\n"
+                "from pkg.layers import Named\n"
+                "def build():\n    return [layers.Used(), Named()]\n"
+            ),
+            "spare.py": "from pkg.layers import Spare\nSPARE = Spare()\n",
+            "root.py": "def main():\n    from pkg.model import build\n",
+        }.items():
+            (pkg / name).write_text(source)
+        unbuilt = _unbuilt_classes(
+            [(pkg / "root.py", "pkg.root")], _module_files(tmp_path),
+            ["pkg.layers"],
+        )
+        assert unbuilt == ["Local", "Spare"]

@@ -1,91 +1,9 @@
-"""Tests for Sigmoid and BatchNorm1D plus the CNN experiment config path."""
+"""Tests for the CNN experiment config path."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import BatchNorm1D, Linear, Sequential, Sigmoid
-from tests.test_nn_layers import check_layer_gradients
-
 RNG = np.random.default_rng(21)
-
-
-class TestSigmoid:
-    def test_values(self):
-        s = Sigmoid()
-        out = s.forward(np.array([[0.0, 100.0, -100.0]]))
-        np.testing.assert_allclose(out, [[0.5, 1.0, 0.0]], atol=1e-12)
-
-    def test_no_overflow_on_extremes(self):
-        s = Sigmoid()
-        out = s.forward(np.array([[1e4, -1e4]]))
-        assert np.all(np.isfinite(out))
-
-    def test_gradient(self):
-        check_layer_gradients(Sigmoid(), RNG.standard_normal((4, 6)))
-
-    def test_backward_before_forward(self):
-        with pytest.raises(RuntimeError):
-            Sigmoid().backward(np.zeros((1, 1)))
-
-
-class TestBatchNorm1D:
-    def test_training_normalizes(self):
-        bn = BatchNorm1D(4)
-        x = RNG.standard_normal((64, 4)) * 5 + 3
-        out = bn.forward(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-3)
-
-    def test_running_stats_converge(self):
-        bn = BatchNorm1D(3, momentum=0.5)
-        for _ in range(50):
-            bn.forward(RNG.standard_normal((128, 3)) * 2 + 1)
-        np.testing.assert_allclose(bn.running_mean, 1.0, atol=0.3)
-        np.testing.assert_allclose(bn.running_var, 4.0, atol=1.0)
-
-    def test_eval_uses_running_stats(self):
-        bn = BatchNorm1D(2, momentum=1.0)
-        bn.forward(RNG.standard_normal((256, 2)) * 3 + 5)
-        bn.train(False)
-        x = np.array([[5.0, 5.0]])
-        out = bn.forward(x)
-        # Normalized with running stats: (5-mean)/std ~ 0.
-        assert np.all(np.abs(out) < 0.5)
-
-    def test_gamma_beta_applied(self):
-        bn = BatchNorm1D(2)
-        bn.params[0][...] = [2.0, 2.0]
-        bn.params[1][...] = [1.0, -1.0]
-        out = bn.forward(RNG.standard_normal((32, 2)))
-        np.testing.assert_allclose(out.mean(axis=0), [1.0, -1.0], atol=1e-9)
-
-    def test_training_gradient(self):
-        check_layer_gradients(BatchNorm1D(5), RNG.standard_normal((8, 5)),
-                              tol=1e-5)
-
-    def test_eval_gradient(self):
-        bn = BatchNorm1D(5)
-        bn.forward(RNG.standard_normal((16, 5)))  # populate running stats
-        bn.train(False)
-        check_layer_gradients(bn, RNG.standard_normal((8, 5)), tol=1e-5)
-
-    def test_shape_validation(self):
-        bn = BatchNorm1D(4)
-        with pytest.raises(ValueError):
-            bn.forward(RNG.standard_normal((8, 5)))
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            BatchNorm1D(0)
-        with pytest.raises(ValueError):
-            BatchNorm1D(4, momentum=0.0)
-
-    def test_in_sequential_network(self):
-        rng = np.random.default_rng(0)
-        net = Sequential([
-            Linear(6, 8, rng), BatchNorm1D(8), Sigmoid(), Linear(8, 2, rng),
-        ])
-        check_layer_gradients(net, RNG.standard_normal((8, 6)), tol=1e-5)
 
 
 class TestCNNConfigPath:
@@ -99,9 +17,9 @@ class TestCNNConfigPath:
         model = build_model(cfg)
         x = RNG.standard_normal((2, cfg.image_size**2))
         logits = model.network.forward(
-            x.reshape(2, 1, cfg.image_size, cfg.image_size)
+            x.reshape(1, 2, 1, cfg.image_size, cfg.image_size)
         )
-        assert logits.shape == (2, cfg.num_classes)
+        assert logits.shape == (1, 2, cfg.num_classes)
 
     def test_unknown_model_type(self):
         from repro.experiments.config import ExperimentConfig

@@ -26,9 +26,6 @@ from repro.data.synthetic import make_femnist_like
 from repro.data.virtual import VirtualFederation, VirtualSpec
 from repro.experiments.config import ExperimentConfig, scaled_config
 from repro.fl.trainer import FLTrainer
-from repro.nn.flat import FlatModel
-from repro.nn.layers import Dropout, Linear, ReLU, Sequential
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import make_logistic, make_mlp
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, default_worker_count
@@ -515,37 +512,6 @@ class TestShardedBackend:
                 np.testing.assert_array_equal(
                     fast.model.get_weights(), slow.model.get_weights()
                 )
-        finally:
-            backend.close()
-
-    def test_dropout_model_falls_back_and_stays_identical(self):
-        # Active Dropout draws per-forward RNG, so the gradient depends
-        # on the model's stream position; worker replicas cannot share
-        # that stream.  The backend must run such models in process —
-        # and stay bit-identical to serial (this diverged before the
-        # deterministic_gradients guard existed).
-        def build(backend, seed=3):
-            rng = np.random.default_rng(seed)
-            model = FlatModel(Sequential([
-                Linear(36, 10, rng), ReLU(), Dropout(0.3, seed=seed),
-                Linear(10, 8, rng),
-            ]), SoftmaxCrossEntropy())
-            assert not model.deterministic_gradients()
-            fed = _federation(seed=seed)
-            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-            return FLTrainer(model, fed, FABTopK(), timing=timing,
-                             learning_rate=0.05, batch_size=8, eval_every=3,
-                             seed=seed, backend=backend)
-        backend = ShardedBackend(jobs=2)
-        try:
-            fast = build(backend)
-            slow = build("serial")
-            fast.run(4, k=8)
-            slow.run(4, k=8)
-            assert backend._pool is None  # in-process fallback, no pool
-            np.testing.assert_array_equal(
-                fast.model.get_weights(), slow.model.get_weights()
-            )
         finally:
             backend.close()
 

@@ -24,11 +24,7 @@ from repro.fl.robust import (
 )
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
-from repro.nn.flat import FlatModel
-from repro.nn.layers import (
-    BatchNorm1D, Conv2D, Dropout, Linear, MaxPool2D, ReLU, Sequential,
-    _col2im, _im2col,
-)
+from repro.nn.layers import Conv2D, MaxPool2D, ReLU, _col2im, _im2col
 from repro.nn.models import make_cnn, make_logistic, make_mlp
 from repro.obs import Telemetry
 from repro.online.adaptive_trainer import AdaptiveKTrainer, LearnedK
@@ -771,12 +767,13 @@ class TestLayerKernelsAgainstReference:
         grad = awkward(rng, x.shape, SPECIAL_VALUES[~np.isinf(SPECIAL_VALUES)])
         expected, mask = reference_relu_forward(x)
         relu = ReLU()
-        assert_bytes_equal(relu.forward(x), expected)
-        assert_bytes_equal(relu.backward(grad), reference_relu_backward(mask, grad))
+        assert_bytes_equal(relu.forward(x[None])[0], expected)
+        assert_bytes_equal(relu.backward(grad[None])[0][0],
+                           reference_relu_backward(mask, grad))
         # Grouped: one (G, batch, ...) stack through the same kernels.
         x5, g5 = x.reshape((5, 1) + x.shape[1:]), grad.reshape((5, 1) + x.shape[1:])
-        assert_bytes_equal(relu.forward_grouped(x5), expected.reshape(x5.shape))
-        grad_in, params = relu.backward_grouped(g5)
+        assert_bytes_equal(relu.forward(x5), expected.reshape(x5.shape))
+        grad_in, params = relu.backward(g5)
         assert params == []
         assert_bytes_equal(grad_in, reference_relu_backward(mask, grad).reshape(x5.shape))
 
@@ -794,18 +791,18 @@ class TestLayerKernelsAgainstReference:
         for g in range(groups):
             x = LAYOUTS[layout](x5[g])
             expected, argmax = reference_maxpool_forward(x, s)
-            assert_bytes_equal(pool.forward(x), expected)
+            assert_bytes_equal(pool.forward(x[None])[0], expected)
             assert_bytes_equal(
-                pool.backward(grad5[g]),
+                pool.backward(grad5[g][None])[0][0],
                 reference_maxpool_backward(argmax, x.shape, s, grad5[g]),
             )
         # Grouped: the group axis folds into the batch.
         folded = x5.reshape((groups * batch,) + x5.shape[2:])
         expected, argmax = reference_maxpool_forward(folded, s)
         assert_bytes_equal(
-            pool.forward_grouped(x5), expected.reshape(grad5.shape)
+            pool.forward(x5), expected.reshape(grad5.shape)
         )
-        grad_in, params = pool.backward_grouped(grad5)
+        grad_in, params = pool.backward(grad5)
         assert params == []
         assert_bytes_equal(grad_in, reference_maxpool_backward(
             argmax, folded.shape, s, grad5.reshape(expected.shape)
@@ -825,15 +822,16 @@ class TestLayerKernelsAgainstReference:
         finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
         groups, batch = 3, 2
         x5 = awkward(rng, (groups, batch, cin, h, w), finite)
-        out5 = conv.forward_grouped(x5)
+        out5 = conv.forward(x5)
         grad5 = awkward(rng, out5.shape, finite)
-        grad_in, (grad_w, grad_b) = conv.backward_grouped(grad5)
+        grad_in, (grad_w, grad_b) = conv.backward(grad5)
         for g in range(groups):
             ref_x, ref_w, ref_b = reference_conv_backward(conv, x5[g], grad5[g])
-            conv.forward(x5[g])
-            assert_bytes_equal(conv.backward(grad5[g]), ref_x)
-            assert_bytes_equal(conv.grads[0], ref_w)
-            assert_bytes_equal(conv.grads[1], ref_b)
+            conv.forward(x5[g][None])
+            one_x, (one_w, one_b) = conv.backward(grad5[g][None])
+            assert_bytes_equal(one_x[0], ref_x)
+            assert_bytes_equal(one_w[0], ref_w)
+            assert_bytes_equal(one_b[0], ref_b)
             assert_bytes_equal(grad_in[g], ref_x)
             assert_bytes_equal(grad_w[g], ref_w)
             assert_bytes_equal(grad_b[g], ref_b)
@@ -853,7 +851,7 @@ def reference_probe_reading(model, participants, weights):
         saved = model.get_weights()
         model.set_weights(weights)
         model.network.train(False)
-        logits = model.network.forward(x)
+        logits = model.network.forward(x[None])[0]
         losses.append(float(model.loss.per_sample(logits, y)[0]))
         model.network.train(True)
         model.set_weights(saved)
@@ -862,21 +860,10 @@ def reference_probe_reading(model, participants, weights):
 
 def _probe_models(seed):
     """name -> (model, per-sample input shape)."""
-    rng = np.random.default_rng(seed)
-    norm = BatchNorm1D(7)
-    norm.running_mean = rng.standard_normal(7)
-    norm.running_var = rng.random(7) + 0.1
     return {
         "mlp": (make_mlp(12, 5, hidden=(7,), seed=seed), (12,)),
         "cnn": (make_cnn(8, 1, 5, conv_channels=(2, 3), dense_width=6,
                          seed=seed), (1, 8, 8)),
-        "dropout": (FlatModel(Sequential([
-            Linear(12, 7, rng), ReLU(), Dropout(0.5, seed=seed),
-            Linear(7, 5, rng),
-        ])), (12,)),
-        "batchnorm": (FlatModel(Sequential([
-            Linear(12, 7, rng), norm, ReLU(), Linear(7, 5, rng),
-        ])), (12,)),
     }
 
 
@@ -888,7 +875,7 @@ PROBE_SPECIALS = np.concatenate([SPECIAL_VALUES, [1e300, -1e300, 1e150]])
 class TestProbeLossesAgainstPerClientReference:
     @pytest.mark.parametrize("participants", [1, 4, 9])
     @pytest.mark.parametrize("inputs", ["normal", "awkward"])
-    @pytest.mark.parametrize("name", ["mlp", "cnn", "dropout", "batchnorm"])
+    @pytest.mark.parametrize("name", ["mlp", "cnn"])
     def test_hook_readings_are_byte_equal(self, name, inputs, participants):
         seed = participants
         model, shape = _probe_models(seed)[name]
