@@ -98,8 +98,10 @@ def reference_fair_select(uploads, k):
 
 
 def full_ranking_fair_select(uploads, k):
-    """``fair_select`` as it was before it ranked to depth, verbatim: every
-    upload stable-argsorted in full on −|value|."""
+    """``fair_select`` as it was before it ranked to depth: every upload
+    stable-argsorted in full on −|value|, and the fill a full lexsort of
+    the candidates (largest |value| first, lowest index on ties, NaN
+    after every number)."""
     dimension = uploads[0].payload.dimension
     never = max(up.payload.nnz for up in uploads)
     first_rank = np.full(dimension, never, dtype=np.int64)
@@ -119,7 +121,8 @@ def full_ranking_fair_select(uploads, k):
     if kappa == never:
         return base
     candidates = np.flatnonzero(first_rank == kappa)
-    fill = candidates[top_k_indices(max_magnitude[candidates], k - base.size)]
+    order = np.lexsort((candidates, -max_magnitude[candidates]))
+    fill = candidates[order[: k - base.size]]
     return np.sort(np.concatenate([base, fill]))
 
 

@@ -11,13 +11,16 @@ The key properties tested here are the ones the paper claims:
 """
 
 import ast
+import contextlib
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparsify import topk
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK, fair_select
 from repro.sparsify.fub_topk import FUBTopK
@@ -47,6 +50,13 @@ RANKING_ALPHABETS = {
 }
 
 
+def lexsort_top_k(v, k):
+    """The reference: the first k of (|value| desc, index asc), NaN last
+    (``np.lexsort`` sorts NaN after every number), as an ascending set."""
+    order = np.lexsort((np.arange(v.shape[0]), -np.abs(v)))
+    return np.sort(order[: max(0, k)])
+
+
 class TestTopKIndices:
     def test_basic(self):
         v = np.array([0.1, -5.0, 3.0, 0.0, 4.0])
@@ -74,9 +84,7 @@ class TestTopKIndices:
     def test_matches_full_sort(self, k, seed):
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(137)
-        got = top_k_indices(v, k)
-        expected = np.sort(np.lexsort((np.arange(137), -np.abs(v)))[: min(k, 137)])
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(top_k_indices(v, k), lexsort_top_k(v, k))
 
     def test_ranked_indices_order(self):
         v = np.array([1.0, -3.0, 2.0])
@@ -91,12 +99,6 @@ class TestTopKIndices:
     # the full lexsort reference — including on adversarial inputs where
     # the k-boundary is one big magnitude tie.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _lexsort_reference(v, k):
-        n = v.shape[0]
-        order = np.lexsort((np.arange(n), -np.abs(v)))
-        return np.sort(order[: max(0, min(k, n))])
-
     @given(
         st.integers(min_value=0, max_value=70),
         st.integers(min_value=0, max_value=10**6),
@@ -108,7 +110,7 @@ class TestTopKIndices:
         # sign pairs (+1/-1) with equal magnitude and exact zeros.
         v = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=61)
         np.testing.assert_array_equal(
-            top_k_indices(v, k), self._lexsort_reference(v, k)
+            top_k_indices(v, k), lexsort_top_k(v, k)
         )
 
     def test_all_equal_magnitudes_pick_lowest_indices(self):
@@ -123,7 +125,7 @@ class TestTopKIndices:
         values = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(13, 30))
         for row in values:
             np.testing.assert_array_equal(
-                top_k_indices(row, k), self._lexsort_reference(row, k)
+                top_k_indices(row, k), lexsort_top_k(row, k)
             )
 
     @given(
@@ -142,6 +144,124 @@ class TestTopKIndices:
         got = ranked_indices(v, limit=limit)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, full[:limit])
+
+    @pytest.mark.parametrize("nans", [1, 2])
+    def test_nan_ranks_below_every_magnitude(self, nans):
+        # A NaN used to take a slot of k without being returned, so each
+        # one shortened the upload by an index.
+        v = np.random.default_rng(5).standard_normal(1_000)
+        v[[17, 600][:nans]] = np.nan
+        expected = lexsort_top_k(v, 10)
+        assert expected.size == 10 and not np.isnan(v[expected]).any()
+        np.testing.assert_array_equal(top_k_indices(v, 10), expected)
+        np.testing.assert_array_equal(
+            FABTopK().client_select(v, 10, RNG), expected
+        )
+
+    def test_nan_is_selected_only_after_every_number(self):
+        v = np.array([np.nan, 1.0, np.nan, -0.0, 2.0])
+        np.testing.assert_array_equal(top_k_indices(v, 4), [0, 1, 3, 4])
+        np.testing.assert_array_equal(top_k_indices(np.full(6, np.nan), 2), [0, 1])
+
+
+def residual_like(n, seed):
+    """A client residual's shape: a random walk (neighbouring coordinates
+    alike) times heavy-tailed t(3) noise."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.standard_normal(n)) * rng.standard_t(3, n)
+
+
+@contextlib.contextmanager
+def sampled_thresholds():
+    """Record how many candidates each sampled threshold kept; a call
+    that kept fewer than k fell back to the full vector."""
+    seen = []
+    candidates = topk._candidates
+
+    def spy(magnitude, k):
+        kept = candidates(magnitude, k)
+        seen.append(kept.size)
+        return kept
+
+    with mock.patch.object(topk, "_candidates", spy):
+        yield seen
+
+
+@st.composite
+def gated_vectors(draw):
+    """``(v, k, forces_fallback)`` at lengths from just below the sampled
+    threshold's gate to the paper's D, with k on both sides of its k/n
+    gate.  Values come from one :data:`RANKING_ALPHABETS` family, either
+    everywhere or sprinkled over a rounded normal background (heavy ties
+    at any k-th magnitude).  Spiked vectors carry distinct large values
+    on exactly the sampled entries, which leaves the threshold fewer than
+    k candidates (for k >= 3) whenever the family holds no inf."""
+    n = draw(st.one_of(
+        st.integers(topk._SAMPLE_MIN_N - 2, topk._SAMPLE_MIN_N + 2),
+        st.integers(topk._SAMPLE_MIN_N, 430_000),
+    ))
+    k = draw(st.integers(min_value=0, max_value=n // 16))
+    alphabet = draw(st.sampled_from(sorted(RANKING_ALPHABETS)))
+    density = draw(st.sampled_from([1.0, 0.01]))
+    spiked = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    v = np.round(rng.standard_normal(n), 2)
+    mask = rng.random(n) < density
+    v[mask] = rng.choice(RANKING_ALPHABETS[alphabet], size=int(mask.sum()))
+    if spiked:
+        spikes = v[:: topk._SAMPLE_STRIDE]
+        spikes[:] = 10.0 + rng.permutation(spikes.size)
+    return v, k, spiked and alphabet != "specials"
+
+
+class TestSampledThreshold:
+    """The sampled-threshold prefilter against the lexsort reference, at
+    lengths that reach it (the tests above stay below its gate)."""
+
+    @given(gated_vectors())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lexsort_on_both_branches(self, case):
+        v, k, forces_fallback = case
+        n = v.shape[0]
+        with sampled_thresholds() as seen:
+            got = top_k_indices(v, k)
+        assert got.dtype == np.int64
+        assert got.tobytes() == lexsort_top_k(v, k).tobytes()
+        gated = n >= topk._SAMPLE_MIN_N and 0 < k * topk._SAMPLE_MIN_N_PER_K <= n
+        assert len(seen) == gated
+        if gated and forces_fallback and k >= 3:
+            assert seen[0] < k
+
+    def test_both_branches_run(self):
+        # Non-vacuity: the sampled branch answers on a residual-like
+        # vector, and spikes on the sampled entries force the fallback.
+        spiked = np.round(residual_like(40_000, 1), 1)
+        spikes = spiked[:: topk._SAMPLE_STRIDE]
+        spikes[:] = 1e6 + np.arange(spikes.size)
+        with sampled_thresholds() as seen:
+            for v, k in [(np.random.default_rng(0).standard_normal(92_662), 772), (spiked, 100)]:
+                assert top_k_indices(v, k).tobytes() == lexsort_top_k(v, k).tobytes()
+        assert seen[0] >= 772 and seen[1] < 100
+
+    def test_nan_in_the_sample(self):
+        # NaN fails every |v| >= tau, so a NaN-heavy sample falls back and
+        # a sparse one still answers from its candidates.
+        for stride_nans, expect_fallback in [(1, True), (200, False)]:
+            v = np.random.default_rng(3).standard_normal(92_662)
+            v[:: topk._SAMPLE_STRIDE * stride_nans] = np.nan
+            with sampled_thresholds() as seen:
+                got = top_k_indices(v, 2_000)
+            assert got.tobytes() == lexsort_top_k(v, 2_000).tobytes()
+            assert (seen[0] < 2_000) == expect_fallback
+
+    @pytest.mark.parametrize("k, sampled", [(1_100, True), (4_300, True), (43_000, False)])
+    def test_byte_equal_at_paper_geometry(self, k, sampled):
+        # D = 430k (the paper's MLP); k/n = 1/10 keeps the exact path.
+        v = residual_like(430_000, k)
+        with sampled_thresholds() as seen:
+            got = top_k_indices(v, k)
+        assert got.tobytes() == lexsort_top_k(v, k).tobytes()
+        assert [kept >= k for kept in seen] == ([True] if sampled else [])
 
 
 class TestSparseVector:
@@ -252,6 +372,18 @@ class TestFABTopK:
         uploads = [make_upload(0, a, 2), make_upload(1, b, 2)]
         selected = fair_select(uploads, k=3)
         np.testing.assert_array_equal(selected, [0, 1, 5])
+
+    def test_fill_ranks_nan_after_every_number(self):
+        # κ* = 3 takes six coordinates; the two NaN uploads tie for the
+        # last slot, which goes to the lower index (it used to stay empty).
+        uploads = [
+            ClientUpload(cid, SparseVector(
+                np.arange(4) + 4 * cid, np.array([np.nan, 3.0, 2.0, 1.0]), 8
+            ), 1)
+            for cid in range(2)
+        ]
+        result = FABTopK().server_select(uploads, k=7, dimension=8)
+        np.testing.assert_array_equal(result.indices, [0, 1, 2, 3, 5, 6, 7])
 
     def test_single_client_equals_topk(self):
         d = 30
