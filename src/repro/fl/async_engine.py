@@ -41,12 +41,12 @@ upload-source steps and nothing else of the round):
 Commit hooks (:class:`_CommitHooks`, the last of the engine's persistent
 hooks — a scenario's adversary seam is chained ahead of them):
 
-- **Discount the wire** — after ``preprocess_uploads`` (server side, so
-  after quantization) each upload's values are scaled by the pluggable
-  staleness discount ``d(s)`` and put on the wire
-  (``ctx.put_on_wire``): selection and aggregation see the discounted
-  values, the residual reset subtracts what each client sent — the same
-  wire-only rule as the adversary seam, and the two compose.
+- **Discount the wire** — once every hook has filtered the uploads
+  (``before_select``), each upload's values are scaled by the pluggable
+  staleness discount ``d(s)`` on ``ctx.uploads``: selection and
+  aggregation see the discounted values, while the residual reset zeroes
+  ``J ∩ J_i`` by index and never reads the wire — the same wire-only
+  rule as the adversary seam, and the two compose.
 - **Probe the exponent** — see ``adaptive`` below.
 
 Full-barrier identity: with ``commit_count=0``, the identity discount
@@ -307,11 +307,11 @@ class _CommitHooks(RoundHooks):
         #: the wire before the discount: what an exponent probe rescales
         self._undiscounted: list[ClientUpload] = []
 
-    def after_preprocess(self, ctx: RoundContext) -> None:
+    def before_select(self, ctx: RoundContext) -> None:
         self._undiscounted = ctx.uploads
-        ctx.put_on_wire(_discounted(
+        ctx.uploads = _discounted(
             ctx.uploads, ctx.staleness, ctx.engine.discount.factor
-        ))
+        )
 
     def after_update(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe."""

@@ -108,16 +108,12 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def reset_residuals(
-        self,
-        participants: list[Client],
-        uploads: list[ClientUpload],
-        selected: np.ndarray,
+        self, participants: list[Client], selected: np.ndarray
     ) -> None:
-        """Clear each participant's residual at ``J ∩ J_i`` (Algorithm 1,
-        lines 16–17), subtracting the actually transmitted values so
-        compression error stays in the residual (error feedback)."""
-        for client, upload in zip(participants, uploads):
-            client.reset_transmitted(selected, upload.payload)
+        """Zero each participant's residual at ``J ∩ J_i`` (Algorithm 1,
+        lines 16–17)."""
+        for client in participants:
+            client.reset_transmitted(selected)
 
     def close(self) -> None:
         """Release backend-held resources (worker pools); default: none.

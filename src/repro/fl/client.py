@@ -120,32 +120,19 @@ class Client:
             sample_count=self.sample_count,
         )
 
-    def reset_transmitted(
-        self, selected: np.ndarray, transmitted: SparseVector | None = None
-    ) -> None:
-        """Clear the transmitted part of the residual at ``J ∩ J_i``.
+    def reset_transmitted(self, selected: np.ndarray) -> None:
+        """Zero the transmitted part of the residual, ``a_i[J ∩ J_i]``
+        (Algorithm 1, lines 16–17).
 
-        With exact uploads this zeroes the entries (Algorithm 1, lines
-        16–17).  When a compression wrapper altered the uploaded values
-        (e.g. quantization), pass the *actually transmitted* payload via
-        ``transmitted``: the residual keeps the compression error
-        (error feedback), which is what makes quantized GS unbiased over
-        time.
+        What the client sent is ``a_i[J_i]`` itself, so zeroing by index
+        is exact whatever the entry held (±inf and NaN included) and
+        whatever the server saw on the wire.
         """
         if self._last_upload_indices is None:
             raise RuntimeError("reset_transmitted called before select_upload")
-        hit = np.intersect1d(
+        self.residual[np.intersect1d(
             selected, self._last_upload_indices, assume_unique=True
-        )
-        if transmitted is None:
-            self.residual[hit] = 0.0
-            return
-        pos = np.searchsorted(transmitted.indices, hit)
-        valid = pos < transmitted.indices.size
-        pos_clipped = np.minimum(pos, max(transmitted.indices.size - 1, 0))
-        matches = valid & (transmitted.indices[pos_clipped] == hit)
-        self.residual[hit[matches]] -= transmitted.values[pos_clipped[matches]]
-        self.residual[hit[~matches]] = 0.0
+        )] = 0.0
 
     def drop_upload(self) -> None:
         """Record that this round's upload never reached the server.

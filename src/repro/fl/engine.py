@@ -8,8 +8,8 @@ pluggable.  :class:`RoundEngine` owns the invariant skeleton:
 2.  local steps — delegated to an
     :class:`~repro.fl.backends.ExecutionBackend` (serial reference loop or
     the vectorized batched pass),
-3.  ``Sparsifier.preprocess_uploads`` → ``server_select`` → weighted
-    aggregation (:class:`~repro.fl.server.Server`),
+3.  ``Sparsifier.server_select`` → weighted aggregation
+    (:class:`~repro.fl.server.Server`),
 4.  the synchronized weight update ``w(m) = w(m−1) − η·b``,
 5.  residual reset at ``J ∩ J_i`` (plus full reset for non-accumulating
     schemes),
@@ -87,10 +87,6 @@ class RoundContext:
         self.cohort: list[Client] = []
         #: the wire: what the server sees, from collection to round end
         self.uploads: list[ClientUpload] = []
-        #: client id -> the upload that client *sent*, wherever a hook
-        #: put something else on the wire (:meth:`put_on_wire`); the
-        #: residual reset reads it, nothing else does
-        self.sent_uploads: dict[int, ClientUpload] = {}
         #: client id -> commits since the weights its upload was computed
         #: at (async arrivals; empty on a barrier round)
         self.staleness: dict[int, int] = {}
@@ -122,19 +118,6 @@ class RoundContext:
         #: extra fields for the round's trace event (telemetry only)
         self.trace_extra: dict = {}
 
-    def put_on_wire(self, wire: list[ClientUpload]) -> None:
-        """Change what the server sees, not what the clients sent.
-
-        ``wire`` lines up with ``ctx.uploads``; every upload it replaces
-        is remembered as sent — first writer wins, so however many hooks
-        rewrite the wire (Byzantine corruption, then the staleness
-        discount) Algorithm 1's reset still subtracts the client's own.
-        """
-        for sent, seen in zip(self.uploads, wire, strict=True):
-            if seen is not sent:
-                self.sent_uploads.setdefault(sent.client_id, sent)
-        self.uploads = wire
-
     def close_by(self, time: float) -> None:
         """Close the uplink phase no later than ``time``: a gate may
         bring the source's close earlier, never later."""
@@ -150,7 +133,7 @@ class RoundHooks:
     Algorithm-1 round.  Call order within :meth:`RoundEngine.run_round`:
 
     ``after_local_steps`` (uploads drawn, model still at ``w_prev``) →
-    ``after_preprocess`` (uploads preprocessed, nothing selected yet) →
+    ``before_select`` (the wire is final, nothing selected yet) →
     ``after_aggregate`` (selection/downlink ready, update not applied) →
     ``after_update`` (model at ``w_new``, residuals reset) →
     ``extra_round_time`` (the engine's charge computed) → ``observe``
@@ -164,7 +147,9 @@ class RoundHooks:
     closes the round early says so with ``ctx.close_by``; the engine
     charges the round, no hook does.  A hook that only changes what the
     server *sees* (Byzantine corruption, the async staleness discount)
-    hands the new wire to ``ctx.put_on_wire``.
+    assigns a new list to ``ctx.uploads``: the residual reset zeroes
+    ``J ∩ J_i`` by index, so what a client sent is its own residual at
+    ``J_i`` whatever the wire carried.
     """
 
     #: ask the backend to draw one-sample probes during local steps
@@ -173,8 +158,8 @@ class RoundHooks:
     def after_local_steps(self, ctx: RoundContext) -> None:
         """Uploads collected; model still holds ``w_prev``."""
 
-    def after_preprocess(self, ctx: RoundContext) -> None:
-        """``ctx.uploads`` preprocessed; selection not yet run."""
+    def before_select(self, ctx: RoundContext) -> None:
+        """The wire is final; selection not yet run."""
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         """``ctx.selection``/``ctx.downlink`` ready; update not applied."""
@@ -243,9 +228,9 @@ class ChainedHooks(RoundHooks):
         for hook in self.hooks:
             hook.after_local_steps(ctx)
 
-    def after_preprocess(self, ctx: RoundContext) -> None:
+    def before_select(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
-            hook.after_preprocess(ctx)
+            hook.before_select(ctx)
 
     def after_aggregate(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
@@ -625,15 +610,10 @@ class RoundEngine:
         if tracing:
             lap("local_steps")
         hooks.after_local_steps(ctx)
+        hooks.before_select(ctx)
         if tracing:
             lap("probe")
 
-        ctx.uploads = self.sparsifier.preprocess_uploads(ctx.uploads)
-        if tracing:
-            lap("preprocess")
-        hooks.after_preprocess(ctx)
-        if tracing:
-            lap("probe")
         ctx.selection = self.sparsifier.server_select(
             ctx.uploads, k, self.model.dimension
         )
@@ -657,14 +637,7 @@ class RoundEngine:
         if tracing:
             lap("update")
 
-        # Lines 16–17 reset against what each client sent, not the wire.
-        sent = ctx.sent_uploads
-        self.backend.reset_residuals(
-            ctx.participants,
-            [sent.get(up.client_id, up) for up in ctx.uploads]
-            if sent else ctx.uploads,
-            ctx.selection.indices,
-        )
+        self.backend.reset_residuals(ctx.participants, ctx.selection.indices)
         if self.sparsifier.discards_residual:
             for client in ctx.participants:
                 client.reset_all()

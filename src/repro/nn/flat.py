@@ -41,17 +41,6 @@ class FlatModel:
     # ------------------------------------------------------------------
     # Weight access
     # ------------------------------------------------------------------
-    def parameter_slices(self) -> list[slice]:
-        """Flat-vector slice of each parameter array, in layer order.
-
-        Layer-wise sparsifiers (e.g. :class:`repro.sparsify.layerwise.
-        LayerwiseTopK`) use these to budget k across layers.
-        """
-        return [
-            slice(int(lo), int(hi))
-            for lo, hi in zip(self._offsets[:-1], self._offsets[1:])
-        ]
-
     def get_weights(self) -> np.ndarray:
         """Copy of all parameters as one flat vector of length ``dimension``."""
         return np.concatenate([p.ravel() for p in self._param_arrays])

@@ -18,7 +18,6 @@ ENGINE_PHASES = (
     "sample",
     "local_steps",
     "probe",
-    "preprocess",
     "select",
     "aggregate",
     "update",

@@ -62,7 +62,6 @@ from repro.parallel.pool import (
     default_worker_count,
     in_daemon_process,
 )
-from repro.sparsify.base import ClientUpload
 
 
 class ShardedBackend(ExecutionBackend):
@@ -145,17 +144,14 @@ class ShardedBackend(ExecutionBackend):
         )
 
     def reset_residuals(
-        self,
-        participants: list[Client],
-        uploads: list[ClientUpload],
-        selected: np.ndarray,
+        self, participants: list[Client], selected: np.ndarray
     ) -> None:
         # Residuals live in the parent, so this *could* still work after
         # close() — but a closed backend means the training run is over
         # (ROADMAP convention); enforce it uniformly rather than let half
         # the interface keep functioning.
         self._ensure_open()
-        super().reset_residuals(participants, uploads, selected)
+        super().reset_residuals(participants, selected)
 
     def _ensure_open(self) -> None:
         if self._closed:

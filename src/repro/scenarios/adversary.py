@@ -22,8 +22,8 @@ Threat model
 Attacks corrupt the *wire payload only*: the values of the client's
 top-k upload change, its index support does not, and the client's
 residual bookkeeping proceeds as if the honest values had been sent
-(the poison goes on through ``ctx.put_on_wire``, so the engine's
-error-feedback reset subtracts the honest upload).  This mirrors the
+(the poison replaces ``ctx.uploads``, and the engine's residual reset
+zeroes ``J ∩ J_i`` by index, never reading the wire).  This mirrors the
 dropped-upload design: scenario effects live at the transport seam,
 client learning state stays honest, and what the optimizer ultimately
 recovers through FAB/top-k is the honest gradient information.
@@ -200,7 +200,7 @@ class AdversaryModel:
 class AdversaryHooks(RoundHooks):
     """The adversary seam of a round: poison the designated clients'
     wire payloads (before any deadline gate, so finish times, probes,
-    preprocessing and aggregation all see what the server would) and
+    selection and aggregation all see what the server would) and
     report whom the robust aggregator flagged.  ``adversary=None`` and a
     plain-mean server make every call a no-op."""
 
@@ -214,10 +214,10 @@ class AdversaryHooks(RoundHooks):
             return
         poisoned = [adversary.is_adversary(up.client_id) for up in ctx.uploads]
         if any(poisoned):
-            ctx.put_on_wire([
+            ctx.uploads = [
                 adversary.corrupt_upload(up, ctx.round_index) if bad else up
                 for up, bad in zip(ctx.uploads, poisoned)
-            ])
+            ]
             self.stats.record_corrupted([
                 up.client_id for up, bad in zip(ctx.uploads, poisoned) if bad
             ])

@@ -216,13 +216,13 @@ class _PendingProbe:
     #: clients the replayed gate admits.  Below d that is always a
     #: subset of the actually-accepted set (both are prefixes of the
     #: same deterministic service order), so the probe aggregation draws
-    #: from the round's *post-preprocess* uploads and stays consistent
-    #: with the protocol the server runs.
+    #: from the round's wire and stays consistent with the protocol the
+    #: server runs.
     client_ids: frozenset[int]
     close_time: float
-    #: raw (pre-preprocess) uploads only a looser gate admits: the real
-    #: round filters them out of ctx before preprocessing
-    extra_raw: list
+    #: uploads only a looser gate admits: the real round cut them from
+    #: the wire
+    cut_uploads: list
     w_probe: np.ndarray | None = None
     #: (L(w(m−1)), L(w(m)), L(w_probe)) once evaluated
     losses: tuple[float, float, float] | None = None
@@ -263,9 +263,7 @@ class ScenarioHooks(RoundHooks):
     - ``after_aggregate`` derives each replay's weights through
       :meth:`repro.fl.engine.RoundEngine.counterfactual_weights` from
       the probe arrivals; the d''-round additionally folds in the cut
-      uploads, preprocessed counterfactually (:meth:`repro.sparsify.
-      base.Sparsifier.preprocess_uploads_counterfactual` — same
-      degradation, no RNG stream advanced);
+      uploads;
     - ``after_update`` has the engine evaluate L(w(m−1)) / L(w(m)) and
       each replay's loss on its deterministic evaluation pool
       (:meth:`~repro.fl.engine.RoundEngine.probe_losses`);
@@ -358,7 +356,7 @@ class ScenarioHooks(RoundHooks):
                         ctx.uploads[i].client_id for i in replay.accepted
                     ),
                     replay.close_time,
-                    extra_raw=[
+                    cut_uploads=[
                         ctx.uploads[i]
                         for i in replay.accepted
                         if i not in accepted
@@ -402,22 +400,13 @@ class ScenarioHooks(RoundHooks):
         )
 
     def after_aggregate(self, ctx: RoundContext) -> None:
-        # ctx.uploads here is the accepted, *preprocessed* upload list
-        # (quantization etc. already applied) — the probes must see the
-        # same degraded values the server actually aggregates.  The
-        # upward probe additionally re-admits uploads the real gate cut;
-        # those never went through preprocessing, so they get the
-        # counterfactual (state-preserving) variant.
+        # ctx.uploads here is the accepted wire the server aggregated;
+        # the upward probe additionally re-admits uploads the real gate
+        # cut.
         for probe in self._probes:
             probe_uploads = [
                 up for up in ctx.uploads if up.client_id in probe.client_ids
-            ]
-            if probe.extra_raw:
-                probe_uploads = probe_uploads + (
-                    ctx.engine.sparsifier.preprocess_uploads_counterfactual(
-                        probe.extra_raw
-                    )
-                )
+            ] + probe.cut_uploads
             if probe_uploads:
                 probe.w_probe = ctx.engine.counterfactual_weights(
                     ctx, probe_uploads

@@ -51,10 +51,8 @@ class HeterogeneousTimingModel(TimingModel):
         dimension: int,
         comm_time: float,
         profiles: "list[ClientProfile] | Mapping[int, ClientProfile]",
-        computation_time: float = 1.0,
-        pair_overhead: float = 2.0,
     ) -> None:
-        super().__init__(dimension, comm_time, computation_time, pair_overhead)
+        super().__init__(dimension, comm_time)
         if isinstance(profiles, Mapping) or (
             not isinstance(profiles, (list, tuple)) and hasattr(profiles, "values")
         ):

@@ -3,12 +3,12 @@
 Model (paper Section V, footnotes 3 and 5):
 
 - Computation: all clients compute in parallel; one round costs
-  ``computation_time`` (normalized to 1 in the paper).
+  ``computation_time`` = 1 (the paper's normalization).
 - Communication: ``comm_time`` (β) is the time to ship the full
   D-dimensional gradient **in both directions**.  A full one-direction
   transfer therefore costs β/2.  Transfers of fewer elements scale
   proportionally; sparse transfers carry (index, value) pairs and pay a
-  factor ``pair_overhead`` (2 by default — this is why the comm-matched
+  factor ``pair_overhead`` = 2 (footnote 5 — this is why the comm-matched
   FedAvg baseline communicates every ⌊D/(2k)⌋ rounds).
 - Clients communicate in parallel with the server (per footnote 3, β
   covers "between all clients and the server"); the uplink time of a round
@@ -47,30 +47,20 @@ class TimingModel:
         Flat model dimension D.
     comm_time:
         β — normalized time of a full bidirectional D-element exchange.
-    computation_time:
-        Normalized local-computation time per round (1 in the paper).
-    pair_overhead:
-        Cost multiplier for sparse (index, value) pairs relative to raw
-        dense elements; the paper uses 2.
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        comm_time: float,
-        computation_time: float = 1.0,
-        pair_overhead: float = 2.0,
-    ) -> None:
+    #: normalized local-computation time per round (1 in the paper)
+    computation_time = 1.0
+    #: cost of a sparse (index, value) pair in dense elements (footnote 5)
+    pair_overhead = 2.0
+
+    def __init__(self, dimension: int, comm_time: float) -> None:
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if comm_time < 0 or computation_time < 0:
-            raise ValueError("times must be nonnegative")
-        if pair_overhead < 1.0:
-            raise ValueError("pair_overhead below 1 would undercount pairs")
+        if comm_time < 0:
+            raise ValueError("comm_time must be nonnegative")
         self.dimension = dimension
         self.comm_time = comm_time
-        self.computation_time = computation_time
-        self.pair_overhead = pair_overhead
 
     # ------------------------------------------------------------------
     def _direction_time(self, elements: int, sparse: bool) -> float:

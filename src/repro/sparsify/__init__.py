@@ -28,7 +28,6 @@ from repro.sparsify.base import (
 )
 from repro.sparsify.fab_topk import FABTopK, fair_select
 from repro.sparsify.fub_topk import FUBTopK
-from repro.sparsify.layerwise import LayerwiseTopK
 from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.topk import top_k_indices
 from repro.sparsify.unidirectional import UnidirectionalTopK
@@ -38,7 +37,6 @@ __all__ = [
     "DownlinkMessage",
     "FABTopK",
     "FUBTopK",
-    "LayerwiseTopK",
     "PeriodicK",
     "SelectionResult",
     "SparseVector",

@@ -77,8 +77,8 @@ class SparseVector:
         normalization/validation pass of ``__post_init__``; content is
         identical to the checked construction.  This is the hot-path
         constructor: client uploads, the server's downlink payload and
-        quantization rewraps all route through it, so the validating
-        ``__init__`` only runs for externally supplied vectors.
+        the scenario hooks' wire rewrites all route through it, so the
+        validating ``__init__`` only runs for externally supplied vectors.
         """
         vector = object.__new__(cls)
         object.__setattr__(vector, "indices", indices)
@@ -170,31 +170,9 @@ class Sparsifier:
         # Only the frozen benchmarks/suite/trace.py names this (it wraps it).
         return None
 
-    def preprocess_uploads(
-        self, uploads: list["ClientUpload"]
-    ) -> list["ClientUpload"]:
-        """Transform uploads before selection *and* aggregation.
-
-        Identity by default.  Compression wrappers (e.g. quantization,
-        :mod:`repro.compress`) override this so the degraded values are
-        what the server actually sees everywhere.
-        """
-        return uploads
-
-    def preprocess_uploads_counterfactual(
-        self, uploads: list["ClientUpload"]
-    ) -> list["ClientUpload"]:
-        """:meth:`preprocess_uploads` without advancing any RNG stream.
-
-        Counterfactual replays (the adaptive deadline's upward probe
-        re-aggregates uploads the real round dropped) must see the same
-        degradation the server would have applied, but must leave the
-        sparsifier's state exactly as it was — otherwise a probing run
-        would diverge from a non-probing one.  Identity preprocessing is
-        trivially stateless; stateful wrappers override this to snapshot
-        and restore their stream.
-        """
-        return self.preprocess_uploads(uploads)
+    def preprocess_uploads(self, uploads: list["ClientUpload"]) -> None:
+        # Only the frozen benchmarks/suite/trace.py names this (it wraps it).
+        return None
 
     def server_select(
         self, uploads: list[ClientUpload], k: int, dimension: int

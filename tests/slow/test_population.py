@@ -78,8 +78,7 @@ def eager_client_bytes(trainer: FLTrainer) -> int:
     """Measured per-client footprint an eager federation would multiply.
 
     One materialized client's sample arrays plus the dense residual the
-    engine keeps per client (the momentum buffer, quantization state
-    etc. only widen the gap; this is the conservative floor).
+    engine keeps per client (the conservative floor).
     """
     dataset = trainer.engine.federation.client_dataset(0)
     arrays = dataset.x.nbytes + dataset.y.nbytes

@@ -39,7 +39,6 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
 
-from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
 from repro.fl.engine import RoundHooks
@@ -118,8 +117,7 @@ ATTACK_CHURN = ScenarioConfig(
 )
 
 
-def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5,
-                      sparsifier=None):
+def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5):
     fed = _federation(seed=seed)
     model = make_mlp(64, 8, hidden=(10,), seed=seed)
     ids = [c.client_id for c in fed.clients]
@@ -129,7 +127,7 @@ def _scenario_trainer(backend, scenario_config=ATTACK_CHURN, seed=5,
     )
     scenario = DeploymentScenario.build(scenario_config, ids, timing, profiles)
     trainer = FLTrainer(
-        model, fed, sparsifier or FABTopK(), timing=timing,
+        model, fed, FABTopK(), timing=timing,
         learning_rate=0.05, batch_size=8, eval_every=3, seed=seed,
         backend=backend, scenario=scenario,
     )
@@ -623,7 +621,7 @@ class TestAttackDefenseBackendEquivalence:
 class TestResidualHonesty:
 
     @staticmethod
-    def _attacked_round_one(sparsifier=None):
+    def _attacked_round_one():
         """One attacked full-participation round: the trainer, its
         adversary, a recorder of the wire and every client's honest
         round-1 gradient at w0."""
@@ -631,7 +629,7 @@ class TestResidualHonesty:
             "serial", scenario_config=ATTACK_CHURN.with_overrides(
                 availability="always", participants=0, over_selection=0.0,
                 deadline=None, deadline_policy="fixed", slow_fraction=0.0,
-            ), sparsifier=sparsifier,
+            ),
         )
         adversary = a_scn.hooks.adversary
         assert adversary is not None
@@ -639,11 +637,6 @@ class TestResidualHonesty:
         class Recorder(RoundHooks):
             def after_local_steps(self, ctx):
                 self.wire = {
-                    up.client_id: up.payload for up in ctx.uploads
-                }
-
-            def after_preprocess(self, ctx):
-                self.preprocessed = {
                     up.client_id: up.payload for up in ctx.uploads
                 }
 
@@ -696,37 +689,6 @@ class TestResidualHonesty:
             expected[np.intersect1d(recorder.selection, uploaded)] = 0.0
             np.testing.assert_array_equal(client.residual, expected)
         assert saw_adversary
-
-    def test_quantized_reset_subtracts_what_each_client_sent(self):
-        # Adversary × quantized: the server quantizes the wire it
-        # received, so an honest client's reset subtracts its *quantized*
-        # upload (the compression error stays in the residual), while an
-        # adversary's subtracts its *raw honest* upload — what it sent
-        # before anything replaced it on the wire (first writer wins: the
-        # corruption's record precedes the quantization).  Pinned byte
-        # for byte before the wire/sent split was ported.
-        attacked, adversary, recorder, gradients = self._attacked_round_one(
-            QuantizedSparsifier(FABTopK(), UniformQuantizer(4, seed=5))
-        )
-        saw_adversary = saw_error = False
-        for client in attacked.clients:
-            cid = client.client_id
-            g = gradients[cid]
-            uploaded = recorder.wire[cid].indices
-            hit = np.isin(uploaded, recorder.selection)
-            expected = g.copy()
-            if adversary.is_adversary(cid):
-                saw_adversary = True
-                np.testing.assert_array_equal(
-                    recorder.wire[cid].values, -10.0 * g[uploaded]
-                )
-                expected[uploaded[hit]] -= g[uploaded[hit]]
-            else:
-                quantized = recorder.preprocessed[cid].values
-                saw_error |= bool(np.any(quantized[hit] != g[uploaded[hit]]))
-                expected[uploaded[hit]] -= quantized[hit]
-            np.testing.assert_array_equal(client.residual, expected)
-        assert saw_adversary and saw_error
 
     def test_dropped_poisoned_gradient_recovers_exactly(self):
         # The straggler is ALSO the adversary (seed 1 designates client

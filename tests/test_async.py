@@ -27,7 +27,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
 from repro.fl.engine import RoundHooks
@@ -100,9 +99,9 @@ ATTACKED = ScenarioConfig(
 )
 
 
-def _attacked_async_trainer(config=ATTACKED, sparsifier=None,
-                            discount="polynomial", commit_count=3,
-                            slow_ids=(0, 3), seed=5, **kwargs):
+def _attacked_async_trainer(config=ATTACKED, discount="polynomial",
+                            commit_count=3, slow_ids=(0, 3), seed=5,
+                            **kwargs):
     """``_async_trainer`` under a scenario: same federation, model and
     stragglers, plus the scenario's adversaries and aggregator."""
     fed, model, profiles, timing = _parts(slow_ids, seed)
@@ -110,7 +109,7 @@ def _attacked_async_trainer(config=ATTACKED, sparsifier=None,
         config, [c.client_id for c in fed.clients], timing, profiles
     )
     trainer = AsyncFLTrainer(
-        model, fed, sparsifier or FABTopK(), timing=timing,
+        model, fed, FABTopK(), timing=timing,
         learning_rate=0.05, batch_size=8, eval_every=4, seed=seed,
         discount=discount, commit_count=commit_count, scenario=scenario,
         **kwargs,
@@ -384,42 +383,42 @@ class TestCommitMechanics:
 
 
 # ----------------------------------------------------------------------
-# Async × adversary: two wire rewrites, one sent record
+# Async × adversary: two wire rewrites, honest residuals
 # ----------------------------------------------------------------------
 class _WireRecorder(RoundHooks):
     """Sits between the adversary seam and the commit hooks: sees the
-    poisoned raw wire, then the preprocessed wire before the discount;
-    checks every committed client's residual after the reset."""
+    poisoned wire, then the wire before the discount; checks every
+    committed client's residual after the reset."""
 
     def __init__(self, adversary):
         self.adversary = adversary
         self.commits = 0
         self.discounted_adversary = self.discounted_honest = False
-        self.quantization_error = False
 
     def after_local_steps(self, ctx):
         # A client in flight computes nothing, so its residual still is
-        # what it was at dispatch and its honest upload is that residual
+        # what it was at dispatch and its own upload is that residual
         # at the uploaded indices.
         self.before = {
             c.client_id: c.residual.copy() for c in ctx.participants
         }
+        self.sent = {}
         for up in ctx.uploads:
             honest = self.before[up.client_id][up.payload.indices]
             scale = -10.0 if self.adversary.is_adversary(up.client_id) else 1.0
             np.testing.assert_array_equal(up.payload.values, scale * honest)
+            self.sent[up.client_id] = (up.payload.indices, honest)
 
-    def after_preprocess(self, ctx):
-        self.preprocessed = {up.client_id: up.payload for up in ctx.uploads}
+    def before_select(self, ctx):
+        self.wire = {up.client_id: up.payload for up in ctx.uploads}
 
     def after_aggregate(self, ctx):
-        # The server aggregated corrupted → preprocessed → discounted.
+        # The server aggregated corrupted → discounted.
         discount = ctx.engine.discount
         for up in ctx.uploads:
             factor = discount.factor(ctx.staleness[up.client_id])
             np.testing.assert_array_equal(
-                up.payload.values,
-                self.preprocessed[up.client_id].values * factor,
+                up.payload.values, self.wire[up.client_id].values * factor
             )
             if factor != 1.0:
                 if self.adversary.is_adversary(up.client_id):
@@ -430,59 +429,50 @@ class _WireRecorder(RoundHooks):
     def after_update(self, ctx):
         selected = ctx.selection.indices
         for client in ctx.participants:
-            cid = client.client_id
-            before = self.before[cid]
-            indices = self.preprocessed[cid].indices
+            # Nothing the server did to the wire (poison, discount)
+            # shows: the reset takes the client's own upload out.
+            indices, sent = self.sent[client.client_id]
             hit = np.isin(indices, selected)
-            if self.adversary.is_adversary(cid):
-                # Sent = the raw honest upload: nothing the server did
-                # to the wire (poison, quantization, discount) shows.
-                sent = before[indices]
-            else:
-                # Sent = the preprocessed upload, undiscounted.
-                sent = self.preprocessed[cid].values
-                self.quantization_error |= bool(
-                    np.any(sent != before[indices])
-                )
-            expected = before.copy()
+            expected = self.before[client.client_id].copy()
             expected[indices[hit]] -= sent[hit]
             np.testing.assert_array_equal(client.residual, expected)
         self.commits += 1
 
 
 class TestAsyncAdversary:
-    @pytest.mark.parametrize("quantized", (False, True))
-    def test_residuals_reset_against_what_was_sent(self, quantized):
+    def test_residuals_reset_against_what_was_sent(self):
         # Residual honesty in the new cell: sign-flip corruption and the
         # polynomial staleness discount both rewrite the wire, yet after
         # every commit each client's residual is its honest accumulated
         # gradient with what it *sent* subtracted at J ∩ J_i.
-        sparsifier = (
-            QuantizedSparsifier(FABTopK(), UniformQuantizer(4, seed=5))
-            if quantized else None
-        )
-        trainer, scenario = _attacked_async_trainer(sparsifier=sparsifier)
+        trainer, scenario = _attacked_async_trainer()
         recorder = _WireRecorder(scenario.hooks.adversary)
         trainer.engine.scenario_hooks.hooks.insert(1, recorder)
         trainer.run(8, k=12)
         assert recorder.commits == 8
         assert recorder.discounted_adversary and recorder.discounted_honest
-        assert recorder.quantization_error == quantized
 
     def test_exponent_probe_reaggregates_the_wire_the_server_saw(self):
-        # The adaptive probe rescales the corrupted-then-preprocessed
-        # wire under a', never the honest payloads.
+        # The adaptive probe rescales the corrupted wire under a', never
+        # the honest payloads.
         trainer, scenario = _attacked_async_trainer(discount="adaptive")
         adversary = scenario.hooks.adversary
-        seen = []
+        sent, seen = {}, []
+
+        class Honest(RoundHooks):
+            # Chained ahead of the adversary seam: each client's own upload.
+            def after_local_steps(self, ctx):
+                sent.update({up.client_id: up.payload for up in ctx.uploads})
+
+        trainer.engine.scenario_hooks.hooks.insert(0, Honest())
         counterfactual = trainer.engine.counterfactual_weights
 
         def spy(ctx, uploads):
             for up in uploads:
                 if adversary.is_adversary(up.client_id):
-                    sent = ctx.sent_uploads[up.client_id].payload
+                    honest = sent[up.client_id]
                     # Poison and probe discount have opposite signs...
-                    assert np.all(up.payload.values * sent.values <= 0.0)
+                    assert np.all(up.payload.values * honest.values <= 0.0)
                     assert np.any(up.payload.values != 0.0)
                     seen.append(up.client_id)
             return counterfactual(ctx, uploads)
@@ -490,30 +480,6 @@ class TestAsyncAdversary:
         trainer.engine.counterfactual_weights = spy
         trainer.run(8, k=12)
         assert seen  # ...on commits that probed a stale adversary
-
-    def test_degenerate_settings_write_no_sent_record(self):
-        # adversary="none" + identity discount: the plain path — the
-        # very list the server aggregated goes to the residual reset.
-        trainer, _ = _attacked_async_trainer(
-            config=ScenarioConfig(availability="always", seed=5),
-            discount="constant", commit_count=0,
-        )
-        reset = trainer.engine.backend.reset_residuals
-        calls = []
-
-        class Watch(RoundHooks):
-            def after_update(self, ctx):
-                assert ctx.sent_uploads == {}
-                assert calls[-1] is ctx.uploads
-
-        def spy(participants, uploads, selected):
-            calls.append(uploads)
-            return reset(participants, uploads, selected)
-
-        trainer.engine.backend.reset_residuals = spy
-        for _ in range(3):
-            trainer.engine.run_round(12, hooks=Watch())
-        assert len(calls) == 3
 
     def test_flagged_clients_are_reported(self, tmp_path):
         # Was silent before the adversary seam was chained: the

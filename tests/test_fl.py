@@ -5,8 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_by_writer, partition_iid
+from repro.data.partition import (
+    ClientDataset,
+    partition_by_writer,
+    partition_iid,
+)
 from repro.data.synthetic import make_gaussian_blobs
+from repro.fl.backends import ExecutionBackend
 from repro.fl.client import Client
 from repro.fl.engine import _as_schedule
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
@@ -67,6 +72,25 @@ class TestClient:
         client.reset_transmitted(selected)
         np.testing.assert_allclose(client.residual[selected], 0.0)
         np.testing.assert_allclose(client.residual[untouched_idx], untouched_before)
+
+    @pytest.mark.parametrize("value, k", [
+        (np.inf, 3), (-np.inf, 3), (np.nan, 6),
+    ], ids=["inf", "-inf", "nan"])
+    def test_reset_zeroes_a_non_finite_entry(self, value, k):
+        # Lines 16–17 zero a transmitted entry whatever it held: a ±inf
+        # or NaN left behind would rank below every magnitude and never
+        # be uploaded again.  (NaN ranks last, so it needs k = D.)
+        client = Client(ClientDataset(0, np.zeros((1, 1)), np.zeros(1)), 6)
+        client.residual = np.array([value, 1.0, -2.0, 0.5, 0.0, 3.0])
+        upload = client.select_upload(k, FABTopK())
+        assert 0 in upload.payload.indices
+        ExecutionBackend().reset_residuals([client], np.array([0, 2, 5]))
+        assert client.residual.tobytes() == np.array(
+            [0.0, 1.0, 0.0, 0.5, 0.0, 0.0]
+        ).tobytes()
+        client.accumulate_gradient(np.array([4.0, 0, 0, 0, 0, 0]))
+        upload = client.select_upload(1, FABTopK())
+        assert upload.payload.indices.tolist() == [0]
 
     def test_reset_before_step_raises(self, federation, model):
         client = Client(federation.clients[0], model.dimension)

@@ -580,7 +580,7 @@ class TestShardedBackend:
         with pytest.raises(RuntimeError, match="fresh backend"):
             backend.local_steps(trainer.model, trainer.clients, 8, FABTopK())
         with pytest.raises(RuntimeError, match="fresh backend"):
-            backend.reset_residuals(trainer.clients, [], np.array([0]))
+            backend.reset_residuals(trainer.clients, np.array([0]))
         backend.close()  # close itself stays idempotent
 
 

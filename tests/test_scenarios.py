@@ -4,9 +4,9 @@ Four load-bearing guarantees (the PR acceptance criteria):
 
 (a) **Backend bit-identity under churn** — the same seeded scenario
     (Markov availability, straggler profiles, deadline drops,
-    over-selection — including quantized uploads and the online-adapted
-    deadline) produces *identical* histories, weights and residuals on
-    the serial, vectorized and sharded backends.
+    over-selection — including the online-adapted deadline) produces
+    *identical* histories, weights and residuals on the serial,
+    vectorized and sharded backends.
 (b) **Exact recovery of dropped uploads** — a deadline-dropped client's
     gradient survives in its residual and is transmitted, bit for bit,
     the next time the client makes a deadline.
@@ -43,7 +43,6 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     HAVE_HYPOTHESIS = False
 
-from repro.compress.quantization import QuantizedSparsifier, UniformQuantizer
 from repro.data.partition import partition_by_writer
 from repro.data.synthetic import make_femnist_like
 from repro.fl.engine import ChainedHooks, RoundHooks
@@ -1065,23 +1064,15 @@ CHURN = ScenarioConfig(
 
 ADAPTIVE_CHURN = CHURN.with_overrides(deadline_policy="adaptive")
 
-#: backend-equivalence matrix rows: scenario config + sparsifier factory
-#: — quantized uploads under deadline drops, and the online-adapted
-#: deadline, must stay bit-identical.
+#: backend-equivalence matrix rows — deadline drops, and the
+#: online-adapted deadline, must stay bit-identical.
 SCENARIO_VARIANTS = {
-    "churn": (CHURN, lambda: FABTopK()),
-    "quantized": (
-        CHURN,
-        lambda: QuantizedSparsifier(
-            FABTopK(), UniformQuantizer(num_levels=15, seed=5)
-        ),
-    ),
-    "adaptive-deadline": (ADAPTIVE_CHURN, lambda: FABTopK()),
+    "churn": CHURN,
+    "adaptive-deadline": ADAPTIVE_CHURN,
 }
 
 
-def _scenario_trainer(backend, scenario_config=CHURN, sparsifier=None,
-                      seed=5):
+def _scenario_trainer(backend, scenario_config=CHURN, seed=5):
     fed = _federation(seed=seed)
     model = make_mlp(64, 8, hidden=(10,), seed=seed)
     ids = [c.client_id for c in fed.clients]
@@ -1091,9 +1082,9 @@ def _scenario_trainer(backend, scenario_config=CHURN, sparsifier=None,
     )
     scenario = DeploymentScenario.build(scenario_config, ids, timing, profiles)
     trainer = FLTrainer(
-        model, fed, sparsifier if sparsifier is not None else FABTopK(),
-        timing=timing, learning_rate=0.05, batch_size=8, eval_every=3,
-        seed=seed, backend=backend, scenario=scenario,
+        model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+        batch_size=8, eval_every=3, seed=seed, backend=backend,
+        scenario=scenario,
     )
     return trainer, scenario
 
@@ -1104,7 +1095,6 @@ class TestScenarioBackendEquivalence:
     @pytest.mark.parametrize("backend_name", ["vectorized", "sharded"])
     @pytest.mark.parametrize("variant", sorted(SCENARIO_VARIANTS))
     def test_churn_histories_identical(self, variant, backend_name):
-        scenario_config, sparsifier_factory = SCENARIO_VARIANTS[variant]
         backend = (
             ShardedBackend(jobs=2) if backend_name == "sharded"
             else backend_name
@@ -1112,8 +1102,7 @@ class TestScenarioBackendEquivalence:
 
         def build(backend_spec):
             return _scenario_trainer(
-                backend_spec, scenario_config=scenario_config,
-                sparsifier=sparsifier_factory(),
+                backend_spec, scenario_config=SCENARIO_VARIANTS[variant]
             )
 
         serial, s_scn = build("serial")
@@ -1253,9 +1242,6 @@ class TestVirtualScenarioEquivalence:
     #: sparsifier factory per row
     VARIANTS = {
         "churn": lambda: FABTopK(),
-        "quantized": lambda: QuantizedSparsifier(
-            FABTopK(), UniformQuantizer(num_levels=15, seed=7)
-        ),
     }
 
     def _virtual(self, seed=7):
@@ -1529,25 +1515,19 @@ class TestAdaptiveDeadlineIntegration:
         frozen, _ = self._run(frozen_config, rounds=6)
         assert history_rows(frozen.history) == history_rows(fixed.history)
 
-    def test_probe_sees_preprocessed_uploads(self):
-        # The counterfactual d'-round must re-aggregate the same
-        # (possibly compression-degraded) uploads the server actually
-        # aggregates.  With every client fast enough to beat both d and
-        # d', the probe set equals the actual set, so w'(m) == w(m)
-        # exactly and the sign estimate is 0 — the deadline never moves.
-        # Aggregating raw (unquantized) uploads instead would make
-        # loss_probe != loss_now and walk the deadline on pure
-        # quantization noise.
+    def test_probe_sees_the_wire_the_server_aggregates(self):
+        # The counterfactual d'-round must re-aggregate the uploads the
+        # server actually aggregates.  With every client fast enough to
+        # beat both d and d', the probe set equals the actual set, so
+        # w'(m) == w(m) exactly and the sign estimate is 0 — the
+        # deadline never moves.
         config = ScenarioConfig(
             availability="always", deadline_policy="adaptive",
             deadline_min=4.0, deadline_max=12.0,
             slow_fraction=0.0, seed=5,
         )
         trainer, scenario = _scenario_trainer(
-            "serial", scenario_config=config,
-            sparsifier=QuantizedSparsifier(
-                FABTopK(), UniformQuantizer(num_levels=15, seed=5)
-            ),
+            "serial", scenario_config=config
         )
         trainer.run(6, k=12)
         schedule = scenario.hooks.policy.schedule
@@ -1619,34 +1599,6 @@ class TestAdaptiveDeadlineIntegration:
         assert usable  # the scenario exercises the primary path only
         assert two == one
         assert len(set(two)) > 1  # and the walk actually moved
-
-    def test_counterfactual_preprocess_leaves_the_quantizer_untouched(self):
-        # The up-probe re-quantizes uploads the real round dropped; the
-        # replay must not advance the quantizer's stream, or a probing
-        # run would diverge from a non-probing one on later rounds.
-        def upload():
-            return ClientUpload(
-                client_id=0,
-                payload=SparseVector(
-                    indices=np.array([1, 4, 7]),
-                    values=np.array([0.3, -1.2, 0.05]),
-                    dimension=10,
-                ),
-                sample_count=8,
-            )
-
-        sparsifier = QuantizedSparsifier(
-            FABTopK(), UniformQuantizer(num_levels=15, seed=5)
-        )
-        state = sparsifier.quantizer._rng.bit_generator.state
-        ghost = sparsifier.preprocess_uploads_counterfactual([upload()])
-        assert sparsifier.quantizer._rng.bit_generator.state == state
-        # ...and from that untouched state the real pass degrades the
-        # values identically — the probe saw what the server would.
-        real = sparsifier.preprocess_uploads([upload()])
-        np.testing.assert_array_equal(
-            ghost[0].payload.values, real[0].payload.values
-        )
 
     def test_adaptation_state_survives_probing_rounds(self):
         # Probing must not perturb the model: after any round the

@@ -71,8 +71,6 @@ class TestTimingModel:
             TimingModel(dimension=0, comm_time=1.0)
         with pytest.raises(ValueError):
             TimingModel(dimension=10, comm_time=-1.0)
-        with pytest.raises(ValueError):
-            TimingModel(dimension=10, comm_time=1.0, pair_overhead=0.5)
         tm = TimingModel(dimension=10, comm_time=1.0)
         with pytest.raises(ValueError):
             tm.sparse_round(-1, 0)
