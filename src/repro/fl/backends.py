@@ -14,10 +14,11 @@ Three implementations ship:
 - :class:`SerialBackend` — the reference: one ``FlatModel.gradient``
   call per participant, yielded one at a time, so the round holds a
   single gradient, exactly the seed trainers' behaviour.
-- :class:`VectorizedBackend` — one grouped ``FlatModel.gradients_batched``
-  pass over all participants of one batch size, bit-identical per client
-  to the serial call: every layer has one pass, and a client's gradient
-  is its G = 1 case.
+- :class:`VectorizedBackend` — one ``FlatModel.gradients_batched`` call
+  over all participants of one batch size, which runs them as stacked
+  passes in cache-sized blocks of clients (one block for an MLP's
+  stack), bit-identical per client to the serial call: every layer has
+  one pass, and a client's gradient is its G = 1 case.
 - :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — the
   gradients of a persistent multiprocessing worker pool, one shard of
   clients per worker, with the same bit-identity guarantee.  It lives in
@@ -142,12 +143,14 @@ class SerialBackend(ExecutionBackend):
 
 
 class VectorizedBackend(ExecutionBackend):
-    """Batched backend: one grouped pass over all participants.
+    """Batched backend: one ``gradients_batched`` call over all
+    participants of one batch size.
 
     Minibatches are drawn per client (their RNG streams must match the
     serial backend), then grouped by batch size and pushed through
     ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes).
+    grouped im2col passes), each stack in blocks of clients whose
+    temporaries fit in cache.
     """
 
     name = "vectorized"
@@ -161,7 +164,7 @@ class VectorizedBackend(ExecutionBackend):
         batches = [client.draw_minibatch() for client in participants]
         grads: list[np.ndarray | None] = [None] * len(batches)
         # Group clients by batch size (shards smaller than batch_size
-        # yield short batches); one grouped pass per size class.
+        # yield short batches); one gradients_batched call per size class.
         by_size: dict[int, list[int]] = {}
         for i, (x, _) in enumerate(batches):
             by_size.setdefault(x.shape[0], []).append(i)

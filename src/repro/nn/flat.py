@@ -12,10 +12,21 @@ estimator, which probes three different weight vectors per round).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.nn.layers import Sequential
 from repro.nn.losses import SoftmaxCrossEntropy
+
+#: Bytes of the widest per-group layer output one block of
+#: :meth:`FlatModel.gradients_batched` may stack.  It keeps a block's
+#: im2col and gradient temporaries near the size of a 2 MiB per-core L2
+#: cache: 2 suite-CNN clients a block, whose largest im2col is 2.4 MB
+#: where the whole 24-client stack's was 28 MB.  On a 2-vCPU Xeon,
+#: blocks of 1, 2 and 4 clients ran one call in 86–89 ms, 8 in 94 ms
+#: and the whole stack in 120 ms.
+BLOCK_BYTES = 1 << 20
 
 
 class FlatModel:
@@ -37,6 +48,8 @@ class FlatModel:
         self._sizes = [p.size for p in self._param_arrays]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
         self.dimension = int(self._offsets[-1])
+        #: groups per block of :meth:`gradients_batched`, by minibatch shape
+        self._block_groups: dict[tuple[int, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Weight access
@@ -69,22 +82,27 @@ class FlatModel:
         ``dimension`` and ``loss_value`` is the mean minibatch loss at the
         current weights.  The one-group case of :meth:`gradients_batched`.
         """
-        flat, logits = self._flat_gradients(x[None], y[None])
+        param_grads, logits = self._backprop(x[None], y[None])
+        flat = np.empty((1, self.dimension))
+        self._write_rows(param_grads, flat)
         return flat[0], self.loss.forward(logits[0], y)
 
     def gradients_batched(
         self, xs: list[np.ndarray], ys: list[np.ndarray]
     ) -> np.ndarray:
-        """Per-group flat gradients in one stacked forward/backward pass.
+        """Per-group flat gradients from stacked forward/backward passes.
 
         ``xs``/``ys`` are per-group minibatches of one common batch size
         (in FL: one minibatch per client, all at the synchronized weights).
         Returns an array of shape ``(groups, dimension)`` whose row ``g``
         equals ``self.gradient(xs[g], ys[g])[0]`` byte for byte — both
-        run :meth:`_flat_gradients` — but the network runs a single
-        stacked pass: the O(groups) Python loop over clients collapses
-        into batched NumPy/BLAS work.  Raises ``ValueError`` when batch
-        sizes differ.
+        run :meth:`_backprop` and :meth:`_write_rows` — but the
+        O(groups) Python loop over clients collapses into batched
+        NumPy/BLAS work: the groups run in blocks of
+        :meth:`_groups_per_block`, one stacked pass each, every block
+        writing its rows of the result in place.  A stack no wider than
+        one block (an MLP's, typically) is one pass.  Raises
+        ``ValueError`` when batch sizes differ.
         """
         groups = len(xs)
         if groups == 0 or len(ys) != groups:
@@ -94,30 +112,69 @@ class FlatModel:
             np.shape(y)[0] != batch for y in ys
         ):
             raise ValueError("all groups must share one batch size")
-        return self._flat_gradients(np.stack(xs), np.asarray(ys))[0]
+        block = self._groups_per_block(xs[0])
+        flat = None
+        for lo in range(0, groups, block):
+            hi = lo + block
+            param_grads, _ = self._backprop(
+                np.stack(xs[lo:hi]), np.asarray(ys[lo:hi])
+            )
+            if flat is None:
+                # Allocated after the first backward, as gradient() does.
+                # Allocated before the first forward, the result sat below
+                # the pass's temporaries; freeing them let glibc trim the
+                # heap top and every call faulted it back in (~1,300 minor
+                # faults a call at churn_robust's geometry).
+                flat = np.empty((groups, self.dimension))
+            self._write_rows(param_grads, flat[lo:hi])
+        return flat
 
-    def _flat_gradients(
+    def _groups_per_block(self, x: np.ndarray) -> int:
+        """Groups one block of :meth:`gradients_batched` stacks for
+        minibatches shaped like ``x``: :data:`BLOCK_BYTES` over the
+        widest per-group layer output (at least one), read once per
+        shape from a one-group evaluation forward of ``x``."""
+        block = self._block_groups.get(x.shape)
+        if block is None:
+            widest, h = 1, x[None]  # one byte: an empty batch is one block
+            with self._evaluation():
+                for layer in self.network.layers:
+                    h = layer.forward(h)
+                    widest = max(widest, h.nbytes)
+            block = self._block_groups[x.shape] = max(1, BLOCK_BYTES // widest)
+        return block
+
+    def _backprop(
         self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(groups, dimension)`` gradients of each group's mean loss on
-        the stacks ``x`` ``(groups, batch, *dims)`` and ``y``
-        ``(groups, batch)``, plus the training-mode logits."""
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-layer parameter gradients (leading group axis) of each
+        group's mean loss on the stacks ``x`` ``(groups, batch, *dims)``
+        and ``y`` ``(groups, batch)``, plus the training-mode logits."""
         logits = self.network.forward(x)
         _, param_grads = self.network.backward(self.loss.backward(logits, y))
-        flat = np.empty((x.shape[0], self.dimension))
-        for grads, lo, hi in zip(param_grads, self._offsets[:-1], self._offsets[1:]):
-            flat[:, lo:hi] = grads.reshape(x.shape[0], hi - lo)
-        return flat, logits
+        return param_grads, logits
 
-    def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """The network's forward of the stack ``x`` in evaluation mode;
-        the training flag is restored."""
+    def _write_rows(self, param_grads: list[np.ndarray], out: np.ndarray) -> None:
+        """Write :meth:`_backprop`'s gradients into ``out``, one flat
+        ``dimension``-row per group."""
+        for grads, lo, hi in zip(param_grads, self._offsets[:-1], self._offsets[1:]):
+            out[:, lo:hi] = grads.reshape(out.shape[0], hi - lo)
+
+    @contextmanager
+    def _evaluation(self):
+        """Run the body with the network in evaluation mode; the
+        training flag is restored."""
         was_training = self.network.training
         self.network.train(False)
         try:
-            return self.network.forward(x)
+            yield
         finally:
             self.network.train(was_training)
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The network's forward of the stack ``x`` in evaluation mode."""
+        with self._evaluation():
+            return self.network.forward(x)
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss on ``(x, y)`` at the current weights (no gradients)."""

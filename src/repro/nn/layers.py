@@ -19,8 +19,9 @@ Design notes
   algebra runs through ``np.matmul``'s batched gemm, whose per-group
   slices have the shapes and strides of a one-group call.
 - ``forward`` stores whatever the matching ``backward`` needs on ``self``
-  (only while ``training``), so a layer instance processes one stack at
-  a time.  Convolution is im2col plus one batched gemm; its input
+  (only while ``training``) and ``backward`` drops it, so a layer
+  instance processes one stack at a time and pins nothing between
+  passes.  Convolution is im2col plus one batched gemm; its input
   gradient comes back through one vectorized ``_col2im`` scatter-add.
 """
 
@@ -105,8 +106,8 @@ class Linear(Layer):
     def backward_params(self, grad_out: np.ndarray) -> list[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        grad_w = np.matmul(self._x.transpose(0, 2, 1), grad_out)
-        return [grad_w, grad_out.sum(axis=1)]
+        x, self._x = self._x, None
+        return [np.matmul(x.transpose(0, 2, 1), grad_out), grad_out.sum(axis=1)]
 
 
 class ReLU(Layer):
@@ -136,7 +137,8 @@ class ReLU(Layer):
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._mask, []
+        mask, self._mask = self._mask, None
+        return grad_out * mask, []
 
 
 class Flatten(Layer):
@@ -313,10 +315,11 @@ class MaxPool2D(Layer):
         # where that tap won, all-zeros elsewhere: the routed value moves
         # unchanged (-0.0 and NaN included), the rest is +0.0, and no
         # data-dependent branch runs.  The taps tile the input exactly.
+        argmax, self._argmax = self._argmax, None
         grad = np.empty(self._x_shape)
         bits = np.asarray(grad_out, np.float64).view(np.int64)
         for t, tap in enumerate(self._taps(grad)):
-            keep = np.multiply(self._argmax == t, -1, dtype=np.int64)
+            keep = np.multiply(argmax == t, -1, dtype=np.int64)
             np.bitwise_and(bits, keep, out=tap.view(np.int64))
         return grad, []
 

@@ -12,7 +12,7 @@ Three layers of guarantees:
    to ``SerialBackend`` across sparsifier families and model families
    (MLP and CNN — conv/pool run the grouped im2col pass).
 3. **Batched kernels** — ``FlatModel.gradients_batched`` equals its
-   per-client counterpart exactly.
+   per-client counterpart exactly, in however many blocks it runs.
 """
 
 import ast
@@ -21,6 +21,7 @@ import hashlib
 import json
 import multiprocessing
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -885,6 +886,20 @@ class TestVirtualEagerEquivalence:
         virtual.close()
 
 
+def _suite_stack(model_name, groups, seed):
+    """The benchmark suite's CNN (``cnn_fixedk``: 1x16x16 inputs, conv
+    (8, 16), dense 64) or MLP (``churn_robust``/``async_adaptive``: 256
+    -> 64 -> 62) and ``groups`` batch-32 minibatches for it."""
+    rng = np.random.default_rng(seed)
+    if model_name == "cnn":
+        model, shape = make_cnn(16, 1, 62, (8, 16), 64), (32, 1, 16, 16)
+    else:
+        model, shape = make_mlp(256, 62, hidden=(64,)), (32, 256)
+    xs = [rng.standard_normal(shape) for _ in range(groups)]
+    ys = [rng.integers(0, 62, size=32) for _ in range(groups)]
+    return model, xs, ys
+
+
 class TestBatchedKernels:
     def test_gradients_batched_bitwise_equal(self):
         rng = np.random.default_rng(0)
@@ -929,6 +944,59 @@ class TestBatchedKernels:
         assert hashlib.sha256(batched.tobytes()).hexdigest() == (
             "f9b5a3c4390343050c12edd849fd8c2d011aa21f7d3f97e2e17f75bbc81b8a23"
         )
+
+    @pytest.mark.parametrize("groups", (25, 1))
+    def test_blocked_rows_equal_serial_gradients(self, groups):
+        # 25 suite-CNN clients in blocks of 2 leave a one-group last
+        # block; G = 1 is a single one-group block.  Either way every
+        # row is the bytes of that client's own gradient() call.
+        model, xs, ys = _suite_stack("cnn", groups, seed=1)
+        assert groups == 1 or groups % model._groups_per_block(xs[0])
+        batched = model.gradients_batched(xs, ys)
+        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        assert batched.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("model_name, groups, one_pass", [
+        ("cnn", 24, False), ("mlp", 24, True), ("mlp", 32, True),
+        ("mlp", 48, True),
+    ])
+    def test_block_count_at_suite_geometries(
+        self, model_name, groups, one_pass, monkeypatch
+    ):
+        # Non-vacuity of the blocking: the suite CNN runs in blocks, the
+        # suite MLP stacks run as one pass.
+        model, xs, ys = _suite_stack(model_name, groups, seed=2)
+        passes = []
+        real = model._backprop
+
+        def spy(x, y):
+            passes.append(x.shape[0])
+            return real(x, y)
+
+        monkeypatch.setattr(model, "_backprop", spy)
+        model.gradients_batched(xs, ys)
+        assert (len(passes) == 1) == one_pass
+        assert sum(passes) == groups
+
+    @pytest.mark.parametrize("model_name, groups, ceiling_mib", [
+        # A quarter of the 94.8 MiB the whole-stack pass peaked at.
+        pytest.param("cnn", 24, 94.8 / 4, id="cnn_fixedk"),
+        # The one-pass peak before blocking: no (G, D) copy is added.
+        pytest.param("mlp", 32, 13.1, id="churn_robust"),
+    ])
+    def test_one_call_peak_memory_at_suite_geometries(
+        self, model_name, groups, ceiling_mib
+    ):
+        # The first call on a fresh model, so the block-size probe is
+        # inside the peak too.
+        model, xs, ys = _suite_stack(model_name, groups, seed=3)
+        tracemalloc.start()
+        try:
+            model.gradients_batched(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ceiling_mib * 2**20
 
     @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
     def test_first_conv_input_gradient_never_computed(

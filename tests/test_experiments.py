@@ -598,12 +598,13 @@ class TestEveryModuleIsReached:
 # ----------------------------------------------------------------------
 # Surface: every engine setting is set by an entry point
 # ----------------------------------------------------------------------
-#: ``(module, class)`` whose ``__init__`` declares engine, layer or
-#: timing settings
+#: ``(module, class)`` whose ``__init__`` declares engine, model, layer
+#: or timing settings
 SETTING_DECLARATIONS = (
     ("repro.fl.engine", "RoundEngine"),
     ("repro.fl.async_engine", "AsyncRoundEngine"),
     ("repro.obs.telemetry", "Telemetry"),
+    ("repro.nn.flat", "FlatModel"),
     ("repro.nn.layers", "Linear"),
     ("repro.nn.layers", "Conv2D"),
     ("repro.simulation.timing", "TimingModel"),
@@ -670,8 +671,8 @@ class TestEverySettingIsSet:
         )
         assert unset == [], (
             "no CLI command, benchmark workload or paper-result check "
-            "sets these engine, layer or timing settings; delete them or "
-            "set them: "
+            "sets these engine, model, layer or timing settings; delete "
+            "them or set them: "
             + ", ".join(unset)
         )
 
@@ -718,6 +719,70 @@ class TestEverySettingIsSet:
             ROOT / "src" / "repro" / "fl" / "engine.py", "RoundEngine"
         )
         assert documented == declared
+
+
+#: the ``os`` attributes that read the process environment
+ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(source):
+    """``lineno: expression`` of every environment read in ``source``:
+    an ``os`` attribute of :data:`ENVIRONMENT_READS` under any alias of
+    ``os``, or one of those names imported from ``os``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "os"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(
+                f"{node.lineno}: from os import {alias.name}"
+                for alias in node.names if alias.name in ENVIRONMENT_READS
+            )
+    return sorted(found)
+
+
+class TestNoEnvironmentReads:
+    def test_no_module_under_src_reads_the_environment(self):
+        # A setting is a keyword an entry point sets, never an
+        # environment variable nothing in the surface lints can see.
+        offenders = [
+            f"{path.relative_to(ROOT)}:{read}"
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for read in _environment_reads(path.read_text())
+        ]
+        assert offenders == [], (
+            "modules under src/ read the environment: " + "; ".join(offenders)
+        )
+
+    def test_the_environment_lint_sees_every_spelling(self):
+        # Guard against a vacuous lint: each spelling of a read counts,
+        # other os attributes and a local named environ do not.
+        reads = _environment_reads(
+            "import os\n"
+            "import os as system\n"
+            "from os import getenv, path\n"
+            "environ = {}\n"
+            "a = os.environ['A']\n"
+            "b = system.getenv('B')\n"
+            "c = os.environ.get('C', os.path.join('x', environ.get('y')))\n"
+        )
+        assert reads == [
+            "3: from os import getenv",
+            "5: os.environ",
+            "6: system.getenv",
+            "7: os.environ",
+        ]
 
 
 # ----------------------------------------------------------------------
