@@ -43,7 +43,7 @@ import numpy as np
 from repro.fl.client import Client
 from repro.nn.flat import FlatModel
 from repro.obs import NULL_TELEMETRY
-from repro.sparsify.base import ClientUpload, Sparsifier
+from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
 
 BACKEND_NAMES = ("serial", "vectorized", "sharded")
 
@@ -109,10 +109,10 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def reset_residuals(
-        self, participants: list[Client], selected: np.ndarray
+        self, participants: list[Client], selected: SelectionResult
     ) -> None:
         """Zero each participant's residual at ``J ∩ J_i`` (Algorithm 1,
-        lines 16–17)."""
+        lines 16–17); ``selected`` is the round's selection."""
         for client in participants:
             client.reset_transmitted(selected)
 

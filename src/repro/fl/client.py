@@ -1,10 +1,11 @@
-"""FL client: local gradient computation and residual accumulation.
+"""FL client: residual accumulation, upload selection and the residual reset.
 
-Implements the client side of Algorithm 1.  Weights are synchronized
-across clients (all clients apply the identical sparse update), so the
-simulation shares a single :class:`~repro.nn.flat.FlatModel` instance whose
-weights represent the common ``w(m)``; each client owns only its *state* —
-data shard, residual ``a_i``, and RNG.
+Implements the client side of Algorithm 1; an execution backend computes
+the gradient.  Weights are synchronized across clients (all clients apply
+the identical sparse update), so the simulation shares a single
+:class:`~repro.nn.flat.FlatModel` instance whose weights represent the
+common ``w(m)``; each client owns only its *state* — data shard, residual
+``a_i``, and RNG.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.partition import ClientDataset
-from repro.nn.flat import FlatModel
-from repro.sparsify.base import ClientUpload, Sparsifier, SparseVector
+from repro.sparsify.base import (
+    ClientUpload, SelectionResult, Sparsifier, SparseVector,
+)
 
 
 class Client:
@@ -70,27 +72,6 @@ class Client:
         return len(self.dataset)
 
     # ------------------------------------------------------------------
-    def local_step(
-        self, model: FlatModel, k: int, sparsifier: Sparsifier
-    ) -> ClientUpload:
-        """One local round: accumulate gradient, select and return upload.
-
-        ``model`` must hold the synchronized weights ``w(m-1)`` on entry;
-        it is left unchanged (gradient computation does not move weights).
-
-        A one-client convenience: the round engine runs the same pieces
-        (:meth:`draw_minibatch`, :meth:`accumulate_gradient`,
-        :meth:`select_upload`) through
-        :meth:`repro.fl.backends.ExecutionBackend.local_steps`, whose
-        backend computes the gradient — batched, or on a worker — and
-        each piece touches the same per-client state in the same order,
-        so every backend reproduces this method exactly.
-        """
-        x, y = self.draw_minibatch()
-        grad, _ = model.gradient(x, y)
-        self.accumulate_gradient(grad)
-        return self.select_upload(k, sparsifier)
-
     def draw_minibatch(self) -> tuple[np.ndarray, np.ndarray]:
         """Draw this round's minibatch from the client's shard."""
         return self.dataset.minibatch(self.batch_size)
@@ -120,19 +101,19 @@ class Client:
             sample_count=self.sample_count,
         )
 
-    def reset_transmitted(self, selected: np.ndarray) -> None:
+    def reset_transmitted(self, selected: SelectionResult) -> None:
         """Zero the transmitted part of the residual, ``a_i[J ∩ J_i]``
-        (Algorithm 1, lines 16–17).
+        (Algorithm 1, lines 16–17), for the round's selection.
 
-        What the client sent is ``a_i[J_i]`` itself, so zeroing by index
-        is exact whatever the entry held (±inf and NaN included) and
-        whatever the server saw on the wire.
+        ``J ∩ J_i`` is the part of ``J_i`` that J's position map places in
+        J: one gather over ``J_i``.  What the client sent is ``a_i[J_i]``
+        itself, so zeroing by index is exact whatever the entry held (±inf
+        and NaN included) and whatever the server saw on the wire.
         """
-        if self._last_upload_indices is None:
+        sent = self._last_upload_indices
+        if sent is None:
             raise RuntimeError("reset_transmitted called before select_upload")
-        self.residual[np.intersect1d(
-            selected, self._last_upload_indices, assume_unique=True
-        )] = 0.0
+        self.residual[sent[selected.position[sent] >= 0]] = 0.0
 
     def drop_upload(self) -> None:
         """Record that this round's upload never reached the server.

@@ -4,15 +4,18 @@ Every trainer in this repo runs the same synchronized round protocol
 (paper Fig. 3 / Algorithm 1); what differs between them is small and
 pluggable.  :class:`RoundEngine` owns the invariant skeleton:
 
-1.  participant sampling (all clients, or a ``ClientSampler`` subset),
-2.  local steps — delegated to an
-    :class:`~repro.fl.backends.ExecutionBackend` (serial reference loop or
-    the vectorized batched pass),
-3.  ``Sparsifier.server_select`` → weighted aggregation
+1.  participant sampling (all clients, or the cohort a sampler's
+    ``sample()`` names: a scenario's available clients, a virtual
+    population's draw, a heterogeneous-clients subset),
+2.  local steps — :meth:`~repro.fl.backends.ExecutionBackend.local_steps`,
+    written once; the backend only computes the gradients (serial,
+    vectorized or sharded),
+3.  ``Sparsifier.server_select`` (J, as the round's one
+    :class:`~repro.sparsify.base.SelectionResult`) → weighted aggregation
     (:class:`~repro.fl.server.Server`),
 4.  the synchronized weight update ``w(m) = w(m−1) − η·b``,
-5.  residual reset at ``J ∩ J_i`` (plus full reset for non-accumulating
-    schemes),
+5.  residual reset at ``J ∩ J_i``, read off the selection's position map
+    (plus full reset for non-accumulating schemes),
 6.  normalized-time accounting and the evaluation cadence,
 7.  :class:`~repro.fl.metrics.RoundRecord` construction and history
     bookkeeping.
@@ -596,10 +599,6 @@ class RoundEngine:
                 phases[phase] = phases.get(phase, 0.0) + (now - mark)
                 mark = now
 
-        start_round = getattr(self.sparsifier, "start_round", None)
-        if start_round is not None:
-            start_round(k)
-
         ctx.participants, ctx.participant_ids = self._start_wave()
         if tracing:
             lap("sample")
@@ -637,7 +636,7 @@ class RoundEngine:
         if tracing:
             lap("update")
 
-        self.backend.reset_residuals(ctx.participants, ctx.selection.indices)
+        self.backend.reset_residuals(ctx.participants, ctx.selection)
         if self.sparsifier.discards_residual:
             for client in ctx.participants:
                 client.reset_all()
@@ -667,7 +666,7 @@ class RoundEngine:
             k=ctx.recorded_k,
             round_time=ctx.round_time,
             uplink_elements=ctx.uplink_elements,
-            downlink_elements=ctx.selection.downlink_element_count,
+            downlink_elements=ctx.selection.indices.size,
             contributions=dict(ctx.selection.contributions),
             loss_fn=(
                 (lambda: ctx.eval_loss) if ctx.eval_loss is not None
@@ -703,7 +702,7 @@ class RoundEngine:
         stated, the straggler tail of the timing model; once a gate
         closed the round (``ctx.close_by``), the computation, the wait
         until that close, and the broadcast."""
-        downlink_elements = ctx.selection.downlink_element_count
+        downlink_elements = ctx.selection.indices.size
         if ctx.close_time is None:
             sparse_round_for = getattr(self.timing, "sparse_round_for", None)
             if sparse_round_for is not None:
@@ -736,7 +735,7 @@ class RoundEngine:
             default=1.0,
         )
         return TimingModel.sparse_round(
-            self.timing, 0, ctx.selection.downlink_element_count
+            self.timing, 0, ctx.selection.indices.size
         ).downlink * worst_comm
 
     # ------------------------------------------------------------------

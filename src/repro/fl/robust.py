@@ -80,24 +80,24 @@ class _CoordinateView:
     def __init__(
         self,
         uploads: list[ClientUpload],
-        selected: np.ndarray,
-        dimension: int,
+        selection: SelectionResult,
         value_scales: np.ndarray | None = None,
     ) -> None:
+        size = selection.indices.size
         rows = np.repeat(
             np.arange(len(uploads)), [up.payload.nnz for up in uploads]
         )
         values = np.concatenate([up.payload.values for up in uploads])
-        # J membership by one dense map: coordinate -> index in J, or -1
-        pos_of = np.full(dimension, -1, dtype=np.int64)
-        pos_of[selected] = np.arange(selected.size)
-        pos = pos_of[np.concatenate([up.payload.indices for up in uploads])]
+        # Each hit's index in J (−1 outside J), read off the selection's map
+        pos = selection.position[
+            np.concatenate([up.payload.indices for up in uploads])
+        ]
         hits = np.flatnonzero(pos >= 0)
         hits = hits[np.isfinite(values[hits])]
         pos, values, rows = pos[hits], values[hits], rows[hits]
         if value_scales is not None:
             values = values * value_scales[rows]
-        order = _coordinate_value_order(pos, values, selected.size)
+        order = _coordinate_value_order(pos, values, size)
         self.pos = pos[order]
         self.values = values[order]
         self.rows = rows[order]
@@ -105,7 +105,7 @@ class _CoordinateView:
             [float(up.sample_count) for up in uploads]
         )[self.rows]
         #: run boundaries: coordinate j's values are values[starts[j]:ends[j]]
-        self.counts = np.bincount(self.pos, minlength=selected.size)
+        self.counts = np.bincount(self.pos, minlength=size)
         self.ends = np.cumsum(self.counts)
         self.starts = self.ends - self.counts
         #: rank of each hit within its coordinate's ascending run
@@ -184,8 +184,7 @@ class RobustAggregator:
             )
             return DownlinkMessage(payload=payload)
         view = _CoordinateView(
-            uploads, selected, dimension,
-            value_scales=self._norm_clip_scales(uploads),
+            uploads, selection, value_scales=self._norm_clip_scales(uploads)
         )
         centers = self.robust_values(view, uploads, commit=commit)
         values = np.where(

@@ -77,15 +77,15 @@ class Server:
             total_weight = float(sum(up.sample_count for up in uploads))
         elif total_weight <= 0:
             raise ValueError("total_weight must be positive")
-        selected = selection.indices  # sorted unique
+        selected = selection.indices
         dense = np.zeros(self.dimension)
         for up in uploads:
             dense[up.payload.indices] += (
                 up.sample_count / total_weight
             ) * up.payload.values
-        # ``selected`` is sorted unique int64 (SelectionResult invariant)
-        # and the gather is fresh float64: take the trusted constructor,
-        # skipping a per-round re-sort/duplicate scan.
+        # The selection sorted J and checked it unique and in range once,
+        # when server_select built it, and the gather is fresh float64:
+        # take the trusted constructor, no second sort or scan.
         payload = SparseVector.from_sorted(
             selected, dense[selected], self.dimension
         )

@@ -75,10 +75,11 @@ class FLTrainer(EngineFacade):
         Cap on evaluation-pool size for speed; the pool is subsampled
         deterministically once at construction.
     sampler:
-        Optional per-round client-subset sampler (see
-        :class:`repro.simulation.heterogeneous.ClientSampler`); when
-        given, only sampled clients compute and upload in a round — the
-        heterogeneous-clients extension of the paper's Section VI.
+        Optional per-round cohort: any object whose ``sample()`` returns
+        the round's client ids (a :class:`repro.simulation.heterogeneous.
+        ClientSampler`, the heterogeneous-clients extension of the paper's
+        Section VI, is one; a ``scenario`` supplies its own).  When given,
+        only sampled clients compute and upload in a round.
     backend:
         Execution backend for the local-step phase: ``"serial"``
         (default), ``"vectorized"``, ``"sharded"``, or an

@@ -62,6 +62,7 @@ from repro.parallel.pool import (
     default_worker_count,
     in_daemon_process,
 )
+from repro.sparsify.base import SelectionResult
 
 
 class ShardedBackend(ExecutionBackend):
@@ -144,7 +145,7 @@ class ShardedBackend(ExecutionBackend):
         )
 
     def reset_residuals(
-        self, participants: list[Client], selected: np.ndarray
+        self, participants: list[Client], selected: SelectionResult
     ) -> None:
         # Residuals live in the parent, so this *could* still work after
         # close() — but a closed backend means the training run is over

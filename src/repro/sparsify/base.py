@@ -4,7 +4,7 @@ Message flow (one training round, paper Algorithm 1)::
 
     client i:  a_i += local_gradient
                upload = ClientUpload(indices=J_i, values=a_i[J_i])
-    server:    selection = sparsifier.select(uploads, k)
+    server:    selection = sparsifier.server_select(uploads, k, D)
                b_j = (1/C) Σ_i C_i a_ij 1[j ∈ J_i]   for j in selection
                downlink = DownlinkMessage(indices=J, values=b)
     client i:  w -= η * dense(downlink)
@@ -17,7 +17,7 @@ is identical across schemes and lives in :class:`repro.fl.server.Server`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,36 +105,52 @@ class ClientUpload:
             raise ValueError("sample_count must be positive")
 
 
-@dataclass(frozen=True)
 class SelectionResult:
-    """Server-side selection outcome.
+    """The server's downlink index set ``J``, and J's membership as every
+    consumer of the round reads it.
+
+    Built once a round, by ``server_select``, from J, the round's uploads
+    and D; the aggregate (lines 8–11), the robust statistics, the residual
+    reset (lines 16–17) and the round record all read this one object.
 
     Attributes
     ----------
     indices:
-        The downlink index set ``J`` (sorted, unique).
+        ``J``, sorted unique int64.
+    position:
+        Dense D-vector: ``position[j]`` is j's index in ``indices``, or −1
+        for j outside J (read-only).
     contributions:
-        Map ``client_id -> number of that client's uploaded indices that
-        made it into J``.  Feeds the fairness CDF of Fig. 4 (right).
-    downlink_element_count:
-        Number of (index, value) pairs the downlink actually carries.
-        Equals ``len(indices)`` for bidirectional schemes but can be up to
-        k·N for the unidirectional scheme.
+        Map ``client_id -> |J ∩ J_i|`` over the uploads J was chosen
+        from.  Feeds the fairness CDF of Fig. 4 (right).
     """
 
-    indices: np.ndarray
-    contributions: dict[int, int] = field(default_factory=dict)
-    downlink_element_count: int = 0
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+    def __init__(
+        self,
+        indices: np.ndarray,
+        uploads: list[ClientUpload],
+        dimension: int,
+    ) -> None:
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("indices must be 1-D")
-        if idx.size and np.any(np.diff(np.sort(idx)) == 0):
-            raise ValueError("duplicate indices in selection")
-        object.__setattr__(self, "indices", np.sort(idx))
-        if self.downlink_element_count == 0:
-            object.__setattr__(self, "downlink_element_count", int(idx.size))
+        idx = np.sort(idx)
+        if idx.size:
+            if idx[0] < 0 or idx[-1] >= dimension:
+                raise ValueError("index out of range")
+            if np.any(idx[1:] == idx[:-1]):
+                raise ValueError("duplicate indices in selection")
+        position = np.full(dimension, -1, dtype=np.int64)
+        position[idx] = np.arange(idx.size)
+        position.flags.writeable = False
+        self.indices = idx
+        self.position = position
+        self.contributions = {
+            up.client_id: int(
+                np.count_nonzero(position[up.payload.indices] >= 0)
+            )
+            for up in uploads
+        }
 
 
 @dataclass(frozen=True)

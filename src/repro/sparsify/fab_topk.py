@@ -36,9 +36,7 @@ class FABTopK(Sparsifier):
         self.validate_k(k, dimension)
         if not uploads:
             raise ValueError("no uploads to select from")
-        selected = fair_select(uploads, k)
-        contributions = _count_contributions(uploads, selected)
-        return SelectionResult(indices=selected, contributions=contributions)
+        return SelectionResult(fair_select(uploads, k), uploads, dimension)
 
 
 def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
@@ -96,15 +94,3 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
     candidates = np.flatnonzero(first_rank == kappa)
     fill = candidates[top_k_indices(max_magnitude[candidates], k - base.size)]
     return np.sort(np.concatenate([base, fill]))
-
-
-def _count_contributions(
-    uploads: list[ClientUpload], selected: np.ndarray
-) -> dict[int, int]:
-    """Per-client count of uploaded indices that made it into ``selected``."""
-    member = np.zeros(uploads[0].payload.dimension, dtype=bool)
-    member[selected] = True
-    return {
-        up.client_id: int(np.count_nonzero(member[up.payload.indices]))
-        for up in uploads
-    }

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
-from repro.sparsify.fab_topk import _count_contributions
 from repro.sparsify.topk import top_k_indices
 
 
@@ -47,6 +46,6 @@ class FUBTopK(Sparsifier):
         # Index-ordered candidates, so top_k_indices' position tie-break is
         # the index tie-break every other selector uses.
         indices = np.flatnonzero(uploaded)
-        selected = indices[top_k_indices(aggregate[indices], k)]
-        contributions = _count_contributions(uploads, selected)
-        return SelectionResult(indices=selected, contributions=contributions)
+        return SelectionResult(
+            indices[top_k_indices(aggregate[indices], k)], uploads, dimension
+        )

@@ -82,7 +82,6 @@ class PeriodicK(Sparsifier):
             raise ValueError("no uploads to select from")
         if self._current is None:
             raise RuntimeError("server_select called before any client selection")
-        contributions = {up.client_id: int(self._current.size) for up in uploads}
-        result = SelectionResult(indices=self._current, contributions=contributions)
+        result = SelectionResult(self._current, uploads, dimension)
         self._current = None  # force a fresh draw next round
         return result

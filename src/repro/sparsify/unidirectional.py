@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
-from repro.sparsify.fab_topk import _count_contributions
 from repro.sparsify.topk import top_k_indices
 
 
@@ -32,10 +31,7 @@ class UnidirectionalTopK(Sparsifier):
         self.validate_k(k, dimension)
         if not uploads:
             raise ValueError("no uploads to select from")
-        union = np.unique(np.concatenate([up.payload.indices for up in uploads]))
-        contributions = _count_contributions(uploads, union)
-        return SelectionResult(
-            indices=union,
-            contributions=contributions,
-            downlink_element_count=int(union.size),
-        )
+        uploaded = np.zeros(dimension, dtype=bool)
+        for up in uploads:
+            uploaded[up.payload.indices] = True
+        return SelectionResult(np.flatnonzero(uploaded), uploads, dimension)

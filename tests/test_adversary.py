@@ -287,7 +287,7 @@ def _upload(cid, indices, values, dimension=16, samples=8):
 
 
 def _selection(indices):
-    return SelectionResult(indices=np.asarray(indices, dtype=np.int64))
+    return SelectionResult(np.asarray(indices, dtype=np.int64), [], 16)
 
 
 class TestRobustAggregators:

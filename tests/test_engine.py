@@ -31,6 +31,7 @@ from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
 from repro.fl.async_engine import AsyncFLTrainer
 from repro.fl.backends import (
     BACKEND_NAMES,
+    ExecutionBackend,
     SerialBackend,
     VectorizedBackend,
     resolve_backend,
@@ -39,6 +40,8 @@ from repro.fl.client import Client
 from repro.parallel.pool import preferred_start_method
 from repro.parallel.sharded import ShardedBackend
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.robust import _CoordinateView
+from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn import layers
 from repro.nn.models import make_cnn, make_logistic, make_mlp
@@ -47,8 +50,12 @@ from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import SignPolicy
 from repro.scenarios import DeploymentScenario, ScenarioConfig
-from repro.simulation.heterogeneous import ClientSampler
+from repro.simulation.heterogeneous import (
+    ClientSampler,
+    HeterogeneousTimingModel,
+)
 from repro.simulation.timing import TimingModel
+from repro.sparsify.base import SelectionResult
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
@@ -1305,6 +1312,160 @@ class TestOneWire:
             "m.py:3 reset_transmitted(...)",
             "m.py:4 preprocess_uploads()",
         ]
+
+
+# ----------------------------------------------------------------------
+# One J a round: the selection is J's one membership structure
+# ----------------------------------------------------------------------
+#: numpy's sorting set operations; under fl/ and sparsify/ J's membership
+#: is the selection's position map (or a dense flag vector) instead
+SORTING_SET_OPS = {
+    "intersect1d", "isin", "in1d", "setdiff1d", "union1d", "unique",
+}
+
+
+def _sorting_set_op_calls(name, tree):
+    """Every call of a sorting set operation in one module's ``tree``,
+    as ``np.unique(...)`` or as a bare imported ``unique(...)``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = (
+                func.attr if isinstance(func, ast.Attribute)
+                else getattr(func, "id", None)
+            )
+            if called in SORTING_SET_OPS:
+                found.append(f"{name}:{node.lineno} {called}()")
+    return found
+
+
+class TestNoSortingSetOps:
+    """No module under ``fl/`` or ``sparsify/`` sorts to test set
+    membership: the round's selection carries J's position map."""
+
+    def test_fl_and_sparsify_call_no_sorting_set_operation(self):
+        src = pathlib.Path(__file__).parents[1] / "src" / "repro"
+        found, modules = [], 0
+        for package in ("fl", "sparsify"):
+            for path in sorted((src / package).rglob("*.py")):
+                modules += 1
+                found += _sorting_set_op_calls(
+                    str(path.relative_to(src)), ast.parse(path.read_text())
+                )
+        assert modules >= 15
+        assert found == [], f"sorting set operations: {found}"
+
+    def test_the_set_operation_lint_reads_calls(self):
+        # Guard against a vacuous lint: each forbidden call is found in
+        # either spelling, and names that only resemble one are not.
+        source = (
+            "np.intersect1d(a, b, assume_unique=True)\n"
+            "numpy.isin(a, b)\n"
+            "np.in1d(a, b)\n"
+            "np.setdiff1d(a, b)\n"
+            "np.union1d(a, b)\n"
+            "unique(a)\n"
+            "np.sort(a); np.flatnonzero(flags); unique_ids = set(a)\n"
+        )
+        found = _sorting_set_op_calls("m.py", ast.parse(source))
+        assert found == [
+            "m.py:1 intersect1d()", "m.py:2 isin()", "m.py:3 in1d()",
+            "m.py:4 setdiff1d()", "m.py:5 union1d()", "m.py:6 unique()",
+        ]
+
+
+def _churn_robust_round_trainer():
+    """A small round shaped like the suite's ``churn_robust``: churn with
+    over-selection, the learned deadline (its probes re-aggregate), a
+    sign-flip quarter and the trimmed mean."""
+    config = ScenarioConfig(
+        availability="markov", p_drop=0.2, p_recover=0.6, participants=4,
+        over_selection=0.5, deadline=2.0, deadline_policy="adaptive",
+        deadline_min=1.5, deadline_max=9.0, slow_fraction=0.25,
+        slow_factor=4.0, adversary="sign_flip", adversary_fraction=0.25,
+        adversary_scale=1.0, aggregator="trimmed_mean", seed=9,
+    )
+    fed = _federation(num_writers=6, seed=9)
+    model = make_mlp(64, 10, hidden=(6,), seed=9)
+    ids = [c.client_id for c in fed.clients]
+    profiles = config.build_profiles(ids)
+    timing = HeterogeneousTimingModel(
+        model.dimension, comm_time=10.0, profiles=profiles
+    )
+    return FLTrainer(
+        model, fed, FABTopK(), timing=timing, learning_rate=0.5,
+        batch_size=8, eval_every=2, seed=9, backend="vectorized",
+        scenario=DeploymentScenario.build(config, ids, timing, profiles),
+    )
+
+
+class TestOneSelectionPerRound:
+    """J's membership is built once a round: ``server_select`` builds the
+    round's :class:`SelectionResult` (position map and contributions),
+    and every aggregate — counterfactual re-aggregations included — the
+    robust view and the residual reset read that one object."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        built, read = [], []
+        build = SelectionResult.__init__
+
+        def counting_build(self, *args, **kwargs):
+            built.append(self)
+            build(self, *args, **kwargs)
+
+        def reading(cls, method):
+            original = getattr(cls, method)
+
+            def spy(self, first, selection, *args, **kwargs):
+                read.append((method, selection))
+                return original(self, first, selection, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, spy)
+
+        monkeypatch.setattr(SelectionResult, "__init__", counting_build)
+        reading(Server, "aggregate")
+        reading(_CoordinateView, "__init__")
+        reading(ExecutionBackend, "reset_residuals")
+        return built, read
+
+    @staticmethod
+    def _rounds(trainer, k, monkeypatch, count):
+        """Per round: (builds, consumers' reads) of its selections."""
+        built, read = TestOneSelectionPerRound._spy(monkeypatch)
+        rounds = []
+        for _ in range(count):
+            del built[:], read[:]
+            trainer.step(k)
+            rounds.append((list(built), list(read)))
+        return rounds
+
+    def _assert_one_build(self, rounds, aggregates):
+        for built, read in rounds:
+            assert len(built) == 1
+            assert all(selection is built[0] for _, selection in read)
+            assert [m for m, _ in read].count("reset_residuals") == 1
+        # The shaped round really occurs: this many aggregate calls.
+        assert any(
+            [m for m, _ in read].count("aggregate") == aggregates
+            for _, read in rounds
+        )
+
+    def test_churn_robust_round_builds_one_map(self, monkeypatch):
+        trainer = _churn_robust_round_trainer()
+        rounds = self._rounds(trainer, 10, monkeypatch, 8)
+        self._assert_one_build(rounds, aggregates=3)
+        # Every aggregate here is robust: each one's view read the map.
+        for _, read in rounds:
+            methods = [m for m, _ in read]
+            assert methods.count("__init__") == methods.count("aggregate")
+
+    def test_adaptive_async_commit_builds_one_map(self, monkeypatch):
+        trainer = _golden_async_adaptive_trainer()
+        self._assert_one_build(
+            self._rounds(trainer, 30, monkeypatch, 8), aggregates=2
+        )
 
 
 # ----------------------------------------------------------------------

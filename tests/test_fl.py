@@ -26,6 +26,12 @@ from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.periodic import PeriodicK
 
 
+def local_step(client, model, k):
+    """One client's Algorithm-1 local step, as the engine runs it."""
+    client.accumulate_gradient(model.gradient(*client.draw_minibatch())[0])
+    return client.select_upload(k, FABTopK())
+
+
 @pytest.fixture
 def federation():
     ds = make_gaussian_blobs(num_samples=300, num_classes=4, feature_dim=10,
@@ -42,17 +48,17 @@ class TestClient:
     def test_residual_accumulates(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
         assert np.all(client.residual == 0)
-        client.local_step(model, k=5, sparsifier=FABTopK())
+        local_step(client, model, k=5)
         first = client.residual.copy()
         assert np.abs(first).sum() > 0
-        client.local_step(model, k=5, sparsifier=FABTopK())
+        local_step(client, model, k=5)
         assert np.abs(client.residual).sum() != pytest.approx(
             np.abs(first).sum()
         )
 
     def test_upload_is_topk_of_residual(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
-        upload = client.local_step(model, k=3, sparsifier=FABTopK())
+        upload = local_step(client, model, k=3)
         assert upload.payload.nnz == 3
         # Uploaded values must match the residual at those indices.
         np.testing.assert_allclose(
@@ -65,11 +71,13 @@ class TestClient:
 
     def test_reset_transmitted_zeroes_intersection(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
-        upload = client.local_step(model, k=4, sparsifier=FABTopK())
+        upload = local_step(client, model, k=4)
         selected = upload.payload.indices[:2]
         untouched_idx = upload.payload.indices[2:]
         untouched_before = client.residual[untouched_idx].copy()
-        client.reset_transmitted(selected)
+        client.reset_transmitted(
+            SelectionResult(selected, [upload], model.dimension)
+        )
         np.testing.assert_allclose(client.residual[selected], 0.0)
         np.testing.assert_allclose(client.residual[untouched_idx], untouched_before)
 
@@ -84,7 +92,9 @@ class TestClient:
         client.residual = np.array([value, 1.0, -2.0, 0.5, 0.0, 3.0])
         upload = client.select_upload(k, FABTopK())
         assert 0 in upload.payload.indices
-        ExecutionBackend().reset_residuals([client], np.array([0, 2, 5]))
+        ExecutionBackend().reset_residuals(
+            [client], SelectionResult(np.array([0, 2, 5]), [upload], 6)
+        )
         assert client.residual.tobytes() == np.array(
             [0.0, 1.0, 0.0, 0.5, 0.0, 0.0]
         ).tobytes()
@@ -95,11 +105,13 @@ class TestClient:
     def test_reset_before_step_raises(self, federation, model):
         client = Client(federation.clients[0], model.dimension)
         with pytest.raises(RuntimeError):
-            client.reset_transmitted(np.array([0]))
+            client.reset_transmitted(
+                SelectionResult(np.array([0]), [], model.dimension)
+            )
 
     def test_probe_flow(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
-        client.local_step(model, k=3, sparsifier=FABTopK())
+        local_step(client, model, k=3)
         hooks = LearnedK(None, None)
         w = model.get_weights()
         ctx = SimpleNamespace(
@@ -127,7 +139,7 @@ class TestClient:
 
     def test_probe_loss_at_other_weights_restores(self, federation, model):
         client = Client(federation.clients[0], model.dimension, batch_size=8)
-        client.local_step(model, k=3, sparsifier=FABTopK())
+        local_step(client, model, k=3)
         client.draw_probe_sample(*client.draw_minibatch())
         w = model.get_weights()
         model.per_sample_losses_at(np.zeros(model.dimension), *client.probe_sample)
@@ -144,7 +156,7 @@ class TestServer:
         u2 = ClientUpload(
             1, SparseVector(np.array([2, 4]), np.array([4.0, 8.0]), 6), 30
         )
-        selection = SelectionResult(indices=np.array([0, 2, 4]))
+        selection = SelectionResult(np.array([0, 2, 4]), [u1, u2], 6)
         msg = server.aggregate([u1, u2], selection)
         dense = msg.payload.to_dense()
         assert dense[0] == pytest.approx(0.25 * 1.0)
@@ -156,14 +168,14 @@ class TestServer:
         # that client (the 1[j in J_i] indicator of Algorithm 1).
         server = Server(dimension=4)
         u1 = ClientUpload(0, SparseVector(np.array([1]), np.array([2.0]), 4), 1)
-        selection = SelectionResult(indices=np.array([1, 3]))
+        selection = SelectionResult(np.array([1, 3]), [u1], 4)
         dense = server.aggregate([u1], selection).payload.to_dense()
         assert dense[1] == pytest.approx(2.0)
         assert dense[3] == 0.0
 
     def test_no_uploads_raises(self):
         with pytest.raises(ValueError):
-            Server(4).aggregate([], SelectionResult(indices=np.array([0])))
+            Server(4).aggregate([], SelectionResult(np.array([0]), [], 4))
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

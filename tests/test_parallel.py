@@ -573,14 +573,16 @@ class TestShardedBackend:
         trainer = _trainer(backend)
         trainer.run(1, k=8)
         backend.close()
+        from repro.sparsify.base import SelectionResult
         from repro.sparsify.fab_topk import FABTopK
 
         with pytest.raises(RuntimeError, match="fresh backend"):
             backend.compute_gradients(trainer.model, trainer.clients)
         with pytest.raises(RuntimeError, match="fresh backend"):
             backend.local_steps(trainer.model, trainer.clients, 8, FABTopK())
+        selection = SelectionResult(np.array([0]), [], trainer.model.dimension)
         with pytest.raises(RuntimeError, match="fresh backend"):
-            backend.reset_residuals(trainer.clients, np.array([0]))
+            backend.reset_residuals(trainer.clients, selection)
         backend.close()  # close itself stays idempotent
 
 

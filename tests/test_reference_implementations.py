@@ -40,6 +40,7 @@ from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.topk import top_k_indices
+from repro.sparsify.unidirectional import UnidirectionalTopK
 from repro import cli
 from repro.scenarios import (
     AdaptiveDeadlinePolicy, DeadlineRoundPolicy, ScenarioConfig,
@@ -349,7 +350,8 @@ class TestAggregateAgainstReference:
             st.none() | st.floats(min_value=0.5, max_value=64.0)
         )
         message = Server(dimension).aggregate(
-            uploads, SelectionResult(indices=selected), total_weight=total_weight
+            uploads, SelectionResult(selected, uploads, dimension),
+            total_weight=total_weight,
         )
         assert message.payload.indices.tolist() == selected.tolist()
         assert message.payload.values.dtype == np.float64
@@ -366,6 +368,67 @@ class TestFUBAgainstReference:
         expected = reference_fub_select(uploads, k)
         assert result.indices.tolist() == expected
         assert result.contributions == reference_contributions(uploads, expected)
+
+
+class TestContributionsAgainstReference:
+    """Each uploader's |J ∩ J_i| — the input of Fig. 4's fairness CDF —
+    equals its Python-set transcription whichever scheme chose J: ragged
+    and empty uploads, and uploads J misses entirely, included."""
+
+    @pytest.mark.parametrize("rectangular", [True, False])
+    @pytest.mark.parametrize(
+        "sparsifier", [FABTopK, FUBTopK, UnidirectionalTopK],
+        ids=["fab", "fub", "unidirectional"],
+    )
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_contributions_match_reference(self, sparsifier, rectangular, data):
+        uploads, k, dimension = data.draw(generated_uploads(rectangular))
+        result = sparsifier().server_select(uploads, k, dimension)
+        assert result.contributions == reference_contributions(
+            uploads, result.indices.tolist()
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_contributions_match_reference(self, data):
+        # Every client uploads the round's shared set, as the protocol has
+        # it: each |J ∩ J_i| is |J|.
+        dimension = data.draw(st.integers(min_value=1, max_value=24))
+        k = data.draw(st.integers(min_value=1, max_value=dimension))
+        periodic = PeriodicK(dimension, seed=data.draw(st.integers(0, 99)))
+        rng = np.random.default_rng(0)
+        uploads = []
+        for cid in range(data.draw(st.integers(min_value=1, max_value=8))):
+            residual = rng.standard_normal(dimension)
+            indices = periodic.client_select(residual, k, rng)
+            uploads.append(ClientUpload(
+                cid, SparseVector.from_dense(residual, indices), cid + 1
+            ))
+        result = periodic.server_select(uploads, k, dimension)
+        assert result.contributions == reference_contributions(
+            uploads, result.indices.tolist()
+        )
+
+    def test_periodic_counts_a_stale_upload_by_its_own_indices(self):
+        # An upload computed for an earlier round's set (an async commit's
+        # stale arrival) meets a J drawn from the same permutation, so
+        # disjoint from it: it contributes nothing.
+        periodic, dimension, k = PeriodicK(24, seed=0), 24, 4
+        rng = np.random.default_rng(0)
+
+        def upload(cid):
+            residual = rng.standard_normal(dimension)
+            indices = periodic.client_select(residual, k, rng)
+            return ClientUpload(cid, SparseVector.from_dense(residual, indices), 1)
+
+        stale = upload(0)
+        periodic.server_select([stale], k, dimension)
+        uploads = [stale, upload(1)]
+        result = periodic.server_select(uploads, k, dimension)
+        expected = reference_contributions(uploads, result.indices.tolist())
+        assert expected == {0: 0, 1: k}
+        assert result.contributions == expected
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +619,7 @@ class TestRobustAggregatorsAgainstReference:
             aggregator, uploads, selected.tolist(), total_weight, commit
         )
         message = aggregator.aggregate(
-            uploads, SelectionResult(indices=selected), dimension,
+            uploads, SelectionResult(selected, uploads, dimension), dimension,
             total_weight=total_weight, commit=commit,
         )
         assert message.payload.indices.tolist() == selected.tolist()
@@ -649,7 +712,9 @@ class TestResidualResetAgainstReference:
             reference_reset(client.residual, selected, up.payload.indices)
             for client, up in zip(clients, uploads)
         ]
-        ExecutionBackend().reset_residuals(clients, selected)
+        ExecutionBackend().reset_residuals(
+            clients, SelectionResult(selected, uploads, dimension)
+        )
         for client, want in zip(clients, expected):
             assert client.residual.tobytes() == want.tobytes()
 
@@ -748,7 +813,9 @@ class TestResidualResetAgainstStackedReference:
         StackedResetBackend().reset_residuals(
             expected, expected_uploads, selected
         )
-        ExecutionBackend().reset_residuals(clients, selected)
+        ExecutionBackend().reset_residuals(
+            clients, SelectionResult(selected, uploads, dimension)
+        )
         for got, want in zip(clients, expected):
             assert got.residual.tobytes() == want.residual.tobytes()
 

@@ -1952,7 +1952,7 @@ class TestReweighting:
         from repro.sparsify.base import SelectionResult
 
         uploads = _uploads({0: 3})
-        selection = SelectionResult(indices=np.arange(3, dtype=np.int64))
+        selection = SelectionResult(np.arange(3), uploads, 100)
         with pytest.raises(ValueError, match="total_weight"):
             Server(100).aggregate(uploads, selection, total_weight=0.0)
 
@@ -1994,16 +1994,22 @@ class TestEnginePlumbing:
 
     def test_drop_upload_forgets_the_round(self):
         from repro.fl.client import Client
+        from repro.sparsify.base import SelectionResult
 
         fed = _federation(seed=11, num_writers=2)
         model = make_mlp(64, 8, hidden=(1,), seed=0)
         client = Client(fed.clients[0], model.dimension, batch_size=8)
-        client.local_step(model, k=5, sparsifier=FABTopK())
+        client.accumulate_gradient(
+            model.gradient(*client.draw_minibatch())[0]
+        )
+        upload = client.select_upload(5, FABTopK())
         residual = client.residual.copy()
         client.drop_upload()
         np.testing.assert_array_equal(client.residual, residual)
         with pytest.raises(RuntimeError, match="select_upload"):
-            client.reset_transmitted(np.array([0, 1]))
+            client.reset_transmitted(
+                SelectionResult(np.array([0, 1]), [upload], model.dimension)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -296,13 +296,27 @@ class TestSparseVector:
 
 class TestSelectionResult:
     def test_sorts_and_defaults(self):
-        r = SelectionResult(indices=np.array([4, 1, 2]))
+        # Sorted J, its position map, and each uploader's |J ∩ J_i|.
+        uploads = [
+            ClientUpload(cid, SparseVector(np.array(idx), np.ones(len(idx)), 6), 1)
+            for cid, idx in ((7, [0, 2, 3]), (9, [5]))
+        ]
+        r = SelectionResult(np.array([4, 1, 2]), uploads, 6)
         np.testing.assert_array_equal(r.indices, [1, 2, 4])
-        assert r.downlink_element_count == 3
+        assert r.indices.dtype == np.int64
+        np.testing.assert_array_equal(r.position, [-1, 0, 1, -1, 2, -1])
+        assert r.contributions == {7: 1, 9: 0}
+        with pytest.raises(ValueError):
+            r.position[0] = 3  # one map, read by every consumer
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            SelectionResult(indices=np.array([1, 1]))
+        with pytest.raises(ValueError, match="duplicate"):
+            SelectionResult(np.array([1, 1]), [], 6)
+
+    @pytest.mark.parametrize("indices", [[-1, 2], [2, 6]])
+    def test_out_of_range_rejected(self, indices):
+        with pytest.raises(ValueError, match="range"):
+            SelectionResult(np.array(indices), [], 6)
 
 
 class TestClientUpload:
@@ -478,7 +492,7 @@ class TestUnidirectionalTopK:
             uploads.append(make_upload(i, dense, 3))
         result = UnidirectionalTopK().server_select(uploads, k=3, dimension=d)
         assert result.indices.size == 12  # disjoint -> k*N
-        assert result.downlink_element_count == 12
+        assert result.contributions == {i: 3 for i in range(4)}
 
     def test_overlapping_uploads_shrink_union(self):
         d = 20

@@ -149,7 +149,7 @@ class TestServerAggregationProperty:
             masked[idx] = dense[idx]
             dense_sum += weight * masked
             total_weight += weight
-        selection = SelectionResult(indices=np.arange(d))
+        selection = SelectionResult(np.arange(d), uploads, d)
         aggregated = server.aggregate(uploads, selection).payload.to_dense()
         np.testing.assert_allclose(aggregated, dense_sum / total_weight,
                                    atol=1e-12)
