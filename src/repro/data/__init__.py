@@ -6,7 +6,7 @@ client holds a single class.  Neither dataset can be downloaded in this
 offline environment, so :mod:`repro.data.synthetic` generates statistically
 analogous datasets — class prototypes with per-writer style transforms and
 additive noise — and :mod:`repro.data.partition` reproduces the paper's
-partitioning schemes (by writer, one class per client, Dirichlet, IID).
+partitioning schemes (by writer, one class per client, Dirichlet).
 The methods under study only see per-client gradients, so what the
 substitution must keep — and does — is the label/style skew across clients.
 """
@@ -17,13 +17,11 @@ from repro.data.partition import (
     partition_by_class,
     partition_by_writer,
     partition_dirichlet,
-    partition_iid,
 )
 from repro.data.synthetic import (
     SyntheticDataset,
     make_cifar_like,
     make_femnist_like,
-    make_gaussian_blobs,
 )
 from repro.data.virtual import (
     LazyClientDataset,
@@ -40,9 +38,7 @@ __all__ = [
     "VirtualSpec",
     "make_cifar_like",
     "make_femnist_like",
-    "make_gaussian_blobs",
     "partition_by_class",
     "partition_by_writer",
     "partition_dirichlet",
-    "partition_iid",
 ]

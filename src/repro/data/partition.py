@@ -4,8 +4,8 @@ The paper's two evaluation settings map to :func:`partition_by_writer`
 (FEMNIST: "pre-partitioned according to the writer where each writer
 corresponds to a client") and :func:`partition_by_class` (CIFAR-10: "each
 client only has one class of images that is randomly partitioned among all
-the clients with this image class").  Dirichlet and IID partitioners are
-provided for ablations.
+the clients with this image class").  A Dirichlet partitioner is provided
+for the label-skew ablation.
 
 A partition is an index map: each partitioner computes every client's
 rows of the pool once, and client ``i`` holds the samples at ``rows[i]``.
@@ -205,17 +205,6 @@ def partition_dirichlet(
             bucket.append(buckets[donor].pop())
     rows = [np.array(sorted(bucket)) for bucket in buckets]
     return _shards(dataset, rows, seed, client_id)
-
-
-def partition_iid(
-    dataset: SyntheticDataset, num_clients: int, seed: int = 0
-) -> FederatedDataset:
-    """Uniform random split — the datacenter-style IID baseline."""
-    if num_clients > len(dataset):
-        raise ValueError("more clients than samples")
-    rng = np.random.default_rng(seed)
-    rows = np.array_split(rng.permutation(len(dataset)), num_clients)
-    return _shards(dataset, rows, seed)
 
 
 def _shards(

@@ -152,33 +152,6 @@ def make_cifar_like(
     )
 
 
-def make_gaussian_blobs(
-    num_samples: int = 200,
-    num_classes: int = 4,
-    feature_dim: int = 10,
-    separation: float = 3.0,
-    seed: int = 0,
-) -> SyntheticDataset:
-    """Tiny Gaussian-mixture dataset for fast unit tests.
-
-    Class means are drawn on a sphere of radius ``separation``; features
-    are unit-variance Gaussians around the class mean.  Writers are
-    assigned round-robin so writer-based partitioning stays usable.
-    """
-    rng = np.random.default_rng(seed)
-    means = rng.standard_normal((num_classes, feature_dim))
-    means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
-    y = rng.integers(0, num_classes, num_samples).astype(np.int64)
-    x = means[y] + rng.standard_normal((num_samples, feature_dim))
-    writer = (np.arange(num_samples) % max(1, num_samples // 10)).astype(np.int64)
-    test_y = rng.integers(0, num_classes, max(10, num_samples // 10)).astype(np.int64)
-    test_x = means[test_y] + rng.standard_normal((test_y.size, feature_dim))
-    return SyntheticDataset(
-        x=x, y=y, writer=writer, num_classes=num_classes, name="gaussian-blobs",
-        test_x=test_x, test_y=test_y,
-    )
-
-
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------

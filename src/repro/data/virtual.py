@@ -28,8 +28,6 @@ A client is drawn by the same writer draw as :func:`~repro.data.
 synthetic.make_femnist_like` (per-client class subset, gain/style/noise
 around shared prototypes), from a per-cid generator instead of one shared
 one — so it is a *new* dataset, not a reordering of the eager one.
-:meth:`VirtualFederation.materialize` builds the eager federation over
-the same arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.data.partition import ClientDataset, FederatedDataset, _eval_rows
+from repro.data.partition import ClientDataset, _eval_rows
 from repro.data.synthetic import _draw_writer, _make_prototypes, _make_test_pool
 from repro.obs import NULL_TELEMETRY
 
@@ -140,11 +138,6 @@ class LazyClientDataset(ClientDataset):
         """
         return self._federation.spec
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the sample arrays are currently resident."""
-        return self._x is not None
-
     def _ensure(self) -> None:
         if self._x is None:
             self._x, self._y = self._federation.client_arrays(self.client_id)
@@ -172,7 +165,7 @@ class LazyClientDataset(ClientDataset):
 class VirtualFederation:
     """``FederatedDataset`` surface over ``population`` virtual clients.
 
-    Only ever-touched clients exist as objects; only the ``cache_size``
+    Only ever-touched clients exist as objects; only the ``CACHE_SIZE``
     most recently accessed hold their sample arrays (older ones are
     released and regenerate on demand).  Per-round cost of a training run
     is O(cohort); memory is O(ever-sampled clients).
@@ -183,12 +176,10 @@ class VirtualFederation:
     #: observation-only; the engine replaces this with its telemetry so
     #: LRU hits/evictions/regenerations get counted (parent process only).
     telemetry = NULL_TELEMETRY
+    CACHE_SIZE = 256
 
-    def __init__(self, spec: VirtualSpec, cache_size: int = 256) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be positive")
+    def __init__(self, spec: VirtualSpec) -> None:
         self.spec = spec
-        self.cache_size = cache_size
         self.num_classes = spec.num_classes
         self.name = spec.name
         self._prototypes: np.ndarray | None = None
@@ -199,9 +190,9 @@ class VirtualFederation:
         self._resident: OrderedDict[int, LazyClientDataset] = OrderedDict()
 
     @classmethod
-    def build(cls, population: int, cache_size: int = 256, **spec_kwargs):
+    def build(cls, population: int, **spec_kwargs):
         """Convenience constructor: ``population`` plus spec keywords."""
-        return cls(VirtualSpec(population=population, **spec_kwargs), cache_size)
+        return cls(VirtualSpec(population=population, **spec_kwargs))
 
     # ------------------------------------------------------------------
     # FederatedDataset surface
@@ -306,27 +297,6 @@ class VirtualFederation:
             y[mask] = cy[offsets[mask]]
         return x, y
 
-    def materialize(self) -> FederatedDataset:
-        """The eager twin: every client as a plain ``ClientDataset``.
-
-        Bit-identity anchor for tests — a training run over the virtual
-        federation must equal the same run over this eager federation
-        exactly.  Guarded to enumerable sizes.
-        """
-        self._check_enumerable("materialize")
-        clients = [
-            ClientDataset(client_id=cid, x=x, y=y, seed=self.spec.seed)
-            for cid in self.client_ids
-            for x, y in (self.client_arrays(cid),)
-        ]
-        return FederatedDataset(
-            clients=clients,
-            num_classes=self.spec.num_classes,
-            test_x=self.test_x,
-            test_y=self.test_y,
-            name=self.spec.name,
-        )
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -364,7 +334,7 @@ class VirtualFederation:
                 tel.count("virtual.lru_hit")
             return
         self._resident[cid] = dataset
-        while len(self._resident) > self.cache_size:
+        while len(self._resident) > self.CACHE_SIZE:
             _, evicted = self._resident.popitem(last=False)
             evicted.release()
             if tel.enabled:

@@ -2,7 +2,8 @@
 
 Every figure driver returns in-memory containers; this module persists
 them so long experiment runs can be archived and re-plotted without
-re-running.  The JSON schema is versioned and round-trips exactly.
+re-running.  The JSON schema is versioned, and a figure reads back
+exactly (:func:`figure_from_dict`, which the CLI's CSV export uses).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments.runner import FigureData, Series
-from repro.fl.metrics import RoundRecord, TrainingHistory
+from repro.fl.metrics import TrainingHistory
 
 SCHEMA_VERSION = 1
 
@@ -75,14 +76,6 @@ def figure_from_dict(data: dict) -> FigureData:
     return figure
 
 
-def save_figure(figure: FigureData, path: str | Path) -> None:
-    write_json(path, figure_to_dict(figure))
-
-
-def load_figure(path: str | Path) -> FigureData:
-    return figure_from_dict(json.loads(Path(path).read_text()))
-
-
 # ----------------------------------------------------------------------
 # TrainingHistory
 # ----------------------------------------------------------------------
@@ -105,35 +98,6 @@ def history_to_dict(history: TrainingHistory) -> dict:
             for r in history.records
         ],
     }
-
-
-def history_from_dict(data: dict) -> TrainingHistory:
-    _check(data, "history")
-    history = TrainingHistory()
-    for r in data["records"]:
-        history.append(
-            RoundRecord(
-                round_index=r["round"],
-                k=r["k"],
-                round_time=r["round_time"],
-                cumulative_time=r["cumulative_time"],
-                loss=r["loss"],
-                accuracy=r.get("accuracy"),
-                uplink_elements=r.get("uplink", 0),
-                downlink_elements=r.get("downlink", 0),
-                contributions={int(k): v
-                               for k, v in r.get("contributions", {}).items()},
-            )
-        )
-    return history
-
-
-def save_history(history: TrainingHistory, path: str | Path) -> None:
-    write_json(path, history_to_dict(history))
-
-
-def load_history(path: str | Path) -> TrainingHistory:
-    return history_from_dict(json.loads(Path(path).read_text()))
 
 
 def export_figure_csv(figure: FigureData, path: str | Path) -> None:

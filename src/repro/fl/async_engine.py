@@ -167,15 +167,10 @@ def polynomial_factor(staleness: int, exponent: float) -> float:
 
 
 class PolynomialDiscount(StalenessDiscount):
-    """``d(s) = (1 + s)^{-a}`` at a fixed exponent."""
+    """``d(s) = (1 + s)^{-a}`` at the fixed exponent ``a = 0.5``."""
 
     name = "polynomial"
-
-    def __init__(self, exponent: float = 0.5) -> None:
-        exponent = float(exponent)
-        if exponent < 0.0:
-            raise ValueError("exponent must be >= 0")
-        self.exponent = exponent
+    exponent = 0.5
 
     def factor(self, staleness: int) -> float:
         return polynomial_factor(staleness, self.exponent)
@@ -190,23 +185,18 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
     business (re-aggregation under ``a'``, see the module docstring);
     commits with no stale arrival carry no information about ``a`` and
     advance the walk with no reading (the paper's "value remains
-    unchanged" rule).  ``probe=False`` freezes the exponent at ``a₁`` —
-    a "frozen adaptive" control.
+    unchanged" rule).  The walk covers :data:`DEFAULT_EXPONENT_INTERVAL`
+    from its midpoint.  ``probe=False`` freezes the exponent there — a
+    "frozen adaptive" control.
     """
 
     name = "adaptive"
     adaptive = True
 
-    def __init__(
-        self,
-        interval: SearchInterval | None = None,
-        a1: float | None = None,
-        probe: bool = True,
-    ) -> None:
-        if interval is None:
-            interval = SearchInterval(*DEFAULT_EXPONENT_INTERVAL)
-        self.interval = interval
-        self.knob = OnlineKnob.over(interval, start=a1)
+    def __init__(self, probe: bool = True) -> None:
+        self.knob = OnlineKnob.over(
+            SearchInterval(*DEFAULT_EXPONENT_INTERVAL)
+        )
         self.probe = probe
 
     @property
@@ -233,20 +223,18 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
         self.knob.observe(*readings)
 
 
-def build_staleness_discount(kind: str, **kwargs) -> StalenessDiscount:
-    """The staleness discount a config string names.
+def build_staleness_discount(kind: str) -> StalenessDiscount:
+    """The staleness discount a config string names, at its defaults.
 
-    ``kwargs`` pass through to the class (``value`` for constant,
-    ``exponent`` for polynomial, ``interval``/``a1``/``probe`` for
-    adaptive).  ``"poly"`` is accepted as shorthand for ``"polynomial"``.
+    ``"poly"`` is accepted as shorthand for ``"polynomial"``.
     """
     kind = STALENESS_ALIASES.get(kind, kind)
     if kind == "constant":
-        return ConstantDiscount(**kwargs)
+        return ConstantDiscount()
     if kind == "polynomial":
-        return PolynomialDiscount(**kwargs)
+        return PolynomialDiscount()
     if kind == "adaptive":
-        return AdaptiveStalenessDiscount(**kwargs)
+        return AdaptiveStalenessDiscount()
     raise ValueError(
         f"unknown staleness discount {kind!r}; expected one of "
         f"{STALENESS_DISCOUNT_KINDS}"
@@ -407,11 +395,6 @@ class AsyncRoundEngine(RoundEngine):
     def version(self) -> int:
         """Commits applied so far (the weights' version number)."""
         return len(self.history)
-
-    @property
-    def virtual_clock(self) -> float:
-        """Simulated time at the last commit's completion."""
-        return self._vclock
 
     @property
     def in_flight(self) -> int:
@@ -593,10 +576,6 @@ class AsyncFLTrainer(FLTrainer):
     @property
     def version(self) -> int:
         return self.engine.version
-
-    @property
-    def virtual_clock(self) -> float:
-        return self.engine.virtual_clock
 
     @property
     def staleness_history(self) -> list[float]:

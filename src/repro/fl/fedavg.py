@@ -18,7 +18,7 @@ gradients through the engine's execution backend and therefore benefits
 from the vectorized backend too; FedAvg's clients each hold *different*
 weights, which a single grouped model pass cannot express, so its local
 phase is inherently serial (``backend`` is accepted for interface
-uniformity and future per-client-weights batching).
+uniformity and not used by its local steps).
 """
 
 from __future__ import annotations

@@ -250,16 +250,14 @@ class _RankFlagAggregator(RobustAggregator):
     aggregate over rounds rather than trust a single flag.
     """
 
-    def __init__(
-        self, flag_threshold: float = 0.6, min_eligible: int = 4
-    ) -> None:
+    #: fewest tail-eligible coordinates a client needs to be judged
+    min_eligible: int = 4
+
+    def __init__(self, flag_threshold: float = 0.6) -> None:
         super().__init__()
         if not 0.0 < flag_threshold <= 1.0:
             raise ValueError("flag_threshold must be in (0, 1]")
-        if min_eligible < 1:
-            raise ValueError("min_eligible must be >= 1")
         self.flag_threshold = flag_threshold
-        self.min_eligible = min_eligible
 
     def _flag_by_tail(
         self,
@@ -364,11 +362,11 @@ class CosineReputationAggregator(RobustAggregator):
 
     name = "cosine"
 
-    def __init__(self, memory: float = 0.5) -> None:
+    #: weight of the previous reputation in the EMA
+    memory: float = 0.5
+
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 <= memory < 1.0:
-            raise ValueError("memory must be in [0, 1)")
-        self.memory = memory
         #: client id -> reputation EMA in [-1, 1]
         self.reputation: dict[int, float] = {}
 

@@ -15,9 +15,9 @@ One round of :class:`FLTrainer`:
 The round protocol itself lives in :class:`repro.fl.engine.RoundEngine`
 (shared with the baselines); this class is the sparse-GS façade over it.
 ``backend`` selects how the local steps execute — ``"serial"`` (the
-reference loop), ``"vectorized"`` (one batched pass over all
-participants) or ``"sharded"`` (a worker pool); all three produce
-identical histories.
+reference loop), ``"vectorized"`` (grouped passes over the
+participants, in cache-sized blocks of clients) or ``"sharded"`` (a
+worker pool); all three produce identical histories.
 
 The per-round sparsity ``k`` handed to ``step``/``run``/``run_for_time``
 becomes the engine's k rule: a constant, a list or a schedule (mapping

@@ -12,7 +12,7 @@ family needs, and nothing else:
 - a flat-parameter view of a whole model (:mod:`repro.nn.flat`), which is
   the object gradient sparsifiers operate on, and
 - a model zoo (:mod:`repro.nn.models`) mirroring the paper's CNN plus
-  cheaper MLP / logistic-regression configurations for laptop-scale runs.
+  a cheaper MLP configuration for laptop-scale runs.
 """
 
 from repro.nn.flat import FlatModel
@@ -27,7 +27,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import make_cnn, make_logistic, make_mlp
+from repro.nn.models import make_cnn, make_mlp
 
 __all__ = [
     "Conv2D",
@@ -42,7 +42,6 @@ __all__ = [
     "glorot_uniform",
     "he_normal",
     "make_cnn",
-    "make_logistic",
     "make_mlp",
     "zeros_init",
 ]

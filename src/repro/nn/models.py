@@ -2,8 +2,8 @@
 
 The paper trains a CNN with two convolutional and two dense layers
 (architecture of Wang et al. [16], D > 400,000).  We provide that shape
-(:func:`make_cnn`) together with cheaper MLP and logistic-regression
-configurations whose flat dimension D is in the 10k–120k range, which keeps
+(:func:`make_cnn`) together with a cheaper MLP configuration whose flat
+dimension D is in the 10k–120k range, which keeps
 the full experiment sweeps laptop-scale while exercising identical
 sparsification code paths (sparsifiers only see FlatModel's D-vector).
 """
@@ -44,16 +44,6 @@ def make_mlp(
         prev = width
     layers.append(Linear(prev, num_classes, rng))
     return FlatModel(Sequential(layers))
-
-
-def make_logistic(input_dim: int, num_classes: int, seed: int = 0) -> FlatModel:
-    """Multinomial logistic regression — the smallest useful model.
-
-    Handy for fast unit tests: D = input_dim*classes + classes.
-    """
-    rng = np.random.default_rng(seed)
-    network = Sequential([Linear(input_dim, num_classes, rng)])
-    return FlatModel(network)
 
 
 def make_cnn(

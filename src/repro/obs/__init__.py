@@ -12,7 +12,7 @@ state — enabled and disabled runs are bit-identical on every backend.
 """
 
 from .events import ENGINE_PHASES, EVENT_TYPES, validate_event
-from .health import HealthConfig, HealthMonitor, robust_zscore, scan_trace
+from .health import HealthConfig, HealthMonitor, robust_zscore
 from .log import configure_cli_logging, get_logger
 from .report import format_trace_report, summarize_trace
 from .sinks import JsonlSink, MemoryAggregator, encode_event
@@ -43,7 +43,6 @@ __all__ = [
     "get_logger",
     "open_telemetry",
     "robust_zscore",
-    "scan_trace",
     "summarize_trace",
     "validate_event",
 ]

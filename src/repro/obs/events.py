@@ -57,7 +57,8 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "deadline": frozenset({
         "round", "deadline", "arrived", "dropped", "round_time",
     }),
-    # Snapshot of accumulated counters/gauges (emitted on flush/close).
+    # Snapshot of accumulated counters (emitted on flush/close); the
+    # ``gauges`` field stays for trace compatibility and is always empty.
     "counters": frozenset({"counters", "gauges"}),
     # A run-health detector fired (:mod:`repro.obs.health`): divergence,
     # drop-rate, flagged-client accumulation, or wall-clock stall.

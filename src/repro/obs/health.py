@@ -19,17 +19,15 @@ unchanged.  Detectors latch: each (detector, subject) pair alerts once
 per run, so a sick run produces a handful of alerts, not thousands.
 
 The detectors run post-hoc only: ``trace-report`` replays a finished
-trace (:func:`repro.obs.report.summarize_trace`, or :func:`scan_trace`
-on its own) and prints what they raised in its health section; nothing
-watches a run while it trains.  The stall detector reads wall-clock
-phase times, so its verdict is host-dependent.
+trace (:func:`repro.obs.report.summarize_trace`) and prints what they
+raised in its health section; nothing watches a run while it trains.
+The stall detector reads wall-clock phase times, so its verdict is
+host-dependent.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -246,27 +244,3 @@ class HealthMonitor:
             "by_detector": dict(sorted(by_detector.items())),
         }
 
-
-def scan_trace(path: str | pathlib.Path,
-               config: HealthConfig | None = None) -> HealthMonitor:
-    """Replay a JSONL trace through a fresh monitor (post-hoc health).
-
-    Lenient by design: lines that are not valid JSON objects are skipped
-    (``trace-report`` validates separately), and ``loss`` values parsed
-    from bare ``NaN``/``Infinity`` tokens — which third-party emitters
-    may produce even though this repo's sink never does — feed the
-    divergence detector like any other non-finite loss.
-    """
-    monitor = HealthMonitor(config or HealthConfig())
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                monitor.observe(record)
-    return monitor

@@ -1,11 +1,11 @@
-"""The telemetry facade: counters, gauges, span timers, structured events.
+"""The telemetry facade: counters, span timers, structured events.
 
 Two implementations share one interface:
 
 * :class:`NullTelemetry` — the default.  Every method is a no-op and
   ``enabled`` is ``False``, so instrumented hot paths pay exactly one
   attribute check before skipping all telemetry work.
-* :class:`Telemetry` — accumulates counters/gauges in memory, times spans
+* :class:`Telemetry` — accumulates counters in memory, times spans
   with the monotonic clock, and emits schema-validated events to an
   in-memory aggregator plus (optionally) an append-only JSONL sink.
 
@@ -42,9 +42,6 @@ class NullTelemetry:
     def count(self, name: str, value: float = 1) -> None:
         pass
 
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
     def event(self, kind: str, **fields) -> None:
         pass
 
@@ -74,7 +71,7 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Telemetry:
-    """Enabled telemetry: counters, gauges, spans, and structured events."""
+    """Enabled telemetry: counters, spans, and structured events."""
 
     enabled = True
 
@@ -91,16 +88,11 @@ class Telemetry:
         #: worker events (set by ``RoundEngine.begin_round`` when tracing).
         self.current_round = 0
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         self.annotations: dict[str, object] = {}
 
     def count(self, name: str, value: float = 1) -> None:
         """Add ``value`` to the named monotonically-growing counter."""
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record the latest value of a point-in-time measurement."""
-        self.gauges[name] = value
 
     def annotate(self, **fields) -> None:
         """Attach run-level context (figure, method, …) to future events."""
@@ -127,16 +119,15 @@ class Telemetry:
                        seconds=time.perf_counter() - start, **fields)
 
     def flush(self) -> None:
-        """Emit accumulated counters/gauges as a ``counters`` event.
+        """Emit accumulated counters as a ``counters`` event.
 
         Counters are reset after the snapshot so repeated flushes (e.g.
-        per sweep unit) report deltas, never double-counting.
+        per sweep unit) report deltas, never double-counting.  The
+        event's ``gauges`` field stays in the schema, always empty.
         """
-        if self.counters or self.gauges:
-            self.event("counters", counters=dict(self.counters),
-                       gauges=dict(self.gauges))
+        if self.counters:
+            self.event("counters", counters=dict(self.counters), gauges={})
             self.counters = {}
-            self.gauges = {}
         if self.sink is not None:
             self.sink.flush()
 

@@ -63,10 +63,6 @@ class AdaptiveSignOGD(SignOGD):
         self._window_max = 0.0  # k'_max
         self.restart_rounds: list[int] = []
 
-    @property
-    def current_interval(self) -> SearchInterval:
-        return self.interval
-
     def _after_step(self) -> None:
         self._window_min = min(self._window_min, self._k)
         self._window_max = max(self._window_max, self._k)

@@ -98,20 +98,18 @@ class Exp3Policy(KPolicy):
     """
 
     name = "exp3"
+    #: exploration rate: the share of the probability mass spread evenly
+    GAMMA = 0.1
 
     def __init__(
         self,
         interval: SearchInterval,
         num_arms: int = 32,
-        gamma: float = 0.1,
         seed: int = 0,
     ) -> None:
         if num_arms < 2:
             raise ValueError("need at least 2 arms")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
         self.interval = interval
-        self.gamma = gamma
         self.arms = np.geomspace(interval.kmin, interval.kmax, num_arms)
         self._log_weights = np.zeros(num_arms)
         self._rng = np.random.default_rng(seed)
@@ -123,7 +121,7 @@ class Exp3Policy(KPolicy):
     def _probabilities(self) -> np.ndarray:
         # Log-sum-exp normalization keeps the weights finite forever.
         w = np.exp(self._log_weights - self._log_weights.max())
-        p = (1.0 - self.gamma) * w / w.sum() + self.gamma / self.arms.size
+        p = (1.0 - self.GAMMA) * w / w.sum() + self.GAMMA / self.arms.size
         return p / p.sum()
 
     def propose(self) -> float:
@@ -140,7 +138,7 @@ class Exp3Policy(KPolicy):
         p = self._probabilities()[self._current_arm]
         estimated = reward / p
         self._log_weights[self._current_arm] += (
-            self.gamma * estimated / self.arms.size
+            self.GAMMA * estimated / self.arms.size
         )
         self._current_arm = None
 
@@ -166,25 +164,24 @@ class ContinuousBandit(KPolicy):
     """
 
     name = "continuous-bandit"
+    #: ξ₁ and η₁ as fractions of the interval's width
+    PERTURBATION_FRACTION = 0.25
+    LEARNING_FRACTION = 0.5
 
     def __init__(
         self,
         interval: SearchInterval,
         k1: float | None = None,
-        perturbation_fraction: float = 0.25,
-        learning_fraction: float = 0.5,
         seed: int = 0,
     ) -> None:
-        if not 0.0 < perturbation_fraction < 1.0:
-            raise ValueError("perturbation_fraction must be in (0, 1)")
         self.interval = interval
         self._z = float(k1) if k1 is not None else 0.5 * (
             interval.kmin + interval.kmax
         )
         if not interval.contains(self._z):
             raise ValueError(f"k1={self._z} outside interval")
-        self._xi0 = perturbation_fraction * interval.width
-        self._eta0 = learning_fraction * interval.width
+        self._xi0 = self.PERTURBATION_FRACTION * interval.width
+        self._eta0 = self.LEARNING_FRACTION * interval.width
         self._rng = np.random.default_rng(seed)
         self._m = 1
         self._direction: float | None = None

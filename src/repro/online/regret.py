@@ -23,32 +23,3 @@ def theorem2_bound(G: float, H: float, B: float, M: int) -> float:
     if H < 1.0:
         raise ValueError("H must be >= 1")
     return H * theorem1_bound(G, B, M)
-
-
-def two_instance_bound(
-    G: float, H: float, B: float, M_prime: int, B_prime: float, M_dprime: int
-) -> float:
-    """Regret bound after a single Algorithm-3 restart (Section IV-D).
-
-    GH√2·(B√M' + B'√M'') — the quantity compared against the no-restart
-    bound GHB√(2(M'+M'')) to justify the restart rule.
-    """
-    return G * H * math.sqrt(2.0) * (
-        B * math.sqrt(M_prime) + B_prime * math.sqrt(M_dprime)
-    )
-
-
-def restart_is_beneficial(B: float, B_prime: float) -> bool:
-    """The paper's restart criterion: B' < (√2 − 1)·B.
-
-    Derived by requiring the two-instance bound to beat the single-
-    instance bound for all M'' ≥ M' (paper eq. 9 discussion).
-    """
-    return B_prime < (math.sqrt(2.0) - 1.0) * B
-
-
-def empirical_regret(costs_played: list[float], costs_optimal: list[float]) -> float:
-    """R(M) = Σ_m τ_m(k_m) − Σ_m τ_m(k*), from per-round cost samples."""
-    if len(costs_played) != len(costs_optimal):
-        raise ValueError("cost series must have equal length")
-    return sum(costs_played) - sum(costs_optimal)

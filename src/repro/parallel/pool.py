@@ -275,17 +275,12 @@ class WorkerPool:
     #: telemetry here so IPC traffic and worker utilization get counted.
     telemetry = NULL_TELEMETRY
 
-    def __init__(
-        self,
-        num_workers: int,
-        dimension: int,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, num_workers: int, dimension: int) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        ctx = mp.get_context(start_method or preferred_start_method())
+        ctx = mp.get_context(preferred_start_method())
         self.num_workers = num_workers
         self.dimension = dimension
         self._weights = ctx.RawArray("d", dimension)

@@ -74,9 +74,6 @@ class ShardedBackend(ExecutionBackend):
         Worker process count; ``None``/``0`` means all usable CPUs.  With
         ``jobs=1`` no pool is spawned and the backend runs the serial
         path in process.
-    start_method:
-        Multiprocessing start method override (default: ``fork`` where
-        available).
 
     Unlike the serial/vectorized backends this one holds resources (the
     worker pool) and per-trainer RNG continuations (the worker-side
@@ -87,13 +84,10 @@ class ShardedBackend(ExecutionBackend):
 
     name = "sharded"
 
-    def __init__(
-        self, jobs: int | None = None, start_method: str | None = None
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = int(jobs) if jobs else default_worker_count()
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self._start_method = start_method
         self._pool: WorkerPool | None = None
         self._serial = SerialBackend()
         self._closed = False
@@ -189,9 +183,7 @@ class ShardedBackend(ExecutionBackend):
             self._drop_pool()
         if self._pool is None:
             try:
-                self._pool = WorkerPool(
-                    self.jobs, model.dimension, self._start_method
-                )
+                self._pool = WorkerPool(self.jobs, model.dimension)
             except OSError as exc:
                 self._degrade_to_serial("start its worker pool", exc)
                 return None

@@ -184,22 +184,12 @@ class TraceAvailability(ClientAvailability):
             entry = self.rounds[min(round_index - 1, len(self.rounds) - 1)]
         return list(entry)
 
-    @classmethod
-    def from_json(
-        cls, path: str | Path, client_ids: list[int]
-    ) -> "TraceAvailability":
-        """Load a schedule written as ``{"rounds": [[ids...], ...],
-        "cycle": bool}``."""
-        rounds, cycle = load_trace_json(path)
-        return cls(client_ids, rounds, cycle=cycle)
-
 
 def load_trace_json(path: str | Path) -> tuple[list[list[int]], bool]:
     """Parse the trace-schedule JSON schema: ``(rounds, cycle)``.
 
-    The one place the ``{"rounds": ..., "cycle": ...}`` schema is read —
-    :meth:`TraceAvailability.from_json` and the CLI's ``--trace`` flag
-    both route through it, so file-format validation cannot drift.
+    The one place the ``{"rounds": ..., "cycle": ...}`` schema is read
+    (the CLI's ``--trace`` flag).
     """
     data = json.loads(Path(path).read_text())
     if "rounds" not in data:

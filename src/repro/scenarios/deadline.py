@@ -196,11 +196,6 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
         """The continuous decision d_m for the current round."""
         return self.knob.value
 
-    @property
-    def deadline_history(self) -> list[float]:
-        """Every decision played so far (the learned {d_m} trace)."""
-        return self.knob.history
-
     def deadline_for(self, round_index: int) -> float:
         self._check_round(round_index)
         return self.knob.value

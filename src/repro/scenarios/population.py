@@ -41,11 +41,13 @@ class PopulationSampler:
     ``(seed, cid, round)``, so the cohort is deterministic regardless of
     execution backend — the same contract the list-based sampler keeps.
 
-    When availability is so low that ``max_attempts`` candidate batches
+    When availability is so low that ``MAX_ATTEMPTS`` candidate batches
     cannot fill the cohort, the round runs with the online clients found
     (never empty: offline candidates seen along the way fill in, mirroring
     the list-based sampler's "no one is online" full-population fallback).
     """
+
+    MAX_ATTEMPTS = 64
 
     def __init__(
         self,
@@ -54,7 +56,6 @@ class PopulationSampler:
         over_selection: float = 0.0,
         seed: int = 0,
         stats: ScenarioStats | None = None,
-        max_attempts: int = 64,
     ) -> None:
         if count < 1:
             raise ValueError(
@@ -63,14 +64,11 @@ class PopulationSampler:
             )
         if over_selection < 0.0:
             raise ValueError("over_selection must be >= 0")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.model = model
         self.count = count
         self.over_selection = over_selection
         self.seed = seed
         self.stats = stats
-        self.max_attempts = max_attempts
         self._round = 0
 
     @property
@@ -86,7 +84,7 @@ class PopulationSampler:
         online: list[int] = []
         offline: list[int] = []
         seen: set[int] = set()
-        for _ in range(self.max_attempts):
+        for _ in range(self.MAX_ATTEMPTS):
             batch = rng.integers(
                 0, self.model.population, size=max(2 * size, 8)
             )

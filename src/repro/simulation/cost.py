@@ -62,30 +62,26 @@ class CostOracle:
 class QuadraticCost(CostOracle):
     """τ_m(k) = c_m · (k − k*)² + b_m, the simplest Assumption-2 family.
 
-    Round-varying positive scales ``c_m`` (seeded) model the shrinking loss
-    interval [L_m, L_{m-1}]; the optimum is static per Assumption 2(c).
+    Round-varying positive scales ``c_m`` (seeded, uniform in
+    [``SCALE_LOW``, ``SCALE_HIGH``]) model the shrinking loss interval
+    [L_m, L_{m-1}]; the optimum is static per Assumption 2(c).
     """
 
-    def __init__(
-        self,
-        k_star: float,
-        kmax: float,
-        scale_low: float = 0.5,
-        scale_high: float = 1.5,
-        seed: int = 0,
-    ) -> None:
-        if scale_low <= 0 or scale_high < scale_low:
-            raise ValueError("need 0 < scale_low <= scale_high")
+    SCALE_LOW = 0.5
+    SCALE_HIGH = 1.5
+
+    def __init__(self, k_star: float, kmax: float, seed: int = 0) -> None:
         self.k_star = float(k_star)
         self._rng = np.random.default_rng(seed)
         self._scales: dict[int, float] = {}
-        self._low, self._high = scale_low, scale_high
-        # |τ'| = 2 c_m |k − k*| <= 2·scale_high·range.
-        self.derivative_bound = 2.0 * scale_high * kmax
+        # |τ'| = 2 c_m |k − k*| <= 2·SCALE_HIGH·range.
+        self.derivative_bound = 2.0 * self.SCALE_HIGH * kmax
 
     def _scale(self, m: int) -> float:
         if m not in self._scales:
-            self._scales[m] = float(self._rng.uniform(self._low, self._high))
+            self._scales[m] = float(
+                self._rng.uniform(self.SCALE_LOW, self.SCALE_HIGH)
+            )
         return self._scales[m]
 
     def optimum(self, kmin: float, kmax: float) -> float:
@@ -101,15 +97,16 @@ class QuadraticCost(CostOracle):
 class TimePerLossCost(CostOracle):
     """Physically-motivated τ_m(k): round time / loss progress.
 
-    Round time: ``θ(k) = comp + β·2k/D`` (the paper's timing model).
-    Loss progress per round: ``ρ(k) = ρ_max · k/(k + s)`` — concave,
-    saturating: more gradient elements help with diminishing returns
-    (s is the half-saturation constant).  The per-unit-loss density is
+    Round time: ``θ(k) = 1 + β·2k/D`` (the paper's timing model, one
+    unit of computation).  Loss progress per round: ``ρ(k) = k/(k + s)``
+    — concave, saturating: more gradient elements help with diminishing
+    returns (``s = D/20`` is the half-saturation constant).  The
+    per-unit-loss density is
 
-        t(k) = θ(k)/ρ(k) = (comp + 2βk/D)(k + s)/(ρ_max k),
+        t(k) = θ(k)/ρ(k) = (1 + 2βk/D)(k + s)/k,
 
     which is convex in k > 0 with interior optimum
-    ``k* = sqrt(comp·s·D/(2β))`` when that lies in [1, D] — decreasing in
+    ``k* = sqrt(s·D/(2β))`` when that lies in [1, D] — decreasing in
     β, matching the paper's Fig. 7 observation.
     """
 
@@ -117,9 +114,6 @@ class TimePerLossCost(CostOracle):
         self,
         dimension: int,
         comm_time: float,
-        computation_time: float = 1.0,
-        saturation: float | None = None,
-        progress_max: float = 1.0,
         round_scale_jitter: float = 0.0,
         seed: int = 0,
     ) -> None:
@@ -127,9 +121,7 @@ class TimePerLossCost(CostOracle):
             raise ValueError("need dimension >= 2 and positive comm_time")
         self.dimension = dimension
         self.beta = comm_time
-        self.comp = computation_time
-        self.saturation = saturation if saturation is not None else dimension / 20.0
-        self.progress_max = progress_max
+        self.saturation = dimension / 20.0
         self._jitter = round_scale_jitter
         self._rng = np.random.default_rng(seed)
         self._scales: dict[int, float] = {}
@@ -150,10 +142,10 @@ class TimePerLossCost(CostOracle):
         return self._scales[m]
 
     def _theta(self, k: float) -> float:
-        return self.comp + 2.0 * self.beta * k / self.dimension
+        return 1.0 + 2.0 * self.beta * k / self.dimension
 
     def _rho(self, k: float) -> float:
-        return self.progress_max * k / (k + self.saturation)
+        return k / (k + self.saturation)
 
     def _tau_base(self, k: float) -> float:
         if k <= 0:
@@ -161,15 +153,13 @@ class TimePerLossCost(CostOracle):
         return self._theta(k) / self._rho(k)
 
     def _derivative_base(self, k: float) -> float:
-        # d/dk [ (comp + c k)(k + s) / (p k) ] with c = 2β/D, p = ρ_max:
+        # d/dk [ (1 + c k)(k + s) / k ] with c = 2β/D:
         c = 2.0 * self.beta / self.dimension
-        s = self.saturation
-        p = self.progress_max
-        return (c - (self.comp * s) / (k * k)) / p
+        return c - self.saturation / (k * k)
 
     def optimum(self, kmin: float, kmax: float) -> float:
         c = 2.0 * self.beta / self.dimension
-        k_star = np.sqrt(self.comp * self.saturation / c)
+        k_star = np.sqrt(self.saturation / c)
         return float(np.clip(k_star, kmin, kmax))
 
     def tau(self, k: float, m: int) -> float:

@@ -17,7 +17,6 @@ Model (paper Section V, footnotes 3 and 5):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -95,21 +94,6 @@ class TimingModel:
         return RoundTiming(
             computation=self.computation_time, uplink=0.0, downlink=0.0
         )
-
-    def expected_sparse_round_time(self, k: float) -> float:
-        """Expected total time of a k-element GS round for *continuous* k.
-
-        θ_m(k) of the paper (eq. 10 context): linear interpolation between
-        ⌊k⌋ and ⌈k⌉ under stochastic rounding, with k pairs both ways.
-        """
-        if k < 0:
-            raise ValueError("k cannot be negative")
-        lo = math.floor(k)
-        hi = math.ceil(k)
-        frac = k - lo
-        t_lo = self.sparse_round(lo, lo).total
-        t_hi = self.sparse_round(hi, hi).total
-        return (1.0 - frac) * t_lo + frac * t_hi
 
     def fedavg_period(self, k: int) -> int:
         """FedAvg aggregation period with comm budget matched to k-GS.

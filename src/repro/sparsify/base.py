@@ -54,12 +54,6 @@ class SparseVector:
         """Number of stored elements."""
         return int(self.indices.size)
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the dense D-vector."""
-        dense = np.zeros(self.dimension)
-        dense[self.indices] = self.values
-        return dense
-
     @classmethod
     def from_dense(cls, dense: np.ndarray, indices: np.ndarray) -> "SparseVector":
         """Sparse view of ``dense`` restricted to ``indices``."""
@@ -145,10 +139,9 @@ class SelectionResult:
         position.flags.writeable = False
         self.indices = idx
         self.position = position
+        member = position >= 0
         self.contributions = {
-            up.client_id: int(
-                np.count_nonzero(position[up.payload.indices] >= 0)
-            )
+            up.client_id: int(np.count_nonzero(member[up.payload.indices]))
             for up in uploads
         }
 

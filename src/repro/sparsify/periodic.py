@@ -8,16 +8,11 @@ subset is known to both sides from a synchronized seed, no index
 transmission is strictly necessary; we still count pairs conservatively so
 the timing comparison is not biased in this baseline's favor.
 
-Two residual modes:
-
-- ``accumulate=False`` (default): the random-sparsification baseline of
-  [30] — the unselected part of each round's gradient is *discarded*
-  (clients reset their residual every round).  This is the variant the
-  paper's Fig. 4 shows learning very slowly ("generally gives worse
-  performance than top-k", Section II).
-- ``accumulate=True``: the periodic-averaging variant of [8], where
-  unselected elements keep accumulating locally until their turn in the
-  permutation arrives.
+The residual follows the random-sparsification baseline of [30]: the
+unselected part of each round's gradient is *discarded* (clients reset
+their residual every round).  This is the variant the paper's Fig. 4
+shows learning very slowly ("generally gives worse performance than
+top-k", Section II).
 """
 
 from __future__ import annotations
@@ -31,13 +26,12 @@ class PeriodicK(Sparsifier):
     """Synchronized random-k coordinate selection with periodic coverage."""
 
     name = "periodic-k"
+    discards_residual = True
 
-    def __init__(self, dimension: int, seed: int = 0,
-                 accumulate: bool = False) -> None:
+    def __init__(self, dimension: int, seed: int = 0) -> None:
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
-        self.discards_residual = not accumulate
         self._rng = np.random.default_rng(seed)
         self._permutation = self._rng.permutation(dimension)
         self._cursor = 0

@@ -12,6 +12,8 @@ from repro.analysis.contraction import (
     topk_contraction_bound,
 )
 
+from helpers import make_gaussian_blobs, make_logistic
+
 RNG = np.random.default_rng(13)
 
 
@@ -73,9 +75,6 @@ class TestEmpiricalContraction:
             empirical_contraction([], k=1)
 
     def test_real_gradient_beats_worst_case(self):
-        from repro.data.synthetic import make_gaussian_blobs
-        from repro.nn.models import make_logistic
-
         ds = make_gaussian_blobs(num_samples=100, num_classes=3,
                                  feature_dim=8, separation=4.0, seed=0)
         model = make_logistic(8, 3, seed=0)

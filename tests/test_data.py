@@ -15,17 +15,17 @@ from repro.data.partition import (
     partition_by_class,
     partition_by_writer,
     partition_dirichlet,
-    partition_iid,
 )
 from repro.data.synthetic import (
     SyntheticDataset,
     make_cifar_like,
     make_femnist_like,
-    make_gaussian_blobs,
 )
 from repro.fl.engine import RoundEngine
 from repro.nn.models import make_mlp
 from repro.simulation.timing import TimingModel
+
+from helpers import make_gaussian_blobs, materialize, partition_iid
 
 
 class TestFemnistLike:
@@ -340,10 +340,8 @@ SPEC = dict(samples_per_client=9, num_classes=6, image_size=5,
             classes_per_writer=3, test_samples=16, seed=7)
 
 
-def _virtual(population=12, cache_size=256):
-    return VirtualFederation.build(
-        population, cache_size=cache_size, **SPEC
-    )
+def _virtual(population=12):
+    return VirtualFederation.build(population, **SPEC)
 
 
 class TestVirtualSpec:
@@ -386,7 +384,7 @@ class TestVirtualFederation:
 
     def test_materialize_is_the_bit_identical_eager_twin(self):
         fed = _virtual()
-        eager = fed.materialize()
+        eager = materialize(fed)
         assert eager.num_clients == 12
         for cid in range(12):
             lazy = fed.client_dataset(cid)
@@ -408,7 +406,7 @@ class TestVirtualFederation:
             dataset.minibatch(4)[0], batch_ref.minibatch(4)[0]
         )
         dataset.release()
-        assert not dataset.materialized
+        assert dataset._x is None
         np.testing.assert_array_equal(dataset.x, x_before)
         # The draw stream survived the release: next draws still match
         # the twin that never released.
@@ -416,21 +414,22 @@ class TestVirtualFederation:
             dataset.minibatch(4)[0], batch_ref.minibatch(4)[0]
         )
 
-    def test_lru_bounds_resident_arrays(self):
-        fed = _virtual(population=10, cache_size=3)
+    def test_lru_bounds_resident_arrays(self, monkeypatch):
+        monkeypatch.setattr(VirtualFederation, "CACHE_SIZE", 3)
+        fed = _virtual(population=10)
         datasets = [fed.client_dataset(cid) for cid in range(10)]
         for dataset in datasets:
             dataset.x  # materialize in order
-        resident = [d.client_id for d in datasets if d.materialized]
+        resident = [d.client_id for d in datasets if d._x is not None]
         assert resident == [7, 8, 9]  # only the LRU tail holds arrays
         # Touching an evicted client regenerates and evicts the oldest.
         datasets[0].x
-        assert datasets[0].materialized and not datasets[7].materialized
+        assert datasets[0]._x is not None and datasets[7]._x is None
 
     def test_eval_pool_matches_eager_construction(self):
         fed = _virtual()
         x, y = fed.eval_pool(max_samples=20, seed=11)
-        gx, gy = fed.materialize().global_pool()
+        gx, gy = materialize(fed).global_pool()
         rng = np.random.default_rng((11, 0xE0A1))
         rows = rng.choice(108, size=20, replace=False)
         np.testing.assert_array_equal(x, gx[rows])
@@ -446,8 +445,6 @@ class TestVirtualFederation:
             fed.clients
         with pytest.raises(RuntimeError, match="O\\(population\\)"):
             fed.global_pool()
-        with pytest.raises(RuntimeError, match="O\\(population\\)"):
-            fed.materialize()
         # Point queries stay fine at any size.
         assert fed.client_dataset(ENUMERATION_LIMIT).x.shape == (9, 25)
 

@@ -6,17 +6,36 @@ import numpy as np
 import pytest
 
 from repro.experiments.io import (
+    SCHEMA_VERSION,
     export_figure_csv,
     figure_from_dict,
     figure_to_dict,
-    load_figure,
-    load_history,
-    save_figure,
-    save_history,
+    history_to_dict,
+    write_json,
 )
 from repro.experiments.runner import FigureData
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro import cli
+
+
+def load_figure(path):
+    return figure_from_dict(json.loads(path.read_text()))
+
+
+def load_history(path):
+    """Read back a history artifact (the inverse of ``history_to_dict``)."""
+    data = json.loads(path.read_text())
+    assert data["schema"] == SCHEMA_VERSION and data["kind"] == "history"
+    history = TrainingHistory()
+    for r in data["records"]:
+        history.append(RoundRecord(
+            round_index=r["round"], k=r["k"], round_time=r["round_time"],
+            cumulative_time=r["cumulative_time"], loss=r["loss"],
+            accuracy=r["accuracy"], uplink_elements=r["uplink"],
+            downlink_elements=r["downlink"],
+            contributions={int(k): v for k, v in r["contributions"].items()},
+        ))
+    return history
 
 
 class TestFigureIO:
@@ -37,7 +56,7 @@ class TestFigureIO:
     def test_roundtrip_file(self, tmp_path):
         fig = self._figure()
         path = tmp_path / "fig.json"
-        save_figure(fig, path)
+        write_json(path, figure_to_dict(fig))
         restored = load_figure(path)
         assert restored.labels() == fig.labels()
 
@@ -66,7 +85,7 @@ class TestHistoryIO:
                              contributions={0: 4, 1: 6}))
         h.append(RoundRecord(2, 5.0, 1.5, 3.0, 1.5))
         path = tmp_path / "hist.json"
-        save_history(h, path)
+        write_json(path, history_to_dict(h))
         restored = load_history(path)
         assert len(restored) == 2
         assert restored.records[0].accuracy == 0.5

@@ -26,9 +26,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_by_writer, partition_iid
-from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
-from repro.fl.async_engine import AsyncFLTrainer
+from repro.data.partition import partition_by_writer
+from repro.data.synthetic import make_femnist_like
+from repro.fl.async_engine import DEFAULT_EXPONENT_INTERVAL, AsyncFLTrainer
 from repro.fl.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
@@ -44,7 +44,7 @@ from repro.fl.robust import _CoordinateView
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn import layers
-from repro.nn.models import make_cnn, make_logistic, make_mlp
+from repro.nn.models import make_cnn, make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
@@ -60,6 +60,13 @@ from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.fub_topk import FUBTopK
 from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.unidirectional import UnidirectionalTopK
+
+from helpers import (
+    make_gaussian_blobs,
+    make_logistic,
+    materialize,
+    partition_iid,
+)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
 
@@ -280,7 +287,7 @@ class TestGoldenHistories:
         assert walk == golden["adaptive_async_fl_trainer_exponents"]
         # The pin means something: the walk hit the interval floor, left
         # it again, and stood still on the stale-free first commit.
-        lo = trainer.discount.interval.kmin
+        lo = DEFAULT_EXPONENT_INTERVAL[0]
         assert walk[2] == lo < walk[5] and len(set(walk)) > 8
         assert walk[0] == walk[1] and trainer.staleness_history[0] == 0.0
 
@@ -769,7 +776,7 @@ class TestVirtualEagerEquivalence:
     The contract every population-scale claim rests on: training over
     :class:`~repro.data.virtual.VirtualFederation` (lazy datasets, lazy
     clients, LRU releases) must produce the same histories, weights and
-    residuals as the same run over ``federation.materialize()`` — across
+    residuals as the same run over ``materialize(federation)`` — across
     sparsifier families, the asynchronous engine and every backend.
     """
 
@@ -800,7 +807,7 @@ class TestVirtualEagerEquivalence:
         factory = self.VARIANTS[name]
         virtual = self._trainer(self._virtual_federation(), factory())
         eager = self._trainer(
-            self._virtual_federation().materialize(), factory()
+            materialize(self._virtual_federation()), factory()
         )
         hv = virtual.run(8, k=12)
         he = eager.run(8, k=12)
@@ -853,7 +860,7 @@ class TestVirtualEagerEquivalence:
             federation(), make_backend(backend_name)
         )
         eager = self._population_async(
-            federation().materialize(), make_backend(backend_name)
+            materialize(federation()), make_backend(backend_name)
         )
         hv = virtual.run(20, _learned_k_policy(virtual.model))
         he = eager.run(20, _learned_k_policy(eager.model))
@@ -878,7 +885,7 @@ class TestVirtualEagerEquivalence:
 
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_virtual_equivalence_holds_on_fast_backends(self, backend_name):
-        eager_fed = self._virtual_federation().materialize()
+        eager_fed = materialize(self._virtual_federation())
         eager = self._trainer(eager_fed, FABTopK())
         virtual = self._trainer(
             self._virtual_federation(), FABTopK(),

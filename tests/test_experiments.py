@@ -551,15 +551,21 @@ def _unreached_modules(roots, modules):
 
 
 def _entry_roots():
-    """The CLI, the benchmark's workloads and the paper-result checks."""
+    """The CLI, the benchmark suite, the examples and the paper-result
+    checks: every file a documented command runs."""
     src = ROOT / "src"
+    suite = sorted(
+        path for path in (ROOT / "benchmarks" / "suite").glob("*.py")
+        if not path.name.startswith("test_")
+    )
     return [
         (src / "repro" / "cli.py", "repro.cli"),
         (src / "repro" / "__main__.py", "repro.__main__"),
-        (ROOT / "benchmarks" / "suite" / "workloads.py", ""),
     ] + [
         (path, "")
-        for path in sorted((ROOT / "tests" / "slow").glob("test_*.py"))
+        for path in suite
+        + sorted((ROOT / "examples").glob("*.py"))
+        + sorted((ROOT / "tests" / "slow").glob("*.py"))
     ]
 
 
@@ -596,46 +602,55 @@ class TestEveryModuleIsReached:
 
 
 # ----------------------------------------------------------------------
-# Surface: every engine setting is set by an entry point
+# Surface: every constructor setting is set by an entry point
 # ----------------------------------------------------------------------
-#: ``(module, class)`` whose ``__init__`` declares engine, model, layer
-#: or timing settings
-SETTING_DECLARATIONS = (
-    ("repro.fl.engine", "RoundEngine"),
-    ("repro.fl.async_engine", "AsyncRoundEngine"),
-    ("repro.obs.telemetry", "Telemetry"),
-    ("repro.nn.flat", "FlatModel"),
-    ("repro.nn.layers", "Linear"),
-    ("repro.nn.layers", "Conv2D"),
-    ("repro.simulation.timing", "TimingModel"),
-    ("repro.simulation.heterogeneous", "HeterogeneousTimingModel"),
-)
+def _reached_files(roots, modules):
+    """The roots' paths and the path of every module they reach."""
+    return {path for path, _ in roots} | {
+        modules[name] for name in _reached_modules(roots, modules)
+        if name in modules
+    }
+
+
+def _init_settings(init):
+    """``(positional parameters, defaulted keywords)`` of an ``__init__``
+    definition, ``self`` aside."""
+    args = init.args
+    positional = [arg.arg for arg in args.posonlyargs + args.args][1:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [
+        arg.arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return positional, defaulted
 
 
 def _declared_settings(path, class_name):
     """The keywords with a default in ``class_name.__init__``, in order."""
     for node in ast.walk(ast.parse(path.read_text())):
-        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                args = item.args
-                positional = args.posonlyargs + args.args
-                defaulted = positional[len(positional) - len(args.defaults):]
-                defaulted += [
-                    arg for arg, default in zip(args.kwonlyargs,
-                                                args.kw_defaults)
-                    if default is not None
-                ]
-                return [arg.arg for arg in defaulted]
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    return _init_settings(item)[1]
     raise LookupError(f"no {class_name}.__init__ in {path}")
 
 
+def _called_name(func):
+    """The name a call is made by: ``f(...)`` and ``m.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
 def _set_names(path):
-    """Every call keyword and string dict key in ``path``: the ways a
-    caller sets a setting.  A definition's own defaults are not
-    keywords, and a ``**settings`` pass-through names nothing."""
-    names = set()
+    """``(names, positions)``: every call keyword and string dict key in
+    ``path`` — the ways a caller sets a setting by name — and every
+    ``(called name, index)`` a call fills positionally, up to its first
+    ``*args``.  A definition's own defaults are not keywords, and a
+    ``**settings`` pass-through names nothing."""
+    names, positions = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.keyword) and node.arg is not None:
             names.add(node.arg)
@@ -644,70 +659,97 @@ def _set_names(path):
                 key.value for key in node.keys
                 if isinstance(key, ast.Constant) and isinstance(key.value, str)
             )
-    return names
+        elif isinstance(node, ast.Call) and _called_name(node.func):
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                positions.add((_called_name(node.func), index))
+    return names, positions
 
 
-def _unset_settings(roots, modules, declarations):
-    """``Class.setting`` for every declared setting that nothing the
-    roots reach sets."""
-    paths = {path for path, _ in roots} | {
-        modules[name] for name in _reached_modules(roots, modules)
-        if name in modules
-    }
-    used = set().union(*map(_set_names, paths))
-    return [
-        f"{class_name}.{name}"
-        for module, class_name in declarations
-        for name in _declared_settings(modules[module], class_name)
-        if name not in used
-    ]
+def _unset_settings(roots, modules):
+    """``Class.setting`` for every defaulted ``__init__`` parameter of a
+    class defined in a module the roots reach that nothing they reach
+    sets: by keyword or dict key, or positionally by the class's name."""
+    paths = _reached_files(roots, modules)
+    names, positions = set(), set()
+    for path in paths:
+        path_names, path_positions = _set_names(path)
+        names |= path_names
+        positions |= path_positions
+    unset = []
+    for path in sorted(paths & set(modules.values())):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not (isinstance(item, ast.FunctionDef)
+                        and item.name == "__init__"):
+                    continue
+                positional, defaulted = _init_settings(item)
+                unset += [
+                    f"{node.name}.{name}" for name in defaulted
+                    if name not in names and not (
+                        name in positional
+                        and (node.name, positional.index(name)) in positions
+                    )
+                ]
+    return sorted(unset)
 
 
 class TestEverySettingIsSet:
     def test_every_engine_setting_is_set_by_an_entry_point(self):
-        # Same roots and graph as the module lint; no allow-list.
-        unset = _unset_settings(
-            _entry_roots(), _module_files(ROOT / "src"), SETTING_DECLARATIONS
-        )
+        # Every class a root reaches, same roots and graph as the module
+        # lint; no allow-list.
+        unset = _unset_settings(_entry_roots(), _module_files(ROOT / "src"))
         assert unset == [], (
-            "no CLI command, benchmark workload or paper-result check "
-            "sets these engine, model, layer or timing settings; delete "
-            "them or set them: "
-            + ", ".join(unset)
+            "no CLI command, benchmark, example or paper-result check "
+            "sets these constructor settings; make them constants or "
+            "set them: " + ", ".join(unset)
         )
 
     def test_the_settings_lint_reads_keywords_and_dict_keys(self, tmp_path):
         # Guard against a vacuous lint on a throwaway package: a call
-        # keyword and a dict key count, a definition's default, a
-        # ``**settings`` forwarder and an unreached module do not.
+        # keyword, a dict key and a positional argument to the class's
+        # name count; a definition's default, a ``**settings``
+        # forwarder, a position past ``*args``, a call to another name
+        # and an unreached module do not.
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         for name, source in {
             "__init__.py": "",
             "engine.py": (
                 "class Engine:\n"
-                "    def __init__(self, model, rate=0.1, hooks=None, *,\n"
+                "    def __init__(self, model, rate=0.1, hooks=None,\n"
+                "                 order=1, lanes=4, tail=0, *,\n"
                 "                 depth=2, spill=0, width):\n"
+                "        pass\n"
+                "class Pool:\n"
+                "    def __init__(self, jobs, method='fork'):\n"
                 "        pass\n"
             ),
             "wiring.py": (
-                "from pkg.engine import Engine\n"
+                "from pkg.engine import Engine, Pool\n"
                 "def build(model, hooks, spill=1, **settings):\n"
                 "    settings = {**settings, 'hooks': hooks}\n"
-                "    return Engine(model, rate=0.2, **settings)\n"
+                "    Pool(2, 'spawn')\n"
+                "    other(model, 1, 2, 3, 4, 5)\n"
+                "    Engine(model, 0.1, None, *settings['rest'], 9)\n"
+                "    return Engine(model, 0.2, None, 2, **settings)\n"
             ),
             "spare.py": (
                 "from pkg.engine import Engine\n"
-                "ENGINE = Engine(None, depth=3)\n"
+                "ENGINE = Engine(None, 0.1, None, 1, 2, 3, depth=3)\n"
             ),
             "root.py": "def main():\n    from pkg.wiring import build\n",
         }.items():
             (pkg / name).write_text(source)
         unset = _unset_settings(
-            [(pkg / "root.py", "pkg.root")], _module_files(tmp_path),
-            [("pkg.engine", "Engine")],
+            [(pkg / "root.py", "pkg.root")], _module_files(tmp_path)
         )
-        assert unset == ["Engine.depth", "Engine.spill"]
+        assert unset == [
+            "Engine.depth", "Engine.lanes", "Engine.spill", "Engine.tail",
+        ]
 
     def test_fl_trainer_documents_exactly_the_engine_settings(self):
         doc = inspect.cleandoc(FLTrainer.__doc__)
@@ -719,6 +761,138 @@ class TestEverySettingIsSet:
             ROOT / "src" / "repro" / "fl" / "engine.py", "RoundEngine"
         )
         assert documented == declared
+
+
+# ----------------------------------------------------------------------
+# Surface: every function, class, method and property is named by an
+# entry point
+# ----------------------------------------------------------------------
+def _definitions(tree):
+    """``(name, lineno)`` of every function, class, method and property
+    defined in ``tree``, at any depth; dunders aside."""
+    return [
+        (node.name, node.lineno) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _named(tree):
+    """Every name ``tree`` uses outside the definition it names: a
+    ``Name``, an ``Attribute`` or a string constant — so a ``getattr``
+    counts — inside no definition of that name, and outside
+    ``__all__``."""
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in enclosing:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names
+
+
+def _uncalled_definitions(roots, modules):
+    """``module:line name`` of every definition in a module the roots
+    reach that nothing they reach names — its own definition and package
+    ``__init__`` files aside."""
+    paths = _reached_files(roots, modules)
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    named = set().union(*(
+        _named(tree) for path, tree in trees.items()
+        if path.name != "__init__.py"
+    ))
+    dotted = {path: name for name, path in modules.items()}
+    return [
+        f"{module}:{lineno} {name}"
+        for module, lineno, name in sorted(
+            (dotted[path], lineno, name)
+            for path, tree in trees.items() if path in dotted
+            for name, lineno in _definitions(tree) if name not in named
+        )
+    ]
+
+
+class TestEveryFunctionIsCalled:
+    def test_every_definition_is_named_by_an_entry_point(self):
+        # Same roots and graph as the module lint; no allow-list.
+        uncalled = _uncalled_definitions(
+            _entry_roots(), _module_files(ROOT / "src")
+        )
+        assert uncalled == [], (
+            "no CLI command, benchmark, example or paper-result check "
+            "names these functions, classes, methods or properties; "
+            "delete them or use them: " + ", ".join(uncalled)
+        )
+
+    def test_the_function_lint_counts_names_attributes_and_strings(
+        self, tmp_path
+    ):
+        # Guard against a vacuous lint on a throwaway package: a method
+        # reached by attribute, by a ``getattr`` string or from a root
+        # counts; a function named only in its own definition, in
+        # ``__all__``, in a package ``__init__`` or in an unreached
+        # module does not, and dunders are exempt.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        for name, source in {
+            "__init__.py": "from pkg.lib import exported\nexported()\n",
+            "lib.py": (
+                "__all__ = ['listed']\n"
+                "class Model:\n"
+                "    def __init__(self):\n"
+                "        pass\n"
+                "    def step(self):\n"
+                "        return self.step\n"
+                "    def fit(self):\n"
+                "        pass\n"
+                "    def probe(self):\n"
+                "        pass\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        pass\n"
+                "def recurse(n):\n"
+                "    return recurse(n - 1)\n"
+                "def listed():\n"
+                "    pass\n"
+                "def exported():\n"
+                "    pass\n"
+                "def spared():\n"
+                "    pass\n"
+                "def build():\n"
+                "    model = Model()\n"
+                "    model.fit()\n"
+                "    return getattr(model, 'probe')\n"
+            ),
+            "spare.py": "from pkg.lib import spared\nspared()\n",
+            "root.py": "from pkg.lib import build\nbuild().size\n",
+        }.items():
+            (pkg / name).write_text(source)
+        uncalled = _uncalled_definitions(
+            [(pkg / "root.py", "pkg.root")], _module_files(tmp_path)
+        )
+        assert uncalled == [
+            "pkg.lib:5 step", "pkg.lib:14 recurse", "pkg.lib:16 listed",
+            "pkg.lib:18 exported", "pkg.lib:20 spared",
+        ]
 
 
 #: the ``os`` attributes that read the process environment

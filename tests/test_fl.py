@@ -5,12 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.data.partition import (
-    ClientDataset,
-    partition_by_writer,
-    partition_iid,
-)
-from repro.data.synthetic import make_gaussian_blobs
+from repro.data.partition import ClientDataset, partition_by_writer
 from repro.fl.backends import ExecutionBackend
 from repro.fl.client import Client
 from repro.fl.engine import _as_schedule
@@ -18,12 +13,14 @@ from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic, make_mlp
+from repro.nn.models import make_mlp
 from repro.online.adaptive_trainer import LearnedK
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.periodic import PeriodicK
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid, to_dense
 
 
 def local_step(client, model, k):
@@ -158,7 +155,7 @@ class TestServer:
         )
         selection = SelectionResult(np.array([0, 2, 4]), [u1, u2], 6)
         msg = server.aggregate([u1, u2], selection)
-        dense = msg.payload.to_dense()
+        dense = to_dense(msg.payload)
         assert dense[0] == pytest.approx(0.25 * 1.0)
         assert dense[2] == pytest.approx(0.25 * 2.0 + 0.75 * 4.0)
         assert dense[4] == pytest.approx(0.75 * 8.0)
@@ -169,7 +166,7 @@ class TestServer:
         server = Server(dimension=4)
         u1 = ClientUpload(0, SparseVector(np.array([1]), np.array([2.0]), 4), 1)
         selection = SelectionResult(np.array([1, 3]), [u1], 4)
-        dense = server.aggregate([u1], selection).payload.to_dense()
+        dense = to_dense(server.aggregate([u1], selection).payload)
         assert dense[1] == pytest.approx(2.0)
         assert dense[3] == 0.0
 

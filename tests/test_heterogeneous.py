@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic
 from repro.simulation.heterogeneous import (
     ClientProfile,
     ClientSampler,
@@ -13,6 +10,8 @@ from repro.simulation.heterogeneous import (
 )
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid
 
 
 def profiles(factors):

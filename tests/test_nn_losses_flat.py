@@ -9,7 +9,9 @@ from repro.nn.flat import FlatModel
 from repro.nn.init import glorot_uniform, he_normal, zeros_init
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import make_cnn, make_logistic, make_mlp
+from repro.nn.models import make_cnn, make_mlp
+
+from helpers import make_logistic
 
 RNG = np.random.default_rng(11)
 

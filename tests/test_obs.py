@@ -22,11 +22,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
+from repro.data.synthetic import make_femnist_like
 from repro.data.virtual import VirtualFederation
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic, make_mlp
+from repro.nn.models import make_mlp
 from repro.obs import (
     ENGINE_PHASES,
     EVENT_TYPES,
@@ -46,6 +45,8 @@ from repro.obs import (
 from repro.parallel.sharded import ShardedBackend
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid
 
 GOLDEN_REPORT = (
     pathlib.Path(__file__).parent / "data" / "golden_trace_report.json"
@@ -227,14 +228,11 @@ class TestSinks:
 
 
 class TestTelemetryFacade:
-    def test_counters_accumulate_gauges_overwrite(self):
+    def test_counters_accumulate(self):
         tel = Telemetry()
         tel.count("a")
         tel.count("a", 4)
-        tel.gauge("g", 1.0)
-        tel.gauge("g", 2.5)
         assert tel.counters == {"a": 5}
-        assert tel.gauges == {"g": 2.5}
 
     def test_annotations_ride_on_events(self):
         tel = Telemetry()
@@ -255,16 +253,15 @@ class TestTelemetryFacade:
         path = tmp_path / "trace.jsonl"
         tel = Telemetry(sink=JsonlSink(path))
         tel.count("pool.ipc_bytes_out", 128)
-        tel.gauge("workers", 2)
         tel.flush()
-        assert tel.counters == {} and tel.gauges == {}
+        assert tel.counters == {}
         tel.flush()  # empty flush emits nothing
         tel.count("pool.ipc_bytes_out", 64)
         tel.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["type"] for e in events] == ["counters", "counters"]
         assert events[0]["counters"] == {"pool.ipc_bytes_out": 128}
-        assert events[0]["gauges"] == {"workers": 2}
+        assert events[0]["gauges"] == {}
         # Delta semantics: the second snapshot never double-counts.
         assert events[1]["counters"] == {"pool.ipc_bytes_out": 64}
         # The aggregator sums the deltas back to the true total.
@@ -281,7 +278,6 @@ class TestTelemetryFacade:
         null = NullTelemetry()
         assert not null.enabled
         null.count("x")
-        null.gauge("x", 1.0)
         null.event("round")  # no validation, no storage
         null.annotate(figure="fig1")
         with null.span("x"):
@@ -438,14 +434,15 @@ class TestInstrumentationCounters:
         assert len(requests) == 2
         assert sum(counters[name] for name in requests) == 3 * 2
 
-    def test_virtual_lru_counters_surface(self):
+    def test_virtual_lru_counters_surface(self, monkeypatch):
+        monkeypatch.setattr(VirtualFederation, "CACHE_SIZE", 2)
         telemetry = Telemetry()
         fed = VirtualFederation.build(
-            population=10, cache_size=2, samples_per_client=6,
+            population=10, samples_per_client=6,
             num_classes=4, image_size=8, classes_per_writer=2, seed=3,
         )
         fed.telemetry = telemetry
-        for cid in range(4):  # 4 regenerations, 2 evictions at cache_size=2
+        for cid in range(4):  # 4 regenerations, 2 evictions at CACHE_SIZE=2
             fed.client_dataset(cid).x
         fed.client_dataset(3).x  # resident: pure LRU hit
         counters = telemetry.counters
@@ -645,17 +642,14 @@ class TestHealthMonitor:
             )
         assert alerts == []
 
-    def test_scan_trace_flags_injected_nan_loss(self, tmp_path):
-        from repro.obs import scan_trace
-
+    def test_trace_report_flags_injected_nan_loss(self, tmp_path):
         trace = tmp_path / "nan.jsonl"
         rows = [self._round(i, 1.0) for i in range(1, 4)]
         rows.append(self._round(4, float("nan")))
         # json.dumps writes bare NaN tokens — exactly the third-party
-        # trace shape the scanner must survive (our sink never does).
+        # trace shape the report must survive (our sink never does).
         trace.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        monitor = scan_trace(trace)
-        summary = monitor.summary()
+        summary = summarize_trace(trace)["health"]
         assert not summary["healthy"]
         assert summary["by_detector"] == {"divergence": 1}
 
@@ -665,8 +659,6 @@ class TestHealthMonitor:
         # whose loss diverges to +inf must still write parseable strict
         # JSONL (no bare ``Infinity`` token) and the replayed trace must
         # raise the divergence alert.
-        from repro.obs import scan_trace
-
         path = tmp_path / "trace.jsonl"
         tel = Telemetry(sink=JsonlSink(path))
         trainer = _trainer("serial", telemetry=tel)
@@ -687,7 +679,7 @@ class TestHealthMonitor:
                 rounds.append(record)
         diverged = [r for r in rounds if r.get("loss_nonfinite")]
         assert diverged and diverged[-1]["loss"] is None
-        summary = scan_trace(path).summary()
+        summary = summarize_trace(path)["health"]
         assert not summary["healthy"]
         assert summary["by_detector"]["divergence"] == 1
 

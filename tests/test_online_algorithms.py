@@ -142,7 +142,7 @@ class TestAdaptiveSignOGD:
             s = 1 if alg.k > 100.0 else -1
             alg.update(s)
         assert alg.restart_rounds, "expected at least one interval restart"
-        assert alg.current_interval.width < K.width
+        assert alg.interval.width < K.width
 
     def test_restart_requires_long_enough_instance(self):
         K = SearchInterval(1.0, 101.0)
@@ -160,8 +160,8 @@ class TestAdaptiveSignOGD:
         rng = np.random.default_rng(0)
         for _ in range(100):
             alg.update(int(rng.choice([-1, 1])))
-        assert alg.current_interval.kmin >= K.kmin
-        assert alg.current_interval.kmax <= K.kmax
+        assert alg.interval.kmin >= K.kmin
+        assert alg.interval.kmax <= K.kmax
 
     def test_none_skips_window_tracking(self):
         K = SearchInterval(1.0, 101.0)
@@ -198,7 +198,7 @@ class TestAdaptiveSignOGD:
         if alg.restart_rounds:
             # Right after a restart, δ uses the new small B at instance
             # round 1, so it should be below the pre-restart step.
-            assert alg.step_size() <= alg.current_interval.width / math.sqrt(2.0) + 1e-9
+            assert alg.step_size() <= alg.interval.width / math.sqrt(2.0) + 1e-9
 
 
 class TestEstimator:

@@ -18,11 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_gaussian_blobs
+from repro.fl import async_engine
 from repro.fl.async_engine import AdaptiveStalenessDiscount, AsyncFLTrainer
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic
 from repro.online import (
     AdaptiveKTrainer,
     AdaptiveSignOGD,
@@ -44,6 +42,8 @@ from repro.simulation.heterogeneous import (
 )
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid
 
 
 def reading_for(sign, value, probe_value):
@@ -85,7 +85,7 @@ class TestKnobWalksLikeTheBareWalker:
             knob.observe(reading_for(sign, knob.value, knob.value / 2.0))
         assert knob.history == bare.k_history
         assert walker.restart_rounds == bare.restart_rounds
-        assert walker.current_interval == bare.current_interval
+        assert walker.interval == bare.interval
 
     def test_algorithm3_is_algorithm2_until_the_first_restart(self):
         K = SearchInterval(1.0, 101.0)
@@ -187,10 +187,12 @@ def _straggler_profiles(fed):
 
 
 class TestZeroWidthIntervalFreezesTheWalk:
-    def test_all_three_adapters_stop_probing(self):
+    def test_all_three_adapters_stop_probing(self, monkeypatch):
         policy = SignPolicy(SignOGD(SearchInterval(5.0, 5.0)))
         deadline = AdaptiveDeadlinePolicy(SearchInterval(5.0, 5.0))
-        discount = AdaptiveStalenessDiscount(SearchInterval(0.5, 0.5))
+        monkeypatch.setattr(async_engine, "DEFAULT_EXPONENT_INTERVAL",
+                            (0.5, 0.5))
+        discount = AdaptiveStalenessDiscount()
         assert policy.probe_k() is None
         assert deadline.probe_deadline(1) is None
         assert deadline.probe_deadline_up(1) is None
@@ -229,16 +231,18 @@ class TestZeroWidthIntervalFreezesTheWalk:
         )
         trainer.run(4, k=9)
         assert scenario.stats.total_dropped > 0
-        assert pinned.deadline_history == [5.0] * 5
+        assert pinned.knob.history == [5.0] * 5
         assert pinned.algorithm.m == 5
 
-    def test_learned_exponent_commit_completes(self):
+    def test_learned_exponent_commit_completes(self, monkeypatch):
         model, fed = _setup()
         profiles = _straggler_profiles(fed)
         timing = HeterogeneousTimingModel(
             model.dimension, comm_time=8.0, profiles=profiles
         )
-        pinned = AdaptiveStalenessDiscount(SearchInterval(0.5, 0.5))
+        monkeypatch.setattr(async_engine, "DEFAULT_EXPONENT_INTERVAL",
+                            (0.5, 0.5))
+        pinned = AdaptiveStalenessDiscount()
         trainer = AsyncFLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.1,
             batch_size=8, seed=4, discount=pinned, commit_count=3,

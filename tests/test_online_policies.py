@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data.partition import partition_by_writer, partition_iid
-from repro.data.synthetic import make_femnist_like, make_gaussian_blobs
-from repro.nn.models import make_logistic, make_mlp
+from repro.data.partition import partition_by_writer
+from repro.data.synthetic import make_femnist_like
+from repro.nn.models import make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.algorithm3 import AdaptiveSignOGD
@@ -15,6 +15,8 @@ from repro.online.policy import KPolicy, RoundObservation, SignPolicy
 from repro.simulation.timing import TimingModel
 from repro.sparsify import fab_topk
 from repro.sparsify.fab_topk import FABTopK
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid
 
 
 def obs(k, probe_k, loss_prev, loss_now, loss_probe, round_time=10.0,
@@ -105,11 +107,12 @@ class TestExp3:
             assert any(abs(k - a) < 1e-9 for a in policy.arms)
             policy.observe(obs(k, None, 1.0, 0.9, None))
 
-    def test_learns_better_arm(self):
+    def test_learns_better_arm(self, monkeypatch):
         # Arm values: cost grows with distance from the best arm; EXP3
         # should concentrate probability mass near it.
+        monkeypatch.setattr(Exp3Policy, "GAMMA", 0.2)
         K = SearchInterval(1.0, 256.0)
-        policy = Exp3Policy(K, num_arms=8, gamma=0.2, seed=1)
+        policy = Exp3Policy(K, num_arms=8, seed=1)
         best = policy.arms[2]
         for _ in range(3000):
             k = policy.propose()
@@ -134,8 +137,6 @@ class TestExp3:
         K = SearchInterval(1.0, 10.0)
         with pytest.raises(ValueError):
             Exp3Policy(K, num_arms=1)
-        with pytest.raises(ValueError):
-            Exp3Policy(K, gamma=0.0)
 
     def test_weights_stable_long_run(self):
         policy = Exp3Policy(SearchInterval(1.0, 100.0), num_arms=8, seed=2)
@@ -185,8 +186,6 @@ class TestContinuousBandit:
 
     def test_validation(self):
         K = SearchInterval(1.0, 10.0)
-        with pytest.raises(ValueError):
-            ContinuousBandit(K, perturbation_fraction=0.0)
         with pytest.raises(ValueError):
             ContinuousBandit(K, k1=100.0)
 

@@ -26,7 +26,7 @@ from repro.data.synthetic import make_femnist_like
 from repro.data.virtual import VirtualFederation, VirtualSpec
 from repro.experiments.config import ExperimentConfig, scaled_config
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic, make_mlp
+from repro.nn.models import make_mlp
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import WorkerPool, default_worker_count
 from repro.parallel.sharded import ShardedBackend
@@ -40,6 +40,8 @@ from repro.parallel.sweep import (
 )
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
+
+from helpers import make_logistic
 
 
 def _federation(num_writers=6, seed=3, num_classes=8, image_size=6):
@@ -586,8 +588,10 @@ class TestShardedBackend:
         backend.close()  # close itself stays idempotent
 
 
-    def test_spawn_start_method_matches_serial(self):
-        backend = ShardedBackend(jobs=2, start_method="spawn")
+    def test_spawn_start_method_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "preferred_start_method",
+                            lambda: "spawn")
+        backend = ShardedBackend(jobs=2)
         fast = _trainer(backend)
         slow = _trainer("serial")
         try:

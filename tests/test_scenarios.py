@@ -68,11 +68,14 @@ from repro.scenarios import (
     TraceAvailability,
     upload_finish_times,
 )
+from repro.scenarios.availability import load_trace_json
 from repro.simulation.heterogeneous import ClientProfile, HeterogeneousTimingModel
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector
 from repro.sparsify.fab_topk import FABTopK
 from repro.sparsify.periodic import PeriodicK
+
+from helpers import materialize, to_dense
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_histories.json"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -152,7 +155,8 @@ class TestAvailability:
     def test_trace_from_json(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text(json.dumps({"rounds": [[0], [1, 2]], "cycle": False}))
-        av = TraceAvailability.from_json(path, self.IDS)
+        rounds, cycle = load_trace_json(path)
+        av = TraceAvailability(self.IDS, rounds, cycle=cycle)
         assert av.available_ids(1) == [0]
         assert av.available_ids(5) == [1, 2]
         assert not av.cycle
@@ -626,10 +630,10 @@ class TestDeadlineSchedules:
                 adaptive, loss_probe=0.5, probe_round_time=3.0
             ))
         assert adaptive.deadline == 5.0  # projected at the lower edge
-        assert adaptive.deadline_history == [5.0] * 5
+        assert adaptive.knob.history == [5.0] * 5
         assert all(
             SearchInterval(5.0, 6.0).contains(d)
-            for d in adaptive.deadline_history
+            for d in adaptive.knob.history
         )
 
     def _two_sided(self, adaptive, loss_probe, probe_round_time,
@@ -1123,8 +1127,8 @@ class TestScenarioBackendEquivalence:
         if variant == "adaptive-deadline":
             # The adaptation state lives in the parent and walked the
             # same path on both backends — and it actually walked.
-            trace_s = s_scn.hooks.policy.schedule.deadline_history
-            trace_f = f_scn.hooks.policy.schedule.deadline_history
+            trace_s = s_scn.hooks.policy.schedule.knob.history
+            trace_f = f_scn.hooks.policy.schedule.knob.history
             assert trace_s == trace_f
             assert len(set(trace_s)) > 1
         fast.close()
@@ -1183,8 +1187,6 @@ class TestPopulationSampler:
             PopulationSampler(model, count=0)
         with pytest.raises(ValueError, match="over_selection"):
             PopulationSampler(model, count=4, over_selection=-0.1)
-        with pytest.raises(ValueError, match="max_attempts"):
-            PopulationSampler(model, count=4, max_attempts=0)
 
     def test_build_requires_an_explicit_cohort(self):
         # participants=0 means "all available" in the list-based path —
@@ -1214,14 +1216,17 @@ class TestPopulationSampler:
                 self._model().is_online(cid, round_index) for cid in cohort
             )
 
-    def test_deep_outage_falls_back_to_offline_candidates(self):
+    def test_deep_outage_falls_back_to_offline_candidates(
+        self, monkeypatch
+    ):
         # Nobody ever recovers: the round still runs, filled from the
         # offline candidates in draw order (the population analogue of
         # the list sampler's everyone-offline fallback).
         from repro.scenarios import PopulationSampler
 
+        monkeypatch.setattr(PopulationSampler, "MAX_ATTEMPTS", 2)
         dark = self._model(p_drop=1.0, p_recover=0.0)
-        sampler = PopulationSampler(dark, count=5, seed=1, max_attempts=2)
+        sampler = PopulationSampler(dark, count=5, seed=1)
         sampler.sample()  # round 1: initial all-online state may linger
         cohort = sampler.sample()
         assert len(cohort) == 5
@@ -1236,7 +1241,7 @@ class TestVirtualScenarioEquivalence:
     difference is the data/client layer (lazy regeneration, LRU
     releases).  Histories, weights, residuals and the per-round drop
     sets must all stay bit-identical to the run over
-    ``federation.materialize()``.
+    ``materialize(federation)``.
     """
 
     #: sparsifier factory per row
@@ -1270,7 +1275,7 @@ class TestVirtualScenarioEquivalence:
     def test_drops_identical_to_materialized_twin(self, name):
         factory = self.VARIANTS[name]
         virtual, v_scn = self._trainer(self._virtual(), factory())
-        eager, e_scn = self._trainer(self._virtual().materialize(), factory())
+        eager, e_scn = self._trainer(materialize(self._virtual()), factory())
         hv = virtual.run(9, k=12)
         he = eager.run(9, k=12)
         assert history_rows(hv) == history_rows(he)
@@ -1473,7 +1478,7 @@ class TestAdaptiveDeadlineIntegration:
         _, scenario = self._run(ADAPTIVE_CHURN)
         schedule = scenario.hooks.policy.schedule
         assert isinstance(schedule, AdaptiveDeadlinePolicy)
-        history = schedule.deadline_history
+        history = schedule.knob.history
         # One decision per round plus the upcoming one.
         assert len(history) == len(scenario.stats.rounds) + 1
         assert len(set(history)) > 1  # it adapted
@@ -1488,7 +1493,7 @@ class TestAdaptiveDeadlineIntegration:
         )
         _, scenario = self._run(frozen_config)
         schedule = scenario.hooks.policy.schedule
-        assert schedule.deadline_history == [4.0] * (
+        assert schedule.knob.history == [4.0] * (
             len(scenario.stats.rounds) + 1
         )
         assert all(r.deadline == 4.0 for r in scenario.stats.rounds)
@@ -1531,7 +1536,7 @@ class TestAdaptiveDeadlineIntegration:
         )
         trainer.run(6, k=12)
         schedule = scenario.hooks.policy.schedule
-        assert schedule.deadline_history == [8.0] * 7
+        assert schedule.knob.history == [8.0] * 7
 
     def test_up_probe_fires_exactly_on_dropped_rounds(self):
         # The upward replay only carries information when the real
@@ -1592,7 +1597,7 @@ class TestAdaptiveDeadlineIntegration:
             if one_sided:
                 schedule.probe_deadline_up = lambda round_index: None
             trainer.run(10, k=12)
-            return schedule.deadline_history, down_always_usable
+            return schedule.knob.history, down_always_usable
 
         one, usable = trace(one_sided=True)
         two, _ = trace(one_sided=False)
@@ -1694,7 +1699,7 @@ class TestDroppedUploadRecovery:
         }[straggler.client_id]
         # The upload carries round 1's dropped gradient plus round 2's —
         # exact recovery through residual accumulation, not approximate.
-        np.testing.assert_array_equal(upload.payload.to_dense(), g1 + g2)
+        np.testing.assert_array_equal(to_dense(upload.payload), g1 + g2)
         # k = D transmitted everything, so the residual is fully drained.
         np.testing.assert_array_equal(
             straggler.residual, np.zeros(dimension)
@@ -1891,14 +1896,14 @@ class TestGoldenScenarioHistory:
             "adaptive_deadline_fl_trainer"
         )
         golden = json.loads(GOLDEN_PATH.read_text())
-        assert schedule.deadline_history == golden[
+        assert schedule.knob.history == golden[
             "adaptive_deadline_fl_trainer_deadlines"
         ]
         # d' unusable, d'' stepped the walk instead — at least once.
         assert fallback_rounds == [5, 8]
         for m in fallback_rounds:
-            assert (schedule.deadline_history[m]
-                    != schedule.deadline_history[m - 1])
+            assert (schedule.knob.history[m]
+                    != schedule.knob.history[m - 1])
 
     def test_deadline_drops_match_golden(self):
         trainer, scenario = _golden_scenario_trainer()

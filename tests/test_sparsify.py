@@ -28,6 +28,8 @@ from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.topk import ranked_indices, top_k_indices
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
+from helpers import to_dense
+
 RNG = np.random.default_rng(3)
 
 
@@ -268,7 +270,7 @@ class TestSparseVector:
     def test_dense_roundtrip(self):
         dense = np.array([0.0, 1.5, 0.0, -2.0])
         sv = SparseVector.from_dense(dense, np.array([1, 3]))
-        np.testing.assert_allclose(sv.to_dense(), [0.0, 1.5, 0.0, -2.0])
+        np.testing.assert_allclose(to_dense(sv), [0.0, 1.5, 0.0, -2.0])
 
     def test_sorts_indices(self):
         sv = SparseVector(np.array([3, 1]), np.array([30.0, 10.0]), 5)
@@ -536,9 +538,13 @@ class TestPeriodicK:
         ]
         result = p.server_select(uploads, k=4, dimension=d)
         np.testing.assert_array_equal(result.indices, np.sort(idx))
-        # Next round draws fresh indices.
-        idx2 = p.start_round(4)
-        assert not np.array_equal(np.sort(idx), np.sort(idx2)) or True
+        # The next round's first client draw takes the permutation's next
+        # 4 coordinates: 2k <= d, so it does not wrap and shares none
+        # with this round's.  A round set server_select failed to clear
+        # would be handed out again.
+        idx2 = p.client_select(dense, 4, np.random.default_rng(0))
+        assert idx2.size == 4
+        assert np.intersect1d(idx, idx2).size == 0
 
     def test_server_before_client_raises(self):
         p = PeriodicK(dimension=10)

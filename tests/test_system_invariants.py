@@ -9,11 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.partition import partition_iid
-from repro.data.synthetic import make_gaussian_blobs
 from repro.fl.fedavg import AlwaysSendAllTrainer
 from repro.fl.trainer import FLTrainer
-from repro.nn.models import make_logistic
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector
 from repro.sparsify.fab_topk import FABTopK
@@ -22,6 +19,8 @@ from repro.sparsify.unidirectional import UnidirectionalTopK
 from repro.fl.server import Server
 from repro.sparsify.base import SelectionResult
 from repro.sparsify.topk import top_k_indices
+
+from helpers import make_gaussian_blobs, make_logistic, partition_iid, to_dense
 
 
 def make_setup(seed=0, num_clients=3):
@@ -150,6 +149,6 @@ class TestServerAggregationProperty:
             dense_sum += weight * masked
             total_weight += weight
         selection = SelectionResult(np.arange(d), uploads, d)
-        aggregated = server.aggregate(uploads, selection).payload.to_dense()
+        aggregated = to_dense(server.aggregate(uploads, selection).payload)
         np.testing.assert_allclose(aggregated, dense_sum / total_weight,
                                    atol=1e-12)
