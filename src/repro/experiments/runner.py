@@ -123,9 +123,11 @@ def build_scenario(
 
     With ``config.scenario`` unset this is just :func:`build_timing` and
     ``None`` — the paper's ideal population.  Otherwise the scenario's
-    straggler profiles seed a :class:`~repro.simulation.heterogeneous.
-    HeterogeneousTimingModel` (so availability-only scenarios still pay
-    the straggler tail the deadline policy would cut), and the returned
+    straggler profiles — the enumerated designation, or a population's
+    per-cid map — seed a :class:`~repro.simulation.heterogeneous.
+    HeterogeneousTimingModel`, the one owner of client speeds: it paces
+    the straggler tail (which availability-only scenarios still pay) and
+    times the deadline gate's arrivals.  The returned
     :class:`~repro.scenarios.DeploymentScenario` is freshly built —
     scenarios hold mutable per-run state (availability chains, sampling
     RNG, and under ``deadline_policy: "adaptive"`` the online deadline
@@ -139,6 +141,7 @@ def build_scenario(
     from repro.simulation.heterogeneous import HeterogeneousTimingModel
 
     scenario_config = ScenarioConfig.from_dict(config.scenario)
+    comm_time = comm_time if comm_time is not None else config.comm_time
     if config.population:
         # Population-scale path: per-cid laws instead of enumerated
         # lists — O(cohort) per round at any N (``client_ids`` unused).
@@ -148,34 +151,17 @@ def build_scenario(
         model = PopulationModel.from_scenario_config(
             scenario_config, config.population
         )
-        if scenario_config.slow_fraction > 0.0:
-            timing = HeterogeneousTimingModel(
-                dimension=dimension,
-                comm_time=(
-                    comm_time if comm_time is not None else config.comm_time
-                ),
-                profiles=model.profiles,
-            )
-        else:
-            timing = build_timing(config, dimension, comm_time)
-        scenario = build_population_scenario(scenario_config, model, timing)
-        return timing, scenario
-    profiles = scenario_config.build_profiles(client_ids)
-    heterogeneous = any(
-        p.compute_factor != 1.0 or p.comm_factor != 1.0 for p in profiles
-    )
-    if heterogeneous:
-        timing = HeterogeneousTimingModel(
-            dimension=dimension,
-            comm_time=comm_time if comm_time is not None else config.comm_time,
-            profiles=profiles,
+        timing = HeterogeneousTimingModel(dimension, comm_time,
+                                          model.profiles)
+        return timing, build_population_scenario(
+            scenario_config, model, timing
         )
-    else:
-        timing = build_timing(config, dimension, comm_time)
-    scenario = DeploymentScenario.build(
-        scenario_config, client_ids, timing, profiles
+    timing = HeterogeneousTimingModel(
+        dimension, comm_time, scenario_config.build_profiles(client_ids)
     )
-    return timing, scenario
+    return timing, DeploymentScenario.build(
+        scenario_config, client_ids, timing
+    )
 
 
 def build_telemetry(config: ExperimentConfig):

@@ -20,9 +20,10 @@ upload-source steps and nothing else of the round):
    computed eagerly at the current weights ``w(v)`` (one
    ``backend.local_steps`` call per wave, so the serial / vectorized /
    sharded backends stay interchangeable) and scheduled to *arrive* at
-   ``now + finish_time``, the canonical compute+uplink arrival model
-   every deadline policy already shares
-   (:func:`repro.scenarios.deadline.upload_finish_times`).  The server
+   ``now + finish_time``, each upload's compute + uplink time at its
+   own client's speed — the timing model's
+   :meth:`~repro.simulation.timing.TimingModel.arrival_times`, the
+   same arrivals the deadline gate judges.  The server
    then pops arrivals in ``(arrival_time, client_id)`` order until
    ``commit_count`` uploads are buffered (``0`` = wait for every
    in-flight upload, the full-cohort barrier) and orders the batch by
@@ -33,7 +34,9 @@ upload-source steps and nothing else of the round):
    (``ctx.close_time``).
 3. **What the commit costs** — each commit's ``round_time`` is the
    virtual-clock delta from the previous commit's completion to this
-   one's (the close plus the downlink broadcast), so
+   one's (the close plus the downlink broadcast, paced by the batch's
+   slowest link: :meth:`~repro.simulation.timing.TimingModel.
+   broadcast_time`), so
    ``history.cumulative_time`` is simulated elapsed time and
    convergence-vs-time comparisons against the synchronous baseline are
    direct.
@@ -58,8 +61,8 @@ quantity (``tests/test_engine.py`` pins both).
 
 Staleness discounts (:func:`build_staleness_discount`):
 
-- ``constant`` — ``d(s) = c`` (default 1: pure FedAsync-style buffered
-  aggregation, no staleness correction);
+- ``constant`` — ``d(s) = 1``: pure FedAsync-style buffered
+  aggregation, no staleness correction;
 - ``polynomial`` — ``d(s) = (1 + s)^{-a}``, the standard polynomial
   staleness attenuation;
 - ``adaptive`` — the polynomial form with the exponent ``a`` *learned
@@ -96,6 +99,7 @@ from repro.fl.engine import (
 from repro.fl.trainer import FLTrainer, _apply_scenario
 from repro.online.interval import SearchInterval
 from repro.online.knob import OnlineKnob, Reading
+from repro.simulation.heterogeneous import check_profiles
 from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector, Sparsifier
 
@@ -143,20 +147,14 @@ class StalenessDiscount:
 
 
 class ConstantDiscount(StalenessDiscount):
-    """``d(s) = c`` — staleness-blind; ``c = 1`` is no discount at all."""
+    """``d(s) = 1`` — staleness-blind: no discount at all."""
 
     name = "constant"
-
-    def __init__(self, value: float = 1.0) -> None:
-        value = float(value)
-        if not 0.0 < value <= 1.0:
-            raise ValueError("discount value must be in (0, 1]")
-        self.value = value
 
     def factor(self, staleness: int) -> float:
         if staleness < 0:
             raise ValueError("staleness must be >= 0")
-        return self.value
+        return 1.0
 
 
 def polynomial_factor(staleness: int, exponent: float) -> float:
@@ -186,18 +184,19 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
     commits with no stale arrival carry no information about ``a`` and
     advance the walk with no reading (the paper's "value remains
     unchanged" rule).  The walk covers :data:`DEFAULT_EXPONENT_INTERVAL`
-    from its midpoint.  ``probe=False`` freezes the exponent there — a
+    from its midpoint.  With ``probe`` off the exponent stays there — a
     "frozen adaptive" control.
     """
 
     name = "adaptive"
     adaptive = True
+    #: whether commits probe the exponent (off: frozen at the midpoint)
+    probe = True
 
-    def __init__(self, probe: bool = True) -> None:
+    def __init__(self) -> None:
         self.knob = OnlineKnob.over(
             SearchInterval(*DEFAULT_EXPONENT_INTERVAL)
         )
-        self.probe = probe
 
     @property
     def exponent(self) -> float:
@@ -348,11 +347,11 @@ class AsyncRoundEngine(RoundEngine):
     discount:
         A :class:`StalenessDiscount` (default: identity
         :class:`ConstantDiscount`).
-    profiles:
-        ``client_id ->`` :class:`~repro.simulation.heterogeneous.
-        ClientProfile` map (or a profile list) feeding the arrival-time
-        model and pacing the broadcast; clients missing from the map
-        travel at unit speed.  Default: the timing model's map.
+
+    Arrival times and the broadcast come from the timing model's client
+    speeds (a :class:`~repro.simulation.heterogeneous.
+    HeterogeneousTimingModel`'s profiles); a client missing from its map
+    travels at unit speed.
     """
 
     def __init__(
@@ -360,17 +359,9 @@ class AsyncRoundEngine(RoundEngine):
         *args,
         commit_count: int = 0,
         discount: StalenessDiscount | None = None,
-        profiles=None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if profiles is not None:
-            # A map (a population's ProfileMap too) is used as-is: it is
-            # only ever asked about the clients in flight.
-            self.profiles = (
-                {p.client_id: p for p in profiles}
-                if isinstance(profiles, (list, tuple)) else profiles
-            )
         if commit_count < 0:
             raise ValueError("commit_count must be >= 0 (0 = full cohort)")
         # The caller's persistent hooks (an adversary seam) rewrite the
@@ -415,14 +406,13 @@ class AsyncRoundEngine(RoundEngine):
         weights and schedule the resulting uploads' virtual arrivals."""
         if not wave:
             return
-        # Local import: repro.scenarios imports the engine back (the
-        # same layering note as fl.trainer's duck-typed scenario seam).
-        from repro.scenarios.deadline import upload_finish_times
-
         uploads = self.backend.local_steps(
             self.model, wave, k, self.sparsifier, draw_probes=draw_probes
         )
-        finish = upload_finish_times(uploads, self.timing, self.profiles)
+        finish = self.timing.arrival_times(
+            [up.client_id for up in uploads],
+            [up.payload.nnz for up in uploads],
+        )
         now, version = self._vclock, self.version
         for client, upload, flight in zip(wave, uploads, finish):
             entry = _InFlight(
@@ -495,9 +485,10 @@ class AsyncRoundEngine(RoundEngine):
         # Virtual time: the server commits at the round's close (never
         # before it finished the previous broadcast), then broadcasts
         # the new model to the batch, paced by its slowest link.
-        commit_complete = (
-            max(ctx.close_time, self._vclock) + self._broadcast_time(ctx)
+        broadcast = self.timing.broadcast_time(
+            [c.client_id for c in ctx.cohort], ctx.selection.indices.size
         )
+        commit_complete = max(ctx.close_time, self._vclock) + broadcast
         # The whole commit-to-commit delta as one term: splitting it
         # into wait + downlink would re-associate the float sum the
         # history records.
@@ -529,15 +520,16 @@ class AsyncFLTrainer(FLTrainer):
         Arrivals the server buffers before each commit (0 = full-cohort
         barrier).
     profiles:
-        ``client_id -> ClientProfile`` map (or a profile list) feeding
-        the virtual arrival-time model; heterogeneous profiles are what
-        make commits reorder relative to dispatches.  Default: the
-        scenario's map, else the timing model's.
+        Kept only for callers that pass the timing model's profiles a
+        second time: it must describe exactly the timing model's map
+        (:func:`~repro.simulation.heterogeneous.check_profiles`), which
+        alone times arrivals — heterogeneous speeds are what make
+        commits reorder relative to dispatches.
     scenario:
         Optional :class:`~repro.scenarios.DeploymentScenario`; supplies
-        the sampler, straggler profile map, robust aggregator and
-        adversary seam (corruption + ``flagged`` reporting, chained
-        ahead of the commit hooks).  Its deadline gate stays out:
+        the sampler, robust aggregator and adversary seam (corruption +
+        ``flagged`` reporting, chained ahead of the commit hooks).  Its
+        deadline gate stays out:
         asynchronous commits replace deadline-driven partial aggregation
         (stragglers arrive late instead of being dropped).
     """
@@ -559,14 +551,14 @@ class AsyncFLTrainer(FLTrainer):
         if scenario is not None:
             # Commits replace the deadline gate; the adversary seam stays.
             settings["scenario_hooks"] = scenario.hooks.adversary_hooks
-            if profiles is None:
-                profiles = scenario.profiles
         if isinstance(discount, str):
             discount = build_staleness_discount(discount)
         super().__init__(
             model, federation, sparsifier, timing,
-            discount=discount, profiles=profiles, **settings,
+            discount=discount, **settings,
         )
+        if profiles is not None:
+            check_profiles(profiles, self.engine.timing)
 
     # ------------------------------------------------------------------
     @property

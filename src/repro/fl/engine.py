@@ -371,9 +371,6 @@ class RoundEngine:
         self.learning_rate = learning_rate
         self.eval_every = eval_every
         self.sampler = sampler
-        #: client id -> ClientProfile pacing the broadcast: the timing
-        #: model's own map (none on a homogeneous model: unit speed)
-        self.profiles = getattr(timing, "profiles", {})
         #: persistent hooks applied to *every* round under the per-call
         #: hooks (deployment scenarios: availability/deadline gating).
         self.scenario_hooks = scenario_hooks
@@ -699,44 +696,22 @@ class RoundEngine:
 
     def _charge(self, ctx: RoundContext) -> RoundTiming:
         """The round's time charge.  Barrier protocol: with no close
-        stated, the straggler tail of the timing model; once a gate
+        stated, the round paced by its slowest participant; once a gate
         closed the round (``ctx.close_by``), the computation, the wait
-        until that close, and the broadcast."""
+        until that close, and the broadcast to the cohort."""
         downlink_elements = ctx.selection.indices.size
         if ctx.close_time is None:
-            sparse_round_for = getattr(self.timing, "sparse_round_for", None)
-            if sparse_round_for is not None:
-                return sparse_round_for(
-                    ctx.uplink_elements, downlink_elements,
-                    ctx.participant_ids,
-                )
             return self.timing.sparse_round(
-                ctx.uplink_elements, downlink_elements
+                ctx.uplink_elements, downlink_elements, ctx.participant_ids
             )
         computation = self.timing.computation_time
         return RoundTiming(
             computation=computation,
             uplink=max(0.0, ctx.close_time - computation),
-            downlink=self._broadcast_time(ctx),
-        )
-
-    def _broadcast_time(self, ctx: RoundContext) -> float:
-        """Downlink time of the broadcast to ``ctx.cohort``, paced by the
-        slowest link among those ``self.profiles`` knows.  Base-class
-        transfer time: a HeterogeneousTimingModel's own downlink already
-        folds in its worst-client factor, which would double-count."""
-        profiles = self.profiles
-        worst_comm = max(
-            (
-                profiles[c.client_id].comm_factor
-                for c in ctx.cohort
-                if c.client_id in profiles
+            downlink=self.timing.broadcast_time(
+                [c.client_id for c in ctx.cohort], downlink_elements
             ),
-            default=1.0,
         )
-        return TimingModel.sparse_round(
-            self.timing, 0, ctx.selection.indices.size
-        ).downlink * worst_comm
 
     # ------------------------------------------------------------------
     # Skeleton primitives for trainers with a custom local phase

@@ -1,7 +1,7 @@
 """Summarize a JSONL trace file: the ``trace-report`` rollup.
 
-Replays a trace through :class:`MemoryAggregator`, so a post-hoc report
-of a file and the in-memory summary of a live run agree by construction.
+Replays a trace through :class:`MemoryAggregator`: the rollup is built
+from the file, after the run.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Telemetry sinks: the append-only JSONL file and in-memory aggregator.
+"""Telemetry sinks: the append-only JSONL file and the rollup a trace
+replays through (``trace-report``).
 
 The JSONL sink writes one complete line per event in append mode, so
 several processes (e.g. sweep workers tracing into the same file) each

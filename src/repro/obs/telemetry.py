@@ -6,8 +6,9 @@ Two implementations share one interface:
   ``enabled`` is ``False``, so instrumented hot paths pay exactly one
   attribute check before skipping all telemetry work.
 * :class:`Telemetry` — accumulates counters in memory, times spans
-  with the monotonic clock, and emits schema-validated events to an
-  in-memory aggregator plus (optionally) an append-only JSONL sink.
+  with the monotonic clock, and emits schema-validated events to
+  (optionally) an append-only JSONL sink; ``trace-report`` rolls the
+  file up afterwards (:func:`repro.obs.report.summarize_trace`).
 
 The hard invariant every emitter must respect: telemetry consumes **no
 RNG and touches no numeric training state**.  It only reads values the
@@ -21,7 +22,7 @@ import time
 from contextlib import contextmanager
 
 from .events import validate_event
-from .sinks import JsonlSink, MemoryAggregator
+from .sinks import JsonlSink
 
 #: Bytes per sparse upload element on the simulated wire: an int64
 #: coordinate plus a float64 value.
@@ -79,11 +80,8 @@ class Telemetry:
     #: override it via :class:`WorkerTelemetry`.
     process = "parent"
 
-    def __init__(self, sink: JsonlSink | None = None,
-                 aggregator: MemoryAggregator | None = None):
+    def __init__(self, sink: JsonlSink | None = None):
         self.sink = sink
-        self.aggregator = MemoryAggregator() if aggregator is None \
-            else aggregator
         #: Engine-maintained current round index, used to stamp merged
         #: worker events (set by ``RoundEngine.begin_round`` when tracing).
         self.current_round = 0
@@ -99,12 +97,11 @@ class Telemetry:
         self.annotations.update(fields)
 
     def event(self, kind: str, **fields) -> None:
-        """Emit one schema-validated event to the aggregator and sink."""
+        """Emit one schema-validated event to the sink."""
         record = {"type": kind, **self.annotations, **fields}
         if kind == "span":
             record.setdefault("process", self.process)
         validate_event(record)
-        self.aggregator.add(record)
         if self.sink is not None:
             self.sink.write(record)
 
@@ -147,12 +144,12 @@ class Telemetry:
 class WorkerTelemetry(Telemetry):
     """Buffered telemetry for one pool worker process.
 
-    Events never touch a sink or aggregator in the worker; they append to
-    an in-memory buffer stamped with the worker's ``process`` label and a
+    Events never touch a sink in the worker; they append to an in-memory
+    buffer stamped with the worker's ``process`` label and a
     worker-lifetime monotonic ``seq``.  The parent drains the buffer over
     the existing result pipe and re-emits every record through its own
-    :class:`Telemetry` (where validation, annotations, aggregation and
-    the JSONL sink happen), merging streams in deterministic
+    :class:`Telemetry` (where validation, annotations and the JSONL sink
+    happen), merging streams in deterministic
     ``(round, worker_id, seq)`` order.
 
     Same hard invariant as the parent facade: no RNG, no numeric state —
@@ -160,7 +157,7 @@ class WorkerTelemetry(Telemetry):
     """
 
     def __init__(self, process: str):
-        super().__init__(sink=None, aggregator=_NULL_AGGREGATOR)
+        super().__init__()
         self.process = process
         self._seq = 0
         self._buffer: list[dict] = []
@@ -178,17 +175,6 @@ class WorkerTelemetry(Telemetry):
         out = self._buffer
         self._buffer = []
         return out
-
-
-class _NullAggregator:
-    """Aggregator stand-in for worker-side telemetry (events buffer
-    instead of rolling up; the parent aggregates after the merge)."""
-
-    def add(self, record: dict) -> None:  # pragma: no cover - never called
-        pass
-
-
-_NULL_AGGREGATOR = _NullAggregator()
 
 
 def open_telemetry(path: str | None) -> NullTelemetry | Telemetry:

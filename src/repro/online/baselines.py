@@ -48,13 +48,10 @@ class ValueBasedGD(KPolicy):
 
     name = "value-based-gd"
 
-    def __init__(self, interval: SearchInterval, k1: float | None = None) -> None:
+    def __init__(self, interval: SearchInterval) -> None:
         self.interval = interval
-        self._k = float(k1) if k1 is not None else 0.5 * (
-            interval.kmin + interval.kmax
-        )
-        if not interval.contains(self._k):
-            raise ValueError(f"k1={self._k} outside interval")
+        # k_1 is the interval's midpoint.
+        self._k = 0.5 * (interval.kmin + interval.kmax)
         self._m = 1
         self.k_history: list[float] = [self._k]
 
@@ -168,18 +165,10 @@ class ContinuousBandit(KPolicy):
     PERTURBATION_FRACTION = 0.25
     LEARNING_FRACTION = 0.5
 
-    def __init__(
-        self,
-        interval: SearchInterval,
-        k1: float | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, interval: SearchInterval, seed: int = 0) -> None:
         self.interval = interval
-        self._z = float(k1) if k1 is not None else 0.5 * (
-            interval.kmin + interval.kmax
-        )
-        if not interval.contains(self._z):
-            raise ValueError(f"k1={self._z} outside interval")
+        # z_1 is the interval's midpoint.
+        self._z = 0.5 * (interval.kmin + interval.kmax)
         self._xi0 = self.PERTURBATION_FRACTION * interval.width
         self._eta0 = self.LEARNING_FRACTION * interval.width
         self._rng = np.random.default_rng(seed)

@@ -39,7 +39,6 @@ from repro.scenarios.deadline import (
     DeadlinePolicy,
     DeadlineRoundPolicy,
     DeadlineVerdict,
-    upload_finish_times,
 )
 from repro.scenarios.population import (
     PopulationSampler,
@@ -83,5 +82,4 @@ __all__ = [
     "build_adversary",
     "build_availability",
     "build_population_scenario",
-    "upload_finish_times",
 ]

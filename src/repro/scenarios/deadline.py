@@ -10,16 +10,15 @@ a dropped upload is not lost information — the untransmitted residual
 simply rides along and is recovered by top-k/FAB selection in a later
 round (``tests/test_scenarios.py`` proves the recovery is exact).
 
-Per-client finish times come from the same speed profiles that drive
-:class:`repro.simulation.heterogeneous.HeterogeneousTimingModel`:
+Per-client finish times come from the round's timing model, the one
+owner of client speeds
+(:meth:`repro.simulation.timing.TimingModel.arrival_times`):
 
     finish_i = computation_time · compute_factor_i
              + uplink_time(nnz_i) · comm_factor_i
 
-computed by :func:`upload_finish_times`, the one arrival-time helper
-every deadline policy shares.  Everything is a pure function of
-(uploads, profiles, round_index), so deadline verdicts are identical
-across execution backends.
+Everything is a pure function of (uploads, timing, round_index), so
+deadline verdicts are identical across execution backends.
 
 Round-close semantics ("charge the deadline, not the straggler tail"):
 
@@ -61,33 +60,7 @@ import numpy as np
 
 from repro.online.interval import SearchInterval
 from repro.online.knob import OnlineKnob, Reading
-from repro.simulation.heterogeneous import ClientProfile
-from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload
-
-
-def upload_finish_times(
-    uploads: list[ClientUpload],
-    timing: TimingModel,
-    profiles: dict[int, ClientProfile] | None = None,
-) -> np.ndarray:
-    """Per-upload compute+uplink finish times (normalized).
-
-    The single arrival-time computation every deadline policy consumes:
-    ``computation_time · compute_factor + uplink(nnz) · comm_factor``,
-    with a unit profile for clients missing from ``profiles``.
-    """
-    times = np.empty(len(uploads))
-    for i, up in enumerate(uploads):
-        profile = (profiles or {}).get(up.client_id)
-        cf = profile.compute_factor if profile is not None else 1.0
-        mf = profile.comm_factor if profile is not None else 1.0
-        # Base-class transfer time: a HeterogeneousTimingModel's own
-        # sparse_round already folds in its worst-client comm factor,
-        # which would double-count the per-client ``mf`` here.
-        uplink = TimingModel.sparse_round(timing, up.payload.nnz, 0).uplink
-        times[i] = timing.computation_time * cf + uplink * mf
-    return times
 
 
 # ----------------------------------------------------------------------
@@ -274,10 +247,10 @@ class DeadlineRoundPolicy:
         """Gate one round's uploads; a pure function of its arguments.
 
         ``finish`` holds the uploads' arrival times
-        (:func:`upload_finish_times`), ``deadline`` the budget to judge
-        them by (``None``: wait for everyone) — the one in force, or a
-        probe's counterfactual one, so a replay is a pure threshold
-        change.  ``target_uploads`` is the over-selection target ``m``
+        (:meth:`~repro.simulation.timing.TimingModel.arrival_times`),
+        ``deadline`` the budget to judge them by (``None``: wait for
+        everyone) — the one in force, or a probe's counterfactual one, so
+        a replay is a pure threshold change.  ``target_uploads`` is the over-selection target ``m``
         (``None`` means "as many as arrive" — plain deadline semantics).
         """
         if not uploads:

@@ -12,9 +12,10 @@ state.
 :func:`build_population_scenario` is the population analogue of
 :meth:`~repro.scenarios.scenario.DeploymentScenario.build`: same
 :class:`~repro.scenarios.scenario.ScenarioHooks` (the deadline gate is
-already O(cohort) — it only sees the round's uploads), same stats, but
-profiles come from the model's per-cid :class:`~repro.simulation.
-population.ProfileMap` instead of an enumerated list.
+already O(cohort) — it only sees the round's uploads), same stats; the
+gate times arrivals with the run's timing model, which carries the
+model's per-cid :class:`~repro.simulation.population.ProfileMap`
+instead of an enumerated profile list.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def build_population_scenario(
     The population analogue of :meth:`DeploymentScenario.build`: requires
     an explicit ``participants`` target (cohort size); ``model`` is the
     :meth:`PopulationModel.from_scenario_config` law the caller already
-    built (its per-cid profiles also time the run).  The returned
+    built; ``timing`` carries its per-cid profiles (a
+    :class:`~repro.simulation.heterogeneous.HeterogeneousTimingModel`
+    over ``model.profiles``) and times every client of the run.  The returned
     scenario plugs into trainers exactly like a list-based one
     (``.sampler`` / ``.hooks``).
     """
@@ -139,6 +142,4 @@ def build_population_scenario(
         seed=config.seed,
         stats=stats,
     )
-    return DeploymentScenario.assemble(
-        config, sampler, stats, timing, model.profiles
-    )
+    return DeploymentScenario.assemble(config, sampler, stats, timing)

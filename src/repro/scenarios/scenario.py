@@ -9,10 +9,11 @@ knows how to consume:
   (``m·(1+ε)`` clients under over-selection) from that set only.
 - :class:`ScenarioHooks` — a :class:`repro.fl.engine.RoundHooks` that
   gates the round's uploads through the :class:`~repro.scenarios.
-  deadline.DeadlineRoundPolicy`, drops the late ones *before* selection
-  and aggregation, and closes the round at the deadline-bounded close
-  (``ctx.close_by``) — the engine then charges that, not the straggler
-  tail.
+  deadline.DeadlineRoundPolicy` — each upload arriving when the timing
+  model, the one owner of client speeds, says it does — drops the late
+  ones *before* selection and aggregation, and closes the round at the
+  deadline-bounded close (``ctx.close_by``) — the engine then charges
+  that, not the straggler tail.
 
 Dropped-upload semantics (the part that makes the paper's sparsifiers
 shine under churn): a dropped client already accumulated its gradient
@@ -50,8 +51,8 @@ from repro.scenarios.availability import (
 )
 from repro.scenarios.config import ScenarioConfig
 from repro.online.knob import Reading
-from repro.scenarios.deadline import DeadlineRoundPolicy, upload_finish_times
-from repro.simulation.heterogeneous import ClientProfile
+from repro.scenarios.deadline import DeadlineRoundPolicy
+from repro.simulation.heterogeneous import ClientProfile, check_profiles
 from repro.simulation.timing import TimingModel
 
 
@@ -238,8 +239,8 @@ class ScenarioHooks(RoundHooks):
 
     - ``after_local_steps``: run the adversary seam first
       (:class:`~repro.scenarios.adversary.AdversaryHooks`: the gate
-      judges the wire the server would see), compute per-upload finish
-      times, apply the deadline verdict, filter
+      judges the wire the server would see), ask the timing model for
+      each upload's arrival time, apply the deadline verdict, filter
       ``ctx.uploads``/``ctx.participants`` down to the arrivals (late
       clients keep their residuals untouched — that is the recovery
       mechanism), set the aggregation weight for cohort-mode
@@ -278,7 +279,6 @@ class ScenarioHooks(RoundHooks):
         self,
         policy: DeadlineRoundPolicy,
         timing: TimingModel,
-        profiles: dict[int, ClientProfile] | None = None,
         target_uploads: int | None = None,
         reweight: str = "arrived",
         stats: ScenarioStats | None = None,
@@ -286,7 +286,6 @@ class ScenarioHooks(RoundHooks):
     ) -> None:
         self.policy = policy
         self.timing = timing
-        self.profiles = profiles or {}
         self.target_uploads = target_uploads
         self.reweight = reweight
         self.stats = stats if stats is not None else ScenarioStats()
@@ -328,7 +327,10 @@ class ScenarioHooks(RoundHooks):
             self._played_deadline = schedule.deadline_for(ctx.round_index)
         # One arrival-time computation judges the real gate and every
         # replay below.
-        finish = upload_finish_times(ctx.uploads, self.timing, self.profiles)
+        finish = self.timing.arrival_times(
+            [up.client_id for up in ctx.uploads],
+            [up.payload.nnz for up in ctx.uploads],
+        )
         verdict = self.policy.admit(
             ctx.uploads, finish, self._played_deadline, self.target_uploads
         )
@@ -484,17 +486,12 @@ class DeploymentScenario:
         sampler: ScenarioSampler,
         hooks: ScenarioHooks,
         stats: ScenarioStats,
-        profiles,
         aggregator: RobustAggregator | None = None,
     ) -> None:
         self.config = config
         self.sampler = sampler
         self.hooks = hooks
         self.stats = stats
-        #: client id -> ClientProfile (anything with ``in``/``[]``/
-        #: ``get``): what the gate times arrivals by, and what an async
-        #: trainer's engine paces arrivals by
-        self.profiles = profiles
         #: optional RobustAggregator the trainer threads into its engine
         #: (None = the paper's weighted mean, the unmodified server path)
         self.aggregator = aggregator
@@ -509,14 +506,15 @@ class DeploymentScenario:
     ) -> "DeploymentScenario":
         """Materialize ``config`` for a concrete population and timing.
 
-        ``profiles`` defaults to the config's seeded straggler
-        designation (:meth:`ScenarioConfig.build_profiles`); pass an
-        explicit list to reuse the profiles a
+        The gate times arrivals with ``timing``, the one owner of client
+        speeds: a config with stragglers (``slow_fraction > 0``) needs a
         :class:`~repro.simulation.heterogeneous.HeterogeneousTimingModel`
-        was built with.
+        built from :meth:`ScenarioConfig.build_profiles`.  ``profiles``
+        is kept only for callers that pass those profiles a second time
+        and must describe exactly the timing's map.
         """
-        if profiles is None:
-            profiles = config.build_profiles(client_ids)
+        if profiles is not None:
+            check_profiles(profiles, timing)
         stats = ScenarioStats()
         sampler = ScenarioSampler(
             build_availability(config, client_ids),
@@ -525,21 +523,27 @@ class DeploymentScenario:
             seed=config.seed,
             stats=stats,
         )
-        return cls.assemble(
-            config, sampler, stats, timing,
-            {p.client_id: p for p in profiles},
-        )
+        return cls.assemble(config, sampler, stats, timing)
 
     @classmethod
     def assemble(
         cls, config: ScenarioConfig, sampler, stats: ScenarioStats,
-        timing: TimingModel, profiles,
+        timing: TimingModel,
     ) -> "DeploymentScenario":
         """What every scenario shares once its sampler exists: the
-        deadline gate, the hooks (with the adversary — its designation
-        law is per-cid, so it needs no enumerated population) and the
-        aggregator.  ``profiles`` is a per-cid map (anything with
-        ``in``/``[]``/``get``), never enumerated."""
+        deadline gate (timing arrivals with ``timing``), the hooks (with
+        the adversary — its designation law is per-cid, so it needs no
+        enumerated population) and the aggregator.  A config with
+        stragglers (``slow_fraction > 0``) needs a timing model that
+        carries client profiles."""
+        if config.slow_fraction > 0 and not timing.profiles:
+            raise ValueError(
+                "this scenario has stragglers (slow_fraction > 0) but its "
+                "timing model carries no client profiles: build it as "
+                "HeterogeneousTimingModel(dimension, comm_time, profiles) "
+                "from config.build_profiles(client_ids) or a population's "
+                "profile map"
+            )
         hooks = ScenarioHooks(
             DeadlineRoundPolicy(
                 config.deadline_schedule(),
@@ -547,7 +551,6 @@ class DeploymentScenario:
                 min_uploads=config.min_uploads,
             ),
             timing,
-            profiles=profiles,
             target_uploads=config.participants or None,
             reweight=config.reweight,
             stats=stats,
@@ -556,7 +559,7 @@ class DeploymentScenario:
         aggregator = build_aggregator(
             config.aggregator, trim_fraction=config.trim_fraction
         )
-        return cls(config, sampler, hooks, stats, profiles, aggregator)
+        return cls(config, sampler, hooks, stats, aggregator)
 
 
 def build_availability(

@@ -6,11 +6,11 @@ round...".  This module provides:
 
 - :class:`ClientProfile` — per-client computation and communication speed
   multipliers.
-- :class:`HeterogeneousTimingModel` — a drop-in extension of
-  :class:`~repro.simulation.timing.TimingModel` where a synchronous round
-  is as slow as its slowest *participating* client (the straggler effect),
-  exposing the same ``sparse_round``/``dense_round``/``local_round``
-  surface plus participant-aware variants.
+- :class:`HeterogeneousTimingModel` — a
+  :class:`~repro.simulation.timing.TimingModel` carrying those profiles;
+  the timing model answers every per-client question with them (a round
+  as slow as its slowest participant, each upload's arrival, the
+  broadcast).
 - :class:`ClientSampler` — seeded per-round client-subset selection
   (uniform or speed-weighted), used by the trainers' ``sampler`` option.
 """
@@ -18,11 +18,12 @@ round...".  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from repro.simulation.timing import RoundTiming, TimingModel
+from repro.simulation.timing import TimingModel
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,9 @@ class ClientProfile:
 
 
 class HeterogeneousTimingModel(TimingModel):
-    """Synchronous-round timing dominated by the slowest participant."""
+    """A :class:`~repro.simulation.timing.TimingModel` that knows its
+    clients' speeds: ``profiles`` is a profile list (unique ids) or a
+    per-cid mapping, used as-is."""
 
     def __init__(
         self,
@@ -53,9 +56,7 @@ class HeterogeneousTimingModel(TimingModel):
         profiles: "list[ClientProfile] | Mapping[int, ClientProfile]",
     ) -> None:
         super().__init__(dimension, comm_time)
-        if isinstance(profiles, Mapping) or (
-            not isinstance(profiles, (list, tuple)) and hasattr(profiles, "values")
-        ):
+        if not isinstance(profiles, (list, tuple)):
             # A per-cid mapping (e.g. a population-scale ProfileMap whose
             # values() is the distribution's support) is used as-is.
             self.profiles = profiles
@@ -65,57 +66,26 @@ class HeterogeneousTimingModel(TimingModel):
         ids = [p.client_id for p in profiles]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate client ids in profiles")
-        self.profiles = {p.client_id: p for p in profiles}
+        self.profiles = MappingProxyType({p.client_id: p for p in profiles})
 
-    def _slowest(self, participants: list[int] | None) -> ClientProfile:
-        profiles = (
-            list(self.profiles.values())
-            if participants is None
-            else [self.profiles[cid] for cid in participants]
+
+def check_profiles(profiles, timing: TimingModel) -> None:
+    """Raise unless ``profiles`` describes exactly ``timing``'s map: a
+    list entry by entry, a mapping only as the timing's own object.
+
+    Client speeds live on the timing model; this guards the callers that
+    still hand the same map a second time."""
+    if isinstance(profiles, (list, tuple)):
+        by_id = {p.client_id: p for p in profiles}
+        same = len(by_id) == len(profiles) and by_id == timing.profiles
+    else:
+        same = profiles is timing.profiles
+    if not same:
+        raise ValueError(
+            "profiles must be the timing model's own map: build the "
+            "timing as HeterogeneousTimingModel(dimension, comm_time, "
+            "profiles) and let it time every client"
         )
-        if not profiles:
-            raise ValueError("no participants")
-        compute = max(p.compute_factor for p in profiles)
-        comm = max(p.comm_factor for p in profiles)
-        # Synthetic "slowest corner" profile: a synchronous round waits
-        # for the slowest computation AND the slowest transfer, which may
-        # belong to different clients.
-        return ClientProfile(client_id=-1, compute_factor=compute,
-                             comm_factor=comm)
-
-    def sparse_round_for(
-        self,
-        uplink_elements: int,
-        downlink_elements: int,
-        participants: list[int] | None = None,
-    ) -> RoundTiming:
-        """Sparse round slowed by the slowest participating client."""
-        base = super().sparse_round(uplink_elements, downlink_elements)
-        worst = self._slowest(participants)
-        return RoundTiming(
-            computation=base.computation * worst.compute_factor,
-            uplink=base.uplink * worst.comm_factor,
-            downlink=base.downlink * worst.comm_factor,
-        )
-
-    def dense_round_for(self, participants: list[int] | None = None
-                        ) -> RoundTiming:
-        base = super().dense_round()
-        worst = self._slowest(participants)
-        return RoundTiming(
-            computation=base.computation * worst.compute_factor,
-            uplink=base.uplink * worst.comm_factor,
-            downlink=base.downlink * worst.comm_factor,
-        )
-
-    # The plain TimingModel surface reports the all-clients round so the
-    # model stays a drop-in replacement for trainers without samplers.
-    def sparse_round(self, uplink_elements: int, downlink_elements: int
-                     ) -> RoundTiming:
-        return self.sparse_round_for(uplink_elements, downlink_elements, None)
-
-    def dense_round(self) -> RoundTiming:
-        return self.dense_round_for(None)
 
 
 class ClientSampler:

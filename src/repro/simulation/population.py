@@ -39,15 +39,15 @@ POPULATION_AVAILABILITY_KINDS = ("always", "markov", "diurnal")
 class ProfileMap:
     """Read-only per-cid profile mapping derived from seeds.
 
-    Satisfies the mapping surface the deadline gate and
+    Satisfies the mapping surface a
     :class:`~repro.simulation.heterogeneous.HeterogeneousTimingModel`
-    consume (``in`` / ``[]`` / ``get`` / ``values``) while deriving each
-    profile on demand: client ``cid`` is a straggler iff its personal
-    uniform draw falls below ``slow_fraction``.  ``values()`` returns the
-    *support* of the distribution (the distinct slow/fast profiles), which
-    is exactly what the timing model's all-clients worst-corner fallback
-    needs — enumerating a million identical profiles would answer the same
-    question in O(population).
+    times clients by (``in`` / ``[]`` / ``get`` / ``values``) while
+    deriving each profile on demand: client ``cid`` is a straggler iff
+    its personal uniform draw falls below ``slow_fraction``.
+    ``values()`` returns the *support* of the distribution (the distinct
+    slow/fast profiles), which is exactly what the timing model's
+    all-clients worst-corner fallback needs — enumerating a million
+    identical profiles would answer the same question in O(population).
     """
 
     def __init__(

@@ -708,8 +708,10 @@ class TestResidualHonesty:
             adversary="sign_flip", adversary_fraction=0.3,
             adversary_scale=10.0, aggregator="trimmed_mean", seed=1,
         )
-        timing = TimingModel(model.dimension, comm_time=10.0)
-        scenario = DeploymentScenario.build(config, ids, timing, profiles)
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=profiles
+        )
+        scenario = DeploymentScenario.build(config, ids, timing)
         assert scenario.hooks.adversary.is_adversary(ids[1])
         assert not scenario.hooks.adversary.is_adversary(ids[0])
         trainer = FLTrainer(
@@ -821,9 +823,8 @@ class TestFlaggedTelemetry:
         fed = _federation(seed=0)
         model = make_mlp(64, 8, hidden=(10,), seed=0)
         ids = [c.client_id for c in fed.clients]
-        profiles = config.build_profiles(ids)
         timing = TimingModel(model.dimension, comm_time=10.0)
-        scenario = DeploymentScenario.build(config, ids, timing, profiles)
+        scenario = DeploymentScenario.build(config, ids, timing)
         trainer = FLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.05,
             batch_size=8, eval_every=1, seed=0, scenario=scenario,

@@ -31,7 +31,9 @@ from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.baselines import ValueBasedGD
 from repro.online.interval import SearchInterval
 from repro.scenarios import DeploymentScenario, ScenarioConfig
-from repro.simulation.heterogeneous import ClientSampler
+from repro.simulation.heterogeneous import (
+    ClientSampler, HeterogeneousTimingModel,
+)
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
@@ -321,21 +323,23 @@ class TestEngineSettings:
                       sampler=ClientSampler(ids, 2))
 
     def test_async_takes_a_scenarios_adversary_seam_not_its_gate(self):
-        model, fed, timing = _parts()
-        attacked = DeploymentScenario.build(
-            ScenarioConfig(availability="always", adversary="sign_flip",
-                           adversary_fraction=0.5, slow_fraction=0.5),
-            [c.client_id for c in fed.clients], timing,
+        model, fed, _ = _parts()
+        config = ScenarioConfig(availability="always", adversary="sign_flip",
+                                adversary_fraction=0.5, slow_fraction=0.5)
+        ids = [c.client_id for c in fed.clients]
+        timing = HeterogeneousTimingModel(
+            model.dimension, 1.0, config.build_profiles(ids)
         )
+        attacked = DeploymentScenario.build(config, ids, timing)
         trainer = AsyncFLTrainer(
             model, fed, FABTopK(), timing, scenario=attacked, commit_count=2
         )
-        # The deadline gate stays out; the adversary seam, profiles and
-        # sampler go in.
+        # The deadline gate stays out; the adversary seam and sampler go
+        # in, and the timing model times the arrivals.
         seam, commit = trainer.engine.scenario_hooks.hooks
         assert seam is attacked.hooks.adversary_hooks
         assert type(commit).__name__ == "_CommitHooks"
-        assert set(trainer.engine.profiles) == {
+        assert set(trainer.engine.timing.profiles) == {
             c.client_id for c in fed.clients
         }
         assert trainer.engine.sampler is attacked.sampler

@@ -644,41 +644,106 @@ def _called_name(func):
     return None
 
 
-def _set_names(path):
-    """``(names, positions)``: every call keyword and string dict key in
-    ``path`` — the ways a caller sets a setting by name — and every
-    ``(called name, index)`` a call fills positionally, up to its first
-    ``*args``.  A definition's own defaults are not keywords, and a
-    ``**settings`` pass-through names nothing."""
-    names, positions = set(), set()
+def _callables(paths):
+    """``(bases, forwarding)`` over every class and function defined in
+    ``paths``: name -> its base class names (none for a function), and
+    the names whose definition (a class's ``__init__``) takes ``**`` — a
+    keyword passed to those may reach any class."""
+    bases, forwarding = {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    base.id for base in node.bases
+                    if isinstance(base, ast.Name)
+                )
+                forwarding.update(
+                    node.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__" and item.args.kwarg
+                )
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name != "__init__"):
+                if node.args.kwarg:
+                    forwarding.add(node.name)
+                bases.setdefault(node.name, set())
+    return bases, forwarding
+
+
+def _plain_callee(func, bases, forwarding):
+    """The class or function a call names — ``f(...)``, ``m.f(...)`` —
+    when it is one defined in the roots' reach that takes no ``**``;
+    else None (``dict``, ``cls``, ``super().__init__``, a subscript, a
+    forwarder: the keyword may reach any class)."""
+    name = _called_name(func)
+    if isinstance(func, ast.Attribute) and not isinstance(
+            func.value, (ast.Name, ast.Attribute)):
+        return None
+    if name not in bases or name in forwarding:
+        return None
+    return name
+
+
+def _set_names(path, bases, forwarding, keys_count):
+    """``(names, bound, positions)``: the call keywords that may set any
+    class's setting (the callee is no plain class or function, or it
+    forwards ``**``) plus, with ``keys_count``, every string key of a
+    dict literal that merges ``**``;
+    ``(class, keyword)`` for each keyword passed to a plain callee —
+    also binding the callee's base classes, whose ``__init__`` it may
+    inherit; and every ``(called name, index)`` a call fills
+    positionally, up to its first ``*args``.  A definition's own
+    defaults are not keywords, and a ``**settings`` pass-through names
+    nothing."""
+    names, bound, positions = set(), set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.keyword) and node.arg is not None:
-            names.add(node.arg)
-        elif isinstance(node, ast.Dict):
+        if isinstance(node, ast.Dict) and keys_count and None in node.keys:
             names.update(
                 key.value for key in node.keys
                 if isinstance(key, ast.Constant) and isinstance(key.value, str)
             )
-        elif isinstance(node, ast.Call) and _called_name(node.func):
-            for index, arg in enumerate(node.args):
-                if isinstance(arg, ast.Starred):
-                    break
-                positions.add((_called_name(node.func), index))
-    return names, positions
+        elif isinstance(node, ast.Call):
+            callee = _plain_callee(node.func, bases, forwarding)
+            owners, todo = set(), [callee] if callee else []
+            while todo:
+                owner = todo.pop()
+                if owner not in owners:
+                    owners.add(owner)
+                    todo += bases.get(owner, ())
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    continue
+                if callee is None:
+                    names.add(keyword.arg)
+                else:
+                    bound.update((owner, keyword.arg) for owner in owners)
+            if _called_name(node.func):
+                for index, arg in enumerate(node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    positions.add((_called_name(node.func), index))
+    return names, bound, positions
 
 
 def _unset_settings(roots, modules):
     """``Class.setting`` for every defaulted ``__init__`` parameter of a
     class defined in a module the roots reach that nothing they reach
-    sets: by keyword or dict key, or positionally by the class's name."""
+    sets: by a keyword to the class (or to a callee that may reach any
+    class), by a string key of a module's dict that merges ``**``, or
+    positionally by the class's name."""
     paths = _reached_files(roots, modules)
-    names, positions = set(), set()
+    sources = set(modules.values())
+    bases, forwarding = _callables(paths)
+    names, bound, positions = set(), set(), set()
     for path in paths:
-        path_names, path_positions = _set_names(path)
+        path_names, path_bound, path_positions = _set_names(
+            path, bases, forwarding, keys_count=path in sources
+        )
         names |= path_names
+        bound |= path_bound
         positions |= path_positions
     unset = []
-    for path in sorted(paths & set(modules.values())):
+    for path in sorted(paths & sources):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -689,7 +754,9 @@ def _unset_settings(roots, modules):
                 positional, defaulted = _init_settings(item)
                 unset += [
                     f"{node.name}.{name}" for name in defaulted
-                    if name not in names and not (
+                    if name not in names
+                    and (node.name, name) not in bound
+                    and not (
                         name in positional
                         and (node.name, positional.index(name)) in positions
                     )
@@ -750,6 +817,55 @@ class TestEverySettingIsSet:
         assert unset == [
             "Engine.depth", "Engine.lanes", "Engine.spill", "Engine.tail",
         ]
+
+    def test_a_keyword_sets_only_the_class_it_calls(self, tmp_path):
+        # Guard against the same word setting an unrelated class: an
+        # unrelated ``Reading(value=)`` call and a harness's JSON
+        # ``"value"`` key once made ``Discount(value=)`` look set.  A
+        # keyword binds to the class it calls and that class's bases;
+        # it counts for every class only through a callee that is no
+        # plain name (``dict``, ``cls``, ``super().__init__``, a
+        # subscript) or that forwards ``**``; a string key counts only
+        # in a module's dict literal that merges ``**``.
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        for name, source in {
+            "__init__.py": "",
+            "discount.py": (
+                "class Discount:\n"
+                "    def __init__(self, value=1.0, probe=True, scale=1,\n"
+                "                 rate=0, width=0, depth=0, lanes=0):\n"
+                "        pass\n"
+                "class Half(Discount):\n"
+                "    pass\n"
+                "class Reading:\n"
+                "    def __init__(self, value=None):\n"
+                "        pass\n"
+                "def build(**kwargs):\n"
+                "    return Discount(**kwargs)\n"
+            ),
+            "wiring.py": (
+                "from pkg.discount import Discount, Half, Reading, build\n"
+                "EVENTS = {'probe': 1}\n"
+                "def run(cls, settings, table):\n"
+                "    Reading(value=2.0)\n"
+                "    Half(scale=2)\n"
+                "    build(rate=3)\n"
+                "    settings = dict(width=1)\n"
+                "    table['x'](lanes=2)\n"
+                "    return Discount(**{**settings, 'depth': 1})\n"
+            ),
+            "root.py": "def main():\n    from pkg.wiring import run\n",
+        }.items():
+            (pkg / name).write_text(source)
+        harness = tmp_path / "bench" / "harness.py"
+        harness.parent.mkdir()
+        harness.write_text("RESULT = {'value': 1.0, 'probe': True}\n")
+        unset = _unset_settings(
+            [(pkg / "root.py", "pkg.root"), (harness, "")],
+            _module_files(tmp_path / "src"),
+        )
+        assert unset == ["Discount.probe", "Discount.value"]
 
     def test_fl_trainer_documents_exactly_the_engine_settings(self):
         doc = inspect.cleandoc(FLTrainer.__doc__)

@@ -15,6 +15,9 @@ from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_mlp
 from repro.online.adaptive_trainer import LearnedK
+from repro.simulation.heterogeneous import (
+    ClientProfile, HeterogeneousTimingModel,
+)
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify.fab_topk import FABTopK
@@ -371,6 +374,24 @@ class TestFedAvg:
         timing = TimingModel(dimension=model.dimension, comm_time=1.0)
         with pytest.raises(ValueError):
             FedAvgTrainer(model, federation, timing, aggregation_period=0)
+
+    def test_local_rounds_pay_the_straggler_too(self, federation):
+        # Every client computes every round, so a local-SGD round waits
+        # for the slowest computation just as an averaging round does.
+        model = make_logistic(10, 4, seed=0)
+        ids = [c.client_id for c in federation.clients]
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0,
+            profiles=[ClientProfile(ids[0], compute_factor=4.0,
+                                    comm_factor=2.0)]
+            + [ClientProfile(cid) for cid in ids[1:]],
+        )
+        trainer = FedAvgTrainer(model, federation, timing,
+                                aggregation_period=3)
+        trainer.run(3)
+        assert [r.round_time for r in trainer.history] == [
+            4.0, 4.0, 4.0 + 2.0 * 10.0,
+        ]
 
 
 class TestAlwaysSendAll:

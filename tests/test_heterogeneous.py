@@ -8,7 +8,7 @@ from repro.simulation.heterogeneous import (
     ClientSampler,
     HeterogeneousTimingModel,
 )
-from repro.simulation.timing import TimingModel
+from repro.simulation.timing import RoundTiming, TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
 from helpers import make_gaussian_blobs, make_logistic, partition_iid
@@ -55,8 +55,8 @@ class TestHeterogeneousTimingModel:
             dimension=1000, comm_time=10.0,
             profiles=profiles([(1.0, 1.0), (5.0, 5.0)]),
         )
-        slow = het.sparse_round_for(100, 100, participants=[0, 1]).total
-        fast = het.sparse_round_for(100, 100, participants=[0]).total
+        slow = het.sparse_round(100, 100, participants=[0, 1]).total
+        fast = het.sparse_round(100, 100, participants=[0]).total
         assert fast < slow
 
     def test_dense_round_for(self):
@@ -64,8 +64,16 @@ class TestHeterogeneousTimingModel:
             dimension=100, comm_time=4.0,
             profiles=profiles([(2.0, 1.0), (1.0, 3.0)]),
         )
-        rt = het.dense_round_for([0])
+        rt = het.dense_round([0])
         assert rt.computation == pytest.approx(2.0)
+
+    def test_local_round_pays_the_slowest_computation(self):
+        het = HeterogeneousTimingModel(
+            dimension=100, comm_time=4.0,
+            profiles=profiles([(2.0, 1.0), (1.0, 3.0)]),
+        )
+        assert het.local_round() == RoundTiming(2.0, 0.0, 0.0)
+        assert het.local_round([1]) == RoundTiming(1.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,7 +85,7 @@ class TestHeterogeneousTimingModel:
             )
         het = HeterogeneousTimingModel(100, 1.0, profiles=profiles([(1, 1)]))
         with pytest.raises(ValueError):
-            het.sparse_round_for(1, 1, participants=[])
+            het.sparse_round(1, 1, participants=[])
 
 
 class TestClientSampler:

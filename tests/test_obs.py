@@ -234,20 +234,26 @@ class TestTelemetryFacade:
         tel.count("a", 4)
         assert tel.counters == {"a": 5}
 
-    def test_annotations_ride_on_events(self):
-        tel = Telemetry()
+    def test_annotations_ride_on_events(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tel = Telemetry(sink=JsonlSink(path))
         tel.annotate(figure="fig4", method="fab-top-k")
         tel.event("span", name="x", seconds=0.1)
-        assert tel.aggregator.event_counts == {"span": 1}
-        # Events are validated before reaching the aggregator/sink.
+        # Events are validated before reaching the sink.
         with pytest.raises(ValueError, match="missing"):
             tel.event("span", name="unfinished")
+        tel.close()
+        assert [json.loads(line) for line in path.read_text().splitlines()] \
+            == [{"type": "span", "figure": "fig4", "method": "fab-top-k",
+                 "name": "x", "seconds": 0.1, "process": "parent"}]
 
-    def test_span_times_a_block(self):
-        tel = Telemetry()
+    def test_span_times_a_block(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        tel = Telemetry(sink=JsonlSink(path))
         with tel.span("work", figure="fig1"):
             pass
-        assert tel.aggregator.span_seconds["work"] >= 0.0
+        tel.close()
+        assert summarize_trace(path)["span_seconds"]["work"] >= 0.0
 
     def test_flush_snapshots_and_resets(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -264,8 +270,10 @@ class TestTelemetryFacade:
         assert events[0]["gauges"] == {}
         # Delta semantics: the second snapshot never double-counts.
         assert events[1]["counters"] == {"pool.ipc_bytes_out": 64}
-        # The aggregator sums the deltas back to the true total.
-        assert tel.aggregator.counters == {"pool.ipc_bytes_out": 192}
+        # The report sums the deltas back to the true total.
+        assert summarize_trace(path)["counters"] == {
+            "pool.ipc_bytes_out": 192
+        }
 
     def test_open_telemetry(self, tmp_path):
         assert open_telemetry(None) is NULL_TELEMETRY
@@ -417,7 +425,7 @@ class TestInstrumentationCounters:
         trainer.run(3, k=10)
         trainer.close()
         telemetry.close()
-        counters = telemetry.aggregator.counters
+        counters = summarize_trace(tmp_path / "trace.jsonl")["counters"]
         assert counters["pool.ipc_bytes_out"] > 0
         assert counters["pool.ipc_bytes_back"] > 0
         # No probe rounds here, so nothing but gradients came back and

@@ -71,8 +71,8 @@ class TestSignPolicy:
 
 class TestValueBasedGD:
     def test_moves_against_derivative(self):
-        K = SearchInterval(1.0, 101.0)
-        policy = ValueBasedGD(K, k1=50.0)
+        K = SearchInterval(1.0, 99.0)  # k_1 = 50, the midpoint
+        policy = ValueBasedGD(K)
         probe = policy.probe_k()
         assert probe is not None and probe < 50.0
         policy.observe(obs(50.0, probe, 1.0, 0.8, 0.8,
@@ -80,22 +80,18 @@ class TestValueBasedGD:
         assert policy.propose() < 50.0
 
     def test_missing_probe_keeps_k(self):
-        policy = ValueBasedGD(SearchInterval(1.0, 101.0), k1=40.0)
+        policy = ValueBasedGD(SearchInterval(1.0, 79.0))  # k_1 = 40
         policy.observe(obs(40.0, None, 1.0, 1.1, None))
         assert policy.propose() == 40.0
 
     def test_stays_in_interval(self):
         K = SearchInterval(10.0, 20.0)
-        policy = ValueBasedGD(K, k1=15.0)
+        policy = ValueBasedGD(K)
         probe = policy.probe_k()
         # Enormous derivative must be clipped by projection.
         policy.observe(obs(15.0, probe, 1.0, 0.5, 0.999,
                            round_time=1000.0, probe_round_time=999.0))
         assert K.contains(policy.propose())
-
-    def test_k1_validation(self):
-        with pytest.raises(ValueError):
-            ValueBasedGD(SearchInterval(10.0, 20.0), k1=5.0)
 
 
 class TestExp3:
@@ -151,8 +147,8 @@ class TestExp3:
 
 class TestContinuousBandit:
     def test_plays_perturbed_points(self):
-        K = SearchInterval(1.0, 101.0)
-        policy = ContinuousBandit(K, k1=50.0, seed=0)
+        K = SearchInterval(1.0, 99.0)  # z_1 = 50, the midpoint
+        policy = ContinuousBandit(K, seed=0)
         ks = {policy.propose() for _ in range(10)}
         assert len(ks) >= 2  # ± perturbations
         for k in ks:
@@ -170,7 +166,8 @@ class TestContinuousBandit:
         K = SearchInterval(1.0, 101.0)
         finals = []
         for seed in range(5):
-            policy = ContinuousBandit(K, k1=80.0, seed=seed)
+            policy = ContinuousBandit(K, seed=seed)
+            policy._z = 80.0  # start high
             for _ in range(2000):
                 k = policy.propose()
                 policy.observe(obs(k, None, 1.0, 0.5, None, cost=k))
@@ -178,16 +175,11 @@ class TestContinuousBandit:
         assert np.mean(finals) < 75.0
 
     def test_missing_cost_skips_update(self):
-        policy = ContinuousBandit(SearchInterval(1.0, 101.0), k1=50.0, seed=0)
+        policy = ContinuousBandit(SearchInterval(1.0, 99.0), seed=0)
         policy.propose()
         z = policy._z
         policy.observe(obs(50.0, None, 1.0, 1.5, None, cost=None))
         assert policy._z == z
-
-    def test_validation(self):
-        K = SearchInterval(1.0, 10.0)
-        with pytest.raises(ValueError):
-            ContinuousBandit(K, k1=100.0)
 
 
 class TestAdaptiveKTrainer:

@@ -30,7 +30,10 @@ from repro.online.adaptive_trainer import AdaptiveKTrainer, LearnedK
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import KPolicy, SignPolicy
-from repro.simulation.heterogeneous import ClientSampler
+from repro.simulation.heterogeneous import (
+    ClientProfile, ClientSampler, HeterogeneousTimingModel,
+)
+from repro.simulation.population import ProfileMap
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SelectionResult, SparseVector
 from repro.sparsify import fab_topk
@@ -1509,6 +1512,178 @@ class TestDeadlineGateAgainstReference:
         assert np.float64(verdict.close_time).tobytes() == (
             np.float64(close).tobytes()
         )
+
+
+# ----------------------------------------------------------------------
+# Client speeds: the normalized-time model (Section V, footnotes 3 and
+# 5) with Section VI's heterogeneous clients
+# ----------------------------------------------------------------------
+def reference_direction(dimension, comm_time, elements, pair):
+    """One direction carrying ``elements`` entries: β/2 per full vector,
+    ``pair`` dense elements per entry, never more than the dense D."""
+    return comm_time / 2.0 * min(elements * pair, dimension) / dimension
+
+
+def reference_slowest(profiles, participants):
+    """(slowest compute, slowest comm) over the participants — every
+    known profile when None; the two may be different clients."""
+    chosen = (
+        list(profiles.values()) if participants is None
+        else [profiles[cid] for cid in participants]
+    )
+    return (max(p.compute_factor for p in chosen),
+            max(p.comm_factor for p in chosen))
+
+
+def reference_round(dimension, comm_time, profiles, participants,
+                    uplink, downlink, pair):
+    """A synchronous round paced by its slowest participant:
+    (computation, uplink, downlink)."""
+    compute, comm = reference_slowest(profiles, participants)
+    return (
+        1.0 * compute,
+        reference_direction(dimension, comm_time, uplink, pair) * comm,
+        reference_direction(dimension, comm_time, downlink, pair) * comm,
+    )
+
+
+def reference_arrivals(dimension, comm_time, profiles, client_ids, nnz):
+    """Each upload's compute + uplink finish time at its own client's
+    speed; a client missing from the map runs at unit speed."""
+    times = []
+    for cid, elements in zip(client_ids, nnz):
+        profile = profiles.get(cid)
+        compute = profile.compute_factor if profile is not None else 1.0
+        comm = profile.comm_factor if profile is not None else 1.0
+        times.append(
+            1.0 * compute
+            + reference_direction(dimension, comm_time, elements, 2.0) * comm
+        )
+    return times
+
+
+def reference_broadcast(dimension, comm_time, profiles, cohort, elements):
+    """The downlink to the whole cohort, paced by its slowest known
+    link."""
+    worst = max(
+        (profiles[cid].comm_factor for cid in cohort if cid in profiles),
+        default=1.0,
+    )
+    return reference_direction(dimension, comm_time, elements, 2.0) * worst
+
+
+def float_hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def speed_maps(draw):
+    """A profile list (ids 0..n−1) or a population's ``ProfileMap``."""
+    if draw(st.booleans()):
+        factors = st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0, 4.0, 8.0])
+        n = draw(st.integers(1, 6))
+        return [
+            ClientProfile(cid, compute_factor=draw(factors),
+                          comm_factor=draw(factors))
+            for cid in range(n)
+        ]
+    return ProfileMap(
+        draw(st.integers(1, 64)),
+        slow_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        slow_factor=draw(st.sampled_from([0.5, 4.0])),
+        seed=draw(st.integers(0, 3)),
+    )
+
+
+class TestClientSpeedsAgainstReference:
+    """Every per-client time the simulator charges — the slowest-client
+    round, each upload's arrival and the cohort broadcast — equals its
+    literal formula float for float, on profile lists and population
+    maps, participant subsets and the all-clients fallback, and element
+    counts from 0 to past D/2 (where the dense cap binds)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rounds_arrivals_and_broadcast(self, data):
+        speeds = data.draw(speed_maps())
+        dimension = data.draw(st.integers(1, 300))
+        comm_time = data.draw(st.sampled_from([0.0, 0.3, 1.0, 7.0, 10.0]))
+        timing = HeterogeneousTimingModel(dimension, comm_time, speeds)
+        profiles = (
+            {p.client_id: p for p in speeds} if isinstance(speeds, list)
+            else speeds
+        )
+        known = (
+            sorted(profiles) if isinstance(speeds, list)
+            else list(range(speeds.population))
+        )
+        participants = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(known), min_size=1, max_size=8,
+                     unique=True),
+        ))
+        elements = st.integers(0, dimension)
+        uplink, downlink = data.draw(elements), data.draw(elements)
+
+        sparse = timing.sparse_round(uplink, downlink, participants)
+        assert float_hex(
+            (sparse.computation, sparse.uplink, sparse.downlink)
+        ) == float_hex(reference_round(
+            dimension, comm_time, profiles, participants,
+            uplink, downlink, 2.0,
+        ))
+        dense = timing.dense_round(participants)
+        assert float_hex(
+            (dense.computation, dense.uplink, dense.downlink)
+        ) == float_hex(reference_round(
+            dimension, comm_time, profiles, participants,
+            dimension, dimension, 1.0,
+        ))
+        local = timing.local_round(participants)
+        assert float_hex(
+            (local.computation, local.uplink, local.downlink)
+        ) == float_hex(reference_round(
+            dimension, comm_time, profiles, participants, 0, 0, 2.0,
+        ))
+        # No map charges what unit profiles charge.
+        plain = TimingModel(dimension, comm_time).sparse_round(
+            uplink, downlink, participants
+        )
+        unit = {cid: ClientProfile(cid) for cid in participants or [0]}
+        assert float_hex(
+            (plain.computation, plain.uplink, plain.downlink)
+        ) == float_hex(reference_round(
+            dimension, comm_time, unit, participants, uplink, downlink, 2.0,
+        ))
+
+        # Arrivals also cover clients the map does not know.
+        client_ids = data.draw(st.lists(
+            st.one_of(st.sampled_from(known), st.integers(1000, 1003)),
+            min_size=1, max_size=8, unique=True,
+        ))
+        nnz = [data.draw(elements) for _ in client_ids]
+        arrivals = timing.arrival_times(client_ids, nnz)
+        assert float_hex(arrivals) == float_hex(reference_arrivals(
+            dimension, comm_time, profiles, client_ids, nnz
+        ))
+
+        cohort = participants if participants is not None else known[:8]
+        broadcast = timing.broadcast_time(cohort, downlink)
+        assert float_hex([broadcast]) == float_hex([reference_broadcast(
+            dimension, comm_time, profiles, cohort, downlink
+        )])
+
+    def test_a_client_missing_from_the_map_runs_at_unit_speed(self):
+        fast = ClientProfile(0, compute_factor=0.5, comm_factor=0.25)
+        timing = HeterogeneousTimingModel(100, 10.0, [fast])
+        one_way = reference_direction(100, 10.0, 20, 2.0)
+        assert timing.sparse_round(20, 20, [0]).computation == 0.5
+        assert timing.sparse_round(20, 20, [0, 7]).computation == 1.0
+        assert timing.broadcast_time([0], 20) == one_way * 0.25
+        assert timing.broadcast_time([0, 7], 20) == one_way
+        assert timing.arrival_times([0, 7], [20, 20]).tolist() == [
+            0.5 + one_way * 0.25, 1.0 + one_way,
+        ]
 
 
 class TestPeriodicResidualModes:

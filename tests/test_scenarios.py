@@ -66,7 +66,6 @@ from repro.scenarios import (
     ScenarioConfig,
     ScenarioSampler,
     TraceAvailability,
-    upload_finish_times,
 )
 from repro.scenarios.availability import load_trace_json
 from repro.simulation.heterogeneous import ClientProfile, HeterogeneousTimingModel
@@ -374,22 +373,36 @@ def _uploads(nnz_by_client):
     return uploads
 
 
+def _finish(uploads, profiles=None):
+    """The uploads' arrival times on a D = 100, β = 10 timing model
+    carrying ``profiles`` (a per-cid map; None: every client at unit
+    speed)."""
+    timing = (
+        TimingModel(dimension=100, comm_time=10.0) if profiles is None
+        else HeterogeneousTimingModel(100, 10.0, profiles)
+    )
+    return timing.arrival_times(
+        [up.client_id for up in uploads], [up.payload.nnz for up in uploads]
+    )
+
+
 class TestDeadlinePolicy:
     TIMING = TimingModel(dimension=100, comm_time=10.0)
 
     def _admit(self, uploads, deadline, profiles=None, target_uploads=None,
                min_uploads=1):
-        """The gate's verdict on the helper's finish times, and the times."""
-        finish = upload_finish_times(uploads, self.TIMING, profiles)
+        """The gate's verdict on the timing model's arrival times, and
+        the times."""
+        finish = _finish(uploads, profiles)
         gate = DeadlineRoundPolicy(None, min_uploads=min_uploads)
         return gate.admit(uploads, finish, deadline, target_uploads), finish
 
     def test_finish_times_scale_with_profiles(self):
         uploads = _uploads({0: 10, 1: 10})
-        base = upload_finish_times(uploads, self.TIMING)
+        base = _finish(uploads)
         np.testing.assert_allclose(base, base[0])
         profiles = {1: ClientProfile(1, compute_factor=3.0, comm_factor=2.0)}
-        slowed = upload_finish_times(uploads, self.TIMING, profiles)
+        slowed = _finish(uploads, profiles)
         assert slowed[0] == base[0]
         uplink = self.TIMING.sparse_round(10, 0).uplink
         assert slowed[1] == pytest.approx(3.0 * 1.0 + 2.0 * uplink)
@@ -440,7 +453,7 @@ class TestDeadlinePolicy:
         policy = DeadlineRoundPolicy(None, over_selection=0.5)
         assert policy.applies(target_uploads=2)
         assert not policy.applies(target_uploads=None)
-        finish = upload_finish_times(uploads, self.TIMING)
+        finish = _finish(uploads)
         verdict = policy.admit(uploads, finish, None, target_uploads=2)
         assert verdict.accepted == (0, 1)
         assert verdict.close_time == pytest.approx(finish[1])
@@ -483,7 +496,7 @@ class TestDeadlinePolicy:
 # ----------------------------------------------------------------------
 class TestFinishTimeHelper:
     def test_pinned_values_for_known_profiles(self):
-        # The one arrival-time computation every policy shares:
+        # The timing model's arrival times, which every policy judges:
         # finish = computation·compute_factor + uplink(nnz)·comm_factor
         # with uplink(nnz) = (comm_time/2)·(pair_overhead·nnz)/D.
         timing = TimingModel(dimension=100, comm_time=10.0)
@@ -492,22 +505,23 @@ class TestFinishTimeHelper:
             1: ClientProfile(1, compute_factor=3.0, comm_factor=2.0),
             2: ClientProfile(2, compute_factor=4.0, comm_factor=4.0),
         }
-        times = upload_finish_times(uploads, timing, profiles)
+        times = _finish(uploads, profiles)
         # nnz=10 → uplink = 5·20/100 = 1.0; nnz=25 → uplink = 5·50/100 = 2.5
         np.testing.assert_allclose(
             times, [1.0 + 1.0, 3.0 + 2.0, 4.0 + 10.0]
         )
         # No profiles: everyone at the unit profile.
         np.testing.assert_allclose(
-            upload_finish_times(uploads, timing), [2.0, 2.0, 3.5]
+            _finish(uploads), [2.0, 2.0, 3.5]
         )
 
     def test_gate_judges_the_helpers_times(self):
         # The gate computes no arrival times of its own: it judges the
-        # helper's (nnz=10 → 2.0, nnz=25 → 3.5) against the deadline.
+        # timing model's (nnz=10 → 2.0, nnz=25 → 3.5) against the
+        # deadline.
         timing = TimingModel(dimension=100, comm_time=10.0)
         uploads = _uploads({0: 10, 1: 25})
-        finish = upload_finish_times(uploads, timing)
+        finish = _finish(uploads)
         verdict = DeadlineRoundPolicy(None).admit(uploads, finish, 3.0)
         assert verdict.accepted == (0,)
         assert verdict.dropped_ids == (1,)
@@ -1646,10 +1660,10 @@ class TestDroppedUploadRecovery:
         scenario_config = ScenarioConfig(
             availability="always", deadline=(3.0, 1000.0), seed=11,
         )
-        timing = TimingModel(model.dimension, comm_time=10.0)
-        scenario = DeploymentScenario.build(
-            scenario_config, ids, timing, profiles
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=profiles
         )
+        scenario = DeploymentScenario.build(scenario_config, ids, timing)
         trainer = FLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.05,
             batch_size=8, eval_every=1, seed=11, scenario=scenario,
@@ -1713,13 +1727,16 @@ class TestDroppedUploadRecovery:
             ClientProfile(ids[0]),
             ClientProfile(ids[1], compute_factor=50.0),
         ]
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=profiles
+        )
         scenario = DeploymentScenario.build(
             ScenarioConfig(availability="always", deadline=3.0, seed=11),
-            ids, TimingModel(model.dimension, comm_time=10.0), profiles,
+            ids, timing,
         )
         trainer = FLTrainer(
             model, fed, PeriodicK(model.dimension, seed=11),
-            timing=TimingModel(model.dimension, comm_time=10.0),
+            timing=timing,
             learning_rate=0.05, batch_size=8, eval_every=1, seed=11,
             scenario=scenario,
         )
@@ -1933,8 +1950,10 @@ class TestReweighting:
                 ClientProfile(ids[0]),
                 ClientProfile(ids[1], compute_factor=50.0),
             ]
-            timing = TimingModel(model.dimension, comm_time=10.0)
-            scenario = DeploymentScenario.build(config, ids, timing, profiles)
+            timing = HeterogeneousTimingModel(
+                model.dimension, comm_time=10.0, profiles=profiles
+            )
+            scenario = DeploymentScenario.build(config, ids, timing)
             trainer = FLTrainer(
                 model, fed, FABTopK(), timing=timing, learning_rate=1.0,
                 batch_size=8, eval_every=1, seed=11, scenario=scenario,
