@@ -50,7 +50,12 @@ hooks — a scenario's adversary seam is chained ahead of them):
   aggregation see the discounted values, while the residual reset zeroes
   ``J ∩ J_i`` by index and never reads the wire — the same wire-only
   rule as the adversary seam, and the two compose.
-- **Probe the exponent** — see ``adaptive`` below.
+- **Probe the exponent** — in ``observe``, where the commit's weights
+  are installed and its charge is final (see ``adaptive`` below).
+
+A non-accumulating sparsifier discards the residual of every client
+whose upload arrived, an arrival a hook dropped too: the engine's reset
+covers the whole cohort.
 
 Full-barrier identity: with ``commit_count=0``, the identity discount
 and full participation, every commit is a whole fresh cohort in cohort
@@ -300,7 +305,7 @@ class _CommitHooks(RoundHooks):
             ctx.uploads, ctx.staleness, ctx.engine.discount.factor
         )
 
-    def after_update(self, ctx: RoundContext) -> None:
+    def observe(self, ctx: RoundContext) -> None:
         """Run the adaptive discount's counterfactual exponent probe."""
         engine = ctx.engine
         discount = engine.discount

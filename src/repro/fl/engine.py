@@ -15,17 +15,19 @@ pluggable.  :class:`RoundEngine` owns the invariant skeleton:
     (:class:`~repro.fl.server.Server`),
 4.  the synchronized weight update ``w(m) = w(m−1) − η·b``,
 5.  residual reset at ``J ∩ J_i``, read off the selection's position map
-    (plus full reset for non-accumulating schemes),
+    (plus, for non-accumulating schemes, a full reset of every client
+    that computed — the cohort, hook-dropped clients included),
 6.  normalized-time accounting and the evaluation cadence,
 7.  :class:`~repro.fl.metrics.RoundRecord` construction and history
     bookkeeping.
 
 The round's k comes from the engine's **k rule**, itself a hook
 (:meth:`RoundEngine.use_k`): a :class:`ScheduledK`, or the learned k
-(:class:`~repro.online.adaptive_trainer.LearnedK`), which also hooks in
-the probe losses, probe weights (step ③ of Fig. 3), probe downlink
-charge and policy feedback — so it runs wherever the round does, async
-commits included, without duplicating any of the skeleton.  Trainers with a
+(:class:`~repro.online.adaptive_trainer.LearnedK`), which also charges
+the probe downlink and, in ``observe`` (see :class:`RoundHooks`), forms
+the probe weights (step ③ of Fig. 3), reads the probe losses and feeds
+the policy back — so it runs wherever the round does, async commits
+included, without duplicating any of the skeleton.  Trainers with a
 different *local* phase (FedAvg's local SGD on per-client weight copies,
 always-send-all's dense aggregation) reuse steps 6–7 through
 :meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`.
@@ -133,14 +135,14 @@ class RoundHooks:
     """Extension points for trainer-specific behaviour inside a round.
 
     The default implementations are all no-ops, giving exactly the plain
-    Algorithm-1 round.  Call order within :meth:`RoundEngine.run_round`:
+    Algorithm-1 round.  A hook changes a round at two points and learns
+    at one; call order within :meth:`RoundEngine.run_round`:
 
     ``after_local_steps`` (uploads drawn, model still at ``w_prev``) →
     ``before_select`` (the wire is final, nothing selected yet) →
-    ``after_aggregate`` (selection/downlink ready, update not applied) →
-    ``after_update`` (model at ``w_new``, residuals reset) →
-    ``extra_round_time`` (the engine's charge computed) → ``observe``
-    (round_time final, before evaluation/record).
+    ``extra_round_time`` (selection, aggregation, update and reset done;
+    the engine's charge computed) → ``observe`` (model at ``w_new``,
+    ``round_time`` final, before evaluation/record).
 
     ``after_local_steps`` may *filter* ``ctx.uploads`` and
     ``ctx.participants`` (keeping the two lists aligned) — this is how
@@ -152,7 +154,9 @@ class RoundHooks:
     server *sees* (Byzantine corruption, the async staleness discount)
     assigns a new list to ``ctx.uploads``: the residual reset zeroes
     ``J ∩ J_i`` by index, so what a client sent is its own residual at
-    ``J_i`` whatever the wire carried.
+    ``J_i`` whatever the wire carried.  Every learned knob (k, deadline,
+    staleness exponent) measures and steps in ``observe``: its reading
+    — L(w(m−1)), L(w(m)), L(w′(m)) and τ_m — exists only there.
     """
 
     #: ask the backend to draw one-sample probes during local steps
@@ -164,16 +168,16 @@ class RoundHooks:
     def before_select(self, ctx: RoundContext) -> None:
         """The wire is final; selection not yet run."""
 
+    # Never called, like after_update and round_timing below: kept only
+    # because the frozen benchmarks/suite/trace.py:148-150 wraps
+    # ScenarioHooks' methods of these names.
     def after_aggregate(self, ctx: RoundContext) -> None:
-        """``ctx.selection``/``ctx.downlink`` ready; update not applied."""
+        del ctx
 
     def after_update(self, ctx: RoundContext) -> None:
-        """Model holds ``ctx.w_new``; residuals already reset."""
+        del ctx
 
     def round_timing(self, ctx: RoundContext) -> None:
-        # Never called: the round's charge is RoundEngine._charge.  Kept
-        # only because the frozen benchmarks/suite/trace.py:150 wraps
-        # ScenarioHooks.round_timing by name.
         del ctx
 
     def extra_round_time(self, ctx: RoundContext) -> float:
@@ -182,7 +186,8 @@ class RoundHooks:
         return 0.0
 
     def observe(self, ctx: RoundContext) -> None:
-        """``ctx.round_time`` final; called before evaluation/record."""
+        """Model at ``ctx.w_new``, ``ctx.round_time`` final; called
+        before evaluation/record."""
 
 
 class ScheduledK(RoundHooks):
@@ -216,11 +221,13 @@ class ChainedHooks(RoundHooks):
     """Compose several hook objects into one (outermost first).
 
     Used by the engine to stack the persistent scenario hook, the k rule
-    and a caller's hooks: notification methods run in order (so a
-    scenario's upload filtering happens before the learned k's probe
-    measurements see ``ctx``) and ``extra_round_time`` contributions
-    add.  Nothing here picks one hook's answer over another's: what a
-    round decides (its close, its recorded k) is written on ``ctx``.
+    and a caller's hooks.  It fans out exactly the four hook points:
+    ``after_local_steps``, ``before_select`` and ``observe`` run in
+    order (so a scenario's upload filtering happens before the learned
+    k's probe measurements see ``ctx``, and the deadline learns before
+    the k does) and ``extra_round_time`` contributions add.  Nothing
+    here picks one hook's answer over another's: what a round decides
+    (its close, its recorded k) is written on ``ctx``.
     """
 
     def __init__(self, *hooks: RoundHooks | None) -> None:
@@ -234,14 +241,6 @@ class ChainedHooks(RoundHooks):
     def before_select(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
             hook.before_select(ctx)
-
-    def after_aggregate(self, ctx: RoundContext) -> None:
-        for hook in self.hooks:
-            hook.after_aggregate(ctx)
-
-    def after_update(self, ctx: RoundContext) -> None:
-        for hook in self.hooks:
-            hook.after_update(ctx)
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         return sum(hook.extra_round_time(ctx) for hook in self.hooks)
@@ -565,6 +564,9 @@ class RoundEngine:
         """Run one Algorithm-1 round at the k rule's k and record it; a
         given ``k`` becomes the rule first (:meth:`use_k`).
 
+        Besides the k rule's ``next_k`` it calls four hook points, in
+        :class:`RoundHooks`' order, two of which may change the round.
+
         ``ensure_loss`` evaluates the global loss even on rounds the
         evaluation cadence would skip (the stopping rule of
         ``run_until_loss`` needs it); accuracy keeps the normal cadence.
@@ -620,9 +622,6 @@ class RoundEngine:
         )
         if tracing:
             lap("aggregate")
-        hooks.after_aggregate(ctx)
-        if tracing:
-            lap("probe")
 
         sparse_update = ctx.downlink.payload
         weights = self.sgd_step(
@@ -635,13 +634,12 @@ class RoundEngine:
 
         self.backend.reset_residuals(ctx.participants, ctx.selection)
         if self.sparsifier.discards_residual:
-            for client in ctx.participants:
+            # Every client that computed discards, dropped ones too: the
+            # scheme's semantics, not a gate's.
+            for client in ctx.cohort:
                 client.reset_all()
         if tracing:
             lap("residual_reset")
-        hooks.after_update(ctx)
-        if tracing:
-            lap("probe")
 
         ctx.uplink_elements = max(up.payload.nnz for up in ctx.uploads)
         ctx.round_time = self._charge(ctx).total + hooks.extra_round_time(ctx)
@@ -733,14 +731,13 @@ class RoundEngine:
         downlink_elements: int,
         contributions: dict[int, int] | None = None,
         loss_fn=None,
-        accuracy_fn=None,
         ensure_loss: bool = False,
     ) -> RoundRecord:
         """Charge time, evaluate on cadence, record, and append the round.
 
-        ``loss_fn``/``accuracy_fn`` default to the engine's global loss
-        and test accuracy; FedAvg-style trainers override them to
-        evaluate their averaged model instead.
+        ``loss_fn`` defaults to the engine's global loss; FedAvg passes
+        one that installs its averaged model first, so the test accuracy
+        evaluated right after it reads that model too.
         """
         tel = self.telemetry
         trace = self._pending_trace
@@ -751,7 +748,7 @@ class RoundEngine:
             eval_start = time.perf_counter()
         if evaluate:
             loss = (loss_fn or self.global_loss)()
-            accuracy = (accuracy_fn or self.test_accuracy)()
+            accuracy = self.test_accuracy()
         else:
             loss = (loss_fn or self.global_loss)() if ensure_loss else float("nan")
             accuracy = None

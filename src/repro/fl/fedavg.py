@@ -74,16 +74,6 @@ class FedAvgTrainer(_BaselineTrainer):
         """Loss of the weighted-average model (the quantity FedAvg reports)."""
         return self.engine.loss_at(self._average_weights())
 
-    def test_accuracy(self) -> float | None:
-        if self.federation.test_x is None or self.federation.test_y is None:
-            return None
-        saved = self.model.get_weights()
-        try:
-            self.model.set_weights(self._average_weights())
-            return self.model.accuracy(self.federation.test_x, self.federation.test_y)
-        finally:
-            self.model.set_weights(saved)
-
     def _average_weights(self) -> np.ndarray:
         counts = np.array([c.sample_count for c in self.clients], dtype=float)
         weights = counts / counts.sum()
@@ -92,7 +82,8 @@ class FedAvgTrainer(_BaselineTrainer):
         )
 
     def _evaluate_average(self) -> float:
-        """Install the averaged weights and return their global loss."""
+        """Install the averaged weights and return their global loss; the
+        round's accuracy, evaluated next, reads them where they are."""
         self.model.set_weights(self._average_weights())
         return self.engine.global_loss()
 
@@ -121,7 +112,6 @@ class FedAvgTrainer(_BaselineTrainer):
             uplink_elements=dimension if aggregated else 0,
             downlink_elements=dimension if aggregated else 0,
             loss_fn=self._evaluate_average,
-            accuracy_fn=self.test_accuracy,
         )
 
 

@@ -31,7 +31,7 @@ from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
 from repro.online.estimator import estimate_derivative, estimate_sign, estimate_tau
 from repro.online.interval import SearchInterval, stochastic_round
 from repro.online.knob import OnlineKnob, Reading
-from repro.online.policy import KPolicy, RoundObservation, SignPolicy
+from repro.online.policy import KPolicy, SignPolicy
 from repro.online.regret import theorem1_bound, theorem2_bound
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "LearnedK",
     "OnlineKnob",
     "Reading",
-    "RoundObservation",
     "SearchInterval",
     "SignOGD",
     "SignPolicy",

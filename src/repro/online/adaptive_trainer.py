@@ -11,16 +11,18 @@ with a :class:`~repro.online.policy.KPolicy`).  Each round m:
 2. Clients run the Algorithm-1 local step at the synchronized weights
    w(m−1) and each draws one probe sample h from its minibatch.
 3. The server runs the sparsifier's selection and aggregation to produce
-   w(m), and — when the policy requests a probe k' < k — derives the
-   k'-element GS update from the k-element result (top-k' of the
-   aggregated downlink values, transmitted as a small "difference"
-   message, step ③ of Fig. 3) to form the probe weights w'(m).
-4. Clients report f_{i,h} at w(m−1), w(m) and w'(m); the server averages
-   each and the policy consumes the :class:`RoundObservation` (for the
-   proposed method this computes ŝ_m via eqs. (10)–(11) and steps
+   w(m); the timing model charges the round: computation, k-pair uplink,
+   |J|-pair downlink, plus the (k − k')-pair probe difference downlink.
+4. With w(m) installed and the charge τ_m final (the engine's
+   ``observe`` point, where all three knobs learn), the hook — when the
+   policy requested a probe k' < k — derives the k'-element GS update
+   from the k-element result (top-k' of the aggregated downlink values,
+   transmitted as a small "difference" message, step ③ of Fig. 3) to
+   form the probe weights w'(m); clients report f_{i,h} at w(m−1), w(m)
+   and w'(m), the server averages each, and the policy consumes the
+   probe's :class:`~repro.online.knob.Reading` and the round's cost (for
+   the proposed method this computes ŝ_m via eqs. (10)–(11) and steps
    Algorithm 2/3).
-5. The timing model charges the round: computation, k-pair uplink, |J|-
-   pair downlink, plus the (k − k')-pair probe difference downlink.
 
 The Algorithm-1 skeleton itself (steps 2–3 and the timing/eval/record
 bookkeeping) is :class:`repro.fl.engine.RoundEngine`, so the learned k
@@ -39,7 +41,8 @@ import numpy as np
 from repro.fl.engine import RoundContext, RoundHooks
 from repro.fl.trainer import FLTrainer
 from repro.online.interval import stochastic_round
-from repro.online.policy import KPolicy, RoundObservation
+from repro.online.knob import Reading
+from repro.online.policy import KPolicy
 from repro.sparsify.topk import top_k_indices
 
 
@@ -55,10 +58,6 @@ class LearnedK(RoundHooks):
         self.k_continuous = float("nan")
         self.probe_continuous: float | None = None
         self.probe_int: int | None = None
-        self.loss_prev = float("nan")
-        self.loss_now = float("nan")
-        self.loss_probe: float | None = None
-        self.w_probe: np.ndarray | None = None
 
     def next_k(self, round_index: int, dimension: int) -> int:
         """Draw the round's k, then its probe k' in [1, k) (None when
@@ -78,34 +77,26 @@ class LearnedK(RoundHooks):
             )
             if probe_int >= 1:
                 self.probe_int = probe_int
-        self.w_probe = None
         return k_int
 
     def after_local_steps(self, ctx: RoundContext) -> None:
         # The record stores the policy's continuous k_m, not the played k.
         ctx.recorded_k = self.k_continuous
 
-    def after_aggregate(self, ctx: RoundContext) -> None:
-        if self.probe_int is None:
-            return
-        payload = ctx.downlink.payload
-        keep = top_k_indices(payload.values, self.probe_int)
-        self.w_probe = ctx.engine.sgd_step(
-            ctx.w_prev, payload.indices[keep], payload.values[keep]
-        )
-
-    def after_update(self, ctx: RoundContext) -> None:
-        # f_{i,h} at w(m-1), w(m) and w'(m), each averaged over the round's
-        # participants: one evaluation of their stacked probe samples h.
+    def sample_losses(
+        self, ctx: RoundContext, *weights: np.ndarray
+    ) -> list[float]:
+        """f_{i,h} at each of ``weights``, averaged over the round's
+        participants: one evaluation of their stacked probe samples h
+        per weight vector."""
         samples = [c.probe_sample for c in ctx.participants]
         if None in samples:
             raise RuntimeError("probe losses requested before draw_probe_sample")
         x, y = (np.concatenate(part) for part in zip(*samples))
-        self.loss_prev, self.loss_now, *probe = [
+        return [
             float(np.mean(ctx.engine.model.per_sample_losses_at(w, x, y)))
-            for w in (ctx.w_prev, ctx.w_new, self.w_probe) if w is not None
+            for w in weights
         ]
-        self.loss_probe = probe[0] if probe else None
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         if self.probe_int is None:
@@ -116,14 +107,16 @@ class LearnedK(RoundHooks):
         return ctx.engine.timing.sparse_round(0, diff_elements).communication
 
     def observe(self, ctx: RoundContext) -> None:
-        timing = ctx.engine.timing
-        probe_round_time = None
+        weights = [ctx.w_prev, ctx.w_new]
         if self.probe_int is not None:
-            probe_round_time = timing.sparse_round(
-                self.probe_int, self.probe_int
-            ).total
-        loss_decrease = self.loss_prev - self.loss_now
-        cost = ctx.round_time / loss_decrease if loss_decrease > 0 else None
+            # w'(m): the top-k' of the k-element downlink, applied at
+            # w(m−1) (step ③ of Fig. 3).
+            payload = ctx.downlink.payload
+            keep = top_k_indices(payload.values, self.probe_int)
+            weights.append(ctx.engine.sgd_step(
+                ctx.w_prev, payload.indices[keep], payload.values[keep]
+            ))
+        loss_prev, loss_now, *probe = self.sample_losses(ctx, *weights)
         tel = ctx.engine.telemetry
         if tel.enabled:
             tel.event(
@@ -131,22 +124,26 @@ class LearnedK(RoundHooks):
                 round=ctx.round_index,
                 k_continuous=self.k_continuous,
                 probe_k=self.probe_int,
-                loss_prev=self.loss_prev,
-                loss_now=self.loss_now,
-                loss_probe=self.loss_probe,
+                loss_prev=loss_prev,
+                loss_now=loss_now,
+                loss_probe=probe[0] if probe else None,
             )
-        self.policy.observe(RoundObservation(
-            k=self.k_continuous,
-            round_time=ctx.round_time,
-            loss_prev=self.loss_prev,
-            loss_now=self.loss_now,
-            loss_probe=self.loss_probe,
-            probe_k=(
-                self.probe_continuous if self.probe_int is not None else None
-            ),
-            probe_round_time=probe_round_time,
-            cost=cost,
-        ))
+        reading = None
+        if probe:
+            reading = Reading(
+                loss_prev, loss_now, probe[0],
+                round_time=ctx.round_time,
+                probe_round_time=ctx.engine.timing.sparse_round(
+                    self.probe_int, self.probe_int
+                ).total,
+                value=self.k_continuous,
+                probe_value=self.probe_continuous,
+            )
+        loss_decrease = loss_prev - loss_now
+        self.policy.observe(
+            reading,
+            ctx.round_time / loss_decrease if loss_decrease > 0 else None,
+        )
 
 
 class AdaptiveKTrainer(FLTrainer):

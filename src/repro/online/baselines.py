@@ -14,8 +14,10 @@
    Flaxman et al. [37]: play a perturbed point, use the realized cost as
    a gradient estimate.
 
-All three consume the realized per-round cost (time per unit loss
-decrease) through :class:`~repro.online.policy.RoundObservation`.
+Each consumes what :meth:`~repro.online.policy.KPolicy.observe` hands
+back: the value-based descent the k' probe's :class:`~repro.online.knob.
+Reading`, the two bandits the realized per-round cost (time per unit
+loss decrease).
 """
 
 from __future__ import annotations
@@ -24,15 +26,15 @@ import math
 
 import numpy as np
 
-from repro.online.interval import SearchInterval
-from repro.online.policy import KPolicy, RoundObservation
 from repro.online.estimator import estimate_derivative
+from repro.online.interval import SearchInterval
+from repro.online.knob import Reading
+from repro.online.policy import KPolicy
 
 __all__ = [
     "ContinuousBandit",
     "Exp3Policy",
     "KPolicy",
-    "RoundObservation",
     "ValueBasedGD",
 ]
 
@@ -66,18 +68,10 @@ class ValueBasedGD(KPolicy):
         probe = max(probe, 1.0)
         return probe if probe < self._k else None
 
-    def observe(self, observation: RoundObservation) -> None:
-        if observation.probe_k is not None and observation.loss_probe is not None:
-            assert observation.probe_round_time is not None
-            derivative = estimate_derivative(
-                loss_prev=observation.loss_prev,
-                loss_now=observation.loss_now,
-                loss_probe=observation.loss_probe,
-                round_time=observation.round_time,
-                probe_round_time=observation.probe_round_time,
-                k=observation.k,
-                k_probe=observation.probe_k,
-            )
+    def observe(self, reading: Reading | None, cost: float | None) -> None:
+        del cost
+        if reading is not None:
+            derivative = estimate_derivative(*reading)
             if derivative is not None:
                 self._k = self.interval.project(
                     self._k - self.step_size() * derivative
@@ -128,10 +122,11 @@ class Exp3Policy(KPolicy):
         self.k_history.append(k)
         return k
 
-    def observe(self, observation: RoundObservation) -> None:
+    def observe(self, reading: Reading | None, cost: float | None) -> None:
+        del reading
         if self._current_arm is None:
             raise RuntimeError("observe called before propose")
-        reward = self._reward(observation.cost)
+        reward = self._reward(cost)
         p = self._probabilities()[self._current_arm]
         estimated = reward / p
         self._log_weights[self._current_arm] += (
@@ -191,10 +186,10 @@ class ContinuousBandit(KPolicy):
         self.k_history.append(self._played)
         return self._played
 
-    def observe(self, observation: RoundObservation) -> None:
+    def observe(self, reading: Reading | None, cost: float | None) -> None:
+        del reading
         if self._direction is None:
             raise RuntimeError("observe called before propose")
-        cost = observation.cost
         if cost is not None and math.isfinite(cost):
             self._cost_count += 1
             self._cost_mean += (cost - self._cost_mean) / self._cost_count

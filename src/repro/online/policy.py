@@ -2,52 +2,17 @@
 
 The learned k (:class:`~repro.online.adaptive_trainer.LearnedK`) is
 method-agnostic: each round it asks the policy for a continuous decision
-k, optionally runs the k' probe the policy requests, and feeds back a
-:class:`RoundObservation` carrying everything any of the methods needs
-(probe losses for sign/value-based updates, realized cost for the bandit
-methods).
+k, optionally runs the k' probe the policy requests, and feeds back what
+any of the methods needs — the probe's :class:`~repro.online.knob.
+Reading` (sign/value-based updates; None on a round without a probe),
+the same record the deadline and the staleness exponent learn from, and
+the round's realized cost (the bandit methods).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.online.algorithm2 import SignOGD
 from repro.online.knob import OnlineKnob, Reading
-
-
-@dataclass(frozen=True)
-class RoundObservation:
-    """Feedback for one adaptive round.
-
-    Attributes
-    ----------
-    k:
-        The continuous decision that was played.
-    round_time:
-        Realized normalized time of the round, τ_m(k_m).
-    loss_prev, loss_now:
-        Averaged one-sample losses L̃(w(m−1)) and L̃(w(m)).
-    loss_probe:
-        L̃(w'(m)) if a probe was run, else None.
-    probe_k:
-        The probed k' (None when no probe was requested).
-    probe_round_time:
-        θ_m(k'): wall time of one round at k' (None when no probe).
-    cost:
-        Realized time-per-unit-loss-decrease of the round,
-        ``round_time / (loss_prev − loss_now)``; None when the loss did
-        not decrease.  Bandit-style methods consume this scalar.
-    """
-
-    k: float
-    round_time: float
-    loss_prev: float
-    loss_now: float
-    loss_probe: float | None = None
-    probe_k: float | None = None
-    probe_round_time: float | None = None
-    cost: float | None = None
 
 
 class KPolicy:
@@ -63,8 +28,13 @@ class KPolicy:
         """The k' < k this policy wants probed this round (None = no probe)."""
         return None
 
-    def observe(self, observation: RoundObservation) -> None:
-        """Consume the round's feedback and update internal state."""
+    def observe(self, reading: Reading | None, cost: float | None) -> None:
+        """Consume the round's feedback and update internal state.
+
+        ``reading`` is the k' probe's (None when no probe ran); ``cost``
+        the round's realized time per unit loss decrease, τ_m / (L̃(w(m−1))
+        − L̃(w(m))), None when the loss did not decrease.
+        """
         raise NotImplementedError
 
 
@@ -87,17 +57,6 @@ class SignPolicy(KPolicy):
     def probe_k(self) -> float | None:
         return self.knob.probe_below(floor=1.0)
 
-    def observe(self, observation: RoundObservation) -> None:
-        if observation.probe_k is None or observation.loss_probe is None:
-            self.knob.observe()
-            return
-        assert observation.probe_round_time is not None
-        self.knob.observe(Reading(
-            loss_prev=observation.loss_prev,
-            loss_now=observation.loss_now,
-            loss_probe=observation.loss_probe,
-            round_time=observation.round_time,
-            probe_round_time=observation.probe_round_time,
-            value=observation.k,
-            probe_value=observation.probe_k,
-        ))
+    def observe(self, reading: Reading | None, cost: float | None) -> None:
+        del cost
+        self.knob.observe(*(() if reading is None else (reading,)))

@@ -200,9 +200,10 @@ class AdversaryModel:
 class AdversaryHooks(RoundHooks):
     """The adversary seam of a round: poison the designated clients'
     wire payloads (before any deadline gate, so finish times, probes,
-    selection and aggregation all see what the server would) and
-    report whom the robust aggregator flagged.  ``adversary=None`` and a
-    plain-mean server make every call a no-op."""
+    selection and aggregation all see what the server would) and, in
+    ``observe``, report whom the robust aggregator flagged.
+    ``adversary=None`` and a plain-mean server make every call a
+    no-op."""
 
     def __init__(self, adversary: AdversaryModel | None, stats) -> None:
         self.adversary = adversary
@@ -222,7 +223,7 @@ class AdversaryHooks(RoundHooks):
                 up.client_id for up, bad in zip(ctx.uploads, poisoned) if bad
             ])
 
-    def after_aggregate(self, ctx: RoundContext) -> None:
+    def observe(self, ctx: RoundContext) -> None:
         aggregator = ctx.engine.server.aggregator
         if aggregator is None or not aggregator.last_flags:
             return

@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.simulation.population import DIURNAL_TAG, MARKOV_TAG
+
 
 class ClientAvailability:
     """Interface: the deterministic per-round set of online clients."""
@@ -90,7 +92,7 @@ class MarkovAvailability(ClientAvailability):
             raise ValueError("transition probabilities must be in [0, 1]")
         self.p_drop = p_drop
         self.p_recover = p_recover
-        self._rng = np.random.default_rng((seed, 0xC4A1))
+        self._rng = np.random.default_rng((seed, MARKOV_TAG))
         # _states[m] is the (num_clients,) online mask of round m+1.
         self._states: list[np.ndarray] = []
 
@@ -131,7 +133,7 @@ class DiurnalAvailability(ClientAvailability):
             raise ValueError("duty must be in (0, 1]")
         self.period = period
         self.duty = duty
-        rng = np.random.default_rng((seed, 0xD1A7))
+        rng = np.random.default_rng((seed, DIURNAL_TAG))
         self._phases = rng.integers(0, period, size=len(self.client_ids))
         self._window = max(1, int(round(duty * period)))
 

@@ -26,6 +26,7 @@ from repro.scenarios.deadline import (
     DeadlinePolicy,
 )
 from repro.simulation.heterogeneous import ClientProfile
+from repro.simulation.population import PROFILE_TAG
 
 AVAILABILITY_KINDS = ("always", "markov", "diurnal", "trace")
 REWEIGHT_MODES = ("arrived", "cohort")
@@ -370,7 +371,7 @@ class ScenarioConfig:
         slow = set()
         count = int(round(self.slow_fraction * len(ids)))
         if count:
-            rng = np.random.default_rng((self.seed, 0x51C0))
+            rng = np.random.default_rng((self.seed, PROFILE_TAG))
             slow = set(
                 int(c)
                 for c in rng.choice(ids, size=count, replace=False)

@@ -23,19 +23,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.scenarios.config import ScenarioConfig
-from repro.scenarios.scenario import DeploymentScenario, ScenarioStats
+from repro.scenarios.scenario import (
+    COHORT_TAG,
+    DeploymentScenario,
+    ScenarioStats,
+)
 from repro.simulation.population import PopulationModel
 from repro.simulation.timing import TimingModel
-
-#: per-round cohort-draw stream tag (population analogue of the
-#: ScenarioSampler's 0x5CE2 stream, keyed per round instead of advancing)
-COHORT_TAG = 0x5CE2
 
 
 class PopulationSampler:
     """Seeded O(cohort) cohort sampler over a virtual population.
 
-    Each round draws its own RNG stream ``(seed, COHORT_TAG, round)`` and
+    Each round draws its own RNG stream ``(seed, COHORT_TAG, round)`` (the
+    :class:`~repro.scenarios.scenario.ScenarioSampler`'s tag, keyed per
+    round instead of advancing) and
     rejection-samples candidate ids until ``cohort_size`` distinct online
     clients are found.  The candidate sequence is a pure function of
     ``(seed, round)`` and the availability law is a pure function of

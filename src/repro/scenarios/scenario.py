@@ -13,16 +13,20 @@ knows how to consume:
   model, the one owner of client speeds, says it does — drops the late
   ones *before* selection and aggregation, and closes the round at the
   deadline-bounded close (``ctx.close_by``) — the engine then charges
-  that, not the straggler tail.
+  that, not the straggler tail.  Under a learned deadline its replays
+  run beside the gate, while the pre-gate uploads exist; the replays'
+  weights, losses and the deadline's step wait for ``observe``, where
+  w(m) is installed and the round's charge is final.
 
 Dropped-upload semantics (the part that makes the paper's sparsifiers
 shine under churn): a dropped client already accumulated its gradient
 into its residual during the local step, it is simply excluded from the
 selection/aggregation/reset phases — so nothing is reset, the unsent
 information stays in the residual, and FAB/top-k selection recovers it
-the next time the client makes a deadline.  The server reweights the
-partial aggregate over the arrivals (or over the full cohort, see
-``ScenarioConfig.reweight``).
+the next time the client makes a deadline (a non-accumulating scheme
+discards it anyway: the engine resets its whole cohort).  The server
+reweights the partial aggregate over the arrivals (or over the full
+cohort, see ``ScenarioConfig.reweight``).
 
 Everything here runs in the parent process on state the engine already
 owns, so scenario runs are bit-identical across the serial, vectorized
@@ -54,6 +58,10 @@ from repro.online.knob import Reading
 from repro.scenarios.deadline import DeadlineRoundPolicy
 from repro.simulation.heterogeneous import ClientProfile, check_profiles
 from repro.simulation.timing import TimingModel
+
+#: cohort-draw stream tag: the :class:`ScenarioSampler`'s one advancing
+#: stream, and the population sampler's stream keyed per round
+COHORT_TAG = 0x5CE2
 
 
 @dataclass
@@ -184,7 +192,7 @@ class ScenarioSampler:
         self.count = count
         self.over_selection = over_selection
         self.stats = stats
-        self._rng = np.random.default_rng((seed, 0x5CE2))
+        self._rng = np.random.default_rng((seed, COHORT_TAG))
         self._round = 0
 
     @property
@@ -224,9 +232,6 @@ class _PendingProbe:
     #: uploads only a looser gate admits: the real round cut them from
     #: the wire
     cut_uploads: list
-    w_probe: np.ndarray | None = None
-    #: (L(w(m−1)), L(w(m)), L(w_probe)) once evaluated
-    losses: tuple[float, float, float] | None = None
 
 
 class ScenarioHooks(RoundHooks):
@@ -247,9 +252,12 @@ class ScenarioHooks(RoundHooks):
       reweighting, and close the round at the verdict's close
       (``ctx.close_by``): the engine charges it plus the broadcast to
       the whole cohort instead of the straggler tail.
-    - ``after_update``: for non-accumulating sparsifiers
-      (``discards_residual``), dropped clients discard their residual
-      too — the scheme's semantics, not the scenario's.
+    - ``observe``: the adversary seam reports whom the robust
+      aggregator flagged.
+
+    A non-accumulating sparsifier (``discards_residual``) discards the
+    dropped clients' residuals too — the scheme's semantics, which the
+    engine applies to the whole cohort, not the gate's.
 
     Under an :class:`~repro.scenarios.deadline.AdaptiveDeadlinePolicy`
     the hooks additionally run the free counterfactual probe (the dual
@@ -260,16 +268,16 @@ class ScenarioHooks(RoundHooks):
       the same pre-gate uploads — and, when the round actually dropped
       uploads (the tight regime), a second time at d'' > d
       (``probe_deadline_up``), keeping the raw uploads the d''-gate
-      would have admitted but the real round cut;
-    - ``after_aggregate`` derives each replay's weights through
+      would have admitted but the real round cut (the replays need the
+      pre-gate wire, so they cannot wait);
+    - ``observe`` derives each replay's weights through
       :meth:`repro.fl.engine.RoundEngine.counterfactual_weights` from
-      the probe arrivals; the d''-round additionally folds in the cut
-      uploads;
-    - ``after_update`` has the engine evaluate L(w(m−1)) / L(w(m)) and
-      each replay's loss on its deterministic evaluation pool
-      (:meth:`~repro.fl.engine.RoundEngine.probe_losses`);
-    - ``observe`` hands the policy one :class:`~repro.online.knob.
-      Reading` per replay, d' first.
+      the probe arrivals (the d''-round additionally folds in the cut
+      uploads), has the engine evaluate L(w(m−1)) / L(w(m)) and each
+      replay's loss on its deterministic evaluation pool
+      (:meth:`~repro.fl.engine.RoundEngine.probe_losses`) and hands the
+      policy one :class:`~repro.online.knob.Reading` per replay, d'
+      first.
 
     Everything is parent-state arithmetic on the engine's uploads and
     weights, so adaptive runs stay bit-identical across backends.
@@ -295,7 +303,6 @@ class ScenarioHooks(RoundHooks):
         #: — as hooks of its own: run first here, chained ahead of the
         #: commit hooks under async (where this gate stays out)
         self.adversary_hooks = AdversaryHooks(adversary, self.stats)
-        self._dropped_clients: list = []
         #: this round's gate replays: d' first, then d'' if it ran
         self._probes: list[_PendingProbe] = []
         self._played_deadline: float | None = None
@@ -305,7 +312,6 @@ class ScenarioHooks(RoundHooks):
 
     # ------------------------------------------------------------------
     def after_local_steps(self, ctx: RoundContext) -> None:
-        self._dropped_clients = []
         self._probes = []
         self._played_deadline = None
         # Corrupt before the deadline gate: everything downstream sees
@@ -364,16 +370,12 @@ class ScenarioHooks(RoundHooks):
                         if i not in accepted
                     ],
                 ))
-        self._dropped_clients = [
-            client
-            for i, client in enumerate(ctx.participants)
-            if i not in accepted
-        ]
-        for client in self._dropped_clients:
-            # The unsent residual stays put; forgetting the upload keeps a
-            # later (mistaken) reset from clearing coordinates the server
-            # never received.
-            client.drop_upload()
+        for i, client in enumerate(ctx.participants):
+            if i not in accepted:
+                # The unsent residual stays put; forgetting the upload
+                # keeps a later (mistaken) reset from clearing
+                # coordinates the server never received.
+                client.drop_upload()
         ctx.uploads = [ctx.uploads[i] for i in verdict.accepted]
         ctx.participants = [ctx.participants[i] for i in verdict.accepted]
         if ctx.participant_ids is not None:
@@ -401,37 +403,8 @@ class ScenarioHooks(RoundHooks):
             verdict.dropped_ids, verdict.close_time, self._played_deadline,
         )
 
-    def after_aggregate(self, ctx: RoundContext) -> None:
-        # ctx.uploads here is the accepted wire the server aggregated;
-        # the upward probe additionally re-admits uploads the real gate
-        # cut.
-        for probe in self._probes:
-            probe_uploads = [
-                up for up in ctx.uploads if up.client_id in probe.client_ids
-            ] + probe.cut_uploads
-            if probe_uploads:
-                probe.w_probe = ctx.engine.counterfactual_weights(
-                    ctx, probe_uploads
-                )
-        self.adversary_hooks.after_aggregate(ctx)
-
-    def after_update(self, ctx: RoundContext) -> None:
-        if (
-            ctx.engine.sparsifier is not None
-            and ctx.engine.sparsifier.discards_residual
-        ):
-            for client in self._dropped_clients:
-                client.reset_all()
-        if not self._probes:
-            return
-        evaluated = [p for p in self._probes if p.w_probe is not None]
-        loss_prev, loss_now, losses = ctx.engine.probe_losses(
-            ctx, *(p.w_probe for p in evaluated)
-        )
-        for probe, loss in zip(evaluated, losses):
-            probe.losses = (loss_prev, loss_now, loss)
-
     def observe(self, ctx: RoundContext) -> None:
+        self.adversary_hooks.observe(ctx)
         schedule = self.policy.schedule
         if self._played_deadline is None or not schedule.adaptive:
             return
@@ -454,9 +427,25 @@ class ScenarioHooks(RoundHooks):
                 dropped=len(ctx.dropped_ids),
                 round_time=ctx.round_time,
             )
+        if not self._probes:
+            schedule.observe()
+            return
+        # ctx.uploads is the accepted wire the server aggregated; the
+        # upward replay additionally re-admits uploads the gate cut.
+        evaluated, weights = [], []
+        for probe in self._probes:
+            probe_uploads = [
+                up for up in ctx.uploads if up.client_id in probe.client_ids
+            ] + probe.cut_uploads
+            if probe_uploads:
+                evaluated.append(probe)
+                weights.append(
+                    ctx.engine.counterfactual_weights(ctx, probe_uploads)
+                )
+        loss_prev, loss_now, losses = ctx.engine.probe_losses(ctx, *weights)
         schedule.observe(*(
             Reading(
-                *probe.losses,
+                loss_prev, loss_now, loss,
                 round_time=ctx.round_time,
                 # Only the uplink-phase close differs between d and the
                 # replay; the computation/downlink/extra charges carry
@@ -467,7 +456,7 @@ class ScenarioHooks(RoundHooks):
                 value=played,
                 probe_value=probe.deadline,
             )
-            for probe in self._probes if probe.losses is not None
+            for probe, loss in zip(evaluated, losses)
         ))
 
 

@@ -25,12 +25,14 @@ import numpy as np
 
 from repro.simulation.heterogeneous import ClientProfile
 
-#: per-cid straggler-designation stream tag (population analogue of the
-#: list-based ``build_profiles`` stream 0x51C0)
+#: straggler-designation stream tag: ``ScenarioConfig.build_profiles``'
+#: one shared stream, and the per-cid streams here
 PROFILE_TAG = 0x51C0
-#: per-cid Markov-chain stream tag (population analogue of 0xC4A1)
+#: Markov-chain stream tag: ``MarkovAvailability``'s one shared stream,
+#: and the per-cid chains here
 MARKOV_TAG = 0xC4A1
-#: per-cid diurnal-phase stream tag (population analogue of 0xD1A7)
+#: diurnal-phase stream tag: ``DiurnalAvailability``'s one shared
+#: stream, and the per-cid phases here
 DIURNAL_TAG = 0xD1A7
 
 POPULATION_AVAILABILITY_KINDS = ("always", "markov", "diurnal")

@@ -3,9 +3,10 @@
 A Gaussian-mixture dataset, its uniform split and a logistic-regression
 model are the fastest federation and model to train in a unit test; a
 sparse vector's dense form and a virtual federation's eager twin are
-what the equality checks compare against.  None of them is library
-surface: every CLI command, benchmark and example builds its data with
-``repro.data`` and its model with ``repro.nn.models``.
+what the equality checks compare against; an in-memory event list is
+the telemetry sink traced runs are read back from.  None of them is
+library surface: every CLI command, benchmark and example builds its
+data with ``repro.data`` and its model with ``repro.nn.models``.
 """
 
 import numpy as np
@@ -88,3 +89,15 @@ def materialize(federation) -> FederatedDataset:
         test_y=federation.test_y,
         name=spec.name,
     )
+
+
+class EventList(list):
+    """A telemetry sink that keeps the (validated) events in memory."""
+
+    write = list.append
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass

@@ -640,7 +640,7 @@ class TestResidualHonesty:
                     up.client_id: up.payload for up in ctx.uploads
                 }
 
-            def after_aggregate(self, ctx):
+            def observe(self, ctx):
                 self.selection = ctx.selection.indices
 
         recorder = Recorder()

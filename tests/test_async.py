@@ -52,6 +52,7 @@ from repro.simulation.heterogeneous import (
 )
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
+from repro.sparsify.periodic import PeriodicK
 
 
 def _federation(num_writers=6, seed=5):
@@ -320,7 +321,7 @@ class TestCommitMechanics:
 
         class Wire(RoundHooks):
             # Per-round hooks run after the commit hooks' discount.
-            def after_aggregate(self, ctx):
+            def observe(self, ctx):
                 self.staleness = dict(ctx.staleness)
                 self.values = {
                     up.client_id: up.payload.values for up in ctx.uploads
@@ -353,6 +354,33 @@ class TestCommitMechanics:
         np.testing.assert_array_equal(client.residual, residual)
         trainer.step(12)
         assert client.client_id in waves[-1]
+
+    def test_discarding_sparsifier_discards_for_dropped_arrivals(self):
+        # The async twin of a deadline-dropped sync upload: under a
+        # non-accumulating scheme every client that computed discards
+        # its residual at the commit, an arrival a hook dropped too.
+        class DropFirst(RoundHooks):
+            def after_local_steps(self, ctx):
+                self.client = client = ctx.participants[0]
+                self.accumulated = bool(np.any(client.residual))
+                client.drop_upload()
+                ctx.uploads = ctx.uploads[1:]
+                ctx.participants = ctx.participants[1:]
+                ctx.participant_ids = ctx.participant_ids[1:]
+                ctx.dropped_ids = (client.client_id,)
+
+        fed, model, profiles, timing = _parts((0, 3), 5)
+        trainer = AsyncFLTrainer(
+            model, fed, PeriodicK(model.dimension, seed=5), timing=timing,
+            learning_rate=0.05, batch_size=8, seed=5, commit_count=3,
+        )
+        drop = DropFirst()
+        record = trainer.engine.run_round(10, hooks=drop)
+        assert drop.accumulated
+        assert drop.client.client_id not in record.contributions
+        np.testing.assert_array_equal(
+            drop.client.residual, np.zeros(model.dimension)
+        )
 
     def test_population_scenario_costs_the_cohort(self):
         # The population's per-cid profile map times the run as-is:
@@ -417,7 +445,7 @@ class _WireRecorder(RoundHooks):
     def before_select(self, ctx):
         self.wire = {up.client_id: up.payload for up in ctx.uploads}
 
-    def after_aggregate(self, ctx):
+    def observe(self, ctx):
         # The server aggregated corrupted → discounted.
         discount = ctx.engine.discount
         for up in ctx.uploads:
@@ -430,8 +458,6 @@ class _WireRecorder(RoundHooks):
                     self.discounted_adversary = True
                 else:
                     self.discounted_honest = True
-
-    def after_update(self, ctx):
         selected = ctx.selection.indices
         for client in ctx.participants:
             # Nothing the server did to the wire (poison, discount)
@@ -603,7 +629,7 @@ class TestCounterfactualEvaluator:
         from repro.fl.engine import RoundHooks
 
         class Preset(RoundHooks):
-            def after_update(self, ctx):
+            def observe(self, ctx):
                 ctx.eval_loss = 0.125
 
         trainer = _async_trainer("constant", eval_every=1)

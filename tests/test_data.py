@@ -634,6 +634,22 @@ def _src_nodes():
             yield relative, node
 
 
+def _hex_literal_sites(root):
+    """Hex int literal -> every ``file:line`` under ``root`` writing it
+    as code (comments and strings are not code)."""
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Constant) and type(node.value) is int
+                    and ast.get_source_segment(source, node)[:2].lower()
+                    == "0x"):
+                sites.setdefault(node.value, []).append(
+                    f"{path.relative_to(root).as_posix()}:{node.lineno}"
+                )
+    return sites
+
+
 def _compares_client_id_with_none(test) -> bool:
     return any(
         isinstance(node, ast.Compare)
@@ -655,11 +671,32 @@ class TestOneShardPath:
                  and node.name == "minibatch"]
         assert len(sites) == 1, sites
 
-    def test_one_eval_pool_tag(self):
-        sites = [f"{rel}:{node.lineno}" for rel, node in _src_nodes()
-                 if isinstance(node, ast.Constant)
-                 and type(node.value) is int and node.value == 0xE0A1]
-        assert len(sites) == 1, sites
+    def test_each_stream_tag_is_written_once(self):
+        # Every hex literal under src/ is an RNG stream tag (0xE0A1, the
+        # eval pool's, among them): each is written once, as code, and
+        # every other use imports its name.
+        tags = _hex_literal_sites(SRC)
+        assert 0xE0A1 in tags and len(tags) >= 10, sorted(tags)
+        repeated = {hex(tag): sites for tag, sites in tags.items()
+                    if len(sites) > 1}
+        assert repeated == {}
+
+    def test_the_stream_tag_lint_reads_hex_code_only(self, tmp_path):
+        # Guard against a vacuous lint: a tag written twice as code is
+        # found; the same value in decimal, a comment or a string is not
+        # a hex literal.
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "a.py").write_text("TAG = 0x5CE2\nN = 23778\n")
+        (package / "b.py").write_text(
+            "# 0x5CE2 in a comment\n"
+            "rng = make((seed, 0X5ce2))\n"
+            "NAME = '0x5CE2'\n"
+            "OTHER = 0xD1A7\n"
+        )
+        assert _hex_literal_sites(package) == {
+            0x5CE2: ["a.py:1", "b.py:2"], 0xD1A7: ["b.py:4"],
+        }
 
     def test_partition_branches_on_client_id_once(self):
         tree = ast.parse((SRC / "data" / "partition.py").read_text())

@@ -45,6 +45,7 @@ from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn import layers
 from repro.nn.models import make_cnn, make_mlp
+from repro.obs import Telemetry
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
@@ -63,6 +64,7 @@ from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
 from helpers import (
+    EventList,
     make_gaussian_blobs,
     make_logistic,
     materialize,
@@ -1244,6 +1246,63 @@ def _wire_record_uses(name, tree):
     return found
 
 
+#: what ChainedHooks fans out: the two points that change a round, the
+#: charge, and the one point that learns
+HOOK_POINTS = {"after_local_steps", "before_select", "extra_round_time",
+               "observe"}
+#: never-called RoundHooks stubs, kept only because the frozen suite
+#: tracer (benchmarks/suite/trace.py) wraps ScenarioHooks' methods of
+#: these names
+SUITE_STUBS = ("after_aggregate", "after_update", "round_timing")
+#: names nothing under src/ may define or use any more
+GONE_NAMES = ("RoundObservation", "record_k", "_stale")
+#: hook points that only read the round: assigning the wire there would
+#: be a swap/restore
+READ_ONLY_POINTS = ("extra_round_time", "observe")
+
+
+def _hook_surface_uses(name, tree):
+    """Every place in one module's ``tree`` that breaks the hook
+    surface: a suite stub defined outside ``RoundHooks`` (in
+    ``fl/engine.py``) or read as an attribute (called, chained,
+    wrapped), a gone name defined or used, or a read-only hook point
+    assigning ``ctx.uploads``."""
+    stubs = {
+        method
+        for node in ast.walk(tree)
+        if name == "fl/engine.py" and isinstance(node, ast.ClassDef)
+        and node.name == "RoundHooks"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name in SUITE_STUBS
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if (node.name in GONE_NAMES
+                    or node.name in SUITE_STUBS and node not in stubs):
+                found.append(f"{name}:{node.lineno} def {node.name}")
+            if node.name in READ_ONLY_POINTS:
+                found += [
+                    f"{name}:{target.lineno} {node.name} assigns .uploads"
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute)
+                    and target.attr == "uploads"
+                    and isinstance(target.ctx, ast.Store)
+                ]
+        if isinstance(node, ast.Attribute) and node.attr in SUITE_STUBS:
+            found.append(f"{name}:{node.lineno} uses .{node.attr}")
+        used = (
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if used in GONE_NAMES:
+            found.append(f"{name}:{node.lineno} uses {used}")
+    return found, stubs
+
+
 class TestOneWire:
     """``ctx.uploads`` is the wire and nothing keeps a second one: the
     residual reset zeroes ``J ∩ J_i`` by index (Algorithm 1, lines
@@ -1253,51 +1312,58 @@ class TestOneWire:
     def test_no_wire_record_and_no_hook_restores(self):
         # Also: per-upload facts are keyed by client id (no positional
         # staleness list), the engine charges the round (no hook returns
-        # a timing or a recorded k), and ChainedHooks only fans out.
+        # a timing or a recorded k), hooks change a round at two points
+        # and learn at one (no after_aggregate/after_update hook, no
+        # second feedback record), and ChainedHooks only fans out.
         src = pathlib.Path(__file__).parents[1] / "src" / "repro"
-        records, restores, leftovers = [], [], []
-        stub, chained = set(), None
+        records, surface, stubs, chained = [], [], set(), None
         for path in sorted(src.rglob("*.py")):
             name = str(path.relative_to(src))
             tree = ast.parse(path.read_text())
             records += _wire_record_uses(name, tree)
-            # Breadth-first: a class is visited before its methods.
+            found, kept = _hook_surface_uses(name, tree)
+            surface += found
+            stubs |= {method.name for method in kept}
             for node in ast.walk(tree):
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name == "after_aggregate"):
-                    restores += [
-                        f"{name}:{target.lineno}"
-                        for target in ast.walk(node)
-                        if isinstance(target, ast.Attribute)
-                        and target.attr == "uploads"
-                        and isinstance(target.ctx, ast.Store)
-                    ]
-                if isinstance(node, ast.ClassDef) and name == "fl/engine.py":
-                    methods = {
-                        f.name: f for f in node.body
+                if (isinstance(node, ast.ClassDef) and name == "fl/engine.py"
+                        and node.name == "ChainedHooks"):
+                    chained = {
+                        f.name for f in node.body
                         if isinstance(f, ast.FunctionDef)
                     }
-                    if node.name == "RoundHooks":
-                        stub.add(methods["round_timing"])
-                    if node.name == "ChainedHooks":
-                        chained = set(methods)
-                if isinstance(node, ast.Attribute) and node.attr in (
-                        "_stale", "record_k", "round_timing"):
-                    leftovers.append(f"{name}:{node.lineno} .{node.attr}")
-                if (isinstance(node, ast.FunctionDef)
-                        and node.name in ("record_k", "round_timing")
-                        and node not in stub):
-                    leftovers.append(f"{name}:{node.lineno} def {node.name}")
         assert records == [], f"a second wire under src/: {records}"
-        assert restores == [], (
-            f"after_aggregate assigns ctx.uploads (swap/restore): {restores}"
+        assert surface == [], f"outside the hook surface: {surface}"
+        assert stubs == set(SUITE_STUBS)
+        assert chained == {"__init__"} | HOOK_POINTS
+
+    def test_the_hook_surface_lint_reads_defs_uses_and_restores(self):
+        # Guard against a vacuous lint: each form it forbids is found,
+        # and the engine's own stubs pass.
+        engine = (
+            "class RoundHooks:\n"
+            "    def after_aggregate(self, ctx):\n"
+            "        del ctx\n"
+            "    def after_update(self, ctx):\n"
+            "        del ctx\n"
         )
-        assert len(stub) == 1
-        assert leftovers == [], f"positional/first-wins rules: {leftovers}"
-        assert chained == {
-            "__init__", "after_local_steps", "before_select",
-            "after_aggregate", "after_update", "extra_round_time", "observe",
-        }
+        found, stubs = _hook_surface_uses("fl/engine.py", ast.parse(engine))
+        assert found == [] and len(stubs) == 2
+        source = (
+            "from repro.online.policy import RoundObservation\n"
+            "class Knob(RoundHooks):\n"
+            "    def after_update(self, ctx):\n"
+            "        pass\n"
+            "    def observe(self, ctx):\n"
+            "        ctx.uploads = self.saved\n"
+            "        hooks.after_aggregate(ctx)\n"
+        )
+        found, stubs = _hook_surface_uses("m.py", ast.parse(source))
+        assert sorted(found) == [
+            "m.py:1 uses RoundObservation",
+            "m.py:3 def after_update",
+            "m.py:6 observe assigns .uploads",
+            "m.py:7 uses .after_aggregate",
+        ] and stubs == set()
 
     def test_the_wire_lint_reads_names_calls_and_reset_signatures(self):
         # Guard against a vacuous lint: each form it forbids is found,
@@ -1320,6 +1386,88 @@ class TestOneWire:
             "m.py:3 reset_transmitted(...)",
             "m.py:4 preprocess_uploads()",
         ]
+
+
+# ----------------------------------------------------------------------
+# Hook event order: what a traced round emits, and when
+# ----------------------------------------------------------------------
+def _event_order(events):
+    """One line per round, in emission order: each event's type (a
+    span's name), grouped by consecutive equal round."""
+    lines, last = [], None
+    for event in events:
+        label = event["name"] if event["type"] == "span" else event["type"]
+        if event["round"] != last:
+            lines.append(f"{event['round']}:")
+            last = event["round"]
+        lines[-1] += f" {label}"
+    return lines
+
+
+#: churn + over-selection, a sign-flip quarter under the trimmed mean,
+#: the learned deadline (both replays) and the learned k
+CHURN_EVENT_ORDER = [
+    "1: drop deadline probe round",
+    "2: recovery drop deadline probe round",
+    "3: drop flagged deadline probe round",
+    "4: drop flagged deadline probe round",
+    "5: recovery drop flagged deadline probe round",
+    "6: flagged deadline probe round",
+    "7: recovery flagged deadline probe round",
+    "8: deadline probe round",
+]
+#: adaptive-discount commits of 4 under a sign-flip 30% and the trimmed
+#: mean, with the learned k (commit 6 flags nobody)
+ASYNC_EVENT_ORDER = [
+    f"{m}:" + " async.arrival" * 4
+    + ("" if m == 6 else " flagged") + " probe round"
+    for m in range(1, 9)
+]
+
+
+class TestHookEventOrder:
+    """The hooks' telemetry lands where it always did: a deadline
+    round's drop/recovery before its flags, the deadline walk, the k
+    probe and the round record; a commit's arrivals before the same."""
+
+    def test_churn_robust_adaptive_deadline_learned_k(self):
+        config = ScenarioConfig(
+            availability="markov", p_drop=0.2, p_recover=0.6,
+            participants=6, over_selection=0.5, deadline=8.0,
+            deadline_policy="adaptive", deadline_min=1.5,
+            deadline_max=20.0, slow_fraction=0.25, slow_factor=4.0,
+            adversary="sign_flip", adversary_fraction=0.25,
+            aggregator="trimmed_mean", seed=9,
+        )
+        fed = _federation(num_writers=10, seed=9)
+        model = make_mlp(64, 10, hidden=(6,), seed=9)
+        ids = [c.client_id for c in fed.clients]
+        profiles = config.build_profiles(ids)
+        timing = HeterogeneousTimingModel(
+            model.dimension, comm_time=10.0, profiles=profiles
+        )
+        events = EventList()
+        trainer = FLTrainer(
+            model, fed, FABTopK(), timing=timing, learning_rate=0.5,
+            batch_size=8, eval_every=2, seed=9, backend="vectorized",
+            scenario=DeploymentScenario.build(config, ids, timing, profiles),
+            telemetry=Telemetry(sink=events),
+        )
+        trainer.run(8, _learned_k_policy(model))
+        assert _event_order(events) == CHURN_EVENT_ORDER
+
+    def test_adaptive_async_adversary_learned_k(self):
+        events = EventList()
+        trainer, _ = _async_matrix_trainer(
+            "serial", ScenarioConfig(
+                availability="always", adversary="sign_flip",
+                adversary_fraction=0.3, aggregator="trimmed_mean", seed=5,
+            ), Telemetry(sink=events), discount="adaptive",
+        )
+        trainer.run(8, _learned_k_policy(trainer.model))
+        assert _event_order(events) == ASYNC_EVENT_ORDER
+        rounds = [e for e in events if e["type"] == "round"]
+        assert all("probe_exponent" in e for e in rounds)
 
 
 # ----------------------------------------------------------------------

@@ -116,14 +116,13 @@ class TestClient:
         w = model.get_weights()
         ctx = SimpleNamespace(
             engine=SimpleNamespace(model=model), participants=[client],
-            w_prev=w, w_new=w, recorded_k=None,
         )
         with pytest.raises(RuntimeError, match="draw_probe_sample"):
-            hooks.after_update(ctx)
+            hooks.sample_losses(ctx, w, w)
         client.draw_probe_sample(*client.draw_minibatch())
-        hooks.after_update(ctx)
-        assert np.isfinite(hooks.loss_prev) and hooks.loss_prev >= 0
-        assert hooks.loss_now == hooks.loss_prev and hooks.loss_probe is None
+        loss_prev, loss_now = hooks.sample_losses(ctx, w, w)
+        assert np.isfinite(loss_prev) and loss_prev >= 0
+        assert loss_now == loss_prev
 
     def test_probe_sample_is_its_own_row(self, federation, model):
         # The probe sample outlives the minibatch it came from: a copy of

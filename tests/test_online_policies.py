@@ -11,7 +11,8 @@ from repro.online.algorithm2 import SignOGD
 from repro.online.algorithm3 import AdaptiveSignOGD
 from repro.online.baselines import ContinuousBandit, Exp3Policy, ValueBasedGD
 from repro.online.interval import SearchInterval
-from repro.online.policy import KPolicy, RoundObservation, SignPolicy
+from repro.online.knob import Reading
+from repro.online.policy import KPolicy, SignPolicy
 from repro.simulation.timing import TimingModel
 from repro.sparsify import fab_topk
 from repro.sparsify.fab_topk import FABTopK
@@ -21,13 +22,15 @@ from helpers import make_gaussian_blobs, make_logistic, partition_iid
 
 def obs(k, probe_k, loss_prev, loss_now, loss_probe, round_time=10.0,
         probe_round_time=None, cost=None):
+    """The ``(reading, cost)`` a learned-k round hands its policy: no
+    reading without a probe."""
     if cost is None and loss_prev > loss_now:
         cost = round_time / (loss_prev - loss_now)
-    return RoundObservation(
-        k=k, round_time=round_time, loss_prev=loss_prev, loss_now=loss_now,
-        loss_probe=loss_probe, probe_k=probe_k,
-        probe_round_time=probe_round_time, cost=cost,
-    )
+    reading = None
+    if probe_k is not None:
+        reading = Reading(loss_prev, loss_now, loss_probe, round_time,
+                          probe_round_time, k, probe_k)
+    return reading, cost
 
 
 class TestSignPolicy:
@@ -48,7 +51,7 @@ class TestSignPolicy:
         policy = SignPolicy(alg)
         probe = policy.probe_k()
         # Probe reached same loss with less time -> sign positive -> k down.
-        policy.observe(obs(50.0, probe, 1.0, 0.8, 0.8,
+        policy.observe(*obs(50.0, probe, 1.0, 0.8, 0.8,
                            round_time=10.0, probe_round_time=5.0))
         assert alg.k < 50.0
         assert alg.m == 2
@@ -56,7 +59,7 @@ class TestSignPolicy:
     def test_observe_without_probe_keeps_k(self):
         alg = SignOGD(SearchInterval(1.0, 101.0), k1=50.0)
         policy = SignPolicy(alg)
-        policy.observe(obs(50.0, None, 1.0, 0.8, None))
+        policy.observe(*obs(50.0, None, 1.0, 0.8, None))
         assert alg.k == 50.0
         assert alg.m == 2
 
@@ -64,7 +67,7 @@ class TestSignPolicy:
         alg = AdaptiveSignOGD(SearchInterval(1.0, 101.0), k1=50.0)
         policy = SignPolicy(alg)
         probe = policy.probe_k()
-        policy.observe(obs(50.0, probe, 1.0, 0.9, 0.99,
+        policy.observe(*obs(50.0, probe, 1.0, 0.9, 0.99,
                            round_time=10.0, probe_round_time=9.0))
         assert alg.k > 50.0  # probe slower -> larger k better
 
@@ -75,13 +78,13 @@ class TestValueBasedGD:
         policy = ValueBasedGD(K)
         probe = policy.probe_k()
         assert probe is not None and probe < 50.0
-        policy.observe(obs(50.0, probe, 1.0, 0.8, 0.8,
+        policy.observe(*obs(50.0, probe, 1.0, 0.8, 0.8,
                            round_time=10.0, probe_round_time=5.0))
         assert policy.propose() < 50.0
 
     def test_missing_probe_keeps_k(self):
         policy = ValueBasedGD(SearchInterval(1.0, 79.0))  # k_1 = 40
-        policy.observe(obs(40.0, None, 1.0, 1.1, None))
+        policy.observe(*obs(40.0, None, 1.0, 1.1, None))
         assert policy.propose() == 40.0
 
     def test_stays_in_interval(self):
@@ -89,7 +92,7 @@ class TestValueBasedGD:
         policy = ValueBasedGD(K)
         probe = policy.probe_k()
         # Enormous derivative must be clipped by projection.
-        policy.observe(obs(15.0, probe, 1.0, 0.5, 0.999,
+        policy.observe(*obs(15.0, probe, 1.0, 0.5, 0.999,
                            round_time=1000.0, probe_round_time=999.0))
         assert K.contains(policy.propose())
 
@@ -101,7 +104,7 @@ class TestExp3:
         for _ in range(20):
             k = policy.propose()
             assert any(abs(k - a) < 1e-9 for a in policy.arms)
-            policy.observe(obs(k, None, 1.0, 0.9, None))
+            policy.observe(*obs(k, None, 1.0, 0.9, None))
 
     def test_learns_better_arm(self, monkeypatch):
         # Arm values: cost grows with distance from the best arm; EXP3
@@ -113,19 +116,19 @@ class TestExp3:
         for _ in range(3000):
             k = policy.propose()
             cost = 1.0 + abs(np.log(k / best))
-            policy.observe(obs(k, None, 1.0, 0.5, None, cost=cost))
+            policy.observe(*obs(k, None, 1.0, 0.5, None, cost=cost))
         p = policy._probabilities()
         assert p[2] == p.max()
 
     def test_observe_before_propose_raises(self):
         policy = Exp3Policy(SearchInterval(1.0, 10.0), num_arms=4)
         with pytest.raises(RuntimeError):
-            policy.observe(obs(5.0, None, 1.0, 0.9, None))
+            policy.observe(*obs(5.0, None, 1.0, 0.9, None))
 
     def test_missing_cost_is_worst_reward(self):
         policy = Exp3Policy(SearchInterval(1.0, 100.0), num_arms=4, seed=0)
         k = policy.propose()
-        policy.observe(obs(k, None, 1.0, 1.5, None, cost=None))  # no decrease
+        policy.observe(*obs(k, None, 1.0, 1.5, None, cost=None))  # no decrease
         # Must not crash and weights stay finite.
         assert np.all(np.isfinite(policy._log_weights))
 
@@ -139,7 +142,7 @@ class TestExp3:
         rng = np.random.default_rng(0)
         for _ in range(5000):
             k = policy.propose()
-            policy.observe(obs(k, None, 1.0, 0.9, None, cost=rng.uniform(1, 5)))
+            policy.observe(*obs(k, None, 1.0, 0.9, None, cost=rng.uniform(1, 5)))
         p = policy._probabilities()
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0)
@@ -157,7 +160,7 @@ class TestContinuousBandit:
     def test_observe_before_propose_raises(self):
         policy = ContinuousBandit(SearchInterval(1.0, 10.0))
         with pytest.raises(RuntimeError):
-            policy.observe(obs(5.0, None, 1.0, 0.9, None))
+            policy.observe(*obs(5.0, None, 1.0, 0.9, None))
 
     def test_drifts_toward_cheaper_region(self):
         # Cost increases with k; center should drift down over time.
@@ -170,7 +173,7 @@ class TestContinuousBandit:
             policy._z = 80.0  # start high
             for _ in range(2000):
                 k = policy.propose()
-                policy.observe(obs(k, None, 1.0, 0.5, None, cost=k))
+                policy.observe(*obs(k, None, 1.0, 0.5, None, cost=k))
             finals.append(policy._z)
         assert np.mean(finals) < 75.0
 
@@ -178,7 +181,7 @@ class TestContinuousBandit:
         policy = ContinuousBandit(SearchInterval(1.0, 99.0), seed=0)
         policy.propose()
         z = policy._z
-        policy.observe(obs(50.0, None, 1.0, 1.5, None, cost=None))
+        policy.observe(*obs(50.0, None, 1.0, 1.5, None, cost=None))
         assert policy._z == z
 
 
@@ -314,8 +317,8 @@ class _FixedPolicy(KPolicy):
     def probe_k(self):
         return self.probe
 
-    def observe(self, observation):
-        del observation
+    def observe(self, reading, cost):
+        del reading, cost
 
 
 class TestRoundWorkCounts:

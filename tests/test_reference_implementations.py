@@ -48,7 +48,12 @@ from repro.scenarios import (
     AdaptiveDeadlinePolicy, DeadlineRoundPolicy, ScenarioConfig,
 )
 
-from helpers import make_gaussian_blobs, make_logistic, partition_iid
+from helpers import (
+    EventList,
+    make_gaussian_blobs,
+    make_logistic,
+    partition_iid,
+)
 
 
 def _rank_key(pair):
@@ -1049,22 +1054,18 @@ class TestProbeLossesAgainstPerClientReference:
         w_probe = 1e3 * w_prev  # huge logits
         ctx = SimpleNamespace(
             engine=SimpleNamespace(model=model), participants=clients,
-            w_prev=w_prev, w_new=w_new, recorded_k=None,
         )
         hooks = LearnedK(None, None)
         with np.errstate(all="ignore"):
-            # The round's phases, with the model where the engine puts it.
-            hooks.after_local_steps(ctx)
+            # The model where the engine's observe point puts it: w(m).
             model.set_weights(w_new)
-            hooks.w_probe = w_probe
-            hooks.after_update(ctx)
+            got = hooks.sample_losses(ctx, w_prev, w_new, w_probe)
             assert model.get_weights().tobytes() == w_new.tobytes()
             assert model.network.training
             expected = [
                 reference_probe_reading(model, clients, w)
                 for w in (w_prev, w_new, w_probe)
             ]
-        got = [hooks.loss_prev, hooks.loss_now, hooks.loss_probe]
         assert [np.float64(v).tobytes() for v in got] == [
             np.float64(v).tobytes() for v in expected
         ]
@@ -1120,20 +1121,8 @@ class ScriptedPolicy(KPolicy):
     def probe_k(self):
         return self.script[len(self.observed)][1]
 
-    def observe(self, observation):
-        self.observed.append(observation)
-
-
-class EventList(list):
-    """A telemetry sink that keeps the (validated) events in memory."""
-
-    write = list.append
-
-    def flush(self):
-        pass
-
-    def close(self):
-        pass
+    def observe(self, reading, cost):
+        self.observed.append(reading)
 
 
 def _learned_k_setup(features, classes):
@@ -1173,7 +1162,13 @@ class TestLearnedKDrawAgainstReference:
         ]
         assert got == reference_learned_k_draws(script, dimension, seed)
         assert trainer.history.ks() == [float(k) for k, _ in script]
-        assert [o.k for o in policy.observed] == [k for k, _ in script]
+        assert [
+            None if reading is None else (reading.value, reading.probe_value)
+            for reading in policy.observed
+        ] == [
+            None if probe is None else step
+            for step, probe in zip(script, probes)
+        ]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_run_twice_draws_what_one_run_draws(self, seed):

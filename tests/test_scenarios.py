@@ -1631,7 +1631,7 @@ class TestAdaptiveDeadlineIntegration:
         class Recorder(RoundHooks):
             downlink = None
 
-            def after_aggregate(self, ctx):
+            def observe(self, ctx):
                 Recorder.downlink = ctx.downlink.payload
 
         trainer.engine.run_round(12, hooks=Recorder())
