@@ -102,6 +102,12 @@ class ExecutionBackend:
         asks for it (the input of :meth:`Client.draw_probe_sample`);
         otherwise it may be None.  No client keeps it.
 
+        The result may be lazy: a generator (the serial backend's) or a
+        sequence filled in as the pairs arrive (the sharded backend's,
+        whose item ``i`` waits only for participant ``i``), so a caller
+        that consumes the pairs in order works on one while later ones
+        are still computed.
+
         Each gradient is valid until this backend's next gradient phase:
         a backend may return views of a buffer it reuses, as the sharded
         one does.  Consume them at once, or copy what must last longer.

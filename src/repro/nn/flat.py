@@ -74,16 +74,19 @@ class FlatModel:
     # Gradient / loss evaluation
     # ------------------------------------------------------------------
     def gradient(
-        self, x: np.ndarray, y: np.ndarray
+        self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, float]:
         """Flat gradient of the mean loss on minibatch ``(x, y)``.
 
         Returns ``(grad, loss_value)`` where ``grad`` has length
         ``dimension`` and ``loss_value`` is the mean minibatch loss at the
         current weights.  The one-group case of :meth:`gradients_batched`.
+        With ``out`` (a float64 ``dimension``-row, e.g. a shared-memory
+        row) the gradient is written there, and the returned row is a
+        view of it: no row is allocated and none is copied.
         """
         param_grads, logits = self._backprop(x[None], y[None])
-        flat = np.empty((1, self.dimension))
+        flat = np.empty((1, self.dimension)) if out is None else out[None]
         self._write_rows(param_grads, flat)
         return flat[0], self.loss.forward(logits[0], y)
 

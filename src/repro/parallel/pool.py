@@ -5,21 +5,30 @@ shared-memory buffers: one holding the flat model weights, one holding a
 ``(cohort, D)`` block of gradient rows.  Each round the parent writes
 the synchronized weights ``w(m-1)`` into the first once (the broadcast),
 then sends every worker only the ids of the clients it should step and
-the row each gradient belongs in; a worker writes ``rows[slot] = grad``
-in place and replies with ``(client id, batch-or-None)`` pairs.  No
-gradient is ever pickled.  Client state — the local dataset with its
-minibatch RNG — is pickled to its worker *once*, on registration, and
-lives there for the rest of the run, so the steady-state pipe traffic is
-a few bytes per client: ids and slots out, ids back.
+the row each gradient belongs in.  A worker computes each gradient
+straight into its row and, as soon as the row is written, sends one
+``(client id, batch-or-None)`` message for it: the reply streams.  No
+gradient is ever pickled or copied.  Client state — the local dataset
+with its minibatch RNG — is pickled to its worker *once*, on
+registration, and lives there for the rest of the run, so the
+steady-state pipe traffic is a few bytes per client: ids and slots out,
+ids back.
+
+:meth:`WorkerPool.compute_gradients` returns as soon as the requests are
+out.  Its result, a :class:`GradientStream`, is a lazily filled,
+re-iterable sequence in request order whose item ``i`` waits only for
+client ``i``'s message, so the parent folds and selects client ``i``
+while the workers compute the clients after it.  Whatever a caller
+leaves unread is read by the pool's next request before it sends.
 
 The gradient rows live in a named POSIX segment (:class:`_GradientRows`)
 that is created on the first request and regrown geometrically, because
 the cohort size is not known when the workers start; workers attach by
 the name that rides every request and re-attach when it changes.
-:meth:`WorkerPool.compute_gradients` returns *views* of those rows,
-valid until the next call on the same pool.  The segment's pages are
-reserved when it is created, so a ``/dev/shm`` that is too small is an
-``OSError`` in the parent, never a ``SIGBUS`` in a worker.
+The result's gradients are *views* of those rows, valid until the next
+call on the same pool.  The segment's pages are reserved when it is
+created, so a ``/dev/shm`` that is too small is an ``OSError`` in the
+parent, never a ``SIGBUS`` in a worker.
 
 Virtual clients (:class:`repro.data.virtual.LazyClientDataset`) never
 ship arrays at all: registration sends the federation's tiny
@@ -51,6 +60,7 @@ import pickle
 import time
 import traceback
 import weakref
+from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.shared_memory import SharedMemory
 from typing import NoReturn
@@ -154,14 +164,17 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
     ``weights_buf`` is the shared flat-weight buffer; it is re-read at
     every ``grads`` request, so the parent's single write per round
     broadcasts to all workers.  Gradients go the other way through the
-    segment named in the request: each is written into its row slot, and
-    the reply carries only ``(client id, batch-or-None)`` pairs.
+    segment named in the request: each is computed straight into its
+    row slot, and as soon as that row is written the worker sends one
+    small ``("ok", (client id, batch-or-None, events))`` message for it,
+    in the request's order.
 
     When a ``grads`` request arrives with its trace flag set, the worker
     times the request on a lazily built buffered
     :class:`~repro.obs.telemetry.WorkerTelemetry` and ships the drained
-    events back alongside the pairs; untraced requests do no telemetry
-    work at all and ship ``None`` in the events slot.
+    events on the request's last message; every other message, and
+    every message of an untraced request (which does no telemetry work
+    at all), carries ``None`` in the events slot.
     """
     weights = np.frombuffer(weights_buf, dtype=np.float64, count=dimension)
     wtel: WorkerTelemetry | None = None
@@ -218,10 +231,13 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                         count=capacity * dimension,
                     ).reshape(capacity, dimension)
                 model = models[token]
-                model.set_weights(weights.copy())
-                out = []
+                # set_weights copies into the parameter arrays, and the
+                # parent leaves the buffer alone until this request's
+                # last client has been reported.
+                model.set_weights(weights)
                 regenerated = 0
-                for cid, slot in assigned:
+                last = len(assigned) - 1
+                for position, (cid, slot) in enumerate(assigned):
                     dataset, batch_size = shards[token][cid]
                     if isinstance(dataset, VirtualSpec):
                         # First gradient request for a virtual client:
@@ -237,29 +253,130 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                         shards[token][cid] = (dataset, batch_size)
                         regenerated += 1
                     x, y = dataset.minibatch(batch_size)
-                    grad, _ = model.gradient(x, y)
-                    rows[slot] = grad
-                    out.append((cid, (x, y) if want_batches else None))
-                if trace:
-                    wtel.event(
-                        "span",
-                        name="worker.gradients",
-                        seconds=time.perf_counter() - request_start,
-                        clients=len(assigned),
-                        regenerated=regenerated,
-                    )
-                    conn.send(("ok", (out, wtel.drain())))
-                else:
-                    conn.send(("ok", (out, None)))
+                    model.gradient(x, y, out=rows[slot])
+                    events = None
+                    if trace and position == last:
+                        wtel.event(
+                            "span",
+                            name="worker.gradients",
+                            seconds=time.perf_counter() - request_start,
+                            clients=len(assigned),
+                            regenerated=regenerated,
+                        )
+                        events = wtel.drain()
+                    # The row is written: report it now, so the parent
+                    # folds it while this worker computes the next one.
+                    conn.send(("ok", (cid, (x, y) if want_batches else None,
+                                      events)))
             else:
                 conn.send(("error", f"unknown command {cmd!r}"))
         except Exception:
-            conn.send(("error", traceback.format_exc()))
+            try:
+                conn.send(("error", traceback.format_exc()))
+            except OSError:
+                break  # the parent closed the pool mid-request
     # A spawn-started worker runs a full interpreter shutdown, and a
     # segment cannot close while the row array still exports its buffer.
     rows = None
     if segment is not None:
         segment.close()
+
+
+class GradientStream:
+    """One gradient request's result, filled in as the workers report it.
+
+    A read-only sequence of ``(gradient row, batch-or-None)`` pairs in
+    request order, which can be iterated any number of times.  Reading
+    item ``i`` blocks only until its worker has reported client ``i``
+    (each worker reports its clients in request order); the rows are
+    views of the pool's shared block, with the lifetime
+    :meth:`WorkerPool.compute_gradients` states.  A worker that failed
+    or died while this is read raises ``RuntimeError`` naming it, and
+    the pool is closed.
+    """
+
+    def __init__(
+        self,
+        pool: WorkerPool,
+        client_ids: list[int],
+        rows: np.ndarray,
+        by_worker: dict[int, list[tuple[int, int]]],
+        trace: bool,
+    ) -> None:
+        self._pool = pool
+        self._client_ids = client_ids
+        self._grads = list(rows[: len(client_ids)])
+        self._batches: list[tuple | None] = [None] * len(client_ids)
+        # worker -> the slots it has still to report, ascending
+        self._pending = {
+            worker: deque(slot for _, slot in assigned)
+            for worker, assigned in by_worker.items()
+        }
+        self._trace = trace
+        self._events: dict[int, list[dict]] = {}
+
+    def __len__(self) -> int:
+        return len(self._grads)
+
+    def __getitem__(self, i: int):
+        i = range(len(self._grads))[i]  # an int index, bounds-checked
+        worker = self._pool.worker_of(self._client_ids[i])
+        slots = self._pending[worker]
+        while slots and slots[0] <= i:
+            self._read(worker)
+        return self._grads[i], self._batches[i]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self._grads)))
+
+    def drain(self) -> None:
+        """Read every message still outstanding."""
+        for worker, slots in self._pending.items():
+            while slots:
+                self._read(worker)
+
+    def _read(self, worker: int) -> None:
+        """Read ``worker``'s next report into its slot."""
+        pool = self._pool
+        if not pool.alive:
+            raise RuntimeError(
+                "sharded pool closed before its gradient result was read"
+            )
+        slots = self._pending[worker]
+        cid, batch, events = pool._receive(worker)
+        if cid != self._client_ids[slots[0]]:
+            pool.close()
+            raise RuntimeError(
+                f"sharded worker {worker} reported client {cid}, expected "
+                f"{self._client_ids[slots[0]]}"
+            )
+        slot = slots.popleft()
+        self._batches[slot] = batch
+        if self._trace:
+            tel = pool.telemetry
+            shm_bytes = self._grads[slot].nbytes
+            tel.count("pool.shm_bytes_back", shm_bytes)
+            tel.count("pool.ipc_bytes_back", shm_bytes + (
+                batch[0].nbytes + batch[1].nbytes if batch else 0
+            ))
+            if events:
+                self._events[worker] = events
+        if not any(self._pending.values()):
+            self._finish()
+
+    def _finish(self) -> None:
+        """Every report is in: merge the worker events, free the pool."""
+        pool = self._pool
+        if self._events:
+            tel = pool.telemetry
+            round_index = tel.current_round
+            for worker in sorted(self._events):
+                for event in self._events[worker]:
+                    fields = dict(event)
+                    kind = fields.pop("type")
+                    fields.setdefault("round", round_index)
+                    tel.event(kind, **fields)
+        pool._stream = None
 
 
 class WorkerPool:
@@ -290,6 +407,8 @@ class WorkerPool:
         # pool that cannot get its segment can still hand over to the
         # in-process serial path without forking an RNG stream.
         self._served = False
+        # The last gradient result while it still has unread messages.
+        self._stream: GradientStream | None = None
         # Forked workers must inherit a running tracker.  One that starts
         # its own on attaching the gradient segment would unlink the
         # segment, and report it leaked, when that worker exits.
@@ -334,6 +453,7 @@ class WorkerPool:
                 len(pickle.dumps(("model", token, model, drop_tokens)))
                 * len(self._conns),
             )
+        self._settle()
         for worker in range(self.num_workers):
             self._send(worker, ("model", token, model, drop_tokens))
         for worker in range(self.num_workers):
@@ -355,6 +475,7 @@ class WorkerPool:
             if len(clients) - specs:
                 tel.count("pool.register_array", len(clients) - specs)
             tel.count(f"pool.worker{worker}.clients", len(clients))
+        self._settle()
         self._send(worker, ("register", token, clients))
         self._receive(worker)
 
@@ -368,6 +489,7 @@ class WorkerPool:
         minibatch streams have advanced, so the pool closes and the
         failure is a ``RuntimeError`` naming the bytes asked for.
         """
+        self._settle()
         try:
             return self._grads.reserve(count)
         except OSError as exc:
@@ -384,7 +506,7 @@ class WorkerPool:
         client_ids: list[int],
         weights: np.ndarray,
         want_batches: bool = False,
-    ) -> list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]]:
+    ) -> GradientStream | list:
         """One parallel gradient phase over ``client_ids`` at ``weights``.
 
         Returns, in ``client_ids`` order, each client's flat gradient
@@ -392,18 +514,27 @@ class WorkerPool:
         it was computed on; shipping batches every round would put
         arrays back on the pipe for nothing.
 
+        The result streams: it is a :class:`GradientStream`, returned as
+        soon as the requests are out, whose item ``i`` waits only for
+        client ``i``'s report.  A caller that folds the gradients in
+        order therefore works on client ``i`` while the workers compute
+        the clients after it.  The sequence can be read any number of
+        times, by index or by iteration.
+
         The gradients are *views*: row ``i`` of the shared block the
         workers wrote into, in ``client_ids`` order.  They are valid
         until the next call on this pool, which overwrites them; copy
-        what must outlive it.
+        what must outlive it.  Whatever of this result is still unread
+        when the pool is next asked for anything is read first, so no
+        request ever sees an earlier request's messages.
 
         With telemetry enabled the trace flag rides the request, and
-        each worker's buffered events come back in its reply; they are
-        re-emitted here through the parent telemetry in deterministic
-        ``(round, worker_id, seq)`` order (round = stream position, the
-        reply loop below walks workers in ascending id, each buffer is
-        already seq-ordered), so two identical traced runs merge to the
-        same stream.
+        each worker's buffered events come back on its last message;
+        once the whole result has been read they are re-emitted through
+        the parent telemetry in deterministic ``(round, worker_id,
+        seq)`` order (round = stream position, workers in ascending id,
+        each buffer already seq-ordered), so two identical traced runs
+        merge to the same stream.
         """
         if not client_ids:
             return []  # and no zero-byte segment, which cannot exist
@@ -415,6 +546,8 @@ class WorkerPool:
                 "a gradient request holds one row per client id; "
                 f"duplicated: {twice}"
             )
+        # Also reads what is left of the previous result: until then its
+        # workers may still be reading the weights and writing rows.
         rows = self.reserve_rows(len(client_ids))
         tel = self.telemetry
         trace = tel.enabled
@@ -430,30 +563,14 @@ class WorkerPool:
         for worker, assigned in by_worker.items():
             self._request_gradients(worker, token, assigned, want_batches,
                                     trace)
-        batches = {}
-        events_by_worker: dict[int, list[dict]] = {}
-        for worker in by_worker:
-            payload, events = self._receive(worker)
-            if trace:
-                shm_bytes = len(payload) * rows[0].nbytes
-                tel.count("pool.shm_bytes_back", shm_bytes)
-                tel.count("pool.ipc_bytes_back", shm_bytes + sum(
-                    batch[0].nbytes + batch[1].nbytes
-                    for _, batch in payload if batch
-                ))
-                if events:
-                    events_by_worker[worker] = events
-            batches.update(payload)
-        if trace and events_by_worker:
-            round_index = tel.current_round
-            for worker in sorted(events_by_worker):
-                for event in events_by_worker[worker]:
-                    fields = dict(event)
-                    kind = fields.pop("type")
-                    fields.setdefault("round", round_index)
-                    tel.event(kind, **fields)
-        return [(rows[slot], batches[cid])
-                for slot, cid in enumerate(client_ids)]
+        self._stream = GradientStream(self, client_ids, rows, by_worker,
+                                      trace)
+        return self._stream
+
+    def _settle(self) -> None:
+        """Read what is left of the last gradient result, if anything."""
+        if self._stream is not None:
+            self._stream.drain()
 
     def _request_gradients(
         self,
@@ -466,8 +583,8 @@ class WorkerPool:
         """Ask ``worker`` for its ``(client id, row slot)`` pairs.
 
         The one place that knows the request's wire shape.  The rows
-        must already be reserved; the reply is read with
-        :meth:`_receive`.
+        must already be reserved; the worker answers with one message per
+        client, each read with :meth:`_receive`.
         """
         request = ("grads", token, assigned, self._grads.segment.name,
                    want_batches, trace)
@@ -522,11 +639,13 @@ def _shutdown(conns, procs, grads: _GradientRows) -> None:
             conn.send(("stop",))
         except (OSError, ValueError):
             pass
+        # Closed before the join: a worker still reporting an unread
+        # result gets a broken pipe and stops, instead of blocking on a
+        # full one until it is terminated.
+        conn.close()
     for proc in procs:
         proc.join(timeout=2.0)
         if proc.is_alive():  # pragma: no cover - stuck worker
             proc.terminate()
             proc.join(timeout=1.0)
-    for conn in conns:
-        conn.close()
     grads.release()

@@ -7,17 +7,26 @@ each participant's minibatch draw and gradient computation runs on the
 worker owning that client's shard (:class:`repro.parallel.pool.
 WorkerPool`).  Arrays cross the process boundary through shared memory
 in both directions — the synchronized weights out, the gradients back
-into one ``(cohort, D)`` block of rows — so the pipes carry only client
-ids, row slots and, on probe rounds, the drawn batches.  Each client's
-dataset is pickled to its worker exactly once — or, for virtual clients,
-never: registration ships only the federation's
-:class:`~repro.data.virtual.VirtualSpec` and the worker regenerates the
-shard from ``(spec, client_id)`` on first participation.
+into one ``(cohort, D)`` block of rows, each computed straight into its
+row — so the pipes carry only client ids, row slots and, on probe
+rounds, the drawn batches.  Each client's dataset is pickled to its
+worker exactly once — or, for virtual clients, never: registration
+ships only the federation's :class:`~repro.data.virtual.VirtualSpec`
+and the worker regenerates the shard from ``(spec, client_id)`` on
+first participation.
 
-View lifetime: the gradients :meth:`ShardedBackend.compute_gradients`
-returns are views of those rows, valid until the backend's next gradient
-phase overwrites them.  Every consumer in the tree folds them into
-client or model state at once; one that must keep a gradient copies it.
+The reply streams: a worker reports each client as soon as its row is
+written, and :meth:`ShardedBackend.compute_gradients` returns a lazily
+filled, re-iterable sequence in participant order
+(:class:`~repro.parallel.pool.GradientStream`) whose item ``i`` waits
+only for client ``i``.  So the shared
+:meth:`~repro.fl.backends.ExecutionBackend.local_steps` folds and
+selects client ``i`` while the workers compute the clients after it.
+
+View lifetime (unchanged by the streaming): the gradients are views of
+those rows, valid until the backend's next gradient phase overwrites
+them.  Every consumer in the tree folds them into client or model state
+at once; one that must keep a gradient copies it.
 
 Bit-identity with :class:`repro.fl.backends.SerialBackend` holds by
 construction, the same argument as the vectorized backend's:

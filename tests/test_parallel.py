@@ -51,9 +51,10 @@ def _federation(num_writers=6, seed=3, num_classes=8, image_size=6):
     return partition_by_writer(ds, seed=seed)
 
 
-def _registered_pool(model=None, image_size=6, num_classes=8):
+def _registered_pool(model=None, image_size=6, num_classes=8, fed=None):
     """A 2-worker pool with session 0 open and six clients registered."""
-    fed = _federation(num_classes=num_classes, image_size=image_size)
+    if fed is None:
+        fed = _federation(num_classes=num_classes, image_size=image_size)
     if model is None:
         model = make_logistic(image_size ** 2, num_classes, seed=1)
     pool = WorkerPool(num_workers=2, dimension=model.dimension)
@@ -155,10 +156,23 @@ class TestWorkerPool:
         pool = WorkerPool(num_workers=1, dimension=model.dimension)
         try:
             pool.broadcast_model(0, model)
+            result = pool.compute_gradients(0, [99], model.get_weights())
             with pytest.raises(RuntimeError, match="KeyError"):
-                pool.compute_gradients(0, [99], model.get_weights())
+                list(result)  # the reply streams: reading it raises
             # Other workers' queued replies would desync the protocol, so
             # a failed request tears the whole pool down.
+            assert not pool.alive
+        finally:
+            pool.close()
+
+    def test_unread_worker_error_raises_at_the_next_request(self):
+        model = make_logistic(4, 2, seed=0)
+        pool = WorkerPool(num_workers=1, dimension=model.dimension)
+        try:
+            pool.broadcast_model(0, model)
+            pool.compute_gradients(0, [99], model.get_weights())  # unread
+            with pytest.raises(RuntimeError, match="KeyError"):
+                pool.broadcast_model(1, model)
             assert not pool.alive
         finally:
             pool.close()
@@ -213,6 +227,36 @@ class _KillsItsWorker:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _FailsToDraw:
+    """Dataset stand-in: drawing a minibatch raises in the worker."""
+
+    def minibatch(self, batch_size):
+        raise ValueError("this shard cannot draw")
+
+
+class _WireSpy:
+    """Stands in for the parent's end of a worker pipe and keeps the
+    pickled bytes of every message it receives."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.received: list[bytes] = []
+
+    def send(self, message):
+        self.conn.send(message)
+
+    def recv(self):
+        raw = self.conn.recv_bytes()
+        self.received.append(raw)
+        return pickle.loads(raw)
+
+
+def _spy_on_pipes(pool):
+    """Put a :class:`_WireSpy` on each of ``pool``'s worker pipes."""
+    pool._conns[:] = [_WireSpy(conn) for conn in pool._conns]
+    return pool._conns
+
+
 class TestGradientRows:
     def test_empty_request_allocates_nothing(self):
         # A zero-byte SharedMemory cannot exist, so [] must short-circuit.
@@ -236,30 +280,36 @@ class TestGradientRows:
 
     def test_reply_is_a_few_bytes_per_client(self):
         # The suite's mlp_sharded shape: D = 92,662.  A pickled gradient
-        # would be 741 KB per client; the reply is ids and Nones.
+        # would be 741 KB per client; each client's message is its id
+        # and two Nones.
         model = make_mlp(400, 62, hidden=(200,), seed=1)
         assert model.dimension == 92_662
         pool, model, ids = _registered_pool(
             model, image_size=20, num_classes=62
         )
         try:
-            assigned = [(cid, slot) for slot, cid in enumerate(ids)
-                        if pool.worker_of(cid) == 0]
-            pool.reserve_rows(len(ids))
+            spies = _spy_on_pipes(pool)
+            weights = model.get_weights()
             for want_batches in (False, True):
-                pool._request_gradients(0, 0, assigned, want_batches,
-                                        trace=False)
-                raw = pool._conns[0].recv_bytes()
-                status, (out, events) = pickle.loads(raw)
-                assert status == "ok" and events is None
-                assert [cid for cid, _ in out] == [cid for cid, _ in assigned]
-                if want_batches:
-                    assert b"numpy" in raw
-                    assert all(batch is not None for _, batch in out)
-                else:
-                    assert len(raw) < 64 * len(assigned)
-                    assert b"numpy" not in raw
-                    assert all(batch is None for _, batch in out)
+                for spy in spies:
+                    spy.received.clear()
+                result = pool.compute_gradients(0, ids, weights,
+                                                want_batches=want_batches)
+                assert len(list(result)) == len(ids)
+                for worker, spy in enumerate(spies):
+                    # One message per client, in the request's order.
+                    messages = [pickle.loads(raw) for raw in spy.received]
+                    assert [cid for _, (cid, _, _) in messages] == \
+                        [cid for cid in ids if pool.worker_of(cid) == worker]
+                    for raw, (status, (_, batch, events)) in zip(
+                        spy.received, messages
+                    ):
+                        assert status == "ok" and events is None
+                        if want_batches:
+                            assert b"numpy" in raw and batch is not None
+                        else:
+                            assert len(raw) < 64
+                            assert b"numpy" not in raw and batch is None
         finally:
             pool.close()
 
@@ -287,13 +337,13 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            pool.compute_gradients(0, ids[:2], weights)
+            list(pool.compute_gradients(0, ids[:2], weights))
             first = pool._grads.segment.name
             assert len(pool._grads.rows) == 2
-            pool.compute_gradients(0, ids[:1], weights)  # fits: no regrow
+            list(pool.compute_gradients(0, ids[:1], weights))  # no regrow
             assert pool._grads.segment.name == first
             (small, _), _ = pool.compute_gradients(0, ids[:2], weights)
-            results = pool.compute_gradients(0, ids, weights)
+            results = list(pool.compute_gradients(0, ids, weights))
             assert pool._grads.segment.name != first
             assert len(pool._grads.rows) == len(ids)  # max(n, 2 * capacity)
             _assert_unlinked(first)
@@ -306,13 +356,13 @@ class TestGradientRows:
 
     def test_segment_is_gone_after_close_and_collection(self):
         pool, model, ids = _registered_pool()
-        pool.compute_gradients(0, ids, model.get_weights())
+        list(pool.compute_gradients(0, ids, model.get_weights()))
         name = pool._grads.segment.name
         pool.close()
         _assert_unlinked(name)
 
         pool, model, ids = _registered_pool()
-        pool.compute_gradients(0, ids, model.get_weights())
+        list(pool.compute_gradients(0, ids, model.get_weights()))
         name = pool._grads.segment.name
         del pool
         gc.collect()
@@ -325,7 +375,7 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            pool.compute_gradients(0, ids[:1], weights)
+            list(pool.compute_gradients(0, ids[:1], weights))
             monkeypatch.setattr(pool_module.os, "posix_fallocate", _no_space)
             nbytes = len(ids) * model.dimension * 8
             with pytest.raises(
@@ -342,11 +392,13 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            pool.compute_gradients(0, ids, weights)
+            list(pool.compute_gradients(0, ids, weights))
             victim = 2 * len(ids)  # even: lives on worker 0
             pool.register_clients(0, 0, {victim: (_KillsItsWorker(), 8)})
+            result = pool.compute_gradients(0, ids + [victim], weights)
+            result[0]  # the clients ahead of the victim were reported
             with pytest.raises(RuntimeError, match="sharded worker 0 died"):
-                pool.compute_gradients(0, ids + [victim], weights)
+                list(result)
             assert not pool.alive
         finally:
             pool.close()
@@ -356,12 +408,12 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            pool.compute_gradients(0, ids, weights)
+            list(pool.compute_gradients(0, ids, weights))
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             pool._procs[1].join(timeout=10)
             assert not pool._procs[1].is_alive()
             with pytest.raises(RuntimeError, match="sharded worker 1 died"):
-                pool.compute_gradients(0, ids, weights)
+                list(pool.compute_gradients(0, ids, weights))
             assert not pool.alive
         finally:
             pool.close()
@@ -385,35 +437,179 @@ class TestGradientRows:
 
 
 # ----------------------------------------------------------------------
+# The streamed reply: a lazily filled, re-iterable result
+# ----------------------------------------------------------------------
+def _registered_reference():
+    """A registered pool and an in-process twin of its federation whose
+    minibatch streams are still at their start."""
+    fed = _federation()
+    reference = copy.deepcopy(fed)
+    pool, model, _ = _registered_pool(fed=fed)
+    return pool, model, reference.clients
+
+
+class TestGradientStream:
+    def test_result_is_a_lazily_filled_reiterable_sequence(self):
+        pool, model, shards = _registered_reference()
+        try:
+            weights = model.get_weights()
+            result = pool.compute_gradients(
+                0, [shard.client_id for shard in shards], weights,
+                want_batches=True,
+            )
+            assert isinstance(result, pool_module.GradientStream)
+            assert len(result) == len(shards)
+            last = result[-1]  # out of order: the earlier reports wait
+            first = list(result)
+            second = list(result)
+            for i, shard in enumerate(shards):
+                grad, (x, y) = result[i]
+                # Indexing and every pass return the same objects.
+                assert grad is first[i][0] is second[i][0]
+                assert x is first[i][1][0]
+                rx, ry = shard.minibatch(8)
+                np.testing.assert_array_equal(rx, x)
+                np.testing.assert_array_equal(ry, y)
+                assert grad.tobytes() == model.gradient(rx, ry)[0].tobytes()
+            assert last[0] is first[-1][0]
+            with pytest.raises(IndexError):
+                result[len(shards)]
+            with pytest.raises(TypeError):
+                result[0:2]
+        finally:
+            pool.close()
+
+    def test_worker_error_mid_stream_names_it_and_closes_the_pool(self):
+        before = _segment_names()
+        pool, model, ids = _registered_pool()
+        try:
+            bad = 2 * len(ids) + 1  # odd: lives on worker 1
+            pool.register_clients(1, 0, {bad: (_FailsToDraw(), 8)})
+            result = pool.compute_gradients(0, ids + [bad],
+                                            model.get_weights())
+            assert np.any(result[0][0])  # reports ahead of it land
+            with pytest.raises(RuntimeError,
+                               match="(?s)sharded worker 1 failed.*ValueError"):
+                list(result)
+            assert not pool.alive
+            with pytest.raises(RuntimeError, match="closed"):
+                result[len(ids)]
+        finally:
+            pool.close()
+        assert _segment_names() == before
+
+    def test_unread_results_are_drained_before_the_next_request(self):
+        pool, model, shards = _registered_reference()
+        try:
+            ids = [shard.client_id for shard in shards]
+            rng = np.random.default_rng(0)
+            weights = [rng.normal(size=model.dimension) for _ in range(3)]
+            pool.compute_gradients(0, ids, weights[0])  # never read
+            partly = pool.compute_gradients(0, ids, weights[1])
+            partly_first = partly[0][0].copy()
+            # Any request drains first, not only a gradient request: a
+            # new session's "ok" must not be read off a gradient report.
+            pool.broadcast_model(1, model)
+            last = list(pool.compute_gradients(0, ids, weights[2],
+                                               want_batches=True))
+            draws = [[shard.minibatch(8) for _ in range(3)]
+                     for shard in shards]
+            model.set_weights(weights[1])
+            assert partly_first.tobytes() == \
+                model.gradient(*draws[0][1])[0].tobytes()
+            model.set_weights(weights[2])
+            for (grad, (x, y)), client_draws in zip(last, draws):
+                rx, ry = client_draws[2]
+                assert x.tobytes() == rx.tobytes()
+                assert y.tobytes() == ry.tobytes()
+                assert grad.tobytes() == model.gradient(rx, ry)[0].tobytes()
+        finally:
+            pool.close()
+
+    def test_closing_with_an_unread_result_stops_every_worker(self):
+        before = _segment_names()
+        pool, model, ids = _registered_pool()
+        result = pool.compute_gradients(0, ids, model.get_weights(),
+                                        want_batches=True)
+        pool.close()
+        # Each worker left its loop on its own, none was terminated.
+        assert [proc.exitcode for proc in pool._procs] == [0, 0]
+        assert _segment_names() == before
+        with pytest.raises(RuntimeError, match="closed"):
+            list(result)
+
+    def test_read_once_then_local_steps_matches_serial(self):
+        # The benchmark's tracer sums the result's bytes before
+        # local_steps folds it; a one-shot iterator would leave the
+        # round empty.
+        backend = ShardedBackend(jobs=2)
+        compute = backend.compute_gradients
+        sizes = []
+
+        def read_first(model, participants, want_batches=False):
+            result = compute(model, participants, want_batches)
+            sizes.append(sum(grad.nbytes for grad, _ in result))
+            assert len(result) == len(participants)
+            grads = [grad for grad, _ in result]
+            assert all(result[i][0] is grads[i] for i in range(len(grads)))
+            return result
+
+        backend.compute_gradients = read_first
+        fast = _trainer(backend)
+        slow = _trainer("serial")
+        try:
+            hf = fast.run(4, k=8)
+            hs = slow.run(4, k=8)
+            assert isinstance(backend._pool, WorkerPool)
+        finally:
+            fast.close()
+        assert sizes == [len(fast.clients) * fast.model.dimension * 8] * 4
+        assert [repr(vars(r)) for r in hs.records] == \
+            [repr(vars(r)) for r in hf.records]
+        assert fast.model.get_weights().tobytes() == \
+            slow.model.get_weights().tobytes()
+        for cs, cf in zip(slow.clients, fast.clients):
+            assert cs.residual.tobytes() == cf.residual.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Worker-side tracing over the pool protocol
 # ----------------------------------------------------------------------
 class TestWorkerTracing:
     def test_untraced_request_ships_no_events(self):
         # The raising-Null proof extends across the pipe: with telemetry
         # disabled the trace flag is False and the worker does zero
-        # telemetry work — the reply's event slot is None, not [].
+        # telemetry work — every message's event slot is None, not [],
+        # the last one included.
         pool, model, ids = _registered_pool()
         try:
-            pool.reserve_rows(1)
-            pool._request_gradients(0, 0, [(ids[0], 0)], want_batches=False,
-                                    trace=False)
-            out, events = pool._receive(0)
-            assert out == [(ids[0], None)]
-            assert events is None
+            spies = _spy_on_pipes(pool)
+            list(pool.compute_gradients(0, ids, model.get_weights()))
+            messages = [pickle.loads(raw)
+                        for spy in spies for raw in spy.received]
+            assert sorted(cid for _, (cid, _, _) in messages) == sorted(ids)
+            for status, (_, batch, events) in messages:
+                assert status == "ok" and batch is None and events is None
         finally:
             pool.close()
 
     def test_traced_request_ships_buffered_spans(self):
+        from repro.obs import Telemetry
+
         pool, model, ids = _registered_pool()
         try:
+            pool.telemetry = Telemetry()
+            spy = _spy_on_pipes(pool)[1]
             worker_ids = [cid for cid in ids if pool.worker_of(cid) == 1]
-            pool.reserve_rows(len(worker_ids))
-            assigned = [(cid, slot) for slot, cid in enumerate(worker_ids)]
             for request in range(2):
-                pool._request_gradients(1, 0, assigned, want_batches=False,
-                                        trace=True)
-                out, events = pool._receive(1)
-                (span,) = events
+                spy.received.clear()
+                list(pool.compute_gradients(0, worker_ids,
+                                            model.get_weights()))
+                messages = [pickle.loads(raw)[1] for raw in spy.received]
+                assert len(messages) == len(worker_ids)
+                # The events ride the request's last message only.
+                assert all(events is None for _, _, events in messages[:-1])
+                (span,) = messages[-1][2]
                 assert span["type"] == "span"
                 assert span["name"] == "worker.gradients"
                 assert span["process"] == "worker-1"
