@@ -271,10 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_trace_report(args) -> int:
+def _run_trace_report(args, parser) -> int:
     from repro.obs import format_trace_report, summarize_trace
 
-    summary = summarize_trace(args.trace_file)
+    try:
+        summary = summarize_trace(args.trace_file)
+    except OSError as exc:
+        parser.error(f"cannot read {args.trace_file}: {exc.strerror or exc}")
+    except ValueError as exc:  # names the path and the line
+        parser.error(str(exc))
     if args.json:
         import json
 
@@ -324,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             print(figure)
         return 0
     if args.command == "trace-report":
-        return _run_trace_report(args)
+        return _run_trace_report(args, parser)
     if args.command == "sweep":
         if args.jobs < 0:  # the pool size is not a config field
             parser.error(f"jobs must be in [0, inf), got {args.jobs}")

@@ -145,7 +145,7 @@ class SerialBackend(ExecutionBackend):
         # A generator: each gradient is folded in before the next exists.
         for client in participants:
             batch = client.draw_minibatch()
-            yield model.gradient(*batch)[0], batch
+            yield model.gradient(*batch), batch
 
 
 class VectorizedBackend(ExecutionBackend):

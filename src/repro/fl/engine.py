@@ -718,8 +718,8 @@ class RoundEngine:
         """Advance and return the 1-based round counter."""
         self._round += 1
         if self.telemetry.enabled:
-            # Lets the worker-event merge (repro.parallel.pool) stamp
-            # buffered spans with the round they belong to.
+            # Lets the sharded pool (repro.parallel.pool) stamp its
+            # worker spans with the round they belong to.
             self.telemetry.current_round = self._round
         return self._round
 

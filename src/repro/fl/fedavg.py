@@ -93,7 +93,7 @@ class FedAvgTrainer(_BaselineTrainer):
         for client, w in zip(self.clients, self._local_weights):
             self.model.set_weights(w)
             x, y = client.draw_minibatch()
-            grad, _ = self.model.gradient(x, y)
+            grad = self.model.gradient(x, y)
             w -= self.learning_rate * grad
 
         aggregated = round_index % self.period == 0

@@ -75,20 +75,19 @@ class FlatModel:
     # ------------------------------------------------------------------
     def gradient(
         self, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float]:
-        """Flat gradient of the mean loss on minibatch ``(x, y)``.
+    ) -> np.ndarray:
+        """Flat gradient (length ``dimension``) of the mean loss on
+        minibatch ``(x, y)`` at the current weights.
 
-        Returns ``(grad, loss_value)`` where ``grad`` has length
-        ``dimension`` and ``loss_value`` is the mean minibatch loss at the
-        current weights.  The one-group case of :meth:`gradients_batched`.
-        With ``out`` (a float64 ``dimension``-row, e.g. a shared-memory
-        row) the gradient is written there, and the returned row is a
-        view of it: no row is allocated and none is copied.
+        The one-group case of :meth:`gradients_batched`.  With ``out`` (a
+        float64 ``dimension``-row, e.g. a shared-memory row) the gradient
+        is written there, and the returned row is a view of it: no row
+        is allocated and none is copied.
         """
-        param_grads, logits = self._backprop(x[None], y[None])
+        param_grads = self._backprop(x[None], y[None])
         flat = np.empty((1, self.dimension)) if out is None else out[None]
         self._write_rows(param_grads, flat)
-        return flat[0], self.loss.forward(logits[0], y)
+        return flat[0]
 
     def gradients_batched(
         self, xs: list[np.ndarray], ys: list[np.ndarray]
@@ -98,7 +97,7 @@ class FlatModel:
         ``xs``/``ys`` are per-group minibatches of one common batch size
         (in FL: one minibatch per client, all at the synchronized weights).
         Returns an array of shape ``(groups, dimension)`` whose row ``g``
-        equals ``self.gradient(xs[g], ys[g])[0]`` byte for byte — both
+        equals ``self.gradient(xs[g], ys[g])`` byte for byte — both
         run :meth:`_backprop` and :meth:`_write_rows` — but the
         O(groups) Python loop over clients collapses into batched
         NumPy/BLAS work: the groups run in blocks of
@@ -119,7 +118,7 @@ class FlatModel:
         flat = None
         for lo in range(0, groups, block):
             hi = lo + block
-            param_grads, _ = self._backprop(
+            param_grads = self._backprop(
                 np.stack(xs[lo:hi]), np.asarray(ys[lo:hi])
             )
             if flat is None:
@@ -147,15 +146,13 @@ class FlatModel:
             block = self._block_groups[x.shape] = max(1, BLOCK_BYTES // widest)
         return block
 
-    def _backprop(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[list[np.ndarray], np.ndarray]:
+    def _backprop(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Per-layer parameter gradients (leading group axis) of each
         group's mean loss on the stacks ``x`` ``(groups, batch, *dims)``
-        and ``y`` ``(groups, batch)``, plus the training-mode logits."""
+        and ``y`` ``(groups, batch)``."""
         logits = self.network.forward(x)
         _, param_grads = self.network.backward(self.loss.backward(logits, y))
-        return param_grads, logits
+        return param_grads
 
     def _write_rows(self, param_grads: list[np.ndarray], out: np.ndarray) -> None:
         """Write :meth:`_backprop`'s gradients into ``out``, one flat

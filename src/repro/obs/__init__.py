@@ -1,4 +1,4 @@
-"""Zero-overhead-when-disabled telemetry: tracing, counters, profiling.
+"""Zero-overhead-when-disabled telemetry: structured events and counters.
 
 The facade is :class:`Telemetry` / :class:`NullTelemetry`; instrumented
 code holds a reference (defaulting to :data:`NULL_TELEMETRY`) and checks
@@ -12,7 +12,7 @@ state — enabled and disabled runs are bit-identical on every backend.
 """
 
 from .events import ENGINE_PHASES, EVENT_TYPES, validate_event
-from .health import HealthConfig, HealthMonitor, robust_zscore
+from .health import HealthMonitor
 from .log import configure_cli_logging, get_logger
 from .report import format_trace_report, summarize_trace
 from .sinks import JsonlSink, MemoryAggregator, encode_event
@@ -21,14 +21,12 @@ from .telemetry import (
     SPARSE_ELEMENT_BYTES,
     NullTelemetry,
     Telemetry,
-    WorkerTelemetry,
     open_telemetry,
 )
 
 __all__ = [
     "ENGINE_PHASES",
     "EVENT_TYPES",
-    "HealthConfig",
     "HealthMonitor",
     "JsonlSink",
     "MemoryAggregator",
@@ -36,13 +34,11 @@ __all__ = [
     "NullTelemetry",
     "SPARSE_ELEMENT_BYTES",
     "Telemetry",
-    "WorkerTelemetry",
     "configure_cli_logging",
     "encode_event",
     "format_trace_report",
     "get_logger",
     "open_telemetry",
-    "robust_zscore",
     "summarize_trace",
     "validate_event",
 ]

@@ -1,12 +1,12 @@
 """Event schema for the telemetry subsystem.
 
-Every record emitted through :class:`repro.obs.Telemetry` is a flat JSON
-object with a ``type`` field naming one of the schemas below.  The schema
-is deliberately open: required keys must be present (and are what the CI
-smoke and ``trace-report`` rely on), while extra keys — run annotations
-such as ``figure``/``method``/``backend``, or event-specific detail — are
-always allowed so future subsystems (async aggregation, adversary axis)
-can extend events without a schema migration.
+Every record a run writes through :class:`repro.obs.Telemetry` is a flat
+JSON object with a ``type`` field naming one of the schemas below, and
+every kind here is emitted by some run (an ``ast`` lint in the tests
+keeps the two in step).  The schema is open: required keys must be
+present (they are what ``trace-report`` reads), while extra keys — run
+annotations such as ``figure``/``method``/``backend``, or event-specific
+detail — are always allowed.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
         "uplink_elements", "downlink_elements", "uplink_bytes",
         "downlink_bytes", "wall_seconds", "phases",
     }),
-    # A named wall-clock interval (e.g. a whole figure build).  ``process``
-    # attributes the span to its emitter: ``"parent"`` for the driver
-    # process, ``"worker-<i>"`` for pool workers (whose buffered spans
-    # carry a worker-lifetime ``seq`` and are merged parent-side in
-    # deterministic ``(round, worker_id, seq)`` order).
+    # A named wall-clock interval.  ``process`` attributes the span to
+    # its emitter: ``"parent"`` for the driver process, ``"worker-<i>"``
+    # for a pool worker's ``worker.gradients`` time, which the parent
+    # emits once the request's result has been read, in worker order.
     "span": frozenset({"name", "seconds", "process"}),
     # The deadline gate rejected uploads this round.
     "drop": frozenset({"round", "client_ids", "deadline", "close_time"}),
@@ -57,15 +56,8 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "deadline": frozenset({
         "round", "deadline", "arrived", "dropped", "round_time",
     }),
-    # Snapshot of accumulated counters (emitted on flush/close); the
-    # ``gauges`` field stays for trace compatibility and is always empty.
-    "counters": frozenset({"counters", "gauges"}),
-    # A run-health detector fired (:mod:`repro.obs.health`): divergence,
-    # drop-rate, flagged-client accumulation, or wall-clock stall.
-    # ``severity`` is ``"warning"`` or ``"critical"``.  The detectors run
-    # post-hoc over a trace; the kind stays so traces that carry alert
-    # lines still validate and ``trace-report`` still tallies them.
-    "alert": frozenset({"round", "detector", "severity", "message"}),
+    # Snapshot of accumulated counters (emitted on flush/close).
+    "counters": frozenset({"counters"}),
 }
 
 

@@ -20,42 +20,38 @@ per run, so a sick run produces a handful of alerts, not thousands.
 
 The detectors run post-hoc only: ``trace-report`` replays a finished
 trace (:func:`repro.obs.report.summarize_trace`) and prints what they
-raised in its health section; nothing watches a run while it trains.
-The stall detector reads wall-clock phase times, so its verdict is
-host-dependent.
+raised in its health section; nothing watches a run while it trains,
+and no event kind carries an alert — this monitor's ``alerts`` list is
+the one place they live.  The thresholds below are deliberately
+conservative module constants.  The stall detector reads wall-clock
+phase times, so its verdict is host-dependent.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
 
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Detector thresholds; defaults are deliberately conservative."""
-
-    #: Loss counts as diverged when above ``divergence_factor * best``
-    #: (after ``divergence_min_rounds`` finite losses have been seen).
-    divergence_factor: float = 50.0
-    divergence_min_rounds: int = 3
-    #: Alert when cumulative dropped / (participants + dropped) crosses
-    #: this share, after ``drop_min_rounds`` rounds.
-    drop_rate_threshold: float = 0.5
-    drop_min_rounds: int = 5
-    #: Alert when one client has been flagged this many times.
-    flag_threshold: int = 3
-    #: Stall: per-phase robust z-score ``(x - median) / (1.4826 * MAD)``
-    #: over a bounded window; both the z and an absolute floor must
-    #: trip, so microsecond jitter on fast phases never alerts.
-    stall_zscore: float = 8.0
-    stall_min_seconds: float = 0.25
-    stall_window: int = 64
-    stall_min_samples: int = 8
-    #: Phases excluded from stall detection (``eval`` is bimodal by
-    #: design — the evaluation cadence skips most rounds).
-    stall_exclude: tuple[str, ...] = ("eval",)
+#: Loss counts as diverged when above ``DIVERGENCE_FACTOR * best``
+#: (after ``DIVERGENCE_MIN_ROUNDS`` finite losses have been seen).
+DIVERGENCE_FACTOR = 50.0
+DIVERGENCE_MIN_ROUNDS = 3
+#: Alert when cumulative dropped / (participants + dropped) crosses
+#: this share, after ``DROP_MIN_ROUNDS`` rounds.
+DROP_RATE_THRESHOLD = 0.5
+DROP_MIN_ROUNDS = 5
+#: Alert when one client has been flagged this many times.
+FLAG_THRESHOLD = 3
+#: Stall: per-phase robust z-score ``(x - median) / (1.4826 * MAD)``
+#: over a bounded window; both the z and an absolute floor must trip,
+#: so microsecond jitter on fast phases never alerts.
+STALL_ZSCORE = 8.0
+STALL_MIN_SECONDS = 0.25
+STALL_WINDOW = 64
+STALL_MIN_SAMPLES = 8
+#: Phases excluded from stall detection (``eval`` is bimodal by
+#: design — the evaluation cadence skips most rounds).
+STALL_EXCLUDE = ("eval",)
 
 
 def robust_zscore(value: float, history: list[float]) -> float:
@@ -79,18 +75,16 @@ def robust_zscore(value: float, history: list[float]) -> float:
     return (value - median) / (1.4826 * mad)
 
 
-@dataclass
 class HealthMonitor:
     """Streaming health detectors; feed records, collect alert dicts.
 
-    ``observe(record)`` returns a (usually empty) list of alert field
-    dicts — each carrying the ``alert`` event fields — and ``summary()``
-    reports everything raised so far.
+    ``observe(record)`` returns a (usually empty) list of alert dicts —
+    each with ``round``, ``detector``, ``severity`` (``"warning"`` or
+    ``"critical"``) and ``message``, plus detector detail — and
+    ``summary()`` reports everything raised so far.
     """
 
-    config: HealthConfig = field(default_factory=HealthConfig)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._best_loss = math.inf
         self._finite_losses = 0
         self._rounds = 0
@@ -127,7 +121,6 @@ class HealthMonitor:
         return [alert]
 
     def _observe_round(self, record: dict) -> list[dict]:
-        cfg = self.config
         out: list[dict] = []
         round_index = record["round"]
         self._rounds += 1
@@ -150,8 +143,8 @@ class HealthMonitor:
                 )
             else:
                 if (
-                    self._finite_losses >= cfg.divergence_min_rounds
-                    and loss > cfg.divergence_factor
+                    self._finite_losses >= DIVERGENCE_MIN_ROUNDS
+                    and loss > DIVERGENCE_FACTOR
                     * max(self._best_loss, 1e-12)
                 ):
                     out += self._raise(
@@ -174,9 +167,9 @@ class HealthMonitor:
         self._dropped += record.get("dropped", 0)
         exposed = self._participants + self._dropped
         if (
-            self._rounds >= cfg.drop_min_rounds
+            self._rounds >= DROP_MIN_ROUNDS
             and exposed > 0
-            and self._dropped / exposed > cfg.drop_rate_threshold
+            and self._dropped / exposed > DROP_RATE_THRESHOLD
         ):
             out += self._raise(
                 ("drop_rate",), round_index, "drop_rate", "warning",
@@ -189,17 +182,17 @@ class HealthMonitor:
         phases = record.get("phases")
         if isinstance(phases, dict):
             for phase, seconds in phases.items():
-                if phase in cfg.stall_exclude:
+                if phase in STALL_EXCLUDE:
                     continue
                 history = self._phase_history.setdefault(
-                    phase, deque(maxlen=cfg.stall_window)
+                    phase, deque(maxlen=STALL_WINDOW)
                 )
                 if (
-                    len(history) >= cfg.stall_min_samples
-                    and seconds >= cfg.stall_min_seconds
+                    len(history) >= STALL_MIN_SAMPLES
+                    and seconds >= STALL_MIN_SECONDS
                 ):
                     z = robust_zscore(seconds, list(history))
-                    if z > cfg.stall_zscore:
+                    if z > STALL_ZSCORE:
                         out += self._raise(
                             ("stall", phase), round_index, "stall",
                             "warning",
@@ -212,14 +205,13 @@ class HealthMonitor:
         return out
 
     def _observe_flagged(self, record: dict) -> list[dict]:
-        cfg = self.config
         out: list[dict] = []
         round_index = record["round"]
         for cid in record["client_ids"]:
             cid = int(cid)
             count = self._flag_counts.get(cid, 0) + 1
             self._flag_counts[cid] = count
-            if count >= cfg.flag_threshold:
+            if count >= FLAG_THRESHOLD:
                 out += self._raise(
                     ("flagged_accumulation", cid), round_index,
                     "flagged_accumulation", "warning",
@@ -232,11 +224,7 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         """Everything raised so far, for the trace-report health section."""
-        by_detector: dict[str, int] = {}
-        for alert in self.alerts:
-            by_detector[alert["detector"]] = (
-                by_detector.get(alert["detector"], 0) + 1
-            )
+        by_detector = Counter(alert["detector"] for alert in self.alerts)
         return {
             "healthy": not self.alerts,
             "rounds_observed": self._rounds,

@@ -10,28 +10,27 @@ import json
 import pathlib
 
 from .events import ENGINE_PHASES, validate_event
-from .health import HealthConfig, HealthMonitor
+from .health import HealthMonitor
 from .sinks import MemoryAggregator
 
 
-def summarize_trace(path: str | pathlib.Path,
-                    health_config: HealthConfig | None = None) -> dict:
+def summarize_trace(path: str | pathlib.Path) -> dict:
     """Validate every event in ``path`` and return the aggregate summary.
 
     The stream is also replayed through a :class:`HealthMonitor`, so the
     summary's ``health`` section reports what the run-health detectors
-    raise over the recorded run.
+    raise over the recorded run.  A line that is not JSON or not a valid
+    event raises ``ValueError`` naming ``path`` and the line number.
     """
     aggregator = MemoryAggregator()
-    monitor = HealthMonitor(health_config or HealthConfig())
-    with open(path, encoding="utf-8") as fh:
+    monitor = HealthMonitor()
+    with open(path, "rb") as fh:  # decoded per line, so bad bytes name it
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed JSON or undecodable bytes
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}")
             try:
                 validate_event(record)
@@ -49,15 +48,15 @@ def _fmt_bytes(n: float) -> str:
         if abs(n) < 1024 or unit == "GiB":
             return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
         n /= 1024
-    return f"{n:.1f} GiB"
 
 
 def format_trace_report(summary: dict) -> str:
     """Human-readable phase-time / bytes / drops rollup of a summary."""
     lines = ["trace summary", "============="]
-    events = summary["events"]
-    lines.append("events:   " + ", ".join(
-        f"{kind}={count}" for kind, count in events.items()) or "none")
+    events = ", ".join(
+        f"{kind}={count}" for kind, count in summary["events"].items()
+    )
+    lines.append(f"events:   {events or 'none'}")
     lines.append(f"rounds:   {summary['rounds']}")
 
     total = sum(summary["phase_seconds"].values())

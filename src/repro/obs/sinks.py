@@ -1,10 +1,11 @@
-"""Telemetry sinks: the append-only JSONL file and the rollup a trace
-replays through (``trace-report``).
+"""Telemetry sinks: the append-only JSONL file a run writes and the
+rollup ``trace-report`` replays it through.
 
 The JSONL sink writes one complete line per event in append mode, so
 several processes (e.g. sweep workers tracing into the same file) each
 append whole records without interleaving; POSIX ``O_APPEND`` semantics
-make single-``write`` line appends safe.
+make single-``write`` line appends safe.  Alerts are not tallied here:
+the health monitor (:mod:`.health`) raises them while the trace replays.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ class MemoryAggregator:
         self.flags_by_client: dict[int, int] = {}
         # per-process span rollup (parent vs worker-N attribution).
         self.process_spans: dict[str, dict[str, float]] = {}
-        # alert rollup: detector -> count, plus the first few records so
-        # the report can show *what* fired without per-event storage.
-        self.alerts_by_detector: dict[str, int] = {}
-        self.first_alerts: list[dict] = []
 
     def add(self, record: dict) -> None:
         kind = record["type"]
@@ -112,8 +109,7 @@ class MemoryAggregator:
             self.span_seconds[name] = (
                 self.span_seconds.get(name, 0.0) + record["seconds"]
             )
-            process = record.get("process", "parent")
-            per = self.process_spans.setdefault(process, {})
+            per = self.process_spans.setdefault(record["process"], {})
             per[name] = per.get(name, 0.0) + record["seconds"]
         elif kind == "flagged":
             detector = record["detector"]
@@ -123,18 +119,6 @@ class MemoryAggregator:
             for cid in record["client_ids"]:
                 cid = int(cid)
                 self.flags_by_client[cid] = self.flags_by_client.get(cid, 0) + 1
-        elif kind == "alert":
-            detector = record["detector"]
-            self.alerts_by_detector[detector] = (
-                self.alerts_by_detector.get(detector, 0) + 1
-            )
-            if len(self.first_alerts) < 20:
-                self.first_alerts.append({
-                    "round": record["round"],
-                    "detector": detector,
-                    "severity": record["severity"],
-                    "message": record["message"],
-                })
         elif kind == "drop":
             self.dropped_uploads += len(record["client_ids"])
         elif kind == "recovery":
@@ -166,18 +150,11 @@ class MemoryAggregator:
             "flagged": {
                 "events": sum(self.flagged_by_detector.values()),
                 "by_detector": dict(sorted(self.flagged_by_detector.items())),
-                "top_clients": self.top_flagged_clients(),
-            },
-            "alerts": {
-                "total": sum(self.alerts_by_detector.values()),
-                "by_detector": dict(sorted(self.alerts_by_detector.items())),
-                "first": list(self.first_alerts),
+                # [client_id, times_flagged], worst offenders first
+                "top_clients": [[cid, count] for cid, count in sorted(
+                    self.flags_by_client.items(),
+                    key=lambda item: (-item[1], item[0]),
+                )[:10]],
             },
             "counters": dict(sorted(self.counters.items())),
         }
-
-    def top_flagged_clients(self, limit: int = 10) -> list[list[int]]:
-        """``[client_id, times_flagged]`` pairs, worst offenders first."""
-        ranked = sorted(self.flags_by_client.items(),
-                        key=lambda item: (-item[1], item[0]))
-        return [[cid, count] for cid, count in ranked[:limit]]

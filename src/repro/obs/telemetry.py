@@ -1,14 +1,18 @@
-"""The telemetry facade: counters, span timers, structured events.
+"""The telemetry facade: counters and structured events.
 
 Two implementations share one interface:
 
 * :class:`NullTelemetry` — the default.  Every method is a no-op and
   ``enabled`` is ``False``, so instrumented hot paths pay exactly one
   attribute check before skipping all telemetry work.
-* :class:`Telemetry` — accumulates counters in memory, times spans
-  with the monotonic clock, and emits schema-validated events to
-  (optionally) an append-only JSONL sink; ``trace-report`` rolls the
-  file up afterwards (:func:`repro.obs.report.summarize_trace`).
+* :class:`Telemetry` — accumulates counters in memory and emits
+  schema-validated events to (optionally) an append-only JSONL sink;
+  ``trace-report`` rolls the file up afterwards
+  (:func:`repro.obs.report.summarize_trace`).
+
+Everything is emitted in the parent process: a sharded pool worker
+sends its one timing back as plain numbers on its last report, and the
+pool emits it here as a ``worker-<i>`` span.
 
 The hard invariant every emitter must respect: telemetry consumes **no
 RNG and touches no numeric training state**.  It only reads values the
@@ -17,9 +21,6 @@ telemetry-on runs bit-identical to telemetry-off runs on every backend.
 """
 
 from __future__ import annotations
-
-import time
-from contextlib import contextmanager
 
 from .events import validate_event
 from .sinks import JsonlSink
@@ -38,7 +39,6 @@ class NullTelemetry:
     """
 
     enabled = False
-    current_round = 0
 
     def count(self, name: str, value: float = 1) -> None:
         pass
@@ -48,10 +48,6 @@ class NullTelemetry:
 
     def annotate(self, **fields) -> None:
         pass
-
-    @contextmanager
-    def span(self, name: str, **fields):
-        yield
 
     def flush(self) -> None:
         pass
@@ -72,18 +68,14 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class Telemetry:
-    """Enabled telemetry: counters, spans, and structured events."""
+    """Enabled telemetry: counters and structured events."""
 
     enabled = True
 
-    #: Identifies the emitting process on ``span`` events; pool workers
-    #: override it via :class:`WorkerTelemetry`.
-    process = "parent"
-
     def __init__(self, sink: JsonlSink | None = None):
         self.sink = sink
-        #: Engine-maintained current round index, used to stamp merged
-        #: worker events (set by ``RoundEngine.begin_round`` when tracing).
+        #: Engine-maintained current round index, used to stamp worker
+        #: spans (set by ``RoundEngine.begin_round`` when tracing).
         self.current_round = 0
         self.counters: dict[str, float] = {}
         self.annotations: dict[str, object] = {}
@@ -100,30 +92,19 @@ class Telemetry:
         """Emit one schema-validated event to the sink."""
         record = {"type": kind, **self.annotations, **fields}
         if kind == "span":
-            record.setdefault("process", self.process)
+            record.setdefault("process", "parent")
         validate_event(record)
         if self.sink is not None:
             self.sink.write(record)
-
-    @contextmanager
-    def span(self, name: str, **fields):
-        """Time a block with the monotonic clock; emits a ``span`` event."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.event("span", name=name,
-                       seconds=time.perf_counter() - start, **fields)
 
     def flush(self) -> None:
         """Emit accumulated counters as a ``counters`` event.
 
         Counters are reset after the snapshot so repeated flushes (e.g.
-        per sweep unit) report deltas, never double-counting.  The
-        event's ``gauges`` field stays in the schema, always empty.
+        per sweep unit) report deltas, never double-counting.
         """
         if self.counters:
-            self.event("counters", counters=dict(self.counters), gauges={})
+            self.event("counters", counters=dict(self.counters))
             self.counters = {}
         if self.sink is not None:
             self.sink.flush()
@@ -139,42 +120,6 @@ class Telemetry:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-class WorkerTelemetry(Telemetry):
-    """Buffered telemetry for one pool worker process.
-
-    Events never touch a sink in the worker; they append to an in-memory
-    buffer stamped with the worker's ``process`` label and a
-    worker-lifetime monotonic ``seq``.  The parent drains the buffer over
-    the existing result pipe and re-emits every record through its own
-    :class:`Telemetry` (where validation, annotations and the JSONL sink
-    happen), merging streams in deterministic
-    ``(round, worker_id, seq)`` order.
-
-    Same hard invariant as the parent facade: no RNG, no numeric state —
-    only values the gradient request already computed, plus the clock.
-    """
-
-    def __init__(self, process: str):
-        super().__init__()
-        self.process = process
-        self._seq = 0
-        self._buffer: list[dict] = []
-
-    def event(self, kind: str, **fields) -> None:
-        record = {"type": kind, **self.annotations, **fields}
-        if kind == "span":
-            record.setdefault("process", self.process)
-        record["seq"] = self._seq
-        self._seq += 1
-        self._buffer.append(record)
-
-    def drain(self) -> list[dict]:
-        """Return and clear the buffered events (in emission order)."""
-        out = self._buffer
-        self._buffer = []
-        return out
 
 
 def open_telemetry(path: str | None) -> NullTelemetry | Telemetry:

@@ -21,6 +21,11 @@ client ``i``'s message, so the parent folds and selects client ``i``
 while the workers compute the clients after it.  Whatever a caller
 leaves unread is read by the pool's next request before it sends.
 
+Workers hold no telemetry.  When the parent traces, a worker times its
+part of a request and sends the seconds and the count of datasets it
+regenerated as plain numbers on its last message; the parent emits them
+as that worker's ``worker.gradients`` span once the result is read.
+
 The gradient rows live in a named POSIX segment (:class:`_GradientRows`)
 that is created on the first request and regrown geometrically, because
 the cohort size is not known when the workers start; workers attach by
@@ -69,7 +74,6 @@ import numpy as np
 
 from repro.data.virtual import VirtualFederation, VirtualSpec
 from repro.obs import NULL_TELEMETRY
-from repro.obs.telemetry import WorkerTelemetry
 
 
 def preferred_start_method() -> str:
@@ -158,7 +162,7 @@ def _create_segment(nbytes: int) -> tuple[SharedMemory, mmap.mmap]:
     return segment, mapping
 
 
-def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
+def _worker_main(conn, weights_buf, dimension: int) -> None:
     """Worker loop: serve gradient requests against per-session state.
 
     ``weights_buf`` is the shared flat-weight buffer; it is re-read at
@@ -166,18 +170,17 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
     broadcasts to all workers.  Gradients go the other way through the
     segment named in the request: each is computed straight into its
     row slot, and as soon as that row is written the worker sends one
-    small ``("ok", (client id, batch-or-None, events))`` message for it,
+    small ``("ok", (client id, batch-or-None, timing))`` message for it,
     in the request's order.
 
     When a ``grads`` request arrives with its trace flag set, the worker
-    times the request on a lazily built buffered
-    :class:`~repro.obs.telemetry.WorkerTelemetry` and ships the drained
-    events on the request's last message; every other message, and
-    every message of an untraced request (which does no telemetry work
-    at all), carries ``None`` in the events slot.
+    times it and sends ``(seconds, datasets regenerated)`` as the timing
+    of the request's last message, which the parent emits as this
+    worker's span; every other message, and every message of an
+    untraced request (which does no telemetry work at all), carries
+    ``None`` there.
     """
     weights = np.frombuffer(weights_buf, dtype=np.float64, count=dimension)
-    wtel: WorkerTelemetry | None = None
     models: dict[int, object] = {}
     # session token -> {client_id: (ClientDataset | VirtualSpec, batch_size)}
     shards: dict[int, dict[int, tuple]] = {}
@@ -214,8 +217,6 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
             elif cmd == "grads":
                 _, token, assigned, segment_name, want_batches, trace = msg
                 if trace:
-                    if wtel is None:
-                        wtel = WorkerTelemetry(f"worker-{worker_id}")
                     request_start = time.perf_counter()
                 if segment is None or segment.name != segment_name:
                     # The parent regrew the buffer and unlinked the
@@ -254,20 +255,14 @@ def _worker_main(conn, weights_buf, dimension: int, worker_id: int) -> None:
                         regenerated += 1
                     x, y = dataset.minibatch(batch_size)
                     model.gradient(x, y, out=rows[slot])
-                    events = None
+                    timing = None
                     if trace and position == last:
-                        wtel.event(
-                            "span",
-                            name="worker.gradients",
-                            seconds=time.perf_counter() - request_start,
-                            clients=len(assigned),
-                            regenerated=regenerated,
-                        )
-                        events = wtel.drain()
+                        timing = (time.perf_counter() - request_start,
+                                  regenerated)
                     # The row is written: report it now, so the parent
                     # folds it while this worker computes the next one.
                     conn.send(("ok", (cid, (x, y) if want_batches else None,
-                                      events)))
+                                      timing)))
             else:
                 conn.send(("error", f"unknown command {cmd!r}"))
         except Exception:
@@ -313,7 +308,8 @@ class GradientStream:
             for worker, assigned in by_worker.items()
         }
         self._trace = trace
-        self._events: dict[int, list[dict]] = {}
+        # worker -> (seconds, regenerated) of its traced request
+        self._timings: dict[int, tuple[float, int]] = {}
 
     def __len__(self) -> int:
         return len(self._grads)
@@ -343,7 +339,7 @@ class GradientStream:
                 "sharded pool closed before its gradient result was read"
             )
         slots = self._pending[worker]
-        cid, batch, events = pool._receive(worker)
+        cid, batch, timing = pool._receive(worker)
         if cid != self._client_ids[slots[0]]:
             pool.close()
             raise RuntimeError(
@@ -359,23 +355,22 @@ class GradientStream:
             tel.count("pool.ipc_bytes_back", shm_bytes + (
                 batch[0].nbytes + batch[1].nbytes if batch else 0
             ))
-            if events:
-                self._events[worker] = events
+            if timing is not None:
+                self._timings[worker] = timing
         if not any(self._pending.values()):
             self._finish()
 
     def _finish(self) -> None:
-        """Every report is in: merge the worker events, free the pool."""
+        """Every report is in: emit the worker spans, free the pool."""
         pool = self._pool
-        if self._events:
-            tel = pool.telemetry
-            round_index = tel.current_round
-            for worker in sorted(self._events):
-                for event in self._events[worker]:
-                    fields = dict(event)
-                    kind = fields.pop("type")
-                    fields.setdefault("round", round_index)
-                    tel.event(kind, **fields)
+        tel = pool.telemetry
+        for worker in sorted(self._timings):
+            seconds, regenerated = self._timings[worker]
+            tel.event("span", name="worker.gradients", seconds=seconds,
+                      process=f"worker-{worker}",
+                      clients=sum(pool.worker_of(cid) == worker
+                                  for cid in self._client_ids),
+                      regenerated=regenerated, round=tel.current_round)
         pool._stream = None
 
 
@@ -415,11 +410,11 @@ class WorkerPool:
         resource_tracker.ensure_running()
         self._conns = []
         self._procs = []
-        for worker_id in range(num_workers):
+        for _ in range(num_workers):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._weights, dimension, worker_id),
+                args=(child_conn, self._weights, dimension),
                 daemon=True,
             )
             proc.start()
@@ -529,12 +524,11 @@ class WorkerPool:
         request ever sees an earlier request's messages.
 
         With telemetry enabled the trace flag rides the request, and
-        each worker's buffered events come back on its last message;
-        once the whole result has been read they are re-emitted through
-        the parent telemetry in deterministic ``(round, worker_id,
-        seq)`` order (round = stream position, workers in ascending id,
-        each buffer already seq-ordered), so two identical traced runs
-        merge to the same stream.
+        each worker's time for it comes back as two numbers on its last
+        message; once the whole result has been read the parent emits
+        one ``worker.gradients`` span per worker, in ascending worker
+        id and stamped with the telemetry's current round, so two
+        identical traced runs write the same stream.
         """
         if not client_ids:
             return []  # and no zero-byte segment, which cannot exist

@@ -27,7 +27,7 @@ def test_gradient_contraction_vs_bound(capsys):
         # Collect gradients along an actual optimization trajectory.
         for _ in range(20):
             x, y = federation.global_pool()
-            grad, _ = model.gradient(x, y)
+            grad = model.gradient(x, y)
             model.set_weights(model.get_weights() - 0.05 * grad)
             gradients.append(grad)
         rows = []

@@ -80,7 +80,7 @@ class TestEmpiricalContraction:
         model = make_logistic(8, 3, seed=0)
         grads = []
         for _ in range(5):
-            grad, _ = model.gradient(ds.x, ds.y)
+            grad = model.gradient(ds.x, ds.y)
             model.set_weights(model.get_weights() - 0.1 * grad)
             grads.append(grad)
         k = model.dimension // 10

@@ -923,7 +923,7 @@ class TestBatchedKernels:
         model = make_mlp(30, 6, hidden=(16, 8), seed=1)
         xs = [rng.standard_normal((8, 30)) for _ in range(20)]
         ys = [rng.integers(0, 6, size=8) for _ in range(20)]
-        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(serial, model.gradients_batched(xs, ys))
 
     def test_gradients_batched_rejects_ragged(self):
@@ -943,7 +943,7 @@ class TestBatchedKernels:
                          conv_channels=(3, 4), dense_width=8, seed=2)
         xs = [rng.standard_normal((6, 1, 8, 8)) for _ in range(9)]
         ys = [rng.integers(0, 5, size=6) for _ in range(9)]
-        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         np.testing.assert_array_equal(serial, model.gradients_batched(xs, ys))
 
     def test_gradients_batched_cnn_at_suite_geometry(self):
@@ -956,7 +956,7 @@ class TestBatchedKernels:
         xs = [rng.standard_normal((32, 1, 16, 16)) for _ in range(24)]
         ys = [rng.integers(0, 62, size=32) for _ in range(24)]
         batched = model.gradients_batched(xs, ys)
-        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         assert batched.tobytes() == serial.tobytes()
         assert hashlib.sha256(batched.tobytes()).hexdigest() == (
             "f9b5a3c4390343050c12edd849fd8c2d011aa21f7d3f97e2e17f75bbc81b8a23"
@@ -970,7 +970,7 @@ class TestBatchedKernels:
         model, xs, ys = _suite_stack("cnn", groups, seed=1)
         assert groups == 1 or groups % model._groups_per_block(xs[0])
         batched = model.gradients_batched(xs, ys)
-        serial = np.stack([model.gradient(x, y)[0] for x, y in zip(xs, ys)])
+        serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         assert batched.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("model_name, groups, one_pass", [

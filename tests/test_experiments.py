@@ -1172,3 +1172,76 @@ class TestEveryLayerIsBuilt:
             ["pkg.layers"],
         )
         assert unbuilt == ["Local", "Spare"]
+
+
+# ----------------------------------------------------------------------
+# Surface: the event schema holds exactly the kinds a run emits
+# ----------------------------------------------------------------------
+def _event_kind_mismatches(src, schema):
+    """``(never emitted, not in the schema)`` for the ``.event(...)``
+    calls in the modules under ``src``: the ``schema`` kinds no call
+    passes as its literal first argument, and ``path:line: kind`` of
+    every call whose first argument is a kind outside ``schema`` or is
+    not a string literal (a kind the lint cannot read)."""
+    emitted, unknown = set(), []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "event"
+            ):
+                continue
+            kind = node.args[0] if node.args else None
+            where = f"{path.relative_to(src)}:{node.lineno}"
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                emitted.add(kind.value)
+                if kind.value not in schema:
+                    unknown.append(f"{where}: {kind.value}")
+            else:
+                unknown.append(
+                    f"{where}: {ast.unparse(kind) if kind else '(no kind)'}"
+                )
+    return sorted(set(schema) - emitted), unknown
+
+
+class TestEveryEventKindIsEmitted:
+    def test_every_schema_kind_is_emitted_and_every_emitted_kind_known(self):
+        from repro.obs import EVENT_TYPES
+
+        never, unknown = _event_kind_mismatches(ROOT / "src", EVENT_TYPES)
+        assert never == [], (
+            "no .event(...) call under src/ emits these schema kinds; "
+            "delete them from EVENT_TYPES: " + ", ".join(never)
+        )
+        assert unknown == [], (
+            ".event(...) calls under src/ pass a kind that is not a "
+            "literal EVENT_TYPES key: " + "; ".join(unknown)
+        )
+
+    def test_the_event_lint_reads_literal_first_arguments(self, tmp_path):
+        # Guard against a vacuous lint on a throwaway package: a literal
+        # first argument emits its kind (any receiver, any depth), a
+        # keyword or a mention in a string does not, and an unknown or
+        # non-literal kind is named with its file and line.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "emit.py").write_text(
+            "def run(tel, kind):\n"
+            "    tel.event('round', round=1)\n"
+            "    if tel.enabled:\n"
+            "        tel.sink.event('span', name='x')\n"
+            "    tel.event(kind)\n"
+            "    tel.event('mystery')\n"
+            "    tel.event(type='drop')\n"
+            "    return 'tel.event(\"recovery\")'\n"
+        )
+        never, unknown = _event_kind_mismatches(
+            tmp_path, {"round": {}, "span": {}, "drop": {}, "recovery": {}}
+        )
+        assert never == ["drop", "recovery"]
+        assert unknown == [
+            "pkg/emit.py:5: kind", "pkg/emit.py:6: mystery",
+            "pkg/emit.py:7: (no kind)",
+        ]

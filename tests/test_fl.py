@@ -28,7 +28,7 @@ from helpers import make_gaussian_blobs, make_logistic, partition_iid, to_dense
 
 def local_step(client, model, k):
     """One client's Algorithm-1 local step, as the engine runs it."""
-    client.accumulate_gradient(model.gradient(*client.draw_minibatch())[0])
+    client.accumulate_gradient(model.gradient(*client.draw_minibatch()))
     return client.select_upload(k, FABTopK())
 
 

@@ -5,7 +5,7 @@ Four layers of guarantees:
 1. **Schema** — every event type validates its required fields; unknown
    types, missing fields, and unknown engine phases are rejected.
 2. **Sinks and facade** — JSONL append semantics, numpy coercion,
-   counter/gauge/span/flush behaviour, and the no-op ``NullTelemetry``.
+   counter/event/flush behaviour, and the no-op ``NullTelemetry``.
 3. **Zero-overhead-when-disabled** — a structural proof: a raising
    ``NullTelemetry`` subclass rides through full training runs without
    a single telemetry method doing work, so the disabled path is exactly
@@ -72,10 +72,7 @@ VALID_EVENTS = {
                  "arrived": 5, "dropped": 1, "round_time": 3.0},
     "flagged": {"type": "flagged", "round": 6, "client_ids": [2],
                 "detector": "trimmed_mean", "scores": [0.75]},
-    "counters": {"type": "counters", "counters": {"pool.ipc_bytes_out": 10},
-                 "gauges": {}},
-    "alert": {"type": "alert", "round": 7, "detector": "divergence",
-              "severity": "critical", "message": "non-finite loss"},
+    "counters": {"type": "counters", "counters": {"pool.ipc_bytes_out": 10}},
 }
 
 
@@ -100,6 +97,11 @@ class TestEventSchema:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown event type"):
             validate_event({"type": "mystery"})
+        # No run emits alerts: the health monitor holds them.
+        with pytest.raises(ValueError, match="unknown event type"):
+            validate_event({"type": "alert", "round": 7,
+                            "detector": "divergence",
+                            "severity": "critical", "message": "NaN"})
         with pytest.raises(ValueError, match="unknown event type"):
             validate_event({"name": "no type at all"})
 
@@ -186,9 +188,7 @@ class TestSinks:
             "by_detector": {"trimmed_mean": 1},
             "top_clients": [[2, 1]],
         }
-        assert summary["alerts"]["total"] == 1
-        assert summary["alerts"]["by_detector"] == {"divergence": 1}
-        assert summary["alerts"]["first"][0]["detector"] == "divergence"
+        assert "alerts" not in summary
 
     def test_aggregator_ranks_flagged_offenders(self):
         agg = MemoryAggregator()
@@ -247,14 +247,6 @@ class TestTelemetryFacade:
             == [{"type": "span", "figure": "fig4", "method": "fab-top-k",
                  "name": "x", "seconds": 0.1, "process": "parent"}]
 
-    def test_span_times_a_block(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        tel = Telemetry(sink=JsonlSink(path))
-        with tel.span("work", figure="fig1"):
-            pass
-        tel.close()
-        assert summarize_trace(path)["span_seconds"]["work"] >= 0.0
-
     def test_flush_snapshots_and_resets(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tel = Telemetry(sink=JsonlSink(path))
@@ -266,8 +258,8 @@ class TestTelemetryFacade:
         tel.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert [e["type"] for e in events] == ["counters", "counters"]
-        assert events[0]["counters"] == {"pool.ipc_bytes_out": 128}
-        assert events[0]["gauges"] == {}
+        assert events[0] == {"type": "counters",
+                             "counters": {"pool.ipc_bytes_out": 128}}
         # Delta semantics: the second snapshot never double-counts.
         assert events[1]["counters"] == {"pool.ipc_bytes_out": 64}
         # The report sums the deltas back to the true total.
@@ -288,8 +280,6 @@ class TestTelemetryFacade:
         null.count("x")
         null.event("round")  # no validation, no storage
         null.annotate(figure="fig1")
-        with null.span("x"):
-            pass
         null.flush()
         null.close()
         assert not NULL_TELEMETRY.enabled
@@ -306,7 +296,7 @@ class _RaisingNull(NullTelemetry):
     def _forbidden(self, *args, **kwargs):
         raise AssertionError("telemetry work on the disabled path")
 
-    count = gauge = event = _forbidden
+    count = event = _forbidden
 
 
 def _trainer(backend, telemetry=None, seed=5):
@@ -405,6 +395,52 @@ class TestTraceReport:
         bad.write_text('{"type": "span", "name": "only"}\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
             summarize_trace(bad)
+        bad.write_bytes(b"\n\xc3\x28\n")  # not UTF-8
+        with pytest.raises(ValueError, match="bad.jsonl:2: not valid JSON"):
+            summarize_trace(bad)
+
+    def test_empty_trace_reports_no_events(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        report = format_trace_report(summarize_trace(empty))
+        assert "events:   none" in report.splitlines()
+
+    def test_pre_change_trace_lines(self, tmp_path):
+        # A counters line that still carries the old, always-empty
+        # ``gauges`` field validates (extra keys are allowed); an
+        # ``alert`` line, a kind no run emits, fails naming its line.
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            '{"type": "counters", "counters": {"a": 2}, "gauges": {}}\n'
+            '{"type": "alert", "round": 7, "detector": "divergence",'
+            ' "severity": "critical", "message": "non-finite loss"}\n'
+        )
+        with pytest.raises(ValueError,
+                           match="old.jsonl:2: unknown event type: 'alert'"):
+            summarize_trace(old)
+        old.write_text(old.read_text().splitlines()[0] + "\n")
+        assert summarize_trace(old)["counters"] == {"a": 2}
+
+    def test_trace_report_cli_missing_file_exits_2(self, tmp_path, capsys):
+        from repro import cli
+
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["trace-report", str(missing)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {missing}" in err
+        assert "Traceback" not in err
+
+    def test_trace_report_cli_malformed_line_exits_2(self, tmp_path, capsys):
+        from repro import cli
+
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(VALID_EVENTS["span"]) + "\nnot json\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["trace-report", str(bad)])
+        assert exit_info.value.code == 2
+        assert f"error: {bad}:2: not valid JSON" in capsys.readouterr().err
 
     def test_trace_report_cli(self, tmp_path, capsys):
         from repro import cli
@@ -518,7 +554,7 @@ class TestHealthMonitor:
         assert alerts[0]["detector"] == "divergence"
         assert alerts[0]["severity"] == "critical"
         assert alerts[0]["round"] == 2
-        validate_event({"type": "alert", **alerts[0]})
+        assert "non-finite" in alerts[0]["message"]
         # Latched: a second NaN round does not re-alert.
         assert monitor.observe(self._round(3, float("nan"))) == []
 
@@ -598,15 +634,17 @@ class TestHealthMonitor:
         assert alerts[0]["client_id"] == 7
         assert alerts[0]["times_flagged"] == 3
 
-    def test_stall_detection_robust_zscore(self):
-        from repro.obs import HealthConfig, HealthMonitor, robust_zscore
+    def test_stall_detection_robust_zscore(self, monkeypatch):
+        from repro.obs import HealthMonitor, health
+        from repro.obs.health import robust_zscore
 
         assert robust_zscore(1.0, []) == 0.0
         assert robust_zscore(5.0, [1.0, 1.0, 1.0]) == 0.0  # MAD degenerate
         history = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98]
         assert robust_zscore(10.0, history) > 8.0
 
-        monitor = HealthMonitor(HealthConfig(stall_min_seconds=0.05))
+        monkeypatch.setattr(health, "STALL_MIN_SECONDS", 0.05)
+        monitor = HealthMonitor()
         alerts = []
         for i in range(1, 12):
             seconds = 2.0 if i == 11 else 0.1 + 0.001 * (i % 3)
@@ -616,12 +654,13 @@ class TestHealthMonitor:
         assert [a["detector"] for a in alerts] == ["stall"]
         assert alerts[0]["phase"] == "local_steps"
 
-    def test_latching_is_per_subject(self):
+    def test_latching_is_per_subject(self, monkeypatch):
         # Each (detector, subject) pair alerts exactly once: two stalled
         # phases raise two alerts, and repeating either stays silent.
-        from repro.obs import HealthConfig, HealthMonitor
+        from repro.obs import HealthMonitor, health
 
-        monitor = HealthMonitor(HealthConfig(stall_min_seconds=0.05))
+        monkeypatch.setattr(health, "STALL_MIN_SECONDS", 0.05)
+        monitor = HealthMonitor()
         alerts = []
         for i in range(1, 11):
             jitter = 0.1 + 0.001 * (i % 3)
@@ -637,10 +676,11 @@ class TestHealthMonitor:
             ["aggregate", "local_steps"]
         assert all(a["detector"] == "stall" for a in alerts)
 
-    def test_eval_phase_excluded_from_stall(self):
-        from repro.obs import HealthConfig, HealthMonitor
+    def test_eval_phase_excluded_from_stall(self, monkeypatch):
+        from repro.obs import HealthMonitor, health
 
-        monitor = HealthMonitor(HealthConfig(stall_min_seconds=0.0))
+        monkeypatch.setattr(health, "STALL_MIN_SECONDS", 0.0)
+        monitor = HealthMonitor()
         alerts = []
         for i in range(1, 15):
             # eval is bimodal by design: cadence rounds vs skipped rounds.

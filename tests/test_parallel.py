@@ -112,7 +112,7 @@ class TestWorkerPool:
                     np.testing.assert_array_equal(rx, x)
                     np.testing.assert_array_equal(ry, y)
                     np.testing.assert_array_equal(
-                        grad, model.gradient(rx, ry)[0]
+                        grad, model.gradient(rx, ry)
                     )
             # Batches are only shipped on probe rounds; the steady state
             # returns gradients alone.
@@ -145,7 +145,7 @@ class TestWorkerPool:
             (grad_half, _), = pool.compute_gradients(0, [0], ones)
             model.set_weights(zeros)
             np.testing.assert_array_equal(
-                grad_zero, model.gradient(*batch)[0]
+                grad_zero, model.gradient(*batch)
             )
             assert not np.array_equal(grad_zero, grad_half)
         finally:
@@ -301,10 +301,10 @@ class TestGradientRows:
                     messages = [pickle.loads(raw) for raw in spy.received]
                     assert [cid for _, (cid, _, _) in messages] == \
                         [cid for cid in ids if pool.worker_of(cid) == worker]
-                    for raw, (status, (_, batch, events)) in zip(
+                    for raw, (status, (_, batch, timing)) in zip(
                         spy.received, messages
                     ):
-                        assert status == "ok" and events is None
+                        assert status == "ok" and timing is None
                         if want_batches:
                             assert b"numpy" in raw and batch is not None
                         else:
@@ -470,7 +470,7 @@ class TestGradientStream:
                 rx, ry = shard.minibatch(8)
                 np.testing.assert_array_equal(rx, x)
                 np.testing.assert_array_equal(ry, y)
-                assert grad.tobytes() == model.gradient(rx, ry)[0].tobytes()
+                assert grad.tobytes() == model.gradient(rx, ry).tobytes()
             assert last[0] is first[-1][0]
             with pytest.raises(IndexError):
                 result[len(shards)]
@@ -516,13 +516,13 @@ class TestGradientStream:
                      for shard in shards]
             model.set_weights(weights[1])
             assert partly_first.tobytes() == \
-                model.gradient(*draws[0][1])[0].tobytes()
+                model.gradient(*draws[0][1]).tobytes()
             model.set_weights(weights[2])
             for (grad, (x, y)), client_draws in zip(last, draws):
                 rx, ry = client_draws[2]
                 assert x.tobytes() == rx.tobytes()
                 assert y.tobytes() == ry.tobytes()
-                assert grad.tobytes() == model.gradient(rx, ry)[0].tobytes()
+                assert grad.tobytes() == model.gradient(rx, ry).tobytes()
         finally:
             pool.close()
 
@@ -579,8 +579,8 @@ class TestWorkerTracing:
     def test_untraced_request_ships_no_events(self):
         # The raising-Null proof extends across the pipe: with telemetry
         # disabled the trace flag is False and the worker does zero
-        # telemetry work — every message's event slot is None, not [],
-        # the last one included.
+        # telemetry work — every message's timing slot is None, the
+        # last one included.
         pool, model, ids = _registered_pool()
         try:
             spies = _spy_on_pipes(pool)
@@ -588,39 +588,44 @@ class TestWorkerTracing:
             messages = [pickle.loads(raw)
                         for spy in spies for raw in spy.received]
             assert sorted(cid for _, (cid, _, _) in messages) == sorted(ids)
-            for status, (_, batch, events) in messages:
-                assert status == "ok" and batch is None and events is None
+            for status, (_, batch, timing) in messages:
+                assert status == "ok" and batch is None and timing is None
         finally:
             pool.close()
 
-    def test_traced_request_ships_buffered_spans(self):
-        from repro.obs import Telemetry
+    def test_traced_request_ships_buffered_spans(self, tmp_path):
+        from repro.obs import JsonlSink, Telemetry
 
         pool, model, ids = _registered_pool()
+        trace = tmp_path / "trace.jsonl"
         try:
-            pool.telemetry = Telemetry()
+            pool.telemetry = Telemetry(sink=JsonlSink(trace))
             spy = _spy_on_pipes(pool)[1]
             worker_ids = [cid for cid in ids if pool.worker_of(cid) == 1]
-            for request in range(2):
+            for _ in range(2):
                 spy.received.clear()
                 list(pool.compute_gradients(0, worker_ids,
                                             model.get_weights()))
                 messages = [pickle.loads(raw)[1] for raw in spy.received]
                 assert len(messages) == len(worker_ids)
-                # The events ride the request's last message only.
-                assert all(events is None for _, _, events in messages[:-1])
-                (span,) = messages[-1][2]
-                assert span["type"] == "span"
-                assert span["name"] == "worker.gradients"
-                assert span["process"] == "worker-1"
-                assert span["clients"] == len(worker_ids)
-                assert span["regenerated"] == 0  # real arrays, no specs
-                assert span["seconds"] >= 0.0
-                # seq is worker-lifetime monotonic, so multiple requests
-                # within one round still merge deterministically.
-                assert span["seq"] == request
+                # The timing rides the request's last message only, as
+                # two plain numbers: seconds and datasets regenerated.
+                assert all(timing is None for _, _, timing in messages[:-1])
+                seconds, regenerated = messages[-1][2]
+                assert type(seconds) is float and seconds >= 0.0
+                assert regenerated == 0  # real arrays, no specs
         finally:
             pool.close()
+            pool.telemetry.close()
+        # The parent emits each request's timing as the worker's span.
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = [event for event in events if event["type"] == "span"]
+        assert spans == [{
+            "type": "span", "name": "worker.gradients", "process": "worker-1",
+            "seconds": span["seconds"], "clients": len(worker_ids),
+            "regenerated": 0, "round": 0,
+        } for span in spans]
+        assert len(spans) == 2
 
     def test_merged_stream_is_deterministic(self, tmp_path):
         # Two identical traced sharded runs must produce byte-identical
@@ -666,13 +671,15 @@ class TestWorkerTracing:
                   for line in paths[0].read_text().splitlines()]
         worker_spans = [e for e in events
                         if e.get("process", "").startswith("worker-")]
-        assert worker_spans, "worker events must reach the merged stream"
-        # Deterministic (round, worker_id, seq) merge order.
-        keys = [(e["round"], e["process"], e["seq"]) for e in worker_spans]
-        assert keys == sorted(keys)
+        assert worker_spans, "worker spans must reach the parent's stream"
+        # One span per worker and round, in (round, worker) order.
+        keys = [(e["round"], e["process"]) for e in worker_spans]
+        assert keys == sorted(set(keys))
         for span in worker_spans:
             assert span["name"] == "worker.gradients"
             assert span["round"] >= 1
+            assert span["clients"] > 0 and span["regenerated"] == 0
+            assert "seq" not in span
 
 
 # ----------------------------------------------------------------------

@@ -86,7 +86,7 @@ class TestMassConservation:
         # Compute each client's expected gradient at w0 beforehand.
         expected = []
         for client in trainer.clients:
-            grad, _ = model.gradient(client.dataset.x, client.dataset.y)
+            grad = model.gradient(client.dataset.x, client.dataset.y)
             expected.append(grad)
         trainer.step(k=5)
         update = (w0 - model.get_weights()) / trainer.learning_rate
