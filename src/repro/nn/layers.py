@@ -21,8 +21,9 @@ Design notes
 - ``forward`` stores whatever the matching ``backward`` needs on ``self``
   (only while ``training``) and ``backward`` drops it, so a layer
   instance processes one stack at a time and pins nothing between
-  passes.  Convolution is im2col plus one batched gemm; its input
-  gradient comes back through one vectorized ``_col2im`` scatter-add.
+  passes.  Convolution is im2col, one gather through a cached
+  window-offset table, plus one batched gemm; its input gradient comes
+  back through one ``_col2im`` scatter-add through the same table.
 """
 
 from __future__ import annotations
@@ -364,44 +365,42 @@ class Sequential(Layer):
 def _im2col(x: np.ndarray, kernel: int, padding: int) -> np.ndarray:
     """Expand sliding windows of ``x`` into rows.
 
-    Returns an array of shape ``(n * h_out * w_out, c * kernel * kernel)``.
+    Returns an array of shape ``(n * h_out * w_out, c * kernel * kernel)``,
+    each sample's windows gathered by one ``np.take`` through
+    :func:`_window_offsets`.
     """
     n, c, h, w = x.shape
     if padding:
         x = np.pad(
             x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
         )
-    h_out = h + 2 * padding - kernel + 1
-    w_out = w + 2 * padding - kernel + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    # windows: (n, c, h_out, w_out, kernel, kernel)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, -1)
-    return np.ascontiguousarray(cols)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    offsets = _window_offsets(c, hp, wp, kernel)
+    cols = np.take(x.reshape(n, c * hp * wp), offsets, axis=1)
+    return cols.reshape(-1, c * kernel * kernel)
 
 
 @lru_cache(maxsize=64)
-def _col2im_taps(
-    c: int, hp: int, wp: int, h_out: int, w_out: int, kernel: int
-) -> np.ndarray:
-    """Flat within-sample target offsets for every im2col column entry.
+def _window_offsets(c: int, hp: int, wp: int, kernel: int) -> np.ndarray:
+    """Flat within-sample offset of every im2col column entry: the one
+    table :func:`_im2col` gathers and :func:`_col2im` scatters through.
 
-    Entry order matches the C-order traversal of the im2col layout
+    Entry order is the C-order traversal of the im2col layout
     ``(h_out, w_out, c, ki, kj)``; offsets index the flattened padded
-    input ``(c, hp, wp)``.  Cached because the pattern depends only on
-    the geometry, not the data.
+    input ``(c, hp, wp)``.  Cached per geometry, and read-only because
+    every conv call of that geometry shares it.
     """
-    i = np.arange(h_out)
-    j = np.arange(w_out)
     tap = np.arange(kernel)
-    rows = i[:, None] + tap[None, :]  # (h_out, kernel)
-    cols = j[:, None] + tap[None, :]  # (w_out, kernel)
+    rows = np.arange(hp - kernel + 1)[:, None] + tap  # (h_out, kernel)
+    cols = np.arange(wp - kernel + 1)[:, None] + tap  # (w_out, kernel)
     chan = np.arange(c) * (hp * wp)
     offsets = (
         chan[None, None, :, None, None]
         + rows[:, None, None, :, None] * wp
         + cols[None, :, None, None, :]
-    )
-    return offsets.ravel()
+    ).ravel()
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _col2im(
@@ -418,12 +417,10 @@ def _col2im(
     """
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
-    h_out = hp - kernel + 1
-    w_out = wp - kernel + 1
-    taps = _col2im_taps(c, hp, wp, h_out, w_out, kernel)
+    offsets = _window_offsets(c, hp, wp, kernel)
     sample_size = c * hp * wp
     flat_indices = (
-        np.arange(n, dtype=np.int64)[:, None] * sample_size + taps[None, :]
+        np.arange(n, dtype=np.int64)[:, None] * sample_size + offsets[None, :]
     ).ravel()
     acc = np.bincount(
         flat_indices, weights=cols.ravel(), minlength=n * sample_size

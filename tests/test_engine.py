@@ -962,6 +962,24 @@ class TestBatchedKernels:
             "f9b5a3c4390343050c12edd849fd8c2d011aa21f7d3f97e2e17f75bbc81b8a23"
         )
 
+    def test_gradient_cnn_at_paper_geometry(self):
+        # The paper's CNN (28x28 inputs, 62 classes, conv (32, 64),
+        # dense 128: D = 428,350), one client at batch 32.  Here conv 2's
+        # columns (14.4 MB) leave the cache and c = 32, a second regime
+        # for the conv kernels beside the suite geometry's.  Like every
+        # gradient digest, the pin holds on the numeric host it was
+        # taken on only: another gemm kernel may round differently
+        # (ROADMAP item 21).
+        rng = np.random.default_rng(0)
+        model = make_cnn(28, 1, 62, (32, 64), 128)
+        x = rng.standard_normal((32, 1, 28, 28))
+        y = rng.integers(0, 62, size=32)
+        grad = model.gradient(x, y)
+        assert grad.shape == (428_350,)
+        assert hashlib.sha256(grad.tobytes()).hexdigest() == (
+            "a9a308769f37e02be5da8436d1a2aba2ccca010c318af602ecd946305b092118"
+        )
+
     @pytest.mark.parametrize("groups", (25, 1))
     def test_blocked_rows_equal_serial_gradients(self, groups):
         # 25 suite-CNN clients in blocks of 2 leave a one-group last

@@ -14,6 +14,7 @@ from repro.nn.layers import (
     MaxPool2D,
     ReLU,
     Sequential,
+    _window_offsets,
 )
 
 RNG = np.random.default_rng(7)
@@ -174,6 +175,17 @@ class TestConv2D:
         assert conv._cols is None
         with pytest.raises(RuntimeError):
             conv.backward(np.ones_like(out))
+
+    def test_window_offsets_are_read_only(self):
+        # One cached table feeds the im2col gather and the _col2im
+        # scatter of every conv call at its geometry: a stray in-place
+        # write must raise, not corrupt every later gradient.
+        offsets = _window_offsets(1, 8, 8, 3)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[0] = 1
+        with pytest.raises(ValueError):
+            offsets += 1
 
     def test_eval_forward_does_not_cache(self):
         # Evaluation forwards run over whole eval pools; caching backward

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.partition import ClientDataset
@@ -857,17 +857,73 @@ def reference_maxpool_backward(argmax, x_shape, s, grad_out):
     return grad.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
 
 
+def reference_im2col(x, kernel, padding):
+    """Sliding windows of ``x`` as rows ``(n * h_out * w_out, c * k * k)``,
+    in the ``(h_out, w_out, c, ki, kj)`` column order: a window view,
+    transposed and copied."""
+    n, c, h, w = x.shape
+    if padding:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+        )
+    h_out = h + 2 * padding - kernel + 1
+    w_out = w + 2 * padding - kernel + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, -1)
+    return np.ascontiguousarray(cols)
+
+
+def reference_col2im(cols, x_shape, kernel, padding):
+    """The adjoint of :func:`reference_im2col`: one ``np.bincount`` adds
+    every (window, tap) entry into its padded-input position, in column
+    order, and the padding is cropped."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_out = hp - kernel + 1
+    w_out = wp - kernel + 1
+    tap = np.arange(kernel)
+    rows_at = np.arange(h_out)[:, None] + tap[None, :]
+    cols_at = np.arange(w_out)[:, None] + tap[None, :]
+    chan = np.arange(c) * (hp * wp)
+    taps = (
+        chan[None, None, :, None, None]
+        + rows_at[:, None, None, :, None] * wp
+        + cols_at[None, :, None, None, :]
+    ).ravel()
+    sample_size = c * hp * wp
+    flat_indices = (
+        np.arange(n, dtype=np.int64)[:, None] * sample_size + taps[None, :]
+    ).ravel()
+    acc = np.bincount(
+        flat_indices, weights=cols.ravel(), minlength=n * sample_size
+    )
+    x_padded = acc.reshape(n, c, hp, wp)
+    if padding:
+        return x_padded[:, :, padding:-padding, padding:-padding]
+    return x_padded
+
+
+def reference_conv_forward(conv, x):
+    """One serial Conv2D forward: ``im2col(x) @ w_mat.T + b``, NCHW."""
+    n, _, h, w_in = x.shape
+    k, p = conv.kernel_size, conv.padding
+    w_mat = conv.params[0].reshape(conv.out_channels, -1)
+    out = reference_im2col(x, k, p) @ w_mat.T + conv.params[1]
+    h_out, w_out = h + 2 * p - k + 1, w_in + 2 * p - k + 1
+    return out.reshape(n, h_out, w_out, conv.out_channels).transpose(0, 3, 1, 2)
+
+
 def reference_conv_backward(conv, x, grad_out):
     """``(grad_x, grad_w, grad_b)`` of one serial Conv2D backward."""
     n, c, h, w_in = x.shape
     k, p = conv.kernel_size, conv.padding
-    cols = _im2col(x, k, p)
+    cols = reference_im2col(x, k, p)
     g = grad_out.transpose(0, 2, 3, 1).reshape(-1, conv.out_channels)
     grad_w = (g.T @ cols).reshape(conv.params[0].shape)
     grad_b = g.sum(axis=0)
     w_mat = conv.params[0].reshape(conv.out_channels, -1)
     grad_cols = g @ w_mat
-    return _col2im(grad_cols, (n, c, h, w_in), k, p), grad_w, grad_b
+    return reference_col2im(grad_cols, (n, c, h, w_in), k, p), grad_w, grad_b
 
 
 #: values whose handling a branch-free kernel could get subtly wrong: both
@@ -983,8 +1039,10 @@ class TestLayerKernelsAgainstReference:
         grad5 = awkward(rng, out5.shape, finite)
         grad_in, (grad_w, grad_b) = conv.backward(grad5)
         for g in range(groups):
+            ref_out = reference_conv_forward(conv, x5[g])
+            assert_bytes_equal(out5[g], ref_out)
             ref_x, ref_w, ref_b = reference_conv_backward(conv, x5[g], grad5[g])
-            conv.forward(x5[g][None])
+            assert_bytes_equal(conv.forward(x5[g][None])[0], ref_out)
             one_x, (one_w, one_b) = conv.backward(grad5[g][None])
             assert_bytes_equal(one_x[0], ref_x)
             assert_bytes_equal(one_w[0], ref_w)
@@ -992,6 +1050,49 @@ class TestLayerKernelsAgainstReference:
             assert_bytes_equal(grad_in[g], ref_x)
             assert_bytes_equal(grad_w[g], ref_w)
             assert_bytes_equal(grad_b[g], ref_b)
+
+    @given(
+        n=st.sampled_from([1, 2, 3, 1000]),
+        c=st.integers(min_value=1, max_value=3),
+        h=st.integers(min_value=1, max_value=7),
+        w=st.integers(min_value=1, max_value=7),
+        kernel=st.integers(min_value=1, max_value=4),
+        padding=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # A kernel larger than the input, 1x1, non-square, an eval pool.
+    @example(n=2, c=1, h=2, w=2, kernel=4, padding=2, seed=0)
+    @example(n=3, c=2, h=4, w=3, kernel=1, padding=0, seed=1)
+    @example(n=2, c=3, h=3, w=6, kernel=3, padding=1, seed=2)
+    @example(n=1000, c=1, h=6, w=6, kernel=3, padding=1, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_conv_kernels_match_reference(self, n, c, h, w, kernel, padding, seed):
+        assume(min(h, w) + 2 * padding >= kernel)
+        rng = np.random.default_rng(seed)
+        x = awkward(rng, (n, c, h, w))
+        # im2col only moves values: every special, NaN and inf included.
+        assert_bytes_equal(_im2col(x, kernel, padding),
+                           reference_im2col(x, kernel, padding))
+        finite = SPECIAL_VALUES[np.isfinite(SPECIAL_VALUES)]
+        x = awkward(rng, (n, c, h, w), finite)
+        conv = Conv2D(c, 2, kernel_size=kernel, rng=rng, padding=padding)
+        if n == 1000:
+            # An eval pool: one group, no cached columns, no backward.
+            conv.train(False)
+            assert_bytes_equal(conv.forward(x[None])[0],
+                               reference_conv_forward(conv, x))
+            return
+        out = conv.forward(x[None])
+        assert_bytes_equal(out[0], reference_conv_forward(conv, x))
+        grad = awkward(rng, out.shape, finite)
+        grad_x, (grad_w, grad_b) = conv.backward(grad)
+        ref_x, ref_w, ref_b = reference_conv_backward(conv, x, grad[0])
+        assert_bytes_equal(grad_x[0], ref_x)
+        assert_bytes_equal(grad_w[0], ref_w)
+        assert_bytes_equal(grad_b[0], ref_b)
+        cols = awkward(rng, (n * out.shape[3] * out.shape[4], c * kernel**2), finite)
+        assert_bytes_equal(_col2im(cols, x.shape, kernel, padding),
+                           reference_col2im(cols, x.shape, kernel, padding))
 
 
 # ----------------------------------------------------------------------
