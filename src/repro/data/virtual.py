@@ -60,7 +60,7 @@ class VirtualSpec:
     """Everything needed to regenerate any client of the federation.
 
     A frozen value object of primitives: picklable (the sharded backend
-    ships one of these per session instead of per-client datasets) and
+    registers a virtual client with this instead of its dataset) and
     JSON-ready via :meth:`to_dict` (bench/CI manifests).
     """
 

@@ -42,11 +42,12 @@ regenerates the dataset from ``(spec, client_id)`` on the client's first
 gradient request — construction cost lands worker-side, and first
 participation costs the same IPC as steady state.
 
-Workers are grouped into *sessions*: one session per registered model
-(one per trainer/engine).  A worker keeps an independent model replica
-and client shard per session, which makes a single pool safe to reuse
-across the several trainers a figure driver runs back to back — each
-trainer's clients keep their own uninterrupted RNG streams.
+The pool serves one trainer at a time.  Each worker holds one model
+replica, one ``client id -> shard`` map and one map of regenerated
+virtual federations; :meth:`WorkerPool.broadcast_model` replaces the
+replica and clears both maps, so the next trainer of a figure driver's
+back-to-back runs starts from its own fresh datasets and never
+continues the previous trainer's minibatch streams.
 
 Determinism: a worker's dataset copy is the *only* consumer of that
 client's minibatch RNG stream (the parent's copy is never drawn from
@@ -163,7 +164,7 @@ def _create_segment(nbytes: int) -> tuple[SharedMemory, mmap.mmap]:
 
 
 def _worker_main(conn, weights_buf, dimension: int) -> None:
-    """Worker loop: serve gradient requests against per-session state.
+    """Worker loop: serve gradient requests for the one model it holds.
 
     ``weights_buf`` is the shared flat-weight buffer; it is re-read at
     every ``grads`` request, so the parent's single write per round
@@ -179,15 +180,18 @@ def _worker_main(conn, weights_buf, dimension: int) -> None:
     worker's span; every other message, and every message of an
     untraced request (which does no telemetry work at all), carries
     ``None`` there.
+
+    A ``model`` message replaces the replica and clears the shard and
+    federation maps: the clients registered after it belong to the new
+    model's trainer.
     """
     weights = np.frombuffer(weights_buf, dtype=np.float64, count=dimension)
-    models: dict[int, object] = {}
-    # session token -> {client_id: (ClientDataset | VirtualSpec, batch_size)}
-    shards: dict[int, dict[int, tuple]] = {}
-    # (session token, VirtualSpec) -> VirtualFederation: per-session so
-    # each trainer's clients keep their own uninterrupted minibatch RNG
-    # streams, exactly like the per-session model replicas/shards.
-    federations: dict[tuple, VirtualFederation] = {}
+    model = None
+    # client_id -> (ClientDataset | VirtualSpec, batch_size)
+    shards: dict[int, tuple] = {}
+    # VirtualSpec -> VirtualFederation, so each regenerated client keeps
+    # one uninterrupted minibatch RNG stream for the model's trainer.
+    federations: dict[VirtualSpec, VirtualFederation] = {}
     segment: SharedMemory | None = None
     rows: np.ndarray | None = None
     while True:
@@ -201,21 +205,16 @@ def _worker_main(conn, weights_buf, dimension: int) -> None:
                 conn.close()
                 break
             if cmd == "model":
-                _, token, model, drop_tokens = msg
-                for dead in drop_tokens:
-                    models.pop(dead, None)
-                    shards.pop(dead, None)
-                    for key in [k for k in federations if k[0] == dead]:
-                        del federations[key]
-                models[token] = model
-                shards.setdefault(token, {})
+                _, model = msg
+                shards.clear()
+                federations.clear()
                 conn.send(("ok", None))
             elif cmd == "register":
-                _, token, clients = msg
-                shards.setdefault(token, {}).update(clients)
+                _, clients = msg
+                shards.update(clients)
                 conn.send(("ok", None))
             elif cmd == "grads":
-                _, token, assigned, segment_name, want_batches, trace = msg
+                _, assigned, segment_name, want_batches, trace = msg
                 if trace:
                     request_start = time.perf_counter()
                 if segment is None or segment.name != segment_name:
@@ -231,7 +230,6 @@ def _worker_main(conn, weights_buf, dimension: int) -> None:
                         segment.buf, dtype=np.float64,
                         count=capacity * dimension,
                     ).reshape(capacity, dimension)
-                model = models[token]
                 # set_weights copies into the parameter arrays, and the
                 # parent leaves the buffer alone until this request's
                 # last client has been reported.
@@ -239,19 +237,19 @@ def _worker_main(conn, weights_buf, dimension: int) -> None:
                 regenerated = 0
                 last = len(assigned) - 1
                 for position, (cid, slot) in enumerate(assigned):
-                    dataset, batch_size = shards[token][cid]
+                    dataset, batch_size = shards[cid]
                     if isinstance(dataset, VirtualSpec):
                         # First gradient request for a virtual client:
                         # regenerate its dataset from (spec, cid) — the
                         # identity-stable federation keeps the minibatch
-                        # RNG stream across the session even when the
-                        # bounded LRU later drops the arrays.
-                        fed = federations.get((token, dataset))
+                        # RNG stream for the rest of the run even when
+                        # the bounded LRU later drops the arrays.
+                        fed = federations.get(dataset)
                         if fed is None:
                             fed = VirtualFederation(dataset)
-                            federations[(token, dataset)] = fed
+                            federations[dataset] = fed
                         dataset = fed.client_dataset(cid)
-                        shards[token][cid] = (dataset, batch_size)
+                        shards[cid] = (dataset, batch_size)
                         regenerated += 1
                     x, y = dataset.minibatch(batch_size)
                     model.gradient(x, y, out=rows[slot])
@@ -430,39 +428,35 @@ class WorkerPool:
         """Stable shard layout: clients assigned round-robin by id."""
         return client_id % self.num_workers
 
-    def broadcast_model(
-        self, token: int, model, drop_tokens: tuple[int, ...] = ()
-    ) -> None:
-        """Open session ``token`` on every worker with a model replica.
+    def broadcast_model(self, model) -> None:
+        """Replace every worker's model replica with ``model``.
 
-        ``drop_tokens`` names finished sessions (their models were
-        garbage-collected in the parent) whose replicas and shards the
-        workers release first — without this, a driver running many
-        trainers on one pool would grow worker memory per trainer.
+        Each worker also forgets its registered clients and regenerated
+        virtual federations: the pool now serves ``model``'s trainer,
+        whose clients register afresh.
         """
         tel = self.telemetry
         if tel.enabled:
             start = time.perf_counter()
             tel.count(
                 "pool.ipc_bytes_out",
-                len(pickle.dumps(("model", token, model, drop_tokens)))
-                * len(self._conns),
+                len(pickle.dumps(("model", model))) * len(self._conns),
             )
         self._settle()
         for worker in range(self.num_workers):
-            self._send(worker, ("model", token, model, drop_tokens))
+            self._send(worker, ("model", model))
         for worker in range(self.num_workers):
             self._receive(worker)
         if tel.enabled:
             tel.count("pool.model_broadcast_seconds",
                       time.perf_counter() - start)
 
-    def register_clients(self, worker: int, token: int, clients: dict) -> None:
+    def register_clients(self, worker: int, clients: dict) -> None:
         """Pickle client shards (dataset + batch size) to one worker, once."""
         tel = self.telemetry
         if tel.enabled:
             tel.count("pool.ipc_bytes_out",
-                      len(pickle.dumps(("register", token, clients))))
+                      len(pickle.dumps(("register", clients))))
             specs = sum(1 for dataset, _ in clients.values()
                         if isinstance(dataset, VirtualSpec))
             if specs:
@@ -471,7 +465,7 @@ class WorkerPool:
                 tel.count("pool.register_array", len(clients) - specs)
             tel.count(f"pool.worker{worker}.clients", len(clients))
         self._settle()
-        self._send(worker, ("register", token, clients))
+        self._send(worker, ("register", clients))
         self._receive(worker)
 
     def reserve_rows(self, count: int) -> np.ndarray:
@@ -497,7 +491,6 @@ class WorkerPool:
 
     def compute_gradients(
         self,
-        token: int,
         client_ids: list[int],
         weights: np.ndarray,
         want_batches: bool = False,
@@ -555,8 +548,7 @@ class WorkerPool:
         for slot, cid in enumerate(client_ids):
             by_worker.setdefault(self.worker_of(cid), []).append((cid, slot))
         for worker, assigned in by_worker.items():
-            self._request_gradients(worker, token, assigned, want_batches,
-                                    trace)
+            self._request_gradients(worker, assigned, want_batches, trace)
         self._stream = GradientStream(self, client_ids, rows, by_worker,
                                       trace)
         return self._stream
@@ -569,7 +561,6 @@ class WorkerPool:
     def _request_gradients(
         self,
         worker: int,
-        token: int,
         assigned: list[tuple[int, int]],
         want_batches: bool,
         trace: bool,
@@ -580,7 +571,7 @@ class WorkerPool:
         must already be reserved; the worker answers with one message per
         client, each read with :meth:`_receive`.
         """
-        request = ("grads", token, assigned, self._grads.segment.name,
+        request = ("grads", assigned, self._grads.segment.name,
                    want_batches, trace)
         if trace:
             tel = self.telemetry

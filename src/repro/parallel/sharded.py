@@ -36,6 +36,8 @@ construction, the same argument as the vectorized backend's:
 - a client's minibatch stream has exactly one consumer — the worker-side
   dataset copy, registered before its first draw (the parent's copy is
   never drawn from while sharded) — so it yields the serial sequence;
+  the workers hold one trainer's model and clients at a time, and a
+  trainer a later one replaced raises instead of replaying its streams;
 - ``FlatModel.gradient`` is a deterministic function of (weights, batch)
   and every worker runs the same NumPy build as the parent;
 - residual accumulation, top-k selection, probe draws and residual reset
@@ -85,10 +87,12 @@ class ShardedBackend(ExecutionBackend):
         path in process.
 
     Unlike the serial/vectorized backends this one holds resources (the
-    worker pool) and per-trainer RNG continuations (the worker-side
-    dataset copies), so it must not be used again after :meth:`close`,
-    and every trainer fed into it must bring a freshly built federation
-    — the repo-wide convention of the figure drivers and tests.
+    worker pool) and the RNG continuations of one trainer at a time (the
+    worker-side dataset copies).  So it must not be used again after
+    :meth:`close`, every trainer fed into it must bring a freshly built
+    federation — the repo-wide convention of the figure drivers and
+    tests — and trainers take turns: once a later trainer has run on
+    it, an earlier one raises ``RuntimeError`` instead of stepping.
     """
 
     name = "sharded"
@@ -100,16 +104,14 @@ class ShardedBackend(ExecutionBackend):
         self._pool: WorkerPool | None = None
         self._serial = SerialBackend()
         self._closed = False
-        # model -> session token; dead models just strand a token.
-        self._tokens: "weakref.WeakKeyDictionary[FlatModel, int]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._issued_tokens: set[int] = set()
-        self._next_token = 0
-        # (token, client_id) -> weakref to the registered Client, so a new
+        # The model whose replica the workers hold, and the models it
+        # replaced; weak, so a finished trainer is still collected.
+        self._model: weakref.ref | None = None
+        self._replaced: "weakref.WeakSet[FlatModel]" = weakref.WeakSet()
+        # client_id -> weakref to the registered Client, so a new
         # trainer's client (same id, new object) re-registers its fresh
         # dataset while the same client never registers twice.
-        self._registered: dict[tuple[int, int], weakref.ref] = {}
+        self._registered: dict[int, weakref.ref] = {}
 
     # ------------------------------------------------------------------
     # ExecutionBackend interface
@@ -121,6 +123,12 @@ class ShardedBackend(ExecutionBackend):
         want_batches: bool = False,
     ) -> Iterable[tuple[np.ndarray, Batch | None]]:
         self._ensure_open()
+        if model in self._replaced:
+            raise RuntimeError(
+                "ShardedBackend already serves a later trainer; this "
+                "trainer's worker-side minibatch streams are gone, so "
+                "resuming would replay them — build a fresh trainer"
+            )
         pool = self._ensure_pool(model)
         if pool is None:
             return self._serial.compute_gradients(model, participants)
@@ -135,13 +143,12 @@ class ShardedBackend(ExecutionBackend):
             # start in the parent, so serial takes over unchanged.
             self._degrade_to_serial("get its gradient buffer", exc)
             return self._serial.compute_gradients(model, participants)
-        token = self._session_token(pool, model)
-        self._register_missing(pool, token, participants)
+        self._serve(pool, model)
+        self._register_missing(pool, participants)
         # The worker drew each minibatch; with ``want_batches`` it comes
         # back beside the gradient, so probe draws see the round's batch
         # exactly as under serial execution.
         return pool.compute_gradients(
-            token,
             [client.client_id for client in participants],
             model.get_weights(),
             want_batches=want_batches,
@@ -171,7 +178,7 @@ class ShardedBackend(ExecutionBackend):
         self._drop_pool()
 
     # ------------------------------------------------------------------
-    # Pool/session bookkeeping
+    # Pool and served-trainer bookkeeping
     # ------------------------------------------------------------------
     def _ensure_pool(self, model: FlatModel) -> WorkerPool | None:
         """The live pool for this model's dimension, or None to fall back."""
@@ -187,8 +194,9 @@ class ShardedBackend(ExecutionBackend):
                 "training from a fresh trainer and backend"
             )
         if self._pool is not None and self._pool.dimension != model.dimension:
-            # A new engine with a different architecture; earlier sessions
-            # are complete (trainers run back to back), so restart clean.
+            # A trainer with a different architecture replaces the one
+            # served: restart clean.
+            self._retire_served()
             self._drop_pool()
         if self._pool is None:
             try:
@@ -199,12 +207,11 @@ class ShardedBackend(ExecutionBackend):
         return self._pool
 
     def _drop_pool(self) -> None:
-        """Close the pool, if any, and forget every session on it."""
+        """Close the pool, if any, and forget what it served."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._tokens = weakref.WeakKeyDictionary()
-        self._issued_tokens.clear()
+        self._model = None
         self._registered.clear()
 
     def _degrade_to_serial(self, what: str, exc: OSError) -> None:
@@ -218,33 +225,29 @@ class ShardedBackend(ExecutionBackend):
         self._drop_pool()
         self.jobs = 1
 
-    def _session_token(self, pool: WorkerPool, model: FlatModel) -> int:
-        token = self._tokens.get(model)
-        if token is None:
-            token = self._next_token
-            self._next_token += 1
-            self._tokens[model] = token
-            # Sessions whose model died (trainer finished and was
-            # collected) are done for good; have the workers drop their
-            # replicas/shards so memory tracks *live* trainers only.
-            dead = self._issued_tokens - set(self._tokens.values())
-            self._issued_tokens -= dead
-            self._issued_tokens.add(token)
-            if dead:
-                self._registered = {
-                    key: ref
-                    for key, ref in self._registered.items()
-                    if key[0] not in dead
-                }
-            pool.broadcast_model(token, model, drop_tokens=tuple(dead))
-        return token
+    def _serve(self, pool: WorkerPool, model: FlatModel) -> None:
+        """Put ``model``'s replica on the workers unless it is there."""
+        if self._model is not None and self._model() is model:
+            return
+        self._retire_served()
+        pool.broadcast_model(model)
+        self._model = weakref.ref(model)
+
+    def _retire_served(self) -> None:
+        """The served model's trainer is replaced: it may not resume, and
+        its registered clients are forgotten."""
+        served = self._model() if self._model is not None else None
+        if served is not None:
+            self._replaced.add(served)
+        self._model = None
+        self._registered.clear()
 
     def _register_missing(
-        self, pool: WorkerPool, token: int, participants: list[Client]
+        self, pool: WorkerPool, participants: list[Client]
     ) -> None:
         pending: dict[int, dict[int, tuple]] = {}
         for client in participants:
-            known = self._registered.get((token, client.client_id))
+            known = self._registered.get(client.client_id)
             if known is not None and known() is client:
                 continue
             worker = pool.worker_of(client.client_id)
@@ -258,6 +261,6 @@ class ShardedBackend(ExecutionBackend):
                 shard,
                 client.batch_size,
             )
-            self._registered[(token, client.client_id)] = weakref.ref(client)
+            self._registered[client.client_id] = weakref.ref(client)
         for worker, clients in pending.items():
-            pool.register_clients(worker, token, clients)
+            pool.register_clients(worker, clients)

@@ -51,9 +51,6 @@ class ResultsStore:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def load(self, key: str) -> dict | None:
         """The cached payload, or None when missing or unreadable.
 
@@ -74,8 +71,3 @@ class ResultsStore:
         path = self.path_for(key)
         write_json(path, payload, indent=None)
         return path
-
-    def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.json"))

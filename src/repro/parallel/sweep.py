@@ -60,8 +60,6 @@ class SweepSpec:
     backends: tuple[str, ...] = ("serial",)
     #: optional round-count override applied to every unit
     rounds: int | None = None
-    #: ExperimentConfig.jobs for sharded units (0 = all usable CPUs)
-    jobs_per_run: int = 0
     #: optional JSONL trace destination applied to every unit
     #: (observation-only; excluded from cache keys)
     telemetry: str | None = None
@@ -156,8 +154,6 @@ def expand(spec: SweepSpec) -> list[SweepUnit]:
                     overrides: dict = {"seed": seed, "backend": backend}
                     if spec.rounds is not None:
                         overrides["num_rounds"] = spec.rounds
-                    if backend == "sharded":
-                        overrides["jobs"] = spec.jobs_per_run
                     if spec.telemetry is not None:
                         overrides["telemetry"] = spec.telemetry
                     config = scaled_config(scale, figure).with_overrides(

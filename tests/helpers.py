@@ -3,8 +3,9 @@
 A Gaussian-mixture dataset, its uniform split and a logistic-regression
 model are the fastest federation and model to train in a unit test; a
 sparse vector's dense form and a virtual federation's eager twin are
-what the equality checks compare against; an in-memory event list is
-the telemetry sink traced runs are read back from.  None of them is
+what the equality checks compare against; a results store's key listing
+is what the cache checks read; an in-memory event list is the telemetry
+sink traced runs are read back from.  None of them is
 library surface: every CLI command, benchmark and example builds its
 data with ``repro.data`` and its model with ``repro.nn.models``.
 """
@@ -89,6 +90,14 @@ def materialize(federation) -> FederatedDataset:
         test_y=federation.test_y,
         name=spec.name,
     )
+
+
+def store_keys(store) -> list[str]:
+    """The content keys a :class:`~repro.parallel.store.ResultsStore`
+    holds an entry for, sorted."""
+    if not store.root.is_dir():
+        return []
+    return sorted(path.stem for path in store.root.glob("*.json"))
 
 
 class EventList(list):

@@ -2,9 +2,9 @@
 
 Backend *equivalence* (sharded == serial bit for bit across the
 sparsifier matrix) lives in ``tests/test_engine.py``; this file covers
-the subsystem's own machinery — pool protocol and failure modes, session
-bookkeeping, the content-addressed results store, and the sweep
-orchestrator's expand/cache/fan-out behaviour.
+the subsystem's own machinery — pool protocol and failure modes, the
+trainers taking turns on one backend, the content-addressed results
+store, and the sweep orchestrator's expand/cache/fan-out behaviour.
 """
 
 import copy
@@ -41,7 +41,7 @@ from repro.parallel.sweep import (
 from repro.simulation.timing import TimingModel
 from repro.sparsify.fab_topk import FABTopK
 
-from helpers import make_logistic
+from helpers import make_logistic, store_keys
 
 
 def _federation(num_writers=6, seed=3, num_classes=8, image_size=6):
@@ -52,24 +52,56 @@ def _federation(num_writers=6, seed=3, num_classes=8, image_size=6):
 
 
 def _registered_pool(model=None, image_size=6, num_classes=8, fed=None):
-    """A 2-worker pool with session 0 open and six clients registered."""
+    """A 2-worker pool holding ``model`` with six clients registered."""
     if fed is None:
         fed = _federation(num_classes=num_classes, image_size=image_size)
     if model is None:
         model = make_logistic(image_size ** 2, num_classes, seed=1)
     pool = WorkerPool(num_workers=2, dimension=model.dimension)
-    pool.broadcast_model(0, model)
+    pool.broadcast_model(model)
     for shard in fed.clients:  # federation shards ARE the datasets
         pool.register_clients(
-            pool.worker_of(shard.client_id), 0,
-            {shard.client_id: (shard, 8)},
+            pool.worker_of(shard.client_id), {shard.client_id: (shard, 8)}
         )
     return pool, model, [c.client_id for c in fed.clients]
+
+
+def _virtual_trainer(backend, seed=3):
+    fed = VirtualFederation.build(
+        12, samples_per_client=10, num_classes=6, image_size=6,
+        classes_per_writer=3, seed=seed,
+    )
+    model = make_mlp(36, 6, hidden=(8,), seed=seed)
+    timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+    return FLTrainer(model, fed, FABTopK(), timing=timing,
+                     learning_rate=0.05, batch_size=4, eval_every=3,
+                     seed=seed, backend=backend)
+
+
+def _assert_same_run(serial, fast, serial_history, fast_history):
+    """Records, weights and residuals of two runs are byte-equal."""
+    # repr-compare: un-evaluated rounds carry NaN losses and NaN != NaN
+    # would fail a plain tuple comparison.
+    assert [repr(vars(r)) for r in serial_history.records] == \
+        [repr(vars(r)) for r in fast_history.records]
+    assert serial.model.get_weights().tobytes() == \
+        fast.model.get_weights().tobytes()
+    for cs, cf in zip(serial.clients, fast.clients):
+        assert cs.residual.tobytes() == cf.residual.tobytes()
 
 
 def _trainer(backend, seed=3):
     fed = _federation(seed=seed)
     model = make_mlp(36, 8, hidden=(10,), seed=seed)
+    timing = TimingModel(dimension=model.dimension, comm_time=10.0)
+    return FLTrainer(model, fed, FABTopK(), timing=timing, learning_rate=0.05,
+                     batch_size=8, eval_every=3, seed=seed, backend=backend)
+
+
+def _logistic_trainer(backend, seed=6):
+    """A trainer whose model has another dimension than :func:`_trainer`'s."""
+    fed = _federation(seed=seed)
+    model = make_logistic(36, 8, seed=seed)
     timing = TimingModel(dimension=model.dimension, comm_time=10.0)
     return FLTrainer(model, fed, FABTopK(), timing=timing, learning_rate=0.05,
                      batch_size=8, eval_every=3, seed=seed, backend=backend)
@@ -95,17 +127,17 @@ class TestWorkerPool:
         reference = copy.deepcopy(fed)
         pool = WorkerPool(num_workers=2, dimension=model.dimension)
         try:
-            pool.broadcast_model(0, model)
+            pool.broadcast_model(model)
             for shard in fed.clients:  # federation shards ARE the datasets
                 pool.register_clients(
-                    pool.worker_of(shard.client_id), 0,
+                    pool.worker_of(shard.client_id),
                     {shard.client_id: (shard, 8)},
                 )
             weights = model.get_weights()
             ids = [c.client_id for c in fed.clients]
             for _ in range(2):  # streams must stay aligned across rounds
                 results = pool.compute_gradients(
-                    0, ids, weights, want_batches=True
+                    ids, weights, want_batches=True
                 )
                 for shard, (grad, (x, y)) in zip(reference.clients, results):
                     rx, ry = shard.minibatch(8)
@@ -116,7 +148,7 @@ class TestWorkerPool:
                     )
             # Batches are only shipped on probe rounds; the steady state
             # returns gradients alone.
-            (_, batch), = pool.compute_gradients(0, ids[:1], weights)
+            (_, batch), = pool.compute_gradients(ids[:1], weights)
             assert batch is None
         finally:
             pool.close()
@@ -125,16 +157,16 @@ class TestWorkerPool:
         model = make_logistic(4, 3, seed=0)  # 2x2 images below
         pool = WorkerPool(num_workers=2, dimension=model.dimension)
         try:
-            pool.broadcast_model(0, model)
+            pool.broadcast_model(model)
             fed = make_femnist_like(num_writers=2, samples_per_writer=10,
                                     num_classes=3, image_size=2,
                                     classes_per_writer=2, seed=0)
             parts = partition_by_writer(fed, seed=0)
             shard = parts.clients[0]
-            pool.register_clients(0, 0, {0: (shard, 4)})
+            pool.register_clients(0, {0: (shard, 4)})
             zeros = np.zeros(model.dimension)
             (grad_zero, batch), = pool.compute_gradients(
-                0, [0], zeros, want_batches=True
+                [0], zeros, want_batches=True
             )
             # A view of the shared row, overwritten by the next call.
             grad_zero = grad_zero.copy()
@@ -142,7 +174,7 @@ class TestWorkerPool:
             # gradient: proof the worker reads the shared buffer, not a
             # stale model pickle.
             ones = np.full(model.dimension, 0.5)
-            (grad_half, _), = pool.compute_gradients(0, [0], ones)
+            (grad_half, _), = pool.compute_gradients([0], ones)
             model.set_weights(zeros)
             np.testing.assert_array_equal(
                 grad_zero, model.gradient(*batch)
@@ -155,8 +187,8 @@ class TestWorkerPool:
         model = make_logistic(4, 2, seed=0)
         pool = WorkerPool(num_workers=1, dimension=model.dimension)
         try:
-            pool.broadcast_model(0, model)
-            result = pool.compute_gradients(0, [99], model.get_weights())
+            pool.broadcast_model(model)
+            result = pool.compute_gradients([99], model.get_weights())
             with pytest.raises(RuntimeError, match="KeyError"):
                 list(result)  # the reply streams: reading it raises
             # Other workers' queued replies would desync the protocol, so
@@ -169,10 +201,10 @@ class TestWorkerPool:
         model = make_logistic(4, 2, seed=0)
         pool = WorkerPool(num_workers=1, dimension=model.dimension)
         try:
-            pool.broadcast_model(0, model)
-            pool.compute_gradients(0, [99], model.get_weights())  # unread
+            pool.broadcast_model(model)
+            pool.compute_gradients([99], model.get_weights())  # unread
             with pytest.raises(RuntimeError, match="KeyError"):
-                pool.broadcast_model(1, model)
+                pool.broadcast_model(model)
             assert not pool.alive
         finally:
             pool.close()
@@ -262,7 +294,7 @@ class TestGradientRows:
         # A zero-byte SharedMemory cannot exist, so [] must short-circuit.
         pool, model, _ = _registered_pool()
         try:
-            assert pool.compute_gradients(0, [], model.get_weights()) == []
+            assert pool.compute_gradients([], model.get_weights()) == []
             assert pool._grads.segment is None
         finally:
             pool.close()
@@ -272,7 +304,7 @@ class TestGradientRows:
         try:
             with pytest.raises(ValueError, match=rf"duplicated: \[{ids[1]}\]"):
                 pool.compute_gradients(
-                    0, [ids[0], ids[1], ids[1]], model.get_weights()
+                    [ids[0], ids[1], ids[1]], model.get_weights()
                 )
             assert pool.alive  # nothing was sent
         finally:
@@ -293,7 +325,7 @@ class TestGradientRows:
             for want_batches in (False, True):
                 for spy in spies:
                     spy.received.clear()
-                result = pool.compute_gradients(0, ids, weights,
+                result = pool.compute_gradients(ids, weights,
                                                 want_batches=want_batches)
                 assert len(list(result)) == len(ids)
                 for worker, spy in enumerate(spies):
@@ -317,7 +349,7 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            grads = [g for g, _ in pool.compute_gradients(0, ids, weights)]
+            grads = [g for g, _ in pool.compute_gradients(ids, weights)]
             block = grads[0].base
             assert block.shape == (len(ids), model.dimension)
             assert block.flags.c_contiguous
@@ -326,7 +358,7 @@ class TestGradientRows:
                 assert np.shares_memory(grad, block[slot])
             kept = block.copy()
             # Next call, reversed order: the same rows, new contents.
-            again = pool.compute_gradients(0, ids[::-1], weights)
+            again = pool.compute_gradients(ids[::-1], weights)
             assert again[0][0].base is block
             assert not np.array_equal(block, kept)
             np.testing.assert_array_equal(grads[0], again[0][0])
@@ -337,13 +369,13 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            list(pool.compute_gradients(0, ids[:2], weights))
+            list(pool.compute_gradients(ids[:2], weights))
             first = pool._grads.segment.name
             assert len(pool._grads.rows) == 2
-            list(pool.compute_gradients(0, ids[:1], weights))  # no regrow
+            list(pool.compute_gradients(ids[:1], weights))  # no regrow
             assert pool._grads.segment.name == first
-            (small, _), _ = pool.compute_gradients(0, ids[:2], weights)
-            results = list(pool.compute_gradients(0, ids, weights))
+            (small, _), _ = pool.compute_gradients(ids[:2], weights)
+            results = list(pool.compute_gradients(ids, weights))
             assert pool._grads.segment.name != first
             assert len(pool._grads.rows) == len(ids)  # max(n, 2 * capacity)
             _assert_unlinked(first)
@@ -356,13 +388,13 @@ class TestGradientRows:
 
     def test_segment_is_gone_after_close_and_collection(self):
         pool, model, ids = _registered_pool()
-        list(pool.compute_gradients(0, ids, model.get_weights()))
+        list(pool.compute_gradients(ids, model.get_weights()))
         name = pool._grads.segment.name
         pool.close()
         _assert_unlinked(name)
 
         pool, model, ids = _registered_pool()
-        list(pool.compute_gradients(0, ids, model.get_weights()))
+        list(pool.compute_gradients(ids, model.get_weights()))
         name = pool._grads.segment.name
         del pool
         gc.collect()
@@ -375,13 +407,13 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            list(pool.compute_gradients(0, ids[:1], weights))
+            list(pool.compute_gradients(ids[:1], weights))
             monkeypatch.setattr(pool_module.os, "posix_fallocate", _no_space)
             nbytes = len(ids) * model.dimension * 8
             with pytest.raises(
                 RuntimeError, match=f"{nbytes:,} bytes of shared memory"
             ):
-                pool.compute_gradients(0, ids, weights)
+                pool.compute_gradients(ids, weights)
             assert not pool.alive
         finally:
             pool.close()
@@ -392,10 +424,10 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            list(pool.compute_gradients(0, ids, weights))
+            list(pool.compute_gradients(ids, weights))
             victim = 2 * len(ids)  # even: lives on worker 0
-            pool.register_clients(0, 0, {victim: (_KillsItsWorker(), 8)})
-            result = pool.compute_gradients(0, ids + [victim], weights)
+            pool.register_clients(0, {victim: (_KillsItsWorker(), 8)})
+            result = pool.compute_gradients(ids + [victim], weights)
             result[0]  # the clients ahead of the victim were reported
             with pytest.raises(RuntimeError, match="sharded worker 0 died"):
                 list(result)
@@ -408,12 +440,12 @@ class TestGradientRows:
         pool, model, ids = _registered_pool()
         try:
             weights = model.get_weights()
-            list(pool.compute_gradients(0, ids, weights))
+            list(pool.compute_gradients(ids, weights))
             os.kill(pool._procs[1].pid, signal.SIGKILL)
             pool._procs[1].join(timeout=10)
             assert not pool._procs[1].is_alive()
             with pytest.raises(RuntimeError, match="sharded worker 1 died"):
-                list(pool.compute_gradients(0, ids, weights))
+                list(pool.compute_gradients(ids, weights))
             assert not pool.alive
         finally:
             pool.close()
@@ -425,7 +457,7 @@ class TestGradientRows:
         try:
             pool.telemetry = Telemetry()
             results = pool.compute_gradients(
-                0, ids, model.get_weights(), want_batches=True
+                ids, model.get_weights(), want_batches=True
             )
             counters = pool.telemetry.counters
             shm = sum(grad.nbytes for grad, _ in results)
@@ -454,7 +486,7 @@ class TestGradientStream:
         try:
             weights = model.get_weights()
             result = pool.compute_gradients(
-                0, [shard.client_id for shard in shards], weights,
+                [shard.client_id for shard in shards], weights,
                 want_batches=True,
             )
             assert isinstance(result, pool_module.GradientStream)
@@ -484,8 +516,8 @@ class TestGradientStream:
         pool, model, ids = _registered_pool()
         try:
             bad = 2 * len(ids) + 1  # odd: lives on worker 1
-            pool.register_clients(1, 0, {bad: (_FailsToDraw(), 8)})
-            result = pool.compute_gradients(0, ids + [bad],
+            pool.register_clients(1, {bad: (_FailsToDraw(), 8)})
+            result = pool.compute_gradients(ids + [bad],
                                             model.get_weights())
             assert np.any(result[0][0])  # reports ahead of it land
             with pytest.raises(RuntimeError,
@@ -504,13 +536,15 @@ class TestGradientStream:
             ids = [shard.client_id for shard in shards]
             rng = np.random.default_rng(0)
             weights = [rng.normal(size=model.dimension) for _ in range(3)]
-            pool.compute_gradients(0, ids, weights[0])  # never read
-            partly = pool.compute_gradients(0, ids, weights[1])
+            pool.compute_gradients(ids, weights[0])  # never read
+            partly = pool.compute_gradients(ids, weights[1])
             partly_first = partly[0][0].copy()
             # Any request drains first, not only a gradient request: a
-            # new session's "ok" must not be read off a gradient report.
-            pool.broadcast_model(1, model)
-            last = list(pool.compute_gradients(0, ids, weights[2],
+            # registration's "ok" must not be read off a gradient report.
+            spare = 2 * len(ids)  # never requested
+            pool.register_clients(pool.worker_of(spare),
+                                  {spare: (copy.deepcopy(shards[0]), 8)})
+            last = list(pool.compute_gradients(ids, weights[2],
                                                want_batches=True))
             draws = [[shard.minibatch(8) for _ in range(3)]
                      for shard in shards]
@@ -529,7 +563,7 @@ class TestGradientStream:
     def test_closing_with_an_unread_result_stops_every_worker(self):
         before = _segment_names()
         pool, model, ids = _registered_pool()
-        result = pool.compute_gradients(0, ids, model.get_weights(),
+        result = pool.compute_gradients(ids, model.get_weights(),
                                         want_batches=True)
         pool.close()
         # Each worker left its loop on its own, none was terminated.
@@ -584,7 +618,7 @@ class TestWorkerTracing:
         pool, model, ids = _registered_pool()
         try:
             spies = _spy_on_pipes(pool)
-            list(pool.compute_gradients(0, ids, model.get_weights()))
+            list(pool.compute_gradients(ids, model.get_weights()))
             messages = [pickle.loads(raw)
                         for spy in spies for raw in spy.received]
             assert sorted(cid for _, (cid, _, _) in messages) == sorted(ids)
@@ -604,7 +638,7 @@ class TestWorkerTracing:
             worker_ids = [cid for cid in ids if pool.worker_of(cid) == 1]
             for _ in range(2):
                 spy.received.clear()
-                list(pool.compute_gradients(0, worker_ids,
+                list(pool.compute_gradients(worker_ids,
                                             model.get_weights()))
                 messages = [pickle.loads(raw)[1] for raw in spy.received]
                 assert len(messages) == len(worker_ids)
@@ -705,8 +739,9 @@ class TestShardedBackend:
 
     def test_backend_reuse_across_sequential_trainers(self):
         # The figure-driver pattern: one backend, several trainers back
-        # to back, each with a fresh federation; sessions keep every
-        # trainer bit-identical to its serial twin.
+        # to back, each with a fresh federation; each new model replaces
+        # the workers' replica and clients, which keeps every trainer
+        # bit-identical to its serial twin.
         backend = ShardedBackend(jobs=2)
         try:
             for seed in (3, 4):
@@ -720,22 +755,22 @@ class TestShardedBackend:
         finally:
             backend.close()
 
-    def test_finished_sessions_are_dropped(self):
-        # A driver runs many trainers on one backend; sessions of
-        # collected trainers must be released, not accumulated.
-        import gc
-
+    def test_finished_trainers_are_dropped(self):
+        # A driver runs many trainers on one backend; a finished
+        # trainer's clients are released, not accumulated.
         backend = ShardedBackend(jobs=2)
         try:
             first = _trainer(backend, seed=3)
             first.run(2, k=8)
-            assert backend._issued_tokens == {0}
+            assert {cid: ref() for cid, ref in backend._registered.items()} \
+                == {client.client_id: client for client in first.clients}
             del first
             gc.collect()
             second = _trainer(backend, seed=4)
             second.run(2, k=8)
-            assert backend._issued_tokens == {1}
-            assert {key[0] for key in backend._registered} == {1}
+            assert {cid: ref() for cid, ref in backend._registered.items()} \
+                == {client.client_id: client for client in second.clients}
+            assert backend._model() is second.model
         finally:
             backend.close()
 
@@ -748,12 +783,7 @@ class TestShardedBackend:
             assert first_pool is not None and first_pool.alive
             first_segment = first_pool._grads.segment.name
 
-            fed = _federation(seed=6)
-            model = make_logistic(36, 8, seed=6)  # different dimension
-            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-            other = FLTrainer(model, fed, FABTopK(), timing=timing,
-                              learning_rate=0.05, batch_size=8, eval_every=3,
-                              seed=6, backend=backend)
+            other = _logistic_trainer(backend)  # a different dimension
             other.run(2, k=8)
             assert backend._pool is not first_pool
             assert not first_pool.alive
@@ -857,33 +887,108 @@ class TestShardedBackend:
 
 
 # ----------------------------------------------------------------------
+# One backend, trainers taking turns
+# ----------------------------------------------------------------------
+def _spy_on_requests(monkeypatch):
+    """Record every model, registration and gradient request the pool
+    is sent from now on."""
+    sent = []
+    for name in ("broadcast_model", "register_clients", "compute_gradients"):
+        original = getattr(WorkerPool, name)
+
+        def spy(pool, *args, _name=name, _original=original, **kwargs):
+            sent.append(_name)
+            return _original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, name, spy)
+    return sent
+
+
+class TestTrainersTakeTurns:
+    """The workers hold one trainer's model and clients at a time."""
+
+    def test_equal_virtual_specs_back_to_back_match_serial(self):
+        # What `scenario --population` does: fixed k, then learned k,
+        # over equal specs on one backend.  The second trainer's workers
+        # regenerate its clients afresh instead of continuing the first
+        # trainer's minibatch streams.
+        backend = ShardedBackend(jobs=2)
+        trainers = []
+        try:
+            for _ in range(2):
+                fast = _virtual_trainer(backend)
+                serial = _virtual_trainer("serial")
+                trainers.append(fast)  # the first stays alive
+                assert fast.engine.federation.spec == \
+                    trainers[0].engine.federation.spec
+                _assert_same_run(serial, fast, serial.run(4, k=10),
+                                 fast.run(4, k=10))
+        finally:
+            backend.close()
+
+    def test_replaced_trainer_raises(self, monkeypatch):
+        backend = ShardedBackend(jobs=2)
+        try:
+            first = _trainer(backend, seed=3)
+            current = _trainer(backend, seed=4)
+            twin = _trainer("serial", seed=4)
+            first.run(2, k=8)
+            current.run(2, k=8)
+            sent = _spy_on_requests(monkeypatch)
+            # Its worker-side streams went with the replica; re-sending
+            # its never-drawn parent datasets would replay them.
+            with pytest.raises(RuntimeError, match="later trainer"):
+                first.step(8)
+            assert sent == []  # no worker drew a minibatch for it
+            # The current trainer keeps running, still byte-equal.
+            current.run(2, k=8)
+            twin.run(4, k=8)
+            assert "compute_gradients" in sent
+            _assert_same_run(twin, current, twin.history, current.history)
+        finally:
+            backend.close()
+
+    def test_replaced_trainer_raises_after_a_dimension_change(
+        self, monkeypatch
+    ):
+        backend = ShardedBackend(jobs=2)
+        try:
+            first = _trainer(backend)
+            first.run(2, k=8)
+            current = _logistic_trainer(backend)
+            twin = _logistic_trainer("serial")
+            current.run(2, k=8)
+            pool = backend._pool
+            sent = _spy_on_requests(monkeypatch)
+            with pytest.raises(RuntimeError, match="later trainer"):
+                first.step(8)
+            assert sent == []
+            # No restart back to the first trainer's dimension.
+            assert backend._pool is pool and pool.alive
+            current.run(2, k=8)
+            twin.run(4, k=8)
+            _assert_same_run(twin, current, twin.history, current.history)
+        finally:
+            backend.close()
+
+
+# ----------------------------------------------------------------------
 # Virtual federations across the pool
 # ----------------------------------------------------------------------
 class TestVirtualSharding:
     """Virtual clients ship as specs; steady-state IPC is ids/gradients."""
 
-    def _virtual_trainer(self, backend, seed=3):
-        fed = VirtualFederation.build(
-            12, samples_per_client=10, num_classes=6, image_size=6,
-            classes_per_writer=3, seed=seed,
-        )
-        model = make_mlp(36, 6, hidden=(8,), seed=seed)
-        timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        return FLTrainer(model, fed, FABTopK(), timing=timing,
-                         learning_rate=0.05, batch_size=4, eval_every=3,
-                         seed=seed, backend=backend)
-
     def test_registration_ships_specs_not_arrays(self, monkeypatch):
         registered = []
         original = WorkerPool.register_clients
 
-        def spy(pool, worker, token, clients):
+        def spy(pool, worker, clients):
             registered.append(dict(clients))
-            return original(pool, worker, token, clients)
+            return original(pool, worker, clients)
 
         monkeypatch.setattr(WorkerPool, "register_clients", spy)
         backend = ShardedBackend(jobs=2)
-        trainer = self._virtual_trainer(backend)
+        trainer = _virtual_trainer(backend)
         try:
             trainer.run(2, k=10)
         finally:
@@ -904,13 +1009,13 @@ class TestVirtualSharding:
         calls = []
         original = WorkerPool.register_clients
 
-        def spy(pool, worker, token, clients):
+        def spy(pool, worker, clients):
             calls.append(clients)
-            return original(pool, worker, token, clients)
+            return original(pool, worker, clients)
 
         monkeypatch.setattr(WorkerPool, "register_clients", spy)
         backend = ShardedBackend(jobs=2)
-        trainer = self._virtual_trainer(backend)
+        trainer = _virtual_trainer(backend)
         try:
             trainer.step(10)
             after_first = len(calls)
@@ -925,8 +1030,8 @@ class TestVirtualSharding:
 
     def test_virtual_round_matches_serial_bit_for_bit(self):
         backend = ShardedBackend(jobs=2)
-        fast = self._virtual_trainer(backend)
-        serial = self._virtual_trainer("serial")
+        fast = _virtual_trainer(backend)
+        serial = _virtual_trainer("serial")
         try:
             hf = fast.run(4, k=10)
             hs = serial.run(4, k=10)
@@ -962,13 +1067,13 @@ class TestResultsStore:
         store = ResultsStore(tmp_path / "cache")
         key = content_key({"x": 1})
         assert store.load(key) is None
-        assert key not in store
+        assert not store.path_for(key).exists()
+        assert store_keys(store) == []
         payload = {"artifacts": {"fig": {"series": []}}, "seconds": 1.5}
         path = store.store(key, payload)
-        assert path.exists()
-        assert key in store
+        assert path == store.path_for(key) and path.exists()
         assert store.load(key) == payload
-        assert store.keys() == [key]
+        assert store_keys(store) == [key]
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         store = ResultsStore(tmp_path)
@@ -1023,12 +1128,14 @@ class TestSweep:
         assert len({unit.run_id for unit in units}) == 16
         assert all(unit.config.num_rounds == 9 for unit in units)
 
-    def test_expand_threads_sharded_jobs(self):
+    def test_sharded_unit_differs_from_serial_only_in_backend(self):
         spec = SweepSpec(figures=("fig1",), scales=("smoke",),
-                         backends=("sharded",), jobs_per_run=3)
-        (unit,) = expand(spec)
-        assert unit.config.backend == "sharded"
-        assert unit.config.jobs == 3
+                         backends=("serial", "sharded"))
+        serial, sharded = expand(spec)
+        assert sharded.config.backend == "sharded"
+        assert sharded.config == serial.config.with_overrides(
+            backend="sharded"
+        )
 
     def test_spec_validates_axes(self):
         with pytest.raises(ValueError, match="figure"):
@@ -1099,8 +1206,8 @@ class TestSweep:
         assert inline.computed == pooled.computed == 2
         inline_store = ResultsStore(tmp_path / "inline")
         pooled_store = ResultsStore(tmp_path / "pooled")
-        assert inline_store.keys() == pooled_store.keys()
-        for key in inline_store.keys():
+        assert store_keys(inline_store) == store_keys(pooled_store)
+        for key in store_keys(inline_store):
             assert (
                 inline_store.load(key)["artifacts"]
                 == pooled_store.load(key)["artifacts"]
