@@ -16,9 +16,9 @@ Three implementations ship:
   single gradient, exactly the seed trainers' behaviour.
 - :class:`VectorizedBackend` — one ``FlatModel.gradients_batched`` call
   over all participants of one batch size, which runs them as stacked
-  passes in cache-sized blocks of clients (one block for an MLP's
-  stack), bit-identical per client to the serial call: every layer has
-  one pass, and a client's gradient is its G = 1 case.
+  passes in cache-sized blocks of clients (8 a block for the suite MLP,
+  2 for the suite CNN), bit-identical per client to the serial call:
+  every layer has one pass, and a client's gradient is its G = 1 case.
 - :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — the
   gradients of a persistent multiprocessing worker pool, one shard of
   clients per worker, with the same bit-identity guarantee.  It lives in
@@ -155,8 +155,8 @@ class VectorizedBackend(ExecutionBackend):
     Minibatches are drawn per client (their RNG streams must match the
     serial backend), then grouped by batch size and pushed through
     ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes), each stack in blocks of clients whose
-    temporaries fit in cache.
+    grouped im2col passes), each stack in blocks of clients whose layer
+    outputs and parameter-gradient stacks fit in cache.
     """
 
     name = "vectorized"

@@ -19,13 +19,16 @@ import numpy as np
 from repro.nn.layers import Sequential
 from repro.nn.losses import SoftmaxCrossEntropy
 
-#: Bytes of the widest per-group layer output one block of
-#: :meth:`FlatModel.gradients_batched` may stack.  It keeps a block's
-#: im2col and gradient temporaries near the size of a 2 MiB per-core L2
-#: cache: 2 suite-CNN clients a block, whose largest im2col is 2.4 MB
-#: where the whole 24-client stack's was 28 MB.  On a 2-vCPU Xeon,
-#: blocks of 1, 2 and 4 clients ran one call in 86–89 ms, 8 in 94 ms
-#: and the whole stack in 120 ms.
+#: Bytes of the widest per-group array one block of
+#: :meth:`FlatModel.gradients_batched` may stack: a layer output or a
+#: parameter's gradient.  It keeps a block's im2col and gradient
+#: temporaries near the size of a 2 MiB per-core L2 cache: 2 suite-CNN
+#: clients a block, whose largest im2col is 2.4 MB where the whole
+#: 24-client stack's was 28 MB.  On a 2-vCPU Xeon, blocks of 1, 2 and
+#: 4 clients ran one call in 86–89 ms, 8 in 94 ms and the whole stack
+#: in 120 ms.  The suite MLP's 128 KiB first-layer weight gradient
+#: makes its blocks 8 groups: as one pass of ≈ 38 groups, that stack
+#: alone was ≈ 5 MB, which glibc trimmed and faulted back in every call.
 BLOCK_BYTES = 1 << 20
 
 
@@ -103,8 +106,8 @@ class FlatModel:
         NumPy/BLAS work: the groups run in blocks of
         :meth:`_groups_per_block`, one stacked pass each, every block
         writing its rows of the result in place.  A stack no wider than
-        one block (an MLP's, typically) is one pass.  Raises
-        ``ValueError`` when batch sizes differ.
+        one block is one pass.  Raises ``ValueError`` when batch sizes
+        differ.
         """
         groups = len(xs)
         if groups == 0 or len(ys) != groups:
@@ -134,11 +137,16 @@ class FlatModel:
     def _groups_per_block(self, x: np.ndarray) -> int:
         """Groups one block of :meth:`gradients_batched` stacks for
         minibatches shaped like ``x``: :data:`BLOCK_BYTES` over the
-        widest per-group layer output (at least one), read once per
-        shape from a one-group evaluation forward of ``x``."""
+        widest per-group array a pass stacks (at least one group).  That
+        is a parameter's gradient (``p.nbytes`` a group, as
+        ``backward_params`` returns it) or a layer output; the outputs
+        are read once per shape from a one-group evaluation forward of
+        ``x``."""
         block = self._block_groups.get(x.shape)
         if block is None:
-            widest, h = 1, x[None]  # one byte: an empty batch is one block
+            # At least one byte: no zero divisor for an empty stack.
+            widest = max([1] + [p.nbytes for p in self._param_arrays])
+            h = x[None]
             with self._evaluation():
                 for layer in self.network.layers:
                     h = layer.forward(h)

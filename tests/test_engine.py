@@ -44,6 +44,7 @@ from repro.fl.robust import _CoordinateView
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
 from repro.nn import layers
+from repro.nn.flat import BLOCK_BYTES
 from repro.nn.models import make_cnn, make_mlp
 from repro.obs import Telemetry
 from repro.online.adaptive_trainer import AdaptiveKTrainer
@@ -905,11 +906,17 @@ class TestVirtualEagerEquivalence:
 
 def _suite_stack(model_name, groups, seed):
     """The benchmark suite's CNN (``cnn_fixedk``: 1x16x16 inputs, conv
-    (8, 16), dense 64) or MLP (``churn_robust``/``async_adaptive``: 256
-    -> 64 -> 62) and ``groups`` batch-32 minibatches for it."""
+    (8, 16), dense 64), MLP (``churn_robust``/``async_adaptive``: 256
+    -> 64 -> 62), ``mlp_sharded``'s MLP (400 -> 200 -> 62) or the
+    paper's (784 -> 512 -> 62), and ``groups`` batch-32 minibatches for
+    it."""
     rng = np.random.default_rng(seed)
     if model_name == "cnn":
         model, shape = make_cnn(16, 1, 62, (8, 16), 64), (32, 1, 16, 16)
+    elif model_name == "mlp_sharded":
+        model, shape = make_mlp(400, 62, hidden=(200,)), (32, 400)
+    elif model_name == "paper_mlp":
+        model, shape = make_mlp(784, 62, hidden=(512,)), (32, 784)
     else:
         model, shape = make_mlp(256, 62, hidden=(64,)), (32, 256)
     xs = [rng.standard_normal(shape) for _ in range(groups)]
@@ -980,44 +987,92 @@ class TestBatchedKernels:
             "a9a308769f37e02be5da8436d1a2aba2ccca010c318af602ecd946305b092118"
         )
 
-    @pytest.mark.parametrize("groups", (25, 1))
-    def test_blocked_rows_equal_serial_gradients(self, groups):
+    @pytest.mark.parametrize("model_name, groups", [
+        pytest.param("cnn", 25, id="25"), pytest.param("cnn", 1, id="1"),
+        pytest.param("mlp", 37, id="mlp-37"),
+    ])
+    def test_blocked_rows_equal_serial_gradients(self, model_name, groups):
         # 25 suite-CNN clients in blocks of 2 leave a one-group last
-        # block; G = 1 is a single one-group block.  Either way every
-        # row is the bytes of that client's own gradient() call.
-        model, xs, ys = _suite_stack("cnn", groups, seed=1)
+        # block; G = 1 is a single one-group block; 37 suite-MLP clients
+        # in blocks of 8 leave a five-group one.  Either way every row
+        # is the bytes of that client's own gradient() call.
+        model, xs, ys = _suite_stack(model_name, groups, seed=1)
         assert groups == 1 or groups % model._groups_per_block(xs[0])
         batched = model.gradients_batched(xs, ys)
         serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         assert batched.tobytes() == serial.tobytes()
 
-    @pytest.mark.parametrize("model_name, groups, one_pass", [
-        ("cnn", 24, False), ("mlp", 24, True), ("mlp", 32, True),
-        ("mlp", 48, True),
+    @pytest.mark.parametrize("model_name, groups, passes", [
+        pytest.param("cnn", 24, [2] * 12, id="cnn-24"),
+        pytest.param("mlp", 24, [8] * 3, id="mlp-24"),
+        pytest.param("mlp", 32, [8] * 4, id="mlp-32"),
+        pytest.param("mlp", 48, [8] * 6, id="mlp-48"),
     ])
     def test_block_count_at_suite_geometries(
-        self, model_name, groups, one_pass, monkeypatch
+        self, model_name, groups, passes, monkeypatch
     ):
-        # Non-vacuity of the blocking: the suite CNN runs in blocks, the
-        # suite MLP stacks run as one pass.
+        # Non-vacuity of the blocking: the suite CNN runs in blocks of 2
+        # (its 512 KiB conv-1 output), the suite MLP in blocks of 8 (its
+        # 128 KiB first-layer weight gradient).
         model, xs, ys = _suite_stack(model_name, groups, seed=2)
-        passes = []
+        seen = []
         real = model._backprop
 
         def spy(x, y):
-            passes.append(x.shape[0])
+            seen.append(x.shape[0])
             return real(x, y)
 
         monkeypatch.setattr(model, "_backprop", spy)
         model.gradients_batched(xs, ys)
-        assert (len(passes) == 1) == one_pass
-        assert sum(passes) == groups
+        assert seen == passes
+
+    @pytest.mark.parametrize("model_name, groups, block", [
+        *(pytest.param("mlp", g, 8, id=f"churn_robust-{g}")
+          for g in range(30, 41)),
+        pytest.param("mlp_sharded", 3, 1, id="mlp_sharded-3"),
+        pytest.param("paper_mlp", 3, 1, id="paper_mlp-3"),
+    ])
+    def test_block_count_bounds_every_stack_a_pass_holds(
+        self, model_name, groups, block, monkeypatch
+    ):
+        # churn_robust's deadline leaves ragged cohorts of 30-40 clients,
+        # most with a short last block (37 -> 8, 8, 8, 8, 5).  Every
+        # parameter-gradient stack and layer output a pass holds stays
+        # within BLOCK_BYTES, or is one group's where a single group
+        # exceeds it: the paper MLP's 3.2 MB first-layer weight gradient
+        # runs one group a pass, and mlp_sharded's 640 KB one does too.
+        model, xs, ys = _suite_stack(model_name, groups, seed=4)
+        passes, held = [], []  # groups a pass, (groups, bytes) it held
+        real = model._backprop
+
+        def spy(x, y):
+            passes.append(x.shape[0])
+            grads = real(x, y)
+            held.extend((x.shape[0], g.nbytes) for g in grads)
+            return grads
+
+        def watch(layer_forward):
+            def forward(h):
+                out = layer_forward(h)
+                held.append((h.shape[0], out.nbytes))
+                return out
+            return forward
+
+        monkeypatch.setattr(model, "_backprop", spy)
+        for layer in model.network.layers:
+            monkeypatch.setattr(layer, "forward", watch(layer.forward))
+        model.gradients_batched(xs, ys)
+        full, rest = divmod(groups, block)
+        assert passes == [block] * full + [rest] * (rest > 0)
+        assert held and all(
+            nbytes <= BLOCK_BYTES or g == 1 for g, nbytes in held
+        )
 
     @pytest.mark.parametrize("model_name, groups, ceiling_mib", [
         # A quarter of the 94.8 MiB the whole-stack pass peaked at.
         pytest.param("cnn", 24, 94.8 / 4, id="cnn_fixedk"),
-        # The one-pass peak before blocking: no (G, D) copy is added.
-        pytest.param("mlp", 32, 13.1, id="churn_robust"),
+        # The 8.25 MiB peak in blocks of 8 groups plus 10%.
+        pytest.param("mlp", 32, 9.1, id="churn_robust"),
     ])
     def test_one_call_peak_memory_at_suite_geometries(
         self, model_name, groups, ceiling_mib
