@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli fig4 --out results/ --scale bench
     python -m repro.cli fig7 --out results/ --rounds 200 --seed 1
-    python -m repro.cli fig5 --out results/ --backend vectorized
+    python -m repro.cli fig5 --out results/ --backend serial
     python -m repro.cli fig4 --backend sharded --jobs 4
     python -m repro.cli sweep --scale smoke --jobs 2
     python -m repro.cli scenario --deadline 2.5 2.5 9 --over-selection 0.3
@@ -20,7 +20,7 @@ Each figure command runs the corresponding experiment driver
 (tens of seconds, the benchmark suite's setting), ``default`` (minutes),
 or ``paper`` (the paper's 156-client scale; hours).
 
-``--backend`` selects the execution backend (``serial``, ``vectorized``,
+``--backend`` selects the execution backend (the in-process ``serial``
 or the multiprocessing ``sharded``); ``--jobs N`` sets the sharded worker
 count (0 = all usable CPUs) and implies ``--backend sharded`` when more
 than one worker is requested without an explicit backend.  Histories are

@@ -68,9 +68,9 @@ class ExperimentConfig:
     update_window: int = option(20, within="[1, inf)")    # paper: M_u = 20
     backend: str = option(
         "serial", one_of=BACKEND_NAMES, flag="--backend",
-        help="execution backend for the trainers (vectorized batches all "
-             "clients per round, sharded fans them out over worker "
-             "processes; identical results, faster)")
+        help="execution backend for the trainers (serial runs the "
+             "clients in process, a cache-sized block at a time; sharded "
+             "fans them out over worker processes; identical results)")
     jobs: int = option(
         0, within="[0, inf)", flag="--jobs",
         help="sharded worker processes (0 = all usable CPUs); any value "

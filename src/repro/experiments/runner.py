@@ -181,7 +181,7 @@ def build_telemetry(config: ExperimentConfig):
 def build_backend(config: ExperimentConfig) -> ExecutionBackend:
     """The execution backend the config's trainers should run on.
 
-    ``config.backend`` is a name ("serial", "vectorized" or "sharded");
+    ``config.backend`` is a name ("serial" or "sharded");
     :class:`ExperimentRun` builds one instance per run and passes it
     into all the run's trainers, so a whole experiment switches backends
     from one config field (or the CLI's ``--backend``/``--jobs`` flags).

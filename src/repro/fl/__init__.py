@@ -4,9 +4,9 @@
   skeleton all trainers delegate to, extensible via
   :class:`~repro.fl.engine.RoundHooks`.
 - :mod:`repro.fl.backends`: pluggable execution backends for the
-  local-step phase — :class:`~repro.fl.backends.SerialBackend` (the
-  reference loop) and :class:`~repro.fl.backends.VectorizedBackend`
-  (batched across clients, identical histories).
+  local-step phase — :class:`~repro.fl.backends.SerialBackend` (in
+  process, the grouped pass one block of clients at a time) and the
+  worker pool's ``"sharded"`` backend (identical histories).
 - :class:`~repro.fl.client.Client`: local data, residual accumulator
   ``a_i``, gradient computation, one-sample loss probes.
 - :class:`~repro.fl.server.Server`: weighted aggregation
@@ -22,7 +22,6 @@
 from repro.fl.backends import (
     ExecutionBackend,
     SerialBackend,
-    VectorizedBackend,
     resolve_backend,
 )
 from repro.fl.client import Client
@@ -61,7 +60,6 @@ __all__ = [
     "Server",
     "StalenessDiscount",
     "TrainingHistory",
-    "VectorizedBackend",
     "build_staleness_discount",
     "resolve_backend",
 ]

@@ -18,8 +18,8 @@ upload-source steps and nothing else of the round):
    Stragglers stay in flight with their original arrival times.
 2. **Which uploads the round aggregates** — the wave's uploads are
    computed eagerly at the current weights ``w(v)`` (one
-   ``backend.local_steps`` call per wave, so the serial / vectorized /
-   sharded backends stay interchangeable) and scheduled to *arrive* at
+   ``backend.local_steps`` call per wave, so the serial and sharded
+   backends stay interchangeable) and scheduled to *arrive* at
    ``now + finish_time``, each upload's compute + uplink time at its
    own client's speed — the timing model's
    :meth:`~repro.simulation.timing.TimingModel.arrival_times`, the

@@ -9,16 +9,17 @@ upload and (on probe rounds) draws its probe sample.  A backend
 implements :meth:`ExecutionBackend.compute_gradients` and nothing else
 of the step.
 
-Three implementations ship:
+Two implementations ship:
 
-- :class:`SerialBackend` — the reference: one ``FlatModel.gradient``
-  call per participant, yielded one at a time, so the round holds a
-  single gradient, exactly the seed trainers' behaviour.
-- :class:`VectorizedBackend` — one ``FlatModel.gradients_batched`` call
-  over all participants of one batch size, which runs them as stacked
-  passes in cache-sized blocks of clients (8 a block for the suite MLP,
-  2 for the suite CNN), bit-identical per client to the serial call:
-  every layer has one pass, and a client's gradient is its G = 1 case.
+- :class:`SerialBackend` — in process: consecutive participants of one
+  batch size share one ``FlatModel.gradients_batched`` call of at most
+  one block (the grouped pass's own rule,
+  :meth:`~repro.nn.flat.FlatModel.groups_per_block`: 8 suite-MLP
+  clients, 2 suite-CNN ones, 1 at the paper MLP), and the minibatches
+  are drawn and the rows yielded a block at a time, so the round holds
+  one block of rows.  Every row is the bytes of that client's own
+  ``FlatModel.gradient`` call: every layer has one pass, and a
+  client's gradient is its G = 1 case.
 - :class:`repro.parallel.sharded.ShardedBackend` ("sharded") — the
   gradients of a persistent multiprocessing worker pool, one shard of
   clients per worker, with the same bit-identity guarantee.  It lives in
@@ -45,7 +46,7 @@ from repro.nn.flat import FlatModel
 from repro.obs import NULL_TELEMETRY
 from repro.sparsify.base import ClientUpload, SelectionResult, Sparsifier
 
-BACKEND_NAMES = ("serial", "vectorized", "sharded")
+BACKEND_NAMES = ("serial", "sharded")
 
 #: one minibatch ``(x, y)``
 Batch = tuple[np.ndarray, np.ndarray]
@@ -132,7 +133,8 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Reference backend: one Python-level pass per participant."""
+    """In-process backend: the round's gradients from the grouped pass,
+    one block of consecutive same-batch-size participants at a time."""
 
     name = "serial"
 
@@ -142,46 +144,37 @@ class SerialBackend(ExecutionBackend):
         participants: list[Client],
         want_batches: bool = False,
     ) -> Iterable[tuple[np.ndarray, Batch]]:
-        # A generator: each gradient is folded in before the next exists.
-        for client in participants:
-            batch = client.draw_minibatch()
-            yield model.gradient(*batch), batch
-
-
-class VectorizedBackend(ExecutionBackend):
-    """Batched backend: one ``gradients_batched`` call over all
-    participants of one batch size.
-
-    Minibatches are drawn per client (their RNG streams must match the
-    serial backend), then grouped by batch size and pushed through
-    ``FlatModel.gradients_batched`` — MLPs and CNNs alike (conv/pool run
-    grouped im2col passes), each stack in blocks of clients whose layer
-    outputs and parameter-gradient stacks fit in cache.
-    """
-
-    name = "vectorized"
-
-    def compute_gradients(
-        self,
-        model: FlatModel,
-        participants: list[Client],
-        want_batches: bool = False,
-    ) -> list[tuple[np.ndarray, Batch]]:
-        batches = [client.draw_minibatch() for client in participants]
-        grads: list[np.ndarray | None] = [None] * len(batches)
-        # Group clients by batch size (shards smaller than batch_size
-        # yield short batches); one gradients_batched call per size class.
-        by_size: dict[int, list[int]] = {}
-        for i, (x, _) in enumerate(batches):
-            by_size.setdefault(x.shape[0], []).append(i)
-        for members in by_size.values():
-            stacked = model.gradients_batched(
-                [batches[i][0] for i in members],
-                [batches[i][1] for i in members],
+        # A generator: a block's rows are folded in before the next
+        # block's minibatches are drawn.  gradients_batched is called by
+        # name, eagerly: the suite tracer times that method.
+        for block in _blocks(model, participants):
+            yield from zip(
+                model.gradients_batched(
+                    [x for x, _ in block], [y for _, y in block]
+                ),
+                block,
             )
-            for row, i in enumerate(members):
-                grads[i] = stacked[row]
-        return list(zip(grads, batches))  # type: ignore[arg-type]
+
+
+def _blocks(
+    model: FlatModel, participants: list[Client]
+) -> Iterable[list[Batch]]:
+    """The participants' minibatches in order, drawn and grouped into
+    runs of one batch size, each at most ``model.groups_per_block``
+    long: a block is yielded as soon as it is full or the next
+    participant's batch size differs."""
+    block: list[Batch] = []
+    for client in participants:
+        batch = client.draw_minibatch()
+        if block and batch[0].shape != block[0][0].shape:
+            yield block
+            block = []
+        block.append(batch)
+        if len(block) == model.groups_per_block(batch[0]):
+            yield block
+            block = []
+    if block:
+        yield block
 
 
 def resolve_backend(
@@ -193,16 +186,16 @@ def resolve_backend(
     None means the default :class:`SerialBackend` — the reference
     semantics every trainer had before backends existed.  ``jobs`` is
     the sharded worker count (None/0 = all usable CPUs) and is ignored
-    by the in-process backends and pre-built instances.
+    by the in-process backend and pre-built instances.  The name
+    ``"vectorized"`` also resolves to the serial backend: the frozen
+    benchmark workloads still pass that retired name.
     """
     if backend is None:
         return SerialBackend()
     if isinstance(backend, ExecutionBackend):
         return backend
-    if backend == "serial":
+    if backend in ("serial", "vectorized"):
         return SerialBackend()
-    if backend == "vectorized":
-        return VectorizedBackend()
     if backend == "sharded":
         # Imported lazily: repro.parallel pulls in multiprocessing and
         # imports this module back.

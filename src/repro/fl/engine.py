@@ -8,8 +8,8 @@ pluggable.  :class:`RoundEngine` owns the invariant skeleton:
     ``sample()`` names: a scenario's available clients, a virtual
     population's draw, a heterogeneous-clients subset),
 2.  local steps — :meth:`~repro.fl.backends.ExecutionBackend.local_steps`,
-    written once; the backend only computes the gradients (serial,
-    vectorized or sharded),
+    written once; the backend only computes the gradients (serial or
+    sharded),
 3.  ``Sparsifier.server_select`` (J, as the round's one
     :class:`~repro.sparsify.base.SelectionResult`) → weighted aggregation
     (:class:`~repro.fl.server.Server`),
@@ -532,8 +532,8 @@ class RoundEngine:
         """Release the execution backend's resources once training is done.
 
         Process-backed backends (sharded) hold a worker pool; closing the
-        engine shuts it down deterministically.  Serial/vectorized
-        backends make this a no-op.  Only call when this engine is the
+        engine shuts it down deterministically.  The serial backend
+        makes this a no-op.  Only call when this engine is the
         backend's sole user — drivers sharing one backend across trainers
         close the backend itself instead.
         """

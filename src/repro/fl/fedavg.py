@@ -14,8 +14,8 @@ the shared :class:`repro.fl.engine.RoundEngine` for everything a round
 has in common with Algorithm 1 — the round counter, normalized-time
 clock, evaluation cadence, and record/history bookkeeping — so none of
 that logic is duplicated.  Always-send-all computes its per-client dense
-gradients through the engine's execution backend and therefore benefits
-from the vectorized backend too; FedAvg's clients each hold *different*
+gradients through the engine's execution backend and therefore runs
+the grouped pass too; FedAvg's clients each hold *different*
 weights, which a single grouped model pass cannot express, so its local
 phase is inherently serial (``backend`` is accepted for interface
 uniformity and not used by its local steps).

@@ -18,8 +18,8 @@ invariant the rest of the system rests on:
   ``total_weight`` seam (cohort-mode reweighting of partial aggregates)
   carries over unchanged.
 - **Determinism.**  Pure ``numpy`` arithmetic on the parent-owned
-  uploads, no RNG — robust runs stay bit-identical across the serial,
-  vectorized and sharded execution backends.
+  uploads, no RNG — robust runs stay bit-identical across the serial
+  and sharded execution backends.
 - **Counterfactual safety.**  Deadline probes re-aggregate upload
   subsets through the same server; they pass ``commit=False`` so a
   stateful aggregator (the cosine reputation EMA) and the detection

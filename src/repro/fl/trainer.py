@@ -14,10 +14,10 @@ One round of :class:`FLTrainer`:
 
 The round protocol itself lives in :class:`repro.fl.engine.RoundEngine`
 (shared with the baselines); this class is the sparse-GS façade over it.
-``backend`` selects how the local steps execute — ``"serial"`` (the
-reference loop), ``"vectorized"`` (grouped passes over the
-participants, in cache-sized blocks of clients) or ``"sharded"`` (a
-worker pool); all three produce identical histories.
+``backend`` selects how the local steps execute — ``"serial"`` (in
+process: grouped passes over cache-sized blocks of participants, one
+block at a time) or ``"sharded"`` (a worker pool); both produce
+identical histories.
 
 The per-round sparsity ``k`` handed to ``step``/``run``/``run_for_time``
 becomes the engine's k rule: a constant, a list or a schedule (mapping
@@ -82,7 +82,7 @@ class FLTrainer(EngineFacade):
         only sampled clients compute and upload in a round.
     backend:
         Execution backend for the local-step phase: ``"serial"``
-        (default), ``"vectorized"``, ``"sharded"``, or an
+        (default), ``"sharded"``, or an
         :class:`~repro.fl.backends.ExecutionBackend` instance.
     scenario_hooks:
         Persistent :class:`~repro.fl.engine.RoundHooks` run in every

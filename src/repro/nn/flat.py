@@ -104,7 +104,7 @@ class FlatModel:
         run :meth:`_backprop` and :meth:`_write_rows` — but the
         O(groups) Python loop over clients collapses into batched
         NumPy/BLAS work: the groups run in blocks of
-        :meth:`_groups_per_block`, one stacked pass each, every block
+        :meth:`groups_per_block`, one stacked pass each, every block
         writing its rows of the result in place.  A stack no wider than
         one block is one pass.  Raises ``ValueError`` when batch sizes
         differ.
@@ -117,7 +117,7 @@ class FlatModel:
             np.shape(y)[0] != batch for y in ys
         ):
             raise ValueError("all groups must share one batch size")
-        block = self._groups_per_block(xs[0])
+        block = self.groups_per_block(xs[0])
         flat = None
         for lo in range(0, groups, block):
             hi = lo + block
@@ -134,14 +134,15 @@ class FlatModel:
             self._write_rows(param_grads, flat[lo:hi])
         return flat
 
-    def _groups_per_block(self, x: np.ndarray) -> int:
+    def groups_per_block(self, x: np.ndarray) -> int:
         """Groups one block of :meth:`gradients_batched` stacks for
         minibatches shaped like ``x``: :data:`BLOCK_BYTES` over the
         widest per-group array a pass stacks (at least one group).  That
         is a parameter's gradient (``p.nbytes`` a group, as
         ``backward_params`` returns it) or a layer output; the outputs
         are read once per shape from a one-group evaluation forward of
-        ``x``."""
+        ``x``.  The serial backend cuts a round's clients by the same
+        rule, so each of its calls is one pass."""
         block = self._block_groups.get(x.shape)
         if block is None:
             # At least one byte: no zero divisor for an empty stack.

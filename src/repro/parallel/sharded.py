@@ -29,7 +29,7 @@ them.  Every consumer in the tree folds them into client or model state
 at once; one that must keep a gradient copies it.
 
 Bit-identity with :class:`repro.fl.backends.SerialBackend` holds by
-construction, the same argument as the vectorized backend's:
+construction, the same argument as its grouped pass's:
 
 - per-client RNG streams are disjoint, so executing clients on different
   workers cannot reorder any stream's draws;
@@ -86,7 +86,7 @@ class ShardedBackend(ExecutionBackend):
         ``jobs=1`` no pool is spawned and the backend runs the serial
         path in process.
 
-    Unlike the serial/vectorized backends this one holds resources (the
+    Unlike the serial backend this one holds resources (the
     worker pool) and the RNG continuations of one trainer at a time (the
     worker-side dataset copies).  So it must not be used again after
     :meth:`close`, every trainer fed into it must bring a freshly built

@@ -14,7 +14,7 @@ probe — yields byte-equal results.  All corruption happens parent-side
 in :class:`AdversaryHooks` (run first by the synchronous scenario's
 hooks, chained ahead of the commit hooks under async), after the backend
 returns honest uploads; backends never see the adversary, which is what
-lets the serial/vectorized/sharded bit-identity matrix extend over every
+lets the serial/sharded bit-identity matrix extend over every
 attack × defense configuration unchanged.
 
 Threat model

@@ -11,10 +11,10 @@ round's cohort from that set only.
 Determinism contract (load-bearing for backend bit-identity): the set of
 available clients is a pure function of ``(construction arguments,
 round_index)`` — it never reads training state, wall-clock, or global
-RNG, and repeated queries for the same round return the same ids.  All
-three execution backends consult availability in the parent process in
-the same order, so scenario runs stay bit-identical across serial,
-vectorized and sharded execution.
+RNG, and repeated queries for the same round return the same ids.  Both
+execution backends consult availability in the parent process in the
+same order, so scenario runs stay bit-identical across serial and
+sharded execution.
 
 Four processes ship:
 

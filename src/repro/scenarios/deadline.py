@@ -147,7 +147,7 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
     looser-deadline comparison instead of waiting out the freeze.
 
     All state lives in the parent process, so adaptive-deadline runs are
-    bit-identical across the serial/vectorized/sharded backends.
+    bit-identical across the serial and sharded backends.
     """
 
     name = "adaptive"

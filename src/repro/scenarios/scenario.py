@@ -29,8 +29,8 @@ reweights the partial aggregate over the arrivals (or over the full
 cohort, see ``ScenarioConfig.reweight``).
 
 Everything here runs in the parent process on state the engine already
-owns, so scenario runs are bit-identical across the serial, vectorized
-and sharded execution backends (enforced by ``tests/test_scenarios.py``).
+owns, so scenario runs are bit-identical across the serial and sharded
+execution backends (enforced by ``tests/test_scenarios.py``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ model are the fastest federation and model to train in a unit test; a
 sparse vector's dense form and a virtual federation's eager twin are
 what the equality checks compare against; a results store's key listing
 is what the cache checks read; an in-memory event list is the telemetry
-sink traced runs are read back from.  None of them is
+sink traced runs are read back from; a cohort of clients at the suite's
+or the paper's model geometry is what the local-step gradient checks
+draw from.  None of them is
 library surface: every CLI command, benchmark and example builds its
 data with ``repro.data`` and its model with ``repro.nn.models``.
 """
@@ -14,8 +16,10 @@ import numpy as np
 
 from repro.data.partition import ClientDataset, FederatedDataset, _shards
 from repro.data.synthetic import SyntheticDataset
+from repro.fl.client import Client
 from repro.nn.flat import FlatModel
 from repro.nn.layers import Linear, Sequential
+from repro.nn.models import make_cnn, make_mlp
 
 
 def make_gaussian_blobs(
@@ -64,6 +68,43 @@ def make_logistic(input_dim: int, num_classes: int, seed: int = 0) -> FlatModel:
     rng = np.random.default_rng(seed)
     network = Sequential([Linear(input_dim, num_classes, rng)])
     return FlatModel(network)
+
+
+#: model builder and one sample's shape, by geometry: the suite's MLP
+#: (``churn_robust``/``async_adaptive``: 256 -> 64 -> 62), CNN
+#: (``cnn_fixedk``: 1x16x16, conv (8, 16), dense 64) and ``mlp_sharded``
+#: MLP (400 -> 200 -> 62), and the paper's MLP (``paper_scale()``: 784
+#: -> 512 -> 62)
+COHORT_GEOMETRIES = {
+    "mlp": (lambda: make_mlp(256, 62, hidden=(64,)), (256,)),
+    "cnn": (lambda: make_cnn(16, 1, 62, (8, 16), 64), (1, 16, 16)),
+    "mlp_sharded": (lambda: make_mlp(400, 62, hidden=(200,)), (400,)),
+    "paper_mlp": (lambda: make_mlp(784, 62, hidden=(512,)), (784,)),
+}
+
+
+def make_cohort(
+    geometry: str, batch_sizes: list[int], seed: int = 0
+) -> tuple[FlatModel, list[Client]]:
+    """A fresh model of ``geometry`` and one batch-size-32 client per
+    entry of ``batch_sizes``, in order: a 32 draws 32 of 40 samples, a
+    smaller size is a shard of exactly that many samples, drawn whole.
+    Equal arguments build equal cohorts (data, minibatch streams and
+    client generators)."""
+    build, sample_shape = COHORT_GEOMETRIES[geometry]
+    model = build()
+    rng = np.random.default_rng(seed)
+    clients = []
+    for cid, size in enumerate(batch_sizes):
+        samples = 40 if size == 32 else size
+        dataset = ClientDataset(
+            cid,
+            rng.standard_normal((samples, *sample_shape)),
+            rng.integers(0, 62, size=samples),
+            seed=seed,
+        )
+        clients.append(Client(dataset, model.dimension, batch_size=32, seed=seed))
+    return model, clients
 
 
 def to_dense(vector) -> np.ndarray:

@@ -5,7 +5,7 @@ guarantees:
 
 (a) **Backend bit-identity under attack** — every attack × defense
     configuration produces identical histories, weights and residuals
-    on the serial, vectorized and sharded backends (corruption and
+    on the serial and sharded backends (corruption and
     robust aggregation are parent-side, like all scenario logic).
 (b) **Residual honesty + exact poisoned recovery** — an adversary's
     error-feedback state evolves exactly as if the honest upload had
@@ -197,8 +197,8 @@ class TestAdversaryProcessPurity:
             sample_count=4,
         )
         poisoned = model.corrupt_upload(upload, round_index=1)
-        # Support is preserved by identity — the vectorized backend's
-        # fast residual reset keys on the exact indices array object.
+        # Support is preserved by identity: the poisoned payload holds
+        # the honest upload's very indices array.
         assert poisoned.payload.indices is indices
         assert poisoned.payload.dimension == 12
         assert poisoned.sample_count == 4
@@ -577,19 +577,19 @@ def _serial_reference(attack, aggregator):
 class TestAttackDefenseBackendEquivalence:
     """Acceptance (a): the bit-identity matrix extends over attacks."""
 
-    @pytest.mark.parametrize("backend_name", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["sharded"])
     @pytest.mark.parametrize("aggregator", ROBUST_KINDS)
     def test_sign_flip_histories_identical(self, aggregator, backend_name):
         self._assert_identical("sign_flip", aggregator, backend_name)
 
     @pytest.mark.parametrize("attack", ("scale", "noise", "topk"))
     def test_other_attacks_identical(self, attack):
-        self._assert_identical(attack, "trimmed_mean", "vectorized")
+        self._assert_identical(attack, "trimmed_mean", "sharded")
 
     def test_mean_under_attack_identical(self):
         # The vulnerable aggregator must *also* be deterministic — the
         # panel's divergent mean curves are still bit-reproducible.
-        self._assert_identical("sign_flip", "mean", "vectorized")
+        self._assert_identical("sign_flip", "mean", "sharded")
 
     def _assert_identical(self, attack, aggregator, backend_name):
         serial, s_scn, hs = _serial_reference(attack, aggregator)

@@ -24,6 +24,7 @@ from repro.fl.async_engine import (
     STALENESS_DISCOUNT_KINDS,
     AsyncFLTrainer,
 )
+from repro.fl.backends import SerialBackend
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_mlp
@@ -290,13 +291,14 @@ class TestEngineSettings:
         self, facade
     ):
         model, fed, timing = _parts()
+        backend = SerialBackend()
         trainer = FACADES[facade](
             model, fed, timing, learning_rate=0.2, batch_size=4,
-            eval_every=3, eval_max_samples=20, backend="vectorized", seed=7,
+            eval_every=3, eval_max_samples=20, backend=backend, seed=7,
         )
         engine = trainer.engine
         assert (engine.learning_rate, engine.eval_every) == (0.2, 3)
-        assert engine.backend.name == "vectorized"
+        assert engine.backend is backend
         assert len(engine._eval_y) == 20
         if facade in ("FLTrainer", "AsyncFLTrainer"):
             trainer.step(3)  # fixed-k façades take the round's k

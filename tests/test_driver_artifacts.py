@@ -58,7 +58,7 @@ CASES = {
     "scenario-attacked": (
         "scenario",
         lambda: _scenario_variant(
-            "vectorized", adversary="sign_flip", adversary_fraction=0.25,
+            adversary="sign_flip", adversary_fraction=0.25,
             aggregator="median",
         ),
     ),
@@ -85,7 +85,7 @@ def test_artifacts_match_pinned_digests(case, pinned):
     assert artifact_digests(figure, make_config()) == pinned[case]
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "sharded"])
+@pytest.mark.parametrize("backend", ["sharded"])
 @pytest.mark.parametrize("case", ["fig4", "scenario"])
 def test_artifacts_are_backend_independent(case, backend, pinned):
     """Same digests on every backend: nothing else asserts it per driver."""

@@ -6,11 +6,12 @@ Three layers of guarantees:
    bit, histories captured from the pre-engine (seed) implementations of
    ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
    ``AlwaysSendAllTrainer`` (``tests/data/golden_histories.json``).
-2. **Backend equivalence** — ``VectorizedBackend`` and the
-   multiprocessing ``ShardedBackend`` produce histories (losses, clocks,
-   uplink/downlink counts, contributions) and final weights *identical*
-   to ``SerialBackend`` across sparsifier families and model families
-   (MLP and CNN — conv/pool run the grouped im2col pass).
+2. **Backend equivalence** — the multiprocessing ``ShardedBackend``,
+   whose workers compute one client's gradient a call, produces
+   histories (losses, clocks, uplink/downlink counts, contributions) and
+   final weights *identical* to ``SerialBackend``'s blocks of grouped
+   passes across sparsifier families and model families (MLP and CNN —
+   conv/pool run the grouped im2col pass).
 3. **Batched kernels** — ``FlatModel.gradients_batched`` equals its
    per-client counterpart exactly, in however many blocks it runs.
 """
@@ -33,7 +34,6 @@ from repro.fl.backends import (
     BACKEND_NAMES,
     ExecutionBackend,
     SerialBackend,
-    VectorizedBackend,
     resolve_backend,
 )
 from repro.fl.client import Client
@@ -65,7 +65,9 @@ from repro.sparsify.periodic import PeriodicK
 from repro.sparsify.unidirectional import UnidirectionalTopK
 
 from helpers import (
+    COHORT_GEOMETRIES,
     EventList,
+    make_cohort,
     make_gaussian_blobs,
     make_logistic,
     materialize,
@@ -297,10 +299,11 @@ class TestGoldenHistories:
 
 
 # ----------------------------------------------------------------------
-# Serial vs vectorized vs sharded backend equivalence
+# Serial vs sharded backend equivalence
 # ----------------------------------------------------------------------
-#: non-reference backends that must match SerialBackend bit for bit
-FAST_BACKENDS = ("vectorized", "sharded")
+#: backends that must match SerialBackend bit for bit: the sharded
+#: workers' per-client gradients against the serial backend's blocks
+FAST_BACKENDS = ("sharded",)
 
 
 def make_backend(name):
@@ -422,9 +425,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
     def test_cnn_model_grouped_and_identical(self, backend_name):
         # Conv2D/MaxPool2D run the grouped im2col pass, so CNN configs
-        # take one grouped pass on the vectorized backend — and every
-        # backend must still produce bit-equal histories, weights and
-        # residuals.
+        # run blocks of grouped passes on the serial backend — and the
+        # sharded workers' per-client passes must still produce bit-equal
+        # histories, weights and residuals.
         fast = _cnn_trainer(make_backend(backend_name))
         serial = _cnn_trainer("serial")
         hs = serial.run(3, k=20)
@@ -905,23 +908,13 @@ class TestVirtualEagerEquivalence:
 
 
 def _suite_stack(model_name, groups, seed):
-    """The benchmark suite's CNN (``cnn_fixedk``: 1x16x16 inputs, conv
-    (8, 16), dense 64), MLP (``churn_robust``/``async_adaptive``: 256
-    -> 64 -> 62), ``mlp_sharded``'s MLP (400 -> 200 -> 62) or the
-    paper's (784 -> 512 -> 62), and ``groups`` batch-32 minibatches for
-    it."""
+    """A fresh model of the :data:`COHORT_GEOMETRIES` entry
+    ``model_name`` and ``groups`` batch-32 minibatches for it."""
+    build, sample_shape = COHORT_GEOMETRIES[model_name]
     rng = np.random.default_rng(seed)
-    if model_name == "cnn":
-        model, shape = make_cnn(16, 1, 62, (8, 16), 64), (32, 1, 16, 16)
-    elif model_name == "mlp_sharded":
-        model, shape = make_mlp(400, 62, hidden=(200,)), (32, 400)
-    elif model_name == "paper_mlp":
-        model, shape = make_mlp(784, 62, hidden=(512,)), (32, 784)
-    else:
-        model, shape = make_mlp(256, 62, hidden=(64,)), (32, 256)
-    xs = [rng.standard_normal(shape) for _ in range(groups)]
+    xs = [rng.standard_normal((32, *sample_shape)) for _ in range(groups)]
     ys = [rng.integers(0, 62, size=32) for _ in range(groups)]
-    return model, xs, ys
+    return build(), xs, ys
 
 
 class TestBatchedKernels:
@@ -943,8 +936,8 @@ class TestBatchedKernels:
 
     def test_gradients_batched_cnn_bitwise_equal(self):
         # The grouped conv/pool pass must equal per-client gradients
-        # exactly — this is what lets CNN configs ride the vectorized
-        # backend.
+        # exactly — this is what lets CNN configs ride the serial
+        # backend's blocks.
         rng = np.random.default_rng(0)
         model = make_cnn(image_size=8, channels=1, num_classes=5,
                          conv_channels=(3, 4), dense_width=8, seed=2)
@@ -997,7 +990,7 @@ class TestBatchedKernels:
         # in blocks of 8 leave a five-group one.  Either way every row
         # is the bytes of that client's own gradient() call.
         model, xs, ys = _suite_stack(model_name, groups, seed=1)
-        assert groups == 1 or groups % model._groups_per_block(xs[0])
+        assert groups == 1 or groups % model.groups_per_block(xs[0])
         batched = model.gradients_batched(xs, ys)
         serial = np.stack([model.gradient(x, y) for x, y in zip(xs, ys)])
         assert batched.tobytes() == serial.tobytes()
@@ -1113,53 +1106,63 @@ class TestBatchedKernels:
         assert calls[0] == 0
         assert calls[1] > 0
 
-    def test_vectorized_gradients_match_serial_backend(self):
-        fed = _federation()
-        model = make_mlp(64, 10, hidden=(12,), seed=5)
-        serial_clients = _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"])
-        vec_clients = _fl_trainer("vectorized", SPARSIFIER_FACTORIES["fab-top-k"])
-        del fed, model
-        gs = SerialBackend().compute_gradients(
-            serial_clients.model, serial_clients.clients
-        )
-        gv = VectorizedBackend().compute_gradients(
-            vec_clients.model, vec_clients.clients
-        )
-        for (a, batch_a), (b, batch_b) in zip(gs, gv):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(batch_a[0], batch_b[0])
-
+    @pytest.mark.parametrize("geometry, sizes, blocks", [
+        # Blocks of 8 cut where the batch size changes: 32 x 10, 5, 5,
+        # 7, 32 x 3.
+        pytest.param("mlp", [32] * 10 + [5, 5, 7] + [32] * 3,
+                     [8, 2, 2, 1, 3], id="mlp"),
+        pytest.param("cnn", [32] * 5, [2, 2, 1], id="cnn"),
+        pytest.param("paper_mlp", [32] * 3, [1, 1, 1], id="paper_mlp"),
+    ])
     @pytest.mark.parametrize("draw_probes", [False, True])
-    def test_serial_step_holds_one_gradient_at_a_time(
-        self, monkeypatch, draw_probes
+    def test_serial_step_holds_one_block_at_a_time(
+        self, monkeypatch, geometry, sizes, blocks, draw_probes
     ):
-        # g1, a1, g2, a2, ...: each gradient is folded into its client's
-        # residual before the next exists, so the serial round never
-        # buffers the cohort's gradients (cohort × D floats).
-        trainer = _fl_trainer("serial", SPARSIFIER_FACTORIES["fab-top-k"])
+        # Each block's grouped call, then that block's folds, before the
+        # next block exists: the serial round holds one block of rows,
+        # never the cohort's gradients (cohort × D floats), and no block
+        # is wider than the grouped pass's own rule.
+        model, clients = make_cohort(geometry, sizes, seed=6)
         events = []
-        gradient = trainer.model.gradient
+        grouped = model.gradients_batched
         accumulate = Client.accumulate_gradient
 
-        def spy_gradient(*args):
-            events.append("g")
-            return gradient(*args)
+        def spy_grouped(xs, ys):
+            assert len(xs) <= model.groups_per_block(xs[0])
+            events.append(("g", len(xs)))
+            return grouped(xs, ys)
 
         def spy_accumulate(client, grad):
-            events.append(client.client_id)
+            events.append(("a", client.client_id))
             accumulate(client, grad)
 
-        monkeypatch.setattr(trainer.model, "gradient", spy_gradient)
+        monkeypatch.setattr(model, "gradients_batched", spy_grouped)
         monkeypatch.setattr(Client, "accumulate_gradient", spy_accumulate)
         SerialBackend().local_steps(
-            trainer.model, trainer.clients, 8, FABTopK(),
-            draw_probes=draw_probes,
+            model, clients, 8, FABTopK(), draw_probes=draw_probes
         )
-        assert len(trainer.clients) > 1
-        assert events == [
-            event for client in trainer.clients
-            for event in ("g", client.client_id)
-        ]
+        expected, ids = [], iter(range(len(sizes)))
+        for width in blocks:
+            expected.append(("g", width))
+            expected.extend(("a", next(ids)) for _ in range(width))
+        assert events == expected
+
+    def test_serial_step_peak_memory_at_paper_geometry(self):
+        # Six paper-MLP clients (D = 433,726; one group a block), their
+        # residuals already materialized.  The per-client loop this
+        # backend replaced peaked at 10.40 MiB (a gradient or two and the
+        # selection's temporaries); the whole-cohort grouped call peaked
+        # at 27.97 MiB, holding all six rows.  10% over the former.
+        model, clients = make_cohort("paper_mlp", [32] * 6, seed=7)
+        for client in clients:
+            client.residual[:] = 0.0
+        tracemalloc.start()
+        try:
+            SerialBackend().local_steps(model, clients, 1000, FABTopK())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.40 * 1.1 * 2**20
 
 
 # ----------------------------------------------------------------------
@@ -1215,13 +1218,15 @@ class TestEngineBehaviour:
         assert trainer.history is trainer.engine.history
 
     def test_resolve_backend(self):
+        assert BACKEND_NAMES == ("serial", "sharded")
         assert resolve_backend(None).name == "serial"
         assert resolve_backend("serial").name == "serial"
-        assert resolve_backend("vectorized").name == "vectorized"
+        # The retired name the frozen benchmark workloads still pass.
+        assert type(resolve_backend("vectorized")) is SerialBackend
         sharded = resolve_backend("sharded")
         assert sharded.name == "sharded"
         sharded.close()
-        backend = VectorizedBackend()
+        backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
     @pytest.mark.parametrize("bogus", ["warp-drive", "", "Serial"])
@@ -1236,8 +1241,8 @@ class TestEngineBehaviour:
     def test_config_validates_backend(self):
         from repro.experiments.config import ExperimentConfig
 
-        config = ExperimentConfig.smoke().with_overrides(backend="vectorized")
-        assert config.backend == "vectorized"
+        config = ExperimentConfig.smoke().with_overrides(backend="serial")
+        assert config.backend == "serial"
         assert ExperimentConfig.smoke().with_overrides(
             backend="sharded", jobs=2
         ).jobs == 2
@@ -1249,12 +1254,31 @@ class TestEngineBehaviour:
     def test_cli_exposes_backend_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["fig4", "--backend", "vectorized"])
-        assert args.backend == "vectorized"
+        args = build_parser().parse_args(["fig4", "--backend", "serial"])
+        assert args.backend == "serial"
         args = build_parser().parse_args(
             ["fig4", "--backend", "sharded", "--jobs", "4"]
         )
         assert args.backend == "sharded" and args.jobs == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--backend", "vectorized"],
+        ["sweep", "--backends", "serial", "vectorized"],
+    ], ids=["figure", "sweep"])
+    def test_cli_and_config_reject_vectorized(self, argv, capsys):
+        # The retired backend is no choice anywhere a user names one:
+        # the CLI exits 2 naming both backends, and a config refuses it.
+        from repro.cli import build_parser
+        from repro.experiments.config import ExperimentConfig
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "'vectorized'" in error
+        assert "'serial'" in error and "'sharded'" in error
+        with pytest.raises(ValueError, match="backend"):
+            ExperimentConfig.smoke().with_overrides(backend="vectorized")
 
     def test_engine_close_shuts_backend_down(self):
         backend = ShardedBackend(jobs=2)
@@ -1522,7 +1546,7 @@ class TestHookEventOrder:
         events = EventList()
         trainer = FLTrainer(
             model, fed, FABTopK(), timing=timing, learning_rate=0.5,
-            batch_size=8, eval_every=2, seed=9, backend="vectorized",
+            batch_size=8, eval_every=2, seed=9, backend="serial",
             scenario=DeploymentScenario.build(config, ids, timing, profiles),
             telemetry=Telemetry(sink=events),
         )
@@ -1799,7 +1823,7 @@ def _churn_robust_round_trainer():
     )
     return FLTrainer(
         model, fed, FABTopK(), timing=timing, learning_rate=0.5,
-        batch_size=8, eval_every=2, seed=9, backend="vectorized",
+        batch_size=8, eval_every=2, seed=9, backend="serial",
         scenario=DeploymentScenario.build(config, ids, timing, profiles),
     )
 

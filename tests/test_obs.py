@@ -312,7 +312,7 @@ def _trainer(backend, telemetry=None, seed=5):
 
 
 class TestDisabledPath:
-    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_disabled_run_does_no_telemetry_work(self, backend):
         trainer = _trainer(backend, telemetry=_RaisingNull())
         trainer.run(4, k=10)

@@ -1090,7 +1090,7 @@ class TestResultsStore:
 
         assert key(base) == key(base.with_overrides())
         assert key(base) != key(base.with_overrides(seed=1))
-        assert key(base) != key(base.with_overrides(backend="vectorized"))
+        assert key(base) != key(base.with_overrides(backend="sharded"))
 
 
 # ----------------------------------------------------------------------
@@ -1120,7 +1120,7 @@ class TestConfigSerialization:
 class TestSweep:
     def test_expand_is_the_full_grid(self):
         spec = SweepSpec(figures=("fig1", "fig6"), scales=("smoke", "bench"),
-                         seeds=(0, 1), backends=("serial", "vectorized"),
+                         seeds=(0, 1), backends=("serial", "sharded"),
                          rounds=9)
         units = expand(spec)
         assert len(units) == 16

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.partition import ClientDataset
-from repro.fl.backends import ExecutionBackend
+from repro.fl.backends import ExecutionBackend, SerialBackend
 from repro.fl.client import Client
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.robust import (
@@ -50,6 +50,7 @@ from repro.scenarios import (
 
 from helpers import (
     EventList,
+    make_cohort,
     make_gaussian_blobs,
     make_logistic,
     partition_iid,
@@ -826,6 +827,64 @@ class TestResidualResetAgainstStackedReference:
         )
         for got, want in zip(clients, expected):
             assert got.residual.tobytes() == want.residual.tobytes()
+
+
+# ----------------------------------------------------------------------
+# The local step's gradients: one per client, in participant order
+# ----------------------------------------------------------------------
+def reference_serial_gradients(model, participants):
+    """``SerialBackend.compute_gradients`` as it was before it streamed
+    blocks of the grouped pass, verbatim: one ``FlatModel.gradient``
+    call per participant."""
+    # A generator: each gradient is folded in before the next exists.
+    for client in participants:
+        batch = client.draw_minibatch()
+        yield model.gradient(*batch), batch
+
+
+#: (geometry, batch sizes in participant order): the suite MLP (blocks
+#: of 8), the suite CNN (blocks of 2), and cohorts mixing full and short
+#: batches from clients holding fewer samples than the batch size
+GRADIENT_COHORTS = {
+    "mlp-20": ("mlp", [32] * 20),
+    "cnn-5": ("cnn", [32] * 5),
+    "mixed": ("mlp", [32, 5, 32, 32, 5]),
+    "mixed-long": ("mlp", [32] * 10 + [5, 5, 7] + [32] * 3),
+}
+
+
+class TestSerialGradientsAgainstReference:
+    @pytest.mark.parametrize("cohort", sorted(GRADIENT_COHORTS))
+    def test_pairs_are_byte_equal_to_the_per_client_loop(
+        self, cohort, monkeypatch
+    ):
+        geometry, sizes = GRADIENT_COHORTS[cohort]
+        model, reference_clients = make_cohort(geometry, sizes, seed=3)
+        expected = [
+            (grad.copy(), batch)
+            for grad, batch in reference_serial_gradients(
+                model, reference_clients
+            )
+        ]
+        blocks = []  # the batch sizes of each grouped call
+        grouped = model.gradients_batched
+
+        def spy(xs, ys):
+            blocks.append([x.shape[0] for x in xs])
+            return grouped(xs, ys)
+
+        monkeypatch.setattr(model, "gradients_batched", spy)
+        _, clients = make_cohort(geometry, sizes, seed=3)
+        got = list(SerialBackend().compute_gradients(model, clients))
+        assert [x.shape[0] for _, (x, _) in expected] == sizes
+        assert len(got) == len(expected)
+        # Row i is participant i's gradient of participant i's minibatch.
+        for (grad, (x, y)), (want, (want_x, want_y)) in zip(got, expected):
+            assert grad.tobytes() == want.tobytes()
+            assert x.tobytes() == want_x.tobytes()
+            assert y.tobytes() == want_y.tobytes()
+        # A block never mixes batch sizes.
+        assert all(len(set(block)) == 1 for block in blocks)
 
 
 # ----------------------------------------------------------------------

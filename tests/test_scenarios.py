@@ -5,8 +5,8 @@ Four load-bearing guarantees (the PR acceptance criteria):
 (a) **Backend bit-identity under churn** — the same seeded scenario
     (Markov availability, straggler profiles, deadline drops,
     over-selection — including the online-adapted deadline) produces
-    *identical* histories, weights and residuals on the serial,
-    vectorized and sharded backends.
+    *identical* histories, weights and residuals on the serial and
+    sharded backends.
 (b) **Exact recovery of dropped uploads** — a deadline-dropped client's
     gradient survives in its residual and is transmitted, bit for bit,
     the next time the client makes a deadline.
@@ -1110,7 +1110,7 @@ def _scenario_trainer(backend, scenario_config=CHURN, seed=5):
 class TestScenarioBackendEquivalence:
     """Acceptance (a): same seed => bit-identical histories across backends."""
 
-    @pytest.mark.parametrize("backend_name", ["vectorized", "sharded"])
+    @pytest.mark.parametrize("backend_name", ["sharded"])
     @pytest.mark.parametrize("variant", sorted(SCENARIO_VARIANTS))
     def test_churn_histories_identical(self, variant, backend_name):
         backend = (
@@ -1173,7 +1173,7 @@ class TestScenarioBackendEquivalence:
                 scenario=scenario,
             )
 
-        fast = build("vectorized")
+        fast = build(ShardedBackend(jobs=2))
         assert history_rows(build("serial").run(6)) == history_rows(
             fast.run(6)
         )
@@ -1379,7 +1379,7 @@ class TestVirtualScenarioEquivalence:
         assert touched < 100, f"{touched} clients: not O(cohort)"
         assert peak < 500 * 1024 * 1024, f"peak RSS {peak / 1e6:.0f} MB"
 
-    @pytest.mark.parametrize("engine", ["serial", "vectorized", "async"])
+    @pytest.mark.parametrize("engine", ["serial", "async"])
     def test_population_rounds_keep_no_minibatch(self, engine, monkeypatch):
         # The memory bound of a population run, as structure: once a
         # round is over, nothing holds a minibatch it drew, and each

@@ -121,8 +121,8 @@ class TestTopKIndices:
 
     @pytest.mark.parametrize("k", [0, 1, 6, 29, 30, 31, 100])
     def test_batched_matches_lexsort_on_ties(self, k):
-        # Per-row selection over a tie-heavy matrix: what every backend,
-        # the vectorized one included, runs for a cohort's residuals.
+        # Per-row selection over a tie-heavy matrix: what every backend
+        # runs for a cohort's residuals.
         rng = np.random.default_rng(9)
         values = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(13, 30))
         for row in values:
