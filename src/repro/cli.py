@@ -341,6 +341,13 @@ def main(argv: list[str] | None = None) -> int:
         overrides["backend"] = "sharded"
     if "dirichlet_alpha" in overrides and "partition" not in overrides:
         overrides["partition"] = "dirichlet"
+    if "comm_time" in overrides and args.command in ("fig7", "fig8"):
+        from repro.experiments.fig7 import COMM_TIMES
+
+        parser.error(
+            f"{args.command} sweeps its own comm_time axis (COMM_TIMES = "
+            f"{COMM_TIMES}); --comm-time does not apply"
+        )
     try:
         config = scaled_config(args.scale, args.command).with_overrides(
             **overrides

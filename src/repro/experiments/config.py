@@ -189,7 +189,8 @@ def scaled_config(scale: str, figure: str | None = None) -> ExperimentConfig:
 
     ``smoke`` runs in seconds, ``bench`` in tens of seconds (the
     benchmark suite's setting), ``default`` in minutes, ``paper`` at the
-    paper's 156-client scale (hours).  Fig. 8 swaps in the CIFAR-like
+    paper's 156-client scale (hours).  Fig. 6 runs at the paper's large
+    communication time β = 100; Fig. 8 swaps in the CIFAR-like
     federation while keeping the scale's round/evaluation budget.
     """
     if scale == "smoke":
@@ -209,6 +210,8 @@ def scaled_config(scale: str, figure: str | None = None) -> ExperimentConfig:
         raise ValueError(
             f"unknown scale {scale!r}; expected one of {SCALE_NAMES}"
         )
+    if figure == "fig6":
+        base = base.with_overrides(comm_time=100.0)
     if figure == "fig8":
         cifar = ExperimentConfig.cifar_default()
         base = cifar.with_overrides(

@@ -71,10 +71,7 @@ def make_policy(
 def run_fig5(
     config: ExperimentConfig,
     policies: tuple[str, ...] = POLICIES,
-    comm_time: float | None = None,
-    num_rounds: int | None = None,
 ) -> Fig5Result:
-    num_rounds = num_rounds if num_rounds is not None else config.num_rounds
     loss_fig = FigureData(title="Fig5 loss vs normalized time")
     acc_fig = FigureData(title="Fig5 accuracy vs normalized time")
     k_fig = FigureData(title="Fig5 k_m traces")
@@ -83,10 +80,10 @@ def run_fig5(
 
     with ExperimentRun(config, "fig5") as run:
         for name in policies:
-            model, federation, common = run.fresh(name, comm_time=comm_time)
+            model, federation, common = run.fresh(name)
             policy = make_policy(name, config, model.dimension)
             trainer = FLTrainer(model, federation, FABTopK(), **common)
-            trainer.run(num_rounds, policy)
+            trainer.run(config.num_rounds, policy)
             result.histories[name] = trainer.history
             loss_fig.add(name, *trainer.history.loss_curve())
             acc_fig.add(name, *trainer.history.accuracy_curve())

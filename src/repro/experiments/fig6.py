@@ -39,19 +39,16 @@ class Fig6Result:
         return self.loss_vs_time.y_at(t)
 
 
-def run_fig6(
-    config: ExperimentConfig,
-    comm_time: float = 100.0,
-    num_rounds: int | None = None,
-) -> Fig6Result:
-    num_rounds = num_rounds if num_rounds is not None else config.num_rounds
+def run_fig6(config: ExperimentConfig) -> Fig6Result:
+    """Both algorithms at the config's β (``scaled_config(scale,
+    "fig6")`` presets the paper's β = 100)."""
     loss_fig = FigureData(title="Fig6 loss vs normalized time")
     k_fig = FigureData(title="Fig6 k_m traces")
     result = Fig6Result(loss_vs_time=loss_fig, k_traces=k_fig)
 
     with ExperimentRun(config, "fig6") as run:
         for label in ("algorithm3", "algorithm2"):
-            model, federation, common = run.fresh(label, comm_time=comm_time)
+            model, federation, common = run.fresh(label)
             if label == "algorithm3":
                 policy = make_policy("proposed", config, model.dimension)
             else:
@@ -59,7 +56,7 @@ def run_fig6(
                     SignOGD(build_search_interval(config, model.dimension))
                 )
             trainer = FLTrainer(model, federation, FABTopK(), **common)
-            trainer.run(num_rounds, policy)
+            trainer.run(config.num_rounds, policy)
             result.histories[label] = trainer.history
             loss_fig.add(label, *trainer.history.loss_curve())
             k_fig.add_k_trace(label, trainer.history)

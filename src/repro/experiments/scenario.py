@@ -52,7 +52,7 @@ from repro.experiments.runner import (
     build_model,
     fig4_sparsity,
 )
-from repro.fl.async_engine import AsyncFLTrainer
+from repro.fl.async_engine import AdaptiveStalenessDiscount, AsyncFLTrainer
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.scenarios import ScenarioConfig
@@ -489,7 +489,7 @@ def run_async_comparison(
                     [float(i + 1) for i in range(len(trace))],
                     trace,
                 )
-                if trainer.discount.adaptive:
+                if isinstance(trainer.discount, AdaptiveStalenessDiscount):
                     exponents = trainer.discount.exponent_history
                     stale_fig.add(
                         f"{label} exponent",

@@ -31,9 +31,7 @@ from repro.fl.async_engine import (
     AdaptiveStalenessDiscount,
     AsyncFLTrainer,
     AsyncRoundEngine,
-    ConstantDiscount,
     PolynomialDiscount,
-    StalenessDiscount,
     build_staleness_discount,
 )
 from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
@@ -48,7 +46,6 @@ __all__ = [
     "AsyncFLTrainer",
     "AsyncRoundEngine",
     "Client",
-    "ConstantDiscount",
     "ExecutionBackend",
     "FedAvgTrainer",
     "FLTrainer",
@@ -58,7 +55,6 @@ __all__ = [
     "RoundRecord",
     "SerialBackend",
     "Server",
-    "StalenessDiscount",
     "TrainingHistory",
     "build_staleness_discount",
     "resolve_backend",

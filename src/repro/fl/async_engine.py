@@ -44,12 +44,12 @@ upload-source steps and nothing else of the round):
 Commit hooks (:class:`_CommitHooks`, the last of the engine's persistent
 hooks — a scenario's adversary seam is chained ahead of them):
 
-- **Discount the wire** — once every hook has filtered the uploads
-  (``before_select``), each upload's values are scaled by the pluggable
-  staleness discount ``d(s)`` on ``ctx.uploads``: selection and
-  aggregation see the discounted values, while the residual reset zeroes
-  ``J ∩ J_i`` by index and never reads the wire — the same wire-only
-  rule as the adversary seam, and the two compose.
+- **Discount the wire** — in ``after_local_steps``, once every earlier
+  hook has filtered or corrupted the uploads, each upload's values are
+  scaled by the staleness discount ``d(s)`` on ``ctx.uploads``:
+  selection and aggregation see the discounted values, while the
+  residual reset zeroes ``J ∩ J_i`` by index and never reads the wire —
+  the same wire-only rule as the adversary seam, and the two compose.
 - **Probe the exponent** — in ``observe``, where the commit's weights
   are installed and its charge is final (see ``adaptive`` below).
 
@@ -123,45 +123,6 @@ DEFAULT_EXPONENT_INTERVAL = (0.05, 2.0)
 # ----------------------------------------------------------------------
 # Staleness discounts: how much weight an s-commits-old upload keeps
 # ----------------------------------------------------------------------
-class StalenessDiscount:
-    """Interface: per-upload weight multiplier as a function of staleness.
-
-    ``factor(s)`` multiplies the upload's *wire values* (the weighted
-    aggregation then shrinks that client's contribution — the server's
-    normalizing constant stays the undiscounted sample-count total, so a
-    discount scales the step rather than renormalizing over it).
-    """
-
-    name = "abstract"
-    #: whether :meth:`observe` feedback can move the discount
-    adaptive = False
-
-    def factor(self, staleness: int) -> float:
-        """The multiplier ``d(s) ∈ (0, 1]`` for staleness ``s >= 0``."""
-        raise NotImplementedError
-
-    def probe_exponent(self) -> float | None:
-        """The counterfactual exponent an adaptive discount wants probed
-        this commit (None = no probe — fixed discounts never probe)."""
-        return None
-
-    def observe(self, *readings: Reading) -> None:
-        """Consume one commit's probe reading — none when no probe ran
-        (no-op for fixed forms)."""
-        del readings
-
-
-class ConstantDiscount(StalenessDiscount):
-    """``d(s) = 1`` — staleness-blind: no discount at all."""
-
-    name = "constant"
-
-    def factor(self, staleness: int) -> float:
-        if staleness < 0:
-            raise ValueError("staleness must be >= 0")
-        return 1.0
-
-
 def polynomial_factor(staleness: int, exponent: float) -> float:
     """``(1 + s)^{-a}`` — the standard polynomial attenuation."""
     if staleness < 0:
@@ -169,17 +130,26 @@ def polynomial_factor(staleness: int, exponent: float) -> float:
     return float((1.0 + staleness) ** -exponent)
 
 
-class PolynomialDiscount(StalenessDiscount):
-    """``d(s) = (1 + s)^{-a}`` at the fixed exponent ``a = 0.5``."""
+class PolynomialDiscount:
+    """``d(s) = (1 + s)^{-a}`` at a fixed exponent ``a``: the fixed
+    staleness law (``a = 0`` is the staleness-blind ``constant`` one,
+    since ``(1 + s)^{-0} == 1.0`` for every ``s >= 0``).
 
-    name = "polynomial"
-    exponent = 0.5
+    ``factor(s)`` multiplies the upload's *wire values* (the weighted
+    aggregation then shrinks that client's contribution — the server's
+    normalizing constant stays the undiscounted sample-count total, so a
+    discount scales the step rather than renormalizing over it).
+    """
+
+    def __init__(self, exponent: float) -> None:
+        self.exponent = exponent
 
     def factor(self, staleness: int) -> float:
+        """The multiplier ``d(s) ∈ (0, 1]`` for staleness ``s >= 0``."""
         return polynomial_factor(staleness, self.exponent)
 
 
-class AdaptiveStalenessDiscount(StalenessDiscount):
+class AdaptiveStalenessDiscount(PolynomialDiscount):
     """Polynomial discount with an online-learned exponent.
 
     The third dual of the paper's learned k (after the learned
@@ -189,14 +159,8 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
     commits with no stale arrival carry no information about ``a`` and
     advance the walk with no reading (the paper's "value remains
     unchanged" rule).  The walk covers :data:`DEFAULT_EXPONENT_INTERVAL`
-    from its midpoint.  With ``probe`` off the exponent stays there — a
-    "frozen adaptive" control.
+    from its midpoint.
     """
-
-    name = "adaptive"
-    adaptive = True
-    #: whether commits probe the exponent (off: frozen at the midpoint)
-    probe = True
 
     def __init__(self) -> None:
         self.knob = OnlineKnob.over(
@@ -213,30 +177,29 @@ class AdaptiveStalenessDiscount(StalenessDiscount):
         """Every exponent played so far (the learned {a_m} trace)."""
         return self.knob.history
 
-    def factor(self, staleness: int) -> float:
-        return polynomial_factor(staleness, self.knob.value)
-
     def probe_exponent(self) -> float | None:
-        if not self.probe:
-            return None
+        """The counterfactual exponent a' < a this commit probes (None
+        when none sits below a)."""
         # Floored at a/2, like the adaptive deadline's probe: strictly
         # positive, and available at the interval's lower edge.
         return self.knob.probe_below(floor=self.knob.value / 2.0)
 
     def observe(self, *readings: Reading) -> None:
+        """Consume one commit's probe reading — none when no probe ran."""
         self.knob.observe(*readings)
 
 
-def build_staleness_discount(kind: str) -> StalenessDiscount:
-    """The staleness discount a config string names, at its defaults.
+def build_staleness_discount(kind: str) -> PolynomialDiscount:
+    """The staleness discount a config string names, at its defaults:
+    ``constant`` is exponent 0, ``polynomial`` exponent 0.5.
 
     ``"poly"`` is accepted as shorthand for ``"polynomial"``.
     """
     kind = STALENESS_ALIASES.get(kind, kind)
     if kind == "constant":
-        return ConstantDiscount()
+        return PolynomialDiscount(0.0)
     if kind == "polynomial":
-        return PolynomialDiscount()
+        return PolynomialDiscount(0.5)
     if kind == "adaptive":
         return AdaptiveStalenessDiscount()
     raise ValueError(
@@ -299,7 +262,9 @@ class _CommitHooks(RoundHooks):
         #: the wire before the discount: what an exponent probe rescales
         self._undiscounted: list[ClientUpload] = []
 
-    def before_select(self, ctx: RoundContext) -> None:
+    def after_local_steps(self, ctx: RoundContext) -> None:
+        # The last persistent hook: the wire every earlier one left is
+        # final, and the k rule's after_local_steps only records its k.
         self._undiscounted = ctx.uploads
         ctx.uploads = _discounted(
             ctx.uploads, ctx.staleness, ctx.engine.discount.factor
@@ -309,7 +274,7 @@ class _CommitHooks(RoundHooks):
         """Run the adaptive discount's counterfactual exponent probe."""
         engine = ctx.engine
         discount = engine.discount
-        if not discount.adaptive:
+        if not isinstance(discount, AdaptiveStalenessDiscount):
             return
         a_probe = discount.probe_exponent()
         if not any(ctx.staleness[up.client_id] for up in self._undiscounted):
@@ -350,8 +315,8 @@ class AsyncRoundEngine(RoundEngine):
         Arrivals buffered per commit; ``0`` waits for every in-flight
         upload (the full-cohort barrier).
     discount:
-        A :class:`StalenessDiscount` (default: identity
-        :class:`ConstantDiscount`).
+        A :class:`PolynomialDiscount` (default: exponent 0, the
+        identity).
 
     Arrival times and the broadcast come from the timing model's client
     speeds (a :class:`~repro.simulation.heterogeneous.
@@ -363,7 +328,7 @@ class AsyncRoundEngine(RoundEngine):
         self,
         *args,
         commit_count: int = 0,
-        discount: StalenessDiscount | None = None,
+        discount: PolynomialDiscount | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -375,7 +340,9 @@ class AsyncRoundEngine(RoundEngine):
             _CommitHooks() if self.scenario_hooks is None
             else ChainedHooks(self.scenario_hooks, _CommitHooks())
         )
-        self.discount = discount if discount is not None else ConstantDiscount()
+        self.discount = (
+            discount if discount is not None else PolynomialDiscount(0.0)
+        )
         self.commit_count = commit_count
         #: virtual (simulated) time; advances at commit points
         self._vclock = 0.0
@@ -391,11 +358,6 @@ class AsyncRoundEngine(RoundEngine):
     def version(self) -> int:
         """Commits applied so far (the weights' version number)."""
         return len(self.history)
-
-    @property
-    def in_flight(self) -> int:
-        """Uploads currently travelling through virtual time."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------
     def _start_wave(self):
@@ -518,7 +480,7 @@ class AsyncFLTrainer(FLTrainer):
     Additional parameters:
 
     discount:
-        A :class:`StalenessDiscount` instance or a kind string from
+        A :class:`PolynomialDiscount` instance or a kind string from
         :data:`STALENESS_DISCOUNT_KINDS` (default ``"constant"``, i.e.
         no discount).
     commit_count:
@@ -548,7 +510,7 @@ class AsyncFLTrainer(FLTrainer):
         sparsifier: Sparsifier,
         timing: TimingModel | None = None,
         scenario=None,
-        discount: StalenessDiscount | str = "constant",
+        discount: PolynomialDiscount | str = "constant",
         profiles=None,
         **engine_settings,
     ) -> None:
@@ -567,12 +529,8 @@ class AsyncFLTrainer(FLTrainer):
 
     # ------------------------------------------------------------------
     @property
-    def discount(self) -> StalenessDiscount:
+    def discount(self) -> PolynomialDiscount:
         return self.engine.discount
-
-    @property
-    def version(self) -> int:
-        return self.engine.version
 
     @property
     def staleness_history(self) -> list[float]:

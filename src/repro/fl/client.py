@@ -88,7 +88,7 @@ class Client:
         :meth:`SparseVector.from_sorted` constructor instead of paying a
         re-sort/duplicate scan on every upload.
         """
-        indices = sparsifier.client_select(self.residual, k, self._rng)
+        indices = sparsifier.client_select(self.residual, k)
         self._last_upload_indices = np.sort(np.asarray(indices, dtype=np.int64))
         payload = SparseVector.from_sorted(
             self._last_upload_indices,

@@ -135,11 +135,11 @@ class RoundHooks:
     """Extension points for trainer-specific behaviour inside a round.
 
     The default implementations are all no-ops, giving exactly the plain
-    Algorithm-1 round.  A hook changes a round at two points and learns
-    at one; call order within :meth:`RoundEngine.run_round`:
+    Algorithm-1 round.  A hook changes a round at one point, charges at
+    one and learns at one; call order within
+    :meth:`RoundEngine.run_round`:
 
     ``after_local_steps`` (uploads drawn, model still at ``w_prev``) →
-    ``before_select`` (the wire is final, nothing selected yet) →
     ``extra_round_time`` (selection, aggregation, update and reset done;
     the engine's charge computed) → ``observe`` (model at ``w_new``,
     ``round_time`` final, before evaluation/record).
@@ -154,7 +154,9 @@ class RoundHooks:
     server *sees* (Byzantine corruption, the async staleness discount)
     assigns a new list to ``ctx.uploads``: the residual reset zeroes
     ``J ∩ J_i`` by index, so what a client sent is its own residual at
-    ``J_i`` whatever the wire carried.  Every learned knob (k, deadline,
+    ``J_i`` whatever the wire carried.  Chained hooks run in order, so
+    the last persistent one (the async commit's discount) scales the
+    wire every earlier one left.  Every learned knob (k, deadline,
     staleness exponent) measures and steps in ``observe``: its reading
     — L(w(m−1)), L(w(m)), L(w′(m)) and τ_m — exists only there.
     """
@@ -164,9 +166,6 @@ class RoundHooks:
 
     def after_local_steps(self, ctx: RoundContext) -> None:
         """Uploads collected; model still holds ``w_prev``."""
-
-    def before_select(self, ctx: RoundContext) -> None:
-        """The wire is final; selection not yet run."""
 
     # Never called, like after_update and round_timing below: kept only
     # because the frozen benchmarks/suite/trace.py:148-150 wraps
@@ -221,11 +220,11 @@ class ChainedHooks(RoundHooks):
     """Compose several hook objects into one (outermost first).
 
     Used by the engine to stack the persistent scenario hook, the k rule
-    and a caller's hooks.  It fans out exactly the four hook points:
-    ``after_local_steps``, ``before_select`` and ``observe`` run in
-    order (so a scenario's upload filtering happens before the learned
-    k's probe measurements see ``ctx``, and the deadline learns before
-    the k does) and ``extra_round_time`` contributions add.  Nothing
+    and a caller's hooks.  It fans out exactly the three hook points:
+    ``after_local_steps`` and ``observe`` run in order (so a scenario's
+    upload filtering happens before the learned k's probe measurements
+    see ``ctx``, and the deadline learns before the k does) and
+    ``extra_round_time`` contributions add.  Nothing
     here picks one hook's answer over another's: what a round decides
     (its close, its recorded k) is written on ``ctx``.
     """
@@ -237,10 +236,6 @@ class ChainedHooks(RoundHooks):
     def after_local_steps(self, ctx: RoundContext) -> None:
         for hook in self.hooks:
             hook.after_local_steps(ctx)
-
-    def before_select(self, ctx: RoundContext) -> None:
-        for hook in self.hooks:
-            hook.before_select(ctx)
 
     def extra_round_time(self, ctx: RoundContext) -> float:
         return sum(hook.extra_round_time(ctx) for hook in self.hooks)
@@ -564,8 +559,8 @@ class RoundEngine:
         """Run one Algorithm-1 round at the k rule's k and record it; a
         given ``k`` becomes the rule first (:meth:`use_k`).
 
-        Besides the k rule's ``next_k`` it calls four hook points, in
-        :class:`RoundHooks`' order, two of which may change the round.
+        Besides the k rule's ``next_k`` it calls three hook points, in
+        :class:`RoundHooks`' order, one of which may change the round.
 
         ``ensure_loss`` evaluates the global loss even on rounds the
         evaluation cadence would skip (the stopping rule of
@@ -608,7 +603,6 @@ class RoundEngine:
         if tracing:
             lap("local_steps")
         hooks.after_local_steps(ctx)
-        hooks.before_select(ctx)
         if tracing:
             lap("probe")
 

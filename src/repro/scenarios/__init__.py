@@ -36,7 +36,6 @@ from repro.scenarios.config import (
 from repro.scenarios.deadline import (
     AdaptiveDeadlinePolicy,
     CyclingDeadlinePolicy,
-    DeadlinePolicy,
     DeadlineRoundPolicy,
     DeadlineVerdict,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "AlwaysAvailable",
     "ClientAvailability",
     "CyclingDeadlinePolicy",
-    "DeadlinePolicy",
     "DeadlineRoundPolicy",
     "DeadlineVerdict",
     "DeploymentScenario",

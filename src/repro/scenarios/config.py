@@ -23,7 +23,6 @@ from repro.scenarios.adversary import ADVERSARY_KINDS
 from repro.scenarios.deadline import (
     AdaptiveDeadlinePolicy,
     CyclingDeadlinePolicy,
-    DeadlinePolicy,
 )
 from repro.simulation.heterogeneous import ClientProfile
 from repro.simulation.population import PROFILE_TAG
@@ -292,7 +291,9 @@ class ScenarioConfig:
             return None
         return self.deadline / 2.0, self.deadline * 2.0
 
-    def deadline_schedule(self) -> DeadlinePolicy | None:
+    def deadline_schedule(
+        self,
+    ) -> CyclingDeadlinePolicy | AdaptiveDeadlinePolicy | None:
         """The deadline policy this config names; ``None`` without a
         deadline (the server waits for everyone).
 

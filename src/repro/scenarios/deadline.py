@@ -31,8 +31,8 @@ Round-close semantics ("charge the deadline, not the straggler tail"):
   the fastest ``min_uploads`` clients (close at the last forced
   acceptee) — partial aggregation never degenerates to an empty round.
 
-The deadline *in force* each round comes from a :class:`DeadlinePolicy`
-(or none at all — the server waits for everyone):
+The deadline *in force* each round comes from one of two policies (or
+none at all — the server waits for everyone):
 
 - :class:`CyclingDeadlinePolicy` — a per-round sequence that cycles
   (``schedule[(m - 1) mod len]``), which lets a server run periodic
@@ -66,44 +66,14 @@ from repro.sparsify.base import ClientUpload
 # ----------------------------------------------------------------------
 # Deadline policies: what budget is in force each round
 # ----------------------------------------------------------------------
-class DeadlinePolicy:
-    """Interface: the per-round deadline schedule, optionally adaptive."""
-
-    name = "abstract"
-    #: whether :meth:`observe` feedback can move the deadline
-    adaptive = False
-
-    def deadline_for(self, round_index: int) -> float:
-        """The deadline in force for 1-based round ``round_index``."""
-        raise NotImplementedError
-
-    def probe_deadline(self, round_index: int) -> float | None:
-        """The d' < d this policy wants probed this round (None = none)."""
-        del round_index
-        return None
-
-    def probe_deadline_up(self, round_index: int) -> float | None:
-        """The d'' > d this policy wants probed when the round dropped
-        uploads (None = no upward probe)."""
-        del round_index
-        return None
-
-    def observe(self, *readings: Reading) -> None:
-        """Consume the round's probe readings — d' first, then d'' when
-        it ran (no-op for cycling schedules)."""
-        del readings
-
-    @staticmethod
-    def _check_round(round_index: int) -> None:
-        if round_index < 1:
-            raise ValueError("round_index is 1-based and must be >= 1")
+def _check_round(round_index: int) -> None:
+    if round_index < 1:
+        raise ValueError("round_index is 1-based and must be >= 1")
 
 
-class CyclingDeadlinePolicy(DeadlinePolicy):
+class CyclingDeadlinePolicy:
     """A per-round deadline sequence that cycles (straggler amnesty); a
     fixed deadline d is the one-entry cycle ``(d,)``."""
-
-    name = "cycling"
 
     def __init__(self, schedule: Sequence[float]) -> None:
         schedule = tuple(float(d) for d in schedule)
@@ -114,11 +84,12 @@ class CyclingDeadlinePolicy(DeadlinePolicy):
         self.schedule = schedule
 
     def deadline_for(self, round_index: int) -> float:
-        self._check_round(round_index)
+        """The deadline in force for 1-based round ``round_index``."""
+        _check_round(round_index)
         return self.schedule[(round_index - 1) % len(self.schedule)]
 
 
-class AdaptiveDeadlinePolicy(DeadlinePolicy):
+class AdaptiveDeadlinePolicy:
     """Online-learned deadline — the exact dual of the learned k.
 
     An :class:`~repro.online.knob.OnlineKnob` over a deadline interval
@@ -150,9 +121,6 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
     bit-identical across the serial and sharded backends.
     """
 
-    name = "adaptive"
-    adaptive = True
-
     def __init__(
         self,
         interval: SearchInterval,
@@ -161,7 +129,6 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
     ) -> None:
         self.interval = interval
         self.knob = OnlineKnob.over(interval, start=d1)
-        self.algorithm = self.knob.walker
         self.probe = probe
 
     @property
@@ -170,22 +137,28 @@ class AdaptiveDeadlinePolicy(DeadlinePolicy):
         return self.knob.value
 
     def deadline_for(self, round_index: int) -> float:
-        self._check_round(round_index)
+        """The deadline in force for 1-based round ``round_index``."""
+        _check_round(round_index)
         return self.knob.value
 
     def probe_deadline(self, round_index: int) -> float | None:
-        self._check_round(round_index)
+        """The d' < d to probe this round (None = none)."""
+        _check_round(round_index)
         if not self.probe:
             return None
         return self.knob.probe_below(floor=self.knob.value / 2.0)
 
     def probe_deadline_up(self, round_index: int) -> float | None:
-        self._check_round(round_index)
+        """The d'' > d to probe when the round dropped uploads (None =
+        none)."""
+        _check_round(round_index)
         if not self.probe:
             return None
         return self.knob.probe_above()
 
     def observe(self, *readings: Reading) -> None:
+        """Consume the round's probe readings — d' first, then d'' when
+        it ran; none when no probe ran."""
         self.knob.observe(*readings)
 
 
@@ -210,9 +183,10 @@ class DeadlineRoundPolicy:
     Parameters
     ----------
     schedule:
-        The :class:`DeadlinePolicy` naming each round's compute+uplink
-        budget (cycling or adaptive), or ``None`` for "wait for
-        everyone" (no drops; useful to isolate availability effects).
+        The deadline policy naming each round's compute+uplink budget
+        (:class:`CyclingDeadlinePolicy` or :class:`AdaptiveDeadlinePolicy`),
+        or ``None`` for "wait for everyone" (no drops; useful to isolate
+        availability effects).
     over_selection:
         The ε of "sample ``m·(1+ε)`` clients, aggregate the first ``m``
         to finish" — the policy only consumes the *target* ``m``; the
@@ -224,7 +198,7 @@ class DeadlineRoundPolicy:
 
     def __init__(
         self,
-        schedule: DeadlinePolicy | None,
+        schedule: CyclingDeadlinePolicy | AdaptiveDeadlinePolicy | None,
         over_selection: float = 0.0,
         min_uploads: int = 1,
     ) -> None:

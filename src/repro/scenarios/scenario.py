@@ -55,7 +55,10 @@ from repro.scenarios.availability import (
 )
 from repro.scenarios.config import ScenarioConfig
 from repro.online.knob import Reading
-from repro.scenarios.deadline import DeadlineRoundPolicy
+from repro.scenarios.deadline import (
+    AdaptiveDeadlinePolicy,
+    DeadlineRoundPolicy,
+)
 from repro.simulation.heterogeneous import ClientProfile, check_profiles
 from repro.simulation.timing import TimingModel
 
@@ -341,7 +344,7 @@ class ScenarioHooks(RoundHooks):
             ctx.uploads, finish, self._played_deadline, self.target_uploads
         )
         accepted = set(verdict.accepted)
-        if schedule is not None and schedule.adaptive:
+        if isinstance(schedule, AdaptiveDeadlinePolicy):
             # Counterfactual replays of the gate on the same pre-gate
             # uploads — free: the arrival times are known.
             wanted = [schedule.probe_deadline(ctx.round_index)]
@@ -406,7 +409,7 @@ class ScenarioHooks(RoundHooks):
     def observe(self, ctx: RoundContext) -> None:
         self.adversary_hooks.observe(ctx)
         schedule = self.policy.schedule
-        if self._played_deadline is None or not schedule.adaptive:
+        if not isinstance(schedule, AdaptiveDeadlinePolicy):
             return
         played = self._played_deadline
         tel = ctx.engine.telemetry

@@ -166,13 +166,8 @@ class Sparsifier:
     name = "abstract"
     discards_residual = False
 
-    def client_select(
-        self, residual: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Indices (unsorted ok, unique) a client uploads from ``residual``.
-
-        Default: top-k by absolute value, shared by all top-k schemes.
-        """
+    def client_select(self, residual: np.ndarray, k: int) -> np.ndarray:
+        """Indices (unsorted ok, unique) a client uploads from ``residual``."""
         raise NotImplementedError
 
     def client_select_batched(self, residuals: np.ndarray, k: int) -> None:

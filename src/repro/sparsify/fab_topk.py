@@ -24,10 +24,7 @@ class FABTopK(Sparsifier):
 
     name = "fab-top-k"
 
-    def client_select(
-        self, residual: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        del rng  # deterministic top-k; accepted for interface uniformity
+    def client_select(self, residual: np.ndarray, k: int) -> np.ndarray:
         return top_k_indices(residual, k)
 
     def server_select(

@@ -22,10 +22,7 @@ class FUBTopK(Sparsifier):
 
     name = "fub-top-k"
 
-    def client_select(
-        self, residual: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        del rng
+    def client_select(self, residual: np.ndarray, k: int) -> np.ndarray:
         return top_k_indices(residual, k)
 
     def server_select(

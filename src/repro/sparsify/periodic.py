@@ -59,10 +59,7 @@ class PeriodicK(Sparsifier):
         self._current = np.sort(np.array(chosen, dtype=np.int64))
         return self._current
 
-    def client_select(
-        self, residual: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        del rng
+    def client_select(self, residual: np.ndarray, k: int) -> np.ndarray:
         if self._current is None or self._current.size != k:
             self.start_round(k)
         assert self._current is not None

@@ -19,10 +19,7 @@ class UnidirectionalTopK(Sparsifier):
 
     name = "unidirectional-top-k"
 
-    def client_select(
-        self, residual: np.ndarray, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        del rng
+    def client_select(self, residual: np.ndarray, k: int) -> np.ndarray:
         return top_k_indices(residual, k)
 
     def server_select(

@@ -13,8 +13,8 @@ from repro.experiments.runner import text_table
 
 
 def test_fig6_algorithm3_vs_algorithm2(capsys):
-    config = bench_config().with_overrides(num_rounds=200)
-    result = run_fig6(config, comm_time=100.0)
+    config = bench_config().with_overrides(num_rounds=200, comm_time=100.0)
+    result = run_fig6(config)
 
     budget = min(h.total_time for h in result.histories.values())
     final = result.loss_at_time(budget)

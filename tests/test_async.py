@@ -35,9 +35,7 @@ from repro.fl.async_engine import (
     STALENESS_DISCOUNT_KINDS,
     AdaptiveStalenessDiscount,
     AsyncFLTrainer,
-    ConstantDiscount,
     PolynomialDiscount,
-    StalenessDiscount,
     build_staleness_discount,
     polynomial_factor,
 )
@@ -125,20 +123,22 @@ def _attacked_async_trainer(config=ATTACKED, discount="polynomial",
 # ----------------------------------------------------------------------
 class TestDiscounts:
     def test_constant_is_staleness_blind(self):
-        d = ConstantDiscount()
+        d = build_staleness_discount("constant")
         assert d.factor(0) == d.factor(7) == 1.0
-        assert d.probe_exponent() is None and not d.adaptive
+        # A fixed law is its factor: nothing for the hooks to probe.
+        assert not hasattr(d, "probe_exponent")
+        assert not hasattr(d, "observe")
 
     def test_constant_validates_range(self):
         with pytest.raises(ValueError):
-            ConstantDiscount().factor(-1)
+            build_staleness_discount("constant").factor(-1)
 
     def test_polynomial_attenuation(self):
         assert polynomial_factor(0, 1.0) == 1.0
         assert polynomial_factor(1, 1.0) == pytest.approx(0.5)
         assert polynomial_factor(3, 1.0) == pytest.approx(0.25)
         assert polynomial_factor(9, 0.0) == 1.0
-        assert PolynomialDiscount().factor(3) == pytest.approx(0.5)
+        assert PolynomialDiscount(0.5).factor(3) == pytest.approx(0.5)
 
     def test_adaptive_probe_strictly_below_current(self):
         d = AdaptiveStalenessDiscount()
@@ -174,19 +174,17 @@ class TestDiscounts:
         assert d.exponent <= hi
         assert d.exponent > lo  # and the negative sign really moved it
 
-    def test_frozen_adaptive_never_probes(self, monkeypatch):
-        monkeypatch.setattr(AdaptiveStalenessDiscount, "probe", False)
-        d = AdaptiveStalenessDiscount()
-        assert d.probe_exponent() is None
-        assert d.exponent == pytest.approx(sum(DEFAULT_EXPONENT_INTERVAL) / 2)
-
     def test_builder_kinds_and_aliases(self):
-        assert isinstance(build_staleness_discount("poly"),
-                          PolynomialDiscount)
-        assert isinstance(build_staleness_discount("const"),
-                          ConstantDiscount)
-        for kind in STALENESS_DISCOUNT_KINDS:
-            assert build_staleness_discount(kind).name == kind
+        exponents = {"constant": 0.0, "const": 0.0, "polynomial": 0.5,
+                     "poly": 0.5}
+        for kind, exponent in exponents.items():
+            discount = build_staleness_discount(kind)
+            assert type(discount) is PolynomialDiscount
+            assert discount.exponent == exponent
+        adaptive = build_staleness_discount("adaptive")
+        assert isinstance(adaptive, AdaptiveStalenessDiscount)
+        assert adaptive.exponent == sum(DEFAULT_EXPONENT_INTERVAL) / 2
+        assert set(exponents) | {"adaptive"} >= set(STALENESS_DISCOUNT_KINDS)
         with pytest.raises(ValueError):
             build_staleness_discount("linear")
 
@@ -229,12 +227,12 @@ class TestCommitMechanics:
     def test_discount_scales_the_update(self):
         # A global 0.5 discount halves every wire value, so the very
         # first commit's step must differ from the undiscounted one.
-        class Halving(StalenessDiscount):
+        class Halving(PolynomialDiscount):
             def factor(self, staleness):
                 return 0.5
 
-        full = _async_trainer(discount=ConstantDiscount())
-        half = _async_trainer(discount=Halving())
+        full = _async_trainer(discount=PolynomialDiscount(0.0))
+        half = _async_trainer(discount=Halving(0.0))
         full.step(12)
         half.step(12)
         assert not np.array_equal(
@@ -419,9 +417,10 @@ class TestCommitMechanics:
 # Async × adversary: two wire rewrites, honest residuals
 # ----------------------------------------------------------------------
 class _WireRecorder(RoundHooks):
-    """Sits between the adversary seam and the commit hooks: sees the
-    poisoned wire, then the wire before the discount; checks every
-    committed client's residual after the reset."""
+    """Sits between the adversary seam and the commit hooks: records the
+    poisoned wire before the discount; checks that the server
+    aggregated it discounted at each arrival's ``ctx.staleness`` and
+    every committed client's residual after the reset."""
 
     def __init__(self, adversary):
         self.adversary = adversary
@@ -441,8 +440,6 @@ class _WireRecorder(RoundHooks):
             scale = -10.0 if self.adversary.is_adversary(up.client_id) else 1.0
             np.testing.assert_array_equal(up.payload.values, scale * honest)
             self.sent[up.client_id] = (up.payload.indices, honest)
-
-    def before_select(self, ctx):
         self.wire = {up.client_id: up.payload for up in ctx.uploads}
 
     def observe(self, ctx):

@@ -48,6 +48,8 @@ ARGV = [
     "fig5 --dirichlet-alpha 0.3",
     "fig5 --partition dirichlet",
     "fig6 --partition auto --dirichlet-alpha 2",
+    "fig6 --comm-time 5",
+    "fig7 --comm-time 5",
     "fig8 --telemetry t.jsonl",
     "fig8 --scale smoke --rounds 4",
     "scenario",

@@ -1343,16 +1343,17 @@ def _wire_record_uses(name, tree):
     return found
 
 
-#: what ChainedHooks fans out: the two points that change a round, the
+#: what ChainedHooks fans out: the one point that changes a round, the
 #: charge, and the one point that learns
-HOOK_POINTS = {"after_local_steps", "before_select", "extra_round_time",
-               "observe"}
+HOOK_POINTS = {"after_local_steps", "extra_round_time", "observe"}
 #: never-called RoundHooks stubs, kept only because the frozen suite
 #: tracer (benchmarks/suite/trace.py) wraps ScenarioHooks' methods of
 #: these names
 SUITE_STUBS = ("after_aggregate", "after_update", "round_timing")
-#: names nothing under src/ may define or use any more
-GONE_NAMES = ("RoundObservation", "record_k", "_stale")
+#: names nothing under src/ may define or use any more: the second
+#: round-changing hook point and the fixed laws' interface bases
+GONE_NAMES = ("RoundObservation", "record_k", "_stale", "before_select",
+              "StalenessDiscount", "ConstantDiscount", "DeadlinePolicy")
 #: hook points that only read the round: assigning the wire there would
 #: be a swap/restore
 READ_ONLY_POINTS = ("extra_round_time", "observe")
@@ -1409,7 +1410,7 @@ class TestOneWire:
     def test_no_wire_record_and_no_hook_restores(self):
         # Also: per-upload facts are keyed by client id (no positional
         # staleness list), the engine charges the round (no hook returns
-        # a timing or a recorded k), hooks change a round at two points
+        # a timing or a recorded k), hooks change a round at one point
         # and learn at one (no after_aggregate/after_update hook, no
         # second feedback record), and ChainedHooks only fans out.
         src = pathlib.Path(__file__).parents[1] / "src" / "repro"

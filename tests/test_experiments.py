@@ -209,8 +209,10 @@ class TestFig5:
 
 class TestFig6:
     def test_runs_both_algorithms(self):
-        cfg = ExperimentConfig.smoke().with_overrides(num_rounds=25)
-        result = run_fig6(cfg, comm_time=100.0)
+        cfg = ExperimentConfig.smoke().with_overrides(
+            num_rounds=25, comm_time=100.0
+        )
+        result = run_fig6(cfg)
         assert set(result.histories) == {"algorithm2", "algorithm3"}
         fluct = result.k_fluctuation()
         assert set(fluct) == {"algorithm2", "algorithm3"}

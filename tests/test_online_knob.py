@@ -232,7 +232,7 @@ class TestZeroWidthIntervalFreezesTheWalk:
         trainer.run(4, k=9)
         assert scenario.stats.total_dropped > 0
         assert pinned.knob.history == [5.0] * 5
-        assert pinned.algorithm.m == 5
+        assert pinned.knob.walker.m == 5
 
     def test_learned_exponent_commit_completes(self, monkeypatch):
         model, fed = _setup()

@@ -15,6 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.partition import ClientDataset
+from repro.fl.async_engine import (
+    _discounted, build_staleness_discount, polynomial_factor,
+)
 from repro.fl.backends import ExecutionBackend, SerialBackend
 from repro.fl.client import Client
 from repro.fl.metrics import RoundRecord, TrainingHistory
@@ -411,7 +414,7 @@ class TestContributionsAgainstReference:
         uploads = []
         for cid in range(data.draw(st.integers(min_value=1, max_value=8))):
             residual = rng.standard_normal(dimension)
-            indices = periodic.client_select(residual, k, rng)
+            indices = periodic.client_select(residual, k)
             uploads.append(ClientUpload(
                 cid, SparseVector.from_dense(residual, indices), cid + 1
             ))
@@ -429,7 +432,7 @@ class TestContributionsAgainstReference:
 
         def upload(cid):
             residual = rng.standard_normal(dimension)
-            indices = periodic.client_select(residual, k, rng)
+            indices = periodic.client_select(residual, k)
             return ClientUpload(cid, SparseVector.from_dense(residual, indices), 1)
 
         stale = upload(0)
@@ -684,6 +687,25 @@ def draw_reset_set(data, j_case, union, dimension):
             st.sampled_from(union.tolist()), min_size=1
         ))))
     return selected.astype(np.int64)
+
+
+class TestConstantDiscountAgainstReference:
+    """``constant`` is the polynomial staleness law at exponent 0:
+    ``(1 + s)^-0`` is exactly 1.0 for every staleness ``s >= 0``, so the
+    commit's discount hands the server the very list it was given."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exponent_zero_leaves_the_wire_untouched(self, data):
+        uploads, _, _ = data.draw(generated_uploads())
+        staleness = {
+            up.client_id: data.draw(st.integers(0, 2**53))
+            for up in uploads
+        }
+        for s in staleness.values():
+            assert polynomial_factor(s, 0.0) == 1.0
+        factor = build_staleness_discount("constant").factor
+        assert _discounted(uploads, staleness, factor) is uploads
 
 
 RESET_CASES = ["disjoint", "covering", "single", "subset"]
@@ -1445,7 +1467,11 @@ def reference_normalized_deadline(fields):
 
 
 def deadline_walk(schedule):
-    """(deadline in force, d' probe, d'' probe) for rounds 1..8."""
+    """(deadline in force, d' probe, d'' probe) for rounds 1..8; a fixed
+    law is its schedule and probes nothing."""
+    if not isinstance(schedule, AdaptiveDeadlinePolicy):
+        return [(schedule.deadline_for(m), None, None)
+                for m in DEADLINE_ROUNDS]
     return [
         (schedule.deadline_for(m), schedule.probe_deadline(m),
          schedule.probe_deadline_up(m))

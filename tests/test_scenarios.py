@@ -536,8 +536,9 @@ class TestDeadlineSchedules:
         fixed = ScenarioConfig(deadline=4.0).deadline_schedule()
         assert [fixed.deadline_for(m) for m in (1, 7, 100)] == [4.0] * 3
         assert DeadlineRoundPolicy(fixed).applies(None)
-        assert fixed.probe_deadline(1) is None
-        assert not fixed.adaptive
+        # A fixed law is its schedule: nothing for the hooks to probe.
+        assert not hasattr(fixed, "probe_deadline")
+        assert not hasattr(fixed, "observe")
         # No deadline: no schedule, and the gate never applies.
         assert ScenarioConfig(deadline=None).deadline_schedule() is None
         assert not DeadlineRoundPolicy(None).applies(None)
@@ -575,7 +576,7 @@ class TestDeadlineSchedules:
         probe = adaptive.probe_deadline(1)
         assert probe is not None
         assert probe == pytest.approx(
-            max(6.0 - adaptive.algorithm.step_size() / 2.0, 3.0)
+            max(6.0 - adaptive.knob.walker.step_size() / 2.0, 3.0)
         )
         assert 0.0 < probe < adaptive.deadline
         # Even pinned at the interval's lower edge the probe stays
@@ -592,7 +593,7 @@ class TestDeadlineSchedules:
         assert frozen.probe_deadline(1) is None
         frozen.observe()  # no probe ran, so the round has no reading
         assert frozen.deadline == 6.0  # unchanged, round advanced
-        assert frozen.algorithm.m == 2
+        assert frozen.knob.walker.m == 2
 
     def _observation(self, adaptive, loss_probe, probe_round_time):
         """The round's readings: just the d'-reading."""
@@ -633,7 +634,7 @@ class TestDeadlineSchedules:
             adaptive, loss_probe=1.2, probe_round_time=3.0
         ))
         assert adaptive.deadline == before
-        assert adaptive.algorithm.m == 2  # round still advanced
+        assert adaptive.knob.walker.m == 2  # round still advanced
 
     def test_adaptive_projects_into_interval_and_tracks_history(self):
         adaptive = AdaptiveDeadlinePolicy(
@@ -666,7 +667,7 @@ class TestDeadlineSchedules:
         adaptive = AdaptiveDeadlinePolicy(SearchInterval(2.0, 10.0))
         up = adaptive.probe_deadline_up(1)
         assert up == pytest.approx(
-            6.0 + adaptive.algorithm.step_size() / 2.0
+            6.0 + adaptive.knob.walker.step_size() / 2.0
         )
         assert up > adaptive.deadline
         frozen = AdaptiveDeadlinePolicy(
@@ -688,7 +689,7 @@ class TestDeadlineSchedules:
             loss_probe_up=0.2, probe_round_time_up=6.0,
         ))
         assert adaptive.deadline > before
-        assert adaptive.algorithm.m == 2
+        assert adaptive.knob.walker.m == 2
 
     def test_down_estimate_stays_primary(self):
         # Both replays usable but pointing in opposite directions: the
@@ -714,7 +715,7 @@ class TestDeadlineSchedules:
             loss_probe_up=1.1, probe_round_time_up=6.0,
         ))
         assert adaptive.deadline == before
-        assert adaptive.algorithm.m == 2  # round still advanced
+        assert adaptive.knob.walker.m == 2  # round still advanced
 
     def test_config_builds_the_deadline_schedule(self):
         # A fixed d is the one-entry cycle; no deadline builds nothing.
@@ -991,7 +992,11 @@ class TestOneDeadlineFamily:
 
     def test_the_gate_holds_a_schedule_and_judges_one_deadline(self):
         source = self.SOURCES["scenarios/deadline.py"]
-        assert "active" not in class_members(source, "DeadlinePolicy")
+        # The fixed law is its schedule: no activity flag, no probe
+        # stubs, no observe.
+        assert class_members(source, "CyclingDeadlinePolicy") == {
+            "__init__", "deadline_for", "schedule",
+        }
         assert class_members(source, "DeadlineRoundPolicy") == {
             "__init__", "admit", "applies",
             "schedule", "over_selection", "min_uploads",

@@ -157,7 +157,7 @@ class TestTopKIndices:
         assert expected.size == 10 and not np.isnan(v[expected]).any()
         np.testing.assert_array_equal(top_k_indices(v, 10), expected)
         np.testing.assert_array_equal(
-            FABTopK().client_select(v, 10, RNG), expected
+            FABTopK().client_select(v, 10), expected
         )
 
     def test_nan_is_selected_only_after_every_number(self):
@@ -523,9 +523,8 @@ class TestPeriodicK:
     def test_same_for_all_clients(self):
         p = PeriodicK(dimension=20, seed=2)
         p.start_round(4)
-        rng = np.random.default_rng(0)
-        a = p.client_select(RNG.standard_normal(20), 4, rng)
-        b = p.client_select(RNG.standard_normal(20), 4, rng)
+        a = p.client_select(RNG.standard_normal(20), 4)
+        b = p.client_select(RNG.standard_normal(20), 4)
         np.testing.assert_array_equal(a, b)
 
     def test_server_select_consumes_round(self):
@@ -542,7 +541,7 @@ class TestPeriodicK:
         # 4 coordinates: 2k <= d, so it does not wrap and shares none
         # with this round's.  A round set server_select failed to clear
         # would be handed out again.
-        idx2 = p.client_select(dense, 4, np.random.default_rng(0))
+        idx2 = p.client_select(dense, 4)
         assert idx2.size == 4
         assert np.intersect1d(idx, idx2).size == 0
 
