@@ -8,6 +8,11 @@ pairs.  :class:`FlatModel` provides exactly that interface on top of a
 one vector, computing the flat gradient of a minibatch, and evaluating
 per-sample losses at arbitrary weight vectors (needed by the sign
 estimator, which probes three different weight vectors per round).
+
+Both passes run in blocks sized by bytes: a gradient call stacks
+:data:`BLOCK_BYTES` of its widest per-group array, an evaluation pool
+:data:`EVAL_BYTES` of its widest per-sample layer output, so neither
+holds a whole cohort's or a whole pool's temporaries at once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,23 @@ from repro.nn.losses import SoftmaxCrossEntropy
 #: alone was ≈ 5 MB, which glibc trimmed and faulted back in every call.
 BLOCK_BYTES = 1 << 20
 
+#: Bytes of the widest per-sample layer output one block of an
+#: evaluation forward (:meth:`FlatModel._evaluate`) may stack.  The
+#: suite CNN's 960-sample pool runs in 4 blocks of 240 (16 KiB of conv-1
+#: output a sample), where one whole-pool pass held 16–18 MB im2col
+#: columns and conv-1 outputs; the paper CNN runs blocks of 20 samples,
+#: and every suite MLP pool is one block.  Parameters do not count: an
+#: evaluation stacks none of their gradients.  The size is part of the
+#: design.  Freeing a block's ≈ 4 MB arrays raises glibc's dynamic mmap
+#: threshold, and its trim threshold (2×) with it, above one gradient
+#: block's working set, so ``gradients_batched`` keeps its heap: about 1
+#: minor fault a round after an evaluation at blocks of 160–480 samples,
+#: 16–24k at blocks of 64 or 96 (cnn_fixedk, glibc's defaults, 2-vCPU
+#: Xeon).  Rows are byte-equal to the whole pass at every size these
+#: pools run; blocks of one sample at the CNNs and of about 7 at
+#: mlp_sharded's MLP were not (OpenBLAS picks other kernels there).
+EVAL_BYTES = 4 << 20
+
 
 class FlatModel:
     """A `Sequential` network plus softmax cross-entropy, exposed through
@@ -51,8 +73,12 @@ class FlatModel:
         self._sizes = [p.size for p in self._param_arrays]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
         self.dimension = int(self._offsets[-1])
-        #: groups per block of :meth:`gradients_batched`, by minibatch shape
-        self._block_groups: dict[tuple[int, ...], int] = {}
+        #: bytes of the widest parameter, hence of its per-group gradient
+        self._widest_param = max(
+            (p.nbytes for p in self._param_arrays), default=0
+        )
+        #: :meth:`_widest_output` by the shape of one group's input
+        self._output_bytes: dict[tuple[int, ...], int] = {}
 
     # ------------------------------------------------------------------
     # Weight access
@@ -139,21 +165,25 @@ class FlatModel:
         minibatches shaped like ``x``: :data:`BLOCK_BYTES` over the
         widest per-group array a pass stacks (at least one group).  That
         is a parameter's gradient (``p.nbytes`` a group, as
-        ``backward_params`` returns it) or a layer output; the outputs
-        are read once per shape from a one-group evaluation forward of
-        ``x``.  The serial backend cuts a round's clients by the same
-        rule, so each of its calls is one pass."""
-        block = self._block_groups.get(x.shape)
-        if block is None:
-            # At least one byte: no zero divisor for an empty stack.
-            widest = max([1] + [p.nbytes for p in self._param_arrays])
-            h = x[None]
+        ``backward_params`` returns it) or a layer output
+        (:meth:`_widest_output`).  The serial backend cuts a round's
+        clients by the same rule, so each of its calls is one pass."""
+        widest = max(self._widest_output(x), self._widest_param)
+        return max(1, BLOCK_BYTES // widest)
+
+    def _widest_output(self, x: np.ndarray) -> int:
+        """Bytes of the widest layer output of a one-group evaluation
+        forward of ``x``, read once per shape (at least one byte: no
+        zero divisor for an empty stack)."""
+        widest = self._output_bytes.get(x.shape)
+        if widest is None:
+            widest, h = 1, x[None]
             with self._evaluation():
                 for layer in self.network.layers:
                     h = layer.forward(h)
                     widest = max(widest, h.nbytes)
-            block = self._block_groups[x.shape] = max(1, BLOCK_BYTES // widest)
-        return block
+            self._output_bytes[x.shape] = widest
+        return widest
 
     def _backprop(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Per-layer parameter gradients (leading group axis) of each
@@ -181,9 +211,35 @@ class FlatModel:
             self.network.train(was_training)
 
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
-        """The network's forward of the stack ``x`` in evaluation mode."""
+        """The network's forward of the stack ``x`` in evaluation mode.
+
+        A one-group stack ``(1, n, ...)`` (an evaluation pool) runs in
+        ⌈n / b⌉ blocks of near-equal size, b being :data:`EVAL_BYTES`
+        over the widest per-sample layer output (at least one sample),
+        each block's logits written into one ``(1, n, classes)`` array.
+        Each row's bytes equal the whole pass's at the block sizes the
+        pools run, and the callers reduce over that one array, so the
+        mean loss keeps the whole pass's summation order.  A pool of
+        one block, and any other stack (``per_sample_losses`` makes
+        each sample its own group), is one forward, with no copy.
+        """
+        groups, n = x.shape[:2]
+        blocks = 1
+        if groups == 1 and n > 1:
+            per_block = max(1, EVAL_BYTES // self._widest_output(x[0, :1]))
+            blocks = -(-n // per_block)
         with self._evaluation():
-            return self.network.forward(x)
+            if blocks == 1:
+                return self.network.forward(x)
+            logits = None
+            for i in range(blocks):
+                lo, hi = i * n // blocks, (i + 1) * n // blocks
+                out = self.network.forward(x[:, lo:hi])
+                if logits is None:
+                    # After the first block, as gradients_batched does.
+                    logits = np.empty((1, n) + out.shape[2:], out.dtype)
+                logits[:, lo:hi] = out
+            return logits
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean loss on ``(x, y)`` at the current weights (no gradients)."""

@@ -209,8 +209,9 @@ class Conv2D(Layer):
         )
         cols3 = cols.reshape(groups, n * h_out * w_out, -1)
         # Cache for backward only while training: evaluation forwards run
-        # over whole eval pools, and pinning a pool-sized im2col buffer
-        # until the next forward would dwarf any minibatch-sized leak.
+        # over blocks of an eval pool (up to FlatModel's EVAL_BYTES of
+        # layer output each), and pinning a block's im2col buffer until
+        # the next forward would dwarf any minibatch-sized leak.
         self._cols = cols3 if self.training else None
         self._x_shape = x.shape
         w_mat = self.params[0].reshape(self.out_channels, -1)
@@ -296,7 +297,8 @@ class MaxPool2D(Layer):
         argmax = np.zeros(out.shape, index)
         for t, tap in enumerate(rest, 1):
             # The index is only needed for backward; skip it (and don't pin
-            # an output-sized buffer) on evaluation forwards over eval pools.
+            # an output-sized buffer) on evaluation forwards over blocks of
+            # eval pools.
             if self.training:
                 wins = ~(tap <= out)  # tap > out, or either is NaN ...
                 wins &= out == out  # ... but an earlier NaN keeps its place

@@ -127,7 +127,6 @@ class AdaptiveDeadlinePolicy:
         d1: float | None = None,
         probe: bool = True,
     ) -> None:
-        self.interval = interval
         self.knob = OnlineKnob.over(interval, start=d1)
         self.probe = probe
 

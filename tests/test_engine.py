@@ -22,6 +22,7 @@ import hashlib
 import json
 import multiprocessing
 import pathlib
+import resource
 import tracemalloc
 
 import numpy as np
@@ -917,6 +918,44 @@ def _suite_stack(model_name, groups, seed):
     return build(), xs, ys
 
 
+def _gradient_faults_after_an_evaluation(seed):
+    """Minor page faults a round that ``gradients_batched`` takes in the
+    10 rounds after an evaluation, at ``cnn_fixedk``'s geometry (24
+    writers of 16x16 images, the suite CNN, a 960-sample pool): a
+    warm-up round (round 1 evaluates too), one evaluation, then the 10
+    rounds, none of which evaluates."""
+    dataset = make_femnist_like(
+        num_writers=24, samples_per_writer=40, num_classes=62,
+        image_size=16, classes_per_writer=8, flatten=False, seed=0,
+    )
+    model = make_cnn(16, 1, 62, conv_channels=(8, 16), dense_width=64, seed=0)
+    trainer = FLTrainer(
+        model, partition_by_writer(dataset, seed=seed), FABTopK(),
+        timing=TimingModel(model.dimension, 10.0), learning_rate=0.05,
+        batch_size=32, eval_every=10**6, eval_max_samples=1000, seed=seed,
+    )
+    faults = []
+    grouped = model.gradients_batched
+
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def counted(xs, ys):
+        before = minor_faults()
+        grads = grouped(xs, ys)
+        faults.append(minor_faults() - before)
+        return grads
+
+    model.gradients_batched = counted
+    k = int(0.4 * model.dimension / 24)
+    trainer.step(k)
+    trainer.engine.global_loss()
+    faults.clear()
+    for _ in range(10):
+        trainer.step(k)
+    return sum(faults) / 10
+
+
 class TestBatchedKernels:
     def test_gradients_batched_bitwise_equal(self):
         rng = np.random.default_rng(0)
@@ -1080,6 +1119,24 @@ class TestBatchedKernels:
         finally:
             tracemalloc.stop()
         assert peak <= ceiling_mib * 2**20
+
+    def test_gradient_faults_after_an_evaluation_at_cnn_fixedk(self):
+        # The evaluation's block size is coupled to the gradient pass's
+        # page faults: freeing the evaluation's large arrays raises
+        # glibc's dynamic mmap threshold (and its trim threshold, 2x)
+        # above one gradient block's working set, so the pass keeps its
+        # heap.  Whole-pool and 160-480-sample blocks read about 1 fault
+        # a round; blocks of 64 or 96 samples read 15-24k.  The child is
+        # spawned because this pytest process's own earlier frees would
+        # lift the threshold too.  Like every pin of this kind it holds
+        # on the host it was measured on only (glibc's malloc defaults,
+        # a Linux kernel, a 2-vCPU Xeon): another allocator or libc
+        # may fault differently (ROADMAP item 21).
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            per_round = pool.apply_async(
+                _gradient_faults_after_an_evaluation, (901,)
+            ).get(timeout=300)
+        assert per_round <= 50, f"{per_round:.0f} minor faults a round"
 
     @pytest.mark.parametrize("backend_name", ("serial",) + FAST_BACKENDS)
     def test_first_conv_input_gradient_never_computed(

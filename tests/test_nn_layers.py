@@ -188,8 +188,9 @@ class TestConv2D:
             offsets += 1
 
     def test_eval_forward_does_not_cache(self):
-        # Evaluation forwards run over whole eval pools; caching backward
-        # state there would pin pool-sized buffers until the next forward.
+        # Evaluation forwards run over blocks of eval pools; caching
+        # backward state there would pin block-sized buffers until the
+        # next forward.
         # A training forward first, so a stale cache would show too.
         rng = np.random.default_rng(0)
         net = Sequential([

@@ -213,6 +213,7 @@ class TestEstimator:
         assert estimate_tau(1.0, 1.1, 0.9, 3.0) is None
         assert estimate_tau(1.0, 0.9, 1.2, 3.0) is None
         assert estimate_tau(1.0, 1.0, 1.0, 3.0) is None
+        assert estimate_tau(1.0, 1.0, 0.9, 3.0) is None
 
     def test_derivative_sign_positive_when_k_wasteful(self):
         # Probe (smaller k') reaches the same loss faster than the actual

@@ -1177,6 +1177,98 @@ class TestLayerKernelsAgainstReference:
 
 
 # ----------------------------------------------------------------------
+# The evaluation forward: the whole pool as one pass
+# ----------------------------------------------------------------------
+def reference_evaluate(model, x):
+    """``FlatModel``'s evaluation forward before it ran in blocks of
+    samples, verbatim: one grouped forward of the whole pool ``x`` in
+    evaluation mode, the training flag restored."""
+    was_training = model.network.training
+    model.network.train(False)
+    try:
+        return model.network.forward(x[None])
+    finally:
+        model.network.train(was_training)
+
+
+def reference_loss_value(model, x, y):
+    return model.loss.forward(reference_evaluate(model, x)[0], y)
+
+
+def reference_accuracy(model, x, y):
+    logits = reference_evaluate(model, x)[0]
+    return float((model.loss.predict(logits) == y).mean())
+
+
+#: name -> (model builder, sample shape, pool size): the suite CNN and
+#: MLPs at their evaluation pools (960 samples for cnn_fixedk's 24
+#: writers, the 1,000-sample cap elsewhere; "mlp" is the model of
+#: mlp_adaptivek, churn_robust and async_adaptive), the paper MLP at
+#: paper_scale()'s 4,000, and the paper CNN on a reduced 200-sample pool
+EVAL_POOLS = {
+    "cnn": (lambda: make_cnn(16, 1, 62, (8, 16), 64), (1, 16, 16), 960),
+    "mlp": (lambda: make_mlp(256, 62, hidden=(64,)), (256,), 1000),
+    "mlp_sharded": (lambda: make_mlp(400, 62, hidden=(200,)), (400,), 1000),
+    "paper_mlp": (lambda: make_mlp(784, 62, hidden=(512,)), (784,), 4000),
+    "paper_cnn": (
+        lambda: make_cnn(28, 1, 62, (32, 64), 128), (1, 28, 28), 200
+    ),
+}
+
+
+def eval_pool(name, seed):
+    """A fresh model of the :data:`EVAL_POOLS` entry ``name`` and its
+    pool ``(x, y)``."""
+    build, sample_shape, samples = EVAL_POOLS[name]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, *sample_shape))
+    return build(), x, rng.integers(0, 62, size=samples)
+
+
+class TestEvaluationAgainstReference:
+    @pytest.mark.parametrize("name", sorted(EVAL_POOLS))
+    def test_loss_accuracy_and_logits_match_the_whole_pool_pass(self, name):
+        model, x, y = eval_pool(name, seed=7)
+        want_logits = reference_evaluate(model, x)
+        want_loss = reference_loss_value(model, x, y)
+        want_accuracy = reference_accuracy(model, x, y)
+        assert model.network.training  # evaluated from a training state
+        assert_bytes_equal(model._evaluate(x[None]), want_logits)
+        assert np.float64(model.loss_value(x, y)).tobytes() == (
+            np.float64(want_loss).tobytes()
+        )
+        assert np.float64(model.accuracy(x, y)).tobytes() == (
+            np.float64(want_accuracy).tobytes()
+        )
+        assert model.network.training
+
+    @pytest.mark.parametrize("name, blocks", [
+        pytest.param("cnn", [240] * 4, id="cnn"),
+        pytest.param("mlp", [1000], id="mlp"),
+        pytest.param("mlp_sharded", [1000], id="mlp_sharded"),
+        pytest.param("paper_mlp", [1000] * 4, id="paper_mlp"),
+        pytest.param("paper_cnn", [20] * 10, id="paper_cnn"),
+    ])
+    def test_eval_block_count(self, name, blocks, monkeypatch):
+        # Non-vacuity of the comparison above: the suite CNN's pool runs
+        # in 4 blocks of 240 (its 16 KiB conv-1 output a sample), the
+        # paper CNN's in blocks of 20 (196 KiB) and the paper MLP's in 4
+        # of 1,000 (its 4 KiB hidden layer); every suite MLP pool is one
+        # forward of the whole pool.
+        model, x, y = eval_pool(name, seed=8)
+        seen = []
+        real = model.network.forward
+
+        def spy(h):
+            seen.append(h.shape[:2])
+            return real(h)
+
+        monkeypatch.setattr(model.network, "forward", spy)
+        model.loss_value(x, y)
+        assert seen == [(1, b) for b in blocks]
+
+
+# ----------------------------------------------------------------------
 # Section IV-E probe losses: the per-client path, one sample at a time
 # ----------------------------------------------------------------------
 def reference_probe_reading(model, participants, weights):

@@ -736,8 +736,8 @@ class TestDeadlineSchedules:
         ).deadline_schedule()
         assert isinstance(adaptive, AdaptiveDeadlinePolicy)
         assert adaptive.deadline == 3.0
-        assert adaptive.interval.kmin == 2.0
-        assert adaptive.interval.kmax == 9.0
+        assert adaptive.knob.walker.interval.kmin == 2.0
+        assert adaptive.knob.walker.interval.kmax == 9.0
         assert not adaptive.probe
 
 
@@ -1501,7 +1501,7 @@ class TestAdaptiveDeadlineIntegration:
         # One decision per round plus the upcoming one.
         assert len(history) == len(scenario.stats.rounds) + 1
         assert len(set(history)) > 1  # it adapted
-        interval = schedule.interval
+        interval = schedule.knob.walker.interval
         assert all(interval.contains(d) for d in history)
         # The per-round stats carry the deadline that was in force.
         assert [r.deadline for r in scenario.stats.rounds] == history[:-1]
