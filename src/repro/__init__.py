@@ -11,7 +11,8 @@ Subpackages
 - :mod:`repro.sparsify` — gradient sparsification schemes: the paper's
   FAB-top-k plus the FUB-top-k / unidirectional / periodic-k baselines.
 - :mod:`repro.fl` — the synchronized sparse-gradient FL loop
-  (Algorithm 1), FedAvg and always-send-all baselines, metrics.
+  (Algorithm 1; always-send-all is its k = D case), the FedAvg
+  baseline, metrics.
 - :mod:`repro.online` — online learning of the sparsity k: Algorithms 2
   and 3, the derivative-sign estimator, bandit baselines, regret bounds,
   and the full adaptive-k trainer.

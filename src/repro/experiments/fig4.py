@@ -7,7 +7,7 @@ Six methods, all with the same sparsity k and communication time β = 10:
 3. Unidirectional top-k [22]
 4. Periodic-k (random subset) [8], [30]
 5. FedAvg sending everything every ⌊D/(2k)⌋ rounds (comm-matched) [2]
-6. Always-send-all
+6. Always-send-all (Algorithm 1 at k = D)
 
 Outputs the three panels of Fig. 4: loss vs normalized time, accuracy vs
 normalized time, and the CDF of the number of gradient elements used from
@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     contribution_cdf,
     fig4_sparsity,
 )
-from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.metrics import TrainingHistory
 from repro.fl.trainer import FLTrainer
 from repro.sparsify.fab_topk import FABTopK
@@ -119,8 +119,10 @@ def _run_method(
         )
         return trainer.run_for_time(time_budget)
     if method == "always-send-all":
-        trainer = AlwaysSendAllTrainer(model, federation, **common)
-        return trainer.run_for_time(time_budget)
+        # Algorithm 1 at k = D: every residual uploaded whole, the full
+        # weighted mean sent back.
+        trainer = FLTrainer(model, federation, FABTopK(), **common)
+        return trainer.run_for_time(time_budget, model.dimension)
     sparsifiers = {
         "fab-top-k": FABTopK,
         "fub-top-k": FUBTopK,

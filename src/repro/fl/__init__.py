@@ -12,9 +12,10 @@
 - :class:`~repro.fl.server.Server`: weighted aggregation
   ``b_j = (1/C) Σ_i C_i a_ij 1[j ∈ J_i]``.
 - :class:`~repro.fl.trainer.FLTrainer`: the synchronized sparse-gradient
-  training loop (Algorithm 1) with pluggable sparsifier and timing model.
-- :mod:`repro.fl.fedavg`: the FedAvg send-all-every-E-rounds baseline and
-  the always-send-all baseline of Fig. 4.
+  training loop (Algorithm 1) with pluggable sparsifier and timing model;
+  at k = D it is Fig. 4's always-send-all baseline.
+- :mod:`repro.fl.fedavg`: the FedAvg send-all-every-E-rounds baseline of
+  Fig. 4.
 - :mod:`repro.fl.metrics`: round records and history containers shared by
   all trainers.
 """
@@ -34,7 +35,7 @@ from repro.fl.async_engine import (
     PolynomialDiscount,
     build_staleness_discount,
 )
-from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
@@ -42,7 +43,6 @@ from repro.fl.trainer import FLTrainer
 __all__ = [
     "STALENESS_DISCOUNT_KINDS",
     "AdaptiveStalenessDiscount",
-    "AlwaysSendAllTrainer",
     "AsyncFLTrainer",
     "AsyncRoundEngine",
     "Client",

@@ -97,9 +97,8 @@ class ExecutionBackend:
         """Per-participant minibatch gradients at the current weights.
 
         Draws each participant's minibatch and yields ``(gradient,
-        minibatch)`` pairs in participant order; used directly by dense
-        baselines (always-send-all) that skip sparsification.  The
-        minibatch ``(x, y)`` comes with its gradient when ``want_batches``
+        minibatch)`` pairs in participant order; :meth:`local_steps` is
+        its one consumer.  The minibatch ``(x, y)`` comes with its gradient when ``want_batches``
         asks for it (the input of :meth:`Client.draw_probe_sample`);
         otherwise it may be None.  No client keeps it.
 

@@ -27,18 +27,18 @@ The round's k comes from the engine's **k rule**, itself a hook
 the probe downlink and, in ``observe`` (see :class:`RoundHooks`), forms
 the probe weights (step ③ of Fig. 3), reads the probe losses and feeds
 the policy back — so it runs wherever the round does, async commits
-included, without duplicating any of the skeleton.  Trainers with a
-different *local* phase (FedAvg's local SGD on per-client weight copies,
-always-send-all's dense aggregation) reuse steps 6–7 through
-:meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`.
+included, without duplicating any of the skeleton.  FedAvg, whose
+*local* phase is local SGD on per-client weight copies, reuses steps 6–7
+through :meth:`RoundEngine.begin_round` / :meth:`RoundEngine.finish_round`;
+always-send-all is no separate trainer, it is this round at k = D.
 Steps 1–2 and the time charge of step 6 are the round's *upload
 source*, three small overridable methods: the async engine
 (:mod:`repro.fl.async_engine`) swaps the barrier for a virtual-time
 arrival queue and the straggler tail for its virtual clock there, and
 runs the rest of the round unchanged.
 
-``FLTrainer`` (and its async subclass), ``FedAvgTrainer`` and
-``AlwaysSendAllTrainer`` are thin façades over this class, and
+``FLTrainer`` (and its async subclass) and ``FedAvgTrainer`` are thin
+façades over this class, and
 :class:`EngineFacade`'s ``run``/``run_for_time`` are the only run loops;
 produced histories are unchanged from the pre-engine implementations.
 This is also the seam future scaling work (async rounds, client dropout,
@@ -249,8 +249,8 @@ class EngineFacade:
     """Engine-delegation mixin shared by the trainer façades.
 
     Trainers set ``self.engine`` in their constructor; this mixin forwards
-    the public surface the seed trainers exposed, so the three façades
-    don't each carry a copy of the same property block.  Subclasses
+    the public surface the seed trainers exposed, so the façades don't
+    each carry a copy of the same property block.  Subclasses
     override the evaluation methods when they report something other than
     the current synchronized weights (FedAvg's weighted average).
     """

@@ -1,4 +1,4 @@
-"""Send-all-or-nothing baselines of Fig. 4: FedAvg and always-send-all.
+"""FedAvg, the send-everything-every-E-rounds baseline of Fig. 4.
 
 FedAvg [2]: each client performs local SGD steps on its own weight copy;
 every ``aggregation_period`` rounds the server averages the weights
@@ -6,19 +6,18 @@ every ``aggregation_period`` rounds the server averages the weights
 comm-matched comparison of Fig. 4 the period is ⌊D/(2k)⌋ (paper
 footnote 5) so the *average* per-round communication equals k-element GS.
 
-Always-send-all: the degenerate GS with k = D and dense encoding — full
-gradient aggregation every round.
+Its clients each hold *different* weights, which a single grouped model
+pass cannot express, so the local phase runs here, client by client
+(``backend`` is accepted for interface uniformity and not used by its
+local steps); everything a round has in common with Algorithm 1 — the
+round counter, normalized-time clock, evaluation cadence, and
+record/history bookkeeping — is the shared
+:class:`repro.fl.engine.RoundEngine`'s.
 
-Both trainers run their (non-sparse) local phases themselves and reuse
-the shared :class:`repro.fl.engine.RoundEngine` for everything a round
-has in common with Algorithm 1 — the round counter, normalized-time
-clock, evaluation cadence, and record/history bookkeeping — so none of
-that logic is duplicated.  Always-send-all computes its per-client dense
-gradients through the engine's execution backend and therefore runs
-the grouped pass too; FedAvg's clients each hold *different*
-weights, which a single grouped model pass cannot express, so its local
-phase is inherently serial (``backend`` is accepted for interface
-uniformity and not used by its local steps).
+Fig. 4's other dense baseline, always-send-all, is Algorithm 1 itself at
+k = D: ``FLTrainer(..., FABTopK(), ...)`` run at ``k = model.dimension``
+uploads every residual whole, sends back the full weighted mean and is
+charged a dense round.
 """
 
 from __future__ import annotations
@@ -32,27 +31,11 @@ from repro.nn.flat import FlatModel
 from repro.simulation.timing import TimingModel
 
 
-class _BaselineTrainer(EngineFacade):
-    """Shared engine plumbing for the two dense baselines: keywords are
-    engine settings, forwarded to a sparsifier-less ``RoundEngine``."""
+class FedAvgTrainer(EngineFacade):
+    """FedAvg with periodic weight averaging (the paper's Fig. 4 baseline).
 
-    def __init__(
-        self,
-        model: FlatModel,
-        federation: FederatedDataset,
-        timing: TimingModel,
-        **engine_settings,
-    ) -> None:
-        self.engine = RoundEngine(
-            model, federation, None, timing, **engine_settings
-        )
-
-    def step(self) -> RoundRecord:
-        raise NotImplementedError
-
-
-class FedAvgTrainer(_BaselineTrainer):
-    """FedAvg with periodic weight averaging (the paper's Fig. 4 baseline)."""
+    Keywords are engine settings, forwarded to a sparsifier-less
+    ``RoundEngine``."""
 
     def __init__(
         self,
@@ -64,7 +47,9 @@ class FedAvgTrainer(_BaselineTrainer):
     ) -> None:
         if aggregation_period < 1:
             raise ValueError("aggregation_period must be >= 1")
-        super().__init__(model, federation, timing, **engine_settings)
+        self.engine = RoundEngine(
+            model, federation, None, timing, **engine_settings
+        )
         self.period = aggregation_period
         # Per-client local weight copies, initially synchronized.
         w0 = model.get_weights()
@@ -112,27 +97,4 @@ class FedAvgTrainer(_BaselineTrainer):
             uplink_elements=dimension if aggregated else 0,
             downlink_elements=dimension if aggregated else 0,
             loss_fn=self._evaluate_average,
-        )
-
-
-class AlwaysSendAllTrainer(_BaselineTrainer):
-    """Full dense gradient aggregation every round (Fig. 4 baseline)."""
-
-    def step(self) -> RoundRecord:
-        self.engine.begin_round()
-        counts = np.array([c.sample_count for c in self.clients], dtype=float)
-        total = counts.sum()
-        steps = self.engine.backend.compute_gradients(self.model, self.clients)
-        aggregate = np.zeros(self.model.dimension)
-        for (grad, _), count in zip(steps, counts):
-            aggregate += (count / total) * grad
-        self.model.set_weights(
-            self.model.get_weights() - self.learning_rate * aggregate
-        )
-        dimension = self.model.dimension
-        return self.engine.finish_round(
-            k=float(dimension),
-            round_time=self.timing.dense_round().total,
-            uplink_elements=dimension,
-            downlink_elements=dimension,
         )

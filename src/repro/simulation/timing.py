@@ -133,7 +133,9 @@ class TimingModel:
         )
 
     def dense_round(self, participants=None) -> RoundTiming:
-        """Round exchanging the full dense gradient (always-send-all)."""
+        """Round exchanging the full dense gradient (FedAvg's averaging
+        round); equal to ``sparse_round(D, D)``, since a sparse payload
+        is never charged more than the dense vector."""
         dense = self._direction_time(self.dimension, sparse=False)
         return self._paced_round(dense, dense, participants)
 

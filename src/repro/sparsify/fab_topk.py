@@ -43,10 +43,13 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
     client's accumulated residuals at those indices.  Returns the sorted
     downlink index set ``J`` with ``|J| = min(k, |∪_i J_i|)``.
 
-    The server already holds a D-vector (w), so set membership is two
-    more: ``first_rank[j] = min_i rank_i(j)`` — j ∈ ∪_i J_i^κ exactly when
-    ``first_rank[j] < κ`` — and the largest |value| uploaded at j.  One
-    pass per upload fills each; a bincount is then the union-size curve.
+    The server already holds a D-vector (w), so set membership is three
+    more.  A first pass marks whether anyone uploaded j: a union ∪_i J_i
+    that fits in k is J, with nothing ranked (always-send-all, k = D).
+    Otherwise a second pass keeps the largest |value| uploaded at j, and
+    ``first_rank[j] = min_i rank_i(j)`` holds the rest: j ∈ ∪_i J_i^κ
+    exactly when ``first_rank[j] < κ``, and a bincount of it is the
+    union-size curve.
     It is read only to κ*+1, so uploads are ranked to a depth d
     (``ranked_indices``, O(nnz + d log d)) from d = 2⌈k/N⌉, doubling while
     κ* ≥ d and d is short of the longest upload (the full ranking).
@@ -54,7 +57,12 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
     when N·k ≪ D, where the N client-side top-k passes cost more anyway.
     """
     dimension = uploads[0].payload.dimension
-    longest = max(up.payload.nnz for up in uploads)
+    uploaded = np.zeros(dimension, dtype=bool)
+    for up in uploads:
+        uploaded[up.payload.indices] = True
+    if np.count_nonzero(uploaded) <= k:
+        # Every uploaded index fits in the downlink budget.
+        return np.flatnonzero(uploaded)
     max_magnitude = np.zeros(dimension)
     for up in uploads:
         # Indices are unique inside one upload: plain gather/scatter sees
@@ -63,6 +71,7 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
         max_magnitude[indices] = np.maximum(
             max_magnitude[indices], np.abs(up.payload.values)
         )
+    longest = max(up.payload.nnz for up in uploads)
     depth = 2 * -(-k // len(uploads))
     while True:
         depth = min(depth, longest)  # also "unranked": one past any rank
@@ -78,13 +87,11 @@ def fair_select(uploads: list[ClientUpload], k: int) -> np.ndarray:
         # is the largest κ whose union still fits in k.
         union_sizes = np.cumsum(np.bincount(first_rank, minlength=depth + 1)[:depth])
         kappa = int(np.searchsorted(union_sizes, k, side="right"))
-        if kappa < depth or depth == longest:
+        # At depth == longest, |∪_i J_i| > k keeps κ* below the depth.
+        if kappa < depth:
             break
         depth *= 2
     base = np.flatnonzero(first_rank < kappa)
-    if kappa == longest:
-        # Every uploaded index fits in the downlink budget.
-        return base
     # Fill from (∪ J^{κ+1}) \ (∪ J^κ), largest absolute uploaded value
     # first; ``candidates`` is sorted, so top_k_indices' position tie-break
     # is the index tie-break.

@@ -25,7 +25,7 @@ from repro.fl.async_engine import (
     AsyncFLTrainer,
 )
 from repro.fl.backends import SerialBackend
-from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.trainer import FLTrainer
 from repro.nn.models import make_mlp
 from repro.online.adaptive_trainer import AdaptiveKTrainer
@@ -279,9 +279,6 @@ FACADES = {
         m, f, FABTopK(), ValueBasedGD(SearchInterval(2.0, 50.0)), t, **kw
     ),
     "FedAvgTrainer": lambda m, f, t, **kw: FedAvgTrainer(m, f, t, 2, **kw),
-    "AlwaysSendAllTrainer": lambda m, f, t, **kw: AlwaysSendAllTrainer(
-        m, f, t, **kw
-    ),
 }
 
 

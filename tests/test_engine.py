@@ -4,8 +4,9 @@ Three layers of guarantees:
 
 1. **Golden histories** — the engine-based trainers reproduce, bit for
    bit, histories captured from the pre-engine (seed) implementations of
-   ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and
-   ``AlwaysSendAllTrainer`` (``tests/data/golden_histories.json``).
+   ``FLTrainer``, ``AdaptiveKTrainer``, ``FedAvgTrainer`` and the dense
+   always-send-all trainer, which ``FLTrainer`` at k = D now reproduces
+   (``tests/data/golden_histories.json``).
 2. **Backend equivalence** — the multiprocessing ``ShardedBackend``,
    whose workers compute one client's gradient a call, produces
    histories (losses, clocks, uplink/downlink counts, contributions) and
@@ -40,7 +41,7 @@ from repro.fl.backends import (
 from repro.fl.client import Client
 from repro.parallel.pool import preferred_start_method
 from repro.parallel.sharded import ShardedBackend
-from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.robust import _CoordinateView
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
@@ -141,10 +142,12 @@ def _golden_fedavg():
 
 
 def _golden_sendall():
+    # Captured from the seed's dense trainer; always-send-all is now
+    # Algorithm 1 at k = D, which reproduces it byte for byte.
     model, fed, timing = _golden_setup()
-    trainer = AlwaysSendAllTrainer(model, fed, timing, learning_rate=0.1,
-                                   batch_size=8, eval_every=2, seed=7)
-    return trainer.run(6)
+    trainer = FLTrainer(model, fed, FABTopK(), timing=timing,
+                        learning_rate=0.1, batch_size=8, eval_every=2, seed=7)
+    return trainer.run(6, k=model.dimension)
 
 
 def _golden_cnn():
@@ -342,15 +345,24 @@ SPARSIFIER_FACTORIES = {
 }
 
 
+#: (sparsifier, k) rows of the backend matrix: every scheme at k = 15,
+#: and always-send-all, FAB at k = D
+BACKEND_MATRIX = [
+    pytest.param(name, 15, id=name) for name in sorted(SPARSIFIER_FACTORIES)
+] + [pytest.param("fab-top-k", "D", id="always-send-all")]
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
-    @pytest.mark.parametrize("name", sorted(SPARSIFIER_FACTORIES))
-    def test_fl_histories_identical(self, name, backend_name):
+    @pytest.mark.parametrize("name,k", BACKEND_MATRIX)
+    def test_fl_histories_identical(self, name, k, backend_name):
         factory = SPARSIFIER_FACTORIES[name]
         serial = _fl_trainer("serial", factory)
         fast = _fl_trainer(make_backend(backend_name), factory)
-        hs = serial.run(10, k=15)
-        hf = fast.run(10, k=15)
+        if k == "D":
+            k = serial.model.dimension
+        hs = serial.run(10, k=k)
+        hf = fast.run(10, k=k)
         assert history_rows(hs) == history_rows(hf)
         assert contribution_rows(hs) == contribution_rows(hf)
         np.testing.assert_array_equal(
@@ -385,21 +397,6 @@ class TestBackendEquivalence:
         fast = build(make_backend(backend_name))
         assert history_rows(build("serial").run(8)) == history_rows(
             fast.run(8)
-        )
-        fast.close()
-
-    @pytest.mark.parametrize("backend_name", FAST_BACKENDS)
-    def test_always_send_all_identical(self, backend_name):
-        def build(backend):
-            fed = _federation()
-            model = make_mlp(64, 10, hidden=(12,), seed=5)
-            timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-            return AlwaysSendAllTrainer(model, fed, timing, learning_rate=0.05,
-                                        batch_size=8, eval_every=2, seed=5,
-                                        backend=backend)
-        fast = build(make_backend(backend_name))
-        assert history_rows(build("serial").run(5)) == history_rows(
-            fast.run(5)
         )
         fast.close()
 
@@ -1263,7 +1260,8 @@ class TestEngineBehaviour:
         fed = _federation()
         model = make_mlp(64, 10, hidden=(12,), seed=5)
         timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        trainer = AlwaysSendAllTrainer(model, fed, timing, seed=5)
+        trainer = FedAvgTrainer(model, fed, timing, aggregation_period=2,
+                                seed=5)
         with pytest.raises(RuntimeError, match="sparsifier"):
             trainer.engine.run_round(5)
 
@@ -1540,6 +1538,75 @@ class TestOneWire:
             "m.py:2 put_on_wire",
             "m.py:3 reset_transmitted(...)",
             "m.py:4 preprocess_uploads()",
+        ]
+
+
+#: the only definitions under src/ that may call ``compute_gradients``:
+#: the one local step, and the sharded backend handing the call to its
+#: pool or to its serial fallback
+GRADIENT_ROW_CONSUMERS = {
+    ("fl/backends.py", "ExecutionBackend.local_steps"),
+    ("parallel/sharded.py", "ShardedBackend.compute_gradients"),
+}
+
+
+def _gradient_row_calls(name, tree):
+    """Every ``compute_gradients`` call in one module's ``tree``, as
+    ``(module, enclosing Class.function, line)``, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = (
+                    func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None)
+                )
+                if called == "compute_gradients":
+                    found.append((name, ".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+class TestOneConsumerOfGradientRows:
+    """A round's gradient rows have one consumer, the local step, which
+    folds each into its client's residual: no trainer draws dense
+    gradients beside Algorithm 1 (always-send-all is its k = D)."""
+
+    def test_only_the_local_step_calls_compute_gradients(self):
+        src = pathlib.Path(__file__).parents[1] / "src" / "repro"
+        calls = []
+        for path in sorted(src.rglob("*.py")):
+            calls += _gradient_row_calls(
+                str(path.relative_to(src)), ast.parse(path.read_text())
+            )
+        assert [c for c in calls if c[:2] not in GRADIENT_ROW_CONSUMERS] == []
+        assert {c[:2] for c in calls} == GRADIENT_ROW_CONSUMERS
+
+    def test_the_lint_reads_calls_in_their_scope(self):
+        # Guard against a vacuous lint: a call is found wherever it sits
+        # and named by the definition around it.
+        source = (
+            "class Trainer:\n"
+            "    def step(self):\n"
+            "        rows = self.backend.compute_gradients(m, cs)\n"
+            "def helper():\n"
+            "    return list(compute_gradients(m, cs))\n"
+            "class ExecutionBackend:\n"
+            "    def local_steps(self, m, cs):\n"
+            "        return [g for g, _ in self.compute_gradients(m, cs)]\n"
+        )
+        assert _gradient_row_calls("m.py", ast.parse(source)) == [
+            ("m.py", "Trainer.step", 3),
+            ("m.py", "helper", 5),
+            ("m.py", "ExecutionBackend.local_steps", 8),
         ]
 
 

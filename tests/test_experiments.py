@@ -267,7 +267,7 @@ class TestExperimentRun:
         assert common_b["eval_every"] == 1
         assert common["telemetry"] is None  # untraced: trainers get None
         # No scenario on the config: the key is absent, so trainers that
-        # take none (FedAvg, always-send-all) accept the kwargs as-is.
+        # take none (FedAvg) accept the kwargs as-is.
         assert "scenario" not in common
         assert set(common) == {
             "timing", "learning_rate", "batch_size", "eval_every",
@@ -336,11 +336,12 @@ class TestRunForTime:
         assert trainer.history.ks() == [30, 20, 10, 10, 10]
 
     def test_step_style_trainers_inherit_it(self, smoke):
-        from repro.fl.fedavg import AlwaysSendAllTrainer
+        from repro.fl.fedavg import FedAvgTrainer
 
         with ExperimentRun(smoke, "fig-test") as run:
-            model, federation, common = run.fresh("dense")
-            trainer = AlwaysSendAllTrainer(model, federation, **common)
+            model, federation, common = run.fresh("fedavg")
+            trainer = FedAvgTrainer(model, federation, aggregation_period=2,
+                                    **common)
             trainer.run_for_time(1e9, max_rounds=2)
         assert len(trainer.history) == 2
 

@@ -9,7 +9,7 @@ from repro.data.partition import ClientDataset, partition_by_writer
 from repro.fl.backends import ExecutionBackend
 from repro.fl.client import Client
 from repro.fl.engine import _as_schedule
-from repro.fl.fedavg import AlwaysSendAllTrainer, FedAvgTrainer
+from repro.fl.fedavg import FedAvgTrainer
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.server import Server
 from repro.fl.trainer import FLTrainer
@@ -394,13 +394,15 @@ class TestFedAvg:
 
 
 class TestAlwaysSendAll:
+    """Always-send-all is Algorithm 1 at k = D."""
+
     def test_loss_decreases_and_dense_cost(self, federation):
         model = make_logistic(10, 4, seed=0)
         timing = TimingModel(dimension=model.dimension, comm_time=10.0)
-        trainer = AlwaysSendAllTrainer(model, federation, timing,
-                                       learning_rate=0.1, batch_size=16)
+        trainer = FLTrainer(model, federation, FABTopK(), timing,
+                            learning_rate=0.1, batch_size=16)
         initial = trainer.global_loss()
-        trainer.run(20)
+        trainer.run(20, model.dimension)
         assert trainer.history.final_loss < initial
         assert trainer.clock == pytest.approx(20 * timing.dense_round().total)
 

@@ -8,6 +8,7 @@ a stronger guarantee than example-based tests.
 import math
 import statistics
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.fl.async_engine import (
 )
 from repro.fl.backends import ExecutionBackend, SerialBackend
 from repro.fl.client import Client
+from repro.fl.engine import RoundEngine
 from repro.fl.metrics import RoundRecord, TrainingHistory
 from repro.fl.robust import (
     CosineReputationAggregator, MedianAggregator, TrimmedMeanAggregator,
@@ -33,6 +35,7 @@ from repro.online.adaptive_trainer import AdaptiveKTrainer, LearnedK
 from repro.online.algorithm2 import SignOGD
 from repro.online.interval import SearchInterval
 from repro.online.policy import KPolicy, SignPolicy
+from repro.parallel.sharded import ShardedBackend
 from repro.simulation.heterogeneous import (
     ClientProfile, ClientSampler, HeterogeneousTimingModel,
 )
@@ -230,17 +233,21 @@ def generated_uploads(draw, rectangular=False, alphabet=UPLOAD_VALUES):
     return uploads, k, dimension
 
 
-#: (clients, nnz, k, shared, ranking depths).  Shared uploads carry one
-#: index set and one value array, so every client ranks alike, |∪ J^κ| = κ
-#: and κ* = k: a search that starts at depth 2⌈k/N⌉ must double to reach
-#: it.  Disjoint uploads give |∪ J^κ| = N·κ and κ* = ⌊k/N⌋, inside the
-#: first depth.
+#: (clients, nnz, k, shared, outsiders, ranking depths).  Shared uploads
+#: carry one index set and one value array, so every client ranks alike,
+#: |∪ J^κ| = κ and κ* = k: a search that starts at depth 2⌈k/N⌉ must
+#: double to reach it.  Disjoint uploads give |∪ J^κ| = N·κ and
+#: κ* = ⌊k/N⌋, inside the first depth.  Each outsider uploads one index
+#: nobody else did.  A union of at most k indices is J with nothing
+#: ranked (no depths); past k, the search stops at the longest upload's
+#: length at the latest.
 DEPTH_CASES = {
-    "no_doubling": (4, 12, 16, False, [8]),
-    "one_doubling": (2, 40, 10, True, [10, 20]),
-    "three_doublings": (8, 200, 64, True, [16, 32, 64, 128]),
-    "doubles_to_nnz": (8, 50, 64, True, [16, 32, 50]),
-    "first_depth_past_nnz": (3, 3, 20, False, [3]),
+    "no_doubling": (4, 12, 16, False, 0, [8]),
+    "one_doubling": (2, 40, 10, True, 0, [10, 20]),
+    "three_doublings": (8, 200, 64, True, 0, [16, 32, 64, 128]),
+    "doubles_to_nnz": (8, 50, 64, True, 0, []),
+    "first_depth_past_nnz": (3, 3, 20, False, 0, []),
+    "doubles_to_nnz_past_k": (7, 50, 50, True, 1, [14, 28, 50]),
 }
 
 DEPTH_VALUES = {
@@ -252,7 +259,7 @@ DEPTH_VALUES = {
 
 def depth_case_uploads(case, values, seed):
     """``(uploads, k)`` for one :data:`DEPTH_CASES` row."""
-    clients, nnz, k, shared, _ = DEPTH_CASES[case]
+    clients, nnz, k, shared, outsiders, _ = DEPTH_CASES[case]
     rng = np.random.default_rng(seed)
     dimension = nnz + 7 if shared else clients * nnz + 7
     layout = np.sort(rng.choice(dimension, nnz if shared else clients * nnz,
@@ -265,6 +272,11 @@ def depth_case_uploads(case, values, seed):
         uploads.append(ClientUpload(
             cid, SparseVector.from_sorted(indices, upload_values, dimension), 1
         ))
+    unused = sorted(set(range(dimension)) - set(layout.tolist()))
+    for cid, index in enumerate(unused[:outsiders], start=clients):
+        uploads.append(ClientUpload(cid, SparseVector.from_sorted(
+            np.array([index]), rng.choice(DEPTH_VALUES[values], 1), dimension
+        ), 1))
     return uploads, k
 
 
@@ -341,6 +353,23 @@ class TestFABAgainstReference:
         monkeypatch.setattr(fab_topk, "ranked_indices", spy)
         fair_select(uploads, k)
         assert depths == [d for d in DEPTH_CASES[case][-1] for _ in uploads]
+        union = {j for up in uploads for j in up.payload.indices.tolist()}
+        assert (depths == []) == (len(union) <= k)
+
+    @pytest.mark.parametrize("rectangular", [True, False])
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_union_that_fits_is_returned_unranked(self, rectangular, data):
+        uploads, k, _ = data.draw(generated_uploads(rectangular))
+        union = sorted({j for up in uploads for j in up.payload.indices.tolist()})
+        k = max(k, len(union))
+        with mock.patch.object(
+            fab_topk, "ranked_indices", side_effect=fab_topk.ranked_indices
+        ) as spy:
+            selected = fair_select(uploads, k)
+        assert spy.call_count == 0
+        assert selected.dtype == np.int64
+        assert selected.tolist() == union == reference_fair_select(uploads, k)
 
 
 class TestAggregateAgainstReference:
@@ -907,6 +936,104 @@ class TestSerialGradientsAgainstReference:
             assert y.tobytes() == want_y.tobytes()
         # A block never mixes batch sizes.
         assert all(len(set(block)) == 1 for block in blocks)
+
+
+# ----------------------------------------------------------------------
+# Always-send-all: Algorithm 1 at k = D against the dense round
+# ----------------------------------------------------------------------
+def reference_send_all_step(engine):
+    """One always-send-all round as its former dense trainer wrote it:
+    every client's dense gradient (the per-client loop above), the
+    ``C_i/C`` mean, a plain SGD step and a dense round's charge, on a
+    sparsifier-less engine's round counter, clock and records."""
+    engine.begin_round()
+    counts = np.array([c.sample_count for c in engine.clients], dtype=float)
+    total = counts.sum()
+    steps = reference_serial_gradients(engine.model, engine.clients)
+    aggregate = np.zeros(engine.model.dimension)
+    for (grad, _), count in zip(steps, counts):
+        aggregate += (count / total) * grad
+    engine.model.set_weights(
+        engine.model.get_weights() - engine.learning_rate * aggregate
+    )
+    dimension = engine.model.dimension
+    return engine.finish_round(
+        k=float(dimension),
+        round_time=engine.timing.dense_round().total,
+        uplink_elements=dimension,
+        downlink_elements=dimension,
+    )
+
+
+def _send_all_parts():
+    """A 2-layer MLP on 4 unequal IID shards (58, 58, 57, 57 samples, so
+    the ``C_i/C`` weights differ) and a β = 10 timing model."""
+    dataset = make_gaussian_blobs(num_samples=230, num_classes=4,
+                                  feature_dim=10, seed=11)
+    federation = partition_iid(dataset, num_clients=4, seed=11)
+    model = make_mlp(10, 4, hidden=(8,), seed=11)
+    return model, federation, TimingModel(model.dimension, comm_time=10.0)
+
+
+#: engine settings of both sides: minibatches smaller than a shard, and
+#: an evaluation cadence that leaves NaN-loss rows
+SEND_ALL_SETTINGS = dict(learning_rate=0.1, batch_size=16, eval_every=3,
+                         seed=11)
+
+
+def record_bytes(record):
+    """A history row with every float as its bytes (NaN losses too),
+    contributions aside: the dense round records none."""
+    return (
+        record.round_index,
+        np.float64(record.k).tobytes(),
+        np.float64(record.round_time).tobytes(),
+        np.float64(record.cumulative_time).tobytes(),
+        np.float64(record.loss).tobytes(),
+        None if record.accuracy is None
+        else np.float64(record.accuracy).tobytes(),
+        record.uplink_elements,
+        record.downlink_elements,
+    )
+
+
+class TestDenseRoundAgainstReference:
+    @pytest.mark.parametrize("backend", ["serial", "sharded"])
+    @pytest.mark.parametrize(
+        "sparsifier", [FABTopK, FUBTopK, UnidirectionalTopK],
+        ids=["fab", "fub", "unidirectional"],
+    )
+    def test_k_equals_d_is_the_dense_round_over_a_run(
+        self, sparsifier, backend
+    ):
+        model, federation, timing = _send_all_parts()
+        engine = RoundEngine(model, federation, None, timing,
+                             **SEND_ALL_SETTINGS)
+        for _ in range(10):
+            reference_send_all_step(engine)
+
+        model_k, federation_k, timing_k = _send_all_parts()
+        trainer = FLTrainer(
+            model_k, federation_k, sparsifier(), timing_k,
+            backend=ShardedBackend(jobs=2) if backend == "sharded" else None,
+            **SEND_ALL_SETTINGS,
+        )
+        try:
+            trainer.run(10, model_k.dimension)
+        finally:
+            trainer.close()
+        assert [record_bytes(r) for r in trainer.history] == [
+            record_bytes(r) for r in engine.history
+        ]
+        assert model_k.get_weights().tobytes() == model.get_weights().tobytes()
+        # What the dense round leaves unrecorded: every client's whole
+        # upload made it into J.
+        dimension = model.dimension
+        assert all(
+            r.contributions == {c.client_id: dimension for c in trainer.clients}
+            for r in trainer.history
+        )
+        assert all(not c.residual.any() for c in trainer.clients)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ the two headline claims at smoke scale across several seeds to make sure
 the reproduction does not hinge on a lucky draw:
 
 1. Fig. 4 core: FAB-top-k beats the non-accumulating periodic-k and the
-   always-send-all baseline in loss at equal normalized time.
+   always-send-all baseline (FAB at k = D) in loss at equal normalized
+   time.
 2. Fig. 7 core: the adaptive algorithm learns a smaller k when
    communication is more expensive.
 """
@@ -20,7 +21,6 @@ from repro.experiments.runner import (
     build_search_interval,
     build_timing,
 )
-from repro.fl.fedavg import AlwaysSendAllTrainer
 from repro.fl.trainer import FLTrainer
 from repro.online.adaptive_trainer import AdaptiveKTrainer
 from repro.online.algorithm3 import AdaptiveSignOGD
@@ -68,17 +68,7 @@ def test_fab_beats_weak_baselines_across_seeds(seed):
         config, lambda m: PeriodicK(m.dimension, seed=seed), budget, k
     )
 
-    model_b = build_model(config)
-    federation = build_federation(config)
-    dense_trainer = AlwaysSendAllTrainer(
-        model_b, federation, timing,
-        learning_rate=config.learning_rate, batch_size=config.batch_size,
-        eval_every=config.eval_every,
-        eval_max_samples=config.eval_max_samples, seed=seed,
-    )
-    while dense_trainer.clock < budget:
-        dense_trainer.step()
-    dense = dense_trainer.history.final_loss
+    dense = run_fixed_k(config, lambda m: FABTopK(), budget, model.dimension)
 
     assert fab < periodic, f"seed {seed}: FAB {fab} vs periodic {periodic}"
     assert fab < dense, f"seed {seed}: FAB {fab} vs send-all {dense}"

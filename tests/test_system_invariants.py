@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.fedavg import AlwaysSendAllTrainer
+from repro.fl.engine import RoundEngine
 from repro.fl.trainer import FLTrainer
 from repro.simulation.timing import TimingModel
 from repro.sparsify.base import ClientUpload, SparseVector
@@ -21,6 +21,7 @@ from repro.sparsify.base import SelectionResult
 from repro.sparsify.topk import top_k_indices
 
 from helpers import make_gaussian_blobs, make_logistic, partition_iid, to_dense
+from test_reference_implementations import record_bytes, reference_send_all_step
 
 
 def make_setup(seed=0, num_clients=3):
@@ -32,37 +33,37 @@ def make_setup(seed=0, num_clients=3):
 
 
 class TestDegenerateK:
-    def test_k_equals_d_first_round_matches_dense_aggregation(self):
-        # With k = D, every client uploads its full residual (= first
-        # round gradient) and the downlink is the full weighted average —
-        # the first-round update must equal always-send-all's.
-        model_a, fed_a = make_setup(seed=0)
-        trainer_a = FLTrainer(model_a, fed_a, FABTopK(), learning_rate=0.05,
-                              batch_size=16, seed=0)
-        trainer_a.step(k=model_a.dimension)
+    """At k = D every client uploads its whole residual and the downlink
+    is the full weighted mean: Algorithm 1 is always-send-all, exactly."""
 
-        model_b, fed_b = make_setup(seed=0)
-        timing = TimingModel(model_b.dimension, comm_time=0.0)
-        trainer_b = AlwaysSendAllTrainer(model_b, fed_b, timing,
-                                         learning_rate=0.05,
-                                         batch_size=16, seed=0)
-        trainer_b.step()
-        np.testing.assert_allclose(
-            model_a.get_weights(), model_b.get_weights(), atol=1e-12
-        )
+    ROUNDS = 10
 
-    def test_k_equals_d_schemes_agree_first_round(self):
-        # All top-k schemes degenerate to the same dense behaviour at k=D.
-        weights = {}
-        for name, sparsifier in (("fab", FABTopK()), ("fub", FUBTopK()),
-                                 ("uni", UnidirectionalTopK())):
-            model, fed = make_setup(seed=1)
-            trainer = FLTrainer(model, fed, sparsifier, learning_rate=0.05,
-                                batch_size=16, seed=1)
-            trainer.step(k=model.dimension)
-            weights[name] = model.get_weights()
-        np.testing.assert_allclose(weights["fab"], weights["fub"], atol=1e-12)
-        np.testing.assert_allclose(weights["fab"], weights["uni"], atol=1e-12)
+    def _k_equals_d_run(self, sparsifier):
+        model, fed = make_setup(seed=1)
+        trainer = FLTrainer(model, fed, sparsifier, learning_rate=0.05,
+                            batch_size=16, seed=1)
+        trainer.run(self.ROUNDS, k=model.dimension)
+        return model.get_weights(), [record_bytes(r) for r in trainer.history]
+
+    def test_k_equals_d_run_matches_dense_reference(self):
+        model, fed = make_setup(seed=1)
+        # FLTrainer's default timing: no communication charge.
+        engine = RoundEngine(model, fed, None,
+                             TimingModel(model.dimension, comm_time=0.0),
+                             learning_rate=0.05, batch_size=16, seed=1)
+        for _ in range(self.ROUNDS):
+            reference_send_all_step(engine)
+        weights, rows = self._k_equals_d_run(FABTopK())
+        assert weights.tobytes() == model.get_weights().tobytes()
+        assert rows == [record_bytes(r) for r in engine.history]
+
+    def test_k_equals_d_schemes_agree_over_a_run(self):
+        # All top-k schemes degenerate to the same dense run at k = D.
+        fab_weights, fab_rows = self._k_equals_d_run(FABTopK())
+        for sparsifier in (FUBTopK(), UnidirectionalTopK()):
+            weights, rows = self._k_equals_d_run(sparsifier)
+            assert weights.tobytes() == fab_weights.tobytes(), sparsifier.name
+            assert rows == fab_rows, sparsifier.name
 
     def test_k_equals_one_still_progresses(self):
         model, fed = make_setup(seed=2)
